@@ -1,0 +1,237 @@
+"""Command-line entry point: one subcommand per experiment preset.
+
+Exit codes: 0 clean, 1 configuration or I/O error, 2 hard invariant
+violation during a run.
+"""
+
+import argparse
+import os
+import sys
+
+import numpy as np
+
+from . import presets, simulate
+from .config import (
+    PastData,
+    RateModel,
+    SimulationConfig,
+    SourceModel,
+    load_config,
+    validate_config,
+)
+from .errors import ConfigError, LinkagesError
+from .grids import build_grids
+
+
+def reference_config(**overrides):
+    """Constant-rate weak configuration (beta = zeta = 1, sine past data)."""
+    base = dict(
+        epsilon=0.05,
+        final_time=0.5,
+        nx=64,
+        da=0.01,
+        a_max=10.0,
+        mode="weak",
+        rate_model=RateModel(),
+        past_data=PastData(fn=presets.past_data_fn("sin_pi")),
+        initial_density=presets.initial_density_fn("exp_decay"),
+    )
+    base.update(overrides)
+    return SimulationConfig(**base)
+
+
+def source_config(**overrides):
+    """Reference configuration plus the steady sine load pi^2 sin(pi x)."""
+    fn, dfn = presets.source_fns("sin_forcing")
+    return reference_config(
+        mode="weak_with_source", source=SourceModel(fn=fn, dfn=dfn), **overrides
+    )
+
+
+def coupled_config(**overrides):
+    """Steady-adhesion coupled configuration (beta = 1, unit constant load)."""
+    fn, dfn = presets.source_fns("constant(1.0)")
+    base = dict(
+        epsilon=0.02,
+        final_time=1.0,
+        nx=64,
+        da=0.02,
+        a_max=10.0,
+        mode="coupled",
+        rate_model=RateModel(zeta_kind="lipschitz", zeta_M=np.inf),
+        past_data=PastData(fn=presets.past_data_fn("zero")),
+        initial_density=presets.initial_density_fn("exp_decay"),
+        source=SourceModel(fn=fn, dfn=dfn),
+    )
+    base.update(overrides)
+    return SimulationConfig(**base)
+
+
+def detachment_config(**overrides):
+    """Tear-off experiment: threshold on-rate, load 1e4, eps = 1e-3."""
+    fn, dfn = presets.source_fns("constant(10000.0)")
+    base = dict(
+        epsilon=1e-3,
+        final_time=8e-3,
+        nx=128,
+        da=1e-2,
+        a_max=10.0,
+        mode="coupled",
+        rate_model=RateModel(
+            zeta_kind="lipschitz", zeta_M=np.inf, beta_kind="threshold", zbar=1000.0, beta_m=0.0
+        ),
+        past_data=PastData(fn=presets.past_data_fn("sin_pi")),
+        initial_density=presets.initial_density_fn("exp_decay"),
+        source=SourceModel(fn=fn, dfn=dfn),
+    )
+    base.update(overrides)
+    return SimulationConfig(**base)
+
+
+def _load_or(default_builder, args):
+    if args.config:
+        return load_config(args.config)
+    return default_builder()
+
+
+def _out(args, name):
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
+
+
+def _run_weak_like(args, cfg):
+    vcfg = validate_config(cfg)
+    sgrid, _, _ = build_grids(vcfg)
+    res = simulate.run_weak(vcfg, output_stride=args.cadence, diag_stride=args.cadence)
+    simulate.write_trajectory_csv(_out(args, "trajectory.csv"), res.times, res.trajectory, sgrid.x)
+    simulate.write_diagnostics_csv(_out(args, "diagnostics.csv"), res.records)
+    if args.dump_density:
+        _, agrid, _ = build_grids(vcfg)
+        simulate.write_density_csv(_out(args, "density.csv"), res.final_rho, sgrid, agrid)
+    for v in res.violations:
+        print(f"invariant violation: {v}", file=sys.stderr)
+    print(f"weak run: {len(res.times)} outputs, mu0 in [{res.mu0_min:.6g}, {res.mu0_max:.6g}]")
+    return 2 if res.violations else 0
+
+
+def cmd_weak(args):
+    return _run_weak_like(args, _load_or(reference_config, args))
+
+
+def cmd_weak_source(args):
+    return _run_weak_like(args, _load_or(source_config, args))
+
+
+def cmd_limit(args):
+    cfg = _load_or(reference_config, args)
+    vcfg = validate_config(cfg)
+    sgrid, _, _ = build_grids(vcfg)
+    dt_out = vcfg.dt * args.cadence
+    n_out = int(round(vcfg.final_time / dt_out))
+    res = simulate.run_limit(vcfg, dt_out, n_out)
+    simulate.write_trajectory_csv(_out(args, "trajectory.csv"), res.times, res.trajectory, sgrid.x)
+    print(f"limit run: {len(res.times)} outputs")
+    return 0
+
+
+def cmd_coupled(args):
+    cfg = _load_or(coupled_config, args)
+    vcfg = validate_config(cfg)
+    sgrid, agrid, _ = build_grids(vcfg)
+    res = simulate.run_coupled(vcfg, diag_stride=args.cadence)
+    simulate.write_diagnostics_csv(_out(args, "diagnostics.csv"), res.records)
+    if args.dump_density:
+        simulate.write_density_csv(_out(args, "density.csv"), res.final.rho, sgrid, agrid)
+    for v in res.violations:
+        print(f"invariant violation: {v}", file=sys.stderr)
+    for s in res.soft_flags:
+        print(f"flag: {s}", file=sys.stderr)
+    print(
+        f"coupled run: t = {res.final.t:g}, min u = {res.u_min:.3g}, "
+        f"mu0 in [{res.mu0_min:.6g}, {res.mu0_max:.6g}], "
+        f"truncated = {res.ever_truncated}"
+    )
+    return 2 if res.violations else 0
+
+
+def cmd_sweep(args):
+    cfg = _load_or(reference_config, args)
+    vcfg = validate_config(cfg)
+    eps_list = [float(tok) for tok in args.epsilons.split(",")]
+    # snapshots every --cadence steps of the coarsest run
+    dt_out = args.cadence * max(eps_list) * vcfg.da
+    sweep = simulate.run_convergence_sweep(vcfg, eps_list, dt_out=dt_out)
+    simulate.write_sweep_csv(_out(args, "sweep.csv"), sweep)
+    print(f"{'epsilon':>10} {'L2(Q_T) error':>16} {'order':>8}")
+    for row in sweep.rows:
+        order = "" if row.order is None else f"{row.order:8.3f}"
+        print(f"{row.epsilon:10.4g} {row.error:16.8g} {order}")
+    if not sweep.monotone:
+        print("errors are not monotone in epsilon", file=sys.stderr)
+        return 2
+    return 0
+
+
+def cmd_detachment(args):
+    cfg = _load_or(detachment_config, args)
+    vcfg = validate_config(cfg)
+    sgrid, _, _ = build_grids(vcfg)
+    res = simulate.run_detachment(vcfg)
+    zcols, mcols = {}, {}
+    for t in simulate.DETACHMENT_TIMES:
+        z, mu0 = res.snapshots[t]
+        zcols[f"z(t={t:g})"] = z
+        mcols[f"mu0(t={t:g})"] = np.maximum(mu0, simulate.MU0_PLOT_FLOOR)
+    simulate.write_profile_columns(_out(args, "detachment_z.dat"), sgrid.x, zcols)
+    simulate.write_profile_columns(_out(args, "detachment_mu0.dat"), sgrid.x, mcols)
+    mu = res.mu0_final
+    n_flank, n_dead = int(res.flank_mask.sum()), int(res.dead_mask.sum())
+    print(f"detachment run to t = {res.final.t:g}: {n_flank} live nodes, {n_dead} detached nodes")
+    if n_dead:
+        print(f"  detached region: max mu0 = {np.max(mu[res.dead_mask]):.3g}")
+    if n_flank:
+        print(f"  live flanks:     mu0 within {np.max(np.abs(mu[res.flank_mask] - 0.5)):.3g} of 1/2")
+    for v in res.violations:
+        print(f"invariant violation: {v}", file=sys.stderr)
+    return 2 if res.violations else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        prog="linkages",
+        description="Adhesion-bond kinetics coupled to an elastic position field",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=None, help="INI configuration file")
+    common.add_argument("--out", default="out", help="output directory")
+    common.add_argument("--cadence", type=int, default=10, help="output every N steps")
+    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    common.add_argument("--dump-density", action="store_true", help="write the final density CSV")
+
+    sub.add_parser("weak", parents=[common]).set_defaults(fn=cmd_weak)
+    sub.add_parser("weak-source", parents=[common]).set_defaults(fn=cmd_weak_source)
+    sub.add_parser("limit", parents=[common]).set_defaults(fn=cmd_limit)
+    sub.add_parser("coupled", parents=[common]).set_defaults(fn=cmd_coupled)
+    p = sub.add_parser("convergence-sweep", parents=[common])
+    p.add_argument("--epsilons", default="0.2,0.1,0.05,0.025", help="comma-separated scale list")
+    p.set_defaults(fn=cmd_sweep)
+    sub.add_parser("detachment", parents=[common]).set_defaults(fn=cmd_detachment)
+
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:
+        for v in exc.violations:
+            print(f"config error: {v!r}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 1
+    except LinkagesError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,147 @@
+"""Named analytic presets used by configuration files and experiment defaults.
+
+A preset spec is a string like ``sin_pi``, ``constant(0.5)``, ``exp_decay(2)``
+or ``threshold(1000)``.  Every preset resolves to a numpy-vectorized callable:
+
+* past data and sources take ``(x, t)``,
+* initial densities and given off-rates take ``(x, a)`` resp. ``(x, a, t)``,
+* ``threshold(zbar)`` resolves to the on-rate switch evaluated on a z field.
+"""
+
+import re
+
+import numpy as np
+
+_CALL_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\(([^)]*)\))?\s*$")
+
+
+def parse_spec(spec):
+    """Split ``"name(a, b)"`` into ``("name", [a, b])`` with float args."""
+    m = _CALL_RE.match(spec)
+    if m is None:
+        raise ValueError(f"malformed preset spec: {spec!r}")
+    name, argstr = m.group(1), m.group(2)
+    args = []
+    if argstr and argstr.strip():
+        args = [float(tok) for tok in argstr.split(",")]
+    return name, args
+
+
+def _xt(name, args):
+    if name == "zero":
+        return lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
+    if name == "constant":
+        (c,) = args or (0.0,)
+        return lambda x, t: np.full_like(np.asarray(x, dtype=float), c)
+    if name == "sin_pi":
+        # sin(pi x)/pi, frozen in time; vanishes at both ends of (0,1)
+        return lambda x, t: np.sin(np.pi * np.asarray(x, dtype=float)) / np.pi
+    if name == "sin_pi_growing":
+        (c,) = args or (1.0,)
+        return lambda x, t: np.sin(np.pi * np.asarray(x, dtype=float)) / np.pi * (1.0 + c * t)
+    if name == "sin_forcing":
+        # pi^2 sin(pi x): the load whose steady Poisson solution is sin(pi x)
+        return lambda x, t: np.pi ** 2 * np.sin(np.pi * np.asarray(x, dtype=float))
+    if name == "linear_in_t":
+        c0, c1 = (args + [0.0, 0.0])[:2]
+        return lambda x, t: np.full_like(np.asarray(x, dtype=float), c0 + c1 * t)
+    return None
+
+
+def past_data_fn(spec):
+    """Position history z_p(x, t) for t <= 0."""
+    name, args = parse_spec(spec)
+    fn = _xt(name, args)
+    if fn is None:
+        raise ValueError(f"unknown past-data preset: {name!r}")
+    return fn
+
+
+def past_lipschitz_fn(spec):
+    """Pointwise-in-x Lipschitz constant of z_p in time."""
+    name, args = parse_spec(spec)
+    if name == "zero":
+        return lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    if name == "constant":
+        (c,) = args or (0.0,)
+        return lambda x: np.full_like(np.asarray(x, dtype=float), c)
+    if name == "sin_pi":
+        # matches sin_pi_growing(c): |d/dt z_p| = c |sin(pi x)|/pi
+        (c,) = args or (1.0,)
+        return lambda x: c * np.abs(np.sin(np.pi * np.asarray(x, dtype=float))) / np.pi
+    raise ValueError(f"unknown lipschitz preset: {name!r}")
+
+
+def source_fns(spec, dspec=None):
+    """Source S(x, t) and its time derivative; dS/dt derived for known names."""
+    name, args = parse_spec(spec)
+    fn = _xt(name, args)
+    if fn is None:
+        raise ValueError(f"unknown source preset: {name!r}")
+    if dspec is not None:
+        dname, dargs = parse_spec(dspec)
+        dfn = _xt(dname, dargs)
+        if dfn is None:
+            raise ValueError(f"unknown source-derivative preset: {dname!r}")
+        return fn, dfn
+    if name == "linear_in_t":
+        c1 = (args + [0.0, 0.0])[1]
+        return fn, lambda x, t: np.full_like(np.asarray(x, dtype=float), c1)
+    if name == "sin_pi_growing":
+        (c,) = args or (1.0,)
+        return fn, lambda x, t: c * np.sin(np.pi * np.asarray(x, dtype=float)) / np.pi
+    # remaining presets are constant in time
+    return fn, lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
+
+
+def initial_density_fn(spec):
+    """Initial age distribution rho_I(x, a)."""
+    name, args = parse_spec(spec)
+    if name == "zero":
+        return lambda x, a: np.zeros(np.broadcast(x, a).shape)
+    if name == "constant":
+        (c,) = args or (0.0,)
+        return lambda x, a: np.full(np.broadcast(x, a).shape, c)
+    if name == "exp_decay":
+        (c,) = args or (1.0,)
+        return lambda x, a: c * np.exp(-np.asarray(a, dtype=float)) * np.ones_like(np.asarray(x, dtype=float))
+    raise ValueError(f"unknown initial-density preset: {name!r}")
+
+
+def given_zeta_fn(spec):
+    """Prescribed off-rate zeta(x, a, t) for the weakly coupled problem."""
+    name, args = parse_spec(spec)
+    if name == "constant":
+        (c,) = args or (1.0,)
+        return lambda x, a, t: np.full(np.broadcast(x, a).shape, c)
+    if name == "one_plus_age_ramp":
+        # 1 + c * a/(1+a) * (1+sin(pi x))/2: bounded in [1, 1+c], varies in x and a
+        (c,) = args or (0.5,)
+
+        def fn(x, a, t):
+            x = np.asarray(x, dtype=float)
+            a = np.asarray(a, dtype=float)
+            return 1.0 + c * (a / (1.0 + a)) * (1.0 + np.sin(np.pi * x)) / 2.0
+
+        return fn
+    raise ValueError(f"unknown off-rate preset: {name!r}")
+
+
+def given_beta_fn(spec):
+    """Prescribed on-rate beta(x, t)."""
+    name, args = parse_spec(spec)
+    fn = _xt(name, args)
+    if fn is None:
+        raise ValueError(f"unknown on-rate preset: {name!r}")
+    return fn
+
+
+def lipschitz_zeta_fn(spec):
+    """Elongation-dependent off-rate zeta(u) for the fully coupled problem."""
+    name, args = parse_spec(spec)
+    if name == "one_plus_abs":
+        return lambda u: 1.0 + np.abs(u)
+    if name == "affine_abs":
+        c0, c1 = (args + [1.0, 1.0])[:2]
+        return lambda u: c0 + c1 * np.abs(u)
+    raise ValueError(f"unknown coupled off-rate preset: {name!r}")
