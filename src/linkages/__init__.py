@@ -12,7 +12,6 @@ from .config import (
     RateModel,
     SimulationConfig,
     SourceModel,
-    ValidatedConfig,
     load_config,
     validate_config,
     with_overrides,
@@ -55,7 +54,6 @@ from .kinetics import (
 from .limit import LimitState, step_limit
 from .position import (
     PositionHistory,
-    history_integral,
     initial_position,
     step_position,
     volterra_residual,

@@ -19,7 +19,7 @@ from .config import (
     load_config,
     validate_config,
 )
-from .errors import ConfigError, LinkagesError
+from .errors import ConfigError, HypothesisViolation, LinkagesError
 from .grids import build_grids
 
 
@@ -157,7 +157,11 @@ def cmd_coupled(args):
 def cmd_sweep(args):
     cfg = _load_or(reference_config, args)
     vcfg = validate_config(cfg)
-    eps_list = [float(tok) for tok in args.epsilons.split(",")]
+    try:
+        eps_list = [float(tok) for tok in args.epsilons.split(",")]
+    except ValueError as exc:
+        bad = HypothesisViolation("malformed scale list", f"--epsilons {args.epsilons}")
+        raise ConfigError([bad]) from exc
     # snapshots every --cadence steps of the coarsest run
     dt_out = args.cadence * max(eps_list) * vcfg.da
     sweep = simulate.run_convergence_sweep(vcfg, eps_list, dt_out=dt_out)
@@ -206,7 +210,6 @@ def main(argv=None):
     common.add_argument("--config", default=None, help="INI configuration file")
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--cadence", type=int, default=10, help="output every N steps")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
     common.add_argument("--dump-density", action="store_true", help="write the final density CSV")
 
     sub.add_parser("weak", parents=[common]).set_defaults(fn=cmd_weak)
@@ -220,6 +223,8 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
+        if args.cadence < 1:
+            raise ConfigError([HypothesisViolation("output cadence", f"--cadence {args.cadence} < 1")])
         return args.fn(args)
     except ConfigError as exc:
         for v in exc.violations:

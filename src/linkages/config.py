@@ -36,6 +36,7 @@ ConfigError listing all violations; soft conditions only warn.
 """
 
 import configparser
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -43,7 +44,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import presets
-from .errors import ConfigError, HypothesisViolation
+from .errors import ConfigError, HypothesisViolation, RateKindMismatch
 from .grids import AgeGrid, SpaceGrid
 
 MODES = ("weak", "weak_with_source", "limit", "coupled")
@@ -82,12 +83,14 @@ class RateModel:
 
     def zeta_field(self, x, a, t):
         """Prescribed off-rate sampled on the (x, a) grid at time t."""
-        assert self.zeta_kind == "given"
+        if self.zeta_kind != "given":
+            raise RateKindMismatch(f"zeta_field needs a prescribed off-rate, not {self.zeta_kind!r}")
         return np.asarray(self.zeta(x[:, None], a[None, :], t), dtype=float)
 
     def zeta_of_u(self, u):
         """Elongation-dependent off-rate, elementwise on a u field."""
-        assert self.zeta_kind == "lipschitz"
+        if self.zeta_kind != "lipschitz":
+            raise RateKindMismatch(f"zeta_of_u needs an elongation-dependent rate, not {self.zeta_kind!r}")
         return np.asarray(self.zeta(u), dtype=float)
 
     def beta_values(self, x, t, z=None):
@@ -127,7 +130,7 @@ class SourceModel:
         return np.asarray(self.dfn(x, t), dtype=float)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationConfig:
     epsilon: float
     final_time: float
@@ -141,23 +144,6 @@ class SimulationConfig:
     source: Optional[SourceModel] = None
     truncation_k: Optional[float] = None
 
-
-@dataclass(frozen=True)
-class ValidatedConfig:
-    """A SimulationConfig that passed validate_config; treat as immutable."""
-
-    epsilon: float
-    final_time: float
-    nx: int
-    da: float
-    a_max: float
-    mode: str
-    rate_model: RateModel
-    past_data: PastData
-    initial_density: Callable
-    source: Optional[SourceModel]
-    truncation_k: Optional[float]
-
     @property
     def dt(self):
         return self.epsilon * self.da
@@ -166,7 +152,7 @@ class ValidatedConfig:
 def validate_config(config):
     """Check the modelling hypotheses on the actual grids.
 
-    Returns a ValidatedConfig, or raises ConfigError carrying one
+    Returns the configuration itself, or raises ConfigError carrying one
     HypothesisViolation per failed check.  Conditions the theory merely
     prefers (strictly positive initial population, beta_m > 0 in coupled
     mode) produce warnings instead.
@@ -176,14 +162,14 @@ def validate_config(config):
     def violated(name, location=""):
         bad.append(HypothesisViolation(name, location))
 
-    if config.epsilon <= 0:
-        violated("scale positivity", "epsilon")
-    if config.final_time <= 0:
-        violated("scale positivity", "final_time")
+    for name in ("epsilon", "final_time", "da", "a_max"):
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            violated("scale finiteness", name)
+        elif value <= 0:
+            violated("scale positivity", name)
     if config.nx < 1:
         violated("scale positivity", "nx")
-    if config.da <= 0:
-        violated("scale positivity", "da")
     if config.mode not in MODES:
         violated("unknown mode", config.mode)
     if bad:
@@ -308,42 +294,17 @@ def validate_config(config):
     elif config.mode == "weak_with_source":
         violated("source missing", "mode=weak_with_source")
 
-    if config.truncation_k is not None and config.truncation_k <= 0:
+    if config.truncation_k is not None and not config.truncation_k > 0:
         violated("truncation threshold", "truncation_k")
 
     if bad:
         raise ConfigError(bad)
-    return ValidatedConfig(
-        epsilon=config.epsilon,
-        final_time=config.final_time,
-        nx=config.nx,
-        da=config.da,
-        a_max=config.a_max,
-        mode=config.mode,
-        rate_model=config.rate_model,
-        past_data=config.past_data,
-        initial_density=config.initial_density,
-        source=config.source,
-        truncation_k=config.truncation_k,
-    )
+    return config
 
 
 def with_overrides(vcfg, **kwargs):
     """Copy a validated configuration with some fields replaced (revalidates)."""
-    cfg = SimulationConfig(
-        epsilon=vcfg.epsilon,
-        final_time=vcfg.final_time,
-        nx=vcfg.nx,
-        da=vcfg.da,
-        a_max=vcfg.a_max,
-        mode=vcfg.mode,
-        rate_model=vcfg.rate_model,
-        past_data=vcfg.past_data,
-        initial_density=vcfg.initial_density,
-        source=vcfg.source,
-        truncation_k=vcfg.truncation_k,
-    )
-    return validate_config(replace(cfg, **kwargs))
+    return validate_config(replace(vcfg, **kwargs))
 
 
 def load_config(path):

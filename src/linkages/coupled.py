@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elliptic
+from .diagnostics import stability_functional
 from .errors import NonpositiveGamma1
 from .kinetics import DensityField, step_density
 from .position import step_position
@@ -38,9 +39,6 @@ class ElongationField:
     values: np.ndarray
     t: float
 
-    def copy(self):
-        return ElongationField(values=self.values.copy(), t=self.t)
-
 
 @dataclass
 class CoupledState:
@@ -52,6 +50,7 @@ class CoupledState:
     t: float
     truncation_k: float
     truncated: bool = False
+    mu0: object = None  # zeroth moment of rho, filled in by the driver
 
 
 def init_elongation(z0, past, eps, sgrid, agrid):
@@ -182,6 +181,29 @@ def riccati_gamma2(p0, gamma1, h, eps, omega=OMEGA):
         raise NonpositiveGamma1(f"gamma1 = {gamma1:g}")
     root = (omega + math.sqrt(omega**2 + 4.0 * h * gamma1 * eps**2)) / (2.0 * eps * gamma1)
     return max(p0, root)
+
+
+def riccati_bound(rho, u, rate, source, final_time, eps, sgrid, agrid):
+    """Riccati data measured from the initial state: (gamma2, dS_norm).
+
+    dS_norm is the largest L2 norm of dS/dt over five sample times in
+    [0, final_time]; gamma2 bounds p(t) for the whole run.
+    """
+    q0 = stability_functional(rho, u, sgrid, agrid)
+    p0 = riccati_p(rho, u, rate, sgrid, agrid)
+    if source is not None:
+        t_samples = np.linspace(0.0, final_time, 5)
+        wx = sgrid.quad_weights()
+        dS_norm = max(
+            float(np.sqrt((source.ddt(sgrid.x, t) ** 2) @ wx)) for t in t_samples
+        )
+    else:
+        dS_norm = 0.0
+    if q0 > 0.0:
+        gamma1 = 1.0 / q0
+        h = OMEGA * dS_norm * (2.0 * rate.zeta_lip * q0 + rate.zeta_at_zero)
+        return riccati_gamma2(p0, gamma1, h, eps), dS_norm
+    return max(p0, OMEGA * dS_norm), dS_norm
 
 
 def riccati_p(rho, u, rate, sgrid, agrid):

@@ -51,6 +51,10 @@ class MassAtLeastOne(LinkagesError):
     """Initial bond population reaches or exceeds the saturation value 1."""
 
 
+class RateKindMismatch(LinkagesError):
+    """A rate model was evaluated through the interface of the other kind."""
+
+
 class NonfiniteValue(LinkagesError):
     """A field evaluation produced NaN or infinity."""
 

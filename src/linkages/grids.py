@@ -70,9 +70,6 @@ class TimeStepping:
     n_steps: int
     history_depth: int
 
-    def times(self):
-        return np.arange(self.n_steps + 1) * self.dt
-
 
 def build_grids(config):
     """Build (SpaceGrid, AgeGrid, TimeStepping) from a validated configuration."""

@@ -36,12 +36,7 @@ class PositionHistory:
             self._buf[j] = past(sgrid.x, -eps * agrid.a[j])
         self._head = 0
         self.t = 0.0
-        self.eps = eps
         self.depth = depth
-
-    def snapshot(self, j):
-        """z at delay eps*a_j (j = 0 is the current level)."""
-        return self._buf[(self._head + j) % self.depth]
 
     def matrix(self):
         """All snapshots as an array Z[j] = z(., t - eps*a_j)."""
@@ -53,9 +48,6 @@ class PositionHistory:
         self._head = (self._head - 1) % self.depth
         self._buf[self._head] = z_new
         self.t += dt
-
-    def copy_matrix(self):
-        return self.matrix().copy()
 
 
 def initial_position(rho_I, past, eps, sgrid, agrid, source_at_0=None):
@@ -81,18 +73,6 @@ def initial_position(rho_I, past, eps, sgrid, agrid, source_at_0=None):
         raise DegenerateOperator("mu0_I == 0 and eps == 0")
     op = elliptic.assemble(coeff[1:-1], eps, sgrid)
     return elliptic.solve(op, rhs)
-
-
-def history_integral(hist, rho, agrid):
-    """Delayed-position quadrature, j = 0 excluded.
-
-    Returns (integral, w0_rho0): the sum over j >= 1 of w_j z(t-eps a_j) rho_j
-    per node, and the a = 0 weight w0*rho(., 0) that multiplies the unknown in
-    the implicit solve.
-    """
-    Z = hist.matrix()
-    integral = np.einsum("j,xj,jx->x", agrid.w[1:], rho.values[:, 1:], Z[1:])
-    return integral, agrid.w[0] * rho.values[:, 0]
 
 
 def step_position(rho_next, hist, eps, sgrid, agrid, source=None):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,22 @@ def make_config(**overrides):
 @pytest.fixture
 def weak_config():
     return make_config()
+
+
+def capture_at(steps):
+    """Observer for run_weak keeping z, rho and the delayed z at the given steps.
+
+    The captures are appended to the observer's `captures` list.
+    """
+
+    def observe(n, st):
+        if n in steps:
+            observe.captures.append(SimpleNamespace(
+                n=n, z=st.z.copy(), rho=st.rho.copy(), delayed_z=st.hist.matrix().copy()
+            ))
+
+    observe.captures = []
+    return observe
 
 
 def dense_solve(c, kappa, rhs, nx):

@@ -15,6 +15,8 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import capture_at
+
 import linkages as lk
 from linkages import presets
 from linkages.cli import coupled_config, detachment_config, reference_config
@@ -51,9 +53,10 @@ def weak_reference_run():
     vcfg = validate_config(reference_config(nx=64, da=0.01, epsilon=0.05, final_time=0.5))
     _, _, ts = build_grids(vcfg)
     rng = np.random.default_rng(SEED)
-    capture = set(rng.choice(np.arange(1, ts.n_steps + 1), size=10, replace=False).tolist())
-    res = lk.run_weak(vcfg, output_stride=100, diag_stride=1, capture_steps=capture)
+    capture = capture_at(set(rng.choice(np.arange(1, ts.n_steps + 1), size=10, replace=False).tolist()))
+    res = lk.run_weak(vcfg, output_stride=100, diag_stride=1, observers=[capture])
     res.vcfg = vcfg
+    res.captures = capture.captures
     return res
 
 

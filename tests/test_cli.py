@@ -76,8 +76,8 @@ def test_weak_subcommand(tmp_path, capsys):
 def test_weak_determinism(tmp_path):
     cfg = write(tmp_path, TINY_WEAK)
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    assert main(["weak", "--config", cfg, "--out", out1, "--cadence", "5", "--seed", "1"]) == 0
-    assert main(["weak", "--config", cfg, "--out", out2, "--cadence", "5", "--seed", "1"]) == 0
+    assert main(["weak", "--config", cfg, "--out", out1, "--cadence", "5"]) == 0
+    assert main(["weak", "--config", cfg, "--out", out2, "--cadence", "5"]) == 0
     for name in ("trajectory.csv", "diagnostics.csv"):
         assert filecmp.cmp(os.path.join(out1, name), os.path.join(out2, name), shallow=False)
 
@@ -165,3 +165,27 @@ def test_config_error_exit_code(tmp_path):
 
 def test_missing_file_exit_code(tmp_path):
     assert main(["weak", "--config", str(tmp_path / "none.ini"), "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("line, bad", [
+    ("epsilon = 0.05", "epsilon = nan"),
+    ("da = 0.01", "da = nan"),
+    ("final_time = 0.02", "final_time = inf"),
+])
+def test_nonfinite_config_scalar_exit_code(tmp_path, capsys, line, bad):
+    cfg = write(tmp_path, TINY_WEAK.replace(line, bad))
+    assert main(["weak", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "config error: HypothesisViolation('scale finiteness'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, violation", [
+    (["weak", "--cadence", "0"], "output cadence"),
+    (["limit", "--cadence", "0"], "output cadence"),
+    (["convergence-sweep", "--epsilons", "abc"], "malformed scale list"),
+    (["convergence-sweep", "--epsilons", "0.03,0.07"], "final time divisibility"),
+    (["convergence-sweep", "--epsilons", "0.05,0.04", "--cadence", "1"], "output grid divisibility"),
+])
+def test_bad_argument_exit_code(tmp_path, capsys, argv, violation):
+    cfg = write(tmp_path, TINY_WEAK)
+    assert main([*argv, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert f"config error: HypothesisViolation({violation!r}" in capsys.readouterr().err

@@ -173,8 +173,8 @@ def test_velocity_matches_position_difference_quotient():
     for da in (0.04, 0.02):
         vcfg = validate_quiet(coupled_cfg(da=da, final_time=0.1))
         sg, ag, ts = build_grids(vcfg)
-        res = run_coupled(vcfg, diag_stride=0, collect_trajectory=True)
-        zs = res.trajectory
+        zs = []
+        res = run_coupled(vcfg, diag_stride=0, observers=[lambda n, st: zs.append(st.z.copy())])
         g_fd = (zs[-1] - zs[-2]) / ts.dt
         gaps.append(np.max(np.abs(res.final.g - g_fd)) / max(np.max(np.abs(res.final.g)), 1e-12))
     assert gaps[0] < 0.2
@@ -220,8 +220,15 @@ def test_mu_ode_residual_shrinks_under_refinement():
     for da in (0.04, 0.02):
         vcfg = validate_quiet(coupled_cfg(da=da, final_time=0.1))
         sg, ag, ts = build_grids(vcfg)
-        res = run_coupled(vcfg, diag_stride=0, collect_snapshot_pair=int(0.05 / ts.dt))
-        prev, nxt = res.snapshot_pair
+        n_pair = int(0.05 / ts.dt)
+        pair = {}  # coupled_step returns a fresh state, so keeping references suffices
+
+        def keep(n, st):
+            if n in (n_pair - 1, n_pair):
+                pair[n] = st
+
+        run_coupled(vcfg, diag_stride=0, observers=[keep])
+        prev, nxt = pair[n_pair - 1], pair[n_pair]
         beta = vcfg.rate_model.beta_values(sg.x, nxt.t)
         r = mu_ode_residual(prev, nxt, vcfg.source, beta, vcfg.epsilon, sg, ag)
         norms.append(np.max(np.abs(r)))

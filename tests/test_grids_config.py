@@ -6,7 +6,7 @@ import pytest
 from conftest import make_config
 
 from linkages.config import RateModel, load_config, validate_config
-from linkages.errors import ConfigError
+from linkages.errors import ConfigError, RateKindMismatch
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
 from linkages import presets
 
@@ -118,6 +118,15 @@ def test_validate_rejects_inconsistent_source():
     with pytest.raises(ConfigError) as err:
         validate_config(make_config(mode="weak_with_source", source=src))
     assert any(v.name == "source consistency" for v in err.value.violations)
+
+
+def test_rate_kind_mismatch_raises():
+    # a typed error, not an assert, so the guard survives python -O
+    x, a = np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4)
+    with pytest.raises(RateKindMismatch):
+        RateModel(zeta_kind="lipschitz").zeta_field(x, a, 0.0)
+    with pytest.raises(RateKindMismatch):
+        RateModel().zeta_of_u(np.zeros(3))
 
 
 def test_threshold_beta_switch():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import dense_solve, make_config
+from conftest import capture_at, dense_solve, make_config
 
 from linkages import diagnostics as dg
 from linkages.config import PastData, validate_config
@@ -11,7 +11,6 @@ from linkages.grids import AgeGrid, SpaceGrid, build_grids
 from linkages.kinetics import DensityField, init_density, moment
 from linkages.position import (
     PositionHistory,
-    history_integral,
     initial_position,
     step_position,
     volterra_residual,
@@ -62,40 +61,6 @@ def test_initial_position_small_scale_limit():
     assert devs[2] / devs[0] == pytest.approx(1e-2, rel=0.1)
 
 
-def test_history_integral_constant_history():
-    rho = init_density(EXP_DECAY, SG, AG)
-    Z = np.sin(np.pi * SG.x) * 0.4
-    hist = PositionHistory(Z, PastData(fn=lambda x, t: np.sin(np.pi * np.asarray(x)) * 0.4), EPS, SG, AG)
-    integral, w0rho0 = history_integral(hist, rho, AG)
-    mu0 = moment(rho, AG, 0)
-    np.testing.assert_allclose(integral, Z * (mu0 - w0rho0), atol=1e-12)
-    np.testing.assert_allclose(w0rho0, AG.w[0] * rho.values[:, 0], atol=1e-15)
-
-
-def test_history_integral_linear_in_time():
-    # z(x, t) = t s(x): sum_j w_j (t - eps a_j) rho_j = (t mu0 - eps mu1) s
-    # minus the excluded j = 0 term t s w0 rho0
-    rho = init_density(EXP_DECAY, SG, AG)
-    s = np.sin(np.pi * SG.x)
-    t_now = 0.3
-    past = PastData(fn=lambda x, t: (t_now + t) * np.sin(np.pi * np.asarray(x, dtype=float)))
-    hist = PositionHistory(t_now * s, past, EPS, SG, AG)
-    # overwrite: prefill already encodes z(t) = (t_now + t) s with t <= 0 delays
-    integral, w0rho0 = history_integral(hist, rho, AG)
-    mu0, mu1 = moment(rho, AG, 0), moment(rho, AG, 1)
-    expected = (t_now * mu0 - EPS * mu1) * s - w0rho0 * t_now * s
-    np.testing.assert_allclose(integral, expected, atol=1e-10)
-
-
-def test_history_integral_at_start():
-    rho = init_density(EXP_DECAY, SG, AG)
-    z0 = SIN_PAST(SG.x, 0.0)
-    hist = PositionHistory(z0, SIN_PAST, EPS, SG, AG)
-    integral, w0rho0 = history_integral(hist, rho, AG)
-    mu0 = moment(rho, AG, 0)
-    np.testing.assert_allclose(integral, z0 * (mu0 - w0rho0), atol=1e-12)
-
-
 def test_step_position_poisson_reduction():
     # with no bonds the delay operator vanishes: -Lap z = S
     rho = DensityField(values=np.zeros((SG.n_nodes, AG.n_nodes)), t=0.0)
@@ -126,8 +91,9 @@ def test_step_position_drifts_to_zero():
 
 def test_volterra_residual_of_step_output():
     vcfg = validate_config(make_config(nx=31, final_time=0.05))
-    res = run_weak(vcfg, output_stride=1000, diag_stride=0, capture_steps={40})
-    cap = res.captures[0]
+    capture = capture_at({40})
+    run_weak(vcfg, output_stride=1000, diag_stride=0, observers=[capture])
+    cap, = capture.captures
     sg, ag, _ = build_grids(vcfg)
 
     class Aligned:
@@ -192,8 +158,9 @@ def test_energy_decay_along_weak_run():
 def test_minimization_property():
     # the computed position minimizes the discrete energy
     vcfg = validate_config(make_config(nx=31, final_time=0.05))
-    res = run_weak(vcfg, output_stride=1000, diag_stride=0, capture_steps={25})
-    cap = res.captures[0]
+    capture = capture_at({25})
+    run_weak(vcfg, output_stride=1000, diag_stride=0, observers=[capture])
+    cap, = capture.captures
     sg, ag, _ = build_grids(vcfg)
     rng = np.random.default_rng(17)
     e0 = dg.energy(cap.z, cap.delayed_z, cap.rho, vcfg.epsilon, sg, ag)
