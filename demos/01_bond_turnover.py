@@ -26,7 +26,7 @@ mu_eq = beta / (beta + zeta)
 print(f"starting population {mu0_start:.4f}, renewal equilibrium {mu_eq:.4f}")
 print(f"{'t/eps':>8} {'mu0':>10} {'closed form':>12}")
 for n in range(1, 401):
-    rho = step_density(rho, zeta_field, beta_field, ag, dt)
+    rho = step_density(rho, zeta_field, beta_field, ag)
     if n % 50 == 0:
         t = n * dt
         mu0 = float(moment(rho, ag, 0)[0])
@@ -34,6 +34,6 @@ for n in range(1, 401):
         print(f"{t / eps:8.2f} {mu0:10.6f} {exact:12.6f}")
 
 ld = limit_density(beta, np.full(ag.n_nodes, zeta), ag)
-profile_gap = np.max(np.abs(rho.values[0] - ld.rho0))
+profile_gap = np.max(np.abs(rho[0] - ld.rho0))
 print(f"\nfinal age profile vs limit profile: max gap {profile_gap:.2e}")
 print(f"limit moments: mu00 = {float(ld.mu00):.6f} (exact 1/3), mu10 = {float(ld.mu10):.6f} (exact 1/6)")

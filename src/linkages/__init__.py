@@ -18,7 +18,6 @@ from .config import (
 )
 from .coupled import (
     CoupledState,
-    ElongationField,
     asymptotic_profile,
     coupled_step,
     init_elongation,
@@ -41,7 +40,6 @@ from .diagnostics import (
 from .elliptic import TridiagonalOperator, assemble, laplacian, solve
 from .grids import AgeGrid, SpaceGrid, TimeStepping, build_grids
 from .kinetics import (
-    DensityField,
     LimitDensity,
     density_characteristics_oracle,
     init_density,
@@ -51,7 +49,7 @@ from .kinetics import (
     oracle_mu0_history,
     step_density,
 )
-from .limit import LimitState, step_limit
+from .limit import step_limit
 from .position import (
     PositionHistory,
     initial_position,

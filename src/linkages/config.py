@@ -172,12 +172,19 @@ def validate_config(config):
         violated("scale positivity", "nx")
     if config.mode not in MODES:
         violated("unknown mode", config.mode)
+    # inf is a legal bound (zeta_M = inf in coupled mode); NaN never is
+    for name in ("zeta_m", "zeta_M", "zeta_lip", "zeta_at_zero", "beta_m", "beta_M", "zbar"):
+        if math.isnan(getattr(config.rate_model, name)):
+            violated("rate scalar is NaN", name)
     if bad:
         raise ConfigError(bad)
 
+    dt = config.epsilon * config.da  # may underflow to 0 or a denormal
+    if not (dt > 0 and math.isfinite(config.final_time / dt)):
+        raise ConfigError([HypothesisViolation("time step range", f"dt = epsilon*da = {dt:g}")])
+
     if abs(round(config.a_max / config.da) * config.da - config.a_max) > 1e-9 * config.a_max:
         violated("age grid divisibility", f"a_max={config.a_max}, da={config.da}")
-    dt = config.epsilon * config.da
     if abs(round(config.final_time / dt) * dt - config.final_time) > 1e-9 * max(config.final_time, 1.0):
         violated("final time divisibility", f"T={config.final_time}, dt={dt}")
     if bad:

@@ -26,24 +26,16 @@ import numpy as np
 from . import elliptic
 from .diagnostics import stability_functional
 from .errors import NonpositiveGamma1
-from .kinetics import DensityField, step_density
+from .kinetics import step_density
 from .position import step_position
 
 OMEGA = 0.5  # 1D sup-norm embedding constant ||g||_inf <= omega ||g'||_2 on (0,1)
 
 
 @dataclass
-class ElongationField:
-    """Bond stretch u[i, j] on the space x age grid; u(., 0) = 0 after stepping."""
-
-    values: np.ndarray
-    t: float
-
-
-@dataclass
 class CoupledState:
-    rho: DensityField
-    u: ElongationField
+    rho: np.ndarray  # density on the (x, a) grid
+    u: np.ndarray  # stretch on the (x, a) grid; u(., 0) = 0 after stepping
     z: np.ndarray
     g: np.ndarray
     hist: object  # PositionHistory ending at the same level as z
@@ -67,32 +59,31 @@ def init_elongation(z0, past, eps, sgrid, agrid):
     vals[:, 0] = 0.0
     vals[0, :] = 0.0
     vals[-1, :] = 0.0
-    return ElongationField(values=vals, t=0.0)
+    return vals
 
 
-def step_elongation(u, g, agrid, dt):
+def step_elongation(u, g, agrid):
     """Shift one age cell along the characteristics and add da*g.
 
     CFL-1 makes the shift exact; the age-zero row is the boundary condition
     u(., 0) = 0 and the Dirichlet rows stay zero.
     """
-    new = np.empty_like(u.values)
-    new[:, 1:] = u.values[:, :-1] + agrid.da * g[:, None]
+    new = np.empty_like(u)
+    new[:, 1:] = u[:, :-1] + agrid.da * g[:, None]
     new[:, 0] = 0.0
     new[0, :] = 0.0
     new[-1, :] = 0.0
-    return ElongationField(values=new, t=u.t + dt)
+    return new
 
 
-def solve_velocity(rho, u, rate, dSdt, eps, sgrid, agrid):
+def solve_velocity(rho, u, zeta_u, dSdt, eps, sgrid, agrid):
     """Velocity from the elliptic balance (mu0 - eps Lap_h) g = rhs.
 
-    rhs = int zeta(u) rho u da + eps * dS/dt per interior node; dSdt may be
-    None for a time-constant load.
+    rhs = int zeta(u) rho u da + eps * dS/dt per interior node, with zeta_u
+    the off-rate evaluated on u; dSdt may be None for a time-constant load.
     """
-    zeta_u = rate.zeta_of_u(u.values)
-    mu0 = rho.values @ agrid.w
-    rhs_full = (zeta_u * rho.values * u.values) @ agrid.w
+    mu0 = rho @ agrid.w
+    rhs_full = (zeta_u * rho * u) @ agrid.w
     rhs = rhs_full[1:-1]
     if dSdt is not None:
         rhs = rhs + eps * np.asarray(dSdt)[1:-1]
@@ -112,15 +103,15 @@ def coupled_step(state, source, rate, eps, sgrid, agrid):
     t_new = state.t + dt
     k = state.truncation_k
     g_used = np.clip(state.g, -k, k) if math.isfinite(k) else state.g
-    u_new = step_elongation(state.u, g_used, agrid, dt)
-    zeta_field = rate.zeta_of_u(u_new.values)
+    u_new = step_elongation(state.u, g_used, agrid)
+    zeta_u = rate.zeta_of_u(u_new)
     if rate.beta_kind == "threshold":
         beta_field = rate.beta_values(sgrid.x, state.t, z=state.z)
     else:
         beta_field = rate.beta_values(sgrid.x, t_new)
-    rho_new = step_density(state.rho, zeta_field, beta_field, agrid, dt, zeta_at="arrival")
+    rho_new = step_density(state.rho, zeta_u, beta_field, agrid, zeta_at="arrival")
     dSdt = source.ddt(sgrid.x, t_new) if source is not None else None
-    g_new = solve_velocity(rho_new, u_new, rate, dSdt, eps, sgrid, agrid)
+    g_new = solve_velocity(rho_new, u_new, zeta_u, dSdt, eps, sgrid, agrid)
     S_new = source(sgrid.x, t_new) if source is not None else None
     z_new = step_position(rho_new, state.hist, eps, sgrid, agrid, source=S_new)
     return CoupledState(
@@ -143,8 +134,8 @@ def mu_ode_residual(state_prev, state_next, source, beta_field, eps, sgrid, agri
     per interior node; O(da + dt) along a smooth trajectory.
     """
     dt = eps * agrid.da
-    mu_prev = state_prev.rho.values @ agrid.w
-    mu_next = state_next.rho.values @ agrid.w
+    mu_prev = state_prev.rho @ agrid.w
+    mu_next = state_next.rho @ agrid.w
     lap = elliptic.laplacian(state_next.z, sgrid.dx)
     S = (
         np.asarray(source(sgrid.x, state_next.t))[1:-1]
@@ -190,7 +181,7 @@ def riccati_bound(rho, u, rate, source, final_time, eps, sgrid, agrid):
     [0, final_time]; gamma2 bounds p(t) for the whole run.
     """
     q0 = stability_functional(rho, u, sgrid, agrid)
-    p0 = riccati_p(rho, u, rate, sgrid, agrid)
+    p0 = riccati_p(rho, u, rate.zeta_of_u(u), sgrid, agrid)
     if source is not None:
         t_samples = np.linspace(0.0, final_time, 5)
         wx = sgrid.quad_weights()
@@ -206,8 +197,7 @@ def riccati_bound(rho, u, rate, source, final_time, eps, sgrid, agrid):
     return max(p0, OMEGA * dS_norm), dS_norm
 
 
-def riccati_p(rho, u, rate, sgrid, agrid):
-    """Monitored quantity p = int int zeta(u) |u| rho dx da (trapezoid)."""
-    zeta_u = rate.zeta_of_u(u.values)
-    per_x = (zeta_u * np.abs(u.values) * rho.values) @ agrid.w
+def riccati_p(rho, u, zeta_u, sgrid, agrid):
+    """Monitored quantity p = int int zeta(u) |u| rho dx da (trapezoid); zeta_u is zeta on u."""
+    per_x = (zeta_u * np.abs(u) * rho) @ agrid.w
     return float(per_x @ sgrid.quad_weights())

@@ -68,7 +68,7 @@ def energy(z, delayed_z, rho, eps, sgrid, agrid, source=None):
     e_grad = 0.5 * dx * float(grad @ grad)
     diff = z[None, :] - delayed_z
     wx = sgrid.quad_weights()
-    delay_per_x = np.einsum("j,xj,jx->x", agrid.w, rho.values, diff**2)
+    delay_per_x = np.einsum("j,xj,jx->x", agrid.w, rho, diff**2)
     e_delay = 0.5 / eps * float(delay_per_x @ wx)
     e = e_grad + e_delay
     if source is not None:
@@ -82,7 +82,7 @@ def energy_from_elongation(z, rho, u, eps, sgrid, agrid, source=None):
     grad = np.diff(z) / dx
     e = 0.5 * dx * float(grad @ grad)
     wx = sgrid.quad_weights()
-    e += 0.5 * eps * float(((rho.values * u.values**2) @ agrid.w) @ wx)
+    e += 0.5 * eps * float(((rho * u**2) @ agrid.w) @ wx)
     if source is not None:
         e -= float((np.asarray(source) * z) @ wx)
     return e
@@ -90,7 +90,7 @@ def energy_from_elongation(z, rho, u, eps, sgrid, agrid, source=None):
 
 def dissipation(rho, u, zeta_values, sgrid, agrid):
     """int int zeta rho u^2 da dx (the energy's decay rate)."""
-    per_x = (zeta_values * rho.values * u.values**2) @ agrid.w
+    per_x = (zeta_values * rho * u**2) @ agrid.w
     return float(per_x @ sgrid.quad_weights())
 
 
@@ -102,13 +102,13 @@ def lyapunov_H(f, agrid):
 
 def stability_functional(rho, u, sgrid, agrid):
     """int int rho |u| da dx, nonincreasing for the source-free dynamics."""
-    per_x = (rho.values * np.abs(u.values)) @ agrid.w
+    per_x = (rho * np.abs(u)) @ agrid.w
     return float(per_x @ sgrid.quad_weights())
 
 
 def rho_convergence_H(rho_eps, rho0_values, agrid):
     """Lyapunov functional of rho - rho0 per space node."""
-    return lyapunov_H(rho_eps.values - rho0_values, agrid)
+    return lyapunov_H(rho_eps - rho0_values, agrid)
 
 
 def convergence_error(traj_eps, traj_0, dt_out, sgrid):

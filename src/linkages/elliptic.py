@@ -18,7 +18,6 @@ class TridiagonalOperator:
     lower: np.ndarray
     main: np.ndarray
     upper: np.ndarray
-    dx: float
 
     @property
     def n(self):
@@ -48,12 +47,7 @@ def assemble(c, kappa, grid):
     if kappa == 0.0 and np.all(c == 0.0):
         raise DegenerateOperator("c == 0 and kappa == 0")
     k = kappa / dx**2
-    return TridiagonalOperator(
-        lower=np.full(nx, -k),
-        main=c + 2.0 * k,
-        upper=np.full(nx, -k),
-        dx=dx,
-    )
+    return TridiagonalOperator(lower=np.full(nx, -k), main=c + 2.0 * k, upper=np.full(nx, -k))
 
 
 def solve(op, rhs):

@@ -64,11 +64,10 @@ class AgeGrid:
 
 @dataclass(frozen=True)
 class TimeStepping:
-    """Step size dt = eps*da, total step count and history depth."""
+    """Step size dt = eps*da and total step count."""
 
     dt: float
     n_steps: int
-    history_depth: int
 
 
 def build_grids(config):
@@ -77,5 +76,4 @@ def build_grids(config):
     agrid = AgeGrid(da=config.da, a_max=config.a_max)
     dt = config.epsilon * config.da
     n_steps = int(round(config.final_time / dt))
-    ts = TimeStepping(dt=dt, n_steps=n_steps, history_depth=agrid.na + 1)
-    return sgrid, agrid, ts
+    return sgrid, agrid, TimeStepping(dt=dt, n_steps=n_steps)

@@ -22,19 +22,8 @@ import numpy as np
 from .errors import HistoryMissing, MassAtLeastOne, NegativeDensity, NonfiniteValue
 
 
-@dataclass
-class DensityField:
-    """Bond age distribution rho[i, j] on the space x age grid at time t."""
-
-    values: np.ndarray  # shape (nx+2, na+1)
-    t: float
-
-    def copy(self):
-        return DensityField(values=self.values.copy(), t=self.t)
-
-
 def init_density(fn, sgrid, agrid, strict_positive=False):
-    """Sample the initial age distribution rho_I(x, a) onto the grid.
+    """Sample the initial age distribution rho_I(x, a) onto the (nx+2, na+1) grid.
 
     Rejects negative values and per-x mass >= 1.  A vanishing field is legal
     (bond-free start) unless strict positivity is demanded; it only warns.
@@ -52,17 +41,17 @@ def init_density(fn, sgrid, agrid, strict_positive=False):
         if strict_positive:
             raise NegativeDensity("initial population vanishes somewhere")
         warnings.warn("initial bond population is zero somewhere", stacklevel=2)
-    return DensityField(values=vals, t=0.0)
+    return vals
 
 
 def moment(rho, agrid, k):
     """Trapezoid moment mu_k(x) = int a^k rho(x, a) da, k in {0, 1, 2}."""
     if k not in (0, 1, 2):
         raise ValueError(f"moment order {k} not in {{0, 1, 2}}")
-    return rho.values @ (agrid.w * agrid.a**k)
+    return rho @ (agrid.w * agrid.a**k)
 
 
-def step_density(rho, zeta_values, beta_values, agrid, dt, zeta_at="departure"):
+def step_density(rho, zeta_values, beta_values, agrid, zeta_at="departure"):
     """Advance the density one step of dt = eps*da.
 
     zeta_values is the off-rate on the (x, a) grid; for a prescribed rate it
@@ -75,7 +64,6 @@ def step_density(rho, zeta_values, beta_values, agrid, dt, zeta_at="departure"):
     beta_values is the on-rate per x node at the new time.  Newborn mass is
     set from the shifted interior by the closed-form renewal above.
     """
-    old = rho.values
     if not np.all(np.isfinite(zeta_values)):
         raise NonfiniteValue("off-rate field has non-finite entries")
     if zeta_at == "departure":
@@ -84,12 +72,12 @@ def step_density(rho, zeta_values, beta_values, agrid, dt, zeta_at="departure"):
         hop = zeta_values[:, 1:]
     else:
         raise ValueError(f"zeta_at must be 'departure' or 'arrival', got {zeta_at!r}")
-    new = np.empty_like(old)
-    new[:, 1:] = old[:, :-1] * np.exp(-agrid.da * hop)
+    new = np.empty_like(rho)
+    new[:, 1:] = rho[:, :-1] * np.exp(-agrid.da * hop)
     m = new[:, 1:] @ agrid.w[1:]
     w0 = agrid.w[0]
     new[:, 0] = beta_values * (1.0 - m) / (1.0 + beta_values * w0)
-    return DensityField(values=new, t=rho.t + dt)
+    return new
 
 
 def density_characteristics_oracle(x, a, t, zeta, beta, rho_I, mu0_history, eps, agrid):
@@ -171,7 +159,7 @@ def _oracle_march(n_steps, zeta, beta, rho_I, eps, sgrid, agrid, mu0_history=Non
         A_new[:, 0] = b * (1.0 - mu_here)
         A, E, zeta_now = A_new, E_new, zeta_next
         vals = A * np.exp(-E)
-    return DensityField(values=vals, t=n_steps * eps * da), mu
+    return vals, mu
 
 
 def oracle_density_field(n, zeta, beta, rho_I, mu0_history, eps, sgrid, agrid):

@@ -35,7 +35,6 @@ class PositionHistory:
         for j in range(1, depth):
             self._buf[j] = past(sgrid.x, -eps * agrid.a[j])
         self._head = 0
-        self.t = 0.0
         self.depth = depth
 
     def matrix(self):
@@ -43,11 +42,10 @@ class PositionHistory:
         idx = (self._head + np.arange(self.depth)) % self.depth
         return self._buf[idx]
 
-    def push(self, z_new, dt):
+    def push(self, z_new):
         """Advance one level: the oldest snapshot drops off the buffer."""
         self._head = (self._head - 1) % self.depth
         self._buf[self._head] = z_new
-        self.t += dt
 
 
 def initial_position(rho_I, past, eps, sgrid, agrid, source_at_0=None):
@@ -61,14 +59,14 @@ def initial_position(rho_I, past, eps, sgrid, agrid, source_at_0=None):
     operator avoids a spurious first-step layer in the stability
     functional).
     """
-    mu0 = rho_I.values @ agrid.w
+    mu0 = rho_I @ agrid.w
     zp = np.empty((agrid.n_nodes, sgrid.n_nodes))
     for j in range(agrid.n_nodes):
         zp[j] = past(sgrid.x, -eps * agrid.a[j])
-    rhs = np.einsum("j,xj,jx->x", agrid.w[1:], rho_I.values[:, 1:], zp[1:])[1:-1]
+    rhs = np.einsum("j,xj,jx->x", agrid.w[1:], rho_I[:, 1:], zp[1:])[1:-1]
     if source_at_0 is not None:
         rhs = rhs + eps * np.asarray(source_at_0)[1:-1]
-    coeff = mu0 - agrid.w[0] * rho_I.values[:, 0]
+    coeff = mu0 - agrid.w[0] * rho_I[:, 0]
     if eps == 0.0 and np.all(coeff[1:-1] == 0.0):
         raise DegenerateOperator("mu0_I == 0 and eps == 0")
     op = elliptic.assemble(coeff[1:-1], eps, sgrid)
@@ -84,10 +82,10 @@ def step_position(rho_next, hist, eps, sgrid, agrid, source=None):
     output vanish identically.  source, if given, is S(., t^{n+1}) on the
     full grid.
     """
-    mu0 = rho_next.values @ agrid.w
+    mu0 = rho_next @ agrid.w
     Z = hist.matrix()
-    integral = np.einsum("j,xj,jx->x", agrid.w[1:], rho_next.values[:, 1:], Z[:-1])
-    w0rho0 = agrid.w[0] * rho_next.values[:, 0]
+    integral = np.einsum("j,xj,jx->x", agrid.w[1:], rho_next[:, 1:], Z[:-1])
+    w0rho0 = agrid.w[0] * rho_next[:, 0]
     coeff = mu0 - w0rho0
     if np.min(coeff) < -1e-12:
         raise DegenerateOperator("mu0 - w0 rho(., 0) negative: kinetics bug")
@@ -96,7 +94,7 @@ def step_position(rho_next, hist, eps, sgrid, agrid, source=None):
         rhs = rhs + eps * np.asarray(source)[1:-1]
     op = elliptic.assemble(np.maximum(coeff[1:-1], 0.0), eps, sgrid)
     z_new = elliptic.solve(op, rhs)
-    hist.push(z_new, eps * agrid.da)
+    hist.push(z_new)
     return z_new
 
 
@@ -109,7 +107,7 @@ def volterra_residual(hist, rho, z, eps, sgrid, agrid, source=None):
     elongation formulations.
     """
     Z = hist.matrix()
-    delayed = np.einsum("j,xj,jx->x", agrid.w, rho.values, z[None, :] - Z)
+    delayed = np.einsum("j,xj,jx->x", agrid.w, rho, z[None, :] - Z)
     res = delayed[1:-1] / eps - elliptic.laplacian(z, sgrid.dx)
     if source is not None:
         res = res - np.asarray(source)[1:-1]

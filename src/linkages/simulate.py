@@ -12,7 +12,7 @@ data, so parameter sweeps may execute concurrently.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,7 +23,7 @@ from .config import with_overrides
 from .errors import ConfigError, HypothesisViolation, NonfiniteValue
 from .grids import build_grids
 from .kinetics import init_density, limit_density, moment, step_density
-from .limit import LimitState, step_limit
+from .limit import step_limit
 from .position import PositionHistory, initial_position, step_position
 
 ENERGY_DECAY_TOL = 1e-6  # per step, relative to the initial energy
@@ -90,7 +90,7 @@ class WeakState:
     """Weak-run state at level n, t = n*dt; the stepper rebinds its fields."""
 
     t: float
-    rho: object
+    rho: np.ndarray
     z: np.ndarray
     hist: PositionHistory  # ends at the same level as z
     zeta: np.ndarray  # prescribed off-rate at t
@@ -115,7 +115,7 @@ class WeakRunResult(_RunResult):
     trajectory: np.ndarray
     mu0_lower_bound: float
     final_z: np.ndarray
-    final_rho: object
+    final_rho: np.ndarray
 
 
 def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
@@ -138,7 +138,7 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     def step(n, st):
         # n*dt, not an accumulated t + dt: the two differ in the last bits
         st.t = n * dt
-        st.rho = step_density(st.rho, st.zeta, rate.beta_values(sgrid.x, st.t), agrid, dt)
+        st.rho = step_density(st.rho, st.zeta, rate.beta_values(sgrid.x, st.t), agrid)
         st.z = step_position(st.rho, st.hist, eps, sgrid, agrid, source=_source_at(src, sgrid.x, st.t))
         st.zeta = rate.zeta_field(sgrid.x, agrid.a, st.t)
         st.mu0 = moment(st.rho, agrid, 0)
@@ -156,15 +156,13 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
             return
         delayed = st.hist.matrix()
         u = dg.elongation_from_history(st.z, delayed, eps)
-        uf = cp.ElongationField(values=u, t=st.t)
         energy = dg.energy(st.z, delayed, st.rho, eps, sgrid, agrid, source=_source_at(src, sgrid.x, st.t))
-        diss = dg.dissipation(st.rho, uf, st.zeta, sgrid, agrid)
-        stab = dg.stability_functional(st.rho, uf, sgrid, agrid)
-        beta0 = rate.beta_values(sgrid.x, st.t)
-        ld = limit_density(beta0, rate.zeta_field(sgrid.x, agrid.a, st.t), agrid)
+        diss = dg.dissipation(st.rho, u, st.zeta, sgrid, agrid)
+        stab = dg.stability_functional(st.rho, u, sgrid, agrid)
+        ld = limit_density(rate.beta_values(sgrid.x, st.t), st.zeta, agrid)
         hfield = dg.rho_convergence_H(st.rho, ld.rho0, agrid)
         lyap = float(hfield @ sgrid.quad_weights())
-        p = float(((st.zeta * st.rho.values * np.abs(u)) @ agrid.w) @ sgrid.quad_weights())
+        p = float(((st.zeta * st.rho * np.abs(u)) @ agrid.w) @ sgrid.quad_weights())
         rec = dg.DiagnosticsRecord(
             t=st.t,
             energy=energy,
@@ -215,13 +213,12 @@ def run_limit(vcfg, dt_out, n_out):
     rate, src = vcfg.rate_model, vcfg.source
     traj = []
 
-    def step(n, st):
+    def step(n, z):
         t = n * dt_out
         ld = limit_density(rate.beta_values(sgrid.x, t), rate.zeta_field(sgrid.x, agrid.a, t), agrid)
-        return step_limit(replace(st, mu10=ld.mu10), dt_out, sgrid, source=_source_at(src, sgrid.x, t))
+        return step_limit(z, ld.mu10, dt_out, sgrid, source=_source_at(src, sgrid.x, t))
 
-    z0 = vcfg.past_data(sgrid.x, 0.0)
-    march(LimitState(z0=z0, mu10=None, t=0.0), step, n_out, [lambda n, st: traj.append(st.z0.copy())])
+    march(vcfg.past_data(sgrid.x, 0.0), step, n_out, [lambda n, z: traj.append(z.copy())])
     return LimitRunResult(times=np.arange(n_out + 1) * dt_out, trajectory=np.asarray(traj))
 
 
@@ -303,7 +300,7 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
     rate, src, eps = vcfg.rate_model, vcfg.source, vcfg.epsilon
     u = cp.init_elongation(z, vcfg.past_data, eps, sgrid, agrid)
     dSdt0 = src.ddt(sgrid.x, 0.0) if src is not None else None
-    g = cp.solve_velocity(rho, u, rate, dSdt0, eps, sgrid, agrid)
+    g = cp.solve_velocity(rho, u, rate.zeta_of_u(u), dSdt0, eps, sgrid, agrid)
 
     gamma2, dS_norm = cp.riccati_bound(rho, u, rate, src, vcfg.final_time, eps, sgrid, agrid)
     k = vcfg.truncation_k if vcfg.truncation_k is not None else gamma2 / eps + dS_norm + 1.0
@@ -322,7 +319,7 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
 
     def track(n, st):
         nonlocal u_min, ever_truncated
-        u_min = min(u_min, float(np.min(st.u.values)))
+        u_min = min(u_min, float(np.min(st.u)))
         ever_truncated = ever_truncated or st.truncated
         if n in want:
             snapshots[want[n]] = (st.z.copy(), st.mu0.copy())
@@ -333,11 +330,11 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
         e = dg.energy_from_elongation(
             st.z, st.rho, st.u, eps, sgrid, agrid, source=_source_at(src, sgrid.x, st.t)
         )
-        zeta_field = rate.zeta_of_u(st.u.values)
-        diss = dg.dissipation(st.rho, st.u, zeta_field, sgrid, agrid)
+        zeta_u = rate.zeta_of_u(st.u)
+        diss = dg.dissipation(st.rho, st.u, zeta_u, sgrid, agrid)
         stab = dg.stability_functional(st.rho, st.u, sgrid, agrid)
-        p = cp.riccati_p(st.rho, st.u, rate, sgrid, agrid)
-        lyap = float(dg.lyapunov_H(st.rho.values, agrid) @ sgrid.quad_weights())
+        p = cp.riccati_p(st.rho, st.u, zeta_u, sgrid, agrid)
+        lyap = float(dg.lyapunov_H(st.rho, agrid) @ sgrid.quad_weights())
         records.append(dg.DiagnosticsRecord(
             t=st.t,
             energy=e,
@@ -422,7 +419,7 @@ def write_density_csv(path, rho, sgrid, agrid):
         f.write("x,a,rho\n")
         for i, xi in enumerate(sgrid.x):
             for j, aj in enumerate(agrid.a):
-                f.write(f"{_fmt(xi)},{_fmt(aj)},{_fmt(rho.values[i, j])}\n")
+                f.write(f"{_fmt(xi)},{_fmt(aj)},{_fmt(rho[i, j])}\n")
 
 
 def write_profile_columns(path, x, labelled_columns):

@@ -174,7 +174,7 @@ def test_criterion_5_kinetics_oracle():
         oracle = lk.oracle_density_field(
             ts.n_steps, zeta_fn, beta_fn, vcfg.initial_density, hist, eps, sg, ag
         )
-        return float(sg.quad_weights() @ (np.abs(res.final_rho.values - oracle.values) @ ag.w))
+        return float(sg.quad_weights() @ (np.abs(res.final_rho - oracle) @ ag.w))
 
     errs = [l1_distance(da) for da in (4e-2, 2e-2, 1e-2)]
     ratios = [errs[0] / errs[1], errs[1] / errs[2]]

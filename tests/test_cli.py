@@ -189,3 +189,32 @@ def test_bad_argument_exit_code(tmp_path, capsys, argv, violation):
     cfg = write(tmp_path, TINY_WEAK)
     assert main([*argv, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert f"config error: HypothesisViolation({violation!r}" in capsys.readouterr().err
+
+
+def nan_rate_case(command, base, line, name):
+    text = base.replace("[rate_model]\n", f"[rate_model]\n{line}\n")
+    return pytest.param(command, text, name, id=name)
+
+
+@pytest.mark.parametrize("command, text, name", [
+    nan_rate_case("weak", TINY_WEAK, "beta_m = nan", "beta_m"),
+    nan_rate_case("weak", TINY_WEAK, "beta_M = nan", "beta_M"),
+    nan_rate_case("weak", TINY_WEAK, "zeta_m = nan", "zeta_m"),
+    nan_rate_case("coupled", TINY_COUPLED.replace("zeta_M = inf\n", ""), "zeta_M = nan", "zeta_M"),
+    nan_rate_case("coupled", TINY_COUPLED, "zeta_lip = nan", "zeta_lip"),
+    nan_rate_case("coupled", TINY_COUPLED, "zeta_at_zero = nan", "zeta_at_zero"),
+    nan_rate_case("coupled", TINY_COUPLED.replace("given\nbeta = constant(1.0)", "threshold\nbeta = threshold(nan)"), "", "zbar"),
+])
+def test_nan_rate_scalar_exit_code(tmp_path, capsys, command, text, name):
+    cfg = write(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert f"config error: HypothesisViolation('rate scalar is NaN' at {name})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale, a_max", [("1e-200", "1e-198"), ("1e-160", "1e-158")])
+def test_underflowing_time_step_exit_code(tmp_path, capsys, scale, a_max):
+    # epsilon*da underflows to 0 (1e-200) or to a denormal whose T/dt overflows (1e-160)
+    text = TINY_WEAK.replace("epsilon = 0.05", f"epsilon = {scale}")
+    cfg = write(tmp_path, text.replace("da = 0.01", f"da = {scale}\na_max = {a_max}"))
+    assert main(["weak", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "config error: HypothesisViolation('time step range'" in capsys.readouterr().err

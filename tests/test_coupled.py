@@ -10,7 +10,6 @@ from conftest import dense_solve, make_config
 from linkages.config import PastData, RateModel, SourceModel, validate_config
 from linkages.coupled import (
     CoupledState,
-    ElongationField,
     asymptotic_profile,
     coupled_step,
     init_elongation,
@@ -22,7 +21,7 @@ from linkages.coupled import (
 )
 from linkages.errors import NonpositiveGamma1
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
-from linkages.kinetics import DensityField, init_density, moment
+from linkages.kinetics import init_density, moment
 from linkages.position import PositionHistory
 from linkages import presets
 from linkages.simulate import run_coupled
@@ -61,18 +60,18 @@ def test_init_elongation_constant_past():
     past = PastData(fn=presets.past_data_fn("sin_pi"))
     z0 = past(SG.x, 0.0)
     u = init_elongation(z0, past, EPS, SG, AG)
-    np.testing.assert_allclose(u.values, 0.0, atol=1e-14)
+    np.testing.assert_allclose(u, 0.0, atol=1e-14)
 
 
 def test_init_elongation_growing_past():
     past = PastData(fn=presets.past_data_fn("sin_pi_growing(1.0)"))
     z0 = 0.5 * np.sin(np.pi * SG.x) / np.pi
     u = init_elongation(z0, past, EPS, SG, AG)
-    assert np.all(u.values[:, 0] == 0.0)  # unstretched newborns at the corner
+    assert np.all(u[:, 0] == 0.0)  # unstretched newborns at the corner
     for j in (1, 3, AG.na):
         expected = (z0 - np.sin(np.pi * SG.x) / np.pi * (1.0 - EPS * AG.a[j])) / EPS
         expected[0] = expected[-1] = 0.0
-        np.testing.assert_allclose(u.values[:, j], expected, atol=1e-12)
+        np.testing.assert_allclose(u[:, j], expected, atol=1e-12)
 
 
 def test_init_elongation_triangle_bound():
@@ -85,44 +84,43 @@ def test_init_elongation_triangle_bound():
     c_zp = past.lipschitz(SG.x)
     gap0 = np.abs(z0 - past(SG.x, 0.0)) / EPS
     bound = gap0[:, None] + c_zp[:, None] * AG.a[None, :]
-    assert np.all(np.abs(u.values) <= bound + 1e-12)
+    assert np.all(np.abs(u) <= bound + 1e-12)
 
 
 def test_step_elongation_pure_shift():
     vals = np.random.default_rng(2).uniform(0.0, 1.0, (SG.n_nodes, AG.n_nodes))
     vals[0] = vals[-1] = 0.0
-    u = ElongationField(values=vals, t=0.0)
-    new = step_elongation(u, np.zeros(SG.n_nodes), AG, dt=1e-3)
-    np.testing.assert_allclose(new.values[:, 1:], vals[:, :-1], atol=1e-15)
-    assert np.all(new.values[:, 0] == 0.0)
+    new = step_elongation(vals, np.zeros(SG.n_nodes), AG)
+    np.testing.assert_allclose(new[:, 1:], vals[:, :-1], atol=1e-15)
+    assert np.all(new[:, 0] == 0.0)
 
 
 def test_step_elongation_constant_velocity():
     G = 0.7
-    u = ElongationField(values=np.zeros((SG.n_nodes, AG.n_nodes)), t=0.0)
+    u = np.zeros((SG.n_nodes, AG.n_nodes))
     g = np.full(SG.n_nodes, G)
-    new = step_elongation(u, g, AG, dt=1e-3)
-    np.testing.assert_allclose(new.values[1:-1, 1:], AG.da * G, atol=1e-15)
+    new = step_elongation(u, g, AG)
+    np.testing.assert_allclose(new[1:-1, 1:], AG.da * G, atol=1e-15)
     # iterating fills in the linear-in-age profile u = G a
     for _ in range(AG.na):
-        new = step_elongation(new, g, AG, dt=1e-3)
+        new = step_elongation(new, g, AG)
     np.testing.assert_allclose(
-        new.values[1:-1, :], G * AG.a[None, :] * np.ones((SG.nx, 1)), atol=1e-12
+        new[1:-1, :], G * AG.a[None, :] * np.ones((SG.nx, 1)), atol=1e-12
     )
 
 
 def test_solve_velocity_zero_stretch():
     rho = init_density(HALF_EXP, SG, AG)
-    u = ElongationField(values=np.zeros((SG.n_nodes, AG.n_nodes)), t=0.0)
-    g = solve_velocity(rho, u, RATE, None, EPS, SG, AG)
+    u = np.zeros((SG.n_nodes, AG.n_nodes))
+    g = solve_velocity(rho, u, RATE.zeta_of_u(u), None, EPS, SG, AG)
     np.testing.assert_allclose(g, 0.0, atol=1e-14)
 
 
 def test_solve_velocity_poisson_reduction():
-    rho = DensityField(values=np.zeros((SG.n_nodes, AG.n_nodes)), t=0.0)
-    u = ElongationField(values=np.zeros((SG.n_nodes, AG.n_nodes)), t=0.0)
+    rho = np.zeros((SG.n_nodes, AG.n_nodes))
+    u = np.zeros((SG.n_nodes, AG.n_nodes))
     dSdt = np.pi**2 * np.sin(np.pi * SG.x)
-    g = solve_velocity(rho, u, RATE, dSdt, EPS, SG, AG)
+    g = solve_velocity(rho, u, RATE.zeta_of_u(u), dSdt, EPS, SG, AG)
     np.testing.assert_allclose(g, np.sin(np.pi * SG.x), atol=1.0 * SG.dx**2)
 
 
@@ -132,12 +130,12 @@ def test_solve_velocity_linear_stretch_profile():
     G = 0.8
     ag = AgeGrid(da=0.005, a_max=10.0)
     rho = init_density(HALF_EXP, SG, ag)
-    u = ElongationField(values=G * ag.a[None, :] * np.ones((SG.n_nodes, 1)), t=0.0)
-    zeta_u = RATE.zeta_of_u(u.values)
-    quad = ((zeta_u * rho.values * u.values) @ ag.w)[1]
+    u = G * ag.a[None, :] * np.ones((SG.n_nodes, 1))
+    zeta_u = RATE.zeta_of_u(u)
+    quad = ((zeta_u * rho * u) @ ag.w)[1]
     analytic = 0.5 * G * ((1.0 - 11.0 * np.exp(-10.0)) + 2.0 * G * (1.0 - 61.0 * np.exp(-10.0)))
     assert quad == pytest.approx(analytic, abs=5e-5)
-    g = solve_velocity(rho, u, RATE, None, EPS, SG, ag)
+    g = solve_velocity(rho, u, RATE.zeta_of_u(u), None, EPS, SG, ag)
     mu0 = moment(rho, ag, 0)
     g_ref = dense_solve(mu0[1:-1], EPS, np.full(SG.nx, quad), SG.nx)
     np.testing.assert_allclose(g[1:-1], g_ref[1:-1], atol=1e-10)
@@ -145,8 +143,8 @@ def test_solve_velocity_linear_stretch_profile():
 
 def test_coupled_step_zero_state_stays_zero():
     ag = AgeGrid(da=0.02, a_max=10.0)
-    rho = DensityField(values=np.zeros((SG.n_nodes, ag.n_nodes)), t=0.0)
-    u = ElongationField(values=np.zeros((SG.n_nodes, ag.n_nodes)), t=0.0)
+    rho = np.zeros((SG.n_nodes, ag.n_nodes))
+    u = np.zeros((SG.n_nodes, ag.n_nodes))
     past = PastData(fn=presets.past_data_fn("zero"))
     hist = PositionHistory(np.zeros(SG.n_nodes), past, EPS, SG, ag)
     rate = RateModel(zeta_kind="lipschitz", zeta_M=np.inf, beta=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)), beta_m=0.0, beta_M=0.0)
@@ -156,7 +154,7 @@ def test_coupled_step_zero_state_stays_zero():
     )
     state = coupled_step(state, None, rate, EPS, SG, ag)
     assert np.all(state.z == 0.0) and np.all(state.g == 0.0)
-    assert np.all(state.rho.values == 0.0) and np.all(state.u.values == 0.0)
+    assert np.all(state.rho == 0.0) and np.all(state.u == 0.0)
 
 
 def test_positivity_preserved():
@@ -183,8 +181,8 @@ def test_velocity_matches_position_difference_quotient():
 
 def test_mu_ode_residual_zero_state():
     ag = AgeGrid(da=0.02, a_max=10.0)
-    rho = DensityField(values=np.zeros((SG.n_nodes, ag.n_nodes)), t=0.0)
-    u = ElongationField(values=np.zeros((SG.n_nodes, ag.n_nodes)), t=0.0)
+    rho = np.zeros((SG.n_nodes, ag.n_nodes))
+    u = np.zeros((SG.n_nodes, ag.n_nodes))
     past = PastData(fn=presets.past_data_fn("zero"))
     hist = PositionHistory(np.zeros(SG.n_nodes), past, EPS, SG, ag)
     st = CoupledState(rho=rho, u=u, z=np.zeros(SG.n_nodes), g=np.zeros(SG.n_nodes), hist=hist, t=0.0, truncation_k=np.inf)
@@ -201,11 +199,10 @@ def test_mu_ode_residual_steady_profile():
     # exponential age profile scaled to mass exactly beta/(beta+1)
     shape = np.exp(-ag.a)
     scale = (beta / (beta + 1.0)) / float(shape @ ag.w)
-    vals = np.tile(scale * shape, (SG.n_nodes, 1))
-    rho = DensityField(values=vals, t=0.0)
+    rho = np.tile(scale * shape, (SG.n_nodes, 1))
     S = np.full(SG.n_nodes, 2.0)
     z = solve(assemble(np.zeros(SG.nx), 1.0, SG), S[1:-1])
-    u = ElongationField(values=np.zeros((SG.n_nodes, ag.n_nodes)), t=0.0)
+    u = np.zeros((SG.n_nodes, ag.n_nodes))
     past = PastData(fn=presets.past_data_fn("zero"))
     hist = PositionHistory(z, past, EPS, SG, ag)
     st = CoupledState(rho=rho, u=u, z=z, g=np.zeros(SG.n_nodes), hist=hist, t=0.0, truncation_k=np.inf)
@@ -251,6 +248,18 @@ def test_riccati_gamma2_values():
     assert expected == pytest.approx(1.2808, abs=1e-4)
     with pytest.raises(NonpositiveGamma1):
         riccati_gamma2(0.0, 0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("diag_stride", [0, 5])
+def test_zeta_of_u_once_per_step(monkeypatch, diag_stride):
+    # two calls at start-up (velocity, Riccati bound), one per step, one per record
+    vcfg = validate_quiet(coupled_cfg(final_time=0.02))
+    n_steps = build_grids(vcfg)[2].n_steps
+    zeta, calls = vcfg.rate_model.zeta, []
+    monkeypatch.setattr(vcfg.rate_model, "zeta", lambda u: calls.append(1) or zeta(u))
+    run_coupled(vcfg, diag_stride=diag_stride)
+    n_records = n_steps // diag_stride + 1 if diag_stride else 0
+    assert len(calls) == n_steps + 2 + n_records
 
 
 def test_riccati_monitor_stays_below_bound():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from linkages.config import PastData, RateModel, validate_config
-from linkages.coupled import ElongationField
 from linkages.diagnostics import (
     convergence_error,
     dissipation,
@@ -16,7 +15,7 @@ from linkages.diagnostics import (
 )
 from linkages.errors import GridMismatch
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
-from linkages.kinetics import DensityField, init_density, limit_density
+from linkages.kinetics import init_density, limit_density
 from linkages import presets
 from conftest import make_config
 from linkages.simulate import run_weak
@@ -50,7 +49,7 @@ def test_energy_constant_history_drops_delay():
     z = np.sin(np.pi * SG.x) / np.pi
     delayed = np.tile(z, (AG.n_nodes, 1))
     e_with = energy(z, delayed, rho, 0.05, SG, AG)
-    empty = DensityField(values=np.zeros_like(rho.values), t=0.0)
+    empty = np.zeros_like(rho)
     e_without = energy(z, delayed, empty, 0.05, SG, AG)
     assert e_with == pytest.approx(e_without, abs=1e-15)
 
@@ -73,7 +72,7 @@ def test_energy_from_elongation_consistency():
     delayed = z[None, :] - eps * rng.uniform(0, 1, (AG.n_nodes, SG.n_nodes))
     delayed[:, 0] = delayed[:, -1] = 0.0
     delayed[0] = z
-    u = ElongationField(values=(z[None, :] - delayed).T / eps, t=0.0)
+    u = (z[None, :] - delayed).T / eps
     e1 = energy(z, delayed, rho, eps, SG, AG)
     e2 = energy_from_elongation(z, rho, u, eps, SG, AG)
     assert e1 == pytest.approx(e2, rel=1e-12)
@@ -82,14 +81,14 @@ def test_energy_from_elongation_consistency():
 def test_dissipation_cases():
     rho = init_density(HALF_EXP, SG, AG)
     zeta = np.ones((SG.n_nodes, AG.n_nodes))
-    zero_u = ElongationField(values=np.zeros((SG.n_nodes, AG.n_nodes)), t=0.0)
+    zero_u = np.zeros((SG.n_nodes, AG.n_nodes))
     assert dissipation(rho, zero_u, zeta, SG, AG) == 0.0
     # u = a: int 0.5 a^2 e^-a over the cut domain = 1 - 61 e^-10 per unit x
-    u = ElongationField(values=np.tile(AG.a, (SG.n_nodes, 1)), t=0.0)
+    u = np.tile(AG.a, (SG.n_nodes, 1))
     val = dissipation(rho, u, zeta, SG, AG)
     assert val == pytest.approx(1.0 - 61.0 * np.exp(-10.0), abs=5e-4)
     # quadratic homogeneity
-    u2 = ElongationField(values=2.0 * u.values, t=0.0)
+    u2 = 2.0 * u
     assert dissipation(rho, u2, zeta, SG, AG) == pytest.approx(4.0 * val, rel=1e-13)
 
 
@@ -105,26 +104,26 @@ def test_lyapunov_cases():
 
 def test_stability_functional_cases():
     rho = init_density(HALF_EXP, SG, AG)
-    zero_u = ElongationField(values=np.zeros((SG.n_nodes, AG.n_nodes)), t=0.0)
+    zero_u = np.zeros((SG.n_nodes, AG.n_nodes))
     assert stability_functional(rho, zero_u, SG, AG) == 0.0
-    u = ElongationField(values=np.tile(AG.a, (SG.n_nodes, 1)), t=0.0)
+    u = np.tile(AG.a, (SG.n_nodes, 1))
     val = stability_functional(rho, u, SG, AG)
     # int 0.5 a e^-a = (1 - 11 e^-10)/2 per unit x
     assert val == pytest.approx(0.5 * (1.0 - 11.0 * np.exp(-10.0)), abs=5e-4)
-    rho2 = DensityField(values=2.0 * rho.values, t=0.0)
+    rho2 = 2.0 * rho
     assert stability_functional(rho2, u, SG, AG) == pytest.approx(2.0 * val, rel=1e-13)
 
 
 def test_rho_convergence_H_identical():
     rho = init_density(HALF_EXP, SG, AG)
-    assert np.all(rho_convergence_H(rho, rho.values, AG) == 0.0)
+    assert np.all(rho_convergence_H(rho, rho, AG) == 0.0)
 
 
 def test_rho_convergence_H_initial_value():
     rho = init_density(lambda x, a: np.exp(-np.asarray(a, dtype=float)) * np.ones_like(np.asarray(x, dtype=float)), SG, AG)
     ld = limit_density(1.0, np.ones(AG.n_nodes), AG)
     h = rho_convergence_H(rho, ld.rho0[None, :], AG)
-    direct = lyapunov_H(rho.values - ld.rho0[None, :], AG)
+    direct = lyapunov_H(rho - ld.rho0[None, :], AG)
     np.testing.assert_allclose(h, direct, atol=1e-15)
 
 

@@ -35,7 +35,6 @@ def test_build_grids_step_count():
     sg, ag, ts = build_grids(vcfg)
     assert ts.n_steps == 1000
     assert abs(ts.dt - 1e-3) < 1e-15
-    assert ts.history_depth == ag.na + 1
     # history alignment: dt * na = eps * a_max
     assert abs(ts.dt * ag.na - vcfg.epsilon * vcfg.a_max) < 1e-12
 

@@ -8,7 +8,6 @@ import pytest
 from linkages.errors import HistoryMissing, MassAtLeastOne, NegativeDensity
 from linkages.grids import AgeGrid, SpaceGrid
 from linkages.kinetics import (
-    DensityField,
     density_characteristics_oracle,
     init_density,
     limit_density,
@@ -63,50 +62,49 @@ def test_moments():
     np.testing.assert_allclose(mu1, 1.0 - 11.0 * np.exp(-10.0), atol=2e-5)
     mu2 = moment(rho, AG, 2)
     np.testing.assert_allclose(mu2, 2.0 - 122.0 * np.exp(-10.0), atol=2e-4)
-    zero = DensityField(values=np.zeros((SG.n_nodes, AG.n_nodes)), t=0.0)
+    zero = np.zeros((SG.n_nodes, AG.n_nodes))
     assert np.all(moment(zero, AG, 1) == 0.0)
     with pytest.raises(ValueError):
         moment(rho, AG, 3)
 
 
 def test_step_density_renewal_from_empty():
-    rho = DensityField(values=np.zeros((SG.n_nodes, AG.n_nodes)), t=0.0)
+    rho = np.zeros((SG.n_nodes, AG.n_nodes))
     zeta = np.ones((SG.n_nodes, AG.n_nodes))
-    new = step_density(rho, zeta, np.ones(SG.n_nodes), AG, dt=5e-4)
-    np.testing.assert_allclose(new.values[:, 0], 1.0 / (1.0 + AG.w[0]), atol=1e-14)
-    assert np.all(new.values[:, 1:] == 0.0)
+    new = step_density(rho, zeta, np.ones(SG.n_nodes), AG)
+    np.testing.assert_allclose(new[:, 0], 1.0 / (1.0 + AG.w[0]), atol=1e-14)
+    assert np.all(new[:, 1:] == 0.0)
 
 
 def test_step_density_steady_profile():
     # 0.5 e^-a is the fixed point of the renewal with beta = zeta = 1
     rho = init_density(HALF_EXP, SG, AG)
     zeta = np.ones((SG.n_nodes, AG.n_nodes))
-    new = step_density(rho, zeta, np.ones(SG.n_nodes), AG, dt=5e-4)
+    new = step_density(rho, zeta, np.ones(SG.n_nodes), AG)
     # interior: exact shift times e^-da preserves the exponential
-    np.testing.assert_allclose(new.values[:, 1:], rho.values[:, 1:], atol=1e-13)
+    np.testing.assert_allclose(new[:, 1:], rho[:, 1:], atol=1e-13)
     # renewal value returns the profile head up to O(da^2)
-    np.testing.assert_allclose(new.values[:, 0], 0.5, atol=5 * AG.da**2 + 2e-5)
+    np.testing.assert_allclose(new[:, 0], 0.5, atol=5 * AG.da**2 + 2e-5)
 
 
 def test_step_density_pure_decay():
     rho = init_density(EXP_DECAY, SG, AG)
     zeta = np.full((SG.n_nodes, AG.n_nodes), 2.0)
-    new = step_density(rho, zeta, np.zeros(SG.n_nodes), AG, dt=5e-4)
+    new = step_density(rho, zeta, np.zeros(SG.n_nodes), AG)
     np.testing.assert_allclose(
-        new.values[:, 1:], rho.values[:, :-1] * np.exp(-2.0 * AG.da), atol=1e-14
+        new[:, 1:], rho[:, :-1] * np.exp(-2.0 * AG.da), atol=1e-14
     )
-    assert np.all(new.values[:, 0] == 0.0)
+    assert np.all(new[:, 0] == 0.0)
 
 
 def test_step_density_positivity_and_saturation():
     rng = np.random.default_rng(3)
-    vals = rng.uniform(0.0, 0.08, (SG.n_nodes, AG.n_nodes))
-    rho = DensityField(values=vals, t=0.0)
+    rho = rng.uniform(0.0, 0.08, (SG.n_nodes, AG.n_nodes))
     for _ in range(5):
         zeta = rng.uniform(0.2, 3.0, (SG.n_nodes, AG.n_nodes))
         beta = rng.uniform(0.0, 2.0, SG.n_nodes)
-        rho = step_density(rho, zeta, beta, AG, dt=5e-4)
-        assert np.min(rho.values) >= 0.0
+        rho = step_density(rho, zeta, beta, AG)
+        assert np.min(rho) >= 0.0
         assert np.max(moment(rho, AG, 0)) < 1.0 - 1e-12
 
 
@@ -150,11 +148,11 @@ def test_scheme_equals_oracle_for_constant_rates():
     rho = init_density(lambda x, a: 0.9 * EXP_DECAY(x, a), sg, ag)
     zeta = np.ones((sg.n_nodes, ag.n_nodes))
     for n in range(n_steps):
-        rho = step_density(rho, zeta, np.ones(sg.n_nodes), ag, dt=eps * da)
+        rho = step_density(rho, zeta, np.ones(sg.n_nodes), ag)
     rI = lambda x, a: 0.9 * EXP_DECAY(x, a)
     hist = oracle_mu0_history(n_steps, ZETA_ONE, ONES_X, rI, eps, sg, ag)
     oracle = oracle_density_field(n_steps, ZETA_ONE, ONES_X, rI, hist, eps, sg, ag)
-    np.testing.assert_allclose(rho.values, oracle.values, atol=1e-13)
+    np.testing.assert_allclose(rho, oracle, atol=1e-13)
 
 
 def varying_zeta(x, a, t):
@@ -170,10 +168,10 @@ def _oracle_l1_distance(da, eps=0.05):
     rho = init_density(rI, sg, ag)
     for n in range(n_steps):
         zeta = varying_zeta(sg.x[:, None], ag.a[None, :], n * eps * da)
-        rho = step_density(rho, zeta, np.ones(sg.n_nodes), ag, dt=eps * da)
+        rho = step_density(rho, zeta, np.ones(sg.n_nodes), ag)
     hist = oracle_mu0_history(n_steps, varying_zeta, ONES_X, rI, eps, sg, ag)
     oracle = oracle_density_field(n_steps, varying_zeta, ONES_X, rI, hist, eps, sg, ag)
-    return float(sg.quad_weights() @ (np.abs(rho.values - oracle.values) @ ag.w))
+    return float(sg.quad_weights() @ (np.abs(rho - oracle) @ ag.w))
 
 
 def test_oracle_agreement_first_order_banded():
@@ -194,7 +192,7 @@ def test_mu0_lower_bound_weak_mode():
     floor = min(float(np.min(moment(rho, ag, 0))), beta_m / (beta_m + zeta_M)) - 10 * da
     zeta = np.ones((sg.n_nodes, ag.n_nodes))
     for _ in range(1500):
-        rho = step_density(rho, zeta, np.full(sg.n_nodes, beta_m), ag, dt=eps * da)
+        rho = step_density(rho, zeta, np.full(sg.n_nodes, beta_m), ag)
         assert np.min(moment(rho, ag, 0)) >= floor
 
 

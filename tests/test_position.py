@@ -8,7 +8,7 @@ from conftest import capture_at, dense_solve, make_config
 from linkages import diagnostics as dg
 from linkages.config import PastData, validate_config
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
-from linkages.kinetics import DensityField, init_density, moment
+from linkages.kinetics import init_density, moment
 from linkages.position import (
     PositionHistory,
     initial_position,
@@ -34,7 +34,7 @@ def test_initial_position_sine_eigenfunction():
     z = initial_position(rho, SIN_PAST, EPS, SG, AG)
     # sin(pi x) is a discrete eigenvector: exact closed form for the solve
     mu0 = moment(rho, AG, 0)
-    coeff = mu0 - AG.w[0] * rho.values[:, 0]
+    coeff = mu0 - AG.w[0] * rho[:, 0]
     lam = discrete_sin_eigenvalue(SG)
     exact = coeff[1] * np.sin(np.pi * SG.x) / np.pi / (coeff[1] + EPS * lam)
     np.testing.assert_allclose(z, exact, atol=1e-12)
@@ -63,7 +63,7 @@ def test_initial_position_small_scale_limit():
 
 def test_step_position_poisson_reduction():
     # with no bonds the delay operator vanishes: -Lap z = S
-    rho = DensityField(values=np.zeros((SG.n_nodes, AG.n_nodes)), t=0.0)
+    rho = np.zeros((SG.n_nodes, AG.n_nodes))
     hist = PositionHistory(np.zeros(SG.n_nodes), PastData(fn=presets.past_data_fn("zero")), EPS, SG, AG)
     S = np.pi**2 * np.sin(np.pi * SG.x)
     z = step_position(rho, hist, EPS, SG, AG, source=S)
@@ -77,7 +77,6 @@ def test_step_position_zero_history():
     hist = PositionHistory(np.zeros(SG.n_nodes), PastData(fn=presets.past_data_fn("zero")), EPS, SG, AG)
     z = step_position(rho, hist, EPS, SG, AG)
     np.testing.assert_allclose(z, 0.0, atol=1e-14)
-    assert hist.t == pytest.approx(EPS * AG.da)
 
 
 def test_step_position_drifts_to_zero():
@@ -133,16 +132,15 @@ def test_step_position_matches_dense_oracle():
     rng = np.random.default_rng(5)
     sg = SpaceGrid(nx=12)
     ag = AgeGrid(da=0.1, a_max=10.0)
-    vals = rng.uniform(0.0, 0.05, (sg.n_nodes, ag.n_nodes))
-    rho = DensityField(values=vals, t=0.0)
+    rho = rng.uniform(0.0, 0.05, (sg.n_nodes, ag.n_nodes))
     past = PastData(fn=lambda x, t: np.sin(np.pi * np.asarray(x)) * (1.0 + 0.2 * t))
     z0 = past(sg.x, 0.0)
     hist = PositionHistory(z0, past, EPS, sg, ag)
     Z = hist.matrix().copy()
     z = step_position(rho, hist, EPS, sg, ag)
-    mu0 = rho.values @ ag.w
-    coeff = mu0 - ag.w[0] * rho.values[:, 0]
-    rhs = np.einsum("j,xj,jx->x", ag.w[1:], rho.values[:, 1:], Z[:-1])[1:-1]
+    mu0 = rho @ ag.w
+    coeff = mu0 - ag.w[0] * rho[:, 0]
+    rhs = np.einsum("j,xj,jx->x", ag.w[1:], rho[:, 1:], Z[:-1])[1:-1]
     z_ref = dense_solve(coeff[1:-1], EPS, rhs, sg.nx)
     np.testing.assert_allclose(z, z_ref, atol=1e-12)
 
