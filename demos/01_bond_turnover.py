@@ -8,7 +8,7 @@ relaxation of the total population, then against the limit profile.
 
 import numpy as np
 
-from linkages import init_density, limit_density, moment, step_density
+from linkages import init_density, limit_density, moment, step_density, survival
 from linkages.grids import AgeGrid, SpaceGrid
 
 eps, da = 0.05, 0.01
@@ -18,7 +18,7 @@ ag = AgeGrid(da=da, a_max=10.0)
 dt = eps * da
 
 rho = init_density(lambda x, a: 0.5 * np.exp(-np.asarray(a, dtype=float)) * np.ones_like(np.asarray(x, dtype=float)), sg, ag)
-zeta_field = np.full((sg.n_nodes, ag.n_nodes), zeta)
+surv = survival(np.full((sg.n_nodes, ag.n_nodes), zeta), ag)  # constant rate: one factor for every step
 beta_field = np.full(sg.n_nodes, beta)
 
 mu0_start = float(moment(rho, ag, 0)[0])
@@ -26,7 +26,7 @@ mu_eq = beta / (beta + zeta)
 print(f"starting population {mu0_start:.4f}, renewal equilibrium {mu_eq:.4f}")
 print(f"{'t/eps':>8} {'mu0':>10} {'closed form':>12}")
 for n in range(1, 401):
-    rho = step_density(rho, zeta_field, beta_field, ag)
+    rho = step_density(rho, surv, beta_field, ag)
     if n % 50 == 0:
         t = n * dt
         mu0 = float(moment(rho, ag, 0)[0])

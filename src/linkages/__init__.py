@@ -48,6 +48,7 @@ from .kinetics import (
     oracle_density_field,
     oracle_mu0_history,
     step_density,
+    survival,
 )
 from .limit import step_limit
 from .position import (

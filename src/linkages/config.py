@@ -179,8 +179,10 @@ def validate_config(config):
     if bad:
         raise ConfigError(bad)
 
-    dt = config.epsilon * config.da  # may underflow to 0 or a denormal
-    if not (dt > 0 and math.isfinite(config.final_time / dt)):
+    # dt may underflow to 0 or a denormal; beyond 2**53 steps n*dt and the
+    # divisibility check below are no longer exact, and the run never ends
+    dt = config.epsilon * config.da
+    if not (dt > 0 and config.final_time / dt <= 2**53):
         raise ConfigError([HypothesisViolation("time step range", f"dt = epsilon*da = {dt:g}")])
 
     if abs(round(config.a_max / config.da) * config.da - config.a_max) > 1e-9 * config.a_max:

@@ -26,7 +26,7 @@ import numpy as np
 from . import elliptic
 from .diagnostics import stability_functional
 from .errors import NonpositiveGamma1
-from .kinetics import step_density
+from .kinetics import step_density, survival
 from .position import step_position
 
 OMEGA = 0.5  # 1D sup-norm embedding constant ||g||_inf <= omega ||g'||_2 on (0,1)
@@ -109,7 +109,7 @@ def coupled_step(state, source, rate, eps, sgrid, agrid):
         beta_field = rate.beta_values(sgrid.x, state.t, z=state.z)
     else:
         beta_field = rate.beta_values(sgrid.x, t_new)
-    rho_new = step_density(state.rho, zeta_u, beta_field, agrid, zeta_at="arrival")
+    rho_new = step_density(state.rho, survival(zeta_u, agrid, "arrival"), beta_field, agrid)
     dSdt = source.ddt(sgrid.x, t_new) if source is not None else None
     g_new = solve_velocity(rho_new, u_new, zeta_u, dSdt, eps, sgrid, agrid)
     S_new = source(sgrid.x, t_new) if source is not None else None

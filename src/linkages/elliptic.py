@@ -8,7 +8,7 @@ are identically zero.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import DegenerateOperator
 
@@ -53,18 +53,23 @@ def assemble(c, kappa, grid):
 def solve(op, rhs):
     """Direct tridiagonal solve; returns the full field with zero boundaries.
 
-    rhs lives on interior nodes.  The residual is checked against
-    1e-10 * ||rhs||_inf (the system is diagonally dominant, so the banded
-    LU is effectively the Thomas algorithm).
+    rhs lives on interior nodes.  LAPACK gtsv does the work (the system is
+    diagonally dominant, so its pivoted elimination is effectively the
+    Thomas algorithm); a single node is one division, because gtsv rejects
+    empty off-diagonals.  A singular operator raises DegenerateOperator, and
+    so does a residual above 1e-10 * ||rhs||_inf.
     """
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (op.n,):
         raise ValueError(f"rhs shape {rhs.shape} != ({op.n},)")
-    ab = np.zeros((3, op.n))
-    ab[0, 1:] = op.upper[:-1]
-    ab[1, :] = op.main
-    ab[2, :-1] = op.lower[1:]
-    zi = solve_banded((1, 1), ab, rhs, check_finite=False)
+    if op.n == 1:
+        if op.main[0] == 0.0:
+            raise DegenerateOperator("singular tridiagonal operator")
+        zi = rhs / op.main
+    else:
+        _, _, _, zi, info = dgtsv(op.lower[1:], op.main, op.upper[:-1], rhs)
+        if info > 0:
+            raise DegenerateOperator(f"singular tridiagonal operator (gtsv info={info})")
     z = np.zeros(op.n + 2)
     z[1:-1] = zi
     scale = max(float(np.max(np.abs(rhs))), 1e-300)

@@ -51,8 +51,8 @@ def moment(rho, agrid, k):
     return rho @ (agrid.w * agrid.a**k)
 
 
-def step_density(rho, zeta_values, beta_values, agrid, zeta_at="departure"):
-    """Advance the density one step of dt = eps*da.
+def survival(zeta_values, agrid, zeta_at="departure"):
+    """Per-cell survival factor exp(-da*zeta) of one shift, shape (nx+2, na).
 
     zeta_values is the off-rate on the (x, a) grid; for a prescribed rate it
     is sampled at the current time and read at the departure cell j-1.  In
@@ -61,8 +61,6 @@ def step_density(rho, zeta_values, beta_values, agrid, zeta_at="departure"):
     the same characteristic, and it lets a newborn cohort feel the stretch it
     acquires during the step -- reading the departure value zeta(u=0) instead
     lets arbitrarily stretched newborns survive one cell forever.
-    beta_values is the on-rate per x node at the new time.  Newborn mass is
-    set from the shifted interior by the closed-form renewal above.
     """
     if not np.all(np.isfinite(zeta_values)):
         raise NonfiniteValue("off-rate field has non-finite entries")
@@ -72,8 +70,19 @@ def step_density(rho, zeta_values, beta_values, agrid, zeta_at="departure"):
         hop = zeta_values[:, 1:]
     else:
         raise ValueError(f"zeta_at must be 'departure' or 'arrival', got {zeta_at!r}")
+    return np.exp(-agrid.da * hop)
+
+
+def step_density(rho, surv, beta_values, agrid):
+    """Advance the density one step of dt = eps*da.
+
+    surv is the survival factor of the step (see survival); a prescribed
+    rate that does not change between steps can reuse it.  beta_values is
+    the on-rate per x node at the new time.  Newborn mass is set from the
+    shifted interior by the closed-form renewal above.
+    """
     new = np.empty_like(rho)
-    new[:, 1:] = rho[:, :-1] * np.exp(-agrid.da * hop)
+    np.multiply(rho[:, :-1], surv, out=new[:, 1:])
     m = new[:, 1:] @ agrid.w[1:]
     w0 = agrid.w[0]
     new[:, 0] = beta_values * (1.0 - m) / (1.0 + beta_values * w0)

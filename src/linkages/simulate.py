@@ -22,7 +22,7 @@ from . import diagnostics as dg
 from .config import with_overrides
 from .errors import ConfigError, HypothesisViolation, NonfiniteValue
 from .grids import build_grids
-from .kinetics import init_density, limit_density, moment, step_density
+from .kinetics import init_density, limit_density, moment, step_density, survival
 from .limit import step_limit
 from .position import PositionHistory, initial_position, step_position
 
@@ -94,6 +94,7 @@ class WeakState:
     z: np.ndarray
     hist: PositionHistory  # ends at the same level as z
     zeta: np.ndarray  # prescribed off-rate at t
+    surv: np.ndarray  # survival(zeta), recomputed only when zeta changes
     mu0: np.ndarray
 
 
@@ -133,14 +134,19 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     mu0 = moment(rho, agrid, 0)
     # discrete analogue of the population floor min(mu0(0), beta_m/(beta_m+zeta_M))
     lower_bound = min(float(np.min(mu0)), rate.beta_m / (rate.beta_m + rate.zeta_M)) - 10.0 * agrid.da
-    state = WeakState(t=0.0, rho=rho, z=z, hist=hist, zeta=rate.zeta_field(sgrid.x, agrid.a, 0.0), mu0=mu0)
+    zeta = rate.zeta_field(sgrid.x, agrid.a, 0.0)
+    state = WeakState(t=0.0, rho=rho, z=z, hist=hist, zeta=zeta, surv=survival(zeta, agrid), mu0=mu0)
 
     def step(n, st):
         # n*dt, not an accumulated t + dt: the two differ in the last bits
         st.t = n * dt
-        st.rho = step_density(st.rho, st.zeta, rate.beta_values(sgrid.x, st.t), agrid)
+        st.rho = step_density(st.rho, st.surv, rate.beta_values(sgrid.x, st.t), agrid)
         st.z = step_position(st.rho, st.hist, eps, sgrid, agrid, source=_source_at(src, sgrid.x, st.t))
-        st.zeta = rate.zeta_field(sgrid.x, agrid.a, st.t)
+        zeta = rate.zeta_field(sgrid.x, agrid.a, st.t)
+        # equal values give an equal factor; NaN never compares equal, so a
+        # non-finite field still reaches the check in survival
+        if not np.array_equal(zeta, st.zeta):
+            st.zeta, st.surv = zeta, survival(zeta, agrid)
         st.mu0 = moment(st.rho, agrid, 0)
         return st
 

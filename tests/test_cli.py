@@ -211,9 +211,10 @@ def test_nan_rate_scalar_exit_code(tmp_path, capsys, command, text, name):
     assert f"config error: HypothesisViolation('rate scalar is NaN' at {name})" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scale, a_max", [("1e-200", "1e-198"), ("1e-160", "1e-158")])
+@pytest.mark.parametrize("scale, a_max", [("1e-200", "1e-198"), ("1e-160", "1e-158"), ("1e-100", "1e-98")])
 def test_underflowing_time_step_exit_code(tmp_path, capsys, scale, a_max):
-    # epsilon*da underflows to 0 (1e-200) or to a denormal whose T/dt overflows (1e-160)
+    # epsilon*da underflows to 0 (1e-200), to a denormal whose T/dt overflows
+    # (1e-160), or leaves about 2e198 steps, far past 2**53 (1e-100)
     text = TINY_WEAK.replace("epsilon = 0.05", f"epsilon = {scale}")
     cfg = write(tmp_path, text.replace("da = 0.01", f"da = {scale}\na_max = {a_max}"))
     assert main(["weak", "--config", cfg, "--out", str(tmp_path / "o")]) == 1

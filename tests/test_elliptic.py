@@ -5,7 +5,7 @@ import pytest
 
 from conftest import dense_solve
 
-from linkages.elliptic import assemble, laplacian, solve
+from linkages.elliptic import TridiagonalOperator, assemble, laplacian, solve
 from linkages.errors import DegenerateOperator
 from linkages.grids import SpaceGrid
 
@@ -31,6 +31,20 @@ def test_degenerate_operator_raises():
     g = SpaceGrid(nx=4)
     with pytest.raises(DegenerateOperator):
         assemble(np.zeros(4), 0.0, g)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_singular_solve_raises(n):
+    zero = np.zeros(n)
+    with pytest.raises(DegenerateOperator):
+        solve(TridiagonalOperator(lower=zero, main=zero, upper=zero), np.ones(n))
+
+
+def test_single_node_against_dense_oracle():
+    g = SpaceGrid(nx=1)
+    z = solve(assemble(np.full(1, 0.5), 0.3, g), np.array([2.0]))
+    np.testing.assert_allclose(z, dense_solve(0.5, 0.3, np.array([2.0]), 1), rtol=1e-15)
+    assert z[0] == 0.0 and z[-1] == 0.0
 
 
 def test_poisson_sin_oracle_second_order():

@@ -104,6 +104,8 @@ S = constant(10000.0)
 
 CASES = {
     "weak": (WEAK, ["weak", "--cadence", "1", "--dump-density"]),
+    # one interior node: the tridiagonal solve has no off-diagonals
+    "weak-nx1": (WEAK.replace("nx = 12", "nx = 1"), ["weak", "--cadence", "1"]),
     "weak-source": (WEAK_SOURCE, ["weak-source", "--cadence", "1"]),
     "limit": (WEAK, ["limit", "--cadence", "1"]),
     "coupled": (COUPLED, ["coupled", "--cadence", "1", "--dump-density"]),
@@ -131,6 +133,10 @@ GOLDEN = {
         "density.csv": "7459474881a53831525c7fbb373d6397f307aff74b6a5317ff5f66c9110d6fed",
         "diagnostics.csv": "200b4aa9855ea15759a8ccbe51f571bc75cb2719ccd242660523ba04ab20a62b",
         "trajectory.csv": "0d768e5e313a94f5bafc33b68d958ca731581692af1a8b2923a42a553b886524",
+    }),
+    "weak-nx1": (0, {
+        "diagnostics.csv": "f5c9fc96e8516e2293bc6b52a2895cda3a7c6c52400a2aeccf96775fe8720dae",
+        "trajectory.csv": "198bfaacab28b1e6b6e07b3a3322caf5d8f5cb64dab2e0d24489ccd1f73f3799",
     }),
     "weak-source": (0, {
         "diagnostics.csv": "ba7ecc69d2b2eea1d312246fca82113fd7c4262e13a0d78c305dfa34455c7a53",

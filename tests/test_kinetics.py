@@ -15,6 +15,7 @@ from linkages.kinetics import (
     oracle_density_field,
     oracle_mu0_history,
     step_density,
+    survival,
 )
 
 SG = SpaceGrid(nx=7)
@@ -71,7 +72,7 @@ def test_moments():
 def test_step_density_renewal_from_empty():
     rho = np.zeros((SG.n_nodes, AG.n_nodes))
     zeta = np.ones((SG.n_nodes, AG.n_nodes))
-    new = step_density(rho, zeta, np.ones(SG.n_nodes), AG)
+    new = step_density(rho, survival(zeta, AG), np.ones(SG.n_nodes), AG)
     np.testing.assert_allclose(new[:, 0], 1.0 / (1.0 + AG.w[0]), atol=1e-14)
     assert np.all(new[:, 1:] == 0.0)
 
@@ -80,7 +81,7 @@ def test_step_density_steady_profile():
     # 0.5 e^-a is the fixed point of the renewal with beta = zeta = 1
     rho = init_density(HALF_EXP, SG, AG)
     zeta = np.ones((SG.n_nodes, AG.n_nodes))
-    new = step_density(rho, zeta, np.ones(SG.n_nodes), AG)
+    new = step_density(rho, survival(zeta, AG), np.ones(SG.n_nodes), AG)
     # interior: exact shift times e^-da preserves the exponential
     np.testing.assert_allclose(new[:, 1:], rho[:, 1:], atol=1e-13)
     # renewal value returns the profile head up to O(da^2)
@@ -90,7 +91,7 @@ def test_step_density_steady_profile():
 def test_step_density_pure_decay():
     rho = init_density(EXP_DECAY, SG, AG)
     zeta = np.full((SG.n_nodes, AG.n_nodes), 2.0)
-    new = step_density(rho, zeta, np.zeros(SG.n_nodes), AG)
+    new = step_density(rho, survival(zeta, AG), np.zeros(SG.n_nodes), AG)
     np.testing.assert_allclose(
         new[:, 1:], rho[:, :-1] * np.exp(-2.0 * AG.da), atol=1e-14
     )
@@ -103,7 +104,7 @@ def test_step_density_positivity_and_saturation():
     for _ in range(5):
         zeta = rng.uniform(0.2, 3.0, (SG.n_nodes, AG.n_nodes))
         beta = rng.uniform(0.0, 2.0, SG.n_nodes)
-        rho = step_density(rho, zeta, beta, AG)
+        rho = step_density(rho, survival(zeta, AG), beta, AG)
         assert np.min(rho) >= 0.0
         assert np.max(moment(rho, AG, 0)) < 1.0 - 1e-12
 
@@ -148,7 +149,7 @@ def test_scheme_equals_oracle_for_constant_rates():
     rho = init_density(lambda x, a: 0.9 * EXP_DECAY(x, a), sg, ag)
     zeta = np.ones((sg.n_nodes, ag.n_nodes))
     for n in range(n_steps):
-        rho = step_density(rho, zeta, np.ones(sg.n_nodes), ag)
+        rho = step_density(rho, survival(zeta, ag), np.ones(sg.n_nodes), ag)
     rI = lambda x, a: 0.9 * EXP_DECAY(x, a)
     hist = oracle_mu0_history(n_steps, ZETA_ONE, ONES_X, rI, eps, sg, ag)
     oracle = oracle_density_field(n_steps, ZETA_ONE, ONES_X, rI, hist, eps, sg, ag)
@@ -168,7 +169,7 @@ def _oracle_l1_distance(da, eps=0.05):
     rho = init_density(rI, sg, ag)
     for n in range(n_steps):
         zeta = varying_zeta(sg.x[:, None], ag.a[None, :], n * eps * da)
-        rho = step_density(rho, zeta, np.ones(sg.n_nodes), ag)
+        rho = step_density(rho, survival(zeta, ag), np.ones(sg.n_nodes), ag)
     hist = oracle_mu0_history(n_steps, varying_zeta, ONES_X, rI, eps, sg, ag)
     oracle = oracle_density_field(n_steps, varying_zeta, ONES_X, rI, hist, eps, sg, ag)
     return float(sg.quad_weights() @ (np.abs(rho - oracle) @ ag.w))
@@ -192,7 +193,7 @@ def test_mu0_lower_bound_weak_mode():
     floor = min(float(np.min(moment(rho, ag, 0))), beta_m / (beta_m + zeta_M)) - 10 * da
     zeta = np.ones((sg.n_nodes, ag.n_nodes))
     for _ in range(1500):
-        rho = step_density(rho, zeta, np.full(sg.n_nodes, beta_m), ag)
+        rho = step_density(rho, survival(zeta, ag), np.full(sg.n_nodes, beta_m), ag)
         assert np.min(moment(rho, ag, 0)) >= floor
 
 

@@ -6,16 +6,17 @@ import pytest
 from conftest import capture_at, dense_solve, make_config
 
 from linkages import diagnostics as dg
-from linkages.config import PastData, validate_config
+from linkages.config import PastData, RateModel, validate_config
+from linkages.errors import NonfiniteValue
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
-from linkages.kinetics import init_density, moment
+from linkages.kinetics import init_density, moment, step_density, survival
 from linkages.position import (
     PositionHistory,
     initial_position,
     step_position,
     volterra_residual,
 )
-from linkages import presets
+from linkages import presets, simulate
 from linkages.simulate import run_weak
 
 EPS = 0.05
@@ -168,3 +169,62 @@ def test_minimization_property():
         zp = cap.z.copy()
         zp[1:-1] += 1e-3 * v
         assert dg.energy(zp, cap.delayed_z, cap.rho, vcfg.epsilon, sg, ag) >= e0
+
+
+def ramp_in_time(x, a, t):
+    """Off-rate that changes at every step: 1 + a/(1+a)/2 + t."""
+    return 1.0 + 0.5 * np.asarray(a, dtype=float) / (1.0 + a) + t + 0.0 * x
+
+
+def counted_survival(monkeypatch):
+    """Count the calls run_weak makes to kinetics.survival."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return survival(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "survival", counted)
+    return calls
+
+
+def test_survival_computed_once_for_constant_rate(monkeypatch):
+    calls = counted_survival(monkeypatch)
+    vcfg = validate_config(make_config(final_time=0.01))
+    seen = []
+    run_weak(vcfg, diag_stride=0, observers=[lambda n, st: seen.append(st.zeta)])
+    assert len(seen) == 21 and len(calls) == 1
+    # an equal field keeps the first array, so one zeta stays alive per run
+    assert all(zeta is seen[0] for zeta in seen)
+
+
+def test_time_dependent_rate_matches_survival_every_step(monkeypatch):
+    calls = counted_survival(monkeypatch)
+    rate = RateModel(zeta=ramp_in_time, zeta_M=2.0)
+    vcfg = validate_config(make_config(final_time=0.01, rate_model=rate))
+    res = run_weak(vcfg, diag_stride=0)
+    sg, ag, ts = build_grids(vcfg)
+    assert len(calls) == ts.n_steps + 1
+
+    # hand loop: a fresh survival factor at every step
+    rho = init_density(vcfg.initial_density, sg, ag)
+    z = initial_position(rho, vcfg.past_data, vcfg.epsilon, sg, ag)
+    hist = PositionHistory(z, vcfg.past_data, vcfg.epsilon, sg, ag)
+    traj = [z]
+    for n in range(1, ts.n_steps + 1):
+        surv = survival(rate.zeta_field(sg.x, ag.a, (n - 1) * ts.dt), ag)
+        rho = step_density(rho, surv, rate.beta_values(sg.x, n * ts.dt), ag)
+        traj.append(step_position(rho, hist, vcfg.epsilon, sg, ag))
+    assert np.array_equal(res.final_rho, rho)
+    assert np.array_equal(res.trajectory, np.asarray(traj))
+
+
+def test_rate_turning_nan_raises():
+    t_bad = 0.005
+
+    def zeta(x, a, t):
+        return ramp_in_time(x, a, 0.0) * (np.nan if t >= t_bad else 1.0)
+
+    vcfg = make_config(final_time=0.01, rate_model=RateModel(zeta=zeta, zeta_M=2.0))
+    with pytest.raises(NonfiniteValue):
+        run_weak(vcfg, diag_stride=0)

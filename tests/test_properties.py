@@ -1,0 +1,81 @@
+"""Property tests over random small configurations.
+
+Every level of a weak run on a valid configuration keeps rho >= 0,
+mu0 < 1 and a finite position, whatever the grid, the off-rate and the
+load; validation either accepts a configuration or raises ConfigError.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from linkages import presets
+from linkages.config import PastData, RateModel, SimulationConfig, SourceModel, validate_config
+from linkages.errors import ConfigError
+from linkages.simulate import run_weak
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+def off_rate(kind, c):
+    """(zeta, zeta_M) for a constant, an age ramp or a time-dependent rate."""
+    if kind == "constant":
+        return presets.given_zeta_fn(f"constant({c})"), c
+    if kind == "ramp":
+        return presets.given_zeta_fn(f"one_plus_age_ramp({c})"), 1.0 + c
+    # grows with t, so it changes at every step; final times stay <= 1.5
+    ramp = presets.given_zeta_fn(f"one_plus_age_ramp({c})")
+    return (lambda x, a, t: ramp(x, a, t) + t), 2.5 + c
+
+
+@st.composite
+def configs(draw, scale=st.sampled_from([0.02, 0.05, 0.1, 0.5])):
+    kind = draw(st.sampled_from(["constant", "ramp", "time"]))
+    c = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    zeta, zeta_M = off_rate(kind, c)
+    da = draw(st.sampled_from([0.01, 0.05, 0.1]))
+    na = draw(st.integers(1, 40))
+    epsilon = draw(scale)
+    source = None
+    if draw(st.booleans()):
+        source = SourceModel(*presets.source_fns("sin_forcing"))
+    return SimulationConfig(
+        epsilon=epsilon,
+        final_time=draw(st.integers(1, 30)) * epsilon * da,
+        nx=draw(st.integers(1, 8)),
+        da=da,
+        a_max=na * da,
+        mode="weak" if source is None else "weak_with_source",
+        rate_model=RateModel(zeta=zeta, zeta_m=1.0 if kind != "constant" else c, zeta_M=zeta_M),
+        past_data=PastData(fn=presets.past_data_fn("sin_pi")),
+        initial_density=presets.initial_density_fn(f"exp_decay({draw(st.sampled_from([0.3, 0.9]))})"),
+        source=source,
+    )
+
+
+def check_level(n, s):
+    assert np.min(s.rho) >= 0.0, f"rho < 0 at level {n}"
+    assert np.max(s.mu0) < 1.0, f"mu0 >= 1 at level {n}"
+    assert np.all(np.isfinite(s.z)), f"non-finite z at level {n}"
+
+
+@PROPERTY
+@given(configs())
+def test_weak_run_keeps_structural_invariants(cfg):
+    run_weak(validate_config(cfg), observers=[check_level])
+
+
+@PROPERTY
+@given(
+    configs(scale=st.sampled_from([0.05, 0.0, -0.1, math.nan, math.inf, 1e-160])),
+    st.sampled_from([None, 0.0, -1.0, math.nan, 0.0123]),
+    st.sampled_from([None, 0, -3]),
+)
+def test_validation_accepts_or_raises_config_error(cfg, final_time, nx):
+    overrides = {k: v for k, v in (("final_time", final_time), ("nx", nx)) if v is not None}
+    try:
+        validate_config(replace(cfg, **overrides))
+    except ConfigError:
+        pass
