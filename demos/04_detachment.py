@@ -38,7 +38,7 @@ z2, _ = res.snapshots[2e-4]
 z3, _ = res.snapshots[3e-4]
 print(f"position plateau: {np.max(z3):.1f} (elliptic balance predicts S/8 = 1250)")
 print(f"curves at t=2e-4 and 3e-4 differ by {np.max(np.abs(z3 - z2)) / np.max(np.abs(z3)):.2e} relative")
-mu = res.mu0_final
+mu = res.final.mu0
 print(f"detached nodes: {int(res.dead_mask.sum())}, max population there {np.max(mu[res.dead_mask]):.2e}")
 print(f"live flank nodes: {int(res.flank_mask.sum())}, population within "
       f"{np.max(np.abs(mu[res.flank_mask] - 0.5)):.2e} of 1/2")

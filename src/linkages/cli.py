@@ -1,7 +1,13 @@
 """Command-line entry point: one subcommand per experiment preset.
 
-Exit codes: 0 clean, 1 configuration or I/O error, 2 hard invariant
-violation during a run.
+The subcommand picks the model: weak, weak-source, limit and
+convergence-sweep need a prescribed off-rate zeta(x, a, t), coupled and
+detachment an elongation-dependent zeta(u).  main loads the --config file
+(or builds the subcommand's default) and validates it once.
+
+Exit codes: 0 clean, 1 configuration or I/O error (a config whose off-rate
+kind does not fit the subcommand included), 2 hard invariant violation
+during a run.
 """
 
 import argparse
@@ -31,7 +37,6 @@ def reference_config(**overrides):
         nx=64,
         da=0.01,
         a_max=10.0,
-        mode="weak",
         rate_model=RateModel(),
         past_data=PastData(fn=presets.past_data_fn("sin_pi")),
         initial_density=presets.initial_density_fn("exp_decay"),
@@ -43,9 +48,7 @@ def reference_config(**overrides):
 def source_config(**overrides):
     """Reference configuration plus the steady sine load pi^2 sin(pi x)."""
     fn, dfn = presets.source_fns("sin_forcing")
-    return reference_config(
-        mode="weak_with_source", source=SourceModel(fn=fn, dfn=dfn), **overrides
-    )
+    return reference_config(source=SourceModel(fn=fn, dfn=dfn), **overrides)
 
 
 def coupled_config(**overrides):
@@ -57,7 +60,6 @@ def coupled_config(**overrides):
         nx=64,
         da=0.02,
         a_max=10.0,
-        mode="coupled",
         rate_model=RateModel(zeta_kind="lipschitz", zeta_M=np.inf),
         past_data=PastData(fn=presets.past_data_fn("zero")),
         initial_density=presets.initial_density_fn("exp_decay"),
@@ -76,7 +78,6 @@ def detachment_config(**overrides):
         nx=128,
         da=1e-2,
         a_max=10.0,
-        mode="coupled",
         rate_model=RateModel(
             zeta_kind="lipschitz", zeta_M=np.inf, beta_kind="threshold", zbar=1000.0, beta_m=0.0
         ),
@@ -88,25 +89,17 @@ def detachment_config(**overrides):
     return SimulationConfig(**base)
 
 
-def _load_or(default_builder, args):
-    if args.config:
-        return load_config(args.config)
-    return default_builder()
-
-
 def _out(args, name):
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
 
 
-def _run_weak_like(args, cfg):
-    vcfg = validate_config(cfg)
-    sgrid, _, _ = build_grids(vcfg)
+def cmd_weak(args, vcfg):
+    sgrid, agrid, _ = build_grids(vcfg)
     res = simulate.run_weak(vcfg, output_stride=args.cadence, diag_stride=args.cadence)
     simulate.write_trajectory_csv(_out(args, "trajectory.csv"), res.times, res.trajectory, sgrid.x)
     simulate.write_diagnostics_csv(_out(args, "diagnostics.csv"), res.records)
     if args.dump_density:
-        _, agrid, _ = build_grids(vcfg)
         simulate.write_density_csv(_out(args, "density.csv"), res.final_rho, sgrid, agrid)
     for v in res.violations:
         print(f"invariant violation: {v}", file=sys.stderr)
@@ -114,17 +107,7 @@ def _run_weak_like(args, cfg):
     return 2 if res.violations else 0
 
 
-def cmd_weak(args):
-    return _run_weak_like(args, _load_or(reference_config, args))
-
-
-def cmd_weak_source(args):
-    return _run_weak_like(args, _load_or(source_config, args))
-
-
-def cmd_limit(args):
-    cfg = _load_or(reference_config, args)
-    vcfg = validate_config(cfg)
+def cmd_limit(args, vcfg):
     sgrid, _, _ = build_grids(vcfg)
     dt_out = vcfg.dt * args.cadence
     n_out = int(round(vcfg.final_time / dt_out))
@@ -134,9 +117,7 @@ def cmd_limit(args):
     return 0
 
 
-def cmd_coupled(args):
-    cfg = _load_or(coupled_config, args)
-    vcfg = validate_config(cfg)
+def cmd_coupled(args, vcfg):
     sgrid, agrid, _ = build_grids(vcfg)
     res = simulate.run_coupled(vcfg, diag_stride=args.cadence)
     simulate.write_diagnostics_csv(_out(args, "diagnostics.csv"), res.records)
@@ -154,9 +135,7 @@ def cmd_coupled(args):
     return 2 if res.violations else 0
 
 
-def cmd_sweep(args):
-    cfg = _load_or(reference_config, args)
-    vcfg = validate_config(cfg)
+def cmd_sweep(args, vcfg):
     try:
         eps_list = [float(tok) for tok in args.epsilons.split(",")]
     except ValueError as exc:
@@ -164,7 +143,7 @@ def cmd_sweep(args):
         raise ConfigError([bad]) from exc
     # snapshots every --cadence steps of the coarsest run
     dt_out = args.cadence * max(eps_list) * vcfg.da
-    sweep = simulate.run_convergence_sweep(vcfg, eps_list, dt_out=dt_out)
+    sweep = simulate.run_convergence_sweep(vcfg, eps_list, dt_out)
     simulate.write_sweep_csv(_out(args, "sweep.csv"), sweep)
     print(f"{'epsilon':>10} {'L2(Q_T) error':>16} {'order':>8}")
     for row in sweep.rows:
@@ -176,9 +155,7 @@ def cmd_sweep(args):
     return 0
 
 
-def cmd_detachment(args):
-    cfg = _load_or(detachment_config, args)
-    vcfg = validate_config(cfg)
+def cmd_detachment(args, vcfg):
     sgrid, _, _ = build_grids(vcfg)
     res = simulate.run_detachment(vcfg)
     zcols, mcols = {}, {}
@@ -188,7 +165,7 @@ def cmd_detachment(args):
         mcols[f"mu0(t={t:g})"] = np.maximum(mu0, simulate.MU0_PLOT_FLOOR)
     simulate.write_profile_columns(_out(args, "detachment_z.dat"), sgrid.x, zcols)
     simulate.write_profile_columns(_out(args, "detachment_mu0.dat"), sgrid.x, mcols)
-    mu = res.mu0_final
+    mu = res.final.mu0
     n_flank, n_dead = int(res.flank_mask.sum()), int(res.dead_mask.sum())
     print(f"detachment run to t = {res.final.t:g}: {n_flank} live nodes, {n_dead} detached nodes")
     if n_dead:
@@ -212,20 +189,22 @@ def main(argv=None):
     common.add_argument("--cadence", type=int, default=10, help="output every N steps")
     common.add_argument("--dump-density", action="store_true", help="write the final density CSV")
 
-    sub.add_parser("weak", parents=[common]).set_defaults(fn=cmd_weak)
-    sub.add_parser("weak-source", parents=[common]).set_defaults(fn=cmd_weak_source)
-    sub.add_parser("limit", parents=[common]).set_defaults(fn=cmd_limit)
-    sub.add_parser("coupled", parents=[common]).set_defaults(fn=cmd_coupled)
+    # the subcommand picks the model; default is the config run without --config
+    sub.add_parser("weak", parents=[common]).set_defaults(fn=cmd_weak, default=reference_config)
+    sub.add_parser("weak-source", parents=[common]).set_defaults(fn=cmd_weak, default=source_config)
+    sub.add_parser("limit", parents=[common]).set_defaults(fn=cmd_limit, default=reference_config)
+    sub.add_parser("coupled", parents=[common]).set_defaults(fn=cmd_coupled, default=coupled_config)
     p = sub.add_parser("convergence-sweep", parents=[common])
     p.add_argument("--epsilons", default="0.2,0.1,0.05,0.025", help="comma-separated scale list")
-    p.set_defaults(fn=cmd_sweep)
-    sub.add_parser("detachment", parents=[common]).set_defaults(fn=cmd_detachment)
+    p.set_defaults(fn=cmd_sweep, default=reference_config)
+    sub.add_parser("detachment", parents=[common]).set_defaults(fn=cmd_detachment, default=detachment_config)
 
     args = parser.parse_args(argv)
     try:
         if args.cadence < 1:
             raise ConfigError([HypothesisViolation("output cadence", f"--cadence {args.cadence} < 1")])
-        return args.fn(args)
+        cfg = load_config(args.config) if args.config else args.default()
+        return args.fn(args, validate_config(cfg))
     except ConfigError as exc:
         for v in exc.violations:
             print(f"config error: {v!r}", file=sys.stderr)

@@ -9,7 +9,6 @@ fields; analytic ingredients are named presets (see presets.py)::
     nx = 64
     da = 0.01
     a_max = 10
-    mode = weak              ; weak | weak_with_source | limit | coupled
 
     [rate_model]
     zeta_kind = given        ; given | lipschitz
@@ -28,7 +27,7 @@ fields; analytic ingredients are named presets (see presets.py)::
     [initial_density]
     rho_I = exp_decay
 
-    [source]                 ; only in source-carrying modes
+    [source]                 ; optional: the external load
     S = constant(10000.0)
 
 Validation samples every hypothesis on the actual grids and raises one
@@ -46,8 +45,6 @@ import numpy as np
 from . import presets
 from .errors import ConfigError, HypothesisViolation, RateKindMismatch
 from .grids import AgeGrid, SpaceGrid
-
-MODES = ("weak", "weak_with_source", "limit", "coupled")
 
 
 @dataclass
@@ -140,7 +137,6 @@ class SimulationConfig:
     past_data: PastData
     initial_density: Callable
     a_max: float = 10.0
-    mode: str = "weak"
     source: Optional[SourceModel] = None
     truncation_k: Optional[float] = None
 
@@ -154,8 +150,8 @@ def validate_config(config):
 
     Returns the configuration itself, or raises ConfigError carrying one
     HypothesisViolation per failed check.  Conditions the theory merely
-    prefers (strictly positive initial population, beta_m > 0 in coupled
-    mode) produce warnings instead.
+    prefers (strictly positive initial population, beta_m > 0 with an
+    elongation-dependent off-rate) produce warnings instead.
     """
     bad = []
 
@@ -170,9 +166,7 @@ def validate_config(config):
             violated("scale positivity", name)
     if config.nx < 1:
         violated("scale positivity", "nx")
-    if config.mode not in MODES:
-        violated("unknown mode", config.mode)
-    # inf is a legal bound (zeta_M = inf in coupled mode); NaN never is
+    # inf is a legal bound (zeta_M = inf for zeta(u)); NaN never is
     for name in ("zeta_m", "zeta_M", "zeta_lip", "zeta_at_zero", "beta_m", "beta_M", "zbar"):
         if math.isnan(getattr(config.rate_model, name)):
             violated("rate scalar is NaN", name)
@@ -214,39 +208,37 @@ def validate_config(config):
             if not np.all(np.isfinite((rho_I * agrid.a[None, :] ** k) @ agrid.w)):
                 violated("initial moments finite", f"mu_{k},I")
 
-    # off-rate bounds
+    # off-rate bounds; the comparisons are false for NaN, so finiteness first
     if rate.zeta_kind == "given":
-        if config.mode == "coupled":
-            violated("rate model kind", "coupled mode needs an elongation-dependent off-rate")
         if rate.zeta_m <= 0:
             violated("off-rate lower bound", "zeta_m")
         for t in t_samples:
             zval = rate.zeta_field(x, a, t)
+            if not np.all(np.isfinite(zval)):
+                violated("off-rate finiteness", f"t={t:g}")
+                break
             if np.min(zval) < rate.zeta_m - 1e-12 or np.max(zval) > rate.zeta_M + 1e-12:
                 violated("off-rate bounds", f"t={t:g}")
                 break
     elif rate.zeta_kind == "lipschitz":
-        if config.mode != "coupled":
-            violated("rate model kind", f"{config.mode} mode needs a prescribed off-rate")
-        else:
-            u_samples = np.linspace(-50.0, 50.0, 201)
-            zu = rate.zeta_of_u(u_samples)
-            if np.min(zu) < rate.zeta_m - 1e-12:
-                violated("off-rate lower bound", "zeta(u) < zeta_m")
-            slopes = np.abs(np.diff(zu) / np.diff(u_samples))
-            if np.max(slopes) > rate.zeta_lip * (1 + 1e-9):
-                violated("off-rate lipschitz", f"slope {np.max(slopes):g} > {rate.zeta_lip:g}")
-            if abs(float(rate.zeta_of_u(np.zeros(1))[0]) - rate.zeta_at_zero) > 1e-12:
-                violated("off-rate at zero", "zeta(0) != zeta_at_zero")
+        u_samples = np.linspace(-50.0, 50.0, 201)
+        zu = rate.zeta_of_u(u_samples)
+        if np.min(zu) < rate.zeta_m - 1e-12:
+            violated("off-rate lower bound", "zeta(u) < zeta_m")
+        slopes = np.abs(np.diff(zu) / np.diff(u_samples))
+        if np.max(slopes) > rate.zeta_lip * (1 + 1e-9):
+            violated("off-rate lipschitz", f"slope {np.max(slopes):g} > {rate.zeta_lip:g}")
+        if abs(float(rate.zeta_of_u(np.zeros(1))[0]) - rate.zeta_at_zero) > 1e-12:
+            violated("off-rate at zero", "zeta(0) != zeta_at_zero")
     else:
         violated("rate model kind", rate.zeta_kind)
 
     # on-rate
     if rate.beta_kind == "given":
         if rate.beta_m <= 0:
-            if config.mode == "coupled":
+            if rate.zeta_kind == "lipschitz":
                 warnings.warn(
-                    "beta_m = 0 in coupled mode: the no-extinction result needs "
+                    "beta_m = 0 with zeta(u): the no-extinction result needs "
                     "a positive on-rate floor",
                     stacklevel=2,
                 )
@@ -254,6 +246,9 @@ def validate_config(config):
                 violated("on-rate lower bound", "beta_m")
         for t in t_samples:
             bval = rate.beta_values(x, t)
+            if not np.all(np.isfinite(bval)):
+                violated("on-rate finiteness", f"t={t:g}")
+                break
             if np.min(bval) < max(rate.beta_m, 0.0) - 1e-12 or np.max(bval) > rate.beta_M + 1e-12:
                 violated("on-rate bounds", f"t={t:g}")
                 break
@@ -261,8 +256,8 @@ def validate_config(config):
                 violated("on-rate positivity", f"t={t:g}")
                 break
     elif rate.beta_kind == "threshold":
-        if config.mode != "coupled":
-            violated("rate model kind", "threshold on-rate needs coupled mode")
+        if rate.zeta_kind != "lipschitz":
+            violated("rate model kind", "threshold on-rate needs an elongation-dependent off-rate")
         if rate.zbar <= 0:
             violated("threshold positivity", "zbar")
         warnings.warn(
@@ -290,8 +285,6 @@ def validate_config(config):
 
     # source consistency: dS/dt against a centered difference, O(dt) tolerance
     if config.source is not None:
-        if config.mode == "weak":
-            violated("source in sourceless mode", "mode=weak")
         src = config.source
         h = dt
         for t in t_samples[1:]:
@@ -300,8 +293,6 @@ def validate_config(config):
             if np.max(np.abs(fd - src.ddt(x, t))) > 10.0 * h * scale + 1e-8:
                 violated("source consistency", f"t={t:g}")
                 break
-    elif config.mode == "weak_with_source":
-        violated("source missing", "mode=weak_with_source")
 
     if config.truncation_k is not None and not config.truncation_k > 0:
         violated("truncation threshold", "truncation_k")
@@ -379,7 +370,6 @@ def load_config(path):
             nx=int(get("nx")),
             da=float(get("da")),
             a_max=float(get("a_max", 10.0)),
-            mode=get("mode", "weak"),
             rate_model=rate,
             past_data=past,
             initial_density=rho_I,

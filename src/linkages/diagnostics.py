@@ -16,6 +16,8 @@ from .errors import GridMismatch
 
 @dataclass
 class DiagnosticsRecord:
+    """One diagnostics CSV row; the fields, in this order, are its columns."""
+
     t: float
     energy: float
     dissipation: float
@@ -26,33 +28,6 @@ class DiagnosticsRecord:
     p: float
     gamma2: float
     truncated: bool
-
-    COLUMNS = (
-        "t",
-        "energy",
-        "dissipation",
-        "mu0_min",
-        "mu0_max",
-        "stability",
-        "lyapunov",
-        "p",
-        "gamma2",
-        "truncated",
-    )
-
-    def row(self):
-        return (
-            self.t,
-            self.energy,
-            self.dissipation,
-            self.mu0_min,
-            self.mu0_max,
-            self.stability,
-            self.lyapunov,
-            self.p,
-            self.gamma2,
-            float(self.truncated),
-        )
 
 
 def energy(z, delayed_z, rho, eps, sgrid, agrid, source=None):

@@ -51,8 +51,15 @@ class MassAtLeastOne(LinkagesError):
     """Initial bond population reaches or exceeds the saturation value 1."""
 
 
-class RateKindMismatch(LinkagesError):
-    """A rate model was evaluated through the interface of the other kind."""
+class RateKindMismatch(ConfigError):
+    """A rate model was evaluated through the interface of the other kind.
+
+    The drivers evaluate the off-rate before they write anything, so a config
+    whose rate kind does not fit the model that runs ends as a config error.
+    """
+
+    def __init__(self, message):
+        super().__init__([HypothesisViolation("rate model kind", message)])
 
 
 class NonfiniteValue(LinkagesError):

@@ -22,11 +22,11 @@ import numpy as np
 from .errors import HistoryMissing, MassAtLeastOne, NegativeDensity, NonfiniteValue
 
 
-def init_density(fn, sgrid, agrid, strict_positive=False):
+def init_density(fn, sgrid, agrid):
     """Sample the initial age distribution rho_I(x, a) onto the (nx+2, na+1) grid.
 
     Rejects negative values and per-x mass >= 1.  A vanishing field is legal
-    (bond-free start) unless strict positivity is demanded; it only warns.
+    (bond-free start); it only warns.
     """
     vals = np.asarray(fn(sgrid.x[:, None], agrid.a[None, :]), dtype=float)
     vals = np.broadcast_to(vals, (sgrid.n_nodes, agrid.n_nodes)).copy()
@@ -38,8 +38,6 @@ def init_density(fn, sgrid, agrid, strict_positive=False):
     if np.max(mu0) >= 1.0:
         raise MassAtLeastOne(f"max mu0(x, 0) = {np.max(mu0):.6g}")
     if np.min(mu0) <= 0.0:
-        if strict_positive:
-            raise NegativeDensity("initial population vanishes somewhere")
         warnings.warn("initial bond population is zero somewhere", stacklevel=2)
     return vals
 

@@ -12,7 +12,7 @@ data, so parameter sweeps may execute concurrently.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -241,19 +241,17 @@ class SweepResult:
     monotone: bool
 
 
-def run_convergence_sweep(vcfg, epsilons, dt_out=None):
+def run_convergence_sweep(vcfg, epsilons, dt_out):
     """Compare the delay model against the limit equation over a scale sweep.
 
     Every epsilon runs on its own dt = eps*da; snapshots are taken on a
     common output grid (dt_out must be an integer multiple of each step
-    size; default max(eps)*da).  Per-scale runs execute concurrently.
+    size).  Per-scale runs execute concurrently.
     Raises ConfigError for a scale that fails validation or an output grid
     that does not divide.
     """
     epsilons = sorted(epsilons, reverse=True)
     vcfgs = [with_overrides(vcfg, epsilon=eps) for eps in epsilons]
-    if dt_out is None:
-        dt_out = vcfgs[0].dt
     strides = []
     for v in vcfgs:
         ratio = dt_out / v.dt
@@ -289,7 +287,6 @@ class CoupledRunResult(_RunResult):
     final: object
     flank_mask: Optional[np.ndarray] = None
     dead_mask: Optional[np.ndarray] = None
-    mu0_final: Optional[np.ndarray] = None
 
 
 def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
@@ -379,14 +376,14 @@ MU0_PLOT_FLOOR = 1e-8  # log-scale clip for population plot data
 DETACHMENT_TIMES = (1e-4, 2e-4, 3e-4)
 
 
-def run_detachment(vcfg, snapshot_times=DETACHMENT_TIMES):
+def run_detachment(vcfg):
     """Tear-off experiment: threshold on-rate, large constant load.
 
     Returns the coupled run result plus the final-time region split
     (flanks where the on-rate is live, the detached middle where it is not);
     regions are taken over interior nodes.
     """
-    res = run_coupled(vcfg, diag_stride=10, snapshot_times=tuple(snapshot_times) + (vcfg.final_time,))
+    res = run_coupled(vcfg, diag_stride=10, snapshot_times=DETACHMENT_TIMES + (vcfg.final_time,))
     sgrid, _, _ = build_grids(vcfg)
     z_final = res.final.z
     beta_final = vcfg.rate_model.beta_values(sgrid.x, res.final.t, z=z_final)
@@ -394,7 +391,6 @@ def run_detachment(vcfg, snapshot_times=DETACHMENT_TIMES):
     interior[1:-1] = True
     res.flank_mask = interior & (beta_final > 0.0)
     res.dead_mask = interior & (beta_final == 0.0)
-    res.mu0_final = res.final.mu0
     return res
 
 
@@ -414,9 +410,9 @@ def write_trajectory_csv(path, times, trajectory, x):
 def write_diagnostics_csv(path, records):
     """Fixed-order diagnostics columns, 17 significant digits."""
     with open(path, "w", newline="\n") as f:
-        f.write(",".join(dg.DiagnosticsRecord.COLUMNS) + "\n")
+        f.write(",".join(f.name for f in fields(dg.DiagnosticsRecord)) + "\n")
         for rec in records:
-            f.write(",".join(_fmt(v) for v in rec.row()) + "\n")
+            f.write(",".join(_fmt(v) for v in astuple(rec)) + "\n")
 
 
 def write_density_csv(path, rho, sgrid, agrid):

@@ -26,7 +26,6 @@ def make_config(**overrides):
         nx=15,
         da=0.01,
         a_max=10.0,
-        mode="weak",
         rate_model=RateModel(),
         past_data=PastData(fn=presets.past_data_fn("sin_pi")),
         initial_density=presets.initial_density_fn("exp_decay"),

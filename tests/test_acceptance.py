@@ -74,7 +74,7 @@ def test_criterion_1_detachment(detachment_run):
     z2, _ = res.snapshots[2e-4]
     z3, _ = res.snapshots[3e-4]
     gap = np.max(np.abs(z3 - z2)) / np.max(np.abs(z3))
-    mu = res.mu0_final
+    mu = res.final.mu0
     assert res.dead_mask.any() and res.flank_mask.any(), "two-regime structure missing"
     dead = mu[res.dead_mask]
     neglog = np.where(dead > 0.0, -np.log10(np.maximum(dead, 1e-300)), np.inf)

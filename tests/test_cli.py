@@ -8,6 +8,8 @@ import pytest
 
 from linkages.cli import main
 
+# The mode keys are leftovers that load_config ignores: the subcommand alone
+# picks the model.
 TINY_WEAK = """
 [simulation]
 epsilon = 0.05
@@ -219,3 +221,50 @@ def test_underflowing_time_step_exit_code(tmp_path, capsys, scale, a_max):
     cfg = write(tmp_path, text.replace("da = 0.01", f"da = {scale}\na_max = {a_max}"))
     assert main(["weak", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "config error: HypothesisViolation('time step range'" in capsys.readouterr().err
+
+
+def weak_rate_case(old, new, name, id):
+    return pytest.param(TINY_WEAK.replace(old, new), name, id=id)
+
+
+@pytest.mark.parametrize("text, name", [
+    weak_rate_case("zeta = constant(1.0)", "zeta = constant(nan)", "off-rate finiteness", "zeta-nan"),
+    weak_rate_case("zeta = constant(1.0)", "zeta = constant(inf)\nzeta_M = inf", "off-rate finiteness", "zeta-inf"),
+    weak_rate_case("beta = constant(1.0)", "beta = constant(nan)", "on-rate finiteness", "beta-nan"),
+    weak_rate_case("beta = constant(1.0)", "beta = constant(inf)\nbeta_M = inf", "on-rate finiteness", "beta-inf"),
+    # a threshold on-rate needs zeta(u)
+    weak_rate_case("beta_kind = given", "beta_kind = threshold", "rate model kind", "threshold"),
+])
+def test_bad_rate_field_exit_code(tmp_path, capsys, text, name):
+    cfg = write(tmp_path, text)
+    assert main(["weak", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert f"config error: HypothesisViolation({name!r} at " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text", [
+    pytest.param("coupled", TINY_WEAK, id="coupled"),
+    pytest.param("detachment", TINY_WEAK, id="detachment"),
+    pytest.param("weak", TINY_COUPLED, id="weak"),
+    pytest.param("limit", TINY_COUPLED, id="limit"),
+    pytest.param("convergence-sweep", TINY_COUPLED, id="convergence-sweep"),
+])
+def test_rate_kind_that_does_not_fit_the_subcommand(tmp_path, capsys, command, text):
+    # the subcommand picks the model; the config's off-rate kind must fit it
+    cfg = write(tmp_path, text)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert "config error: HypothesisViolation('rate model kind'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_weak_runs_the_load_of_its_config(tmp_path):
+    loaded = write(tmp_path, TINY_WEAK + "\n[source]\nS = sin_forcing\n", "loaded.ini")
+    unloaded = write(tmp_path, TINY_WEAK, "unloaded.ini")
+    weak, weak_source, plain = (str(tmp_path / f"out{i}") for i in range(3))
+    for command, cfg, out in (("weak", loaded, weak), ("weak-source", loaded, weak_source), ("weak", unloaded, plain)):
+        assert main([command, "--config", cfg, "--out", out, "--cadence", "5"]) == 0
+    assert sorted(os.listdir(weak)) == ["diagnostics.csv", "trajectory.csv"]
+    for name in os.listdir(weak):
+        assert filecmp.cmp(os.path.join(weak, name), os.path.join(weak_source, name), shallow=False)
+    traj = "trajectory.csv"
+    assert not filecmp.cmp(os.path.join(weak, traj), os.path.join(plain, traj), shallow=False)

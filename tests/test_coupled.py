@@ -36,7 +36,6 @@ HALF_EXP = lambda x, a: 0.5 * np.exp(-np.asarray(a, dtype=float)) * np.ones_like
 def coupled_cfg(**overrides):
     fn, dfn = presets.source_fns("constant(1.0)")
     base = dict(
-        mode="coupled",
         epsilon=0.02,
         da=0.02,
         nx=15,

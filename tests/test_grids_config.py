@@ -41,7 +41,6 @@ def test_build_grids_step_count():
 
 def test_validate_accepts_reference():
     vcfg = validate_config(make_config())
-    assert vcfg.mode == "weak"
     assert vcfg.dt == pytest.approx(5e-4)
 
 
@@ -96,7 +95,6 @@ def test_validate_warns_on_zero_beta_floor_in_coupled(recwarn):
 
     fn, dfn = presets.source_fns("constant(1.0)")
     cfg = make_config(
-        mode="coupled",
         rate_model=RateModel(zeta_kind="lipschitz", zeta_M=np.inf, beta_m=0.0),
         past_data=PastData(fn=presets.past_data_fn("zero")),
         source=SourceModel(fn=fn, dfn=dfn),
@@ -115,7 +113,7 @@ def test_validate_rejects_inconsistent_source():
         dfn=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)),  # wrong slope
     )
     with pytest.raises(ConfigError) as err:
-        validate_config(make_config(mode="weak_with_source", source=src))
+        validate_config(make_config(source=src))
     assert any(v.name == "source consistency" for v in err.value.violations)
 
 
@@ -169,7 +167,6 @@ def test_load_config_roundtrip(tmp_path):
     path.write_text(CONFIG_TEXT)
     cfg = load_config(path)
     vcfg = validate_config(cfg)
-    assert vcfg.mode == "weak_with_source"
     assert vcfg.nx == 15
     x = np.array([0.5])
     assert vcfg.past_data(x, -1.0)[0] == pytest.approx(np.sin(np.pi * 0.5) / np.pi)

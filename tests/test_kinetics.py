@@ -40,8 +40,6 @@ def test_init_density_zero_field_warns():
         rho = init_density(lambda x, a: np.zeros(np.broadcast(x, a).shape), SG, AG)
     assert any("zero" in str(w.message) for w in caught)
     assert np.all(moment(rho, AG, 0) == 0.0)
-    with pytest.raises(NegativeDensity):
-        init_density(lambda x, a: np.zeros(np.broadcast(x, a).shape), SG, AG, strict_positive=True)
 
 
 def test_init_density_rejections():

@@ -47,7 +47,6 @@ def configs(draw, scale=st.sampled_from([0.02, 0.05, 0.1, 0.5])):
         nx=draw(st.integers(1, 8)),
         da=da,
         a_max=na * da,
-        mode="weak" if source is None else "weak_with_source",
         rate_model=RateModel(zeta=zeta, zeta_m=1.0 if kind != "constant" else c, zeta_M=zeta_M),
         past_data=PastData(fn=presets.past_data_fn("sin_pi")),
         initial_density=presets.initial_density_fn(f"exp_decay({draw(st.sampled_from([0.3, 0.9]))})"),
