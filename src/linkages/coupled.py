@@ -42,7 +42,7 @@ class CoupledState:
     t: float
     truncation_k: float
     truncated: bool = False
-    mu0: object = None  # zeroth moment of rho, filled in by the driver
+    mu0: object = None  # zeroth moment rho @ w; coupled_step fills it in
 
 
 def init_elongation(z0, past, eps, sgrid, agrid):
@@ -69,22 +69,23 @@ def step_elongation(u, g, agrid):
     u(., 0) = 0 and the Dirichlet rows stay zero.
     """
     new = np.empty_like(u)
-    new[:, 1:] = u[:, :-1] + agrid.da * g[:, None]
+    np.add(u[:, :-1], agrid.da * g[:, None], out=new[:, 1:])
     new[:, 0] = 0.0
     new[0, :] = 0.0
     new[-1, :] = 0.0
     return new
 
 
-def solve_velocity(rho, u, zeta_u, dSdt, eps, sgrid, agrid):
+def solve_velocity(rho, mu0, u, zeta_u, dSdt, eps, sgrid, agrid):
     """Velocity from the elliptic balance (mu0 - eps Lap_h) g = rhs.
 
-    rhs = int zeta(u) rho u da + eps * dS/dt per interior node, with zeta_u
-    the off-rate evaluated on u; dSdt may be None for a time-constant load.
+    rhs = int zeta(u) rho u da + eps * dS/dt per interior node, with mu0 =
+    rho @ w and zeta_u the off-rate evaluated on u; dSdt may be None for a
+    time-constant load.
     """
-    mu0 = rho @ agrid.w
-    rhs_full = (zeta_u * rho * u) @ agrid.w
-    rhs = rhs_full[1:-1]
+    load = zeta_u * rho
+    load *= u
+    rhs = (load @ agrid.w)[1:-1]
     if dSdt is not None:
         rhs = rhs + eps * np.asarray(dSdt)[1:-1]
     op = elliptic.assemble(mu0[1:-1], eps, sgrid)
@@ -110,10 +111,11 @@ def coupled_step(state, source, rate, eps, sgrid, agrid):
     else:
         beta_field = rate.beta_values(sgrid.x, t_new)
     rho_new = step_density(state.rho, survival(zeta_u, agrid, "arrival"), beta_field, agrid)
+    mu0 = rho_new @ agrid.w
     dSdt = source.ddt(sgrid.x, t_new) if source is not None else None
-    g_new = solve_velocity(rho_new, u_new, zeta_u, dSdt, eps, sgrid, agrid)
+    g_new = solve_velocity(rho_new, mu0, u_new, zeta_u, dSdt, eps, sgrid, agrid)
     S_new = source(sgrid.x, t_new) if source is not None else None
-    z_new = step_position(rho_new, state.hist, eps, sgrid, agrid, source=S_new)
+    z_new = step_position(rho_new, mu0, state.hist, eps, sgrid, agrid, source=S_new)
     return CoupledState(
         rho=rho_new,
         u=u_new,
@@ -123,6 +125,7 @@ def coupled_step(state, source, rate, eps, sgrid, agrid):
         t=t_new,
         truncation_k=k,
         truncated=bool(np.max(np.abs(g_new)) > k),
+        mu0=mu0,
     )
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch
+from .position import delay_quadrature
 
 
 @dataclass
@@ -43,7 +44,7 @@ def energy(z, delayed_z, rho, eps, sgrid, agrid, source=None):
     e_grad = 0.5 * dx * float(grad @ grad)
     diff = z[None, :] - delayed_z
     wx = sgrid.quad_weights()
-    delay_per_x = np.einsum("j,xj,jx->x", agrid.w, rho, diff**2)
+    delay_per_x = delay_quadrature(agrid.w, rho, diff**2)
     e_delay = 0.5 / eps * float(delay_per_x @ wx)
     e = e_grad + e_delay
     if source is not None:

@@ -21,6 +21,11 @@ import numpy as np
 
 from .errors import HistoryMissing, MassAtLeastOne, NegativeDensity, NonfiniteValue
 
+# For x <= -746, exp(x) < 2**-1076, below half the smallest subnormal
+# (2**-1074), so it rounds to +0.0; survival skips those lanes.  The
+# subnormal band above still goes through np.exp, so no result changes by a bit.
+EXP_UNDERFLOW = -746.0
+
 
 def init_density(fn, sgrid, agrid):
     """Sample the initial age distribution rho_I(x, a) onto the (nx+2, na+1) grid.
@@ -59,6 +64,9 @@ def survival(zeta_values, agrid, zeta_at="departure"):
     the same characteristic, and it lets a newborn cohort feel the stretch it
     acquires during the step -- reading the departure value zeta(u=0) instead
     lets arbitrarily stretched newborns survive one cell forever.
+
+    Lanes whose argument -da*zeta is at or below EXP_UNDERFLOW are 0.0
+    without a call to np.exp, which is slow on them.
     """
     if not np.all(np.isfinite(zeta_values)):
         raise NonfiniteValue("off-rate field has non-finite entries")
@@ -68,7 +76,8 @@ def survival(zeta_values, agrid, zeta_at="departure"):
         hop = zeta_values[:, 1:]
     else:
         raise ValueError(f"zeta_at must be 'departure' or 'arrival', got {zeta_at!r}")
-    return np.exp(-agrid.da * hop)
+    x = hop * (-agrid.da)
+    return np.exp(x, out=np.zeros_like(x), where=x > EXP_UNDERFLOW)
 
 
 def step_density(rho, surv, beta_values, agrid):

@@ -48,6 +48,11 @@ class PositionHistory:
         self._buf[self._head] = z_new
 
 
+def delay_quadrature(w, rho, Z):
+    """Age quadrature sum_j w_j rho[x, j] Z[j, x] of snapshots Z in the ring's (j, x) layout."""
+    return np.einsum("j,xj,jx->x", w, rho, Z)
+
+
 def initial_position(rho_I, past, eps, sgrid, agrid, source_at_0=None):
     """Solve the t = 0 elliptic problem for the starting position.
 
@@ -63,7 +68,7 @@ def initial_position(rho_I, past, eps, sgrid, agrid, source_at_0=None):
     zp = np.empty((agrid.n_nodes, sgrid.n_nodes))
     for j in range(agrid.n_nodes):
         zp[j] = past(sgrid.x, -eps * agrid.a[j])
-    rhs = np.einsum("j,xj,jx->x", agrid.w[1:], rho_I[:, 1:], zp[1:])[1:-1]
+    rhs = delay_quadrature(agrid.w[1:], rho_I[:, 1:], zp[1:])[1:-1]
     if source_at_0 is not None:
         rhs = rhs + eps * np.asarray(source_at_0)[1:-1]
     coeff = mu0 - agrid.w[0] * rho_I[:, 0]
@@ -73,18 +78,18 @@ def initial_position(rho_I, past, eps, sgrid, agrid, source_at_0=None):
     return elliptic.solve(op, rhs)
 
 
-def step_position(rho_next, hist, eps, sgrid, agrid, source=None):
+def step_position(rho_next, mu0, hist, eps, sgrid, agrid, source=None):
     """Advance the position one step and push it into the history.
 
-    rho_next is the density at the new level t^{n+1}; hist still ends at t^n,
+    rho_next is the density at the new level t^{n+1} and mu0 = rho_next @ w
+    its zeroth moment; hist still ends at t^n,
     so the anchor of the age-j cohort, z(t^{n+1} - eps*a_j) = z^{n+1-j}, is
     buffer slot j-1.  That pairing is what makes the Volterra residual of the
     output vanish identically.  source, if given, is S(., t^{n+1}) on the
     full grid.
     """
-    mu0 = rho_next @ agrid.w
     Z = hist.matrix()
-    integral = np.einsum("j,xj,jx->x", agrid.w[1:], rho_next[:, 1:], Z[:-1])
+    integral = delay_quadrature(agrid.w[1:], rho_next[:, 1:], Z[:-1])
     w0rho0 = agrid.w[0] * rho_next[:, 0]
     coeff = mu0 - w0rho0
     if np.min(coeff) < -1e-12:
@@ -107,7 +112,7 @@ def volterra_residual(hist, rho, z, eps, sgrid, agrid, source=None):
     elongation formulations.
     """
     Z = hist.matrix()
-    delayed = np.einsum("j,xj,jx->x", agrid.w, rho, z[None, :] - Z)
+    delayed = delay_quadrature(agrid.w, rho, z[None, :] - Z)
     res = delayed[1:-1] / eps - elliptic.laplacian(z, sgrid.dx)
     if source is not None:
         res = res - np.asarray(source)[1:-1]

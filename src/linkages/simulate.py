@@ -141,13 +141,13 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
         # n*dt, not an accumulated t + dt: the two differ in the last bits
         st.t = n * dt
         st.rho = step_density(st.rho, st.surv, rate.beta_values(sgrid.x, st.t), agrid)
-        st.z = step_position(st.rho, st.hist, eps, sgrid, agrid, source=_source_at(src, sgrid.x, st.t))
+        st.mu0 = moment(st.rho, agrid, 0)
+        st.z = step_position(st.rho, st.mu0, st.hist, eps, sgrid, agrid, source=_source_at(src, sgrid.x, st.t))
         zeta = rate.zeta_field(sgrid.x, agrid.a, st.t)
         # equal values give an equal factor; NaN never compares equal, so a
         # non-finite field still reaches the check in survival
         if not np.array_equal(zeta, st.zeta):
             st.zeta, st.surv = zeta, survival(zeta, agrid)
-        st.mu0 = moment(st.rho, agrid, 0)
         return st
 
     guard = _Guard(("z",), floor=lower_bound)
@@ -303,20 +303,20 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
     rate, src, eps = vcfg.rate_model, vcfg.source, vcfg.epsilon
     u = cp.init_elongation(z, vcfg.past_data, eps, sgrid, agrid)
     dSdt0 = src.ddt(sgrid.x, 0.0) if src is not None else None
-    g = cp.solve_velocity(rho, u, rate.zeta_of_u(u), dSdt0, eps, sgrid, agrid)
+    mu0 = rho @ agrid.w
+    g = cp.solve_velocity(rho, mu0, u, rate.zeta_of_u(u), dSdt0, eps, sgrid, agrid)
 
     gamma2, dS_norm = cp.riccati_bound(rho, u, rate, src, vcfg.final_time, eps, sgrid, agrid)
     k = vcfg.truncation_k if vcfg.truncation_k is not None else gamma2 / eps + dS_norm + 1.0
 
-    state = cp.CoupledState(rho=rho, u=u, z=z, g=g, hist=hist, t=0.0, truncation_k=k, mu0=moment(rho, agrid, 0))
+    state = cp.CoupledState(rho=rho, u=u, z=z, g=g, hist=hist, t=0.0, truncation_k=k, mu0=mu0)
 
     def step(n, st):
-        st = cp.coupled_step(st, src, rate, eps, sgrid, agrid)
-        st.mu0 = moment(st.rho, agrid, 0)
-        return st
+        return cp.coupled_step(st, src, rate, eps, sgrid, agrid)
 
     guard = _Guard(("z", "g"), lo=slice(1, -1))
-    want = {int(round(t_req / ts.dt)): t_req for t_req in snapshot_times}
+    # several requested times may round to one level
+    level_of = {t_req: int(round(t_req / ts.dt)) for t_req in snapshot_times}
     snapshots, soft_flags, records = {}, [], []
     u_min, ever_truncated = math.inf, False
 
@@ -324,8 +324,7 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
         nonlocal u_min, ever_truncated
         u_min = min(u_min, float(np.min(st.u)))
         ever_truncated = ever_truncated or st.truncated
-        if n in want:
-            snapshots[want[n]] = (st.z.copy(), st.mu0.copy())
+        snapshots.update({t_req: (st.z.copy(), st.mu0.copy()) for t_req, m in level_of.items() if m == n})
 
     def record(n, st):
         if not diag_stride or n % diag_stride:
@@ -381,8 +380,12 @@ def run_detachment(vcfg):
 
     Returns the coupled run result plus the final-time region split
     (flanks where the on-rate is live, the detached middle where it is not);
-    regions are taken over interior nodes.
+    regions are taken over interior nodes.  A final time before the last
+    snapshot time is a ConfigError, raised before the run.
     """
+    if vcfg.final_time < max(DETACHMENT_TIMES):
+        where = f"final_time={vcfg.final_time:g} < {max(DETACHMENT_TIMES):g}"
+        raise ConfigError([HypothesisViolation("detachment snapshot times", where)])
     res = run_coupled(vcfg, diag_stride=10, snapshot_times=DETACHMENT_TIMES + (vcfg.final_time,))
     sgrid, _, _ = build_grids(vcfg)
     z_final = res.final.z

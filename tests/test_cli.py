@@ -57,6 +57,33 @@ S = constant(1.0)
 """
 
 
+SMALL_DETACHMENT = """
+[simulation]
+epsilon = 0.001
+final_time = 0.0006
+nx = 24
+da = 0.01
+mode = coupled
+
+[rate_model]
+zeta_kind = lipschitz
+zeta = one_plus_abs
+zeta_M = inf
+beta_kind = threshold
+beta = threshold(1000)
+beta_m = 0.0
+
+[past_data]
+z_p = sin_pi
+
+[initial_density]
+rho_I = exp_decay
+
+[source]
+S = constant(10000.0)
+"""
+
+
 def write(tmp_path, text, name="run.ini"):
     p = tmp_path / name
     p.write_text(text)
@@ -123,32 +150,7 @@ def test_sweep_subcommand(tmp_path, capsys):
 
 def test_detachment_subcommand_small(tmp_path):
     # desk-size variant of the tear-off experiment
-    text = """
-[simulation]
-epsilon = 0.001
-final_time = 0.0006
-nx = 24
-da = 0.01
-mode = coupled
-
-[rate_model]
-zeta_kind = lipschitz
-zeta = one_plus_abs
-zeta_M = inf
-beta_kind = threshold
-beta = threshold(1000)
-beta_m = 0.0
-
-[past_data]
-z_p = sin_pi
-
-[initial_density]
-rho_I = exp_decay
-
-[source]
-S = constant(10000.0)
-"""
-    cfg = write(tmp_path, text)
+    cfg = write(tmp_path, SMALL_DETACHMENT)
     out = str(tmp_path / "out")
     assert main(["detachment", "--config", cfg, "--out", out]) == 0
     z_lines = open(os.path.join(out, "detachment_z.dat")).read().splitlines()
@@ -158,6 +160,23 @@ S = constant(10000.0)
     # log-floor clip keeps every population value at or above 1e-8
     floors = np.array([[float(tok) for tok in ln.split()[1:]] for ln in mu_lines[1:]])
     assert floors.min() >= 1e-8
+
+
+def test_detachment_ending_before_the_last_snapshot_is_a_config_error(tmp_path, capsys):
+    text = SMALL_DETACHMENT.replace("final_time = 0.0006", "final_time = 0.0002").replace("nx = 24", "nx = 8")
+    out = tmp_path / "o"
+    assert main(["detachment", "--config", write(tmp_path, text), "--out", str(out)]) == 1
+    assert "config error: HypothesisViolation('detachment snapshot times'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_detachment_snapshot_times_sharing_a_step(tmp_path):
+    # dt = 2e-4: the snapshot times 2e-4 and 3e-4 round to the same level
+    text = SMALL_DETACHMENT.replace("epsilon = 0.001", "epsilon = 0.02").replace("final_time = 0.0006", "final_time = 0.0004")
+    out = str(tmp_path / "o")
+    assert main(["detachment", "--config", write(tmp_path, text), "--out", out]) == 0
+    rows = [ln.split() for ln in open(os.path.join(out, "detachment_z.dat")).read().splitlines()[1:]]
+    assert all(r[2] == r[3] for r in rows)
 
 
 def test_config_error_exit_code(tmp_path):

@@ -1,5 +1,6 @@
 """Fully coupled system: elongation transport, velocity solve, profiles."""
 
+import copy
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import dense_solve, make_config
 
+from linkages.cli import detachment_config
 from linkages.config import PastData, RateModel, SourceModel, validate_config
 from linkages.coupled import (
     CoupledState,
@@ -21,9 +23,9 @@ from linkages.coupled import (
 )
 from linkages.errors import NonpositiveGamma1
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
-from linkages.kinetics import init_density, moment
-from linkages.position import PositionHistory
-from linkages import presets
+from linkages.kinetics import init_density, moment, step_density
+from linkages.position import PositionHistory, step_position
+from linkages import elliptic, presets
 from linkages.simulate import run_coupled
 
 EPS = 0.05
@@ -111,7 +113,7 @@ def test_step_elongation_constant_velocity():
 def test_solve_velocity_zero_stretch():
     rho = init_density(HALF_EXP, SG, AG)
     u = np.zeros((SG.n_nodes, AG.n_nodes))
-    g = solve_velocity(rho, u, RATE.zeta_of_u(u), None, EPS, SG, AG)
+    g = solve_velocity(rho, rho @ AG.w, u, RATE.zeta_of_u(u), None, EPS, SG, AG)
     np.testing.assert_allclose(g, 0.0, atol=1e-14)
 
 
@@ -119,7 +121,7 @@ def test_solve_velocity_poisson_reduction():
     rho = np.zeros((SG.n_nodes, AG.n_nodes))
     u = np.zeros((SG.n_nodes, AG.n_nodes))
     dSdt = np.pi**2 * np.sin(np.pi * SG.x)
-    g = solve_velocity(rho, u, RATE.zeta_of_u(u), dSdt, EPS, SG, AG)
+    g = solve_velocity(rho, rho @ AG.w, u, RATE.zeta_of_u(u), dSdt, EPS, SG, AG)
     np.testing.assert_allclose(g, np.sin(np.pi * SG.x), atol=1.0 * SG.dx**2)
 
 
@@ -134,8 +136,8 @@ def test_solve_velocity_linear_stretch_profile():
     quad = ((zeta_u * rho * u) @ ag.w)[1]
     analytic = 0.5 * G * ((1.0 - 11.0 * np.exp(-10.0)) + 2.0 * G * (1.0 - 61.0 * np.exp(-10.0)))
     assert quad == pytest.approx(analytic, abs=5e-5)
-    g = solve_velocity(rho, u, RATE.zeta_of_u(u), None, EPS, SG, ag)
     mu0 = moment(rho, ag, 0)
+    g = solve_velocity(rho, mu0, u, RATE.zeta_of_u(u), None, EPS, SG, ag)
     g_ref = dense_solve(mu0[1:-1], EPS, np.full(SG.nx, quad), SG.nx)
     np.testing.assert_allclose(g[1:-1], g_ref[1:-1], atol=1e-10)
 
@@ -154,6 +156,37 @@ def test_coupled_step_zero_state_stays_zero():
     state = coupled_step(state, None, rate, EPS, SG, ag)
     assert np.all(state.z == 0.0) and np.all(state.g == 0.0)
     assert np.all(state.rho == 0.0) and np.all(state.u == 0.0)
+
+
+def test_coupled_step_equals_its_unfused_composition():
+    # tear-off state under a load of 1e4 that grows, so that the velocity and
+    # the stretch of young bonds are not zero; most survival lanes underflow
+    fn, dfn = presets.source_fns("linear_in_t(10000.0, 1000000.0)")
+    vcfg = validate_quiet(detachment_config(nx=8, final_time=5e-5, source=SourceModel(fn=fn, dfn=dfn)))
+    sg, ag, _ = build_grids(vcfg)
+    rate, src, eps = vcfg.rate_model, vcfg.source, vcfg.epsilon
+    st = run_coupled(vcfg, diag_stride=0).final
+    assert np.all(st.g[1:-1] != 0.0)
+    hist = copy.deepcopy(st.hist)
+    new = coupled_step(st, src, rate, eps, sg, ag)
+
+    t = st.t + eps * ag.da
+    g_old = np.clip(st.g, -st.truncation_k, st.truncation_k)
+    u = step_elongation(st.u, g_old, ag)
+    zeta_u = rate.zeta_of_u(u)
+    assert np.mean(-ag.da * zeta_u[:, 1:] <= -746.0) >= 0.5
+    rho = step_density(st.rho, np.exp(-ag.da * zeta_u[:, 1:]), rate.beta_values(sg.x, st.t, z=st.z), ag)
+    g = solve_velocity(rho, rho @ ag.w, u, zeta_u, src.ddt(sg.x, t), eps, sg, ag)
+    z = step_position(rho, rho @ ag.w, hist, eps, sg, ag, source=src(sg.x, t))
+    # the shift and the velocity load written with their temporaries
+    shifted = st.u[:, :-1] + ag.da * g_old[:, None]
+    rhs = ((zeta_u * rho * u) @ ag.w)[1:-1] + eps * src.ddt(sg.x, t)[1:-1]
+    g_unfused = elliptic.solve(elliptic.assemble((rho @ ag.w)[1:-1], eps, sg), rhs)
+    bits = lambda a: np.ascontiguousarray(a).view(np.int64)
+    for got, want in ((u[1:-1, 1:], shifted[1:-1]), (g, g_unfused), (new.u, u), (new.rho, rho),
+                      (new.mu0, rho @ ag.w), (new.g, g), (new.z, z)):
+        assert np.array_equal(bits(got), bits(want))
+    assert new.t == t
 
 
 def test_positivity_preserved():

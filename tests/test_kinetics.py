@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from linkages.errors import HistoryMissing, MassAtLeastOne, NegativeDensity
+from linkages.errors import HistoryMissing, MassAtLeastOne, NegativeDensity, NonfiniteValue
 from linkages.grids import AgeGrid, SpaceGrid
 from linkages.kinetics import (
     density_characteristics_oracle,
@@ -105,6 +105,42 @@ def test_step_density_positivity_and_saturation():
         rho = step_density(rho, survival(zeta, AG), beta, AG)
         assert np.min(rho) >= 0.0
         assert np.max(moment(rho, AG, 0)) < 1.0 - 1e-12
+
+
+def underflow_band_field(agrid):
+    """Off-rates whose -da*zeta spans the normal range, the subnormal band
+    (-745.13, -708.4), exactly -746 and values down to -1e7; every value
+    sits in every age column, and neighbouring columns differ."""
+    vals = np.concatenate([
+        np.linspace(0.0, 7.0e4, 101),
+        np.linspace(7.084e4, 7.4513e4, 301),
+        [np.nextafter(7.46e4, 0.0), 7.46e4, np.nextafter(7.46e4, np.inf)],
+        np.logspace(np.log10(7.46e4), 9.0, 101),
+    ])
+    idx = (np.arange(vals.size)[:, None] + np.arange(agrid.n_nodes)[None, :]) % vals.size
+    return vals[idx]
+
+
+@pytest.mark.parametrize("zeta_at", ["departure", "arrival"])
+def test_survival_is_exp_bit_for_bit_through_the_underflow_band(zeta_at):
+    ag = AgeGrid(da=0.01, a_max=1.0)
+    zeta = underflow_band_field(ag)
+    hop = zeta[:, :-1] if zeta_at == "departure" else zeta[:, 1:]
+    ref = np.exp(-ag.da * hop)
+    assert np.any(-ag.da * hop == -746.0)
+    assert np.any(ref == 0.0) and np.any((ref > 0.0) & (ref < np.finfo(float).tiny)) and np.any(ref > 1e-300)
+    surv = survival(zeta, ag, zeta_at)
+    assert np.array_equal(surv.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_survival_rejects_a_nonfinite_field(bad):
+    ag = AgeGrid(da=0.01, a_max=1.0)
+    zeta = underflow_band_field(ag)
+    zeta[3, 5] = bad
+    for zeta_at in ("departure", "arrival"):
+        with pytest.raises(NonfiniteValue):
+            survival(zeta, ag, zeta_at)
 
 
 def test_oracle_spot_values():

@@ -67,7 +67,7 @@ def test_step_position_poisson_reduction():
     rho = np.zeros((SG.n_nodes, AG.n_nodes))
     hist = PositionHistory(np.zeros(SG.n_nodes), PastData(fn=presets.past_data_fn("zero")), EPS, SG, AG)
     S = np.pi**2 * np.sin(np.pi * SG.x)
-    z = step_position(rho, hist, EPS, SG, AG, source=S)
+    z = step_position(rho, rho @ AG.w, hist, EPS, SG, AG, source=S)
     lam = discrete_sin_eigenvalue(SG)
     np.testing.assert_allclose(z, np.pi**2 / lam * np.sin(np.pi * SG.x), atol=1e-11)
     np.testing.assert_allclose(z, np.sin(np.pi * SG.x), atol=1.0 * SG.dx**2)
@@ -76,7 +76,7 @@ def test_step_position_poisson_reduction():
 def test_step_position_zero_history():
     rho = init_density(EXP_DECAY, SG, AG)
     hist = PositionHistory(np.zeros(SG.n_nodes), PastData(fn=presets.past_data_fn("zero")), EPS, SG, AG)
-    z = step_position(rho, hist, EPS, SG, AG)
+    z = step_position(rho, rho @ AG.w, hist, EPS, SG, AG)
     np.testing.assert_allclose(z, 0.0, atol=1e-14)
 
 
@@ -85,7 +85,7 @@ def test_step_position_drifts_to_zero():
     rho = init_density(lambda x, a: 0.5 * EXP_DECAY(x, a), SG, AG)
     zstar = np.sin(np.pi * SG.x) * 0.3
     hist = PositionHistory(zstar, PastData(fn=lambda x, t: 0.3 * np.sin(np.pi * np.asarray(x))), EPS, SG, AG)
-    z = step_position(rho, hist, EPS, SG, AG)
+    z = step_position(rho, rho @ AG.w, hist, EPS, SG, AG)
     assert np.max(np.abs(z)) < np.max(np.abs(zstar))
 
 
@@ -138,7 +138,7 @@ def test_step_position_matches_dense_oracle():
     z0 = past(sg.x, 0.0)
     hist = PositionHistory(z0, past, EPS, sg, ag)
     Z = hist.matrix().copy()
-    z = step_position(rho, hist, EPS, sg, ag)
+    z = step_position(rho, rho @ ag.w, hist, EPS, sg, ag)
     mu0 = rho @ ag.w
     coeff = mu0 - ag.w[0] * rho[:, 0]
     rhs = np.einsum("j,xj,jx->x", ag.w[1:], rho[:, 1:], Z[:-1])[1:-1]
@@ -214,7 +214,7 @@ def test_time_dependent_rate_matches_survival_every_step(monkeypatch):
     for n in range(1, ts.n_steps + 1):
         surv = survival(rate.zeta_field(sg.x, ag.a, (n - 1) * ts.dt), ag)
         rho = step_density(rho, surv, rate.beta_values(sg.x, n * ts.dt), ag)
-        traj.append(step_position(rho, hist, vcfg.epsilon, sg, ag))
+        traj.append(step_position(rho, rho @ ag.w, hist, vcfg.epsilon, sg, ag))
     assert np.array_equal(res.final_rho, rho)
     assert np.array_equal(res.trajectory, np.asarray(traj))
 
