@@ -23,7 +23,6 @@ from .coupled import (
     init_elongation,
     mu_ode_residual,
     riccati_gamma2,
-    riccati_p,
     solve_velocity,
     step_elongation,
 )
@@ -34,7 +33,7 @@ from .diagnostics import (
     energy,
     energy_from_elongation,
     lyapunov_H,
-    rho_convergence_H,
+    riccati_p,
     stability_functional,
 )
 from .elliptic import TridiagonalOperator, assemble, laplacian, solve

@@ -63,7 +63,6 @@ class RateModel:
     zeta_m: float = 1.0
     zeta_M: float = 1.0
     zeta_lip: float = 1.0
-    zeta_at_zero: float = 1.0
     beta: Optional[Callable] = None
     beta_m: float = 1.0
     beta_M: float = 1.0
@@ -138,7 +137,6 @@ class SimulationConfig:
     initial_density: Callable
     a_max: float = 10.0
     source: Optional[SourceModel] = None
-    truncation_k: Optional[float] = None
 
     @property
     def dt(self):
@@ -167,7 +165,7 @@ def validate_config(config):
     if config.nx < 1:
         violated("scale positivity", "nx")
     # inf is a legal bound (zeta_M = inf for zeta(u)); NaN never is
-    for name in ("zeta_m", "zeta_M", "zeta_lip", "zeta_at_zero", "beta_m", "beta_M", "zbar"):
+    for name in ("zeta_m", "zeta_M", "zeta_lip", "beta_m", "beta_M", "zbar"):
         if math.isnan(getattr(config.rate_model, name)):
             violated("rate scalar is NaN", name)
     if bad:
@@ -228,8 +226,6 @@ def validate_config(config):
         slopes = np.abs(np.diff(zu) / np.diff(u_samples))
         if np.max(slopes) > rate.zeta_lip * (1 + 1e-9):
             violated("off-rate lipschitz", f"slope {np.max(slopes):g} > {rate.zeta_lip:g}")
-        if abs(float(rate.zeta_of_u(np.zeros(1))[0]) - rate.zeta_at_zero) > 1e-12:
-            violated("off-rate at zero", "zeta(0) != zeta_at_zero")
     else:
         violated("rate model kind", rate.zeta_kind)
 
@@ -294,9 +290,6 @@ def validate_config(config):
                 violated("source consistency", f"t={t:g}")
                 break
 
-    if config.truncation_k is not None and not config.truncation_k > 0:
-        violated("truncation threshold", "truncation_k")
-
     if bad:
         raise ConfigError(bad)
     return config
@@ -330,9 +323,13 @@ def load_config(path):
         zbar = 1000.0
         if beta_kind == "given":
             beta = presets.given_beta_fn(rm.get("beta", "constant(1.0)"))
-        else:
-            _, args = presets.parse_spec(rm.get("beta", "threshold(1000)"))
-            zbar = args[0] if args else 1000.0
+        elif beta_kind == "threshold":
+            spec = rm.get("beta", "threshold")
+            name, args = presets.parse_spec(spec)
+            if name != "threshold" or len(args) > 1:
+                where = f"beta = {spec} with beta_kind = threshold; expected threshold or threshold(zbar)"
+                raise ConfigError([HypothesisViolation("rate model kind", where)])
+            zbar = args[0] if args else zbar
         rate = RateModel(
             zeta_kind=zeta_kind,
             beta_kind=beta_kind,
@@ -340,7 +337,6 @@ def load_config(path):
             zeta_m=float(rm.get("zeta_m", 1.0)),
             zeta_M=float(rm.get("zeta_M", 1.0)),
             zeta_lip=float(rm.get("zeta_lip", 1.0)),
-            zeta_at_zero=float(rm.get("zeta_at_zero", 1.0)),
             beta=beta,
             beta_m=float(rm.get("beta_m", 1.0)),
             beta_M=float(rm.get("beta_M", 1.0)),
@@ -358,12 +354,8 @@ def load_config(path):
 
         source = None
         if parser.has_section("source"):
-            s_spec = parser["source"].get("S", "constant(0.0)")
-            d_spec = parser["source"].get("dS_dt", None)
-            fn, dfn = presets.source_fns(s_spec, d_spec)
-            source = SourceModel(fn=fn, dfn=dfn)
+            source = SourceModel(*presets.source_fns(parser["source"].get("S", "constant(0.0)")))
 
-        trunc = get("truncation_k", None)
         return SimulationConfig(
             epsilon=float(get("epsilon")),
             final_time=float(get("final_time")),
@@ -374,7 +366,6 @@ def load_config(path):
             past_data=past,
             initial_density=rho_I,
             source=source,
-            truncation_k=float(trunc) if trunc not in (None, "") else None,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError([HypothesisViolation("malformed config", str(exc))]) from exc

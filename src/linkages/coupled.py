@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elliptic
-from .diagnostics import stability_functional
+from .diagnostics import riccati_p, stability_functional
 from .errors import NonpositiveGamma1
 from .kinetics import step_density, survival
 from .position import step_position
@@ -181,10 +181,12 @@ def riccati_bound(rho, u, rate, source, final_time, eps, sgrid, agrid):
     """Riccati data measured from the initial state: (gamma2, dS_norm).
 
     dS_norm is the largest L2 norm of dS/dt over five sample times in
-    [0, final_time]; gamma2 bounds p(t) for the whole run.
+    [0, final_time]; gamma2 bounds p(t) for the whole run.  zeta(0) is read
+    off the off-rate at a Dirichlet node, where u = 0.
     """
     q0 = stability_functional(rho, u, sgrid, agrid)
-    p0 = riccati_p(rho, u, rate.zeta_of_u(u), sgrid, agrid)
+    zeta_u = rate.zeta_of_u(u)
+    p0 = riccati_p(rho, u, zeta_u, sgrid, agrid)
     if source is not None:
         t_samples = np.linspace(0.0, final_time, 5)
         wx = sgrid.quad_weights()
@@ -195,12 +197,7 @@ def riccati_bound(rho, u, rate, source, final_time, eps, sgrid, agrid):
         dS_norm = 0.0
     if q0 > 0.0:
         gamma1 = 1.0 / q0
-        h = OMEGA * dS_norm * (2.0 * rate.zeta_lip * q0 + rate.zeta_at_zero)
+        h = OMEGA * dS_norm * (2.0 * rate.zeta_lip * q0 + zeta_u[0, 0])
         return riccati_gamma2(p0, gamma1, h, eps), dS_norm
     return max(p0, OMEGA * dS_norm), dS_norm
 
-
-def riccati_p(rho, u, zeta_u, sgrid, agrid):
-    """Monitored quantity p = int int zeta(u) |u| rho dx da (trapezoid); zeta_u is zeta on u."""
-    per_x = (zeta_u * np.abs(u) * rho) @ agrid.w
-    return float(per_x @ sgrid.quad_weights())

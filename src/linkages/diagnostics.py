@@ -1,5 +1,6 @@
 """Measurable quantities with proven behaviour: energy, dissipation,
-population functionals and convergence errors.
+population functionals, the Riccati monitor and convergence errors, and
+record, which builds every diagnostics row from them.
 
 All functions are pure observers of solver state.  Space integrals use the
 trapezoid rule (Dirichlet nodes carry half weight but vanishing integrands);
@@ -82,9 +83,31 @@ def stability_functional(rho, u, sgrid, agrid):
     return float(per_x @ sgrid.quad_weights())
 
 
-def rho_convergence_H(rho_eps, rho0_values, agrid):
-    """Lyapunov functional of rho - rho0 per space node."""
-    return lyapunov_H(rho_eps - rho0_values, agrid)
+def riccati_p(rho, u, zeta_u, sgrid, agrid):
+    """Monitored quantity p = int int zeta(u) |u| rho dx da (trapezoid); zeta_u is zeta on u."""
+    per_x = (zeta_u * np.abs(u) * rho) @ agrid.w
+    return float(per_x @ sgrid.quad_weights())
+
+
+def record(t, z, rho, u, zeta_u, source, eps, sgrid, agrid, *, mu0_min, mu0_max, lyapunov, gamma2, truncated):
+    """The diagnostics row of one level.
+
+    u is the stretch on the (x, a) grid and zeta_u the off-rate on it;
+    source is the load at t or None.  Energy, dissipation, stability and p
+    are computed here; the caller gives the columns its model defines.
+    """
+    return DiagnosticsRecord(
+        t=t,
+        energy=energy_from_elongation(z, rho, u, eps, sgrid, agrid, source=source),
+        dissipation=dissipation(rho, u, zeta_u, sgrid, agrid),
+        mu0_min=mu0_min,
+        mu0_max=mu0_max,
+        stability=stability_functional(rho, u, sgrid, agrid),
+        lyapunov=lyapunov,
+        p=riccati_p(rho, u, zeta_u, sgrid, agrid),
+        gamma2=gamma2,
+        truncated=truncated,
+    )
 
 
 def convergence_error(traj_eps, traj_0, dt_out, sgrid):

@@ -1,11 +1,15 @@
 """Named analytic presets used by configuration files and experiment defaults.
 
-A preset spec is a string like ``sin_pi``, ``constant(0.5)``, ``exp_decay(2)``
-or ``threshold(1000)``.  Every preset resolves to a numpy-vectorized callable:
+A preset spec is a string like ``sin_pi``, ``constant(0.5)`` or
+``exp_decay(2)``.  Every preset resolves to a numpy-vectorized callable:
 
-* past data and sources take ``(x, t)``,
+* past data, sources and given on-rates take ``(x, t)``,
 * initial densities and given off-rates take ``(x, a)`` resp. ``(x, a, t)``,
-* ``threshold(zbar)`` resolves to the on-rate switch evaluated on a z field.
+* elongation-dependent off-rates take ``u``.
+
+``threshold(zbar)`` is not a preset: with ``beta_kind = threshold`` the
+config loader reads zbar from it, and RateModel.beta_values switches the
+on-rate on the z field.
 """
 
 import re
@@ -72,18 +76,12 @@ def past_lipschitz_fn(spec):
     raise ValueError(f"unknown lipschitz preset: {name!r}")
 
 
-def source_fns(spec, dspec=None):
-    """Source S(x, t) and its time derivative; dS/dt derived for known names."""
+def source_fns(spec):
+    """Source S(x, t) and its time derivative, derived from the preset."""
     name, args = parse_spec(spec)
     fn = _xt(name, args)
     if fn is None:
         raise ValueError(f"unknown source preset: {name!r}")
-    if dspec is not None:
-        dname, dargs = parse_spec(dspec)
-        dfn = _xt(dname, dargs)
-        if dfn is None:
-            raise ValueError(f"unknown source-derivative preset: {dname!r}")
-        return fn, dfn
     if name == "linear_in_t":
         c1 = (args + [0.0, 0.0])[1]
         return fn, lambda x, t: np.full_like(np.asarray(x, dtype=float), c1)

@@ -160,24 +160,13 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     def diagnose(n, st):
         if not diag_stride or n % diag_stride:
             return
-        delayed = st.hist.matrix()
-        u = dg.elongation_from_history(st.z, delayed, eps)
-        energy = dg.energy(st.z, delayed, st.rho, eps, sgrid, agrid, source=_source_at(src, sgrid.x, st.t))
-        diss = dg.dissipation(st.rho, u, st.zeta, sgrid, agrid)
-        stab = dg.stability_functional(st.rho, u, sgrid, agrid)
+        u = dg.elongation_from_history(st.z, st.hist.matrix(), eps)
         ld = limit_density(rate.beta_values(sgrid.x, st.t), st.zeta, agrid)
-        hfield = dg.rho_convergence_H(st.rho, ld.rho0, agrid)
-        lyap = float(hfield @ sgrid.quad_weights())
-        p = float(((st.zeta * st.rho * np.abs(u)) @ agrid.w) @ sgrid.quad_weights())
-        rec = dg.DiagnosticsRecord(
-            t=st.t,
-            energy=energy,
-            dissipation=diss,
+        rec = dg.record(
+            st.t, st.z, st.rho, u, st.zeta, _source_at(src, sgrid.x, st.t), eps, sgrid, agrid,
             mu0_min=float(np.min(st.mu0)),
             mu0_max=float(np.max(st.mu0)),
-            stability=stab,
-            lyapunov=lyap,
-            p=p,
+            lyapunov=float(dg.lyapunov_H(st.rho - ld.rho0, agrid) @ sgrid.quad_weights()),
             gamma2=0.0,
             truncated=False,
         )
@@ -295,9 +284,9 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
     snapshot_times are rounded to the step grid; each snapshot stores the
     position curve and the population curve.  observers are called as
     obs(n, state) with the CoupledState at every level, after the built-in
-    ones (see march).  The truncation threshold defaults to strictly above
-    the Riccati bound, so the clamp should never engage (it is recorded if
-    it does).
+    ones (see march).  The truncation threshold gamma2/eps + max ||dS/dt|| + 1
+    sits strictly above the Riccati bound, so the clamp should never engage
+    (it is recorded if it does).
     """
     sgrid, agrid, ts, rho, z, hist = _start(vcfg)
     rate, src, eps = vcfg.rate_model, vcfg.source, vcfg.epsilon
@@ -307,8 +296,7 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
     g = cp.solve_velocity(rho, mu0, u, rate.zeta_of_u(u), dSdt0, eps, sgrid, agrid)
 
     gamma2, dS_norm = cp.riccati_bound(rho, u, rate, src, vcfg.final_time, eps, sgrid, agrid)
-    k = vcfg.truncation_k if vcfg.truncation_k is not None else gamma2 / eps + dS_norm + 1.0
-
+    k = gamma2 / eps + dS_norm + 1.0
     state = cp.CoupledState(rho=rho, u=u, z=z, g=g, hist=hist, t=0.0, truncation_k=k, mu0=mu0)
 
     def step(n, st):
@@ -329,28 +317,17 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
     def record(n, st):
         if not diag_stride or n % diag_stride:
             return
-        e = dg.energy_from_elongation(
-            st.z, st.rho, st.u, eps, sgrid, agrid, source=_source_at(src, sgrid.x, st.t)
-        )
-        zeta_u = rate.zeta_of_u(st.u)
-        diss = dg.dissipation(st.rho, st.u, zeta_u, sgrid, agrid)
-        stab = dg.stability_functional(st.rho, st.u, sgrid, agrid)
-        p = cp.riccati_p(st.rho, st.u, zeta_u, sgrid, agrid)
-        lyap = float(dg.lyapunov_H(st.rho, agrid) @ sgrid.quad_weights())
-        records.append(dg.DiagnosticsRecord(
-            t=st.t,
-            energy=e,
-            dissipation=diss,
+        rec = dg.record(
+            st.t, st.z, st.rho, st.u, rate.zeta_of_u(st.u), _source_at(src, sgrid.x, st.t), eps, sgrid, agrid,
             mu0_min=float(np.min(st.mu0[1:-1])),
             mu0_max=float(np.max(st.mu0)),
-            stability=stab,
-            lyapunov=lyap,
-            p=p,
+            lyapunov=float(dg.lyapunov_H(st.rho, agrid) @ sgrid.quad_weights()),
             gamma2=gamma2,
             truncated=st.truncated,
-        ))
-        if p > gamma2 * (1.0 + 1e-9):
-            soft_flags.append(f"riccati monitor: p={p:.6g} > gamma2={gamma2:.6g} at t={st.t:g}")
+        )
+        records.append(rec)
+        if rec.p > gamma2 * (1.0 + 1e-9):
+            soft_flags.append(f"riccati monitor: p={rec.p:.6g} > gamma2={gamma2:.6g} at t={st.t:g}")
 
     state = march(state, step, ts.n_steps, [guard, track, record, *observers])
 

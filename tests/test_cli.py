@@ -9,7 +9,7 @@ import pytest
 from linkages.cli import main
 
 # The mode keys are leftovers that load_config ignores: the subcommand alone
-# picks the model.
+# picks the model.  So are truncation_k, zeta_at_zero and dS_dt.
 TINY_WEAK = """
 [simulation]
 epsilon = 0.05
@@ -223,7 +223,6 @@ def nan_rate_case(command, base, line, name):
     nan_rate_case("weak", TINY_WEAK, "zeta_m = nan", "zeta_m"),
     nan_rate_case("coupled", TINY_COUPLED.replace("zeta_M = inf\n", ""), "zeta_M = nan", "zeta_M"),
     nan_rate_case("coupled", TINY_COUPLED, "zeta_lip = nan", "zeta_lip"),
-    nan_rate_case("coupled", TINY_COUPLED, "zeta_at_zero = nan", "zeta_at_zero"),
     nan_rate_case("coupled", TINY_COUPLED.replace("given\nbeta = constant(1.0)", "threshold\nbeta = threshold(nan)"), "", "zbar"),
 ])
 def test_nan_rate_scalar_exit_code(tmp_path, capsys, command, text, name):
@@ -258,6 +257,28 @@ def test_bad_rate_field_exit_code(tmp_path, capsys, text, name):
     cfg = write(tmp_path, text)
     assert main(["weak", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert f"config error: HypothesisViolation({name!r} at " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["constant(5)", "sin_pi", "threshold(1, 2)"])
+def test_threshold_on_rate_takes_only_a_threshold_spec(tmp_path, capsys, spec):
+    # beta_kind = threshold reads zbar from threshold(zbar); any other spec is an error
+    text = TINY_COUPLED.replace("beta_kind = given\nbeta = constant(1.0)", f"beta_kind = threshold\nbeta = {spec}")
+    out = tmp_path / "o"
+    assert main(["coupled", "--config", write(tmp_path, text), "--out", str(out)]) == 1
+    assert "config error: HypothesisViolation('rate model kind'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_retired_keys_are_ignored(tmp_path):
+    # values that would fail validation if the keys were still read
+    retired = TINY_COUPLED.replace("mode = coupled", "mode = coupled\ntruncation_k = -1")
+    retired = retired.replace("zeta_M = inf", "zeta_M = inf\nzeta_at_zero = nan")
+    retired = retired.replace("S = constant(1.0)", "S = constant(1.0)\ndS_dt = no_such_preset")
+    outs = [str(tmp_path / name) for name in ("plain", "retired")]
+    for text, out in zip((TINY_COUPLED, retired), outs):
+        assert main(["coupled", "--config", write(tmp_path, text), "--out", out, "--cadence", "1"]) == 0
+    name = "diagnostics.csv"
+    assert filecmp.cmp(os.path.join(outs[0], name), os.path.join(outs[1], name), shallow=False)
 
 
 @pytest.mark.parametrize("command, text", [

@@ -11,6 +11,7 @@ from conftest import dense_solve, make_config
 from linkages.cli import detachment_config
 from linkages.config import PastData, RateModel, SourceModel, validate_config
 from linkages.coupled import (
+    OMEGA,
     CoupledState,
     asymptotic_profile,
     coupled_step,
@@ -21,6 +22,7 @@ from linkages.coupled import (
     solve_velocity,
     step_elongation,
 )
+from linkages.diagnostics import stability_functional
 from linkages.errors import NonpositiveGamma1
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
 from linkages.kinetics import init_density, moment, step_density
@@ -280,6 +282,25 @@ def test_riccati_gamma2_values():
     assert expected == pytest.approx(1.2808, abs=1e-4)
     with pytest.raises(NonpositiveGamma1):
         riccati_gamma2(0.0, 0.0, 1.0, 1.0)
+
+
+def test_riccati_bound_reads_zeta_at_zero_off_the_rate():
+    # zeta(u) = 2 + 3|u|: validates with zeta_lip = 3, and h uses zeta(0) = 2
+    rate = RateModel(zeta_kind="lipschitz", zeta=presets.lipschitz_zeta_fn("affine_abs(2, 3)"),
+                     zeta_m=2.0, zeta_lip=3.0, zeta_M=np.inf)
+    vcfg = validate_quiet(coupled_cfg(final_time=0.02, rate_model=rate, source=SourceModel(*presets.source_fns("linear_in_t(1.0, 5.0)"))))
+    sg, ag, _ = build_grids(vcfg)
+    first = []
+    res = run_coupled(vcfg, diag_stride=0, observers=[lambda n, st: first.append(st) if n == 0 else None])
+    rho, u = first[0].rho, first[0].u
+    q0 = stability_functional(rho, u, sg, ag)
+    p0 = riccati_p(rho, u, rate.zeta_of_u(u), sg, ag)
+
+    def gamma2(zeta_at_zero):  # ||dS/dt|| = 5
+        return riccati_gamma2(p0, 1.0 / q0, OMEGA * 5.0 * (2.0 * 3.0 * q0 + zeta_at_zero), vcfg.epsilon)
+
+    assert res.gamma2 == pytest.approx(gamma2(2.0), rel=1e-14)
+    assert res.gamma2 > gamma2(1.0) * (1.0 + 1e-3)
 
 
 @pytest.mark.parametrize("diag_stride", [0, 5])

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from linkages.config import PastData, RateModel, validate_config
+from linkages.config import PastData, RateModel, SourceModel, validate_config
 from linkages.diagnostics import (
+    DiagnosticsRecord,
     convergence_error,
     dissipation,
     energy,
+    elongation_from_history,
     energy_from_elongation,
     lyapunov_H,
-    rho_convergence_H,
+    riccati_p,
     stability_functional,
 )
 from linkages.errors import GridMismatch
@@ -18,7 +20,7 @@ from linkages.grids import AgeGrid, SpaceGrid, build_grids
 from linkages.kinetics import init_density, limit_density
 from linkages import presets
 from conftest import make_config
-from linkages.simulate import run_weak
+from linkages.simulate import run_coupled, run_weak
 
 SG = SpaceGrid(nx=63)
 AG = AgeGrid(da=0.01, a_max=10.0)
@@ -116,15 +118,16 @@ def test_stability_functional_cases():
 
 def test_rho_convergence_H_identical():
     rho = init_density(HALF_EXP, SG, AG)
-    assert np.all(rho_convergence_H(rho, rho, AG) == 0.0)
+    assert np.all(lyapunov_H(rho - rho, AG) == 0.0)
 
 
 def test_rho_convergence_H_initial_value():
+    # beta = zeta = 1: rho0 = (1 - mu00) e^{-a} with mu00 = K/(1+K), K = int e^{-a},
+    # so rho_I - rho0 = mu00 e^{-a} >= 0 and H = 2 mu00 K = 2 K^2/(1+K)
     rho = init_density(lambda x, a: np.exp(-np.asarray(a, dtype=float)) * np.ones_like(np.asarray(x, dtype=float)), SG, AG)
     ld = limit_density(1.0, np.ones(AG.n_nodes), AG)
-    h = rho_convergence_H(rho, ld.rho0[None, :], AG)
-    direct = lyapunov_H(rho - ld.rho0[None, :], AG)
-    np.testing.assert_allclose(h, direct, atol=1e-15)
+    K = np.exp(-AG.a) @ AG.w
+    np.testing.assert_allclose(lyapunov_H(rho - ld.rho0[None, :], AG), 2.0 * K**2 / (1.0 + K), rtol=1e-12)
 
 
 def test_rho_convergence_H_decays_at_kinetic_rate():
@@ -134,9 +137,9 @@ def test_rho_convergence_H_decays_at_kinetic_rate():
     res = run_weak(vcfg, output_stride=100, diag_stride=100)
     rate = vcfg.rate_model
     ld = limit_density(rate.beta_values(sg.x, 0.0), rate.zeta_field(sg.x, ag.a, 0.0), ag)
-    h_final = rho_convergence_H(res.final_rho, ld.rho0, ag)
+    h_final = lyapunov_H(res.final_rho - ld.rho0, ag)
     rho_I = init_density(vcfg.initial_density, sg, ag)
-    h0 = rho_convergence_H(rho_I, ld.rho0, ag)
+    h0 = lyapunov_H(rho_I - ld.rho0, ag)
     envelope = h0 * np.exp(-1.0 * vcfg.final_time / vcfg.epsilon)
     assert np.all(h_final <= envelope * (1.0 + 0.05) + 1e-6)
 
@@ -150,3 +153,59 @@ def test_convergence_error_cases():
     assert convergence_error(b, a, 0.1, sg) == pytest.approx(3.0, rel=1e-14)
     with pytest.raises(GridMismatch):
         convergence_error(a, a[:-1], 0.1, sg)
+
+
+@pytest.mark.parametrize("source", [None, "sin_forcing"])
+def test_weak_record_matches_the_history_formulas(source):
+    # the record takes the energy from the stretch and p from riccati_p; the
+    # history-form energy and the product zeta*rho*|u| agree up to rounding
+    rate = RateModel(
+        zeta=presets.given_zeta_fn("one_plus_age_ramp(0.5)"), zeta_M=1.5,
+        beta=presets.given_beta_fn("linear_in_t(1.0, 1.0)"), beta_M=1.1,
+    )
+    src = SourceModel(*presets.source_fns(source)) if source else None
+    vcfg = validate_config(make_config(nx=12, final_time=0.02, rate_model=rate, source=src))
+    sg, ag, ts = build_grids(vcfg)
+    expected = []
+
+    def observe(n, st):
+        delayed = st.hist.matrix()
+        u = elongation_from_history(st.z, delayed, vcfg.epsilon)
+        S = src(sg.x, st.t) if src else None
+        e = energy(st.z, delayed, st.rho, vcfg.epsilon, sg, ag, source=S)
+        p = float(((st.zeta * st.rho * np.abs(u)) @ ag.w) @ sg.quad_weights())
+        expected.append((e, p))
+
+    res = run_weak(vcfg, observers=[observe])
+    assert len(res.records) == len(expected) == ts.n_steps + 1
+    for rec, (e, p) in zip(res.records, expected):
+        assert rec.energy == pytest.approx(e, rel=1e-14)
+        assert rec.p == pytest.approx(p, rel=1e-14)
+        assert rec.p > 0.0
+
+
+def test_coupled_record_is_its_functionals():
+    # the last record of a coupled run, rebuilt bit for bit from its final state
+    vcfg = validate_config(make_config(
+        epsilon=0.02, da=0.02, nx=12, final_time=0.02,
+        rate_model=RateModel(zeta_kind="lipschitz", zeta_M=np.inf),
+        past_data=PastData(fn=presets.past_data_fn("zero")),
+        initial_density=presets.initial_density_fn("exp_decay(0.9)"),
+        source=SourceModel(*presets.source_fns("linear_in_t(1.0, 5.0)")),
+    ))
+    sg, ag, _ = build_grids(vcfg)
+    res = run_coupled(vcfg, diag_stride=1)
+    st, eps = res.final, vcfg.epsilon
+    zeta_u = vcfg.rate_model.zeta_of_u(st.u)
+    assert res.records[-1] == DiagnosticsRecord(
+        t=st.t,
+        energy=energy_from_elongation(st.z, st.rho, st.u, eps, sg, ag, source=vcfg.source(sg.x, st.t)),
+        dissipation=dissipation(st.rho, st.u, zeta_u, sg, ag),
+        mu0_min=float(np.min(st.mu0[1:-1])),
+        mu0_max=float(np.max(st.mu0)),
+        stability=stability_functional(st.rho, st.u, sg, ag),
+        lyapunov=float(lyapunov_H(st.rho, ag) @ sg.quad_weights()),
+        p=riccati_p(st.rho, st.u, zeta_u, sg, ag),
+        gamma2=res.gamma2,
+        truncated=st.truncated,
+    )

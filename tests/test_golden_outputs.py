@@ -3,13 +3,20 @@
 Each case runs one subcommand into a fresh directory and compares its exit
 code and the SHA-256 of every written file with recorded values.  A change
 that keeps the arithmetic keeps these digests; a change that reorders
-floating-point operations must re-record them and state the drift.
+floating-point operations must re-record them and state the drift.  Run
+this file as a script (PYTHONPATH=src python tests/test_golden_outputs.py)
+to print the GOLDEN table of the current code.
 
 The digests pin exact bits, so they hold for one numpy/BLAS build; they
 were recorded with numpy 2.4, scipy 1.17 and OpenBLAS 0.3.31 on x86-64.
 """
 
+import contextlib
 import hashlib
+import io
+import pathlib
+import tempfile
+import warnings
 
 import pytest
 
@@ -131,15 +138,15 @@ GOLDEN = {
     }),
     "weak": (0, {
         "density.csv": "7459474881a53831525c7fbb373d6397f307aff74b6a5317ff5f66c9110d6fed",
-        "diagnostics.csv": "200b4aa9855ea15759a8ccbe51f571bc75cb2719ccd242660523ba04ab20a62b",
+        "diagnostics.csv": "64b3bd5127d332a86aae0be67adf4a5f9f047236b35b4d1b464f5c021e90686a",
         "trajectory.csv": "0d768e5e313a94f5bafc33b68d958ca731581692af1a8b2923a42a553b886524",
     }),
     "weak-nx1": (0, {
-        "diagnostics.csv": "f5c9fc96e8516e2293bc6b52a2895cda3a7c6c52400a2aeccf96775fe8720dae",
+        "diagnostics.csv": "506a6cbccbfbbb643a4e25d8a0cd200d06c31e2ab12959b48386516c25f44ea2",
         "trajectory.csv": "198bfaacab28b1e6b6e07b3a3322caf5d8f5cb64dab2e0d24489ccd1f73f3799",
     }),
     "weak-source": (0, {
-        "diagnostics.csv": "ba7ecc69d2b2eea1d312246fca82113fd7c4262e13a0d78c305dfa34455c7a53",
+        "diagnostics.csv": "fa9d1370b0ab4b439c93543be31aff8b502e33ebb743c4c66b1f481f9431bae3",
         "trajectory.csv": "8c297ae34120840daa578e3cb7bee07115471c2e57f153e3d83284399f3601ea",
     }),
 }
@@ -160,3 +167,17 @@ def run_case(name, tmp_path):
 @pytest.mark.parametrize("name", list(CASES))
 def test_golden_output(tmp_path, name):
     assert run_case(name, tmp_path) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    print("GOLDEN = {")
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore")
+            code, digests = run_case(name, pathlib.Path(tmp))
+        print(f'    "{name}": ({code}, {{')
+        for file, digest in digests.items():
+            print(f'        "{file}": "{digest}",')
+        print("    }),")
+    print("}")
