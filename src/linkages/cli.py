@@ -7,12 +7,13 @@ detachment an elongation-dependent zeta(u).  main loads the --config file
 
 Exit codes: 0 clean, 1 configuration or I/O error (a config whose off-rate
 kind does not fit the subcommand included), 2 hard invariant violation
-during a run.
+during a run.  Warnings go to stderr as one "warning: <message>" line each.
 """
 
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -204,7 +205,9 @@ def main(argv=None):
         if args.cadence < 1:
             raise ConfigError([HypothesisViolation("output cadence", f"--cadence {args.cadence} < 1")])
         cfg = load_config(args.config) if args.config else args.default()
-        return args.fn(args, validate_config(cfg))
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return args.fn(args, validate_config(cfg))
     except ConfigError as exc:
         for v in exc.violations:
             print(f"config error: {v!r}", file=sys.stderr)

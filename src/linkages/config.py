@@ -71,11 +71,11 @@ class RateModel:
     def __post_init__(self):
         if self.zeta is None:
             if self.zeta_kind == "given":
-                self.zeta = lambda x, a, t: np.ones(np.broadcast(x, a).shape)
+                self.zeta = presets.given_zeta_fn("constant(1.0)")
             else:
                 self.zeta = lambda u: 1.0 + np.abs(u)
         if self.beta is None and self.beta_kind == "given":
-            self.beta = lambda x, t: np.ones_like(np.asarray(x, dtype=float))
+            self.beta = presets.given_beta_fn("constant(1.0)")
 
     def zeta_field(self, x, a, t):
         """Prescribed off-rate sampled on the (x, a) grid at time t."""

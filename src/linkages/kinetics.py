@@ -12,8 +12,15 @@ trapezoid weight; that self-reference is solved algebraically,
     rho[0] = beta (1 - m) / (1 + beta w0),   m = sum_{j>=1} w_j rho[j],
 
 so the saturation bound mu0 < 1 is preserved exactly.
+
+For an off-rate that ignores t every cohort is its birth value times a
+fixed product, rho^n[:, j] = C_j B^{n-j} (C_j: the survival factors of ages
+0..j-1 multiplied in turn; B^{-m} = rho_I[:, m] / C_m for the initial
+cohorts).  BirthRing marches B and B z instead of the density, so a step
+reads two rings and writes O(nx) numbers.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -94,6 +101,65 @@ def step_density(rho, surv, beta_values, agrid):
     w0 = agrid.w[0]
     new[:, 0] = beta_values * (1.0 - m) / (1.0 + beta_values * w0)
     return new
+
+
+class BirthRing:
+    """Birth values B and products B z of the levels n, n-1, ..., n-na.
+
+    Both rings have the density's layout: column head holds level n, the
+    next columns (cyclically) the older levels.  wC[:, j-1] = w_j C_j
+    weighs the cohort of age j >= 1.
+    """
+
+    def __init__(self, wC, births, Z, agrid):
+        self.wC, self.births, self.products = wC, births, births * Z.T
+        self.w, self.head = agrid.w, 0
+
+    def lagged(self, ring):
+        """sum_{j>=1} w_j C_j ring^{n+1-j}, read in two slices of the ring."""
+        head, wC = self.head, self.wC
+        cut = min(wC.shape[1], ring.shape[1] - head)
+        out = np.einsum("xj,xj->x", wC[:, :cut], ring[:, head : head + cut])
+        return out + np.einsum("xj,xj->x", wC[:, cut:], ring[:, : wC.shape[1] - cut])
+
+    def renew(self, beta_values):
+        """Birth value, mu0 and renewal mass m of the next level (the closed-form renewal)."""
+        m, w0 = self.lagged(self.births), self.w[0]
+        births = beta_values * (1.0 - m) / (1.0 + beta_values * w0)
+        return births, w0 * births + m, m
+
+    def push(self, births, z):
+        """Advance one level: B and B z of the new level replace the oldest column."""
+        self.head = (self.head - 1) % self.births.shape[1]
+        self.births[:, self.head] = births
+        self.products[:, self.head] = births * z
+
+    def density(self):
+        """rho^n[:, j] = C_j B^{n-j}."""
+        head, cut = self.head, self.births.shape[1] - self.head
+        rho = np.empty_like(self.births)
+        rho[:, 0] = self.births[:, head]
+        np.divide(self.wC, self.w[1:], out=rho[:, 1:])
+        rho[:, 1:cut] *= self.births[:, head + 1 :]
+        rho[:, cut:] *= self.births[:, :head]
+        return rho
+
+
+def birth_ring(rho_I, surv, Z, agrid):
+    """BirthRing of rho_I and the past positions Z (PositionHistory layout).
+
+    surv, the survival factor of every step, is consumed: it becomes wC in
+    place, and rho_I the birth ring.  None, with rho_I intact, where the
+    closed form would lose the density: a product C_j zero or subnormal, or
+    a birth value rho_I / C_j that may overflow.
+    """
+    C = np.cumprod(surv, axis=1, out=surv)
+    c_min = float(np.min(C))
+    if c_min < np.finfo(float).tiny or not math.isfinite(float(np.max(rho_I)) / c_min):
+        return None
+    np.divide(rho_I[:, 1:], C, out=rho_I[:, 1:])
+    C *= agrid.w[1:]
+    return BirthRing(C, rho_I, Z, agrid)
 
 
 def density_characteristics_oracle(x, a, t, zeta, beta, rho_I, mu0_history, eps, agrid):

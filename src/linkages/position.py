@@ -12,6 +12,8 @@ with every delayed argument read straight from the ring buffer (dt = eps*da
 aligns them with stored snapshots).  The solve is exactly the Euler-Lagrange
 equation of the discrete energy, so z_new is its minimizer; energy decay and
 the minimization property below are structural, not approximate.
+advance_position checks, assembles and solves; step_position feeds it the
+quadrature of a density, the birth-ring weak step that of its product ring.
 """
 
 import numpy as np
@@ -88,10 +90,16 @@ def step_position(rho_next, mu0, hist, eps, sgrid, agrid, source=None):
     output vanish identically.  source, if given, is S(., t^{n+1}) on the
     full grid.
     """
-    Z = hist.matrix()
-    integral = delay_quadrature(agrid.w[1:], rho_next[:, 1:], Z[:-1])
-    w0rho0 = agrid.w[0] * rho_next[:, 0]
-    coeff = mu0 - w0rho0
+    integral = delay_quadrature(agrid.w[1:], rho_next[:, 1:], hist.matrix()[:-1])
+    return advance_position(integral, mu0 - agrid.w[0] * rho_next[:, 0], hist, eps, sgrid, source)
+
+
+def advance_position(integral, coeff, hist, eps, sgrid, source=None):
+    """Solve (coeff - eps Lap_h) z_new = integral + eps S and push z_new into hist.
+
+    integral (the quadrature over ages j >= 1) and coeff = mu0 - w0 rho(., 0)
+    are full-grid values at the new level.
+    """
     if np.min(coeff) < -1e-12:
         raise DegenerateOperator("mu0 - w0 rho(., 0) negative: kinetics bug")
     rhs = integral[1:-1]

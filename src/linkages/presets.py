@@ -7,12 +7,18 @@ A preset spec is a string like ``sin_pi``, ``constant(0.5)`` or
 * initial densities and given off-rates take ``(x, a)`` resp. ``(x, a, t)``,
 * elongation-dependent off-rates take ``u``.
 
+Given rates are a frozen Preset with its ``spec`` and ``time_invariant``
+(false only for ``linear_in_t`` and ``sin_pi_growing``); run_weak
+uses the flag, and treats a plain callable as time-varying.
+
 ``threshold(zbar)`` is not a preset: with ``beta_kind = threshold`` the
 config loader reads zbar from it, and RateModel.beta_values switches the
 on-rate on the z field.
 """
 
 import re
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +35,23 @@ def parse_spec(spec):
     if argstr and argstr.strip():
         args = [float(tok) for tok in argstr.split(",")]
     return name, args
+
+
+@dataclass(frozen=True)
+class Preset:
+    """A named given rate: calls fn, and says whether its value ignores t."""
+
+    spec: str
+    fn: Callable = field(repr=False, compare=False)
+    time_invariant: bool
+
+    def __call__(self, *args):
+        return self.fn(*args)
+
+
+def is_time_invariant(fn):
+    """True for a rate that declares it ignores t; a plain callable does not."""
+    return getattr(fn, "time_invariant", False)
 
 
 def _xt(name, args):
@@ -107,11 +130,11 @@ def initial_density_fn(spec):
 
 
 def given_zeta_fn(spec):
-    """Prescribed off-rate zeta(x, a, t) for the weakly coupled problem."""
+    """Prescribed off-rate zeta(x, a, t) for the weakly coupled problem; none depends on t."""
     name, args = parse_spec(spec)
     if name == "constant":
         (c,) = args or (1.0,)
-        return lambda x, a, t: np.full(np.broadcast(x, a).shape, c)
+        return Preset(spec, lambda x, a, t: np.full(np.broadcast(x, a).shape, c), True)
     if name == "one_plus_age_ramp":
         # 1 + c * a/(1+a) * (1+sin(pi x))/2: bounded in [1, 1+c], varies in x and a
         (c,) = args or (0.5,)
@@ -121,7 +144,7 @@ def given_zeta_fn(spec):
             a = np.asarray(a, dtype=float)
             return 1.0 + c * (a / (1.0 + a)) * (1.0 + np.sin(np.pi * x)) / 2.0
 
-        return fn
+        return Preset(spec, fn, True)
     raise ValueError(f"unknown off-rate preset: {name!r}")
 
 
@@ -131,7 +154,7 @@ def given_beta_fn(spec):
     fn = _xt(name, args)
     if fn is None:
         raise ValueError(f"unknown on-rate preset: {name!r}")
-    return fn
+    return Preset(spec, fn, name not in ("linear_in_t", "sin_pi_growing"))
 
 
 def lipschitz_zeta_fn(spec):

@@ -22,9 +22,10 @@ from . import diagnostics as dg
 from .config import with_overrides
 from .errors import ConfigError, HypothesisViolation, NonfiniteValue
 from .grids import build_grids
-from .kinetics import init_density, limit_density, moment, step_density, survival
+from .kinetics import BirthRing, birth_ring, init_density, limit_density, moment, step_density, survival
 from .limit import step_limit
-from .position import PositionHistory, initial_position, step_position
+from .position import PositionHistory, advance_position, initial_position, step_position
+from .presets import is_time_invariant
 
 ENERGY_DECAY_TOL = 1e-6  # per step, relative to the initial energy
 STABILITY_TOL = 1e-6  # per step, relative
@@ -87,15 +88,25 @@ def _start(vcfg):
 
 @dataclass
 class WeakState:
-    """Weak-run state at level n, t = n*dt; the stepper rebinds its fields."""
+    """Weak-run state at level n, t = n*dt; the stepper rebinds its fields.
+
+    On the birth-ring path rho is built from the ring when first read.
+    """
 
     t: float
-    rho: np.ndarray
     z: np.ndarray
     hist: PositionHistory  # ends at the same level as z
     zeta: np.ndarray  # prescribed off-rate at t
-    surv: np.ndarray  # survival(zeta), recomputed only when zeta changes
+    surv: Optional[np.ndarray]  # survival(zeta) of the shift path
     mu0: np.ndarray
+    ring: Optional[BirthRing] = None
+    _rho: Optional[np.ndarray] = None
+
+    @property
+    def rho(self):
+        if self._rho is None:
+            self._rho = self.ring.density()
+        return self._rho
 
 
 @dataclass
@@ -127,6 +138,9 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     per-step energy and stability decays are checked and any breach is
     recorded as a hard violation.  observers are called as obs(n, state)
     with the WeakState at every level, after the built-in ones (see march).
+    An off-rate that declares it ignores t is stepped on birth values
+    (kinetics.BirthRing) unless birth_ring refuses the data; any other is
+    sampled at every step and shifts the density.
     """
     sgrid, agrid, ts, rho, z, hist = _start(vcfg)
     rate, src = vcfg.rate_model, vcfg.source
@@ -135,33 +149,47 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     # discrete analogue of the population floor min(mu0(0), beta_m/(beta_m+zeta_M))
     lower_bound = min(float(np.min(mu0)), rate.beta_m / (rate.beta_m + rate.zeta_M)) - 10.0 * agrid.da
     zeta = rate.zeta_field(sgrid.x, agrid.a, 0.0)
-    state = WeakState(t=0.0, rho=rho, z=z, hist=hist, zeta=zeta, surv=survival(zeta, agrid), mu0=mu0)
+    fixed = is_time_invariant(rate.zeta)
+    # birth_ring takes over the buffers of rho and of the survival factor
+    ring = birth_ring(rho, survival(zeta, agrid), hist.matrix(), agrid) if fixed else None
+    surv = None if ring else survival(zeta, agrid)
+    state = WeakState(t=0.0, z=z, hist=hist, zeta=zeta, surv=surv, mu0=mu0, ring=ring, _rho=None if ring else rho)
+    del rho, surv  # the state holds what the run still needs
 
-    def step(n, st):
+    def shift(n, st):
         # n*dt, not an accumulated t + dt: the two differ in the last bits
         st.t = n * dt
-        st.rho = step_density(st.rho, st.surv, rate.beta_values(sgrid.x, st.t), agrid)
+        st._rho = step_density(st.rho, st.surv, rate.beta_values(sgrid.x, st.t), agrid)
         st.mu0 = moment(st.rho, agrid, 0)
         st.z = step_position(st.rho, st.mu0, st.hist, eps, sgrid, agrid, source=_source_at(src, sgrid.x, st.t))
-        zeta = rate.zeta_field(sgrid.x, agrid.a, st.t)
-        # equal values give an equal factor; NaN never compares equal, so a
-        # non-finite field still reaches the check in survival
-        if not np.array_equal(zeta, st.zeta):
-            st.zeta, st.surv = zeta, survival(zeta, agrid)
+        st.zeta = rate.zeta_field(sgrid.x, agrid.a, st.t)
+        st.surv = survival(st.zeta, agrid)
+        return st
+
+    def ring_step(n, st):
+        st.t = n * dt
+        births, st.mu0, m = st.ring.renew(rate.beta_values(sgrid.x, st.t))
+        st.z = advance_position(st.ring.lagged(st.ring.products), m, st.hist, eps, sgrid, _source_at(src, sgrid.x, st.t))
+        st.ring.push(births, st.z)
+        st._rho = None
         return st
 
     guard = _Guard(("z",), floor=lower_bound)
     traj, records = [], []
+    ld = None  # the limit density, formed once when neither rate depends on t
+    fixed_limit = fixed and is_time_invariant(rate.beta)
 
     def output(n, st):
         if n % output_stride == 0:
             traj.append(st.z.copy())
 
     def diagnose(n, st):
+        nonlocal ld
         if not diag_stride or n % diag_stride:
             return
         u = dg.elongation_from_history(st.z, st.hist.matrix(), eps)
-        ld = limit_density(rate.beta_values(sgrid.x, st.t), st.zeta, agrid)
+        if ld is None or not fixed_limit:
+            ld = limit_density(rate.beta_values(sgrid.x, st.t), st.zeta, agrid)
         rec = dg.record(
             st.t, st.z, st.rho, u, st.zeta, _source_at(src, sgrid.x, st.t), eps, sgrid, agrid,
             mu0_min=float(np.min(st.mu0)),
@@ -178,6 +206,7 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
                 guard.violations.append(f"stability increase at t={st.t:g}")
         records.append(rec)
 
+    step = shift if state.ring is None else ring_step
     state = march(state, step, ts.n_steps, [guard, output, diagnose, *observers])
     return WeakRunResult(
         times=np.arange(0, ts.n_steps + 1, output_stride) * dt,
@@ -206,11 +235,14 @@ def run_limit(vcfg, dt_out, n_out):
     """
     sgrid, agrid, _ = build_grids(vcfg)
     rate, src = vcfg.rate_model, vcfg.source
-    traj = []
+    fixed = is_time_invariant(rate.zeta) and is_time_invariant(rate.beta)
+    traj, ld = [], None
 
     def step(n, z):
+        nonlocal ld
         t = n * dt_out
-        ld = limit_density(rate.beta_values(sgrid.x, t), rate.zeta_field(sgrid.x, agrid.a, t), agrid)
+        if ld is None or not fixed:
+            ld = limit_density(rate.beta_values(sgrid.x, t), rate.zeta_field(sgrid.x, agrid.a, t), agrid)
         return step_limit(z, ld.mu10, dt_out, sgrid, source=_source_at(src, sgrid.x, t))
 
     march(vcfg.past_data(sgrid.x, 0.0), step, n_out, [lambda n, z: traj.append(z.copy())])

@@ -162,6 +162,15 @@ def test_detachment_subcommand_small(tmp_path):
     assert floors.min() >= 1e-8
 
 
+def test_warnings_are_one_plain_line_each(tmp_path, capsys):
+    # the message alone: no warning class, no source path of the checkout
+    out = str(tmp_path / "out")
+    assert main(["detachment", "--config", write(tmp_path, SMALL_DETACHMENT), "--out", out]) == 0
+    err = capsys.readouterr().err
+    assert any(ln.startswith("warning: threshold on-rate vanishes") for ln in err.splitlines())
+    assert "UserWarning" not in err and ".py:" not in err
+
+
 def test_detachment_ending_before_the_last_snapshot_is_a_config_error(tmp_path, capsys):
     text = SMALL_DETACHMENT.replace("final_time = 0.0006", "final_time = 0.0002").replace("nx = 24", "nx = 8")
     out = tmp_path / "o"

@@ -123,7 +123,7 @@ CASES = {
 # name -> (exit code, {file name: sha256})
 GOLDEN = {
     "convergence-sweep": (0, {
-        "sweep.csv": "cb19a39006db7d4d01161a302374a8e1a294f169b46fbd6ff01487e4e22a2693",
+        "sweep.csv": "690cae4bba63c9e5ac601605db571b0c5facf86f2756a9a9f345a5e24fef6c5b",
     }),
     "coupled": (0, {
         "density.csv": "44ec73d9cc0fa2ee4bb4a45fb7b6017f3c7a67a8816d456c2b02ded92e508e83",
@@ -137,17 +137,17 @@ GOLDEN = {
         "trajectory.csv": "13fc295c3738c74ba69ba0f6427e5dd1f354eeeeb01ea54f54fd8c56efc9908f",
     }),
     "weak": (0, {
-        "density.csv": "7459474881a53831525c7fbb373d6397f307aff74b6a5317ff5f66c9110d6fed",
-        "diagnostics.csv": "64b3bd5127d332a86aae0be67adf4a5f9f047236b35b4d1b464f5c021e90686a",
-        "trajectory.csv": "0d768e5e313a94f5bafc33b68d958ca731581692af1a8b2923a42a553b886524",
+        "density.csv": "58657979b3e3b7077ddca139c4cd0d6e414cb1f44f714ef2dd194f6f346c16b4",
+        "diagnostics.csv": "903b2ff71f136c9c256d0ff9baf6b05b0b6f4c46e69f541babfb7947aab63d2a",
+        "trajectory.csv": "afd5d8e29bffdecf86b10dbc618c8d2aa4bc979737210fae5b6b5f6071b02859",
     }),
     "weak-nx1": (0, {
-        "diagnostics.csv": "506a6cbccbfbbb643a4e25d8a0cd200d06c31e2ab12959b48386516c25f44ea2",
-        "trajectory.csv": "198bfaacab28b1e6b6e07b3a3322caf5d8f5cb64dab2e0d24489ccd1f73f3799",
+        "diagnostics.csv": "bd88fae0f569501ca100b45a40db9ec7c1de395dbbc4788b05b82846fe503ee7",
+        "trajectory.csv": "27b1ed8af06089945e979d39d120b25191510e0215cefd5e8e612d0a98dbb3e7",
     }),
     "weak-source": (0, {
-        "diagnostics.csv": "fa9d1370b0ab4b439c93543be31aff8b502e33ebb743c4c66b1f481f9431bae3",
-        "trajectory.csv": "8c297ae34120840daa578e3cb7bee07115471c2e57f153e3d83284399f3601ea",
+        "diagnostics.csv": "f30f038ac1a627fa3a75ad80a5ce685cd949ed8fdb5926b7ca85157f4a61d581",
+        "trajectory.csv": "ef6f4741fd6339dd278316763cda056bc85f675a12327887ebfd8687ea88f2f9",
     }),
 }
 

@@ -184,3 +184,17 @@ def test_preset_parse_errors():
         presets.parse_spec("not a preset (")
     with pytest.raises(ValueError):
         presets.past_data_fn("unknown_thing")
+
+
+@pytest.mark.parametrize("make, spec", [
+    *[(presets.given_zeta_fn, s) for s in ("constant(2.0)", "one_plus_age_ramp(0.5)")],
+    *[(presets.given_beta_fn, s) for s in (
+        "zero", "constant(0.5)", "sin_pi", "sin_pi_growing(1.0)", "sin_forcing", "linear_in_t(1.0, 1.0)")],
+])
+def test_given_rate_preset_declares_its_time_dependence(make, spec):
+    rate = make(spec)
+    x, a = np.linspace(0.0, 1.0, 9)[:, None], np.linspace(0.0, 2.0, 5)[None, :]
+    args = (x, a) if make is presets.given_zeta_fn else (x[:, 0],)
+    same = np.array_equal(rate(*args, 0.0), rate(*args, 0.37))
+    assert rate.spec == spec and rate.time_invariant == same
+    assert presets.is_time_invariant(rate) == same and not presets.is_time_invariant(lambda x, t: rate(x, t))

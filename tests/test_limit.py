@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
+from conftest import make_config
+
+from linkages import presets, simulate
+from linkages.config import RateModel, validate_config
 from linkages.errors import DegenerateFriction
 from linkages.grids import SpaceGrid
+from linkages.kinetics import limit_density
 from linkages.limit import step_limit
 
 SG = SpaceGrid(nx=31)
@@ -66,3 +71,17 @@ def test_partially_degenerate_raises():
     mu10[5] = 0.0
     with pytest.raises(DegenerateFriction):
         step_limit(np.zeros(SG.n_nodes), mu10, 1e-2, SG, source=np.ones(SG.n_nodes))
+
+
+@pytest.mark.parametrize("beta, calls", [("constant(1.0)", 1), ("linear_in_t(1.0, 1.0)", 10)])
+def test_run_limit_forms_the_limit_density_once_for_fixed_rates(monkeypatch, beta, calls):
+    formed = []
+    monkeypatch.setattr(simulate, "limit_density", lambda *a: formed.append(1) or limit_density(*a))
+    rate = RateModel(zeta=presets.given_zeta_fn("one_plus_age_ramp(0.5)"), zeta_M=1.5,
+                     beta=presets.given_beta_fn(beta), beta_M=1.1)
+    fixed = simulate.run_limit(validate_config(make_config(rate_model=rate)), 0.01, 10)
+    assert len(formed) == calls
+    rate.beta = lambda x, t: presets.given_beta_fn(beta)(x, t)  # a plain callable: sampled every step
+    plain = simulate.run_limit(validate_config(make_config(rate_model=rate)), 0.01, 10)
+    assert len(formed) == calls + 10
+    assert np.array_equal(fixed.trajectory, plain.trajectory)

@@ -6,10 +6,10 @@ import pytest
 from conftest import capture_at, dense_solve, make_config
 
 from linkages import diagnostics as dg
-from linkages.config import PastData, RateModel, validate_config
+from linkages.config import PastData, RateModel, SourceModel, validate_config
 from linkages.errors import NonfiniteValue
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
-from linkages.kinetics import init_density, moment, step_density, survival
+from linkages.kinetics import init_density, limit_density, moment, step_density, survival
 from linkages.position import (
     PositionHistory,
     initial_position,
@@ -228,3 +228,80 @@ def test_rate_turning_nan_raises():
     vcfg = make_config(final_time=0.01, rate_model=RateModel(zeta=zeta, zeta_M=2.0))
     with pytest.raises(NonfiniteValue):
         run_weak(vcfg, diag_stride=0)
+
+
+def plain(fn):
+    """The same rate as a plain callable, which counts as time-varying."""
+    return lambda *args: fn(*args)
+
+
+def ramp_config(plain_rates=False, **overrides):
+    """Age ramp off-rate, on-rate growing in t, sine load; presets or plain callables."""
+    zeta, beta = presets.given_zeta_fn("one_plus_age_ramp(0.5)"), presets.given_beta_fn("linear_in_t(1.0, 1.0)")
+    if plain_rates:
+        zeta, beta = plain(zeta), plain(beta)
+    base = dict(
+        final_time=0.02, nx=12, a_max=2.0,
+        rate_model=RateModel(zeta=zeta, zeta_M=1.5, beta=beta, beta_M=1.1),
+        initial_density=presets.initial_density_fn("exp_decay(0.8)"),
+        source=SourceModel(*presets.source_fns("sin_forcing")),
+    )
+    base.update(overrides)
+    return validate_config(make_config(**base))
+
+
+def run_watching(vcfg):
+    """run_weak with output and diagnostics at every level, keeping rho and the path taken."""
+    seen = []
+    res = run_weak(vcfg, output_stride=1, diag_stride=1,
+                   observers=[lambda n, st: seen.append((st.rho.copy(), st.ring is not None))])
+    return res, [rho for rho, _ in seen], {ring for _, ring in seen}
+
+
+def assert_close(a, b, rtol):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
+
+
+def test_ring_and_shift_paths_agree():
+    ring, ring_rhos, ring_path = run_watching(ramp_config())
+    shift, shift_rhos, shift_path = run_watching(ramp_config(plain_rates=True))
+    assert ring_path == {True} and shift_path == {False}
+    assert_close(ring.trajectory, shift.trajectory, 1e-13)
+    assert_close(ring.final_rho, shift.final_rho, 1e-13)
+    assert len(ring_rhos) == len(shift_rhos) == 41
+    # the density observers read at every level
+    assert_close(ring_rhos, shift_rhos, 1e-13)
+    rows = lambda res: np.array([[float(v) for v in vars(r).values()] for r in res.records])
+    for col, (a, b) in enumerate(zip(rows(ring).T, rows(shift).T)):
+        assert np.max(np.abs(a - b)) <= 1e-13 * max(np.max(np.abs(b)), 1e-300), col
+
+
+@pytest.mark.parametrize("overrides", [
+    # C_j = exp(-0.8 j) underflows to zero before a_max = 10
+    dict(rate_model=RateModel(zeta=presets.given_zeta_fn("constant(80)"), zeta_m=80.0, zeta_M=80.0)),
+    # C_10 = exp(-708) is normal but rho_I[:, 10] / C_10 overflows
+    dict(a_max=0.1, initial_density=presets.initial_density_fn("exp_decay(9)"),
+         rate_model=RateModel(zeta=presets.given_zeta_fn("constant(7080)"), zeta_m=7080.0, zeta_M=7080.0)),
+], ids=["C-underflow", "birth-overflow"])
+def test_ring_fallback_is_the_shift_path(overrides):
+    fixed, _, fixed_path = run_watching(validate_config(make_config(**overrides)))
+    rate = overrides["rate_model"]
+    overrides["rate_model"] = RateModel(zeta=plain(rate.zeta), zeta_m=rate.zeta_m, zeta_M=rate.zeta_M)
+    shift, _, _ = run_watching(validate_config(make_config(**overrides)))
+    assert fixed_path == {False}
+    assert np.array_equal(fixed.trajectory, shift.trajectory)
+    assert np.array_equal(fixed.final_rho, shift.final_rho)
+    assert fixed.records == shift.records
+
+
+def test_ring_path_samples_the_rates_once(monkeypatch):
+    vcfg = validate_config(make_config(final_time=0.01))
+    survival_calls = counted_survival(monkeypatch)
+    zeta_calls, limit_calls = [], []
+    zeta_field = RateModel.zeta_field
+    monkeypatch.setattr(RateModel, "zeta_field", lambda *a: zeta_calls.append(1) or zeta_field(*a))
+    monkeypatch.setattr(simulate, "limit_density", lambda *a: limit_calls.append(1) or limit_density(*a))
+    res = run_weak(vcfg, diag_stride=1)
+    assert len(res.records) == 21
+    assert len(zeta_calls) == len(survival_calls) == len(limit_calls) == 1
