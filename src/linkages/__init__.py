@@ -24,7 +24,6 @@ from .coupled import (
     mu_ode_residual,
     riccati_gamma2,
     solve_velocity,
-    step_elongation,
 )
 from .diagnostics import (
     DiagnosticsRecord,

@@ -207,9 +207,9 @@ def validate_config(config):
                 violated("initial moments finite", f"mu_{k},I")
 
     # off-rate bounds; the comparisons are false for NaN, so finiteness first
+    if rate.zeta_m <= 0:
+        violated("off-rate lower bound", "zeta_m")
     if rate.zeta_kind == "given":
-        if rate.zeta_m <= 0:
-            violated("off-rate lower bound", "zeta_m")
         for t in t_samples:
             zval = rate.zeta_field(x, a, t)
             if not np.all(np.isfinite(zval)):

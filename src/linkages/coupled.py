@@ -6,43 +6,89 @@ history ring buffer, and velocity g solving the elliptic balance
 
     (mu0 - eps Lap_h) g = int zeta(u) rho u da + eps dS/dt.
 
-Sub-step order: elongation shift with the clamped old velocity, rates,
-density, velocity, then the position.  z is advanced by the direct delay
-solve (same kernel as the weakly coupled stepper) rather than by
-integrating g: where the population dies the position equation degenerates
-to the elliptic balance -Lap z = S, which the direct solve keeps enforcing
-while the integrated form would freeze z at its last value.  g still feeds
-the elongation transport, which preserves u >= 0 exactly whenever the
-initial stretch and dS/dt are nonnegative (M-matrix maximum principle);
-g and the difference quotient of z agree to first order and the match is
-cross-checked in the tests.
+The age fields -- rho, u, zeta(u) and the survival factor -- live in the
+cohort frame of the position history: column (head + j) % (na+1) holds the
+cohort of age j, head being the history's own head, so each cohort shares
+its column with its birth position z.  A step moves head back by one
+instead of shifting the arrays: the oldest cohort's column takes the
+newborns (u = 0 and the renewal value), every other cohort is updated where
+it stands (u += da*g, rho *= exp(-da*zeta(u))), and age sums take the
+weights rolled by head.  CoupledState.rho and .u build the age-ordered
+fields when read.
+
+Sub-step order: stretch with the clamped old velocity, rates, density,
+velocity, then the position.  The survival of a step is read at the
+arrival cell, on the fresh stretch: that is the endpoint of the same
+characteristic, and it lets a newborn cohort feel the stretch it acquires
+during the step.  z is advanced by the direct delay solve (same kernel as
+the weakly coupled stepper) rather than by integrating g: where the
+population dies the position equation degenerates to the elliptic balance
+-Lap z = S, which the direct solve keeps enforcing while the integrated
+form would freeze z at its last value.  g still feeds the elongation
+transport, which preserves u >= 0 exactly whenever the initial stretch and
+dS/dt are nonnegative (M-matrix maximum principle); g and the difference
+quotient of z agree to first order and the match is cross-checked in the
+tests.
+
+Two shortcuts follow from the state alone and change no bit:
+
+* Zero velocity.  If the clamped velocity is zero at every node, no
+  cohort's stretch moves, so zeta(u) and the survival factor of every
+  cohort older than one step keep their values.  zeta is evaluated on the
+  newborn column only, and exp on the age-one column (the last step's
+  newborns, whose zeta was formed then) only.
+* Zero load.  If, besides, every lane of the last velocity load formed was
+  zero, every survival factor was at most 1 then, and dS/dt vanishes at
+  the new time, the new load is zero in every lane: zeta and u are
+  unchanged, rho only shrank, rounding is monotone, so no lane can leave
+  zero, and newborn lanes carry u = 0.  The velocity is then 0 without
+  forming the load or solving.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import elliptic
 from .diagnostics import riccati_p, stability_functional
 from .errors import NonpositiveGamma1
-from .kinetics import step_density, survival
-from .position import step_position
+from .kinetics import decay
+from .position import advance_position, delay_quadrature
 
 OMEGA = 0.5  # 1D sup-norm embedding constant ||g||_inf <= omega ||g'||_2 on (0,1)
 
 
-@dataclass
 class CoupledState:
-    rho: np.ndarray  # density on the (x, a) grid
-    u: np.ndarray  # stretch on the (x, a) grid; u(., 0) = 0 after stepping
-    z: np.ndarray
-    g: np.ndarray
-    hist: object  # PositionHistory ending at the same level as z
-    t: float
-    truncation_k: float
-    truncated: bool = False
-    mu0: object = None  # zeroth moment rho @ w; coupled_step fills it in
+    """Coupled state at level t; coupled_step updates it in place.
+
+    rho, u and zeta (the off-rate on u, or None) are given in age order with
+    hist at head 0 -- the ring at head 0 -- or as rings at hist.head; the
+    step keeps them as rings (rho_ring, u_ring, zeta) along with the
+    survival ring surv and the load buffer.  quiet says that the last load
+    formed was zero in every lane with surv <= 1 (see the module docstring).
+    """
+
+    def __init__(self, rho, u, z, g, hist, t, truncation_k, truncated=False, mu0=None, zeta=None):
+        self.rho_ring, self.u_ring, self.zeta = rho, u, zeta
+        self.z, self.g, self.hist, self.t = z, g, hist, t
+        self.truncation_k, self.truncated, self.mu0 = truncation_k, truncated, mu0
+        self.surv, self.load = None, np.empty_like(rho)
+        self.quiet = False
+
+    @property
+    def rho(self):
+        """Density in age order, built from the ring."""
+        return np.roll(self.rho_ring, -self.hist.head, axis=1)
+
+    @property
+    def u(self):
+        """Stretch in age order, built from the ring."""
+        return np.roll(self.u_ring, -self.hist.head, axis=1)
+
+
+def cohort_weights(w, head):
+    """The age weights w in the layout of a cohort ring at head: out[(head + j) % n] = w[j]."""
+    return np.concatenate((w[w.size - head :], w[: w.size - head]))
 
 
 def init_elongation(z0, past, eps, sgrid, agrid):
@@ -62,71 +108,68 @@ def init_elongation(z0, past, eps, sgrid, agrid):
     return vals
 
 
-def step_elongation(u, g, agrid):
-    """Shift one age cell along the characteristics and add da*g.
-
-    CFL-1 makes the shift exact; the age-zero row is the boundary condition
-    u(., 0) = 0 and the Dirichlet rows stay zero.
-    """
-    new = np.empty_like(u)
-    np.add(u[:, :-1], agrid.da * g[:, None], out=new[:, 1:])
-    new[:, 0] = 0.0
-    new[0, :] = 0.0
-    new[-1, :] = 0.0
-    return new
-
-
-def solve_velocity(rho, mu0, u, zeta_u, dSdt, eps, sgrid, agrid):
+def solve_velocity(rho, mu0, u, zeta_u, dSdt, eps, sgrid, w, load=None):
     """Velocity from the elliptic balance (mu0 - eps Lap_h) g = rhs.
 
     rhs = int zeta(u) rho u da + eps * dS/dt per interior node, with mu0 =
-    rho @ w and zeta_u the off-rate evaluated on u; dSdt may be None for a
-    time-constant load.
+    rho @ w and zeta_u the off-rate evaluated on u; w are the age weights
+    in the layout of the fields, dSdt may be None for a time-constant load,
+    and the lanes zeta*rho*u are formed in load if it is given.
     """
-    load = zeta_u * rho
+    load = np.multiply(zeta_u, rho, out=load)
     load *= u
-    rhs = (load @ agrid.w)[1:-1]
+    rhs = (load @ w)[1:-1]
     if dSdt is not None:
         rhs = rhs + eps * np.asarray(dSdt)[1:-1]
     op = elliptic.assemble(mu0[1:-1], eps, sgrid)
     return elliptic.solve(op, rhs)
 
 
-def coupled_step(state, source, rate, eps, sgrid, agrid):
-    """One step of the coupled system.
+def coupled_step(st, source, rate, eps, sgrid, agrid):
+    """Advance the coupled state st one step in place and return it.
 
-    The old velocity is clamped at +-truncation_k before the elongation
-    shift; the returned state flags whether the new velocity exceeds the
-    threshold (it never should once the threshold is above the Riccati
-    bound).
+    The old velocity is clamped at +-truncation_k before it stretches the
+    bonds; st.truncated flags whether the new velocity exceeds the threshold
+    (it never should once the threshold is above the Riccati bound).
     """
-    dt = eps * agrid.da
-    t_new = state.t + dt
-    k = state.truncation_k
-    g_used = np.clip(state.g, -k, k) if math.isfinite(k) else state.g
-    u_new = step_elongation(state.u, g_used, agrid)
-    zeta_u = rate.zeta_of_u(u_new)
+    t_new = st.t + eps * agrid.da
+    k = st.truncation_k
+    g_used = np.clip(st.g, -k, k) if math.isfinite(k) else st.g
     if rate.beta_kind == "threshold":
-        beta_field = rate.beta_values(sgrid.x, state.t, z=state.z)
+        beta = rate.beta_values(sgrid.x, st.t, z=st.z)
     else:
-        beta_field = rate.beta_values(sgrid.x, t_new)
-    rho_new = step_density(state.rho, survival(zeta_u, agrid, "arrival"), beta_field, agrid)
-    mu0 = rho_new @ agrid.w
+        beta = rate.beta_values(sgrid.x, t_new)
     dSdt = source.ddt(sgrid.x, t_new) if source is not None else None
-    g_new = solve_velocity(rho_new, mu0, u_new, zeta_u, dSdt, eps, sgrid, agrid)
+    hist, rho, u = st.hist, st.rho_ring, st.u_ring
+    old, new = hist.head, (hist.head - 1) % hist.depth  # the columns of ages 1 and 0 after the step
+    still = st.surv is not None and not np.any(g_used)
+    if still:
+        u[:, new] = 0.0
+        st.zeta[:, new] = rate.zeta_of_u(u[:, new])
+        decay(st.zeta[:, old], agrid.da, out=st.surv[:, old])
+    else:
+        u += agrid.da * g_used[:, None]  # g vanishes at the Dirichlet nodes: their rows stay 0
+        u[:, new] = 0.0
+        st.zeta = rate.zeta_of_u(u)
+        st.surv = decay(st.zeta, agrid.da, out=st.surv)
+    rho *= st.surv
+    w = cohort_weights(agrid.w, new)
+    lag = w.copy()  # the weights of ages j >= 1
+    lag[new] = 0.0
+    m = rho @ lag
+    births = beta * (1.0 - m) / (1.0 + beta * w[new])
+    rho[:, new] = births
+    st.mu0 = w[new] * births + m
+    if still and st.quiet and (dSdt is None or not np.any(dSdt)):
+        st.g = np.zeros(sgrid.n_nodes)
+    else:
+        st.g = solve_velocity(rho, st.mu0, u, st.zeta, dSdt, eps, sgrid, w, load=st.load)
+        st.quiet = not np.any(st.g) and not np.any(st.load) and np.max(st.surv) <= 1.0
     S_new = source(sgrid.x, t_new) if source is not None else None
-    z_new = step_position(rho_new, mu0, state.hist, eps, sgrid, agrid, source=S_new)
-    return CoupledState(
-        rho=rho_new,
-        u=u_new,
-        z=z_new,
-        g=g_new,
-        hist=state.hist,
-        t=t_new,
-        truncation_k=k,
-        truncated=bool(np.max(np.abs(g_new)) > k),
-        mu0=mu0,
-    )
+    st.z = advance_position(delay_quadrature(lag, rho, hist.buf), m, hist, eps, sgrid, S_new)
+    st.t = t_new
+    st.truncated = bool(np.max(np.abs(st.g)) > k)
+    return st
 
 
 def mu_ode_residual(state_prev, state_next, source, beta_field, eps, sgrid, agrid):
@@ -184,9 +227,9 @@ def riccati_bound(rho, u, rate, source, final_time, eps, sgrid, agrid):
     [0, final_time]; gamma2 bounds p(t) for the whole run.  zeta(0) is read
     off the off-rate at a Dirichlet node, where u = 0.
     """
-    q0 = stability_functional(rho, u, sgrid, agrid)
+    q0 = stability_functional(rho, u, sgrid, agrid.w)
     zeta_u = rate.zeta_of_u(u)
-    p0 = riccati_p(rho, u, zeta_u, sgrid, agrid)
+    p0 = riccati_p(rho, u, zeta_u, sgrid, agrid.w)
     if source is not None:
         t_samples = np.linspace(0.0, final_time, 5)
         wx = sgrid.quad_weights()

@@ -2,8 +2,10 @@
 population functionals, the Riccati monitor and convergence errors, and
 record, which builds every diagnostics row from them.
 
-All functions are pure observers of solver state.  Space integrals use the
-trapezoid rule (Dirichlet nodes carry half weight but vanishing integrands);
+All functions are pure observers of solver state.  Those that take the
+age weights w read them in the layout of the fields' age axis: agrid.w for
+age-ordered fields, the weights rolled by the ring's head for the coupled
+step's cohort rings.  Space integrals use the trapezoid rule (Dirichlet nodes carry half weight but vanishing integrands);
 the energy's gradient term uses forward differences so that the discrete
 integration by parts against the 3-point Laplacian is exact.
 """
@@ -53,58 +55,58 @@ def energy(z, delayed_z, rho, eps, sgrid, agrid, source=None):
     return e
 
 
-def energy_from_elongation(z, rho, u, eps, sgrid, agrid, source=None):
+def energy_from_elongation(z, rho, u, eps, sgrid, w, source=None):
     """Energy evaluated from the stretch field: the delay term is eps*u^2."""
     dx = sgrid.dx
     grad = np.diff(z) / dx
     e = 0.5 * dx * float(grad @ grad)
     wx = sgrid.quad_weights()
-    e += 0.5 * eps * float(((rho * u**2) @ agrid.w) @ wx)
+    e += 0.5 * eps * float(((rho * u**2) @ w) @ wx)
     if source is not None:
         e -= float((np.asarray(source) * z) @ wx)
     return e
 
 
-def dissipation(rho, u, zeta_values, sgrid, agrid):
+def dissipation(rho, u, zeta_values, sgrid, w):
     """int int zeta rho u^2 da dx (the energy's decay rate)."""
-    per_x = (zeta_values * rho * u**2) @ agrid.w
+    per_x = (zeta_values * rho * u**2) @ w
     return float(per_x @ sgrid.quad_weights())
 
 
-def lyapunov_H(f, agrid):
+def lyapunov_H(f, w):
     """H[f](x) = |int f da| + int |f| da per space node; f has age last."""
     f = np.asarray(f, dtype=float)
-    return np.abs(f @ agrid.w) + np.abs(f) @ agrid.w
+    return np.abs(f @ w) + np.abs(f) @ w
 
 
-def stability_functional(rho, u, sgrid, agrid):
+def stability_functional(rho, u, sgrid, w):
     """int int rho |u| da dx, nonincreasing for the source-free dynamics."""
-    per_x = (rho * np.abs(u)) @ agrid.w
+    per_x = (rho * np.abs(u)) @ w
     return float(per_x @ sgrid.quad_weights())
 
 
-def riccati_p(rho, u, zeta_u, sgrid, agrid):
+def riccati_p(rho, u, zeta_u, sgrid, w):
     """Monitored quantity p = int int zeta(u) |u| rho dx da (trapezoid); zeta_u is zeta on u."""
-    per_x = (zeta_u * np.abs(u) * rho) @ agrid.w
+    per_x = (zeta_u * np.abs(u) * rho) @ w
     return float(per_x @ sgrid.quad_weights())
 
 
-def record(t, z, rho, u, zeta_u, source, eps, sgrid, agrid, *, mu0_min, mu0_max, lyapunov, gamma2, truncated):
+def record(t, z, rho, u, zeta_u, source, eps, sgrid, w, *, mu0_min, mu0_max, lyapunov, gamma2, truncated):
     """The diagnostics row of one level.
 
-    u is the stretch on the (x, a) grid and zeta_u the off-rate on it;
-    source is the load at t or None.  Energy, dissipation, stability and p
+    rho, u (the stretch) and zeta_u (the off-rate on u) share one layout
+    of the age axis, the one of w; source is the load at t or None.  Energy, dissipation, stability and p
     are computed here; the caller gives the columns its model defines.
     """
     return DiagnosticsRecord(
         t=t,
-        energy=energy_from_elongation(z, rho, u, eps, sgrid, agrid, source=source),
-        dissipation=dissipation(rho, u, zeta_u, sgrid, agrid),
+        energy=energy_from_elongation(z, rho, u, eps, sgrid, w, source=source),
+        dissipation=dissipation(rho, u, zeta_u, sgrid, w),
         mu0_min=mu0_min,
         mu0_max=mu0_max,
-        stability=stability_functional(rho, u, sgrid, agrid),
+        stability=stability_functional(rho, u, sgrid, w),
         lyapunov=lyapunov,
-        p=riccati_p(rho, u, zeta_u, sgrid, agrid),
+        p=riccati_p(rho, u, zeta_u, sgrid, w),
         gamma2=gamma2,
         truncated=truncated,
     )

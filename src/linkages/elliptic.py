@@ -39,7 +39,7 @@ def assemble(c, kappa, grid):
     kappa >= 0 the diffusion weight.  Degenerate when both vanish.
     """
     nx, dx = grid.nx, grid.dx
-    c = np.broadcast_to(np.asarray(c, dtype=float), (nx,)).copy()
+    c = np.broadcast_to(np.asarray(c, dtype=float), (nx,))
     if np.min(c) < 0:
         raise DegenerateOperator(f"negative coefficient: min c = {np.min(c):g}")
     if kappa < 0:
@@ -47,7 +47,8 @@ def assemble(c, kappa, grid):
     if kappa == 0.0 and np.all(c == 0.0):
         raise DegenerateOperator("c == 0 and kappa == 0")
     k = kappa / dx**2
-    return TridiagonalOperator(lower=np.full(nx, -k), main=c + 2.0 * k, upper=np.full(nx, -k))
+    off = np.full(nx, -k)  # one array for both: apply reads it, dgtsv copies it
+    return TridiagonalOperator(lower=off, main=c + 2.0 * k, upper=off)
 
 
 def solve(op, rhs):

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import HistoryMissing, MassAtLeastOne, NegativeDensity, NonfiniteValue
 
 # For x <= -746, exp(x) < 2**-1076, below half the smallest subnormal
-# (2**-1074), so it rounds to +0.0; survival skips those lanes.  The
+# (2**-1074), so it rounds to +0.0; decay skips those lanes.  The
 # subnormal band above still goes through np.exp, so no result changes by a bit.
 EXP_UNDERFLOW = -746.0
 
@@ -61,30 +61,28 @@ def moment(rho, agrid, k):
     return rho @ (agrid.w * agrid.a**k)
 
 
-def survival(zeta_values, agrid, zeta_at="departure"):
+def survival(zeta_values, agrid):
     """Per-cell survival factor exp(-da*zeta) of one shift, shape (nx+2, na).
 
-    zeta_values is the off-rate on the (x, a) grid; for a prescribed rate it
-    is sampled at the current time and read at the departure cell j-1.  In
-    coupled mode the field is built from the fresh elongation and must be
-    read at the arrival cell j (zeta_at="arrival"): that is the endpoint of
-    the same characteristic, and it lets a newborn cohort feel the stretch it
-    acquires during the step -- reading the departure value zeta(u=0) instead
-    lets arbitrarily stretched newborns survive one cell forever.
+    zeta_values is the prescribed off-rate on the (x, a) grid, sampled at
+    the current time and read at the departure cell j-1.
+    """
+    return decay(zeta_values[:, :-1], agrid.da)
+
+
+def decay(zeta_values, da, out=None):
+    """exp(-da*zeta) lane by lane, written into out if given.
 
     Lanes whose argument -da*zeta is at or below EXP_UNDERFLOW are 0.0
     without a call to np.exp, which is slow on them.
     """
     if not np.all(np.isfinite(zeta_values)):
         raise NonfiniteValue("off-rate field has non-finite entries")
-    if zeta_at == "departure":
-        hop = zeta_values[:, :-1]
-    elif zeta_at == "arrival":
-        hop = zeta_values[:, 1:]
-    else:
-        raise ValueError(f"zeta_at must be 'departure' or 'arrival', got {zeta_at!r}")
-    x = hop * (-agrid.da)
-    return np.exp(x, out=np.zeros_like(x), where=x > EXP_UNDERFLOW)
+    x = np.multiply(zeta_values, -da, out=out)
+    keep = x > EXP_UNDERFLOW
+    np.exp(x, out=x, where=keep)
+    np.copyto(x, 0.0, where=np.logical_not(keep, out=keep))
+    return x
 
 
 def step_density(rho, surv, beta_values, agrid):

@@ -13,7 +13,8 @@ aligns them with stored snapshots).  The solve is exactly the Euler-Lagrange
 equation of the discrete energy, so z_new is its minimizer; energy decay and
 the minimization property below are structural, not approximate.
 advance_position checks, assembles and solves; step_position feeds it the
-quadrature of a density, the birth-ring weak step that of its product ring.
+quadrature of a density, the birth-ring weak step that of its product ring,
+and the coupled step that of its cohort ring read against buf in place.
 """
 
 import numpy as np
@@ -25,29 +26,29 @@ from .errors import DegenerateOperator
 class PositionHistory:
     """Ring buffer of the na+1 newest snapshots z(., t^m), newest first.
 
-    Slot j holds z at delay eps*a_j exactly.  At start-up the slots j >= 1
-    are prefilled from the past data z_p(., -eps*a_j), so early steps never
-    need to evaluate z_p again.
+    Slot j, row (head + j) % depth of buf, holds z at delay eps*a_j
+    exactly.  At start-up the slots j >= 1 are prefilled from the past data
+    z_p(., -eps*a_j), so early steps never need to evaluate z_p again.
     """
 
     def __init__(self, z0, past, eps, sgrid, agrid):
         depth = agrid.na + 1
-        self._buf = np.empty((depth, sgrid.n_nodes))
-        self._buf[0] = z0
+        self.buf = np.empty((depth, sgrid.n_nodes))
+        self.buf[0] = z0
         for j in range(1, depth):
-            self._buf[j] = past(sgrid.x, -eps * agrid.a[j])
-        self._head = 0
+            self.buf[j] = past(sgrid.x, -eps * agrid.a[j])
+        self.head = 0
         self.depth = depth
 
     def matrix(self):
         """All snapshots as an array Z[j] = z(., t - eps*a_j)."""
-        idx = (self._head + np.arange(self.depth)) % self.depth
-        return self._buf[idx]
+        idx = (self.head + np.arange(self.depth)) % self.depth
+        return self.buf[idx]
 
     def push(self, z_new):
         """Advance one level: the oldest snapshot drops off the buffer."""
-        self._head = (self._head - 1) % self.depth
-        self._buf[self._head] = z_new
+        self.head = (self.head - 1) % self.depth
+        self.buf[self.head] = z_new
 
 
 def delay_quadrature(w, rho, Z):

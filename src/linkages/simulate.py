@@ -191,10 +191,10 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
         if ld is None or not fixed_limit:
             ld = limit_density(rate.beta_values(sgrid.x, st.t), st.zeta, agrid)
         rec = dg.record(
-            st.t, st.z, st.rho, u, st.zeta, _source_at(src, sgrid.x, st.t), eps, sgrid, agrid,
+            st.t, st.z, st.rho, u, st.zeta, _source_at(src, sgrid.x, st.t), eps, sgrid, agrid.w,
             mu0_min=float(np.min(st.mu0)),
             mu0_max=float(np.max(st.mu0)),
-            lyapunov=float(dg.lyapunov_H(st.rho - ld.rho0, agrid) @ sgrid.quad_weights()),
+            lyapunov=float(dg.lyapunov_H(st.rho - ld.rho0, agrid.w) @ sgrid.quad_weights()),
             gamma2=0.0,
             truncated=False,
         )
@@ -316,20 +316,23 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
     snapshot_times are rounded to the step grid; each snapshot stores the
     position curve and the population curve.  observers are called as
     obs(n, state) with the CoupledState at every level, after the built-in
-    ones (see march).  The truncation threshold gamma2/eps + max ||dS/dt|| + 1
-    sits strictly above the Riccati bound, so the clamp should never engage
-    (it is recorded if it does).
+    ones (see march); the step updates that one state in place, so an
+    observer copies what it keeps.  The truncation threshold gamma2/eps +
+    max ||dS/dt|| + 1 sits strictly above the Riccati bound, so the clamp
+    should never engage (it is recorded if it does).
     """
     sgrid, agrid, ts, rho, z, hist = _start(vcfg)
     rate, src, eps = vcfg.rate_model, vcfg.source, vcfg.epsilon
     u = cp.init_elongation(z, vcfg.past_data, eps, sgrid, agrid)
     dSdt0 = src.ddt(sgrid.x, 0.0) if src is not None else None
     mu0 = rho @ agrid.w
-    g = cp.solve_velocity(rho, mu0, u, rate.zeta_of_u(u), dSdt0, eps, sgrid, agrid)
+    zeta = rate.zeta_of_u(u)
+    g = cp.solve_velocity(rho, mu0, u, zeta, dSdt0, eps, sgrid, agrid.w)
 
     gamma2, dS_norm = cp.riccati_bound(rho, u, rate, src, vcfg.final_time, eps, sgrid, agrid)
     k = gamma2 / eps + dS_norm + 1.0
-    state = cp.CoupledState(rho=rho, u=u, z=z, g=g, hist=hist, t=0.0, truncation_k=k, mu0=mu0)
+    # age order at the history's head 0 is the cohort ring
+    state = cp.CoupledState(rho=rho, u=u, z=z, g=g, hist=hist, t=0.0, truncation_k=k, mu0=mu0, zeta=zeta)
 
     def step(n, st):
         return cp.coupled_step(st, src, rate, eps, sgrid, agrid)
@@ -342,18 +345,19 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
 
     def track(n, st):
         nonlocal u_min, ever_truncated
-        u_min = min(u_min, float(np.min(st.u)))
+        u_min = min(u_min, float(np.min(st.u_ring)))
         ever_truncated = ever_truncated or st.truncated
         snapshots.update({t_req: (st.z.copy(), st.mu0.copy()) for t_req, m in level_of.items() if m == n})
 
     def record(n, st):
         if not diag_stride or n % diag_stride:
             return
+        w = cp.cohort_weights(agrid.w, st.hist.head)
         rec = dg.record(
-            st.t, st.z, st.rho, st.u, rate.zeta_of_u(st.u), _source_at(src, sgrid.x, st.t), eps, sgrid, agrid,
+            st.t, st.z, st.rho_ring, st.u_ring, st.zeta, _source_at(src, sgrid.x, st.t), eps, sgrid, w,
             mu0_min=float(np.min(st.mu0[1:-1])),
             mu0_max=float(np.max(st.mu0)),
-            lyapunov=float(dg.lyapunov_H(st.rho, agrid) @ sgrid.quad_weights()),
+            lyapunov=float(dg.lyapunov_H(st.rho_ring, w) @ sgrid.quad_weights()),
             gamma2=gamma2,
             truncated=st.truncated,
         )

@@ -278,6 +278,16 @@ def test_threshold_on_rate_takes_only_a_threshold_spec(tmp_path, capsys, spec):
     assert not out.exists()
 
 
+def test_nonpositive_off_rate_floor_of_zeta_u_is_a_config_error(tmp_path, capsys):
+    # zeta(u) = -3 + |u| stays above its floor zeta_m = -3, but a negative
+    # off-rate makes bonds multiply; zeta_m > 0 holds for both rate kinds
+    text = TINY_COUPLED.replace("nx = 12", "nx = 8").replace("zeta = one_plus_abs", "zeta = affine_abs(-3.0, 1.0)\nzeta_m = -3.0")
+    out = tmp_path / "o"
+    assert main(["coupled", "--config", write(tmp_path, text), "--out", str(out)]) == 1
+    assert "config error: HypothesisViolation('off-rate lower bound' at zeta_m)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_retired_keys_are_ignored(tmp_path):
     # values that would fail validation if the keys were still read
     retired = TINY_COUPLED.replace("mode = coupled", "mode = coupled\ntruncation_k = -1")

@@ -20,13 +20,12 @@ from linkages.coupled import (
     riccati_gamma2,
     riccati_p,
     solve_velocity,
-    step_elongation,
 )
 from linkages.diagnostics import stability_functional
 from linkages.errors import NonpositiveGamma1
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
 from linkages.kinetics import init_density, moment, step_density
-from linkages.position import PositionHistory, step_position
+from linkages.position import PositionHistory, advance_position, step_position
 from linkages import elliptic, presets
 from linkages.simulate import run_coupled
 
@@ -90,32 +89,67 @@ def test_init_elongation_triangle_bound():
     assert np.all(np.abs(u) <= bound + 1e-12)
 
 
+def bond_free(ag, u):
+    """A coupled state without bonds (rho = 0, beta = 0) that carries the stretch u."""
+    past = PastData(fn=presets.past_data_fn("zero"))
+    hist = PositionHistory(np.zeros(SG.n_nodes), past, EPS, SG, ag)
+    rate = RateModel(zeta_kind="lipschitz", zeta_M=np.inf, beta=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)), beta_m=0.0, beta_M=0.0)
+    state = CoupledState(
+        rho=np.zeros((SG.n_nodes, ag.n_nodes)), u=u, z=np.zeros(SG.n_nodes), g=np.zeros(SG.n_nodes),
+        hist=hist, t=0.0, truncation_k=np.inf,
+    )
+    return state, rate
+
+
 def test_step_elongation_pure_shift():
+    # zero velocity: every cohort keeps its stretch and ages one cell, and
+    # newborns are unstretched; the second step takes the zero-velocity shortcut
     vals = np.random.default_rng(2).uniform(0.0, 1.0, (SG.n_nodes, AG.n_nodes))
     vals[0] = vals[-1] = 0.0
-    new = step_elongation(vals, np.zeros(SG.n_nodes), AG)
-    np.testing.assert_allclose(new[:, 1:], vals[:, :-1], atol=1e-15)
-    assert np.all(new[:, 0] == 0.0)
+    st, rate = bond_free(AG, vals.copy())
+    for _ in range(2):
+        st = coupled_step(st, None, rate, EPS, SG, AG)
+        assert np.all(st.g == 0.0)
+    assert np.array_equal(st.u[:, 2:], vals[:, :-2])
+    assert np.all(st.u[:, :2] == 0.0)
 
 
 def test_step_elongation_constant_velocity():
     G = 0.7
-    u = np.zeros((SG.n_nodes, AG.n_nodes))
+    st, rate = bond_free(AG, np.zeros((SG.n_nodes, AG.n_nodes)))
     g = np.full(SG.n_nodes, G)
-    new = step_elongation(u, g, AG)
-    np.testing.assert_allclose(new[1:-1, 1:], AG.da * G, atol=1e-15)
+    g[0] = g[-1] = 0.0  # a velocity field vanishes at the Dirichlet nodes
+    st.g = g
+    st = coupled_step(st, None, rate, EPS, SG, AG)
+    np.testing.assert_allclose(st.u[1:-1, 1:], AG.da * G, atol=1e-15)
     # iterating fills in the linear-in-age profile u = G a
     for _ in range(AG.na):
-        new = step_elongation(new, g, AG)
+        st.g = g
+        st = coupled_step(st, None, rate, EPS, SG, AG)
     np.testing.assert_allclose(
-        new[1:-1, :], G * AG.a[None, :] * np.ones((SG.nx, 1)), atol=1e-12
+        st.u[1:-1, :], G * AG.a[None, :] * np.ones((SG.nx, 1)), atol=1e-12
     )
+    assert np.all(st.u[[0, -1], :] == 0.0)
+
+
+def test_cancelling_load_lanes_are_not_a_zero_load():
+    # the lanes zeta rho u of two cohorts stretched by +1 and -1 cancel in the
+    # age sum, so g = 0, but the older one reaches the half-weight end cell
+    # next: the load no longer sums to zero, and the step must form it
+    u = np.zeros((SG.n_nodes, AG.n_nodes))
+    u[1:-1, AG.na - 2], u[1:-1, 5] = 1.0, -1.0
+    st, rate = bond_free(AG, u)
+    st.rho_ring[1:-1, AG.na - 2] = st.rho_ring[1:-1, 5] = 0.25
+    st = coupled_step(st, None, rate, EPS, SG, AG)
+    assert np.all(st.g == 0.0) and not st.quiet
+    st = coupled_step(st, None, rate, EPS, SG, AG)
+    assert np.all(st.g[1:-1] < 0.0)
 
 
 def test_solve_velocity_zero_stretch():
     rho = init_density(HALF_EXP, SG, AG)
     u = np.zeros((SG.n_nodes, AG.n_nodes))
-    g = solve_velocity(rho, rho @ AG.w, u, RATE.zeta_of_u(u), None, EPS, SG, AG)
+    g = solve_velocity(rho, rho @ AG.w, u, RATE.zeta_of_u(u), None, EPS, SG, AG.w)
     np.testing.assert_allclose(g, 0.0, atol=1e-14)
 
 
@@ -123,7 +157,7 @@ def test_solve_velocity_poisson_reduction():
     rho = np.zeros((SG.n_nodes, AG.n_nodes))
     u = np.zeros((SG.n_nodes, AG.n_nodes))
     dSdt = np.pi**2 * np.sin(np.pi * SG.x)
-    g = solve_velocity(rho, rho @ AG.w, u, RATE.zeta_of_u(u), dSdt, EPS, SG, AG)
+    g = solve_velocity(rho, rho @ AG.w, u, RATE.zeta_of_u(u), dSdt, EPS, SG, AG.w)
     np.testing.assert_allclose(g, np.sin(np.pi * SG.x), atol=1.0 * SG.dx**2)
 
 
@@ -139,7 +173,7 @@ def test_solve_velocity_linear_stretch_profile():
     analytic = 0.5 * G * ((1.0 - 11.0 * np.exp(-10.0)) + 2.0 * G * (1.0 - 61.0 * np.exp(-10.0)))
     assert quad == pytest.approx(analytic, abs=5e-5)
     mu0 = moment(rho, ag, 0)
-    g = solve_velocity(rho, mu0, u, RATE.zeta_of_u(u), None, EPS, SG, ag)
+    g = solve_velocity(rho, mu0, u, RATE.zeta_of_u(u), None, EPS, SG, ag.w)
     g_ref = dense_solve(mu0[1:-1], EPS, np.full(SG.nx, quad), SG.nx)
     np.testing.assert_allclose(g[1:-1], g_ref[1:-1], atol=1e-10)
 
@@ -168,27 +202,81 @@ def test_coupled_step_equals_its_unfused_composition():
     sg, ag, _ = build_grids(vcfg)
     rate, src, eps = vcfg.rate_model, vcfg.source, vcfg.epsilon
     st = run_coupled(vcfg, diag_stride=0).final
-    assert np.all(st.g[1:-1] != 0.0)
-    hist = copy.deepcopy(st.hist)
+    assert np.all(st.g[1:-1] != 0.0) and st.hist.head != 0
+    old = copy.deepcopy(st)
     new = coupled_step(st, src, rate, eps, sg, ag)
+    assert new is st
 
-    t = st.t + eps * ag.da
-    g_old = np.clip(st.g, -st.truncation_k, st.truncation_k)
-    u = step_elongation(st.u, g_old, ag)
+    # the same step in the cohort frame, one operation and temporary at a
+    # time, with the weights rolled by the new head h
+    t = old.t + eps * ag.da
+    h = (old.hist.head - 1) % old.hist.depth
+    g_old = np.clip(old.g, -old.truncation_k, old.truncation_k)
+    u = old.u_ring + ag.da * g_old[:, None]
+    u[:, h] = 0.0
     zeta_u = rate.zeta_of_u(u)
-    assert np.mean(-ag.da * zeta_u[:, 1:] <= -746.0) >= 0.5
-    rho = step_density(st.rho, np.exp(-ag.da * zeta_u[:, 1:]), rate.beta_values(sg.x, st.t, z=st.z), ag)
-    g = solve_velocity(rho, rho @ ag.w, u, zeta_u, src.ddt(sg.x, t), eps, sg, ag)
-    z = step_position(rho, rho @ ag.w, hist, eps, sg, ag, source=src(sg.x, t))
-    # the shift and the velocity load written with their temporaries
-    shifted = st.u[:, :-1] + ag.da * g_old[:, None]
-    rhs = ((zeta_u * rho * u) @ ag.w)[1:-1] + eps * src.ddt(sg.x, t)[1:-1]
-    g_unfused = elliptic.solve(elliptic.assemble((rho @ ag.w)[1:-1], eps, sg), rhs)
+    assert np.mean(-ag.da * zeta_u <= -746.0) >= 0.5
+    rho = old.rho_ring * np.exp(-ag.da * zeta_u)
+    w = np.roll(ag.w, h)
+    lag = np.where(np.arange(w.size) == h, 0.0, w)
+    m = rho @ lag
+    beta = rate.beta_values(sg.x, old.t, z=old.z)
+    rho[:, h] = beta * (1.0 - m) / (1.0 + beta * ag.w[0])
+    mu0 = ag.w[0] * rho[:, h] + m
+    rhs = ((zeta_u * rho * u) @ w)[1:-1] + eps * src.ddt(sg.x, t)[1:-1]
+    g = elliptic.solve(elliptic.assemble(mu0[1:-1], eps, sg), rhs)
+    hist = copy.deepcopy(old.hist)
+    z = advance_position(np.einsum("j,xj,jx->x", lag, rho, hist.buf), m, hist, eps, sg, src(sg.x, t))
     bits = lambda a: np.ascontiguousarray(a).view(np.int64)
-    for got, want in ((u[1:-1, 1:], shifted[1:-1]), (g, g_unfused), (new.u, u), (new.rho, rho),
-                      (new.mu0, rho @ ag.w), (new.g, g), (new.z, z)):
+    for got, want in ((new.u_ring, u), (new.zeta, zeta_u), (new.rho_ring, rho), (new.mu0, mu0),
+                      (new.g, g), (new.z, z), (new.hist.buf, hist.buf)):
         assert np.array_equal(bits(got), bits(want))
-    assert new.t == t
+    assert new.t == t and new.hist.head == h
+
+    # the step in the age frame: shift, survival at the arrival cell,
+    # renewal, solves; its age sums run in another order
+    u_a = np.zeros_like(u)
+    u_a[:, 1:] = old.u[:, :-1] + ag.da * g_old[:, None]
+    zeta_a = rate.zeta_of_u(u_a)
+    rho_a = step_density(old.rho, np.exp(-ag.da * zeta_a[:, 1:]), beta, ag)
+    mu0_a = rho_a @ ag.w
+    g_a = solve_velocity(rho_a, mu0_a, u_a, zeta_a, src.ddt(sg.x, t), eps, sg, ag.w)
+    z_a = step_position(rho_a, mu0_a, copy.deepcopy(old.hist), eps, sg, ag, source=src(sg.x, t))
+    assert np.array_equal(new.u, u_a)
+    for got, want in ((new.rho, rho_a), (new.mu0, mu0_a), (new.g, g_a), (new.z, z_a)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("load, velocity_solves", [("constant(10000.0)", 0), ("linear_in_t(10000.0, 1000000.0)", 5)])
+def test_torn_off_step_shortcuts_change_no_bit(monkeypatch, load, velocity_solves):
+    # after the tear-off g is exactly 0 under a constant load: the steps take
+    # both shortcuts, or under a growing load the zero-velocity one first;
+    # with the state's flag cleared they form the load and solve, with the
+    # survival ring cleared too they take the full step
+    vcfg = validate_quiet(detachment_config(nx=24, final_time=3e-4))
+    sg, ag, _ = build_grids(vcfg)
+    rate, eps = vcfg.rate_model, vcfg.epsilon
+    src = SourceModel(*presets.source_fns(load))
+    st = run_coupled(vcfg, diag_stride=0).final
+    assert st.quiet and not np.any(st.g) and st.hist.head != 0
+    no_load, full = copy.deepcopy(st), copy.deepcopy(st)
+    solves = []
+    solve = elliptic.solve
+    monkeypatch.setattr(elliptic, "solve", lambda *a: solves.append(1) or solve(*a))
+    for _ in range(5):
+        st = coupled_step(st, src, rate, eps, sg, ag)
+    assert len(solves) == 5 + velocity_solves
+    for _ in range(5):
+        no_load.quiet = False
+        no_load = coupled_step(no_load, src, rate, eps, sg, ag)
+        full.quiet, full.surv = False, None
+        full = coupled_step(full, src, rate, eps, sg, ag)
+    bits = lambda a: np.ascontiguousarray(a).view(np.int64)
+    for other in (no_load, full):
+        for f in ("rho_ring", "u_ring", "zeta", "mu0", "g", "z"):
+            assert np.array_equal(bits(getattr(st, f)), bits(getattr(other, f))), f
+        assert np.array_equal(bits(st.hist.buf), bits(other.hist.buf))
+        assert st.t == other.t and st.hist.head == other.hist.head
 
 
 def test_positivity_preserved():
@@ -252,11 +340,11 @@ def test_mu_ode_residual_shrinks_under_refinement():
         vcfg = validate_quiet(coupled_cfg(da=da, final_time=0.1))
         sg, ag, ts = build_grids(vcfg)
         n_pair = int(0.05 / ts.dt)
-        pair = {}  # coupled_step returns a fresh state, so keeping references suffices
+        pair = {}  # the step updates the state in place, so keep copies
 
         def keep(n, st):
             if n in (n_pair - 1, n_pair):
-                pair[n] = st
+                pair[n] = copy.deepcopy(st)
 
         run_coupled(vcfg, diag_stride=0, observers=[keep])
         prev, nxt = pair[n_pair - 1], pair[n_pair]
@@ -291,10 +379,10 @@ def test_riccati_bound_reads_zeta_at_zero_off_the_rate():
     vcfg = validate_quiet(coupled_cfg(final_time=0.02, rate_model=rate, source=SourceModel(*presets.source_fns("linear_in_t(1.0, 5.0)"))))
     sg, ag, _ = build_grids(vcfg)
     first = []
-    res = run_coupled(vcfg, diag_stride=0, observers=[lambda n, st: first.append(st) if n == 0 else None])
-    rho, u = first[0].rho, first[0].u
-    q0 = stability_functional(rho, u, sg, ag)
-    p0 = riccati_p(rho, u, rate.zeta_of_u(u), sg, ag)
+    res = run_coupled(vcfg, diag_stride=0, observers=[lambda n, st: first.append((st.rho, st.u)) if n == 0 else None])
+    rho, u = first[0]
+    q0 = stability_functional(rho, u, sg, ag.w)
+    p0 = riccati_p(rho, u, rate.zeta_of_u(u), sg, ag.w)
 
     def gamma2(zeta_at_zero):  # ||dS/dt|| = 5
         return riccati_gamma2(p0, 1.0 / q0, OMEGA * 5.0 * (2.0 * 3.0 * q0 + zeta_at_zero), vcfg.epsilon)
@@ -305,14 +393,14 @@ def test_riccati_bound_reads_zeta_at_zero_off_the_rate():
 
 @pytest.mark.parametrize("diag_stride", [0, 5])
 def test_zeta_of_u_once_per_step(monkeypatch, diag_stride):
-    # two calls at start-up (velocity, Riccati bound), one per step, one per record
+    # two calls at start-up (velocity, Riccati bound) and one per step;
+    # records read zeta off the state
     vcfg = validate_quiet(coupled_cfg(final_time=0.02))
     n_steps = build_grids(vcfg)[2].n_steps
     zeta, calls = vcfg.rate_model.zeta, []
     monkeypatch.setattr(vcfg.rate_model, "zeta", lambda u: calls.append(1) or zeta(u))
     run_coupled(vcfg, diag_stride=diag_stride)
-    n_records = n_steps // diag_stride + 1 if diag_stride else 0
-    assert len(calls) == n_steps + 2 + n_records
+    assert len(calls) == n_steps + 2
 
 
 def test_riccati_monitor_stays_below_bound():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from linkages.config import PastData, RateModel, SourceModel, validate_config
+from linkages.coupled import cohort_weights
 from linkages.diagnostics import (
     DiagnosticsRecord,
     convergence_error,
@@ -76,7 +77,7 @@ def test_energy_from_elongation_consistency():
     delayed[0] = z
     u = (z[None, :] - delayed).T / eps
     e1 = energy(z, delayed, rho, eps, SG, AG)
-    e2 = energy_from_elongation(z, rho, u, eps, SG, AG)
+    e2 = energy_from_elongation(z, rho, u, eps, SG, AG.w)
     assert e1 == pytest.approx(e2, rel=1e-12)
 
 
@@ -84,41 +85,41 @@ def test_dissipation_cases():
     rho = init_density(HALF_EXP, SG, AG)
     zeta = np.ones((SG.n_nodes, AG.n_nodes))
     zero_u = np.zeros((SG.n_nodes, AG.n_nodes))
-    assert dissipation(rho, zero_u, zeta, SG, AG) == 0.0
+    assert dissipation(rho, zero_u, zeta, SG, AG.w) == 0.0
     # u = a: int 0.5 a^2 e^-a over the cut domain = 1 - 61 e^-10 per unit x
     u = np.tile(AG.a, (SG.n_nodes, 1))
-    val = dissipation(rho, u, zeta, SG, AG)
+    val = dissipation(rho, u, zeta, SG, AG.w)
     assert val == pytest.approx(1.0 - 61.0 * np.exp(-10.0), abs=5e-4)
     # quadratic homogeneity
     u2 = 2.0 * u
-    assert dissipation(rho, u2, zeta, SG, AG) == pytest.approx(4.0 * val, rel=1e-13)
+    assert dissipation(rho, u2, zeta, SG, AG.w) == pytest.approx(4.0 * val, rel=1e-13)
 
 
 def test_lyapunov_cases():
-    assert np.all(lyapunov_H(np.zeros((3, AG.n_nodes)), AG) == 0.0)
+    assert np.all(lyapunov_H(np.zeros((3, AG.n_nodes)), AG.w) == 0.0)
     f = np.exp(-AG.a)[None, :]
-    np.testing.assert_allclose(lyapunov_H(f, AG), 2.0 * (1.0 - np.exp(-10.0)), atol=1e-4)
+    np.testing.assert_allclose(lyapunov_H(f, AG.w), 2.0 * (1.0 - np.exp(-10.0)), atol=1e-4)
     # signed block profile: the signed integral cancels, the absolute one adds
     g = np.where(AG.a < 1.0, 1.0, np.where(AG.a < 2.0, -1.0, 0.0))[None, :]
-    h = lyapunov_H(g, AG)
+    h = lyapunov_H(g, AG.w)
     assert h[0] == pytest.approx(2.0, abs=4 * AG.da)
 
 
 def test_stability_functional_cases():
     rho = init_density(HALF_EXP, SG, AG)
     zero_u = np.zeros((SG.n_nodes, AG.n_nodes))
-    assert stability_functional(rho, zero_u, SG, AG) == 0.0
+    assert stability_functional(rho, zero_u, SG, AG.w) == 0.0
     u = np.tile(AG.a, (SG.n_nodes, 1))
-    val = stability_functional(rho, u, SG, AG)
+    val = stability_functional(rho, u, SG, AG.w)
     # int 0.5 a e^-a = (1 - 11 e^-10)/2 per unit x
     assert val == pytest.approx(0.5 * (1.0 - 11.0 * np.exp(-10.0)), abs=5e-4)
     rho2 = 2.0 * rho
-    assert stability_functional(rho2, u, SG, AG) == pytest.approx(2.0 * val, rel=1e-13)
+    assert stability_functional(rho2, u, SG, AG.w) == pytest.approx(2.0 * val, rel=1e-13)
 
 
 def test_rho_convergence_H_identical():
     rho = init_density(HALF_EXP, SG, AG)
-    assert np.all(lyapunov_H(rho - rho, AG) == 0.0)
+    assert np.all(lyapunov_H(rho - rho, AG.w) == 0.0)
 
 
 def test_rho_convergence_H_initial_value():
@@ -127,7 +128,7 @@ def test_rho_convergence_H_initial_value():
     rho = init_density(lambda x, a: np.exp(-np.asarray(a, dtype=float)) * np.ones_like(np.asarray(x, dtype=float)), SG, AG)
     ld = limit_density(1.0, np.ones(AG.n_nodes), AG)
     K = np.exp(-AG.a) @ AG.w
-    np.testing.assert_allclose(lyapunov_H(rho - ld.rho0[None, :], AG), 2.0 * K**2 / (1.0 + K), rtol=1e-12)
+    np.testing.assert_allclose(lyapunov_H(rho - ld.rho0[None, :], AG.w), 2.0 * K**2 / (1.0 + K), rtol=1e-12)
 
 
 def test_rho_convergence_H_decays_at_kinetic_rate():
@@ -137,9 +138,9 @@ def test_rho_convergence_H_decays_at_kinetic_rate():
     res = run_weak(vcfg, output_stride=100, diag_stride=100)
     rate = vcfg.rate_model
     ld = limit_density(rate.beta_values(sg.x, 0.0), rate.zeta_field(sg.x, ag.a, 0.0), ag)
-    h_final = lyapunov_H(res.final_rho - ld.rho0, ag)
+    h_final = lyapunov_H(res.final_rho - ld.rho0, ag.w)
     rho_I = init_density(vcfg.initial_density, sg, ag)
-    h0 = lyapunov_H(rho_I - ld.rho0, ag)
+    h0 = lyapunov_H(rho_I - ld.rho0, ag.w)
     envelope = h0 * np.exp(-1.0 * vcfg.final_time / vcfg.epsilon)
     assert np.all(h_final <= envelope * (1.0 + 0.05) + 1e-6)
 
@@ -185,7 +186,8 @@ def test_weak_record_matches_the_history_formulas(source):
 
 
 def test_coupled_record_is_its_functionals():
-    # the last record of a coupled run, rebuilt bit for bit from its final state
+    # the last record of a coupled run, rebuilt bit for bit from its final
+    # state: the cohort rings and the age weights in their layout
     vcfg = validate_config(make_config(
         epsilon=0.02, da=0.02, nx=12, final_time=0.02,
         rate_model=RateModel(zeta_kind="lipschitz", zeta_M=np.inf),
@@ -196,16 +198,19 @@ def test_coupled_record_is_its_functionals():
     sg, ag, _ = build_grids(vcfg)
     res = run_coupled(vcfg, diag_stride=1)
     st, eps = res.final, vcfg.epsilon
-    zeta_u = vcfg.rate_model.zeta_of_u(st.u)
+    rho, u, w = st.rho_ring, st.u_ring, cohort_weights(ag.w, st.hist.head)
+    assert st.hist.head != 0
+    zeta_u = vcfg.rate_model.zeta_of_u(u)
+    assert np.array_equal(zeta_u, st.zeta)
     assert res.records[-1] == DiagnosticsRecord(
         t=st.t,
-        energy=energy_from_elongation(st.z, st.rho, st.u, eps, sg, ag, source=vcfg.source(sg.x, st.t)),
-        dissipation=dissipation(st.rho, st.u, zeta_u, sg, ag),
+        energy=energy_from_elongation(st.z, rho, u, eps, sg, w, source=vcfg.source(sg.x, st.t)),
+        dissipation=dissipation(rho, u, zeta_u, sg, w),
         mu0_min=float(np.min(st.mu0[1:-1])),
         mu0_max=float(np.max(st.mu0)),
-        stability=stability_functional(st.rho, st.u, sg, ag),
-        lyapunov=float(lyapunov_H(st.rho, ag) @ sg.quad_weights()),
-        p=riccati_p(st.rho, st.u, zeta_u, sg, ag),
+        stability=stability_functional(rho, u, sg, w),
+        lyapunov=float(lyapunov_H(rho, w) @ sg.quad_weights()),
+        p=riccati_p(rho, u, zeta_u, sg, w),
         gamma2=res.gamma2,
         truncated=st.truncated,
     )

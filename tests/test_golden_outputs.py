@@ -126,12 +126,12 @@ GOLDEN = {
         "sweep.csv": "690cae4bba63c9e5ac601605db571b0c5facf86f2756a9a9f345a5e24fef6c5b",
     }),
     "coupled": (0, {
-        "density.csv": "44ec73d9cc0fa2ee4bb4a45fb7b6017f3c7a67a8816d456c2b02ded92e508e83",
-        "diagnostics.csv": "3206b5a25abd5459cdb0dc9bf3cf22f1db9820bc2053fad6a3d6f8c5d9ba8680",
+        "density.csv": "07c77e3b2d1c5eca0e4a767840fa0442e79be3fde77d3dc8372e858865c4955e",
+        "diagnostics.csv": "1738748f4c33fd5ce166e9a5cb49e93a045adaf046f1a4a64a44cf97ab015ac1",
     }),
     "detachment": (0, {
-        "detachment_mu0.dat": "ff9fc9bd3e37518273085092524ee4194328f8ae3d4090c3c024807d481f83ed",
-        "detachment_z.dat": "3974b719e230345005c9759bc1cd25cde37b066ce961d75639a4ee234923b629",
+        "detachment_mu0.dat": "1b2f89695ec5614f158779de1e4fb644e723f2cd86b0496167b245df2214b8af",
+        "detachment_z.dat": "8be85924faf7fc82f000006d572179765bfdbcde5d833b443aced54929bc1098",
     }),
     "limit": (0, {
         "trajectory.csv": "13fc295c3738c74ba69ba0f6427e5dd1f354eeeeb01ea54f54fd8c56efc9908f",

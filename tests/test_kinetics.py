@@ -8,6 +8,7 @@ import pytest
 from linkages.errors import HistoryMissing, MassAtLeastOne, NegativeDensity, NonfiniteValue
 from linkages.grids import AgeGrid, SpaceGrid
 from linkages.kinetics import (
+    decay,
     density_characteristics_oracle,
     init_density,
     limit_density,
@@ -123,13 +124,24 @@ def underflow_band_field(agrid):
 
 @pytest.mark.parametrize("zeta_at", ["departure", "arrival"])
 def test_survival_is_exp_bit_for_bit_through_the_underflow_band(zeta_at):
+    # departure: survival, read at cell j-1 as the weak shift does; arrival:
+    # decay of every lane of a cohort ring in place, as the coupled step
+    # does, and of one ring column
     ag = AgeGrid(da=0.01, a_max=1.0)
     zeta = underflow_band_field(ag)
-    hop = zeta[:, :-1] if zeta_at == "departure" else zeta[:, 1:]
+    hop = zeta[:, :-1] if zeta_at == "departure" else zeta
     ref = np.exp(-ag.da * hop)
     assert np.any(-ag.da * hop == -746.0)
     assert np.any(ref == 0.0) and np.any((ref > 0.0) & (ref < np.finfo(float).tiny)) and np.any(ref > 1e-300)
-    surv = survival(zeta, ag, zeta_at)
+    if zeta_at == "departure":
+        surv = survival(zeta, ag)
+    else:
+        ring = np.full_like(zeta, np.nan)
+        surv = decay(zeta, ag.da, out=ring)
+        assert surv is ring
+        column = np.full_like(zeta, np.nan)
+        decay(zeta[:, 7], ag.da, out=column[:, 7])
+        assert np.array_equal(column[:, 7].view(np.int64), ref[:, 7].view(np.int64))
     assert np.array_equal(surv.view(np.int64), ref.view(np.int64))
 
 
@@ -138,9 +150,10 @@ def test_survival_rejects_a_nonfinite_field(bad):
     ag = AgeGrid(da=0.01, a_max=1.0)
     zeta = underflow_band_field(ag)
     zeta[3, 5] = bad
-    for zeta_at in ("departure", "arrival"):
-        with pytest.raises(NonfiniteValue):
-            survival(zeta, ag, zeta_at)
+    with pytest.raises(NonfiniteValue):
+        survival(zeta, ag)
+    with pytest.raises(NonfiniteValue):
+        decay(zeta, ag.da)
 
 
 def test_oracle_spot_values():

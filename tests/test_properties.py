@@ -7,9 +7,17 @@ The constant and ramp off-rates are presets, which run_weak steps on
 birth values; the time-dependent one takes the density shift, and so does
 a preset wrapped in a plain callable, against which the birth-ring path is
 checked.
+
+Coupled runs check the global-existence picture at every level: rho >= 0,
+mu0 < 1, finite z and g, the velocity clamp never engaged, p below the
+Riccati bound, u >= 0 for nonnegative data and, without a load, an energy
+that does not grow.  The draws include tear-offs (a large load against a
+threshold on-rate), where the coupled step takes its zero-velocity and
+zero-load shortcuts, and steady runs, where it does not.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +26,7 @@ from hypothesis import example, given, settings, strategies as st
 from linkages import presets
 from linkages.config import PastData, RateModel, SimulationConfig, SourceModel, validate_config
 from linkages.errors import ConfigError
-from linkages.simulate import run_weak
+from linkages.simulate import ENERGY_DECAY_TOL, run_coupled, run_weak
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -105,3 +113,84 @@ def test_validation_accepts_or_raises_config_error(cfg, final_time, nx):
         validate_config(replace(cfg, **overrides))
     except ConfigError:
         pass
+
+
+def coupled_config(nx, na, da, epsilon, steps, c0, c1, threshold, load, size, past):
+    """A coupled configuration: zeta(u) = c0 + c1 |u|, a given or threshold
+    on-rate, and no load, a constant one or one growing in time."""
+    rate = RateModel(
+        zeta_kind="lipschitz", zeta=presets.lipschitz_zeta_fn(f"affine_abs({c0}, {c1})"),
+        zeta_m=c0, zeta_lip=c1, zeta_M=math.inf,
+        **(dict(beta_kind="threshold", zbar=1000.0, beta_m=0.0) if threshold else {}),
+    )
+    spec = {"constant": f"constant({size})", "linear_in_t": f"linear_in_t({size}, {size})",
+            "sin_pi_growing": f"sin_pi_growing({size})"}.get(load)
+    return SimulationConfig(
+        epsilon=epsilon,
+        final_time=steps * epsilon * da,
+        nx=nx,
+        da=da,
+        a_max=na * da,
+        rate_model=rate,
+        past_data=PastData(fn=presets.past_data_fn(past)),
+        initial_density=presets.initial_density_fn("exp_decay"),
+        source=SourceModel(*presets.source_fns(spec)) if spec else None,
+    )
+
+
+@st.composite
+def coupled_configs(draw):
+    return coupled_config(
+        nx=draw(st.integers(2, 16)),
+        na=draw(st.integers(1, 60)),
+        da=draw(st.sampled_from([0.01, 0.02, 0.1])),
+        epsilon=draw(st.sampled_from([1e-3, 0.02, 0.05])),
+        steps=draw(st.integers(1, 30)),
+        c0=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        c1=draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+        threshold=draw(st.booleans()),
+        load=draw(st.sampled_from([None, "constant", "linear_in_t", "sin_pi_growing"])),
+        size=draw(st.sampled_from([1.0, 1e4])),
+        past=draw(st.sampled_from(["zero", "sin_pi"])),
+    )
+
+
+TEAR_OFF = coupled_config(24, 60, 0.01, 1e-3, 30, 1.0, 1.0, True, "constant", 1e4, "sin_pi")
+STEADY = coupled_config(8, 50, 0.02, 0.02, 30, 1.0, 1.0, False, "linear_in_t", 1.0, "zero")
+
+
+def run_checked(cfg):
+    """run_coupled with diagnostics at every level and the level checks above."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        vcfg = validate_config(cfg)
+    u_min0 = []
+
+    def check(n, s):
+        assert np.min(s.rho_ring) >= 0.0, f"rho < 0 at level {n}"
+        assert np.max(s.mu0) < 1.0, f"mu0 >= 1 at level {n}"
+        assert np.all(np.isfinite(s.z)) and np.all(np.isfinite(s.g)), f"non-finite z or g at level {n}"
+        u_min0.append(float(np.min(s.u_ring)))
+
+    return vcfg, run_coupled(vcfg, diag_stride=1, observers=[check]), u_min0
+
+
+@settings(PROPERTY, max_examples=100)
+@given(coupled_configs())
+@example(TEAR_OFF)
+@example(STEADY)
+def test_coupled_run_keeps_structural_invariants(cfg):
+    vcfg, res, u_min = run_checked(cfg)
+    assert res.ok, res.violations
+    assert not res.ever_truncated
+    assert not [f for f in res.soft_flags if f.startswith("riccati")], res.soft_flags
+    if u_min[0] >= 0.0:  # every load drawn has dS/dt >= 0
+        assert min(u_min) >= 0.0
+    if vcfg.source is None:
+        E = [rec.energy for rec in res.records]
+        assert all(b <= a + ENERGY_DECAY_TOL * abs(E[0]) for a, b in zip(E[:-1], E[1:]))
+
+
+def test_tear_off_draw_takes_the_shortcuts_and_the_steady_one_does_not():
+    assert run_checked(TEAR_OFF)[1].final.quiet
+    assert not run_checked(STEADY)[1].final.quiet
