@@ -28,12 +28,9 @@ from .coupled import (
 from .diagnostics import (
     DiagnosticsRecord,
     convergence_error,
-    dissipation,
     energy,
-    energy_from_elongation,
     lyapunov_H,
-    riccati_p,
-    stability_functional,
+    stretch_integrals,
 )
 from .elliptic import TridiagonalOperator, assemble, laplacian, solve
 from .grids import AgeGrid, SpaceGrid, TimeStepping, build_grids

@@ -175,6 +175,8 @@ def cmd_detachment(args, vcfg):
         print(f"  live flanks:     mu0 within {np.max(np.abs(mu[res.flank_mask] - 0.5)):.3g} of 1/2")
     for v in res.violations:
         print(f"invariant violation: {v}", file=sys.stderr)
+    for s in res.soft_flags:
+        print(f"flag: {s}", file=sys.stderr)
     return 2 if res.violations else 0
 
 

@@ -50,7 +50,7 @@ import math
 import numpy as np
 
 from . import elliptic
-from .diagnostics import riccati_p, stability_functional
+from .diagnostics import stretch_integrals
 from .errors import NonpositiveGamma1
 from .kinetics import decay
 from .position import advance_position, delay_quadrature
@@ -220,16 +220,15 @@ def riccati_gamma2(p0, gamma1, h, eps, omega=OMEGA):
     return max(p0, root)
 
 
-def riccati_bound(rho, u, rate, source, final_time, eps, sgrid, agrid):
+def riccati_bound(rho, u, zeta_u, rate, source, final_time, eps, sgrid, w, work):
     """Riccati data measured from the initial state: (gamma2, dS_norm).
 
+    q0 and p0 come from the records' pass on zeta_u (zeta on u) and work.
     dS_norm is the largest L2 norm of dS/dt over five sample times in
     [0, final_time]; gamma2 bounds p(t) for the whole run.  zeta(0) is read
     off the off-rate at a Dirichlet node, where u = 0.
     """
-    q0 = stability_functional(rho, u, sgrid, agrid.w)
-    zeta_u = rate.zeta_of_u(u)
-    p0 = riccati_p(rho, u, zeta_u, sgrid, agrid.w)
+    q0, p0 = stretch_integrals(rho, u, zeta_u, sgrid, w, work)[:2]
     if source is not None:
         t_samples = np.linspace(0.0, final_time, 5)
         wx = sgrid.quad_weights()
@@ -243,4 +242,3 @@ def riccati_bound(rho, u, rate, source, final_time, eps, sgrid, agrid):
         h = OMEGA * dS_norm * (2.0 * rate.zeta_lip * q0 + zeta_u[0, 0])
         return riccati_gamma2(p0, gamma1, h, eps), dS_norm
     return max(p0, OMEGA * dS_norm), dS_norm
-

@@ -1,13 +1,18 @@
 """Measurable quantities with proven behaviour: energy, dissipation,
 population functionals, the Riccati monitor and convergence errors, and
-record, which builds every diagnostics row from them.
+record, which builds every diagnostics row.
 
-All functions are pure observers of solver state.  Those that take the
-age weights w read them in the layout of the fields' age axis: agrid.w for
-age-ordered fields, the weights rolled by the ring's head for the coupled
-step's cohort rings.  Space integrals use the trapezoid rule (Dirichlet nodes carry half weight but vanishing integrands);
-the energy's gradient term uses forward differences so that the discrete
-integration by parts against the 3-point Laplacian is exact.
+These functions observe solver state and never change it.  Those that take
+the age weights w read them in the layout of the fields' age axis: agrid.w
+for age-ordered fields, the weights rolled by the ring's head for the
+coupled step's cohort rings.  Space integrals use the trapezoid rule
+(Dirichlet nodes carry half weight but vanishing integrands); the energy's
+gradient term uses forward differences so that the discrete integration by
+parts against the 3-point Laplacian is exact.
+
+A record makes one pass over the age fields: each product is formed once,
+in one of two work buffers that its run allocates once and owns, and reused
+by every integral that needs it.  No record allocates a field.
 """
 
 from dataclasses import dataclass
@@ -55,61 +60,54 @@ def energy(z, delayed_z, rho, eps, sgrid, agrid, source=None):
     return e
 
 
-def energy_from_elongation(z, rho, u, eps, sgrid, w, source=None):
-    """Energy evaluated from the stretch field: the delay term is eps*u^2."""
-    dx = sgrid.dx
-    grad = np.diff(z) / dx
-    e = 0.5 * dx * float(grad @ grad)
+def stretch_integrals(rho, u, zeta_u, sgrid, w, work):
+    """int int da dx of rho |u| (stability), zeta rho |u| (p), rho u^2 (the
+    energy's delay term over eps) and zeta rho u^2 (dissipation), in this order.
+
+    zeta_u is the off-rate on u.  Each product is formed once, in place in
+    one of the two work buffers, and extended by zeta for the next integral.
+    """
+    a, b = work
     wx = sgrid.quad_weights()
-    e += 0.5 * eps * float(((rho * u**2) @ w) @ wx)
-    if source is not None:
-        e -= float((np.asarray(source) * z) @ wx)
-    return e
+    np.abs(u, out=b)
+    b *= rho
+    stability = float((b @ w) @ wx)
+    b *= zeta_u
+    p = float((b @ w) @ wx)
+    np.multiply(u, u, out=a)
+    a *= rho
+    elastic = float((a @ w) @ wx)
+    a *= zeta_u
+    return stability, p, elastic, float((a @ w) @ wx)
 
 
-def dissipation(rho, u, zeta_values, sgrid, w):
-    """int int zeta rho u^2 da dx (the energy's decay rate)."""
-    per_x = (zeta_values * rho * u**2) @ w
-    return float(per_x @ sgrid.quad_weights())
+def lyapunov_H(f, w, out=None):
+    """H[f](x) = |int f da| + int |f| da per space node; f has age last.
 
-
-def lyapunov_H(f, w):
-    """H[f](x) = |int f da| + int |f| da per space node; f has age last."""
+    |f| is formed in out if given; out may be f, whose signed sum is taken first.
+    """
     f = np.asarray(f, dtype=float)
-    return np.abs(f @ w) + np.abs(f) @ w
+    return np.abs(f @ w) + np.abs(f, out=out) @ w
 
 
-def stability_functional(rho, u, sgrid, w):
-    """int int rho |u| da dx, nonincreasing for the source-free dynamics."""
-    per_x = (rho * np.abs(u)) @ w
-    return float(per_x @ sgrid.quad_weights())
-
-
-def riccati_p(rho, u, zeta_u, sgrid, w):
-    """Monitored quantity p = int int zeta(u) |u| rho dx da (trapezoid); zeta_u is zeta on u."""
-    per_x = (zeta_u * np.abs(u) * rho) @ w
-    return float(per_x @ sgrid.quad_weights())
-
-
-def record(t, z, rho, u, zeta_u, source, eps, sgrid, w, *, mu0_min, mu0_max, lyapunov, gamma2, truncated):
-    """The diagnostics row of one level.
+def record(t, z, rho, u, zeta_u, source, eps, sgrid, w, work, *, rho0=None, mu0_min, mu0_max, gamma2, truncated):
+    """The diagnostics row of one level, formed on the two work buffers.
 
     rho, u (the stretch) and zeta_u (the off-rate on u) share one layout
-    of the age axis, the one of w; source is the load at t or None.  Energy, dissipation, stability and p
-    are computed here; the caller gives the columns its model defines.
+    of the age axis, the one of w; source is the load at t or None.  The
+    Lyapunov column sums lyapunov_H of rho - rho0 (of rho if rho0 is None);
+    the caller gives the columns its model defines.
     """
-    return DiagnosticsRecord(
-        t=t,
-        energy=energy_from_elongation(z, rho, u, eps, sgrid, w, source=source),
-        dissipation=dissipation(rho, u, zeta_u, sgrid, w),
-        mu0_min=mu0_min,
-        mu0_max=mu0_max,
-        stability=stability_functional(rho, u, sgrid, w),
-        lyapunov=lyapunov,
-        p=riccati_p(rho, u, zeta_u, sgrid, w),
-        gamma2=gamma2,
-        truncated=truncated,
-    )
+    stability, p, elastic, dissipation = stretch_integrals(rho, u, zeta_u, sgrid, w, work)
+    wx = sgrid.quad_weights()
+    grad = np.diff(z) / sgrid.dx
+    e = 0.5 * sgrid.dx * float(grad @ grad)
+    e += 0.5 * eps * elastic
+    if source is not None:
+        e -= float((np.asarray(source) * z) @ wx)
+    f = rho if rho0 is None else np.subtract(rho, rho0, out=work[0])
+    lyapunov = float(lyapunov_H(f, w, out=work[0]) @ wx)
+    return DiagnosticsRecord(t, e, dissipation, mu0_min, mu0_max, stability, lyapunov, p, gamma2, truncated)
 
 
 def convergence_error(traj_eps, traj_0, dt_out, sgrid):
@@ -129,6 +127,13 @@ def convergence_error(traj_eps, traj_0, dt_out, sgrid):
     return float(np.sqrt(wt @ (diff2 @ wx)))
 
 
-def elongation_from_history(z, delayed_z, eps):
-    """Stretch field (z(t) - z(t - eps a_j))/eps read off the ring buffer."""
-    return (z[None, :] - delayed_z).T / eps
+def elongation_from_history(z, hist, eps, out):
+    """Stretch field (z(t) - z(t - eps a_j))/eps in age order, written into
+    out (nodes, ages) straight from the history's ring buffer."""
+    k = hist.depth - hist.head  # slots j < k are the rows head + j
+    # plain copies transpose without the ufunc's buffers
+    out[:, :k] = hist.buf[hist.head :].T
+    out[:, k:] = hist.buf[: hist.head].T
+    np.subtract(z[:, None], out, out=out)
+    out /= eps
+    return out

@@ -178,6 +178,9 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     traj, records = [], []
     ld = None  # the limit density, formed once when neither rate depends on t
     fixed_limit = fixed and is_time_invariant(rate.beta)
+    # the records' stretch and work buffers, reused by each record
+    shape = (sgrid.n_nodes, agrid.n_nodes)
+    u, work = (np.empty(shape), (np.empty(shape), np.empty(shape))) if diag_stride else (None, None)
 
     def output(n, st):
         if n % output_stride == 0:
@@ -187,14 +190,14 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
         nonlocal ld
         if not diag_stride or n % diag_stride:
             return
-        u = dg.elongation_from_history(st.z, st.hist.matrix(), eps)
+        dg.elongation_from_history(st.z, st.hist, eps, out=u)
         if ld is None or not fixed_limit:
             ld = limit_density(rate.beta_values(sgrid.x, st.t), st.zeta, agrid)
         rec = dg.record(
-            st.t, st.z, st.rho, u, st.zeta, _source_at(src, sgrid.x, st.t), eps, sgrid, agrid.w,
+            st.t, st.z, st.rho, u, st.zeta, _source_at(src, sgrid.x, st.t), eps, sgrid, agrid.w, work,
+            rho0=ld.rho0,
             mu0_min=float(np.min(st.mu0)),
             mu0_max=float(np.max(st.mu0)),
-            lyapunov=float(dg.lyapunov_H(st.rho - ld.rho0, agrid.w) @ sgrid.quad_weights()),
             gamma2=0.0,
             truncated=False,
         )
@@ -328,8 +331,9 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
     mu0 = rho @ agrid.w
     zeta = rate.zeta_of_u(u)
     g = cp.solve_velocity(rho, mu0, u, zeta, dSdt0, eps, sgrid, agrid.w)
+    work = (np.empty_like(rho), np.empty_like(rho))  # the records' buffers, reused by each
 
-    gamma2, dS_norm = cp.riccati_bound(rho, u, rate, src, vcfg.final_time, eps, sgrid, agrid)
+    gamma2, dS_norm = cp.riccati_bound(rho, u, zeta, rate, src, vcfg.final_time, eps, sgrid, agrid.w, work)
     k = gamma2 / eps + dS_norm + 1.0
     # age order at the history's head 0 is the cohort ring
     state = cp.CoupledState(rho=rho, u=u, z=z, g=g, hist=hist, t=0.0, truncation_k=k, mu0=mu0, zeta=zeta)
@@ -354,10 +358,9 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
             return
         w = cp.cohort_weights(agrid.w, st.hist.head)
         rec = dg.record(
-            st.t, st.z, st.rho_ring, st.u_ring, st.zeta, _source_at(src, sgrid.x, st.t), eps, sgrid, w,
+            st.t, st.z, st.rho_ring, st.u_ring, st.zeta, _source_at(src, sgrid.x, st.t), eps, sgrid, w, work,
             mu0_min=float(np.min(st.mu0[1:-1])),
             mu0_max=float(np.max(st.mu0)),
-            lyapunov=float(dg.lyapunov_H(st.rho_ring, w) @ sgrid.quad_weights()),
             gamma2=gamma2,
             truncated=st.truncated,
         )

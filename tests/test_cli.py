@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from linkages import simulate
 from linkages.cli import main
 
 # The mode keys are leftovers that load_config ignores: the subcommand alone
@@ -160,6 +161,29 @@ def test_detachment_subcommand_small(tmp_path):
     # log-floor clip keeps every population value at or above 1e-8
     floors = np.array([[float(tok) for tok in ln.split()[1:]] for ln in mu_lines[1:]])
     assert floors.min() >= 1e-8
+
+
+def test_detachment_reports_its_flags(tmp_path, capsys, monkeypatch):
+    # a soft flag (say the Riccati monitor's) goes to stderr; stdout, the
+    # files and the exit code stay those of the run without it
+    cfg = write(tmp_path, SMALL_DETACHMENT)
+    assert main(["detachment", "--config", cfg, "--out", str(tmp_path / "plain")]) == 0
+    plain = capsys.readouterr()
+    run_detachment = simulate.run_detachment
+
+    def flagged(vcfg):
+        res = run_detachment(vcfg)
+        res.soft_flags.append("riccati monitor: p=2 > gamma2=1 at t=0.0006")
+        return res
+
+    monkeypatch.setattr(simulate, "run_detachment", flagged)
+    assert main(["detachment", "--config", cfg, "--out", str(tmp_path / "flagged")]) == 0
+    got = capsys.readouterr()
+    assert got.out == plain.out
+    assert got.err.splitlines() == [*plain.err.splitlines(), "flag: riccati monitor: p=2 > gamma2=1 at t=0.0006"]
+    names = sorted(os.listdir(tmp_path / "plain"))
+    assert names == sorted(os.listdir(tmp_path / "flagged"))
+    assert filecmp.cmpfiles(tmp_path / "plain", tmp_path / "flagged", names, shallow=False)[0] == names
 
 
 def test_warnings_are_one_plain_line_each(tmp_path, capsys):

@@ -18,16 +18,15 @@ from linkages.coupled import (
     init_elongation,
     mu_ode_residual,
     riccati_gamma2,
-    riccati_p,
     solve_velocity,
 )
-from linkages.diagnostics import stability_functional
+from linkages.diagnostics import stretch_integrals
 from linkages.errors import NonpositiveGamma1
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
 from linkages.kinetics import init_density, moment, step_density
 from linkages.position import PositionHistory, advance_position, step_position
 from linkages import elliptic, presets
-from linkages.simulate import run_coupled
+from linkages.simulate import run_coupled, run_detachment
 
 EPS = 0.05
 SG = SpaceGrid(nx=15)
@@ -381,8 +380,7 @@ def test_riccati_bound_reads_zeta_at_zero_off_the_rate():
     first = []
     res = run_coupled(vcfg, diag_stride=0, observers=[lambda n, st: first.append((st.rho, st.u)) if n == 0 else None])
     rho, u = first[0]
-    q0 = stability_functional(rho, u, sg, ag.w)
-    p0 = riccati_p(rho, u, rate.zeta_of_u(u), sg, ag.w)
+    q0, p0 = stretch_integrals(rho, u, rate.zeta_of_u(u), sg, ag.w, (np.empty_like(rho), np.empty_like(rho)))[:2]
 
     def gamma2(zeta_at_zero):  # ||dS/dt|| = 5
         return riccati_gamma2(p0, 1.0 / q0, OMEGA * 5.0 * (2.0 * 3.0 * q0 + zeta_at_zero), vcfg.epsilon)
@@ -393,14 +391,14 @@ def test_riccati_bound_reads_zeta_at_zero_off_the_rate():
 
 @pytest.mark.parametrize("diag_stride", [0, 5])
 def test_zeta_of_u_once_per_step(monkeypatch, diag_stride):
-    # two calls at start-up (velocity, Riccati bound) and one per step;
-    # records read zeta off the state
+    # one call at start-up, shared by the velocity and the Riccati bound, and
+    # one per step; records read zeta off the state
     vcfg = validate_quiet(coupled_cfg(final_time=0.02))
     n_steps = build_grids(vcfg)[2].n_steps
     zeta, calls = vcfg.rate_model.zeta, []
     monkeypatch.setattr(vcfg.rate_model, "zeta", lambda u: calls.append(1) or zeta(u))
     run_coupled(vcfg, diag_stride=diag_stride)
-    assert len(calls) == n_steps + 2
+    assert len(calls) == n_steps + 1
 
 
 def test_riccati_monitor_stays_below_bound():
@@ -409,6 +407,14 @@ def test_riccati_monitor_stays_below_bound():
     assert not res.soft_flags, res.soft_flags
     assert all(rec.p <= res.gamma2 * (1 + 1e-9) for rec in res.records)
     assert not res.ever_truncated
+
+
+def test_detachment_bound_is_the_level_zero_p():
+    # gamma2 = max(p0, root) is p0 here and the tear-off only lowers p: the
+    # level-0 record's p, formed by the same pass as p0, is the bound itself
+    res = run_detachment(validate_quiet(detachment_config(nx=24, final_time=6e-4)))
+    assert res.gamma2 == res.records[0].p == max(rec.p for rec in res.records)
+    assert not res.soft_flags
 
 
 def test_stability_functional_decays_with_constant_source():

@@ -127,7 +127,7 @@ GOLDEN = {
     }),
     "coupled": (0, {
         "density.csv": "07c77e3b2d1c5eca0e4a767840fa0442e79be3fde77d3dc8372e858865c4955e",
-        "diagnostics.csv": "1738748f4c33fd5ce166e9a5cb49e93a045adaf046f1a4a64a44cf97ab015ac1",
+        "diagnostics.csv": "2bbe8d3a7fd789ecb357c1d3c7866942561b5465d9e7c321468958dc54ff8ffa",
     }),
     "detachment": (0, {
         "detachment_mu0.dat": "1b2f89695ec5614f158779de1e4fb644e723f2cd86b0496167b245df2214b8af",
@@ -138,11 +138,11 @@ GOLDEN = {
     }),
     "weak": (0, {
         "density.csv": "58657979b3e3b7077ddca139c4cd0d6e414cb1f44f714ef2dd194f6f346c16b4",
-        "diagnostics.csv": "903b2ff71f136c9c256d0ff9baf6b05b0b6f4c46e69f541babfb7947aab63d2a",
+        "diagnostics.csv": "950b9d3b9154d8fb6bd1a9705d6a91246ecee4e92ac1d28aa285ba4f9208ca69",
         "trajectory.csv": "afd5d8e29bffdecf86b10dbc618c8d2aa4bc979737210fae5b6b5f6071b02859",
     }),
     "weak-nx1": (0, {
-        "diagnostics.csv": "bd88fae0f569501ca100b45a40db9ec7c1de395dbbc4788b05b82846fe503ee7",
+        "diagnostics.csv": "ed0e8e5ba27e300804655d1de2a1fd891d92068d12f372dd58507a45fae66425",
         "trajectory.csv": "27b1ed8af06089945e979d39d120b25191510e0215cefd5e8e612d0a98dbb3e7",
     }),
     "weak-source": (0, {
