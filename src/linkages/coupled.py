@@ -142,7 +142,7 @@ def coupled_step(st, source, rate, eps, sgrid, agrid):
     dSdt = source.ddt(sgrid.x, t_new) if source is not None else None
     hist, rho, u = st.hist, st.rho_ring, st.u_ring
     old, new = hist.head, (hist.head - 1) % hist.depth  # the columns of ages 1 and 0 after the step
-    still = st.surv is not None and not np.any(g_used)
+    still = st.surv is not None and not g_used.any()
     if still:
         u[:, new] = 0.0
         st.zeta[:, new] = rate.zeta_of_u(u[:, new])
@@ -164,11 +164,11 @@ def coupled_step(st, source, rate, eps, sgrid, agrid):
         st.g = np.zeros(sgrid.n_nodes)
     else:
         st.g = solve_velocity(rho, st.mu0, u, st.zeta, dSdt, eps, sgrid, w, load=st.load)
-        st.quiet = not np.any(st.g) and not np.any(st.load) and np.max(st.surv) <= 1.0
+        st.quiet = not st.g.any() and not st.load.any() and st.surv.max() <= 1.0
     S_new = source(sgrid.x, t_new) if source is not None else None
     st.z = advance_position(delay_quadrature(lag, rho, hist.buf), m, hist, eps, sgrid, S_new)
     st.t = t_new
-    st.truncated = bool(np.max(np.abs(st.g)) > k)
+    st.truncated = bool(np.abs(st.g).max() > k)
     return st
 
 

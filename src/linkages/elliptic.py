@@ -39,12 +39,14 @@ def assemble(c, kappa, grid):
     kappa >= 0 the diffusion weight.  Degenerate when both vanish.
     """
     nx, dx = grid.nx, grid.dx
-    c = np.broadcast_to(np.asarray(c, dtype=float), (nx,))
-    if np.min(c) < 0:
-        raise DegenerateOperator(f"negative coefficient: min c = {np.min(c):g}")
+    c = np.asarray(c, dtype=float)
+    if c.shape != (nx,):
+        c = np.broadcast_to(c, (nx,))
+    if c.min() < 0:
+        raise DegenerateOperator(f"negative coefficient: min c = {c.min():g}")
     if kappa < 0:
         raise DegenerateOperator("negative diffusion weight")
-    if kappa == 0.0 and np.all(c == 0.0):
+    if kappa == 0.0 and not c.any():
         raise DegenerateOperator("c == 0 and kappa == 0")
     k = kappa / dx**2
     off = np.full(nx, -k)  # one array for both: apply reads it, dgtsv copies it
@@ -73,8 +75,10 @@ def solve(op, rhs):
             raise DegenerateOperator(f"singular tridiagonal operator (gtsv info={info})")
     z = np.zeros(op.n + 2)
     z[1:-1] = zi
-    scale = max(float(np.max(np.abs(rhs))), 1e-300)
-    if np.max(np.abs(op.apply(z) - rhs)) > 1e-10 * scale:
+    scale = max(float(np.abs(rhs).max()), 1e-300)
+    r = op.apply(z)
+    r -= rhs
+    if np.abs(r, out=r).max() > 1e-10 * scale:
         raise DegenerateOperator("tridiagonal solve residual too large")
     return z
 

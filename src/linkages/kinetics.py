@@ -269,7 +269,23 @@ class LimitDensity:
     mu10: np.ndarray
 
 
-def limit_density(beta0, zeta0_values, agrid):
+def age_profile(zeta0_values, agrid):
+    """E(a) = exp(-int_0^a zeta0) of limit_density, with K = int E da and int a E da.
+
+    These depend on the off-rate alone, so a caller whose off-rate ignores
+    t forms them once.
+    """
+    zeta0_values = np.asarray(zeta0_values, dtype=float)
+    da = agrid.da
+    panels = 0.5 * da * (zeta0_values[..., 1:] + zeta0_values[..., :-1])
+    integral = np.concatenate(
+        [np.zeros(zeta0_values.shape[:-1] + (1,)), np.cumsum(panels, axis=-1)], axis=-1
+    )
+    E = np.exp(-integral)
+    return E, E @ agrid.w, E @ (agrid.w * agrid.a)
+
+
+def limit_density(beta0, zeta0_values, agrid, profile=None, out=None):
     """Closed-form limit profile for prescribed rates at one instant.
 
     With E(a) = exp(-int_0^a zeta0) and K = int E da:
@@ -279,19 +295,12 @@ def limit_density(beta0, zeta0_values, agrid):
         mu10 = beta0 (1 - mu00) int a E(a) da.
 
     zeta0_values has age as its last axis; beta0 broadcasts against the
-    leading axes.
+    leading axes.  profile, if given, is age_profile(zeta0_values, agrid)
+    formed earlier, and rho0 is written into out if given.
     """
-    zeta0_values = np.asarray(zeta0_values, dtype=float)
+    E, K, aE = age_profile(zeta0_values, agrid) if profile is None else profile
     beta0 = np.asarray(beta0, dtype=float)
-    da = agrid.da
-    panels = 0.5 * da * (zeta0_values[..., 1:] + zeta0_values[..., :-1])
-    integral = np.concatenate(
-        [np.zeros(zeta0_values.shape[:-1] + (1,)), np.cumsum(panels, axis=-1)], axis=-1
-    )
-    E = np.exp(-integral)
-    K = E @ agrid.w
     mu00 = beta0 * K / (1.0 + beta0 * K)
     amp = beta0 * (1.0 - mu00)
-    rho0 = amp[..., None] * E
-    mu10 = amp * (E @ (agrid.w * agrid.a))
-    return LimitDensity(rho0=rho0, mu00=mu00, mu10=mu10)
+    rho0 = np.multiply(amp[..., None], E, out=out)
+    return LimitDensity(rho0=rho0, mu00=mu00, mu10=amp * aE)

@@ -101,7 +101,7 @@ def advance_position(integral, coeff, hist, eps, sgrid, source=None):
     integral (the quadrature over ages j >= 1) and coeff = mu0 - w0 rho(., 0)
     are full-grid values at the new level.
     """
-    if np.min(coeff) < -1e-12:
+    if coeff.min() < -1e-12:
         raise DegenerateOperator("mu0 - w0 rho(., 0) negative: kinetics bug")
     rhs = integral[1:-1]
     if source is not None:

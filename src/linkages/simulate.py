@@ -6,13 +6,11 @@ The weak, coupled and limit drivers share one time loop, march: a stepper
 moves the state one step and observers look at every level, n = 0
 included, to check invariants, record diagnostics and keep outputs.
 
-Runners own their state exclusively; distinct runs never share mutable
-data, so parameter sweeps may execute concurrently.
+Runners own their state exclusively; distinct runs never share mutable data.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -22,7 +20,7 @@ from . import diagnostics as dg
 from .config import with_overrides
 from .errors import ConfigError, HypothesisViolation, NonfiniteValue
 from .grids import build_grids
-from .kinetics import BirthRing, birth_ring, init_density, limit_density, moment, step_density, survival
+from .kinetics import BirthRing, age_profile, birth_ring, init_density, limit_density, moment, step_density, survival
 from .limit import step_limit
 from .position import PositionHistory, advance_position, initial_position, step_position
 from .presets import is_time_invariant
@@ -66,9 +64,9 @@ class _Guard:
         self.violations = []
 
     def __call__(self, n, st):
-        lo, hi = float(np.min(st.mu0[self.lo])), float(np.max(st.mu0))
+        lo, hi = float(st.mu0[self.lo].min()), float(st.mu0.max())
         self.mu0_min, self.mu0_max = min(self.mu0_min, lo), max(self.mu0_max, hi)
-        if not all(np.all(np.isfinite(getattr(st, f))) for f in self.fields):
+        if not all(np.isfinite(getattr(st, f)).all() for f in self.fields):
             raise NonfiniteValue(f"non-finite {'/'.join(self.fields)} at t={st.t:g}")
         if hi > 1.0 - SATURATION_TOL:
             self.violations.append(f"saturation: mu0 = {hi:.17g} at t={st.t:g}")
@@ -178,9 +176,11 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     traj, records = [], []
     ld = None  # the limit density, formed once when neither rate depends on t
     fixed_limit = fixed and is_time_invariant(rate.beta)
-    # the records' stretch and work buffers, reused by each record
+    # the records' stretch and work buffers, reused by each record, and with
+    # an off-rate that ignores t the limit's age profile and rho0 buffer
     shape = (sgrid.n_nodes, agrid.n_nodes)
     u, work = (np.empty(shape), (np.empty(shape), np.empty(shape))) if diag_stride else (None, None)
+    profile, rho0 = (age_profile(zeta, agrid), np.empty(shape)) if fixed and diag_stride else (None, None)
 
     def output(n, st):
         if n % output_stride == 0:
@@ -192,7 +192,7 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
             return
         dg.elongation_from_history(st.z, st.hist, eps, out=u)
         if ld is None or not fixed_limit:
-            ld = limit_density(rate.beta_values(sgrid.x, st.t), st.zeta, agrid)
+            ld = limit_density(rate.beta_values(sgrid.x, st.t), st.zeta, agrid, profile, rho0)
         rec = dg.record(
             st.t, st.z, st.rho, u, st.zeta, _source_at(src, sgrid.x, st.t), eps, sgrid, agrid.w, work,
             rho0=ld.rho0,
@@ -238,14 +238,19 @@ def run_limit(vcfg, dt_out, n_out):
     """
     sgrid, agrid, _ = build_grids(vcfg)
     rate, src = vcfg.rate_model, vcfg.source
-    fixed = is_time_invariant(rate.zeta) and is_time_invariant(rate.beta)
-    traj, ld = [], None
+    fixed_zeta = is_time_invariant(rate.zeta)
+    fixed = fixed_zeta and is_time_invariant(rate.beta)
+    traj, ld, zeta, profile, rho0 = [], None, None, None, None
+    if fixed_zeta:  # the off-rate's age profile and a rho0 buffer, formed once
+        zeta = rate.zeta_field(sgrid.x, agrid.a, 0.0)
+        profile, rho0 = age_profile(zeta, agrid), np.empty((sgrid.n_nodes, agrid.n_nodes))
 
     def step(n, z):
         nonlocal ld
         t = n * dt_out
         if ld is None or not fixed:
-            ld = limit_density(rate.beta_values(sgrid.x, t), rate.zeta_field(sgrid.x, agrid.a, t), agrid)
+            zeta_t = zeta if fixed_zeta else rate.zeta_field(sgrid.x, agrid.a, t)
+            ld = limit_density(rate.beta_values(sgrid.x, t), zeta_t, agrid, profile, rho0)
         return step_limit(z, ld.mu10, dt_out, sgrid, source=_source_at(src, sgrid.x, t))
 
     march(vcfg.past_data(sgrid.x, 0.0), step, n_out, [lambda n, z: traj.append(z.copy())])
@@ -270,7 +275,7 @@ def run_convergence_sweep(vcfg, epsilons, dt_out):
 
     Every epsilon runs on its own dt = eps*da; snapshots are taken on a
     common output grid (dt_out must be an integer multiple of each step
-    size).  Per-scale runs execute concurrently.
+    size).  The scales run in turn, largest first.
     Raises ConfigError for a scale that fails validation or an output grid
     that does not divide.
     """
@@ -285,12 +290,10 @@ def run_convergence_sweep(vcfg, epsilons, dt_out):
         strides.append(int(round(ratio)))
     n_out = int(round(vcfg.final_time / dt_out))
 
-    with ThreadPoolExecutor(max_workers=min(4, len(epsilons))) as pool:
-        runs = list(pool.map(lambda v, s: run_weak(v, output_stride=s, diag_stride=0), vcfgs, strides))
-
+    trajs = [run_weak(v, output_stride=s, diag_stride=0).trajectory for v, s in zip(vcfgs, strides)]
     ref = run_limit(vcfg, dt_out, n_out)
     sgrid, _, _ = build_grids(vcfg)
-    errors = [dg.convergence_error(r.trajectory, ref.trajectory, dt_out, sgrid) for r in runs]
+    errors = [dg.convergence_error(tr, ref.trajectory, dt_out, sgrid) for tr in trajs]
     rows = []
     for i, (eps, err) in enumerate(zip(epsilons, errors)):
         order = None
@@ -349,7 +352,7 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
 
     def track(n, st):
         nonlocal u_min, ever_truncated
-        u_min = min(u_min, float(np.min(st.u_ring)))
+        u_min = min(u_min, float(st.u_ring.min()))
         ever_truncated = ever_truncated or st.truncated
         snapshots.update({t_req: (st.z.copy(), st.mu0.copy()) for t_req, m in level_of.items() if m == n})
 
@@ -428,10 +431,11 @@ def write_trajectory_csv(path, times, trajectory, x):
 
 def write_diagnostics_csv(path, records):
     """Fixed-order diagnostics columns, 17 significant digits."""
+    names = [f.name for f in fields(dg.DiagnosticsRecord)]
     with open(path, "w", newline="\n") as f:
-        f.write(",".join(f.name for f in fields(dg.DiagnosticsRecord)) + "\n")
+        f.write(",".join(names) + "\n")
         for rec in records:
-            f.write(",".join(_fmt(v) for v in astuple(rec)) + "\n")
+            f.write(",".join(_fmt(getattr(rec, name)) for name in names) + "\n")
 
 
 def write_density_csv(path, rho, sgrid, agrid):

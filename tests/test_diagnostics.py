@@ -257,10 +257,12 @@ COUPLED_RATE = RateModel(zeta_kind="lipschitz", zeta_M=np.inf)
 
 @pytest.mark.parametrize("driver, observer, cfg", [
     (run_weak, "diagnose", dict(nx=30, final_time=0.005)),
+    (run_weak, "diagnose", dict(nx=30, final_time=0.005, rate_model=RateModel(
+        beta=presets.given_beta_fn("linear_in_t(1.0, 1.0)"), beta_M=2.0))),
     (run_coupled, "record", dict(epsilon=0.02, da=0.02, nx=30, final_time=0.004, rate_model=COUPLED_RATE,
                                  past_data=PastData(fn=presets.past_data_fn("sin_pi")),
                                  source=SourceModel(*presets.source_fns("linear_in_t(1.0, 5.0)")))),
-], ids=["weak", "coupled"])
+], ids=["weak", "weak_on_rate_of_t", "coupled"])
 def test_record_allocates_no_field(monkeypatch, driver, observer, cfg):
     # each record works in buffers its run allocated once: the tracemalloc
     # peak of one record observer call stays below one age field
@@ -283,5 +285,6 @@ def test_record_allocates_no_field(monkeypatch, driver, observer, cfg):
         state, step, n_steps, [measure(obs) for obs in observers]))
     res = driver(vcfg, diag_stride=1)
     assert len(peaks) == len(res.records) == ts.n_steps + 1
-    # the weak run's first record also forms the limit density, once per run
+    # the weak run's first record also forms the limit density, once per run;
+    # with an on-rate of t the later records rescale it in a buffer
     assert max(peaks[1:]) < sg.n_nodes * ag.n_nodes * 8

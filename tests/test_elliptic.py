@@ -5,6 +5,7 @@ import pytest
 
 from conftest import dense_solve
 
+from linkages import elliptic
 from linkages.elliptic import TridiagonalOperator, assemble, laplacian, solve
 from linkages.errors import DegenerateOperator
 from linkages.grids import SpaceGrid
@@ -31,6 +32,52 @@ def test_degenerate_operator_raises():
     g = SpaceGrid(nx=4)
     with pytest.raises(DegenerateOperator):
         assemble(np.zeros(4), 0.0, g)
+
+
+@pytest.mark.parametrize("c", [-1.0, np.array([1.0, 2.0, -1e-300, 1.0])])
+def test_negative_coefficient_raises(c):
+    with pytest.raises(DegenerateOperator, match="negative coefficient"):
+        assemble(c, 1.0, SpaceGrid(nx=4))
+
+
+def test_negative_diffusion_weight_raises():
+    with pytest.raises(DegenerateOperator, match="negative diffusion weight"):
+        assemble(np.ones(4), -1e-300, SpaceGrid(nx=4))
+
+
+@pytest.mark.parametrize("c", [0.0, 0.75, 3.0])
+def test_scalar_coefficient_is_the_full_array(c):
+    g = SpaceGrid(nx=6)
+    scalar, full = assemble(c, 0.3, g), assemble(np.full(6, c), 0.3, g)
+    for name in ("lower", "main", "upper"):
+        a, b = getattr(scalar, name), getattr(full, name)
+        assert a.shape == b.shape == (6,) and a.tobytes() == b.tobytes()
+    with pytest.raises(DegenerateOperator, match="c == 0 and kappa == 0"):
+        assemble(0.0, 0.0, g)
+
+
+@pytest.mark.parametrize("factor, fires", [(10.0, True), (0.1, False)])
+def test_residual_check_catches_a_perturbed_solution(monkeypatch, factor, fires):
+    # moving the last node by d makes the residual main[-1]*|d| on that row;
+    # the check fires above 1e-10 * max|rhs|
+    g = SpaceGrid(nx=5)
+    op = assemble(np.linspace(0.5, 1.5, 5), 0.1, g)
+    rhs = np.array([1.0, -2.0, 3.0, 0.5, 0.25])
+    exact = solve(op, rhs)
+    d = factor * 1e-10 * 3.0 / op.main[-1]
+    gtsv = elliptic.dgtsv
+
+    def perturbed(*args):
+        *head, x, info = gtsv(*args)
+        x[-1] += d
+        return (*head, x, info)
+
+    monkeypatch.setattr(elliptic, "dgtsv", perturbed)
+    if fires:
+        with pytest.raises(DegenerateOperator, match="residual"):
+            solve(op, rhs)
+    else:
+        assert solve(op, rhs)[-2] == exact[-2] + d
 
 
 @pytest.mark.parametrize("n", [1, 4])

@@ -8,6 +8,7 @@ import pytest
 from linkages.errors import HistoryMissing, MassAtLeastOne, NegativeDensity, NonfiniteValue
 from linkages.grids import AgeGrid, SpaceGrid
 from linkages.kinetics import (
+    age_profile,
     decay,
     density_characteristics_oracle,
     init_density,
@@ -266,6 +267,22 @@ def test_limit_density_fast_decay():
     # K = 1/2: mu00 = 1/3, mu10 = beta(1-mu00)/zeta^2 = 1/6
     assert ld.mu00 == pytest.approx(1.0 / 3.0, abs=1e-5)
     assert ld.mu10 == pytest.approx(1.0 / 6.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("zeta_shape", ["full", "age_only"])
+def test_limit_density_on_a_formed_profile_is_bit_identical(zeta_shape):
+    # a run whose off-rate ignores t forms the profile once and rescales rho0 in one buffer
+    ag = AgeGrid(da=0.02, a_max=4.0)
+    x = np.linspace(0, 1, 5)
+    zeta0 = 1.0 + 0.5 * np.outer(np.sin(np.pi * x) ** 2 if zeta_shape == "full" else [1.0], ag.a / (1 + ag.a))
+    profile, out = age_profile(zeta0, ag), np.empty((x.size, ag.n_nodes))
+    for t in (0.0, 0.3, 1.7):
+        beta0 = 0.5 + t * np.cos(np.pi * x) ** 2
+        fresh, reused = limit_density(beta0, zeta0, ag), limit_density(beta0, zeta0, ag, profile, out)
+        assert reused.rho0 is out
+        for name in ("rho0", "mu00", "mu10"):
+            a, b = getattr(fresh, name), getattr(reused, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_limit_density_pointwise_bound():

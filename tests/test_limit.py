@@ -1,14 +1,18 @@
 """Limit heat equation: separation-of-variables and steady-state oracles."""
 
+import math
+import threading
+
 import numpy as np
 import pytest
 
 from conftest import make_config
 
 from linkages import presets, simulate
-from linkages.config import RateModel, validate_config
+from linkages.config import RateModel, validate_config, with_overrides
+from linkages.diagnostics import convergence_error
 from linkages.errors import DegenerateFriction
-from linkages.grids import SpaceGrid
+from linkages.grids import SpaceGrid, build_grids
 from linkages.kinetics import limit_density
 from linkages.limit import step_limit
 
@@ -85,3 +89,30 @@ def test_run_limit_forms_the_limit_density_once_for_fixed_rates(monkeypatch, bet
     plain = simulate.run_limit(validate_config(make_config(rate_model=rate)), 0.01, 10)
     assert len(formed) == calls + 10
     assert np.array_equal(fixed.trajectory, plain.trajectory)
+
+
+def test_convergence_sweep_runs_its_scales_in_turn_on_the_calling_thread(monkeypatch):
+    vcfg = validate_config(make_config())
+    dt_out, n_out = 0.01, 10
+    calls, run_weak = [], simulate.run_weak
+
+    def recording(v, **kwargs):
+        calls.append((threading.get_ident(), v.epsilon))
+        return run_weak(v, **kwargs)
+
+    monkeypatch.setattr(simulate, "run_weak", recording)
+    sweep = simulate.run_convergence_sweep(vcfg, [0.025, 0.1, 0.05], dt_out)
+    assert calls == [(threading.get_ident(), eps) for eps in (0.1, 0.05, 0.025)]
+
+    # the rows are those of separate per-scale runs, bit for bit
+    ref = simulate.run_limit(vcfg, dt_out, n_out).trajectory
+    sg, ag, _ = build_grids(vcfg)
+    rows = []
+    for eps in (0.1, 0.05, 0.025):
+        stride = int(round(dt_out / (eps * ag.da)))
+        traj = run_weak(with_overrides(vcfg, epsilon=eps), output_stride=stride, diag_stride=0).trajectory
+        err = convergence_error(traj, ref, dt_out, sg)
+        order = math.log(rows[-1].error / err) / math.log(rows[-1].epsilon / eps) if rows else None
+        rows.append(simulate.SweepRow(epsilon=eps, error=err, order=order))
+    assert sweep.rows == rows
+    assert sweep.monotone == (rows[0].error > rows[1].error > rows[2].error)
