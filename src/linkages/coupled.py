@@ -53,7 +53,7 @@ from . import elliptic
 from .diagnostics import stretch_integrals
 from .errors import NonpositiveGamma1
 from .kinetics import decay
-from .position import advance_position, delay_quadrature
+from .position import advance_position, delay_quadrature, sample_past
 
 OMEGA = 0.5  # 1D sup-norm embedding constant ||g||_inf <= omega ||g'||_2 on (0,1)
 
@@ -64,8 +64,9 @@ class CoupledState:
     rho, u and zeta (the off-rate on u, or None) are given in age order with
     hist at head 0 -- the ring at head 0 -- or as rings at hist.head; the
     step keeps them as rings (rho_ring, u_ring, zeta) along with the
-    survival ring surv and the load buffer.  quiet says that the last load
-    formed was zero in every lane with surv <= 1 (see the module docstring).
+    survival ring surv and the load buffer.  still says that the last step
+    had zero velocity, quiet that its load was zero in every lane with
+    surv <= 1 (see the module docstring).
     """
 
     def __init__(self, rho, u, z, g, hist, t, truncation_k, truncated=False, mu0=None, zeta=None):
@@ -73,7 +74,7 @@ class CoupledState:
         self.z, self.g, self.hist, self.t = z, g, hist, t
         self.truncation_k, self.truncated, self.mu0 = truncation_k, truncated, mu0
         self.surv, self.load = None, np.empty_like(rho)
-        self.quiet = False
+        self.still = self.quiet = False
 
     @property
     def rho(self):
@@ -99,12 +100,9 @@ def init_elongation(z0, past, eps, sgrid, agrid):
     (newly formed bonds are unstretched), which also keeps the half-weight
     quadrature cell from injecting a spurious first-step layer.
     """
-    vals = np.empty((sgrid.n_nodes, agrid.n_nodes))
-    for j in range(1, agrid.n_nodes):
-        vals[:, j] = (z0 - past(sgrid.x, -eps * agrid.a[j])) / eps
-    vals[:, 0] = 0.0
-    vals[0, :] = 0.0
-    vals[-1, :] = 0.0
+    vals = sample_past(past, eps, sgrid, agrid)
+    np.divide(np.subtract(z0[:, None], vals, out=vals), eps, out=vals)
+    vals[:, 0] = vals[[0, -1]] = 0.0
     return vals
 
 
@@ -142,7 +140,7 @@ def coupled_step(st, source, rate, eps, sgrid, agrid):
     dSdt = source.ddt(sgrid.x, t_new) if source is not None else None
     hist, rho, u = st.hist, st.rho_ring, st.u_ring
     old, new = hist.head, (hist.head - 1) % hist.depth  # the columns of ages 1 and 0 after the step
-    still = st.surv is not None and not g_used.any()
+    still = st.still = st.surv is not None and not g_used.any()
     if still:
         u[:, new] = 0.0
         st.zeta[:, new] = rate.zeta_of_u(u[:, new])

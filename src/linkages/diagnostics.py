@@ -43,14 +43,14 @@ def energy(z, delayed_z, rho, eps, sgrid, agrid, source=None):
     """Energy of a position field against the stored history.
 
     0.5 * [ int |grad z|^2 + int int (z - z(t - eps a))^2 / eps rho da ] dx
-    minus int S z dx when a load is present.  delayed_z[j] is the snapshot at
-    delay eps*a_j (slot 0 = the current stored level, so evaluating at a
-    perturbed z keeps the delay kernel fixed).
+    minus int S z dx when a load is present.  delayed_z[:, j] is the snapshot
+    at delay eps*a_j (column 0 = the current stored level, so evaluating at
+    a perturbed z keeps the delay kernel fixed).
     """
     dx = sgrid.dx
     grad = np.diff(z) / dx
     e_grad = 0.5 * dx * float(grad @ grad)
-    diff = z[None, :] - delayed_z
+    diff = z[:, None] - delayed_z
     wx = sgrid.quad_weights()
     delay_per_x = delay_quadrature(agrid.w, rho, diff**2)
     e_delay = 0.5 / eps * float(delay_per_x @ wx)
@@ -129,11 +129,9 @@ def convergence_error(traj_eps, traj_0, dt_out, sgrid):
 
 def elongation_from_history(z, hist, eps, out):
     """Stretch field (z(t) - z(t - eps a_j))/eps in age order, written into
-    out (nodes, ages) straight from the history's ring buffer."""
-    k = hist.depth - hist.head  # slots j < k are the rows head + j
-    # plain copies transpose without the ufunc's buffers
-    out[:, :k] = hist.buf[hist.head :].T
-    out[:, k:] = hist.buf[: hist.head].T
-    np.subtract(z[:, None], out, out=out)
+    out (nodes, ages) straight from the two slices of the history's ring."""
+    k = hist.depth - hist.head  # delays j < k are the columns head + j
+    np.subtract(z[:, None], hist.buf[:, hist.head :], out=out[:, :k])
+    np.subtract(z[:, None], hist.buf[:, : hist.head], out=out[:, k:])
     out /= eps
     return out

@@ -104,13 +104,13 @@ def step_density(rho, surv, beta_values, agrid):
 class BirthRing:
     """Birth values B and products B z of the levels n, n-1, ..., n-na.
 
-    Both rings have the density's layout: column head holds level n, the
-    next columns (cyclically) the older levels.  wC[:, j-1] = w_j C_j
-    weighs the cohort of age j >= 1.
+    Both rings have the layout of the density and of the position history:
+    column head holds level n, the next columns (cyclically) the older
+    levels.  wC[:, j-1] = w_j C_j weighs the cohort of age j >= 1.
     """
 
     def __init__(self, wC, births, Z, agrid):
-        self.wC, self.births, self.products = wC, births, births * Z.T
+        self.wC, self.births, self.products = wC, births, births * Z
         self.w, self.head = agrid.w, 0
 
     def lagged(self, ring):
@@ -144,7 +144,7 @@ class BirthRing:
 
 
 def birth_ring(rho_I, surv, Z, agrid):
-    """BirthRing of rho_I and the past positions Z (PositionHistory layout).
+    """BirthRing of rho_I and the past positions Z (a PositionHistory's buf at head 0).
 
     surv, the survival factor of every step, is consumed: it becomes wC in
     place, and rho_I the birth ring.  None, with rho_I intact, where the

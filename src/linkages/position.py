@@ -8,8 +8,8 @@ solve per step,
     (mu0 - w0 rho(.,0) - eps Lap_h) z_new = sum_{j>=1} w_j rho_j z(t-eps a_j)
                                             + eps S,
 
-with every delayed argument read straight from the ring buffer (dt = eps*da
-aligns them with stored snapshots).  The solve is exactly the Euler-Lagrange
+with every delayed argument read straight from the (nx+2, na+1) ring buffer
+(dt = eps*da aligns them with stored snapshots).  The solve is exactly the Euler-Lagrange
 equation of the discrete energy, so z_new is its minimizer; energy decay and
 the minimization property below are structural, not approximate.
 advance_position checks, assembles and solves; step_position feeds it the
@@ -26,34 +26,35 @@ from .errors import DegenerateOperator
 class PositionHistory:
     """Ring buffer of the na+1 newest snapshots z(., t^m), newest first.
 
-    Slot j, row (head + j) % depth of buf, holds z at delay eps*a_j
-    exactly.  At start-up the slots j >= 1 are prefilled from the past data
-    z_p(., -eps*a_j), so early steps never need to evaluate z_p again.
+    buf has the (nx+2, na+1) layout of every age field: column
+    (head + j) % depth holds z at delay eps*a_j exactly.  At start-up the
+    columns j >= 1 hold the past data z_p(., -eps*a_j), so early steps
+    never need to evaluate z_p again.
     """
 
     def __init__(self, z0, past, eps, sgrid, agrid):
-        depth = agrid.na + 1
-        self.buf = np.empty((depth, sgrid.n_nodes))
-        self.buf[0] = z0
-        for j in range(1, depth):
-            self.buf[j] = past(sgrid.x, -eps * agrid.a[j])
-        self.head = 0
-        self.depth = depth
+        self.buf, self.head, self.depth = sample_past(past, eps, sgrid, agrid), 0, agrid.n_nodes
+        self.buf[:, 0] = z0
 
     def matrix(self):
-        """All snapshots as an array Z[j] = z(., t - eps*a_j)."""
-        idx = (self.head + np.arange(self.depth)) % self.depth
-        return self.buf[idx]
+        """All snapshots in age order, Z[:, j] = z(., t - eps*a_j), as a new array."""
+        return np.roll(self.buf, -self.head, axis=1)
 
     def push(self, z_new):
-        """Advance one level: the oldest snapshot drops off the buffer."""
+        """Advance one level: z_new takes the column of the oldest snapshot."""
         self.head = (self.head - 1) % self.depth
-        self.buf[self.head] = z_new
+        self.buf[:, self.head] = z_new
+
+
+def sample_past(past, eps, sgrid, agrid):
+    """The past data z_p(x, -eps*a_j) on the (nx+2, na+1) grid, in one call of past."""
+    vals = past(sgrid.x[:, None], -eps * agrid.a[None, :])
+    return np.broadcast_to(vals, (sgrid.n_nodes, agrid.n_nodes)).copy()
 
 
 def delay_quadrature(w, rho, Z):
-    """Age quadrature sum_j w_j rho[x, j] Z[j, x] of snapshots Z in the ring's (j, x) layout."""
-    return np.einsum("j,xj,jx->x", w, rho, Z)
+    """Age quadrature sum_j w_j rho[x, j] Z[x, j]; rho and Z share the layout of w."""
+    return np.einsum("j,xj,xj->x", w, rho, Z)
 
 
 def initial_position(rho_I, past, eps, sgrid, agrid, source_at_0=None):
@@ -68,10 +69,8 @@ def initial_position(rho_I, past, eps, sgrid, agrid, source_at_0=None):
     functional).
     """
     mu0 = rho_I @ agrid.w
-    zp = np.empty((agrid.n_nodes, sgrid.n_nodes))
-    for j in range(agrid.n_nodes):
-        zp[j] = past(sgrid.x, -eps * agrid.a[j])
-    rhs = delay_quadrature(agrid.w[1:], rho_I[:, 1:], zp[1:])[1:-1]
+    zp = sample_past(past, eps, sgrid, agrid)
+    rhs = delay_quadrature(agrid.w[1:], rho_I[:, 1:], zp[:, 1:])[1:-1]
     if source_at_0 is not None:
         rhs = rhs + eps * np.asarray(source_at_0)[1:-1]
     coeff = mu0 - agrid.w[0] * rho_I[:, 0]
@@ -87,11 +86,11 @@ def step_position(rho_next, mu0, hist, eps, sgrid, agrid, source=None):
     rho_next is the density at the new level t^{n+1} and mu0 = rho_next @ w
     its zeroth moment; hist still ends at t^n,
     so the anchor of the age-j cohort, z(t^{n+1} - eps*a_j) = z^{n+1-j}, is
-    buffer slot j-1.  That pairing is what makes the Volterra residual of the
-    output vanish identically.  source, if given, is S(., t^{n+1}) on the
-    full grid.
+    the snapshot at delay j-1.  That pairing is what makes the Volterra
+    residual of the output vanish identically.  source, if given, is
+    S(., t^{n+1}) on the full grid.
     """
-    integral = delay_quadrature(agrid.w[1:], rho_next[:, 1:], hist.matrix()[:-1])
+    integral = delay_quadrature(agrid.w[1:], rho_next[:, 1:], hist.matrix()[:, :-1])
     return advance_position(integral, mu0 - agrid.w[0] * rho_next[:, 0], hist, eps, sgrid, source)
 
 
@@ -115,13 +114,12 @@ def advance_position(integral, coeff, hist, eps, sgrid, source=None):
 def volterra_residual(hist, rho, z, eps, sgrid, agrid, source=None):
     """L(z, rho) - Lap_h z - S on interior nodes.
 
-    hist and rho must sit at the same time level as z (hist slot 0 == z when
-    checking a step_position output).  Vanishes to solver tolerance for the
-    computed position; used as the cross-check between the position and
-    elongation formulations.
+    hist and rho must sit at the same time level as z (the newest snapshot
+    of hist == z when checking a step_position output).  Vanishes to solver
+    tolerance for the computed position; used as the cross-check between
+    the position and elongation formulations.
     """
-    Z = hist.matrix()
-    delayed = delay_quadrature(agrid.w, rho, z[None, :] - Z)
+    delayed = delay_quadrature(agrid.w, rho, z[:, None] - hist.matrix())
     res = delayed[1:-1] / eps - elliptic.laplacian(z, sgrid.dx)
     if source is not None:
         res = res - np.asarray(source)[1:-1]

@@ -136,9 +136,9 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     per-step energy and stability decays are checked and any breach is
     recorded as a hard violation.  observers are called as obs(n, state)
     with the WeakState at every level, after the built-in ones (see march).
-    An off-rate that declares it ignores t is stepped on birth values
-    (kinetics.BirthRing) unless birth_ring refuses the data; any other is
-    sampled at every step and shifts the density.
+    A rate that declares it ignores t is sampled once.  Such an off-rate
+    is stepped on birth values (kinetics.BirthRing) unless birth_ring
+    refuses the data; the others shift the density.
     """
     sgrid, agrid, ts, rho, z, hist = _start(vcfg)
     rate, src = vcfg.rate_model, vcfg.source
@@ -149,24 +149,29 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     zeta = rate.zeta_field(sgrid.x, agrid.a, 0.0)
     fixed = is_time_invariant(rate.zeta)
     # birth_ring takes over the buffers of rho and of the survival factor
-    ring = birth_ring(rho, survival(zeta, agrid), hist.matrix(), agrid) if fixed else None
+    ring = birth_ring(rho, survival(zeta, agrid), hist.buf, agrid) if fixed else None
     surv = None if ring else survival(zeta, agrid)
     state = WeakState(t=0.0, z=z, hist=hist, zeta=zeta, surv=surv, mu0=mu0, ring=ring, _rho=None if ring else rho)
     del rho, surv  # the state holds what the run still needs
+    beta0 = rate.beta_values(sgrid.x, 0.0) if is_time_invariant(rate.beta) else None
+
+    def beta_at(t):
+        return beta0 if beta0 is not None else rate.beta_values(sgrid.x, t)
 
     def shift(n, st):
         # n*dt, not an accumulated t + dt: the two differ in the last bits
         st.t = n * dt
-        st._rho = step_density(st.rho, st.surv, rate.beta_values(sgrid.x, st.t), agrid)
+        st._rho = step_density(st.rho, st.surv, beta_at(st.t), agrid)
         st.mu0 = moment(st.rho, agrid, 0)
         st.z = step_position(st.rho, st.mu0, st.hist, eps, sgrid, agrid, source=_source_at(src, sgrid.x, st.t))
-        st.zeta = rate.zeta_field(sgrid.x, agrid.a, st.t)
-        st.surv = survival(st.zeta, agrid)
+        if not fixed:
+            st.zeta = rate.zeta_field(sgrid.x, agrid.a, st.t)
+            st.surv = survival(st.zeta, agrid)
         return st
 
     def ring_step(n, st):
         st.t = n * dt
-        births, st.mu0, m = st.ring.renew(rate.beta_values(sgrid.x, st.t))
+        births, st.mu0, m = st.ring.renew(beta_at(st.t))
         st.z = advance_position(st.ring.lagged(st.ring.products), m, st.hist, eps, sgrid, _source_at(src, sgrid.x, st.t))
         st.ring.push(births, st.z)
         st._rho = None
@@ -175,7 +180,7 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     guard = _Guard(("z",), floor=lower_bound)
     traj, records = [], []
     ld = None  # the limit density, formed once when neither rate depends on t
-    fixed_limit = fixed and is_time_invariant(rate.beta)
+    fixed_limit = fixed and beta0 is not None
     # the records' stretch and work buffers, reused by each record, and with
     # an off-rate that ignores t the limit's age profile and rho0 buffer
     shape = (sgrid.n_nodes, agrid.n_nodes)
@@ -192,7 +197,7 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
             return
         dg.elongation_from_history(st.z, st.hist, eps, out=u)
         if ld is None or not fixed_limit:
-            ld = limit_density(rate.beta_values(sgrid.x, st.t), st.zeta, agrid, profile, rho0)
+            ld = limit_density(beta_at(st.t), st.zeta, agrid, profile, rho0)
         rec = dg.record(
             st.t, st.z, st.rho, u, st.zeta, _source_at(src, sgrid.x, st.t), eps, sgrid, agrid.w, work,
             rho0=ld.rho0,
@@ -352,7 +357,8 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
 
     def track(n, st):
         nonlocal u_min, ever_truncated
-        u_min = min(u_min, float(st.u_ring.min()))
+        if not st.still:  # a still step writes only newborn zeros, and u_min <= 0 from level 0 on
+            u_min = min(u_min, float(st.u_ring.min()))
         ever_truncated = ever_truncated or st.truncated
         snapshots.update({t_req: (st.z.copy(), st.mu0.copy()) for t_req, m in level_of.items() if m == n})
 

@@ -48,7 +48,7 @@ def capture_at(steps):
     def observe(n, st):
         if n in steps:
             observe.captures.append(SimpleNamespace(
-                n=n, z=st.z.copy(), rho=st.rho.copy(), delayed_z=st.hist.matrix().copy()
+                n=n, z=st.z.copy(), rho=st.rho.copy(), delayed_z=st.hist.matrix()
             ))
 
     observe.captures = []

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import dense_solve, make_config
 
-from linkages.cli import detachment_config
+from linkages.cli import coupled_config, detachment_config
 from linkages.config import PastData, RateModel, SourceModel, validate_config
 from linkages.coupled import (
     OMEGA,
@@ -225,7 +225,7 @@ def test_coupled_step_equals_its_unfused_composition():
     rhs = ((zeta_u * rho * u) @ w)[1:-1] + eps * src.ddt(sg.x, t)[1:-1]
     g = elliptic.solve(elliptic.assemble(mu0[1:-1], eps, sg), rhs)
     hist = copy.deepcopy(old.hist)
-    z = advance_position(np.einsum("j,xj,jx->x", lag, rho, hist.buf), m, hist, eps, sg, src(sg.x, t))
+    z = advance_position(np.einsum("j,xj,xj->x", lag, rho, hist.buf), m, hist, eps, sg, src(sg.x, t))
     bits = lambda a: np.ascontiguousarray(a).view(np.int64)
     for got, want in ((new.u_ring, u), (new.zeta, zeta_u), (new.rho_ring, rho), (new.mu0, mu0),
                       (new.g, g), (new.z, z), (new.hist.buf, hist.buf)):
@@ -276,6 +276,24 @@ def test_torn_off_step_shortcuts_change_no_bit(monkeypatch, load, velocity_solve
             assert np.array_equal(bits(getattr(st, f)), bits(getattr(other, f))), f
         assert np.array_equal(bits(st.hist.buf), bits(other.hist.buf))
         assert st.t == other.t and st.hist.head == other.hist.head
+
+
+@pytest.mark.parametrize("cfg, still_steps", [
+    (lambda: detachment_config(nx=24, final_time=3e-4), True),
+    (lambda: coupled_config(nx=16, final_time=0.1), False),
+], ids=["tear-off", "coupled-default"])
+def test_u_min_is_the_running_minimum_of_the_full_ring(cfg, still_steps):
+    # track skips the ring's minimum on still steps; an observer that takes
+    # it at every level finds the same running minimum
+    seen, still = [], []
+
+    def observe(n, st):
+        seen.append(float(st.u_ring.min()))
+        still.append(st.still)
+
+    res = run_coupled(validate_quiet(cfg()), diag_stride=0, observers=[observe])
+    assert any(still) == still_steps
+    assert res.u_min == min(seen)
 
 
 def test_positivity_preserved():

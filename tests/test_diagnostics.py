@@ -29,7 +29,7 @@ HALF_EXP = lambda x, a: 0.5 * np.exp(-np.asarray(a, dtype=float)) * np.ones_like
 
 
 def zero_delayed():
-    return np.zeros((AG.n_nodes, SG.n_nodes))
+    return np.zeros((SG.n_nodes, AG.n_nodes))
 
 
 def integrals(rho, u, zeta_u=None):
@@ -47,7 +47,7 @@ def test_energy_gradient_term():
     # (1/2) int cos^2(pi x) = 1/4 up to O(dx^2)
     rho = init_density(HALF_EXP, SG, AG)
     z = np.sin(np.pi * SG.x) / np.pi
-    delayed = np.tile(z, (AG.n_nodes, 1))
+    delayed = np.tile(z[:, None], (1, AG.n_nodes))
     e = energy(z, delayed, rho, 0.05, SG, AG)
     assert e == pytest.approx(0.25, abs=10 * SG.dx**2)
 
@@ -55,7 +55,7 @@ def test_energy_gradient_term():
 def test_energy_constant_history_drops_delay():
     rho = init_density(HALF_EXP, SG, AG)
     z = np.sin(np.pi * SG.x) / np.pi
-    delayed = np.tile(z, (AG.n_nodes, 1))
+    delayed = np.tile(z[:, None], (1, AG.n_nodes))
     e_with = energy(z, delayed, rho, 0.05, SG, AG)
     empty = np.zeros_like(rho)
     e_without = energy(z, delayed, empty, 0.05, SG, AG)
@@ -65,7 +65,7 @@ def test_energy_constant_history_drops_delay():
 def test_energy_source_term():
     rho = init_density(HALF_EXP, SG, AG)
     z = np.sin(np.pi * SG.x) / np.pi
-    delayed = np.tile(z, (AG.n_nodes, 1))
+    delayed = np.tile(z[:, None], (1, AG.n_nodes))
     S = np.pi**2 * np.sin(np.pi * SG.x)
     e = energy(z, delayed, rho, 0.05, SG, AG, source=S)
     # load term subtracts int S z = pi int sin^2 = pi/2
@@ -77,10 +77,10 @@ def test_energy_from_elongation_consistency():
     rho = init_density(HALF_EXP, SG, AG)
     z = np.sin(np.pi * SG.x) / np.pi
     rng = np.random.default_rng(1)
-    delayed = z[None, :] - eps * rng.uniform(0, 1, (AG.n_nodes, SG.n_nodes))
-    delayed[:, 0] = delayed[:, -1] = 0.0
-    delayed[0] = z
-    u = (z[None, :] - delayed).T / eps
+    delayed = z[:, None] - eps * rng.uniform(0, 1, (AG.n_nodes, SG.n_nodes)).T
+    delayed[0] = delayed[-1] = 0.0
+    delayed[:, 0] = z
+    u = (z[:, None] - delayed) / eps
     e1 = energy(z, delayed, rho, eps, SG, AG)
     work = (np.empty_like(rho), np.empty_like(rho))
     rec = record(0.0, z, rho, u, np.ones_like(rho), None, eps, SG, AG.w, work,
@@ -185,7 +185,7 @@ def test_weak_record_matches_the_history_formulas(source):
 
     def observe(n, st):
         delayed = st.hist.matrix()
-        u = (st.z[None, :] - delayed).T / vcfg.epsilon
+        u = (st.z[:, None] - delayed) / vcfg.epsilon
         assert np.array_equal(elongation_from_history(st.z, st.hist, vcfg.epsilon, out=np.empty_like(st.rho)), u)
         heads.add(st.hist.head)
         S = src(sg.x, st.t) if src else None

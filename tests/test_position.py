@@ -7,6 +7,7 @@ from conftest import capture_at, dense_solve, make_config
 
 from linkages import diagnostics as dg
 from linkages.config import PastData, RateModel, SourceModel, validate_config
+from linkages.coupled import init_elongation
 from linkages.errors import NonfiniteValue
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
 from linkages.kinetics import init_density, limit_density, moment, step_density, survival
@@ -60,6 +61,31 @@ def test_initial_position_small_scale_limit():
     assert devs[0] > devs[1] > devs[2]
     # deviation shrinks proportionally to eps
     assert devs[2] / devs[0] == pytest.approx(1e-2, rel=0.1)
+
+
+def per_snapshot(past):
+    """past evaluated one snapshot z_p(., -eps*a_j) at a time, on the 1-D x grid."""
+
+    def looped(x, t):
+        x, t = np.broadcast_arrays(x, t)
+        return np.stack([past(x[:, j], t[0, j]) for j in range(t.shape[1])], axis=1)
+
+    return looped
+
+
+@pytest.mark.parametrize("spec", ["zero", "constant(0.3)", "sin_pi", "sin_pi_growing(2)"])
+def test_one_call_past_sampling_matches_the_snapshot_loop(spec):
+    past = PastData(fn=presets.past_data_fn(spec))
+    looped = PastData(fn=per_snapshot(past))
+    rho = init_density(EXP_DECAY, SG, AG)
+    bits = lambda a: np.ascontiguousarray(a).view(np.int64)
+    z0 = initial_position(rho, past, EPS, SG, AG)
+    assert np.array_equal(bits(z0), bits(initial_position(rho, looped, EPS, SG, AG)))
+    hist = PositionHistory(z0, past, EPS, SG, AG)
+    assert np.array_equal(bits(hist.buf), bits(PositionHistory(z0, looped, EPS, SG, AG).buf))
+    assert np.array_equal(bits(hist.buf[:, 7]), bits(past(SG.x, -EPS * AG.a[7])))
+    u = init_elongation(z0, past, EPS, SG, AG)
+    assert np.array_equal(bits(u), bits(init_elongation(z0, looped, EPS, SG, AG)))
 
 
 def test_step_position_poisson_reduction():
@@ -137,11 +163,11 @@ def test_step_position_matches_dense_oracle():
     past = PastData(fn=lambda x, t: np.sin(np.pi * np.asarray(x)) * (1.0 + 0.2 * t))
     z0 = past(sg.x, 0.0)
     hist = PositionHistory(z0, past, EPS, sg, ag)
-    Z = hist.matrix().copy()
+    Z = hist.matrix()
     z = step_position(rho, rho @ ag.w, hist, EPS, sg, ag)
     mu0 = rho @ ag.w
     coeff = mu0 - ag.w[0] * rho[:, 0]
-    rhs = np.einsum("j,xj,jx->x", ag.w[1:], rho[:, 1:], Z[:-1])[1:-1]
+    rhs = np.einsum("j,xj,xj->x", ag.w[1:], rho[:, 1:], Z[:, :-1])[1:-1]
     z_ref = dense_solve(coeff[1:-1], EPS, rhs, sg.nx)
     np.testing.assert_allclose(z, z_ref, atol=1e-12)
 
@@ -284,15 +310,50 @@ def test_ring_and_shift_paths_agree():
     dict(a_max=0.1, initial_density=presets.initial_density_fn("exp_decay(9)"),
          rate_model=RateModel(zeta=presets.given_zeta_fn("constant(7080)"), zeta_m=7080.0, zeta_M=7080.0)),
 ], ids=["C-underflow", "birth-overflow"])
-def test_ring_fallback_is_the_shift_path(overrides):
-    fixed, _, fixed_path = run_watching(validate_config(make_config(**overrides)))
+def test_ring_fallback_is_the_shift_path(overrides, monkeypatch):
+    # the fallback keeps the off-rate's survival factor for the run; the
+    # same rate as a plain callable is sampled at every step
+    vcfg = validate_config(make_config(**overrides))
+    zeta_calls = counted(monkeypatch, RateModel, "zeta_field")
+    fixed, _, fixed_path = run_watching(vcfg)
+    assert len(zeta_calls) == 1
     rate = overrides["rate_model"]
     overrides["rate_model"] = RateModel(zeta=plain(rate.zeta), zeta_m=rate.zeta_m, zeta_M=rate.zeta_M)
-    shift, _, _ = run_watching(validate_config(make_config(**overrides)))
+    vcfg = validate_config(make_config(**overrides))
+    zeta_calls.clear()
+    shift, _, _ = run_watching(vcfg)
+    assert len(zeta_calls) == build_grids(vcfg)[2].n_steps + 1
     assert fixed_path == {False}
     assert np.array_equal(fixed.trajectory, shift.trajectory)
     assert np.array_equal(fixed.final_rho, shift.final_rho)
     assert fixed.records == shift.records
+
+
+def counted(monkeypatch, owner, name):
+    """Count the calls of owner.name from now on."""
+    calls, fn = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **kw: calls.append(1) or fn(*a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("zeta", [1.0, 80.0], ids=["ring", "shift"])
+def test_time_invariant_on_rate_is_sampled_once(monkeypatch, zeta):
+    # on both paths (C_j underflows at zeta = 80, so birth_ring refuses it)
+    # a preset on-rate is sampled once, and steps the bits of the same rate
+    # as a plain callable, which is sampled at every step
+    beta = presets.given_beta_fn("constant(1.0)")
+    calls, runs = counted(monkeypatch, RateModel, "beta_values"), []
+    for on_rate in (beta, plain(beta)):
+        rate = RateModel(zeta=presets.given_zeta_fn(f"constant({zeta:g})"), zeta_m=zeta, zeta_M=zeta, beta=on_rate)
+        vcfg = validate_config(make_config(rate_model=rate))
+        calls.clear()
+        runs.append((run_watching(vcfg), len(calls), build_grids(vcfg)[2].n_steps))
+    ((once, _, once_path), n_once, _), ((every, _, every_path), n_every, n_steps) = runs
+    assert once_path == every_path == {zeta == 1.0}
+    assert n_once == 1 and n_every >= n_steps
+    assert np.array_equal(once.trajectory, every.trajectory)
+    assert np.array_equal(once.final_rho, every.final_rho)
+    assert once.records == every.records
 
 
 def test_ring_path_samples_the_rates_once(monkeypatch):
