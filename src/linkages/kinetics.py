@@ -17,7 +17,9 @@ For an off-rate that ignores t every cohort is its birth value times a
 fixed product, rho^n[:, j] = C_j B^{n-j} (C_j: the survival factors of ages
 0..j-1 multiplied in turn; B^{-m} = rho_I[:, m] / C_m for the initial
 cohorts).  BirthRing marches B and B z instead of the density, so a step
-reads two rings and writes O(nx) numbers.
+reads two rings and writes O(nx) numbers.  The ring head is split once per
+step, and both lagged sums read the same two slices of the weights with
+np.vecdot.
 """
 
 import math
@@ -113,18 +115,27 @@ class BirthRing:
         self.wC, self.births, self.products = wC, births, births * Z
         self.w, self.head = agrid.w, 0
 
-    def lagged(self, ring):
-        """sum_{j>=1} w_j C_j ring^{n+1-j}, read in two slices of the ring."""
-        head, wC = self.head, self.wC
-        cut = min(wC.shape[1], ring.shape[1] - head)
-        out = np.einsum("xj,xj->x", wC[:, :cut], ring[:, head : head + cut])
-        return out + np.einsum("xj,xj->x", wC[:, cut:], ring[:, : wC.shape[1] - cut])
+    def sums(self):
+        """m = sum_{j>=1} w_j C_j B^{n+1-j} and q, the same sum over the ring of B z.
 
-    def renew(self, beta_values):
-        """Birth value, mu0 and renewal mass m of the next level (the closed-form renewal)."""
-        m, w0 = self.lagged(self.births), self.w[0]
+        The head splits both rings once: the columns from head on and the
+        wrapped columns from 0, each read against its slice of wC with np.vecdot.
+        """
+        head, wC = self.head, self.wC
+        cut = min(wC.shape[1], self.births.shape[1] - head)
+        lo, hi = wC[:, :cut], wC[:, cut:]
+        newer, older = slice(head, head + cut), slice(0, wC.shape[1] - cut)
+        m = np.vecdot(lo, self.births[:, newer])
+        q = np.vecdot(lo, self.products[:, newer])
+        m += np.vecdot(hi, self.births[:, older])
+        q += np.vecdot(hi, self.products[:, older])
+        return m, q
+
+    def renew(self, beta_values, m):
+        """Birth value and mu0 of the next level from its renewal mass m (the closed-form renewal)."""
+        w0 = self.w[0]
         births = beta_values * (1.0 - m) / (1.0 + beta_values * w0)
-        return births, w0 * births + m, m
+        return births, w0 * births + m
 
     def push(self, births, z):
         """Advance one level: B and B z of the new level replace the oldest column."""

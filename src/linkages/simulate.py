@@ -171,8 +171,9 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
 
     def ring_step(n, st):
         st.t = n * dt
-        births, st.mu0, m = st.ring.renew(beta_at(st.t))
-        st.z = advance_position(st.ring.lagged(st.ring.products), m, st.hist, eps, sgrid, _source_at(src, sgrid.x, st.t))
+        m, q = st.ring.sums()
+        births, st.mu0 = st.ring.renew(beta_at(st.t), m)
+        st.z = advance_position(q, m, st.hist, eps, sgrid, _source_at(src, sgrid.x, st.t))
         st.ring.push(births, st.z)
         st._rho = None
         return st
@@ -281,10 +282,14 @@ def run_convergence_sweep(vcfg, epsilons, dt_out):
     Every epsilon runs on its own dt = eps*da; snapshots are taken on a
     common output grid (dt_out must be an integer multiple of each step
     size).  The scales run in turn, largest first.
-    Raises ConfigError for a scale that fails validation or an output grid
-    that does not divide.
+    Raises ConfigError, before any run, for a repeated scale (the order
+    estimate would divide by log 1 = 0), a scale that fails validation or an
+    output grid that does not divide.
     """
     epsilons = sorted(epsilons, reverse=True)
+    if len(set(epsilons)) < len(epsilons):
+        where = "epsilons " + ",".join(f"{eps:g}" for eps in epsilons)
+        raise ConfigError([HypothesisViolation("distinct scales", where)])
     vcfgs = [with_overrides(vcfg, epsilon=eps) for eps in epsilons]
     strides = []
     for v in vcfgs:

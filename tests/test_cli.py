@@ -212,6 +212,21 @@ def test_detachment_snapshot_times_sharing_a_step(tmp_path):
     assert all(r[2] == r[3] for r in rows)
 
 
+@pytest.mark.parametrize("epsilons, sorted_scales", [("0.1,0.1", "0.1,0.1"), ("0.1,0.05,0.1", "0.1,0.1,0.05")])
+def test_repeated_scales_are_a_config_error_before_any_run(tmp_path, capsys, monkeypatch, epsilons, sorted_scales):
+    # the order estimate of a repeated scale divides by log(eps/eps) = 0
+    runs = []
+    monkeypatch.setattr(simulate, "run_weak", lambda *args, **kwargs: runs.append(args))
+    cfg, out = write(tmp_path, TINY_WEAK), tmp_path / "out"
+    assert main(["convergence-sweep", "--config", cfg, "--out", str(out), "--epsilons", epsilons]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("config error:")]
+    assert errors == [f"config error: HypothesisViolation('distinct scales' at epsilons {sorted_scales})"]
+    assert not (out / "sweep.csv").exists()
+    assert runs == []
+
+
 def test_config_error_exit_code(tmp_path):
     bad = write(tmp_path, TINY_WEAK.replace("exp_decay", "exp_decay(2.0)"))
     assert main(["weak", "--config", bad, "--out", str(tmp_path / "o")]) == 1

@@ -123,7 +123,7 @@ CASES = {
 # name -> (exit code, {file name: sha256})
 GOLDEN = {
     "convergence-sweep": (0, {
-        "sweep.csv": "690cae4bba63c9e5ac601605db571b0c5facf86f2756a9a9f345a5e24fef6c5b",
+        "sweep.csv": "b90a5cee314cc7c39745d7de260027e0354e86ee5a0d30341aa448e12663c649",
     }),
     "coupled": (0, {
         "density.csv": "07c77e3b2d1c5eca0e4a767840fa0442e79be3fde77d3dc8372e858865c4955e",
@@ -137,17 +137,17 @@ GOLDEN = {
         "trajectory.csv": "13fc295c3738c74ba69ba0f6427e5dd1f354eeeeb01ea54f54fd8c56efc9908f",
     }),
     "weak": (0, {
-        "density.csv": "58657979b3e3b7077ddca139c4cd0d6e414cb1f44f714ef2dd194f6f346c16b4",
-        "diagnostics.csv": "950b9d3b9154d8fb6bd1a9705d6a91246ecee4e92ac1d28aa285ba4f9208ca69",
-        "trajectory.csv": "afd5d8e29bffdecf86b10dbc618c8d2aa4bc979737210fae5b6b5f6071b02859",
+        "density.csv": "166cf6cedaaccbcf81bb191754ae65b01eafb9aa27b56a28fbfc2e5dceea53ca",
+        "diagnostics.csv": "39966ab9e827672654cdce9e7948b82c7a3b156a7c5bf81b0c1dcd52507482ca",
+        "trajectory.csv": "3ed3a978c0f792582558b255f50779b22fc74acc780606be877fde04219ac09b",
     }),
     "weak-nx1": (0, {
-        "diagnostics.csv": "ed0e8e5ba27e300804655d1de2a1fd891d92068d12f372dd58507a45fae66425",
-        "trajectory.csv": "27b1ed8af06089945e979d39d120b25191510e0215cefd5e8e612d0a98dbb3e7",
+        "diagnostics.csv": "323ac96b61ea7df70c1ba9d1d4de3111e3a9f974e9a3eb3b054b52fcd1b4ce78",
+        "trajectory.csv": "947ef44bfb708f0ab97496eab411cb5fd53664debfc4f9e1b67fdab2fa69f984",
     }),
     "weak-source": (0, {
-        "diagnostics.csv": "f30f038ac1a627fa3a75ad80a5ce685cd949ed8fdb5926b7ca85157f4a61d581",
-        "trajectory.csv": "ef6f4741fd6339dd278316763cda056bc85f675a12327887ebfd8687ea88f2f9",
+        "diagnostics.csv": "4c472af4895b1068de7270cc629d8fc01ef22f7b4f3332abde09c78efcb945c1",
+        "trajectory.csv": "94a6b9d4778076b150eaaf7029af937fa05bceb456f7fb4af39eb72f54144b40",
     }),
 }
 
