@@ -42,14 +42,12 @@ from .kinetics import (
     moment,
     oracle_density_field,
     oracle_mu0_history,
-    step_density,
     survival,
 )
 from .limit import step_limit
 from .position import (
     PositionHistory,
     initial_position,
-    step_position,
     volterra_residual,
 )
 from .simulate import (

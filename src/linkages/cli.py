@@ -109,10 +109,9 @@ def cmd_weak(args, vcfg):
 
 
 def cmd_limit(args, vcfg):
-    sgrid, _, _ = build_grids(vcfg)
-    dt_out = vcfg.dt * args.cadence
-    n_out = int(round(vcfg.final_time / dt_out))
-    res = simulate.run_limit(vcfg, dt_out, n_out)
+    sgrid, _, ts = build_grids(vcfg)
+    # the snapshots of a delay run at this cadence: none past final_time
+    res = simulate.run_limit(vcfg, vcfg.dt * args.cadence, ts.n_steps // args.cadence)
     simulate.write_trajectory_csv(_out(args, "trajectory.csv"), res.times, res.trajectory, sgrid.x)
     print(f"limit run: {len(res.times)} outputs")
     return 0

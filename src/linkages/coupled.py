@@ -52,7 +52,7 @@ import numpy as np
 from . import elliptic
 from .diagnostics import stretch_integrals
 from .errors import NonpositiveGamma1
-from .kinetics import decay
+from .kinetics import cohort_weights, decay, renew_cohorts
 from .position import advance_position, delay_quadrature, sample_past
 
 OMEGA = 0.5  # 1D sup-norm embedding constant ||g||_inf <= omega ||g'||_2 on (0,1)
@@ -85,11 +85,6 @@ class CoupledState:
     def u(self):
         """Stretch in age order, built from the ring."""
         return np.roll(self.u_ring, -self.hist.head, axis=1)
-
-
-def cohort_weights(w, head):
-    """The age weights w in the layout of a cohort ring at head: out[(head + j) % n] = w[j]."""
-    return np.concatenate((w[w.size - head :], w[: w.size - head]))
 
 
 def init_elongation(z0, past, eps, sgrid, agrid):
@@ -152,12 +147,7 @@ def coupled_step(st, source, rate, eps, sgrid, agrid):
         st.surv = decay(st.zeta, agrid.da, out=st.surv)
     rho *= st.surv
     w = cohort_weights(agrid.w, new)
-    lag = w.copy()  # the weights of ages j >= 1
-    lag[new] = 0.0
-    m = rho @ lag
-    births = beta * (1.0 - m) / (1.0 + beta * w[new])
-    rho[:, new] = births
-    st.mu0 = w[new] * births + m
+    st.mu0, m, lag = renew_cohorts(rho, beta, w, new)
     if still and st.quiet and (dSdt is None or not np.any(dSdt)):
         st.g = np.zeros(sgrid.n_nodes)
     else:

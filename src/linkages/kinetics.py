@@ -4,10 +4,13 @@ The density rho(x, a, t) obeys transport in age with off-rate decay and the
 renewal boundary rho(x, 0, t) = beta (1 - mu0), mu0 being the total
 population.  With dt = eps*da the update is an exact shift along the
 characteristic with per-cell exponential decay, which keeps the field
-nonnegative for any size of zeta*da.
+nonnegative for any size of zeta*da.  The density steppers shift no array:
+they keep the cohort of age j in column (head + j) % (na+1), head being the
+position history's, multiply each cohort where it stands (apply_survival)
+and write the newborns into the oldest cohort's column (renew_cohorts).
 
 The renewal value is coupled to mu0 at the *new* time through the a=0
-trapezoid weight; that self-reference is solved algebraically,
+trapezoid weight; that self-reference is solved algebraically (renew),
 
     rho[0] = beta (1 - m) / (1 + beta w0),   m = sum_{j>=1} w_j rho[j],
 
@@ -19,8 +22,7 @@ fixed product, rho^n[:, j] = C_j B^{n-j} (C_j: the survival factors of ages
 cohorts).  BirthRing marches B and B z instead of the density, so a step
 reads two rings and writes O(nx) numbers.  The ring head is split once per
 step, and both lagged sums read the same two slices of the weights with
-np.vecdot.
-"""
+np.vecdot; renew turns them into the next birth value."""
 
 import math
 import warnings
@@ -87,20 +89,40 @@ def decay(zeta_values, da, out=None):
     return x
 
 
-def step_density(rho, surv, beta_values, agrid):
-    """Advance the density one step of dt = eps*da.
+def cohort_weights(w, head):
+    """The age weights w in the layout of a cohort ring at head: out[(head + j) % n] = w[j]."""
+    return np.concatenate((w[w.size - head :], w[: w.size - head]))
 
-    surv is the survival factor of the step (see survival); a prescribed
-    rate that does not change between steps can reuse it.  beta_values is
-    the on-rate per x node at the new time.  Newborn mass is set from the
-    shifted interior by the closed-form renewal above.
+
+def apply_survival(rho, surv, head):
+    """Multiply the cohort of age j of the ring rho at head by surv[:, j] (see survival), in place.
+
+    The head splits the ring once; the oldest cohort's column, which the
+    newborns take next, is left as it is.
     """
-    new = np.empty_like(rho)
-    np.multiply(rho[:, :-1], surv, out=new[:, 1:])
-    m = new[:, 1:] @ agrid.w[1:]
-    w0 = agrid.w[0]
-    new[:, 0] = beta_values * (1.0 - m) / (1.0 + beta_values * w0)
-    return new
+    cut = min(surv.shape[1], rho.shape[1] - head)
+    rho[:, head : head + cut] *= surv[:, :cut]
+    rho[:, : surv.shape[1] - cut] *= surv[:, cut:]
+
+
+def renew(beta_values, m, w0):
+    """Birth value and mu0 of the next level from its renewal mass m (the closed-form renewal)."""
+    births = beta_values * (1.0 - m) / (1.0 + beta_values * w0)
+    return births, w0 * births + m
+
+
+def renew_cohorts(rho, beta_values, w, new):
+    """Write the newborns into column new of the cohort ring rho; return mu0, m = rho @ lag and lag.
+
+    w are the age weights in the ring's layout (cohort_weights at new), lag
+    the same with the newborn weight zeroed.
+    """
+    lag = w.copy()
+    lag[new] = 0.0
+    m = rho @ lag
+    births, mu0 = renew(beta_values, m, w[new])
+    rho[:, new] = births
+    return mu0, m, lag
 
 
 class BirthRing:
@@ -130,12 +152,6 @@ class BirthRing:
         m += np.vecdot(hi, self.births[:, older])
         q += np.vecdot(hi, self.products[:, older])
         return m, q
-
-    def renew(self, beta_values, m):
-        """Birth value and mu0 of the next level from its renewal mass m (the closed-form renewal)."""
-        w0 = self.w[0]
-        births = beta_values * (1.0 - m) / (1.0 + beta_values * w0)
-        return births, w0 * births + m
 
     def push(self, births, z):
         """Advance one level: B and B z of the new level replace the oldest column."""
@@ -223,7 +239,7 @@ def _oracle_march(n_steps, zeta, beta, rho_I, eps, sgrid, agrid, mu0_history=Non
 
     With mu0_history given, birth factors use it; otherwise the history is
     built self-consistently from the formula's own quadrature (the w0
-    renewal self-reference solved algebraically, as in step_density).
+    renewal self-reference solved algebraically, as in renew).
     """
     x, w, da = sgrid.x, agrid.w, agrid.da
     X = x[:, None]

@@ -12,9 +12,10 @@ with every delayed argument read straight from the (nx+2, na+1) ring buffer
 (dt = eps*da aligns them with stored snapshots).  The solve is exactly the Euler-Lagrange
 equation of the discrete energy, so z_new is its minimizer; energy decay and
 the minimization property below are structural, not approximate.
-advance_position checks, assembles and solves; step_position feeds it the
-quadrature of a density, the birth-ring weak step that of its product ring,
-and the coupled step that of its cohort ring read against buf in place.
+advance_position checks, assembles and solves.  The birth-ring weak step
+feeds it the quadrature of its product ring, the weak shift and coupled
+steps that of their cohort ring read against buf in place (before the push
+the cohort of age j >= 1 shares its column with its anchor z^{n+1-j}).
 """
 
 import numpy as np
@@ -80,20 +81,6 @@ def initial_position(rho_I, past, eps, sgrid, agrid, source_at_0=None):
     return elliptic.solve(op, rhs)
 
 
-def step_position(rho_next, mu0, hist, eps, sgrid, agrid, source=None):
-    """Advance the position one step and push it into the history.
-
-    rho_next is the density at the new level t^{n+1} and mu0 = rho_next @ w
-    its zeroth moment; hist still ends at t^n,
-    so the anchor of the age-j cohort, z(t^{n+1} - eps*a_j) = z^{n+1-j}, is
-    the snapshot at delay j-1.  That pairing is what makes the Volterra
-    residual of the output vanish identically.  source, if given, is
-    S(., t^{n+1}) on the full grid.
-    """
-    integral = delay_quadrature(agrid.w[1:], rho_next[:, 1:], hist.matrix()[:, :-1])
-    return advance_position(integral, mu0 - agrid.w[0] * rho_next[:, 0], hist, eps, sgrid, source)
-
-
 def advance_position(integral, coeff, hist, eps, sgrid, source=None):
     """Solve (coeff - eps Lap_h) z_new = integral + eps S and push z_new into hist.
 
@@ -114,10 +101,10 @@ def advance_position(integral, coeff, hist, eps, sgrid, source=None):
 def volterra_residual(hist, rho, z, eps, sgrid, agrid, source=None):
     """L(z, rho) - Lap_h z - S on interior nodes.
 
-    hist and rho must sit at the same time level as z (the newest snapshot
-    of hist == z when checking a step_position output).  Vanishes to solver
-    tolerance for the computed position; used as the cross-check between
-    the position and elongation formulations.
+    hist and rho (in age order) must sit at the same time level as z (the
+    newest snapshot of hist == z when checking a stepped position).
+    Vanishes to solver tolerance for the computed position; used as the
+    cross-check between the position and elongation formulations.
     """
     delayed = delay_quadrature(agrid.w, rho, z[:, None] - hist.matrix())
     res = delayed[1:-1] / eps - elliptic.laplacian(z, sgrid.dx)

@@ -20,9 +20,10 @@ from . import diagnostics as dg
 from .config import with_overrides
 from .errors import ConfigError, HypothesisViolation, NonfiniteValue
 from .grids import build_grids
-from .kinetics import BirthRing, age_profile, birth_ring, init_density, limit_density, moment, step_density, survival
+from .kinetics import BirthRing, age_profile, apply_survival, birth_ring, cohort_weights, init_density, limit_density
+from .kinetics import moment, renew, renew_cohorts, survival
 from .limit import step_limit
-from .position import PositionHistory, advance_position, initial_position, step_position
+from .position import PositionHistory, advance_position, delay_quadrature, initial_position
 from .presets import is_time_invariant
 
 ENERGY_DECAY_TOL = 1e-6  # per step, relative to the initial energy
@@ -88,22 +89,24 @@ def _start(vcfg):
 class WeakState:
     """Weak-run state at level n, t = n*dt; the stepper rebinds its fields.
 
-    On the birth-ring path rho is built from the ring when first read.
+    rho, in age order, is built when first read from the birth ring or the
+    shift path's cohort ring, which is in the frame of hist (see kinetics).
     """
 
     t: float
     z: np.ndarray
     hist: PositionHistory  # ends at the same level as z
     zeta: np.ndarray  # prescribed off-rate at t
-    surv: Optional[np.ndarray]  # survival(zeta) of the shift path
+    surv: Optional[np.ndarray]  # survival(zeta) of the shift path, in age order
     mu0: np.ndarray
     ring: Optional[BirthRing] = None
+    cohorts: Optional[np.ndarray] = None
     _rho: Optional[np.ndarray] = None
 
     @property
     def rho(self):
         if self._rho is None:
-            self._rho = self.ring.density()
+            self._rho = self.ring.density() if self.ring else np.roll(self.cohorts, -self.hist.head, axis=1)
         return self._rho
 
 
@@ -138,7 +141,7 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     with the WeakState at every level, after the built-in ones (see march).
     A rate that declares it ignores t is sampled once.  Such an off-rate
     is stepped on birth values (kinetics.BirthRing) unless birth_ring
-    refuses the data; the others shift the density.
+    refuses the data; the others shift the density's cohort ring.
     """
     sgrid, agrid, ts, rho, z, hist = _start(vcfg)
     rate, src = vcfg.rate_model, vcfg.source
@@ -151,7 +154,7 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     # birth_ring takes over the buffers of rho and of the survival factor
     ring = birth_ring(rho, survival(zeta, agrid), hist.buf, agrid) if fixed else None
     surv = None if ring else survival(zeta, agrid)
-    state = WeakState(t=0.0, z=z, hist=hist, zeta=zeta, surv=surv, mu0=mu0, ring=ring, _rho=None if ring else rho)
+    state = WeakState(t=0.0, z=z, hist=hist, zeta=zeta, surv=surv, mu0=mu0, ring=ring, cohorts=None if ring else rho)
     del rho, surv  # the state holds what the run still needs
     beta0 = rate.beta_values(sgrid.x, 0.0) if is_time_invariant(rate.beta) else None
 
@@ -161,9 +164,13 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     def shift(n, st):
         # n*dt, not an accumulated t + dt: the two differ in the last bits
         st.t = n * dt
-        st._rho = step_density(st.rho, st.surv, beta_at(st.t), agrid)
-        st.mu0 = moment(st.rho, agrid, 0)
-        st.z = step_position(st.rho, st.mu0, st.hist, eps, sgrid, agrid, source=_source_at(src, sgrid.x, st.t))
+        hist, rho = st.hist, st.cohorts
+        new = (hist.head - 1) % hist.depth  # the column of the newborns
+        apply_survival(rho, st.surv, hist.head)
+        st.mu0, m, lag = renew_cohorts(rho, beta_at(st.t), cohort_weights(agrid.w, new), new)
+        S = _source_at(src, sgrid.x, st.t)
+        st.z = advance_position(delay_quadrature(lag, rho, hist.buf), m, hist, eps, sgrid, S)
+        st._rho = None
         if not fixed:
             st.zeta = rate.zeta_field(sgrid.x, agrid.a, st.t)
             st.surv = survival(st.zeta, agrid)
@@ -172,7 +179,7 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     def ring_step(n, st):
         st.t = n * dt
         m, q = st.ring.sums()
-        births, st.mu0 = st.ring.renew(beta_at(st.t), m)
+        births, st.mu0 = renew(beta_at(st.t), m, agrid.w[0])
         st.z = advance_position(q, m, st.hist, eps, sgrid, _source_at(src, sgrid.x, st.t))
         st.ring.push(births, st.z)
         st._rho = None
@@ -298,7 +305,8 @@ def run_convergence_sweep(vcfg, epsilons, dt_out):
             where = f"dt_out={dt_out:g} is not a multiple of eps*da for eps={v.epsilon:g}"
             raise ConfigError([HypothesisViolation("output grid divisibility", where)])
         strides.append(int(round(ratio)))
-    n_out = int(round(vcfg.final_time / dt_out))
+    # the snapshots every run keeps: n_steps // stride after level 0
+    n_out = build_grids(vcfgs[0])[2].n_steps // strides[0]
 
     trajs = [run_weak(v, output_stride=s, diag_stride=0).trajectory for v, s in zip(vcfgs, strides)]
     ref = run_limit(vcfg, dt_out, n_out)
@@ -370,7 +378,7 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
     def record(n, st):
         if not diag_stride or n % diag_stride:
             return
-        w = cp.cohort_weights(agrid.w, st.hist.head)
+        w = cohort_weights(agrid.w, st.hist.head)
         rec = dg.record(
             st.t, st.z, st.rho_ring, st.u_ring, st.zeta, _source_at(src, sgrid.x, st.t), eps, sgrid, w, work,
             mu0_min=float(np.min(st.mu0[1:-1])),

@@ -127,6 +127,23 @@ def test_limit_subcommand(tmp_path):
     assert len(lines) == 1 + 11 * 14  # 11 output times, 14 nodes
 
 
+def test_limit_stops_at_the_final_time(tmp_path):
+    # the CLI defaults: final_time = 0.5 is not a multiple of 7 steps
+    # (dt = 5e-4), so the last snapshot is the last whole one before it
+    out = tmp_path / "out"
+    assert main(["limit", "--out", str(out), "--cadence", "7"]) == 0
+    last_t = float((out / "trajectory.csv").read_text().splitlines()[-1].split(",")[0])
+    assert last_t <= 0.5
+
+
+def test_sweep_at_a_cadence_that_does_not_divide_the_final_time(tmp_path):
+    # every delay run keeps its n_steps // stride + 1 snapshots, and the
+    # limit reference must keep as many
+    out = tmp_path / "out"
+    assert main(["convergence-sweep", "--out", str(out), "--cadence", "7"]) == 0
+    assert (out / "sweep.csv").exists()
+
+
 def test_coupled_subcommand(tmp_path):
     cfg = write(tmp_path, TINY_COUPLED)
     out = str(tmp_path / "out")

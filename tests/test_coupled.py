@@ -23,8 +23,8 @@ from linkages.coupled import (
 from linkages.diagnostics import stretch_integrals
 from linkages.errors import NonpositiveGamma1
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
-from linkages.kinetics import init_density, moment, step_density
-from linkages.position import PositionHistory, advance_position, step_position
+from linkages.kinetics import init_density, moment
+from linkages.position import PositionHistory, advance_position
 from linkages import elliptic, presets
 from linkages.simulate import run_coupled, run_detachment
 
@@ -237,10 +237,15 @@ def test_coupled_step_equals_its_unfused_composition():
     u_a = np.zeros_like(u)
     u_a[:, 1:] = old.u[:, :-1] + ag.da * g_old[:, None]
     zeta_a = rate.zeta_of_u(u_a)
-    rho_a = step_density(old.rho, np.exp(-ag.da * zeta_a[:, 1:]), beta, ag)
+    rho_a = np.empty_like(u_a)
+    rho_a[:, 1:] = old.rho[:, :-1] * np.exp(-ag.da * zeta_a[:, 1:])
+    m_a = rho_a[:, 1:] @ ag.w[1:]
+    rho_a[:, 0] = beta * (1.0 - m_a) / (1.0 + beta * ag.w[0])
     mu0_a = rho_a @ ag.w
     g_a = solve_velocity(rho_a, mu0_a, u_a, zeta_a, src.ddt(sg.x, t), eps, sg, ag.w)
-    z_a = step_position(rho_a, mu0_a, copy.deepcopy(old.hist), eps, sg, ag, source=src(sg.x, t))
+    hist_a = copy.deepcopy(old.hist)  # its age-ordered snapshots, anchors of the ages j >= 1
+    rhs_a = np.einsum("j,xj,xj->x", ag.w[1:], rho_a[:, 1:], hist_a.matrix()[:, :-1])
+    z_a = advance_position(rhs_a, mu0_a - ag.w[0] * rho_a[:, 0], hist_a, eps, sg, src(sg.x, t))
     assert np.array_equal(new.u, u_a)
     for got, want in ((new.rho, rho_a), (new.mu0, mu0_a), (new.g, g_a), (new.z, z_a)):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from linkages.config import PastData, RateModel, SourceModel, validate_config
-from linkages.coupled import cohort_weights
+from linkages.kinetics import cohort_weights
 from linkages.diagnostics import (
     DiagnosticsRecord,
     convergence_error,

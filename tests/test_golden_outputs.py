@@ -114,6 +114,11 @@ CASES = {
     # one interior node: the tridiagonal solve has no off-diagonals
     "weak-nx1": (WEAK.replace("nx = 12", "nx = 1"), ["weak", "--cadence", "1"]),
     "weak-source": (WEAK_SOURCE, ["weak-source", "--cadence", "1"]),
+    # C_j = exp(-0.8 j) underflows, so birth_ring refuses the data: the shift path
+    "weak-fallback": (
+        WEAK.replace("zeta = one_plus_age_ramp(0.5)\nzeta_M = 1.5", "zeta = constant(80)\nzeta_m = 80\nzeta_M = 80"),
+        ["weak", "--cadence", "1", "--dump-density"],
+    ),
     "limit": (WEAK, ["limit", "--cadence", "1"]),
     "coupled": (COUPLED, ["coupled", "--cadence", "1", "--dump-density"]),
     "convergence-sweep": (WEAK, ["convergence-sweep", "--epsilons", "0.2,0.1", "--cadence", "1"]),
@@ -140,6 +145,11 @@ GOLDEN = {
         "density.csv": "166cf6cedaaccbcf81bb191754ae65b01eafb9aa27b56a28fbfc2e5dceea53ca",
         "diagnostics.csv": "39966ab9e827672654cdce9e7948b82c7a3b156a7c5bf81b0c1dcd52507482ca",
         "trajectory.csv": "3ed3a978c0f792582558b255f50779b22fc74acc780606be877fde04219ac09b",
+    }),
+    "weak-fallback": (0, {
+        "density.csv": "0dde8aad2602e4675030bf94298e85318459b741b907604975e00e4118fd1143",
+        "diagnostics.csv": "25cfad5f80a54bd1db94697bee6f51426046ba512c856e33018b5b2b144bfed6",
+        "trajectory.csv": "564ebc523742617d88dbc2f81737f1ffac339099ec5def97262c86859e5c1aa1",
     }),
     "weak-nx1": (0, {
         "diagnostics.csv": "323ac96b61ea7df70c1ba9d1d4de3111e3a9f974e9a3eb3b054b52fcd1b4ce78",

@@ -6,14 +6,16 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_config
-from linkages import simulate
-from linkages.config import validate_config
+from conftest import CohortRing, make_config
+from linkages import presets, simulate
+from linkages.config import RateModel, validate_config
 from linkages.errors import HistoryMissing, MassAtLeastOne, NegativeDensity, NonfiniteValue
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
 from linkages.kinetics import (
     BirthRing,
     age_profile,
+    apply_survival,
+    cohort_weights,
     decay,
     density_characteristics_oracle,
     init_density,
@@ -21,7 +23,7 @@ from linkages.kinetics import (
     moment,
     oracle_density_field,
     oracle_mu0_history,
-    step_density,
+    renew_cohorts,
     survival,
 )
 
@@ -77,7 +79,7 @@ def test_moments():
 def test_step_density_renewal_from_empty():
     rho = np.zeros((SG.n_nodes, AG.n_nodes))
     zeta = np.ones((SG.n_nodes, AG.n_nodes))
-    new = step_density(rho, survival(zeta, AG), np.ones(SG.n_nodes), AG)
+    new = CohortRing(rho).step(survival(zeta, AG), np.ones(SG.n_nodes), AG)
     np.testing.assert_allclose(new[:, 0], 1.0 / (1.0 + AG.w[0]), atol=1e-14)
     assert np.all(new[:, 1:] == 0.0)
 
@@ -86,7 +88,7 @@ def test_step_density_steady_profile():
     # 0.5 e^-a is the fixed point of the renewal with beta = zeta = 1
     rho = init_density(HALF_EXP, SG, AG)
     zeta = np.ones((SG.n_nodes, AG.n_nodes))
-    new = step_density(rho, survival(zeta, AG), np.ones(SG.n_nodes), AG)
+    new = CohortRing(rho).step(survival(zeta, AG), np.ones(SG.n_nodes), AG)
     # interior: exact shift times e^-da preserves the exponential
     np.testing.assert_allclose(new[:, 1:], rho[:, 1:], atol=1e-13)
     # renewal value returns the profile head up to O(da^2)
@@ -96,7 +98,7 @@ def test_step_density_steady_profile():
 def test_step_density_pure_decay():
     rho = init_density(EXP_DECAY, SG, AG)
     zeta = np.full((SG.n_nodes, AG.n_nodes), 2.0)
-    new = step_density(rho, survival(zeta, AG), np.zeros(SG.n_nodes), AG)
+    new = CohortRing(rho).step(survival(zeta, AG), np.zeros(SG.n_nodes), AG)
     np.testing.assert_allclose(
         new[:, 1:], rho[:, :-1] * np.exp(-2.0 * AG.da), atol=1e-14
     )
@@ -105,11 +107,11 @@ def test_step_density_pure_decay():
 
 def test_step_density_positivity_and_saturation():
     rng = np.random.default_rng(3)
-    rho = rng.uniform(0.0, 0.08, (SG.n_nodes, AG.n_nodes))
+    cohorts = CohortRing(rng.uniform(0.0, 0.08, (SG.n_nodes, AG.n_nodes)))
     for _ in range(5):
         zeta = rng.uniform(0.2, 3.0, (SG.n_nodes, AG.n_nodes))
         beta = rng.uniform(0.0, 2.0, SG.n_nodes)
-        rho = step_density(rho, survival(zeta, AG), beta, AG)
+        rho = cohorts.step(survival(zeta, AG), beta, AG)
         assert np.min(rho) >= 0.0
         assert np.max(moment(rho, AG, 0)) < 1.0 - 1e-12
 
@@ -182,21 +184,41 @@ def test_birth_ring_sums_at_every_head(na):
     assert heads == [0, *range(depth - 1, 0, -1), 0]
 
 
-def test_birth_ring_step_allocates_no_field(monkeypatch):
-    # a birth-ring step allocates only O(nx) arrays: the tracemalloc peak of
-    # one step stays below one age field.  perfbench's run_rel divides by a
-    # seed copy run in the same process, and freeing a field-sized array
-    # raises glibc's malloc thresholds for that process: allocating and
-    # freeing one (nx+2, na+1) array after a warm-up sweep cut the seed
-    # copy's next sweep calls from 620k-790k minor faults (4.0-4.9 s wall)
-    # to 2.4k-4.2k faults (3.4-3.6 s), so the ratio's denominator ran about
-    # 25 % faster and the ratio credited this code with it
-    vcfg = validate_config(make_config(nx=30, final_time=0.005))
-    sg, ag, ts = build_grids(vcfg)
+@pytest.mark.parametrize("na", [1, 2, 5])
+def test_shift_step_at_every_head(na):
+    # the cohort-ring step against the age-frame step (roll to age order,
+    # shift, survival, renewal) at every head the steps reach (0, then
+    # depth-1 down to 1); each step has its own random survival factors,
+    # distinct per age, so a slice off by one multiplies the wrong cohort
+    rng = np.random.default_rng(na)
+    ag = AgeGrid(da=0.5, a_max=0.5 * na)
+    nodes, depth = 4, na + 1
+    ring = rng.uniform(0.0, 0.2, (nodes, depth))
+    heads, head = [], 0
+    for _ in range(depth + 1):
+        heads.append(head)
+        surv, beta = rng.uniform(0.1, 1.0, (nodes, na)), rng.uniform(0.0, 2.0, nodes)
+        aged, want = np.roll(ring, -head, axis=1), np.empty((nodes, depth))
+        want[:, 1:] = aged[:, :-1] * surv
+        m = want[:, 1:] @ ag.w[1:]
+        want[:, 0] = beta * (1.0 - m) / (1.0 + beta * ag.w[0])
+        new = (head - 1) % depth
+        apply_survival(ring, surv, head)
+        mu0, got_m, lag = renew_cohorts(ring, beta, cohort_weights(ag.w, new), new)
+        head = new
+        np.testing.assert_allclose(np.roll(ring, -head, axis=1), want, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(got_m, m, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(mu0, want @ ag.w, rtol=1e-13, atol=0.0)
+        assert np.array_equal(np.roll(lag, -head), np.concatenate(([0.0], ag.w[1:])))
+    assert heads == [0, *range(depth - 1, 0, -1), 0]
+
+
+def step_peaks(monkeypatch, vcfg, name):
+    """The tracemalloc peak of each step of run_weak(vcfg); the stepper must be name."""
     peaks, march = [], simulate.march
 
     def measure(step):
-        assert step.__name__ == "ring_step"
+        assert step.__name__ == name
 
         def measured(n, st):
             tracemalloc.start()
@@ -211,6 +233,33 @@ def test_birth_ring_step_allocates_no_field(monkeypatch):
     monkeypatch.setattr(simulate, "march", lambda state, step, n_steps, observers: march(
         state, measure(step), n_steps, observers))
     simulate.run_weak(vcfg, diag_stride=0)
+    return peaks
+
+
+def test_birth_ring_step_allocates_no_field(monkeypatch):
+    # a birth-ring step allocates only O(nx) arrays: the tracemalloc peak of
+    # one step stays below one age field.  perfbench's run_rel divides by a
+    # seed copy run in the same process, and freeing a field-sized array
+    # raises glibc's malloc thresholds for that process: allocating and
+    # freeing one (nx+2, na+1) array after a warm-up sweep cut the seed
+    # copy's next sweep calls from 620k-790k minor faults (4.0-4.9 s wall)
+    # to 2.4k-4.2k faults (3.4-3.6 s), so the ratio's denominator ran about
+    # 25 % faster and the ratio credited this code with it
+    vcfg = validate_config(make_config(nx=30, final_time=0.005))
+    sg, ag, ts = build_grids(vcfg)
+    peaks = step_peaks(monkeypatch, vcfg, "ring_step")
+    assert len(peaks) == ts.n_steps
+    assert max(peaks) < sg.n_nodes * ag.n_nodes * 8
+
+
+def test_shift_step_allocates_no_field(monkeypatch):
+    # the shift path (here birth_ring's fallback: C_j underflows) steps its
+    # cohort ring in place and reads the history where it stands, so one
+    # step allocates less than one age field, as a birth-ring step does
+    rate = RateModel(zeta=presets.given_zeta_fn("constant(80)"), zeta_m=80.0, zeta_M=80.0)
+    vcfg = validate_config(make_config(nx=30, final_time=0.005, rate_model=rate))
+    sg, ag, ts = build_grids(vcfg)
+    peaks = step_peaks(monkeypatch, vcfg, "shift")
     assert len(peaks) == ts.n_steps
     assert max(peaks) < sg.n_nodes * ag.n_nodes * 8
 
@@ -252,10 +301,10 @@ def test_scheme_equals_oracle_for_constant_rates():
     eps, da = 0.05, 0.02
     sg, ag = SpaceGrid(nx=4), AgeGrid(da=da, a_max=10.0)
     n_steps = 400
-    rho = init_density(lambda x, a: 0.9 * EXP_DECAY(x, a), sg, ag)
+    cohorts = CohortRing(init_density(lambda x, a: 0.9 * EXP_DECAY(x, a), sg, ag))
     zeta = np.ones((sg.n_nodes, ag.n_nodes))
     for n in range(n_steps):
-        rho = step_density(rho, survival(zeta, ag), np.ones(sg.n_nodes), ag)
+        rho = cohorts.step(survival(zeta, ag), np.ones(sg.n_nodes), ag)
     rI = lambda x, a: 0.9 * EXP_DECAY(x, a)
     hist = oracle_mu0_history(n_steps, ZETA_ONE, ONES_X, rI, eps, sg, ag)
     oracle = oracle_density_field(n_steps, ZETA_ONE, ONES_X, rI, hist, eps, sg, ag)
@@ -272,10 +321,10 @@ def _oracle_l1_distance(da, eps=0.05):
     sg, ag = SpaceGrid(nx=6), AgeGrid(da=da, a_max=10.0)
     n_steps = int(round(10.0 / da))  # T = 10 eps
     rI = lambda x, a: 0.9 * EXP_DECAY(x, a)
-    rho = init_density(rI, sg, ag)
+    cohorts = CohortRing(init_density(rI, sg, ag))
     for n in range(n_steps):
         zeta = varying_zeta(sg.x[:, None], ag.a[None, :], n * eps * da)
-        rho = step_density(rho, survival(zeta, ag), np.ones(sg.n_nodes), ag)
+        rho = cohorts.step(survival(zeta, ag), np.ones(sg.n_nodes), ag)
     hist = oracle_mu0_history(n_steps, varying_zeta, ONES_X, rI, eps, sg, ag)
     oracle = oracle_density_field(n_steps, varying_zeta, ONES_X, rI, hist, eps, sg, ag)
     return float(sg.quad_weights() @ (np.abs(rho - oracle) @ ag.w))
@@ -297,9 +346,9 @@ def test_mu0_lower_bound_weak_mode():
     rho = init_density(EXP_DECAY, sg, ag)
     beta_m, zeta_M = 0.5, 1.0
     floor = min(float(np.min(moment(rho, ag, 0))), beta_m / (beta_m + zeta_M)) - 10 * da
-    zeta = np.ones((sg.n_nodes, ag.n_nodes))
+    zeta, cohorts = np.ones((sg.n_nodes, ag.n_nodes)), CohortRing(rho)
     for _ in range(1500):
-        rho = step_density(rho, survival(zeta, ag), np.full(sg.n_nodes, beta_m), ag)
+        rho = cohorts.step(survival(zeta, ag), np.full(sg.n_nodes, beta_m), ag)
         assert np.min(moment(rho, ag, 0)) >= floor
 
 

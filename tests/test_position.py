@@ -3,18 +3,19 @@
 import numpy as np
 import pytest
 
-from conftest import capture_at, dense_solve, make_config
+from conftest import CohortRing, capture_at, dense_solve, make_config, position_step
 
 from linkages import diagnostics as dg
 from linkages.config import PastData, RateModel, SourceModel, validate_config
 from linkages.coupled import init_elongation
 from linkages.errors import NonfiniteValue
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
-from linkages.kinetics import init_density, limit_density, moment, step_density, survival
+from linkages.kinetics import init_density, limit_density, moment, survival
 from linkages.position import (
     PositionHistory,
+    advance_position,
+    delay_quadrature,
     initial_position,
-    step_position,
     volterra_residual,
 )
 from linkages import presets, simulate
@@ -93,7 +94,7 @@ def test_step_position_poisson_reduction():
     rho = np.zeros((SG.n_nodes, AG.n_nodes))
     hist = PositionHistory(np.zeros(SG.n_nodes), PastData(fn=presets.past_data_fn("zero")), EPS, SG, AG)
     S = np.pi**2 * np.sin(np.pi * SG.x)
-    z = step_position(rho, rho @ AG.w, hist, EPS, SG, AG, source=S)
+    z = position_step(rho, hist, EPS, SG, AG, source=S)
     lam = discrete_sin_eigenvalue(SG)
     np.testing.assert_allclose(z, np.pi**2 / lam * np.sin(np.pi * SG.x), atol=1e-11)
     np.testing.assert_allclose(z, np.sin(np.pi * SG.x), atol=1.0 * SG.dx**2)
@@ -102,7 +103,7 @@ def test_step_position_poisson_reduction():
 def test_step_position_zero_history():
     rho = init_density(EXP_DECAY, SG, AG)
     hist = PositionHistory(np.zeros(SG.n_nodes), PastData(fn=presets.past_data_fn("zero")), EPS, SG, AG)
-    z = step_position(rho, rho @ AG.w, hist, EPS, SG, AG)
+    z = position_step(rho, hist, EPS, SG, AG)
     np.testing.assert_allclose(z, 0.0, atol=1e-14)
 
 
@@ -111,7 +112,7 @@ def test_step_position_drifts_to_zero():
     rho = init_density(lambda x, a: 0.5 * EXP_DECAY(x, a), SG, AG)
     zstar = np.sin(np.pi * SG.x) * 0.3
     hist = PositionHistory(zstar, PastData(fn=lambda x, t: 0.3 * np.sin(np.pi * np.asarray(x))), EPS, SG, AG)
-    z = step_position(rho, rho @ AG.w, hist, EPS, SG, AG)
+    z = position_step(rho, hist, EPS, SG, AG)
     assert np.max(np.abs(z)) < np.max(np.abs(zstar))
 
 
@@ -164,7 +165,7 @@ def test_step_position_matches_dense_oracle():
     z0 = past(sg.x, 0.0)
     hist = PositionHistory(z0, past, EPS, sg, ag)
     Z = hist.matrix()
-    z = step_position(rho, rho @ ag.w, hist, EPS, sg, ag)
+    z = position_step(rho, hist, EPS, sg, ag)
     mu0 = rho @ ag.w
     coeff = mu0 - ag.w[0] * rho[:, 0]
     rhs = np.einsum("j,xj,xj->x", ag.w[1:], rho[:, 1:], Z[:, :-1])[1:-1]
@@ -232,15 +233,18 @@ def test_time_dependent_rate_matches_survival_every_step(monkeypatch):
     sg, ag, ts = build_grids(vcfg)
     assert len(calls) == ts.n_steps + 1
 
-    # hand loop: a fresh survival factor at every step
+    # hand loop: a fresh survival factor at every step; the density is a
+    # cohort ring in the history's frame, read against its buffer in place
     rho = init_density(vcfg.initial_density, sg, ag)
     z = initial_position(rho, vcfg.past_data, vcfg.epsilon, sg, ag)
     hist = PositionHistory(z, vcfg.past_data, vcfg.epsilon, sg, ag)
-    traj = [z]
+    traj, cohorts = [z], CohortRing(rho)
     for n in range(1, ts.n_steps + 1):
         surv = survival(rate.zeta_field(sg.x, ag.a, (n - 1) * ts.dt), ag)
-        rho = step_density(rho, surv, rate.beta_values(sg.x, n * ts.dt), ag)
-        traj.append(step_position(rho, rho @ ag.w, hist, vcfg.epsilon, sg, ag))
+        rho = cohorts.step(surv, rate.beta_values(sg.x, n * ts.dt), ag)
+        assert cohorts.head == (hist.head - 1) % hist.depth
+        integral = delay_quadrature(cohorts.lag, cohorts.ring, hist.buf)
+        traj.append(advance_position(integral, cohorts.m, hist, vcfg.epsilon, sg))
     assert np.array_equal(res.final_rho, rho)
     assert np.array_equal(res.trajectory, np.asarray(traj))
 
