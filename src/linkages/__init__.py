@@ -32,7 +32,7 @@ from .diagnostics import (
     lyapunov_H,
     stretch_integrals,
 )
-from .elliptic import TridiagonalOperator, assemble, laplacian, solve
+from .elliptic import laplacian, solve
 from .grids import AgeGrid, SpaceGrid, TimeStepping, build_grids
 from .kinetics import (
     LimitDensity,

@@ -73,7 +73,7 @@ class RateModel:
             if self.zeta_kind == "given":
                 self.zeta = presets.given_zeta_fn("constant(1.0)")
             else:
-                self.zeta = lambda u: 1.0 + np.abs(u)
+                self.zeta = presets.lipschitz_zeta_fn("one_plus_abs")
         if self.beta is None and self.beta_kind == "given":
             self.beta = presets.given_beta_fn("constant(1.0)")
 
@@ -106,7 +106,7 @@ class PastData:
 
     def __post_init__(self):
         if self.lipschitz is None:
-            self.lipschitz = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+            self.lipschitz = presets.past_lipschitz_fn("zero")
 
     def __call__(self, x, t):
         return np.asarray(self.fn(x, t), dtype=float)
@@ -301,53 +301,42 @@ def with_overrides(vcfg, **kwargs):
 
 
 def load_config(path):
-    """Parse an INI configuration file into a SimulationConfig (unvalidated)."""
+    """Parse an INI configuration file into a SimulationConfig (unvalidated).
+
+    Only the keys the file has are passed on, so every other field takes
+    its dataclass default.  A file that configparser cannot parse or that
+    does not decode is a ConfigError too.
+    """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.optionxform = str  # zeta_m and zeta_M must stay distinct
-    read = parser.read(path)
-    if not read:
-        raise ConfigError([HypothesisViolation("unreadable config file", str(path))])
-    if not parser.has_section("simulation"):
-        raise ConfigError([HypothesisViolation("missing [simulation] section", str(path))])
     try:
-        get = parser["simulation"].get
+        if not parser.read(path):
+            raise ConfigError([HypothesisViolation("unreadable config file", str(path))])
+        if not parser.has_section("simulation"):
+            raise ConfigError([HypothesisViolation("missing [simulation] section", str(path))])
+        sim = parser["simulation"]
 
         rm = parser["rate_model"] if parser.has_section("rate_model") else {}
-        zeta_kind = rm.get("zeta_kind", "given")
-        if zeta_kind == "given":
-            zeta = presets.given_zeta_fn(rm.get("zeta", "constant(1.0)"))
-        else:
-            zeta = presets.lipschitz_zeta_fn(rm.get("zeta", "one_plus_abs"))
-        beta_kind = rm.get("beta_kind", "given")
-        beta = None
-        zbar = 1000.0
-        if beta_kind == "given":
-            beta = presets.given_beta_fn(rm.get("beta", "constant(1.0)"))
+        rate = {k: rm[k] for k in ("zeta_kind", "beta_kind") if k in rm}
+        rate.update((k, float(rm[k])) for k in ("zeta_m", "zeta_M", "zeta_lip", "beta_m", "beta_M") if k in rm)
+        beta_kind = rate.get("beta_kind", RateModel.beta_kind)
+        if "zeta" in rm:
+            given = rate.get("zeta_kind", RateModel.zeta_kind) == "given"
+            rate["zeta"] = (presets.given_zeta_fn if given else presets.lipschitz_zeta_fn)(rm["zeta"])
+        if beta_kind == "given" and "beta" in rm:
+            rate["beta"] = presets.given_beta_fn(rm["beta"])
         elif beta_kind == "threshold":
             spec = rm.get("beta", "threshold")
             name, args = presets.parse_spec(spec)
             if name != "threshold" or len(args) > 1:
                 where = f"beta = {spec} with beta_kind = threshold; expected threshold or threshold(zbar)"
                 raise ConfigError([HypothesisViolation("rate model kind", where)])
-            zbar = args[0] if args else zbar
-        rate = RateModel(
-            zeta_kind=zeta_kind,
-            beta_kind=beta_kind,
-            zeta=zeta,
-            zeta_m=float(rm.get("zeta_m", 1.0)),
-            zeta_M=float(rm.get("zeta_M", 1.0)),
-            zeta_lip=float(rm.get("zeta_lip", 1.0)),
-            beta=beta,
-            beta_m=float(rm.get("beta_m", 1.0)),
-            beta_M=float(rm.get("beta_M", 1.0)),
-            zbar=zbar,
-        )
+            if args:
+                rate["zbar"] = args[0]
 
         pd = parser["past_data"] if parser.has_section("past_data") else {}
-        past = PastData(
-            fn=presets.past_data_fn(pd.get("z_p", "zero")),
-            lipschitz=presets.past_lipschitz_fn(pd.get("lipschitz_constant", "zero")),
-        )
+        past = {"lipschitz": presets.past_lipschitz_fn(pd["lipschitz_constant"])} if "lipschitz_constant" in pd else {}
+        scales = {"a_max": float(sim["a_max"])} if "a_max" in sim else {}
 
         dens = parser["initial_density"] if parser.has_section("initial_density") else {}
         rho_I = presets.initial_density_fn(dens.get("rho_I", "exp_decay"))
@@ -357,15 +346,15 @@ def load_config(path):
             source = SourceModel(*presets.source_fns(parser["source"].get("S", "constant(0.0)")))
 
         return SimulationConfig(
-            epsilon=float(get("epsilon")),
-            final_time=float(get("final_time")),
-            nx=int(get("nx")),
-            da=float(get("da")),
-            a_max=float(get("a_max", 10.0)),
-            rate_model=rate,
-            past_data=past,
+            epsilon=float(sim.get("epsilon")),
+            final_time=float(sim.get("final_time")),
+            nx=int(sim.get("nx")),
+            da=float(sim.get("da")),
+            rate_model=RateModel(**rate),
+            past_data=PastData(fn=presets.past_data_fn(pd.get("z_p", "zero")), **past),
             initial_density=rho_I,
             source=source,
+            **scales,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (configparser.Error, KeyError, TypeError, ValueError) as exc:
         raise ConfigError([HypothesisViolation("malformed config", str(exc))]) from exc

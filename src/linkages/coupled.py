@@ -53,7 +53,7 @@ from . import elliptic
 from .diagnostics import stretch_integrals
 from .errors import NonpositiveGamma1
 from .kinetics import cohort_weights, decay, renew_cohorts
-from .position import advance_position, delay_quadrature, sample_past
+from .position import advance_position, delay_quadrature, sample_past, solve_balance
 
 OMEGA = 0.5  # 1D sup-norm embedding constant ||g||_inf <= omega ||g'||_2 on (0,1)
 
@@ -102,20 +102,16 @@ def init_elongation(z0, past, eps, sgrid, agrid):
 
 
 def solve_velocity(rho, mu0, u, zeta_u, dSdt, eps, sgrid, w, load=None):
-    """Velocity from the elliptic balance (mu0 - eps Lap_h) g = rhs.
+    """Velocity from the balance (mu0 - eps Lap_h) g = int zeta(u) rho u da + eps dS/dt.
 
-    rhs = int zeta(u) rho u da + eps * dS/dt per interior node, with mu0 =
-    rho @ w and zeta_u the off-rate evaluated on u; w are the age weights
-    in the layout of the fields, dSdt may be None for a time-constant load,
-    and the lanes zeta*rho*u are formed in load if it is given.
+    position.solve_balance poses it, with mu0 = rho @ w and zeta_u the
+    off-rate evaluated on u; w are the age weights in the layout of the
+    fields, dSdt may be None for a time-constant load, and the lanes
+    zeta*rho*u are formed in load if it is given.
     """
     load = np.multiply(zeta_u, rho, out=load)
     load *= u
-    rhs = (load @ w)[1:-1]
-    if dSdt is not None:
-        rhs = rhs + eps * np.asarray(dSdt)[1:-1]
-    op = elliptic.assemble(mu0[1:-1], eps, sgrid)
-    return elliptic.solve(op, rhs)
+    return solve_balance(load @ w, mu0, eps, sgrid, dSdt)
 
 
 def coupled_step(st, source, rate, eps, sgrid, agrid):
@@ -191,9 +187,7 @@ def asymptotic_profile(beta_inf, S_inf, sgrid):
     """Large-time profile: mu_inf = beta/(beta+1), -Lap_h z_inf = S_inf."""
     beta_inf = np.broadcast_to(np.asarray(beta_inf, dtype=float), (sgrid.n_nodes,))
     mu_inf = beta_inf / (beta_inf + 1.0)
-    op = elliptic.assemble(np.zeros(sgrid.nx), 1.0, sgrid)
-    z_inf = elliptic.solve(op, np.asarray(S_inf)[1:-1])
-    return mu_inf, z_inf
+    return mu_inf, elliptic.solve(0.0, 1.0, np.asarray(S_inf)[1:-1], sgrid)
 
 
 def riccati_gamma2(p0, gamma1, h, eps, omega=OMEGA):

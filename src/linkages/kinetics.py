@@ -25,7 +25,6 @@ step, and both lagged sums read the same two slices of the weights with
 np.vecdot; renew turns them into the next birth value."""
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,7 @@ def init_density(fn, sgrid, agrid):
     """Sample the initial age distribution rho_I(x, a) onto the (nx+2, na+1) grid.
 
     Rejects negative values and per-x mass >= 1.  A vanishing field is legal
-    (bond-free start); it only warns.
+    (bond-free start); validate_config warns about it.
     """
     vals = np.asarray(fn(sgrid.x[:, None], agrid.a[None, :]), dtype=float)
     vals = np.broadcast_to(vals, (sgrid.n_nodes, agrid.n_nodes)).copy()
@@ -53,8 +52,6 @@ def init_density(fn, sgrid, agrid):
     mu0 = vals @ agrid.w
     if np.max(mu0) >= 1.0:
         raise MassAtLeastOne(f"max mu0(x, 0) = {np.max(mu0):.6g}")
-    if np.min(mu0) <= 0.0:
-        warnings.warn("initial bond population is zero somewhere", stacklevel=2)
     return vals
 
 

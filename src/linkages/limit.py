@@ -26,8 +26,7 @@ def step_limit(z, mu10, dt, sgrid, source=None):
     if np.all(mu_i <= MU_FLOOR):
         if source is None:
             return np.zeros(sgrid.n_nodes)
-        return elliptic.solve(elliptic.assemble(np.zeros(sgrid.nx), 1.0, sgrid), S)
+        return elliptic.solve(0.0, 1.0, S, sgrid)
     if np.any(mu_i <= MU_FLOOR):
         raise DegenerateFriction("friction coefficient below floor on part of the domain")
-    op = elliptic.assemble(mu_i / dt, 1.0, sgrid)
-    return elliptic.solve(op, (mu_i / dt) * z[1:-1] + S)
+    return elliptic.solve(mu_i / dt, 1.0, (mu_i / dt) * z[1:-1] + S, sgrid)

@@ -12,10 +12,14 @@ with every delayed argument read straight from the (nx+2, na+1) ring buffer
 (dt = eps*da aligns them with stored snapshots).  The solve is exactly the Euler-Lagrange
 equation of the discrete energy, so z_new is its minimizer; energy decay and
 the minimization property below are structural, not approximate.
-advance_position checks, assembles and solves.  The birth-ring weak step
-feeds it the quadrature of its product ring, the weak shift and coupled
-steps that of their cohort ring read against buf in place (before the push
-the cohort of age j >= 1 shares its column with its anchor z^{n+1-j}).
+
+solve_balance poses (coeff - eps Lap_h) x = integral + eps f, the one
+elliptic balance of the model: for the start-up position, every step's
+position (advance_position solves it and pushes z_new) and the coupled
+velocity.  The birth-ring weak step feeds advance_position the quadrature
+of its product ring, the weak shift and coupled steps that of their cohort
+ring read against buf in place (before the push the cohort of age j >= 1
+shares its column with its anchor z^{n+1-j}).
 """
 
 import numpy as np
@@ -58,6 +62,21 @@ def delay_quadrature(w, rho, Z):
     return np.einsum("j,xj,xj->x", w, rho, Z)
 
 
+def solve_balance(integral, coeff, eps, sgrid, f=None):
+    """Solve the balance (coeff - eps Lap_h) x = integral + eps f.
+
+    integral, coeff and f (or None) are full-grid values.  coeff, a
+    population (mu0 - w0 rho(., 0) for the position, mu0 for the velocity),
+    is clamped at 0; a value below -1e-12 is a kinetics bug.
+    """
+    if coeff.min() < -1e-12:
+        raise DegenerateOperator(f"negative population coefficient {coeff.min():g}: kinetics bug")
+    rhs = integral[1:-1]
+    if f is not None:
+        rhs = rhs + eps * np.asarray(f)[1:-1]
+    return elliptic.solve(np.maximum(coeff[1:-1], 0.0), eps, rhs, sgrid)
+
+
 def initial_position(rho_I, past, eps, sgrid, agrid, source_at_0=None):
     """Solve the t = 0 elliptic problem for the starting position.
 
@@ -69,16 +88,9 @@ def initial_position(rho_I, past, eps, sgrid, agrid, source_at_0=None):
     operator avoids a spurious first-step layer in the stability
     functional).
     """
-    mu0 = rho_I @ agrid.w
     zp = sample_past(past, eps, sgrid, agrid)
-    rhs = delay_quadrature(agrid.w[1:], rho_I[:, 1:], zp[:, 1:])[1:-1]
-    if source_at_0 is not None:
-        rhs = rhs + eps * np.asarray(source_at_0)[1:-1]
-    coeff = mu0 - agrid.w[0] * rho_I[:, 0]
-    if eps == 0.0 and np.all(coeff[1:-1] == 0.0):
-        raise DegenerateOperator("mu0_I == 0 and eps == 0")
-    op = elliptic.assemble(coeff[1:-1], eps, sgrid)
-    return elliptic.solve(op, rhs)
+    integral = delay_quadrature(agrid.w[1:], rho_I[:, 1:], zp[:, 1:])
+    return solve_balance(integral, rho_I @ agrid.w - agrid.w[0] * rho_I[:, 0], eps, sgrid, source_at_0)
 
 
 def advance_position(integral, coeff, hist, eps, sgrid, source=None):
@@ -87,13 +99,7 @@ def advance_position(integral, coeff, hist, eps, sgrid, source=None):
     integral (the quadrature over ages j >= 1) and coeff = mu0 - w0 rho(., 0)
     are full-grid values at the new level.
     """
-    if coeff.min() < -1e-12:
-        raise DegenerateOperator("mu0 - w0 rho(., 0) negative: kinetics bug")
-    rhs = integral[1:-1]
-    if source is not None:
-        rhs = rhs + eps * np.asarray(source)[1:-1]
-    op = elliptic.assemble(np.maximum(coeff[1:-1], 0.0), eps, sgrid)
-    z_new = elliptic.solve(op, rhs)
+    z_new = solve_balance(integral, coeff, eps, sgrid, source)
     hist.push(z_new)
     return z_new
 

@@ -54,19 +54,22 @@ def _source_at(src, x, t):
 class _Guard:
     """Observer of the invariants both drivers watch.
 
-    Tracks the range of mu0 (the minimum over mu0[lo]), raises
-    NonfiniteValue when one of the named fields is not finite, and records
-    saturation and a minimum below floor as violations.
+    Tracks the range of mu0 (the minimum over mu0[lo]) and the minimum over
+    the stepped levels n >= 1 alone, raises NonfiniteValue when one of the
+    named fields is not finite, and records saturation and a minimum below
+    floor as violations.
     """
 
     def __init__(self, fields, lo=slice(None), floor=-math.inf):
         self.fields, self.lo, self.floor = fields, lo, floor
-        self.mu0_min, self.mu0_max = math.inf, -math.inf
+        self.mu0_min, self.mu0_max, self.stepped_min = math.inf, -math.inf, math.inf
         self.violations = []
 
     def __call__(self, n, st):
         lo, hi = float(st.mu0[self.lo].min()), float(st.mu0.max())
         self.mu0_min, self.mu0_max = min(self.mu0_min, lo), max(self.mu0_max, hi)
+        if n:
+            self.stepped_min = min(self.stepped_min, lo)
         if not all(np.isfinite(getattr(st, f)).all() for f in self.fields):
             raise NonfiniteValue(f"non-finite {'/'.join(self.fields)} at t={st.t:g}")
         if hi > 1.0 - SATURATION_TOL:
@@ -392,8 +395,10 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
 
     state = march(state, step, ts.n_steps, [guard, track, record, *observers])
 
-    if rate.beta_kind == "given" and rate.beta_m > 0.0 and guard.mu0_min <= 0.0:
-        soft_flags.append(f"extinction: min mu0 = {guard.mu0_min:.6g} despite beta_m > 0")
+    # the initial population is given data (validate_config warns when it
+    # vanishes); extinction is the dynamics driving it to zero
+    if rate.beta_kind == "given" and rate.beta_m > 0.0 and guard.stepped_min <= 0.0:
+        soft_flags.append(f"extinction: min mu0 = {guard.stepped_min:.6g} despite beta_m > 0")
     return CoupledRunResult(
         records=records,
         snapshots=snapshots,

@@ -244,6 +244,47 @@ def test_repeated_scales_are_a_config_error_before_any_run(tmp_path, capsys, mon
     assert runs == []
 
 
+MALFORMED_INI = {
+    "no-section-header": TINY_WEAK.replace("[simulation]\n", "").encode(),
+    "repeated-key": TINY_WEAK.replace("nx = 12\n", "nx = 12\nnx = 16\n").encode(),
+    "repeated-section": (TINY_WEAK + "\n[simulation]\nnx = 16\n").encode(),
+    "indented-line-without-key": TINY_WEAK.replace("[past_data]\n", "[past_data]\n    sin_pi\n").encode(),
+    "undecodable-byte": b"\xff" + TINY_WEAK.encode(),
+}
+
+
+@pytest.mark.parametrize("content", MALFORMED_INI.values(), ids=MALFORMED_INI.keys())
+def test_malformed_ini_is_a_config_error(tmp_path, capsys, content):
+    path = tmp_path / "run.ini"
+    path.write_bytes(content)
+    assert main(["weak", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [ln for ln in err.splitlines() if ln.startswith("config error:")]
+    assert len(errors) == 1 and errors[0].startswith("config error: HypothesisViolation('malformed config'")
+
+
+BOND_FREE_COUPLED = (
+    TINY_COUPLED.replace("epsilon = 0.02", "epsilon = 0.05").replace("final_time = 0.02", "final_time = 0.05")
+    .replace("nx = 12", "nx = 8").replace("da = 0.02", "da = 0.01\na_max = 1").replace("exp_decay(0.9)", "zero")
+)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("weak", TINY_WEAK.replace("rho_I = exp_decay", "rho_I = zero")),
+    ("coupled", BOND_FREE_COUPLED),
+], ids=["weak", "coupled"])
+def test_bond_free_start_warns_once_and_is_no_extinction(tmp_path, capsys, command, text):
+    # the population is zero only at level 0: the renewal refills it at the
+    # first step, so the start is one warning and no extinction flag
+    assert main([command, "--config", write(tmp_path, text), "--out", str(tmp_path / "o")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [ln for ln in err if ln.startswith("warning: initial bond population")] == [
+        "warning: initial bond population vanishes somewhere"
+    ]
+    assert not any(ln.startswith("flag: extinction") for ln in err)
+
+
 def test_config_error_exit_code(tmp_path):
     bad = write(tmp_path, TINY_WEAK.replace("exp_decay", "exp_decay(2.0)"))
     assert main(["weak", "--config", bad, "--out", str(tmp_path / "o")]) == 1

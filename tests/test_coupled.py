@@ -223,7 +223,7 @@ def test_coupled_step_equals_its_unfused_composition():
     rho[:, h] = beta * (1.0 - m) / (1.0 + beta * ag.w[0])
     mu0 = ag.w[0] * rho[:, h] + m
     rhs = ((zeta_u * rho * u) @ w)[1:-1] + eps * src.ddt(sg.x, t)[1:-1]
-    g = elliptic.solve(elliptic.assemble(mu0[1:-1], eps, sg), rhs)
+    g = elliptic.solve(mu0[1:-1], eps, rhs, sg)
     hist = copy.deepcopy(old.hist)
     z = advance_position(np.einsum("j,xj,xj->x", lag, rho, hist.buf), m, hist, eps, sg, src(sg.x, t))
     bits = lambda a: np.ascontiguousarray(a).view(np.int64)
@@ -336,7 +336,7 @@ def test_mu_ode_residual_zero_state():
 
 def test_mu_ode_residual_steady_profile():
     # mu = beta/(beta+1) and -Lap z = S make the balance vanish identically
-    from linkages.elliptic import assemble, solve
+    from linkages.elliptic import solve
 
     ag = AgeGrid(da=0.02, a_max=10.0)
     beta = 1.0
@@ -345,7 +345,7 @@ def test_mu_ode_residual_steady_profile():
     scale = (beta / (beta + 1.0)) / float(shape @ ag.w)
     rho = np.tile(scale * shape, (SG.n_nodes, 1))
     S = np.full(SG.n_nodes, 2.0)
-    z = solve(assemble(np.zeros(SG.nx), 1.0, SG), S[1:-1])
+    z = solve(0.0, 1.0, S[1:-1], SG)
     u = np.zeros((SG.n_nodes, ag.n_nodes))
     past = PastData(fn=presets.past_data_fn("zero"))
     hist = PositionHistory(z, past, EPS, SG, ag)

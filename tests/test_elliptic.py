@@ -6,54 +6,53 @@ import pytest
 from conftest import dense_solve
 
 from linkages import elliptic
-from linkages.elliptic import TridiagonalOperator, assemble, laplacian, solve
+from linkages.elliptic import laplacian, solve
 from linkages.errors import DegenerateOperator
 from linkages.grids import SpaceGrid
 
 
 def test_identity_operator():
     g = SpaceGrid(nx=5)
-    op = assemble(np.ones(5), 0.0, g)
     rhs = np.array([1.0, -2.0, 3.0, 0.5, 0.0])
-    z = solve(op, rhs)
+    z = solve(np.ones(5), 0.0, rhs, g)
     np.testing.assert_allclose(z[1:-1], rhs, atol=1e-14)
     assert z[0] == 0.0 and z[-1] == 0.0
 
 
 def test_poisson_coefficients_nx3():
+    # dx = 1/4: main diagonal 2/dx^2 = 32, off-diagonals -1/dx^2 = -16; the
+    # solves of the unit vectors are the columns of the dense inverse
     g = SpaceGrid(nx=3)
-    op = assemble(np.zeros(3), 1.0, g)
-    np.testing.assert_allclose(op.main, 32.0)
-    np.testing.assert_allclose(op.lower, -16.0)
-    np.testing.assert_allclose(op.upper, -16.0)
+    dense = np.array([[32.0, -16.0, 0.0], [-16.0, 32.0, -16.0], [0.0, -16.0, 32.0]])
+    inverse = np.column_stack([solve(np.zeros(3), 1.0, e, g)[1:-1] for e in np.eye(3)])
+    np.testing.assert_allclose(inverse, np.linalg.inv(dense))
 
 
 def test_degenerate_operator_raises():
     g = SpaceGrid(nx=4)
     with pytest.raises(DegenerateOperator):
-        assemble(np.zeros(4), 0.0, g)
+        solve(np.zeros(4), 0.0, np.ones(4), g)
 
 
 @pytest.mark.parametrize("c", [-1.0, np.array([1.0, 2.0, -1e-300, 1.0])])
 def test_negative_coefficient_raises(c):
     with pytest.raises(DegenerateOperator, match="negative coefficient"):
-        assemble(c, 1.0, SpaceGrid(nx=4))
+        solve(c, 1.0, np.ones(4), SpaceGrid(nx=4))
 
 
 def test_negative_diffusion_weight_raises():
     with pytest.raises(DegenerateOperator, match="negative diffusion weight"):
-        assemble(np.ones(4), -1e-300, SpaceGrid(nx=4))
+        solve(np.ones(4), -1e-300, np.ones(4), SpaceGrid(nx=4))
 
 
 @pytest.mark.parametrize("c", [0.0, 0.75, 3.0])
 def test_scalar_coefficient_is_the_full_array(c):
     g = SpaceGrid(nx=6)
-    scalar, full = assemble(c, 0.3, g), assemble(np.full(6, c), 0.3, g)
-    for name in ("lower", "main", "upper"):
-        a, b = getattr(scalar, name), getattr(full, name)
-        assert a.shape == b.shape == (6,) and a.tobytes() == b.tobytes()
+    rhs = np.array([1.0, -2.0, 3.0, 0.5, 0.25, -1.5])
+    scalar, full = solve(c, 0.3, rhs, g), solve(np.full(6, c), 0.3, rhs, g)
+    assert scalar.shape == full.shape == (8,) and scalar.tobytes() == full.tobytes()
     with pytest.raises(DegenerateOperator, match="c == 0 and kappa == 0"):
-        assemble(0.0, 0.0, g)
+        solve(0.0, 0.0, rhs, g)
 
 
 @pytest.mark.parametrize("factor, fires", [(10.0, True), (0.1, False)])
@@ -61,10 +60,11 @@ def test_residual_check_catches_a_perturbed_solution(monkeypatch, factor, fires)
     # moving the last node by d makes the residual main[-1]*|d| on that row;
     # the check fires above 1e-10 * max|rhs|
     g = SpaceGrid(nx=5)
-    op = assemble(np.linspace(0.5, 1.5, 5), 0.1, g)
+    c = np.linspace(0.5, 1.5, 5)
     rhs = np.array([1.0, -2.0, 3.0, 0.5, 0.25])
-    exact = solve(op, rhs)
-    d = factor * 1e-10 * 3.0 / op.main[-1]
+    exact = solve(c, 0.1, rhs, g)
+    main_last = c[-1] + 2.0 * (0.1 / g.dx**2)
+    d = factor * 1e-10 * 3.0 / main_last
     gtsv = elliptic.dgtsv
 
     def perturbed(*args):
@@ -75,21 +75,23 @@ def test_residual_check_catches_a_perturbed_solution(monkeypatch, factor, fires)
     monkeypatch.setattr(elliptic, "dgtsv", perturbed)
     if fires:
         with pytest.raises(DegenerateOperator, match="residual"):
-            solve(op, rhs)
+            solve(c, 0.1, rhs, g)
     else:
-        assert solve(op, rhs)[-2] == exact[-2] + d
+        assert solve(c, 0.1, rhs, g)[-2] == exact[-2] + d
 
 
 @pytest.mark.parametrize("n", [1, 4])
 def test_singular_solve_raises(n):
-    zero = np.zeros(n)
-    with pytest.raises(DegenerateOperator):
-        solve(TridiagonalOperator(lower=zero, main=zero, upper=zero), np.ones(n))
+    # one node: c = 0 with kappa = 0 is the degenerate guard; four nodes with
+    # a zero on the diagonal and no diffusion reach gtsv, which reports it
+    c, match = (np.zeros(1), "c == 0 and kappa == 0") if n == 1 else (np.array([1.0, 0.0, 1.0, 1.0]), "gtsv info=2")
+    with pytest.raises(DegenerateOperator, match=match):
+        solve(c, 0.0, np.ones(n), SpaceGrid(nx=n))
 
 
 def test_single_node_against_dense_oracle():
     g = SpaceGrid(nx=1)
-    z = solve(assemble(np.full(1, 0.5), 0.3, g), np.array([2.0]))
+    z = solve(np.full(1, 0.5), 0.3, np.array([2.0]), g)
     np.testing.assert_allclose(z, dense_solve(0.5, 0.3, np.array([2.0]), 1), rtol=1e-15)
     assert z[0] == 0.0 and z[-1] == 0.0
 
@@ -99,7 +101,7 @@ def test_poisson_sin_oracle_second_order():
     for nx in (15, 31, 63):
         g = SpaceGrid(nx=nx)
         xi = g.x[1:-1]
-        z = solve(assemble(np.zeros(nx), 1.0, g), np.pi**2 * np.sin(np.pi * xi))
+        z = solve(np.zeros(nx), 1.0, np.pi**2 * np.sin(np.pi * xi), g)
         errors.append(np.max(np.abs(z - np.sin(np.pi * g.x))))
     # measured constant is ~pi^2/12 ~ 0.82
     for err, nx in zip(errors, (15, 31, 63)):
@@ -117,7 +119,7 @@ def test_against_dense_oracle():
         c = rng.uniform(0.0, 2.0, nx)
         kappa = rng.uniform(1e-4, 1.0)
         rhs = rng.normal(size=nx)
-        z = solve(assemble(c, kappa, g), rhs)
+        z = solve(c, kappa, rhs, g)
         z_ref = dense_solve(c, kappa, rhs, nx)
         np.testing.assert_allclose(z, z_ref, rtol=0, atol=1e-10 * max(1.0, np.abs(rhs).max()))
 
@@ -127,7 +129,7 @@ def test_mixed_coefficient_case():
     g = SpaceGrid(nx=nx)
     xi = g.x[1:-1]
     rhs = 0.5 * np.sin(np.pi * xi)
-    z = solve(assemble(np.full(nx, 0.5), 1e-3, g), rhs)
+    z = solve(np.full(nx, 0.5), 1e-3, rhs, g)
     z_ref = dense_solve(np.full(nx, 0.5), 1e-3, rhs, nx)
     np.testing.assert_allclose(z, z_ref, atol=1e-12)
 
@@ -139,7 +141,7 @@ def test_weak_maximum_principle():
     for _ in range(50):
         c = rng.uniform(0.0, 1.0, 40)
         rhs = rng.uniform(0.0, 1.0, 40)
-        z = solve(assemble(c, rng.uniform(1e-6, 0.5), g), rhs)
+        z = solve(c, rng.uniform(1e-6, 0.5), rhs, g)
         assert np.min(z) >= 0.0
 
 
@@ -149,12 +151,12 @@ def test_symmetry():
     xi = g.x[1:-1]
     c = 1.0 + np.sin(np.pi * xi) ** 2
     rhs = np.exp(-((xi - 0.5) ** 2) * 10.0)
-    z = solve(assemble(c, 0.3, g), rhs)
+    z = solve(c, 0.3, rhs, g)
     np.testing.assert_allclose(z, z[::-1], atol=1e-12)
 
 
 def test_apply_matches_laplacian():
+    # the operator with c = 0, kappa = 1 is -Lap_h: it inverts laplacian
     g = SpaceGrid(nx=20)
     z = np.sin(np.pi * g.x) * 0.7
-    op = assemble(np.zeros(20), 1.0, g)
-    np.testing.assert_allclose(op.apply(z), -laplacian(z, g.dx), atol=1e-11)
+    np.testing.assert_allclose(solve(0.0, 1.0, -laplacian(z, g.dx), g), z, atol=1e-11)

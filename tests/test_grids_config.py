@@ -1,11 +1,14 @@
 """Grid construction, hypothesis validation and config-file parsing."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from conftest import make_config
 
-from linkages.config import RateModel, load_config, validate_config
+from linkages import config
+from linkages.config import RateModel, SimulationConfig, load_config, validate_config
 from linkages.errors import ConfigError, RateKindMismatch
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
 from linkages import presets
@@ -172,6 +175,46 @@ def test_load_config_roundtrip(tmp_path):
     assert vcfg.past_data(x, -1.0)[0] == pytest.approx(np.sin(np.pi * 0.5) / np.pi)
     assert vcfg.initial_density(x, np.array([0.0]))[0] == pytest.approx(0.5)
     assert vcfg.source(x, 0.0)[0] == pytest.approx(np.pi**2)
+
+
+SIMULATION_ONLY = """
+[simulation]
+epsilon = 0.05
+final_time = 0.1
+nx = 15
+da = 0.01
+"""
+
+
+def test_simulation_only_config_takes_the_dataclass_defaults(tmp_path, monkeypatch):
+    path = tmp_path / "run.ini"
+    path.write_text(SIMULATION_ONLY)
+    cfg, ref = load_config(path), RateModel()
+    for name in ("zeta_kind", "beta_kind", "zeta_m", "zeta_M", "zeta_lip", "beta_m", "beta_M", "zbar"):
+        assert getattr(cfg.rate_model, name) == getattr(ref, name), name
+    assert (cfg.rate_model.zeta.spec, cfg.rate_model.beta.spec) == (ref.zeta.spec, ref.beta.spec)
+    assert cfg.a_max == SimulationConfig.a_max
+
+    # the defaults are declared once: changed in the dataclasses, they are
+    # what the loader gives
+    @dataclass
+    class OtherRate(RateModel):
+        zeta_m: float = 0.5
+        zeta_M: float = 2.0
+        zeta_lip: float = 3.0
+        beta_m: float = 0.25
+        beta_M: float = 4.0
+
+    @dataclass(frozen=True)
+    class OtherConfig(SimulationConfig):
+        a_max: float = 5.0
+
+    monkeypatch.setattr(config, "RateModel", OtherRate)
+    monkeypatch.setattr(config, "SimulationConfig", OtherConfig)
+    cfg, ref = load_config(path), OtherRate()
+    for name in ("zeta_m", "zeta_M", "zeta_lip", "beta_m", "beta_M"):
+        assert getattr(cfg.rate_model, name) == getattr(ref, name), name
+    assert cfg.a_max == 5.0
 
 
 def test_load_config_missing_file(tmp_path):

@@ -43,11 +43,12 @@ def test_init_density_mass():
     np.testing.assert_allclose(mu0, 1.0 - np.exp(-10.0), atol=1e-5)
 
 
-def test_init_density_zero_field_warns():
+def test_init_density_zero_field_is_legal_and_silent():
+    # a bond-free start is legal; validate_config is the one place that warns
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rho = init_density(lambda x, a: np.zeros(np.broadcast(x, a).shape), SG, AG)
-    assert any("zero" in str(w.message) for w in caught)
+    assert caught == []
     assert np.all(moment(rho, AG, 0) == 0.0)
 
 
