@@ -20,7 +20,6 @@ from .coupled import (
     CoupledState,
     asymptotic_profile,
     coupled_step,
-    init_elongation,
     mu_ode_residual,
     riccati_gamma2,
     solve_velocity,

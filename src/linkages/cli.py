@@ -95,6 +95,15 @@ def _out(args, name):
     return os.path.join(args.out, name)
 
 
+def _report(violations, flags=()):
+    """Print a run's violations and soft flags to stderr; return its exit code."""
+    for v in violations:
+        print(f"invariant violation: {v}", file=sys.stderr)
+    for f in flags:
+        print(f"flag: {f}", file=sys.stderr)
+    return 2 if violations else 0
+
+
 def cmd_weak(args, vcfg):
     sgrid, agrid, _ = build_grids(vcfg)
     res = simulate.run_weak(vcfg, output_stride=args.cadence, diag_stride=args.cadence)
@@ -102,10 +111,9 @@ def cmd_weak(args, vcfg):
     simulate.write_diagnostics_csv(_out(args, "diagnostics.csv"), res.records)
     if args.dump_density:
         simulate.write_density_csv(_out(args, "density.csv"), res.final_rho, sgrid, agrid)
-    for v in res.violations:
-        print(f"invariant violation: {v}", file=sys.stderr)
+    code = _report(res.violations)
     print(f"weak run: {len(res.times)} outputs, mu0 in [{res.mu0_min:.6g}, {res.mu0_max:.6g}]")
-    return 2 if res.violations else 0
+    return code
 
 
 def cmd_limit(args, vcfg):
@@ -123,16 +131,13 @@ def cmd_coupled(args, vcfg):
     simulate.write_diagnostics_csv(_out(args, "diagnostics.csv"), res.records)
     if args.dump_density:
         simulate.write_density_csv(_out(args, "density.csv"), res.final.rho, sgrid, agrid)
-    for v in res.violations:
-        print(f"invariant violation: {v}", file=sys.stderr)
-    for s in res.soft_flags:
-        print(f"flag: {s}", file=sys.stderr)
+    code = _report(res.violations, res.soft_flags)
     print(
         f"coupled run: t = {res.final.t:g}, min u = {res.u_min:.3g}, "
         f"mu0 in [{res.mu0_min:.6g}, {res.mu0_max:.6g}], "
         f"truncated = {res.ever_truncated}"
     )
-    return 2 if res.violations else 0
+    return code
 
 
 def cmd_sweep(args, vcfg):
@@ -172,11 +177,7 @@ def cmd_detachment(args, vcfg):
         print(f"  detached region: max mu0 = {np.max(mu[res.dead_mask]):.3g}")
     if n_flank:
         print(f"  live flanks:     mu0 within {np.max(np.abs(mu[res.flank_mask] - 0.5)):.3g} of 1/2")
-    for v in res.violations:
-        print(f"invariant violation: {v}", file=sys.stderr)
-    for s in res.soft_flags:
-        print(f"flag: {s}", file=sys.stderr)
-    return 2 if res.violations else 0
+    return _report(res.violations, res.soft_flags)
 
 
 def main(argv=None):

@@ -16,6 +16,10 @@ it stands (u += da*g, rho *= exp(-da*zeta(u))), and age sums take the
 weights rolled by head.  CoupledState.rho and .u build the age-ordered
 fields when read.
 
+The initial stretch u_I = (z0 - z_p(., -eps*a_j))/eps is read off the
+fresh history (diagnostics.elongation_from_history): its column 0 holds z0,
+so newborns are unstretched, as u(., 0, t) = 0 asks.
+
 Sub-step order: stretch with the clamped old velocity, rates, density,
 velocity, then the position.  The survival of a step is read at the
 arrival cell, on the fresh stretch: that is the endpoint of the same
@@ -53,7 +57,7 @@ from . import elliptic
 from .diagnostics import stretch_integrals
 from .errors import NonpositiveGamma1
 from .kinetics import cohort_weights, decay, renew_cohorts
-from .position import advance_position, delay_quadrature, sample_past, solve_balance
+from .position import advance_position, delay_quadrature, solve_balance
 
 OMEGA = 0.5  # 1D sup-norm embedding constant ||g||_inf <= omega ||g'||_2 on (0,1)
 
@@ -85,20 +89,6 @@ class CoupledState:
     def u(self):
         """Stretch in age order, built from the ring."""
         return np.roll(self.u_ring, -self.hist.head, axis=1)
-
-
-def init_elongation(z0, past, eps, sgrid, agrid):
-    """Initial stretch u_I(x, a_j) = (z0(x) - z_p(x, -eps*a_j)) / eps.
-
-    The a = 0 cell is set to zero: the boundary condition u(., 0, t) = 0
-    takes precedence over the sampled formula at the (t, a) = (0, 0) corner
-    (newly formed bonds are unstretched), which also keeps the half-weight
-    quadrature cell from injecting a spurious first-step layer.
-    """
-    vals = sample_past(past, eps, sgrid, agrid)
-    np.divide(np.subtract(z0[:, None], vals, out=vals), eps, out=vals)
-    vals[:, 0] = vals[[0, -1]] = 0.0
-    return vals
 
 
 def solve_velocity(rho, mu0, u, zeta_u, dSdt, eps, sgrid, w, load=None):

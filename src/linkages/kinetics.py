@@ -20,9 +20,9 @@ For an off-rate that ignores t every cohort is its birth value times a
 fixed product, rho^n[:, j] = C_j B^{n-j} (C_j: the survival factors of ages
 0..j-1 multiplied in turn; B^{-m} = rho_I[:, m] / C_m for the initial
 cohorts).  BirthRing marches B and B z instead of the density, so a step
-reads two rings and writes O(nx) numbers.  The ring head is split once per
-step, and both lagged sums read the same two slices of the weights with
-np.vecdot; renew turns them into the next birth value."""
+reads two rings and writes O(nx) numbers.  The rings take the position
+history's head, split once per step; both lagged sums read the same two
+slices of the weights with np.vecdot, and renew turns them into the next B."""
 
 import math
 from dataclasses import dataclass
@@ -125,14 +125,14 @@ def renew_cohorts(rho, beta_values, w, new):
 class BirthRing:
     """Birth values B and products B z of the levels n, n-1, ..., n-na.
 
-    Both rings have the layout of the density and of the position history:
-    column head holds level n, the next columns (cyclically) the older
-    levels.  wC[:, j-1] = w_j C_j weighs the cohort of age j >= 1.
+    Both rings have the layout of the density and the head of the position
+    history hist: column hist.head holds level n, the next columns
+    (cyclically) the older levels.  wC[:, j-1] = w_j C_j weighs age j >= 1.
     """
 
-    def __init__(self, wC, births, Z, agrid):
-        self.wC, self.births, self.products = wC, births, births * Z
-        self.w, self.head = agrid.w, 0
+    def __init__(self, wC, births, hist, agrid):
+        self.wC, self.births, self.products = wC, births, births * hist.buf
+        self.w, self.hist = agrid.w, hist
 
     def sums(self):
         """m = sum_{j>=1} w_j C_j B^{n+1-j} and q, the same sum over the ring of B z.
@@ -140,7 +140,7 @@ class BirthRing:
         The head splits both rings once: the columns from head on and the
         wrapped columns from 0, each read against its slice of wC with np.vecdot.
         """
-        head, wC = self.head, self.wC
+        head, wC = self.hist.head, self.wC
         cut = min(wC.shape[1], self.births.shape[1] - head)
         lo, hi = wC[:, :cut], wC[:, cut:]
         newer, older = slice(head, head + cut), slice(0, wC.shape[1] - cut)
@@ -151,14 +151,14 @@ class BirthRing:
         return m, q
 
     def push(self, births, z):
-        """Advance one level: B and B z of the new level replace the oldest column."""
-        self.head = (self.head - 1) % self.births.shape[1]
-        self.births[:, self.head] = births
-        self.products[:, self.head] = births * z
+        """Write B and B z of the new level into column hist.head, which the history's push of z took."""
+        head = self.hist.head
+        self.births[:, head] = births
+        self.products[:, head] = births * z
 
     def density(self):
         """rho^n[:, j] = C_j B^{n-j}."""
-        head, cut = self.head, self.births.shape[1] - self.head
+        head, cut = self.hist.head, self.births.shape[1] - self.hist.head
         rho = np.empty_like(self.births)
         rho[:, 0] = self.births[:, head]
         np.divide(self.wC, self.w[1:], out=rho[:, 1:])
@@ -167,8 +167,8 @@ class BirthRing:
         return rho
 
 
-def birth_ring(rho_I, surv, Z, agrid):
-    """BirthRing of rho_I and the past positions Z (a PositionHistory's buf at head 0).
+def birth_ring(rho_I, surv, hist, agrid):
+    """BirthRing of rho_I and the past positions of hist, a PositionHistory at head 0.
 
     surv, the survival factor of every step, is consumed: it becomes wC in
     place, and rho_I the birth ring.  None, with rho_I intact, where the
@@ -181,7 +181,7 @@ def birth_ring(rho_I, surv, Z, agrid):
         return None
     np.divide(rho_I[:, 1:], C, out=rho_I[:, 1:])
     C *= agrid.w[1:]
-    return BirthRing(C, rho_I, Z, agrid)
+    return BirthRing(C, rho_I, hist, agrid)
 
 
 def density_characteristics_oracle(x, a, t, zeta, beta, rho_I, mu0_history, eps, agrid):

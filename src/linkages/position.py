@@ -13,13 +13,15 @@ with every delayed argument read straight from the (nx+2, na+1) ring buffer
 equation of the discrete energy, so z_new is its minimizer; energy decay and
 the minimization property below are structural, not approximate.
 
-solve_balance poses (coeff - eps Lap_h) x = integral + eps f, the one
-elliptic balance of the model: for the start-up position, every step's
-position (advance_position solves it and pushes z_new) and the coupled
-velocity.  The birth-ring weak step feeds advance_position the quadrature
-of its product ring, the weak shift and coupled steps that of their cohort
-ring read against buf in place (before the push the cohort of age j >= 1
-shares its column with its anchor z^{n+1-j}).
+A run samples the past data once (sample_past); the t = 0 solve reads the
+sample and the history ring takes it over.  solve_balance poses
+(coeff - eps Lap_h) x = integral + eps f, the one elliptic balance of the
+model: for the start-up position, every step's position (advance_position
+solves it and pushes z_new) and the coupled velocity.  The birth-ring weak
+step feeds advance_position the quadrature of its product ring, the weak
+shift and coupled steps that of their cohort ring read against buf in place
+(before the push the cohort of age j >= 1 shares its column with its
+anchor z^{n+1-j}).
 """
 
 import numpy as np
@@ -32,13 +34,13 @@ class PositionHistory:
     """Ring buffer of the na+1 newest snapshots z(., t^m), newest first.
 
     buf has the (nx+2, na+1) layout of every age field: column
-    (head + j) % depth holds z at delay eps*a_j exactly.  At start-up the
-    columns j >= 1 hold the past data z_p(., -eps*a_j), so early steps
-    never need to evaluate z_p again.
+    (head + j) % depth holds z at delay eps*a_j exactly.  It takes over zp
+    (sample_past) and writes z0 into column 0; the columns j >= 1 keep
+    z_p(., -eps*a_j), so early steps never need to evaluate z_p again.
     """
 
-    def __init__(self, z0, past, eps, sgrid, agrid):
-        self.buf, self.head, self.depth = sample_past(past, eps, sgrid, agrid), 0, agrid.n_nodes
+    def __init__(self, z0, zp):
+        self.buf, self.head, self.depth = zp, 0, zp.shape[1]
         self.buf[:, 0] = z0
 
     def matrix(self):
@@ -77,18 +79,18 @@ def solve_balance(integral, coeff, eps, sgrid, f=None):
     return elliptic.solve(np.maximum(coeff[1:-1], 0.0), eps, rhs, sgrid)
 
 
-def initial_position(rho_I, past, eps, sgrid, agrid, source_at_0=None):
+def initial_position(rho_I, zp, eps, sgrid, agrid, source_at_0=None):
     """Solve the t = 0 elliptic problem for the starting position.
 
     (mu0_I - w0 rho_I(.,0) - eps Lap_h) z = sum_{j>=1} w_j z_p(x, -eps*a_j)
-    rho_I(x, a_j), plus eps*S(x, 0) in the source-carrying modes.  This is
+    rho_I(x, a_j), plus eps*S(x, 0) in the source-carrying modes; zp is the
+    past data sampled by sample_past, whose column 0 is not read.  This is
     the t = 0 instance of the stepping solve: the age-zero node of the
     quadrature is anchored at the unknown itself (the value of z(t - eps*a)
     at the t = 0, a = 0 corner is a free convention; matching the stepping
     operator avoids a spurious first-step layer in the stability
     functional).
     """
-    zp = sample_past(past, eps, sgrid, agrid)
     integral = delay_quadrature(agrid.w[1:], rho_I[:, 1:], zp[:, 1:])
     return solve_balance(integral, rho_I @ agrid.w - agrid.w[0] * rho_I[:, 0], eps, sgrid, source_at_0)
 

@@ -18,12 +18,12 @@ import numpy as np
 from . import coupled as cp
 from . import diagnostics as dg
 from .config import with_overrides
-from .errors import ConfigError, HypothesisViolation, NonfiniteValue
+from .errors import ConfigError, HypothesisViolation, NonfiniteValue, RateKindMismatch
 from .grids import build_grids
 from .kinetics import BirthRing, age_profile, apply_survival, birth_ring, cohort_weights, init_density, limit_density
 from .kinetics import moment, renew, renew_cohorts, survival
 from .limit import step_limit
-from .position import PositionHistory, advance_position, delay_quadrature, initial_position
+from .position import PositionHistory, advance_position, delay_quadrature, initial_position, sample_past
 from .presets import is_time_invariant
 
 ENERGY_DECAY_TOL = 1e-6  # per step, relative to the initial energy
@@ -79,13 +79,12 @@ class _Guard:
 
 
 def _start(vcfg):
-    """Grids, initial density, initial position and its history ring."""
+    """Grids, initial density and position, and the history ring, which takes over the one past sample."""
     sgrid, agrid, ts = build_grids(vcfg)
     rho = init_density(vcfg.initial_density, sgrid, agrid)
-    S0 = _source_at(vcfg.source, sgrid.x, 0.0)
-    z = initial_position(rho, vcfg.past_data, vcfg.epsilon, sgrid, agrid, source_at_0=S0)
-    hist = PositionHistory(z, vcfg.past_data, vcfg.epsilon, sgrid, agrid)
-    return sgrid, agrid, ts, rho, z, hist
+    zp = sample_past(vcfg.past_data, vcfg.epsilon, sgrid, agrid)
+    z = initial_position(rho, zp, vcfg.epsilon, sgrid, agrid, _source_at(vcfg.source, sgrid.x, 0.0))
+    return sgrid, agrid, ts, rho, z, PositionHistory(z, zp)
 
 
 @dataclass
@@ -155,7 +154,7 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     zeta = rate.zeta_field(sgrid.x, agrid.a, 0.0)
     fixed = is_time_invariant(rate.zeta)
     # birth_ring takes over the buffers of rho and of the survival factor
-    ring = birth_ring(rho, survival(zeta, agrid), hist.buf, agrid) if fixed else None
+    ring = birth_ring(rho, survival(zeta, agrid), hist, agrid) if fixed else None
     surv = None if ring else survival(zeta, agrid)
     state = WeakState(t=0.0, z=z, hist=hist, zeta=zeta, surv=surv, mu0=mu0, ring=ring, cohorts=None if ring else rho)
     del rho, surv  # the state holds what the run still needs
@@ -292,10 +291,13 @@ def run_convergence_sweep(vcfg, epsilons, dt_out):
     Every epsilon runs on its own dt = eps*da; snapshots are taken on a
     common output grid (dt_out must be an integer multiple of each step
     size).  The scales run in turn, largest first.
-    Raises ConfigError, before any run, for a repeated scale (the order
-    estimate would divide by log 1 = 0), a scale that fails validation or an
-    output grid that does not divide.
+    Raises ConfigError, before any run, for an off-rate that is not
+    prescribed, a repeated scale (the order estimate would divide by
+    log 1 = 0), a scale that fails validation, an output grid that does not
+    divide or one that reaches past the final time.
     """
+    if vcfg.rate_model.zeta_kind != "given":
+        raise RateKindMismatch(f"the sweep needs a prescribed off-rate, not {vcfg.rate_model.zeta_kind!r}")
     epsilons = sorted(epsilons, reverse=True)
     if len(set(epsilons)) < len(epsilons):
         where = "epsilons " + ",".join(f"{eps:g}" for eps in epsilons)
@@ -310,6 +312,9 @@ def run_convergence_sweep(vcfg, epsilons, dt_out):
         strides.append(int(round(ratio)))
     # the snapshots every run keeps: n_steps // stride after level 0
     n_out = build_grids(vcfgs[0])[2].n_steps // strides[0]
+    if n_out == 0:
+        where = f"dt_out={dt_out:g} > final_time={vcfg.final_time:g}: no snapshot after t = 0"
+        raise ConfigError([HypothesisViolation("output grid", where)])
 
     trajs = [run_weak(v, output_stride=s, diag_stride=0).trajectory for v, s in zip(vcfgs, strides)]
     ref = run_limit(vcfg, dt_out, n_out)
@@ -350,7 +355,8 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
     """
     sgrid, agrid, ts, rho, z, hist = _start(vcfg)
     rate, src, eps = vcfg.rate_model, vcfg.source, vcfg.epsilon
-    u = cp.init_elongation(z, vcfg.past_data, eps, sgrid, agrid)
+    u = dg.elongation_from_history(z, hist, eps, np.empty_like(rho))
+    u[[0, -1]] = 0.0  # the Dirichlet rows stay unstretched
     dSdt0 = src.ddt(sgrid.x, 0.0) if src is not None else None
     mu0 = rho @ agrid.w
     zeta = rate.zeta_of_u(u)

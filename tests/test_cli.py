@@ -311,11 +311,16 @@ def test_nonfinite_config_scalar_exit_code(tmp_path, capsys, line, bad):
     (["convergence-sweep", "--epsilons", "abc"], "malformed scale list"),
     (["convergence-sweep", "--epsilons", "0.03,0.07"], "final time divisibility"),
     (["convergence-sweep", "--epsilons", "0.05,0.04", "--cadence", "1"], "output grid divisibility"),
+    # dt_out = 251 * 0.2 * 0.01 = 0.502 reaches past final_time = 0.02: no snapshot after t = 0
+    (["convergence-sweep", "--cadence", "251"], "output grid"),
 ])
 def test_bad_argument_exit_code(tmp_path, capsys, argv, violation):
     cfg = write(tmp_path, TINY_WEAK)
     assert main([*argv, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert f"config error: HypothesisViolation({violation!r}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"config error: HypothesisViolation({violation!r}" in err
+    assert [ln.startswith("config error:") for ln in err.splitlines()] == [True]
+    assert not os.path.exists(tmp_path / "o" / "sweep.csv")
 
 
 def nan_rate_case(command, base, line, name):

@@ -15,16 +15,15 @@ from linkages.coupled import (
     CoupledState,
     asymptotic_profile,
     coupled_step,
-    init_elongation,
     mu_ode_residual,
     riccati_gamma2,
     solve_velocity,
 )
-from linkages.diagnostics import stretch_integrals
+from linkages.diagnostics import elongation_from_history, stretch_integrals
 from linkages.errors import NonpositiveGamma1
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
 from linkages.kinetics import init_density, moment
-from linkages.position import PositionHistory, advance_position
+from linkages.position import PositionHistory, advance_position, sample_past
 from linkages import elliptic, presets
 from linkages.simulate import run_coupled, run_detachment
 
@@ -57,18 +56,32 @@ def validate_quiet(cfg):
         return validate_config(cfg)
 
 
+def level_zero(past):
+    """z and the stretch u, in age order, of run_coupled's level-0 state on SG and AG."""
+    vcfg = validate_quiet(coupled_cfg(epsilon=EPS, da=AG.da, final_time=2 * EPS * AG.da, past_data=past))
+    first = []
+    run_coupled(vcfg, diag_stride=0, observers=[lambda n, st: first.append((st.z.copy(), st.u)) if n == 0 else None])
+    return first[0]
+
+
 def test_init_elongation_constant_past():
     past = PastData(fn=presets.past_data_fn("sin_pi"))
     z0 = past(SG.x, 0.0)
-    u = init_elongation(z0, past, EPS, SG, AG)
+    hist = PositionHistory(z0, sample_past(past, EPS, SG, AG))
+    u = elongation_from_history(z0, hist, EPS, np.empty((SG.n_nodes, AG.n_nodes)))
     np.testing.assert_allclose(u, 0.0, atol=1e-14)
 
 
+GROWING_PAST = PastData(
+    fn=presets.past_data_fn("sin_pi_growing(1.0)"),
+    lipschitz=presets.past_lipschitz_fn("sin_pi(1.0)"),
+)
+
+
 def test_init_elongation_growing_past():
-    past = PastData(fn=presets.past_data_fn("sin_pi_growing(1.0)"))
-    z0 = 0.5 * np.sin(np.pi * SG.x) / np.pi
-    u = init_elongation(z0, past, EPS, SG, AG)
+    z0, u = level_zero(GROWING_PAST)
     assert np.all(u[:, 0] == 0.0)  # unstretched newborns at the corner
+    assert np.all(u[[0, -1]] == 0.0)  # and on the Dirichlet rows
     for j in (1, 3, AG.na):
         expected = (z0 - np.sin(np.pi * SG.x) / np.pi * (1.0 - EPS * AG.a[j])) / EPS
         expected[0] = expected[-1] = 0.0
@@ -76,22 +89,16 @@ def test_init_elongation_growing_past():
 
 
 def test_init_elongation_triangle_bound():
-    past = PastData(
-        fn=presets.past_data_fn("sin_pi_growing(1.0)"),
-        lipschitz=presets.past_lipschitz_fn("sin_pi(1.0)"),
-    )
-    z0 = 0.5 * np.sin(np.pi * SG.x) / np.pi
-    u = init_elongation(z0, past, EPS, SG, AG)
-    c_zp = past.lipschitz(SG.x)
-    gap0 = np.abs(z0 - past(SG.x, 0.0)) / EPS
+    z0, u = level_zero(GROWING_PAST)
+    c_zp = GROWING_PAST.lipschitz(SG.x)
+    gap0 = np.abs(z0 - GROWING_PAST(SG.x, 0.0)) / EPS
     bound = gap0[:, None] + c_zp[:, None] * AG.a[None, :]
     assert np.all(np.abs(u) <= bound + 1e-12)
 
 
 def bond_free(ag, u):
     """A coupled state without bonds (rho = 0, beta = 0) that carries the stretch u."""
-    past = PastData(fn=presets.past_data_fn("zero"))
-    hist = PositionHistory(np.zeros(SG.n_nodes), past, EPS, SG, ag)
+    hist = PositionHistory(np.zeros(SG.n_nodes), np.zeros((SG.n_nodes, ag.n_nodes)))
     rate = RateModel(zeta_kind="lipschitz", zeta_M=np.inf, beta=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)), beta_m=0.0, beta_M=0.0)
     state = CoupledState(
         rho=np.zeros((SG.n_nodes, ag.n_nodes)), u=u, z=np.zeros(SG.n_nodes), g=np.zeros(SG.n_nodes),
@@ -181,8 +188,7 @@ def test_coupled_step_zero_state_stays_zero():
     ag = AgeGrid(da=0.02, a_max=10.0)
     rho = np.zeros((SG.n_nodes, ag.n_nodes))
     u = np.zeros((SG.n_nodes, ag.n_nodes))
-    past = PastData(fn=presets.past_data_fn("zero"))
-    hist = PositionHistory(np.zeros(SG.n_nodes), past, EPS, SG, ag)
+    hist = PositionHistory(np.zeros(SG.n_nodes), np.zeros((SG.n_nodes, ag.n_nodes)))
     rate = RateModel(zeta_kind="lipschitz", zeta_M=np.inf, beta=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)), beta_m=0.0, beta_M=0.0)
     state = CoupledState(
         rho=rho, u=u, z=np.zeros(SG.n_nodes), g=np.zeros(SG.n_nodes),
@@ -327,8 +333,7 @@ def test_mu_ode_residual_zero_state():
     ag = AgeGrid(da=0.02, a_max=10.0)
     rho = np.zeros((SG.n_nodes, ag.n_nodes))
     u = np.zeros((SG.n_nodes, ag.n_nodes))
-    past = PastData(fn=presets.past_data_fn("zero"))
-    hist = PositionHistory(np.zeros(SG.n_nodes), past, EPS, SG, ag)
+    hist = PositionHistory(np.zeros(SG.n_nodes), np.zeros((SG.n_nodes, ag.n_nodes)))
     st = CoupledState(rho=rho, u=u, z=np.zeros(SG.n_nodes), g=np.zeros(SG.n_nodes), hist=hist, t=0.0, truncation_k=np.inf)
     r = mu_ode_residual(st, st, None, np.zeros(SG.n_nodes), EPS, SG, ag)
     np.testing.assert_allclose(r, 0.0, atol=1e-14)
@@ -347,8 +352,7 @@ def test_mu_ode_residual_steady_profile():
     S = np.full(SG.n_nodes, 2.0)
     z = solve(0.0, 1.0, S[1:-1], SG)
     u = np.zeros((SG.n_nodes, ag.n_nodes))
-    past = PastData(fn=presets.past_data_fn("zero"))
-    hist = PositionHistory(z, past, EPS, SG, ag)
+    hist = PositionHistory(z, np.zeros((SG.n_nodes, ag.n_nodes)))
     st = CoupledState(rho=rho, u=u, z=z, g=np.zeros(SG.n_nodes), hist=hist, t=0.0, truncation_k=np.inf)
     fn, dfn = presets.source_fns("constant(2.0)")
     src = SourceModel(fn=fn, dfn=dfn)

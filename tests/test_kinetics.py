@@ -26,6 +26,7 @@ from linkages.kinetics import (
     renew_cohorts,
     survival,
 )
+from linkages.position import PositionHistory
 
 SG = SpaceGrid(nx=7)
 AG = AgeGrid(da=0.01, a_max=10.0)
@@ -174,14 +175,17 @@ def test_birth_ring_sums_at_every_head(na):
     ag = AgeGrid(da=0.5, a_max=0.5 * na)
     nodes, depth = 4, na + 1
     wC = rng.random((nodes, na))
-    ring = BirthRing(wC, rng.random((nodes, depth)), rng.random((nodes, depth)), ag)
+    hist = PositionHistory(rng.random(nodes), rng.random((nodes, depth)))
+    ring = BirthRing(wC, rng.random((nodes, depth)), hist, ag)
     heads = []
     for _ in range(depth + 1):
-        heads.append(ring.head)
+        heads.append(hist.head)
         for got, values in zip(ring.sums(), (ring.births, ring.products)):
-            aged = np.roll(values, -ring.head, axis=1)
+            aged = np.roll(values, -hist.head, axis=1)
             np.testing.assert_allclose(got, np.einsum("xj,xj->x", wC, aged[:, :-1]), rtol=1e-13, atol=0.0)
-        ring.push(rng.random(nodes), rng.random(nodes))
+        z = rng.random(nodes)
+        hist.push(z)  # the history moves the head; the ring writes into its column
+        ring.push(rng.random(nodes), z)
     assert heads == [0, *range(depth - 1, 0, -1), 0]
 
 

@@ -7,7 +7,6 @@ from conftest import CohortRing, capture_at, dense_solve, make_config, position_
 
 from linkages import diagnostics as dg
 from linkages.config import PastData, RateModel, SourceModel, validate_config
-from linkages.coupled import init_elongation
 from linkages.errors import NonfiniteValue
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
 from linkages.kinetics import init_density, limit_density, moment, survival
@@ -16,10 +15,12 @@ from linkages.position import (
     advance_position,
     delay_quadrature,
     initial_position,
+    sample_past,
     volterra_residual,
 )
 from linkages import presets, simulate
-from linkages.simulate import run_weak
+from linkages.cli import coupled_config
+from linkages.simulate import run_coupled, run_weak
 
 EPS = 0.05
 SG = SpaceGrid(nx=31)
@@ -34,7 +35,7 @@ def discrete_sin_eigenvalue(sgrid):
 
 def test_initial_position_sine_eigenfunction():
     rho = init_density(EXP_DECAY, SG, AG)
-    z = initial_position(rho, SIN_PAST, EPS, SG, AG)
+    z = initial_position(rho, sample_past(SIN_PAST, EPS, SG, AG), EPS, SG, AG)
     # sin(pi x) is a discrete eigenvector: exact closed form for the solve
     mu0 = moment(rho, AG, 0)
     coeff = mu0 - AG.w[0] * rho[:, 0]
@@ -48,7 +49,7 @@ def test_initial_position_sine_eigenfunction():
 
 def test_initial_position_zero_past():
     rho = init_density(EXP_DECAY, SG, AG)
-    z = initial_position(rho, PastData(fn=presets.past_data_fn("zero")), EPS, SG, AG)
+    z = initial_position(rho, sample_past(PastData(fn=presets.past_data_fn("zero")), EPS, SG, AG), EPS, SG, AG)
     np.testing.assert_allclose(z, 0.0, atol=1e-14)
 
 
@@ -57,7 +58,7 @@ def test_initial_position_small_scale_limit():
     zp0 = SIN_PAST(SG.x, 0.0)
     devs = []
     for eps in (1e-2, 1e-3, 1e-4):
-        z = initial_position(rho, SIN_PAST, eps, SG, AG)
+        z = initial_position(rho, sample_past(SIN_PAST, eps, SG, AG), eps, SG, AG)
         devs.append(np.max(np.abs(z - zp0)))
     assert devs[0] > devs[1] > devs[2]
     # deviation shrinks proportionally to eps
@@ -80,19 +81,34 @@ def test_one_call_past_sampling_matches_the_snapshot_loop(spec):
     looped = PastData(fn=per_snapshot(past))
     rho = init_density(EXP_DECAY, SG, AG)
     bits = lambda a: np.ascontiguousarray(a).view(np.int64)
-    z0 = initial_position(rho, past, EPS, SG, AG)
-    assert np.array_equal(bits(z0), bits(initial_position(rho, looped, EPS, SG, AG)))
-    hist = PositionHistory(z0, past, EPS, SG, AG)
-    assert np.array_equal(bits(hist.buf), bits(PositionHistory(z0, looped, EPS, SG, AG).buf))
+    zp, zp_looped = sample_past(past, EPS, SG, AG), sample_past(looped, EPS, SG, AG)
+    z0 = initial_position(rho, zp, EPS, SG, AG)
+    assert np.array_equal(bits(z0), bits(initial_position(rho, zp_looped, EPS, SG, AG)))
+    hist, hist_looped = PositionHistory(z0, zp), PositionHistory(z0, zp_looped)
+    assert np.array_equal(bits(hist.buf), bits(hist_looped.buf))
     assert np.array_equal(bits(hist.buf[:, 7]), bits(past(SG.x, -EPS * AG.a[7])))
-    u = init_elongation(z0, past, EPS, SG, AG)
-    assert np.array_equal(bits(u), bits(init_elongation(z0, looped, EPS, SG, AG)))
+    u = dg.elongation_from_history(z0, hist, EPS, np.empty_like(rho))
+    assert np.array_equal(bits(u), bits(dg.elongation_from_history(z0, hist_looped, EPS, np.empty_like(rho))))
+
+
+@pytest.mark.parametrize("run, config", [
+    (run_weak, lambda: make_config(final_time=0.01)),
+    (run_weak, lambda: make_config(final_time=0.01, rate_model=RateModel(zeta=ramp_in_time, zeta_M=2.0))),
+    (run_coupled, lambda: coupled_config(nx=15, final_time=0.01)),
+], ids=["weak-ring", "weak-shift", "coupled"])
+def test_past_data_is_sampled_once_per_run(monkeypatch, run, config):
+    # the t = 0 solve, the history and the initial stretch share one sample
+    vcfg = validate_config(config())
+    past, calls = vcfg.past_data.fn, []
+    monkeypatch.setattr(vcfg.past_data, "fn", lambda x, t: calls.append(1) or past(x, t))
+    run(vcfg, diag_stride=0)
+    assert len(calls) == 1
 
 
 def test_step_position_poisson_reduction():
     # with no bonds the delay operator vanishes: -Lap z = S
     rho = np.zeros((SG.n_nodes, AG.n_nodes))
-    hist = PositionHistory(np.zeros(SG.n_nodes), PastData(fn=presets.past_data_fn("zero")), EPS, SG, AG)
+    hist = PositionHistory(np.zeros(SG.n_nodes), np.zeros((SG.n_nodes, AG.n_nodes)))
     S = np.pi**2 * np.sin(np.pi * SG.x)
     z = position_step(rho, hist, EPS, SG, AG, source=S)
     lam = discrete_sin_eigenvalue(SG)
@@ -102,7 +118,7 @@ def test_step_position_poisson_reduction():
 
 def test_step_position_zero_history():
     rho = init_density(EXP_DECAY, SG, AG)
-    hist = PositionHistory(np.zeros(SG.n_nodes), PastData(fn=presets.past_data_fn("zero")), EPS, SG, AG)
+    hist = PositionHistory(np.zeros(SG.n_nodes), np.zeros((SG.n_nodes, AG.n_nodes)))
     z = position_step(rho, hist, EPS, SG, AG)
     np.testing.assert_allclose(z, 0.0, atol=1e-14)
 
@@ -111,7 +127,7 @@ def test_step_position_drifts_to_zero():
     # frozen nonharmonic history: the only steady state on (0,1) is 0
     rho = init_density(lambda x, a: 0.5 * EXP_DECAY(x, a), SG, AG)
     zstar = np.sin(np.pi * SG.x) * 0.3
-    hist = PositionHistory(zstar, PastData(fn=lambda x, t: 0.3 * np.sin(np.pi * np.asarray(x))), EPS, SG, AG)
+    hist = PositionHistory(zstar, sample_past(PastData(fn=lambda x, t: 0.3 * np.sin(np.pi * np.asarray(x))), EPS, SG, AG))
     z = position_step(rho, hist, EPS, SG, AG)
     assert np.max(np.abs(z)) < np.max(np.abs(zstar))
 
@@ -138,7 +154,7 @@ def test_volterra_residual_of_step_output():
 def test_volterra_residual_zero_field():
     rho = init_density(EXP_DECAY, SG, AG)
     z = np.zeros(SG.n_nodes)
-    hist = PositionHistory(z, PastData(fn=presets.past_data_fn("zero")), EPS, SG, AG)
+    hist = PositionHistory(z, np.zeros((SG.n_nodes, AG.n_nodes)))
     r = volterra_residual(hist, rho, z, EPS, SG, AG)
     np.testing.assert_allclose(r, 0.0, atol=1e-14)
 
@@ -146,7 +162,7 @@ def test_volterra_residual_zero_field():
 def test_volterra_residual_linearity_in_perturbation():
     rho = init_density(EXP_DECAY, SG, AG)
     z0 = np.zeros(SG.n_nodes)
-    hist = PositionHistory(z0, PastData(fn=presets.past_data_fn("zero")), EPS, SG, AG)
+    hist = PositionHistory(z0, np.zeros((SG.n_nodes, AG.n_nodes)))
     delta = 1e-3
     zp = delta * np.sin(np.pi * SG.x)
     r = volterra_residual(hist, rho, zp, EPS, SG, AG)
@@ -163,7 +179,7 @@ def test_step_position_matches_dense_oracle():
     rho = rng.uniform(0.0, 0.05, (sg.n_nodes, ag.n_nodes))
     past = PastData(fn=lambda x, t: np.sin(np.pi * np.asarray(x)) * (1.0 + 0.2 * t))
     z0 = past(sg.x, 0.0)
-    hist = PositionHistory(z0, past, EPS, sg, ag)
+    hist = PositionHistory(z0, sample_past(past, EPS, sg, ag))
     Z = hist.matrix()
     z = position_step(rho, hist, EPS, sg, ag)
     mu0 = rho @ ag.w
@@ -236,8 +252,9 @@ def test_time_dependent_rate_matches_survival_every_step(monkeypatch):
     # hand loop: a fresh survival factor at every step; the density is a
     # cohort ring in the history's frame, read against its buffer in place
     rho = init_density(vcfg.initial_density, sg, ag)
-    z = initial_position(rho, vcfg.past_data, vcfg.epsilon, sg, ag)
-    hist = PositionHistory(z, vcfg.past_data, vcfg.epsilon, sg, ag)
+    zp = sample_past(vcfg.past_data, vcfg.epsilon, sg, ag)
+    z = initial_position(rho, zp, vcfg.epsilon, sg, ag)
+    hist = PositionHistory(z, zp)
     traj, cohorts = [z], CohortRing(rho)
     for n in range(1, ts.n_steps + 1):
         surv = survival(rate.zeta_field(sg.x, ag.a, (n - 1) * ts.dt), ag)
