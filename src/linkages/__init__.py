@@ -18,16 +18,13 @@ from .config import (
 )
 from .coupled import (
     CoupledState,
-    asymptotic_profile,
     coupled_step,
-    mu_ode_residual,
     riccati_gamma2,
     solve_velocity,
 )
 from .diagnostics import (
     DiagnosticsRecord,
     convergence_error,
-    energy,
     lyapunov_H,
     stretch_integrals,
 )
@@ -35,19 +32,15 @@ from .elliptic import laplacian, solve
 from .grids import AgeGrid, SpaceGrid, TimeStepping, build_grids
 from .kinetics import (
     LimitDensity,
-    density_characteristics_oracle,
     init_density,
     limit_density,
     moment,
-    oracle_density_field,
-    oracle_mu0_history,
     survival,
 )
 from .limit import step_limit
 from .position import (
     PositionHistory,
     initial_position,
-    volterra_residual,
 )
 from .simulate import (
     run_convergence_sweep,

@@ -5,9 +5,9 @@ convergence-sweep need a prescribed off-rate zeta(x, a, t), coupled and
 detachment an elongation-dependent zeta(u).  main loads the --config file
 (or builds the subcommand's default) and validates it once.
 
-Exit codes: 0 clean, 1 configuration or I/O error (a config whose off-rate
-kind does not fit the subcommand included), 2 hard invariant violation
-during a run.  Warnings go to stderr as one "warning: <message>" line each.
+Exit codes: 0 clean, 1 usage, configuration or I/O error (a config whose
+off-rate kind does not fit the subcommand included), 2 hard invariant
+violation during a run.  Warnings go to stderr as one "warning: <message>" line each.
 """
 
 import argparse
@@ -186,25 +186,32 @@ def main(argv=None):
         description="Adhesion-bond kinetics coupled to an elastic position field",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="INI configuration file")
-    common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--cadence", type=int, default=10, help="output every N steps")
-    common.add_argument("--dump-density", action="store_true", help="write the final density CSV")
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--config", default=None, help="INI configuration file")
+    files.add_argument("--out", default="out", help="output directory")
+    cadence = argparse.ArgumentParser(add_help=False)
+    cadence.add_argument("--cadence", type=int, default=10, help="output every N steps")
+    dump = argparse.ArgumentParser(add_help=False)
+    dump.add_argument("--dump-density", action="store_true", help="write the final density CSV")
+    stepped, full = [files, cadence], [files, cadence, dump]
 
-    # the subcommand picks the model; default is the config run without --config
-    sub.add_parser("weak", parents=[common]).set_defaults(fn=cmd_weak, default=reference_config)
-    sub.add_parser("weak-source", parents=[common]).set_defaults(fn=cmd_weak, default=source_config)
-    sub.add_parser("limit", parents=[common]).set_defaults(fn=cmd_limit, default=reference_config)
-    sub.add_parser("coupled", parents=[common]).set_defaults(fn=cmd_coupled, default=coupled_config)
-    p = sub.add_parser("convergence-sweep", parents=[common])
+    # the subcommand picks the model and takes only the flags it reads;
+    # default is the config run without --config
+    sub.add_parser("weak", parents=full).set_defaults(fn=cmd_weak, default=reference_config)
+    sub.add_parser("weak-source", parents=full).set_defaults(fn=cmd_weak, default=source_config)
+    sub.add_parser("limit", parents=stepped).set_defaults(fn=cmd_limit, default=reference_config)
+    sub.add_parser("coupled", parents=full).set_defaults(fn=cmd_coupled, default=coupled_config)
+    p = sub.add_parser("convergence-sweep", parents=stepped)
     p.add_argument("--epsilons", default="0.2,0.1,0.05,0.025", help="comma-separated scale list")
     p.set_defaults(fn=cmd_sweep, default=reference_config)
-    sub.add_parser("detachment", parents=[common]).set_defaults(fn=cmd_detachment, default=detachment_config)
+    sub.add_parser("detachment", parents=[files]).set_defaults(fn=cmd_detachment, default=detachment_config)
 
-    args = parser.parse_args(argv)
     try:
-        if args.cadence < 1:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # a usage error: argparse exits 2, which is kept for invariant violations
+        raise SystemExit(1 if exc.code == 2 else exc.code)
+    try:
+        if getattr(args, "cadence", 1) < 1:
             raise ConfigError([HypothesisViolation("output cadence", f"--cadence {args.cadence} < 1")])
         cfg = load_config(args.config) if args.config else args.default()
         with warnings.catch_warnings():

@@ -53,7 +53,6 @@ import math
 
 import numpy as np
 
-from . import elliptic
 from .diagnostics import stretch_integrals
 from .errors import NonpositiveGamma1
 from .kinetics import cohort_weights, decay, renew_cohorts
@@ -144,40 +143,6 @@ def coupled_step(st, source, rate, eps, sgrid, agrid):
     st.t = t_new
     st.truncated = bool(np.abs(st.g).max() > k)
     return st
-
-
-def mu_ode_residual(state_prev, state_next, source, beta_field, eps, sgrid, agrid):
-    """Residual of the population balance for zeta(u) = 1 + |u|, u >= 0:
-
-        eps (mu0_new - mu0_old)/dt + (beta+1) mu0_new + Lap_h z_new + S - beta
-
-    per interior node; O(da + dt) along a smooth trajectory.
-    """
-    dt = eps * agrid.da
-    mu_prev = state_prev.rho @ agrid.w
-    mu_next = state_next.rho @ agrid.w
-    lap = elliptic.laplacian(state_next.z, sgrid.dx)
-    S = (
-        np.asarray(source(sgrid.x, state_next.t))[1:-1]
-        if source is not None
-        else np.zeros(sgrid.nx)
-    )
-    beta = np.asarray(beta_field)[1:-1]
-    i = sgrid.interior
-    return (
-        eps * (mu_next[i] - mu_prev[i]) / dt
-        + (beta + 1.0) * mu_next[i]
-        + lap
-        + S
-        - beta
-    )
-
-
-def asymptotic_profile(beta_inf, S_inf, sgrid):
-    """Large-time profile: mu_inf = beta/(beta+1), -Lap_h z_inf = S_inf."""
-    beta_inf = np.broadcast_to(np.asarray(beta_inf, dtype=float), (sgrid.n_nodes,))
-    mu_inf = beta_inf / (beta_inf + 1.0)
-    return mu_inf, elliptic.solve(0.0, 1.0, np.asarray(S_inf)[1:-1], sgrid)
 
 
 def riccati_gamma2(p0, gamma1, h, eps, omega=OMEGA):

@@ -8,7 +8,8 @@ for age-ordered fields, the weights rolled by the ring's head for the
 coupled step's cohort rings.  Space integrals use the trapezoid rule
 (Dirichlet nodes carry half weight but vanishing integrands); the energy's
 gradient term uses forward differences so that the discrete integration by
-parts against the 3-point Laplacian is exact.
+parts against the 3-point Laplacian is exact.  A record forms the energy
+from the stretch; its form against the history is a test reference.
 
 A record makes one pass over the age fields: each product is formed once,
 in one of two work buffers that its run allocates once and owns, and reused
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch
-from .position import delay_quadrature
 
 
 @dataclass
@@ -37,27 +37,6 @@ class DiagnosticsRecord:
     p: float
     gamma2: float
     truncated: bool
-
-
-def energy(z, delayed_z, rho, eps, sgrid, agrid, source=None):
-    """Energy of a position field against the stored history.
-
-    0.5 * [ int |grad z|^2 + int int (z - z(t - eps a))^2 / eps rho da ] dx
-    minus int S z dx when a load is present.  delayed_z[:, j] is the snapshot
-    at delay eps*a_j (column 0 = the current stored level, so evaluating at
-    a perturbed z keeps the delay kernel fixed).
-    """
-    dx = sgrid.dx
-    grad = np.diff(z) / dx
-    e_grad = 0.5 * dx * float(grad @ grad)
-    diff = z[:, None] - delayed_z
-    wx = sgrid.quad_weights()
-    delay_per_x = delay_quadrature(agrid.w, rho, diff**2)
-    e_delay = 0.5 / eps * float(delay_per_x @ wx)
-    e = e_grad + e_delay
-    if source is not None:
-        e -= float((np.asarray(source) * z) @ wx)
-    return e
 
 
 def stretch_integrals(rho, u, zeta_u, sgrid, w, work):

@@ -66,10 +66,6 @@ class NonfiniteValue(LinkagesError):
     """A field evaluation produced NaN or infinity."""
 
 
-class HistoryMissing(LinkagesError):
-    """A delayed evaluation time predates the stored history."""
-
-
 class GridMismatch(LinkagesError):
     """Two trajectories do not share the same space-time sample grid."""
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HistoryMissing, MassAtLeastOne, NegativeDensity, NonfiniteValue
+from .errors import MassAtLeastOne, NegativeDensity, NonfiniteValue
 
 # For x <= -746, exp(x) < 2**-1076, below half the smallest subnormal
 # (2**-1074), so it rounds to +0.0; decay skips those lanes.  The
@@ -182,106 +182,6 @@ def birth_ring(rho_I, surv, hist, agrid):
     np.divide(rho_I[:, 1:], C, out=rho_I[:, 1:])
     C *= agrid.w[1:]
     return BirthRing(C, rho_I, hist, agrid)
-
-
-def density_characteristics_oracle(x, a, t, zeta, beta, rho_I, mu0_history, eps, agrid):
-    """Closed-form density value along characteristics (weak mode only).
-
-    For a < t/eps the bond was created at time t - eps*a:
-
-        beta(x, t-eps*a) (1 - mu0(x, t-eps*a)) exp(-int_0^a zeta),
-
-    otherwise it descends from the initial datum:
-
-        rho_I(x, a - t/eps) exp(-(1/eps) int_0^t zeta along the characteristic).
-
-    x is an array of positions, a = j*da and t = n*eps*da grid-aligned values.
-    mu0_history[m] holds mu0(x, t^m); the inner integrals are trapezoids along
-    the characteristic, which lands on grid nodes thanks to dt = eps*da.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    da = agrid.da
-    j = int(round(a / da))
-    n = int(round(t / (eps * da)))
-    if abs(j * da - a) > 1e-9 * max(a, 1.0) or abs(n * eps * da - t) > 1e-9 * max(t, 1.0):
-        raise ValueError("oracle arguments must lie on the space-time grid")
-    if j < n:  # a < t/eps: renewal branch
-        if n - j >= len(mu0_history):
-            raise HistoryMissing(f"mu0 history has no level {n - j}")
-        mu0 = np.asarray(mu0_history[n - j], dtype=float)
-        t_birth = t - eps * a
-        # ages 0..a_j sampled at times t - eps*(a_j - a_k) = t^{n-j+k}
-        ages = agrid.a[: j + 1]
-        times = t_birth + eps * ages
-        zvals = np.array([zeta(x, ak, tk) for ak, tk in zip(ages, times)])
-        integral = np.trapezoid(zvals, dx=da, axis=0) if j > 0 else np.zeros_like(x)
-        birth = np.asarray(beta(x, t_birth), dtype=float) * (1.0 - mu0)
-        return birth * np.exp(-integral)
-    ages = agrid.a[j - n : j + 1]
-    times = np.arange(n + 1) * (eps * da)
-    zvals = np.array([zeta(x, ak, tk) for ak, tk in zip(ages, times)])
-    integral = np.trapezoid(zvals, dx=da, axis=0) if n > 0 else np.zeros_like(x)
-    a0 = a - t / eps
-    return np.asarray(rho_I(x, a0), dtype=float) * np.exp(-integral)
-
-
-def _oracle_march(n_steps, zeta, beta, rho_I, eps, sgrid, agrid, mu0_history=None):
-    """Evaluate the characteristics formula at every level up to n_steps.
-
-    Per age slot the closed form is amplitude * exp(-I) with the amplitude
-    fixed along its characteristic (initial datum or birth factor) and I the
-    trapezoid of zeta along the characteristic; I is accumulated panel by
-    panel, which reproduces the pointwise quadrature of
-    density_characteristics_oracle exactly while staying vectorized.
-
-    With mu0_history given, birth factors use it; otherwise the history is
-    built self-consistently from the formula's own quadrature (the w0
-    renewal self-reference solved algebraically, as in renew).
-    """
-    x, w, da = sgrid.x, agrid.w, agrid.da
-    X = x[:, None]
-    A = np.asarray(rho_I(X, agrid.a[None, :]), dtype=float) * np.ones((sgrid.n_nodes, 1))
-    E = np.zeros_like(A)
-    vals = A.copy()
-    mu = [vals @ w] if mu0_history is None else None
-    zeta_now = np.asarray(zeta(X, agrid.a[None, :], 0.0), dtype=float) * np.ones_like(A)
-    for m in range(1, n_steps + 1):
-        t = m * eps * da
-        zeta_next = np.asarray(zeta(X, agrid.a[None, :], t), dtype=float) * np.ones_like(A)
-        E_new = np.empty_like(E)
-        E_new[:, 1:] = E[:, :-1] + 0.5 * da * (zeta_now[:, :-1] + zeta_next[:, 1:])
-        E_new[:, 0] = 0.0
-        A_new = np.empty_like(A)
-        A_new[:, 1:] = A[:, :-1]
-        b = np.asarray(beta(x, t), dtype=float)
-        if mu0_history is not None:
-            mu_here = np.asarray(mu0_history[m], dtype=float)
-        else:
-            rest = (A_new[:, 1:] * np.exp(-E_new[:, 1:])) @ w[1:]
-            mu_here = (w[0] * b + rest) / (1.0 + w[0] * b)
-            mu.append(mu_here)
-        A_new[:, 0] = b * (1.0 - mu_here)
-        A, E, zeta_now = A_new, E_new, zeta_next
-        vals = A * np.exp(-E)
-    return vals, mu
-
-
-def oracle_density_field(n, zeta, beta, rho_I, mu0_history, eps, sgrid, agrid):
-    """Full (x, a) oracle field at time level n; convenience for tests."""
-    field, _ = _oracle_march(n, zeta, beta, rho_I, eps, sgrid, agrid, mu0_history=mu0_history)
-    return field
-
-
-def oracle_mu0_history(n_steps, zeta, beta, rho_I, eps, sgrid, agrid):
-    """Self-consistent mu0 history from the characteristics formula alone.
-
-    Level m needs mu0 only at strictly earlier levels except for the a=0
-    node, whose renewal self-reference through w0 is solved algebraically.
-    Independent of the per-cell exponential marching whenever the rates vary
-    along characteristics (trapezoid panels vs departure-cell rectangles).
-    """
-    _, mu = _oracle_march(n_steps, zeta, beta, rho_I, eps, sgrid, agrid)
-    return mu
 
 
 @dataclass

@@ -11,7 +11,8 @@ solve per step,
 with every delayed argument read straight from the (nx+2, na+1) ring buffer
 (dt = eps*da aligns them with stored snapshots).  The solve is exactly the Euler-Lagrange
 equation of the discrete energy, so z_new is its minimizer; energy decay and
-the minimization property below are structural, not approximate.
+the minimization property are structural, not approximate.  The energy and
+the Volterra residual the tests check them with are in tests/oracles.py.
 
 A run samples the past data once (sample_past); the t = 0 solve reads the
 sample and the history ring takes it over.  solve_balance poses
@@ -42,10 +43,6 @@ class PositionHistory:
     def __init__(self, z0, zp):
         self.buf, self.head, self.depth = zp, 0, zp.shape[1]
         self.buf[:, 0] = z0
-
-    def matrix(self):
-        """All snapshots in age order, Z[:, j] = z(., t - eps*a_j), as a new array."""
-        return np.roll(self.buf, -self.head, axis=1)
 
     def push(self, z_new):
         """Advance one level: z_new takes the column of the oldest snapshot."""
@@ -105,17 +102,3 @@ def advance_position(integral, coeff, hist, eps, sgrid, source=None):
     hist.push(z_new)
     return z_new
 
-
-def volterra_residual(hist, rho, z, eps, sgrid, agrid, source=None):
-    """L(z, rho) - Lap_h z - S on interior nodes.
-
-    hist and rho (in age order) must sit at the same time level as z (the
-    newest snapshot of hist == z when checking a stepped position).
-    Vanishes to solver tolerance for the computed position; used as the
-    cross-check between the position and elongation formulations.
-    """
-    delayed = delay_quadrature(agrid.w, rho, z[:, None] - hist.matrix())
-    res = delayed[1:-1] / eps - elliptic.laplacian(z, sgrid.dx)
-    if source is not None:
-        res = res - np.asarray(source)[1:-1]
-    return res

@@ -290,7 +290,8 @@ def run_convergence_sweep(vcfg, epsilons, dt_out):
 
     Every epsilon runs on its own dt = eps*da; snapshots are taken on a
     common output grid (dt_out must be an integer multiple of each step
-    size).  The scales run in turn, largest first.
+    size).  The scales run in turn, largest first.  A row's order is None
+    for the first scale and where either of the two errors it compares is 0.
     Raises ConfigError, before any run, for an off-rate that is not
     prescribed, a repeated scale (the order estimate would divide by
     log 1 = 0), a scale that fails validation, an output grid that does not
@@ -323,7 +324,7 @@ def run_convergence_sweep(vcfg, epsilons, dt_out):
     rows = []
     for i, (eps, err) in enumerate(zip(epsilons, errors)):
         order = None
-        if i > 0:
+        if i > 0 and errors[i - 1] > 0.0 and err > 0.0:  # a zero error has no log
             order = math.log(errors[i - 1] / err) / math.log(epsilons[i - 1] / eps)
         rows.append(SweepRow(epsilon=eps, error=err, order=order))
     monotone = all(a > b for a, b in zip(errors[:-1], errors[1:]))

@@ -8,6 +8,7 @@ from linkages.grids import AgeGrid, SpaceGrid
 from linkages.kinetics import apply_survival, cohort_weights, renew_cohorts
 from linkages.position import advance_position, delay_quadrature
 from linkages import presets
+from oracles import age_order
 
 
 @pytest.fixture
@@ -50,7 +51,7 @@ def capture_at(steps):
     def observe(n, st):
         if n in steps:
             observe.captures.append(SimpleNamespace(
-                n=n, z=st.z.copy(), rho=st.rho.copy(), delayed_z=st.hist.matrix()
+                n=n, z=st.z.copy(), rho=st.rho.copy(), delayed_z=age_order(st.hist)
             ))
 
     observe.captures = []

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import capture_at
+from oracles import energy, oracle_march
 
 import linkages as lk
 from linkages import presets
@@ -23,7 +24,6 @@ from linkages.cli import coupled_config, detachment_config, reference_config
 from linkages.config import RateModel, SourceModel, validate_config
 from linkages.elliptic import laplacian
 from linkages.grids import build_grids
-from linkages import diagnostics as dg
 
 SEED = 20260808
 
@@ -171,8 +171,8 @@ def test_criterion_5_kinetics_oracle():
         times = np.arange(ts.n_steps + 1) * ts.dt
         mu_exact = mu_bar + (mu_I - mu_bar) * np.exp(-2.0 * times / eps)
         hist = [np.full(sg.n_nodes, m) for m in mu_exact]
-        oracle = lk.oracle_density_field(
-            ts.n_steps, zeta_fn, beta_fn, vcfg.initial_density, hist, eps, sg, ag
+        oracle, _ = oracle_march(
+            ts.n_steps, zeta_fn, beta_fn, vcfg.initial_density, eps, sg, ag, mu0_history=hist
         )
         return float(sg.quad_weights() @ (np.abs(res.final_rho - oracle) @ ag.w))
 
@@ -198,13 +198,13 @@ def test_criterion_6_minimization(weak_reference_run):
     delta = 1e-3
     violations = 0
     for cap in res.captures:
-        e0 = dg.energy(cap.z, cap.delayed_z, cap.rho, vcfg.epsilon, sg, ag)
+        e0 = energy(cap.z, cap.delayed_z, cap.rho, vcfg.epsilon, sg, ag)
         for _ in range(100):
             v = rng.uniform(-1.0, 1.0, sg.nx)
             v /= np.max(np.abs(v))
             zp = cap.z.copy()
             zp[1:-1] += delta * v
-            if dg.energy(zp, cap.delayed_z, cap.rho, vcfg.epsilon, sg, ag) < e0:
+            if energy(zp, cap.delayed_z, cap.rho, vcfg.epsilon, sg, ag) < e0:
                 violations += 1
     ok = violations == 0 and len(res.captures) == 10
     report(6, ok, f"{len(res.captures)} steps x 100 perturbations, {violations} violations")

@@ -429,3 +429,27 @@ def test_weak_runs_the_load_of_its_config(tmp_path):
         assert filecmp.cmp(os.path.join(weak, name), os.path.join(weak_source, name), shallow=False)
     traj = "trajectory.csv"
     assert not filecmp.cmp(os.path.join(weak, traj), os.path.join(plain, traj), shallow=False)
+
+
+def test_sweep_of_a_zero_solution_leaves_its_orders_blank(tmp_path, capsys):
+    # z_p = 0 and no load: every run and the limit stay at z = 0, so every
+    # error is 0 and has no log; zero errors are not strictly decreasing
+    cfg = write(tmp_path, TINY_WEAK.replace("z_p = sin_pi", "z_p = zero"))
+    out = tmp_path / "out"
+    assert main(["convergence-sweep", "--config", cfg, "--out", str(out), "--epsilons", "0.1,0.05"]) == 2
+    rows = [ln.split(",") for ln in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [(float(err), order) for _, err, order in rows] == [(0.0, ""), (0.0, "")]
+    err = capsys.readouterr().err
+    assert err == "errors are not monotone in epsilon\n"
+
+
+@pytest.mark.parametrize("argv", [["detachment", "--dump-density"], ["weak", "--bogus"], ["weak", "--cadence", "abc"]])
+def test_usage_error_exits_1(tmp_path, capsys, argv):
+    # a flag the subcommand does not read is refused; argparse's message
+    # goes to stderr, and exit 2 stays reserved for invariant violations
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 1
+    assert "error: " in capsys.readouterr().err
+    assert not out.exists()

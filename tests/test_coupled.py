@@ -13,9 +13,7 @@ from linkages.config import PastData, RateModel, SourceModel, validate_config
 from linkages.coupled import (
     OMEGA,
     CoupledState,
-    asymptotic_profile,
     coupled_step,
-    mu_ode_residual,
     riccati_gamma2,
     solve_velocity,
 )
@@ -26,6 +24,7 @@ from linkages.kinetics import init_density, moment
 from linkages.position import PositionHistory, advance_position, sample_past
 from linkages import elliptic, presets
 from linkages.simulate import run_coupled, run_detachment
+from oracles import age_order, mu_ode_residual
 
 EPS = 0.05
 SG = SpaceGrid(nx=15)
@@ -250,7 +249,7 @@ def test_coupled_step_equals_its_unfused_composition():
     mu0_a = rho_a @ ag.w
     g_a = solve_velocity(rho_a, mu0_a, u_a, zeta_a, src.ddt(sg.x, t), eps, sg, ag.w)
     hist_a = copy.deepcopy(old.hist)  # its age-ordered snapshots, anchors of the ages j >= 1
-    rhs_a = np.einsum("j,xj,xj->x", ag.w[1:], rho_a[:, 1:], hist_a.matrix()[:, :-1])
+    rhs_a = np.einsum("j,xj,xj->x", ag.w[1:], rho_a[:, 1:], age_order(hist_a)[:, :-1])
     z_a = advance_position(rhs_a, mu0_a - ag.w[0] * rho_a[:, 0], hist_a, eps, sg, src(sg.x, t))
     assert np.array_equal(new.u, u_a)
     for got, want in ((new.rho, rho_a), (new.mu0, mu0_a), (new.g, g_a), (new.z, z_a)):
@@ -378,14 +377,6 @@ def test_mu_ode_residual_shrinks_under_refinement():
         r = mu_ode_residual(prev, nxt, vcfg.source, beta, vcfg.epsilon, sg, ag)
         norms.append(np.max(np.abs(r)))
     assert norms[1] < 0.7 * norms[0]
-
-
-def test_asymptotic_profile():
-    mu_inf, z_inf = asymptotic_profile(1.0, np.pi**2 * np.sin(np.pi * SG.x), SG)
-    np.testing.assert_allclose(mu_inf, 0.5, atol=1e-14)
-    np.testing.assert_allclose(z_inf, np.sin(np.pi * SG.x), atol=1.0 * SG.dx**2)
-    mu0_inf, _ = asymptotic_profile(0.0, np.zeros(SG.n_nodes), SG)
-    np.testing.assert_allclose(mu0_inf, 0.0, atol=1e-15)
 
 
 def test_riccati_gamma2_values():

@@ -10,7 +10,6 @@ from linkages.kinetics import cohort_weights
 from linkages.diagnostics import (
     DiagnosticsRecord,
     convergence_error,
-    energy,
     elongation_from_history,
     lyapunov_H,
     record,
@@ -22,6 +21,7 @@ from linkages.kinetics import init_density, limit_density
 from linkages import presets, simulate
 from conftest import make_config
 from linkages.simulate import run_coupled, run_weak
+from oracles import age_order, energy
 
 SG = SpaceGrid(nx=63)
 AG = AgeGrid(da=0.01, a_max=10.0)
@@ -184,7 +184,7 @@ def test_weak_record_matches_the_history_formulas(source):
     expected, heads = [], set()
 
     def observe(n, st):
-        delayed = st.hist.matrix()
+        delayed = age_order(st.hist)
         u = (st.z[:, None] - delayed) / vcfg.epsilon
         assert np.array_equal(elongation_from_history(st.z, st.hist, vcfg.epsilon, out=np.empty_like(st.rho)), u)
         heads.add(st.hist.head)

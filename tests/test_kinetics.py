@@ -9,7 +9,7 @@ import pytest
 from conftest import CohortRing, make_config
 from linkages import presets, simulate
 from linkages.config import RateModel, validate_config
-from linkages.errors import HistoryMissing, MassAtLeastOne, NegativeDensity, NonfiniteValue
+from linkages.errors import MassAtLeastOne, NegativeDensity, NonfiniteValue
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
 from linkages.kinetics import (
     BirthRing,
@@ -17,16 +17,14 @@ from linkages.kinetics import (
     apply_survival,
     cohort_weights,
     decay,
-    density_characteristics_oracle,
     init_density,
     limit_density,
     moment,
-    oracle_density_field,
-    oracle_mu0_history,
     renew_cohorts,
     survival,
 )
 from linkages.position import PositionHistory
+from oracles import oracle_march
 
 SG = SpaceGrid(nx=7)
 AG = AgeGrid(da=0.01, a_max=10.0)
@@ -271,33 +269,18 @@ def test_shift_step_allocates_no_field(monkeypatch):
 
 def test_oracle_spot_values():
     eps, da = 0.05, 0.01
-    ag = AgeGrid(da=da, a_max=10.0)
-    # from the initial-datum branch: rho_I(a - t/eps) * exp(-t/eps)
-    v = density_characteristics_oracle(
-        np.array([0.3]), 2.0, eps, ZETA_ONE, ONES_X, EXP_DECAY, [], eps, ag
-    )
-    assert v[0] == pytest.approx(np.exp(-2.0), rel=1e-12)
+    sg, ag = SpaceGrid(nx=1), AgeGrid(da=da, a_max=10.0)
+    # from the initial-datum branch: rho_I(a - t/eps) * exp(-t/eps); the
+    # history is not read there
+    half = lambda n: [np.full(sg.n_nodes, 0.5)] * (n + 1)
+    v, _ = oracle_march(100, ZETA_ONE, ONES_X, EXP_DECAY, eps, sg, ag, mu0_history=half(100))
+    assert v[:, 200] == pytest.approx(np.exp(-2.0), rel=1e-12)
     # t = 0 returns the initial datum exactly
-    v0 = density_characteristics_oracle(
-        np.array([0.3]), 1.5, 0.0, ZETA_ONE, ONES_X, EXP_DECAY, [], eps, ag
-    )
-    assert v0[0] == pytest.approx(np.exp(-1.5), rel=1e-14)
+    v0, _ = oracle_march(0, ZETA_ONE, ONES_X, EXP_DECAY, eps, sg, ag)
+    assert v0[:, 150] == pytest.approx(np.exp(-1.5), rel=1e-14)
     # steady renewal branch: beta (1 - mu0) e^-a with mu0 = 1/2
-    n = 300
-    hist = [np.full(1, 0.5)] * (n + 1)
-    v1 = density_characteristics_oracle(
-        np.array([0.3]), 1.0, n * eps * da, ZETA_ONE, ONES_X, EXP_DECAY, hist, eps, ag
-    )
-    assert v1[0] == pytest.approx(0.5 * np.exp(-1.0), rel=1e-12)
-
-
-def test_oracle_missing_history():
-    eps, da = 0.05, 0.01
-    ag = AgeGrid(da=da, a_max=10.0)
-    with pytest.raises(HistoryMissing):
-        density_characteristics_oracle(
-            np.array([0.3]), 0.5, 100 * eps * da, ZETA_ONE, ONES_X, EXP_DECAY, [], eps, ag
-        )
+    v1, _ = oracle_march(300, ZETA_ONE, ONES_X, EXP_DECAY, eps, sg, ag, mu0_history=half(300))
+    assert v1[:, 100] == pytest.approx(0.5 * np.exp(-1.0), rel=1e-12)
 
 
 def test_scheme_equals_oracle_for_constant_rates():
@@ -311,8 +294,7 @@ def test_scheme_equals_oracle_for_constant_rates():
     for n in range(n_steps):
         rho = cohorts.step(survival(zeta, ag), np.ones(sg.n_nodes), ag)
     rI = lambda x, a: 0.9 * EXP_DECAY(x, a)
-    hist = oracle_mu0_history(n_steps, ZETA_ONE, ONES_X, rI, eps, sg, ag)
-    oracle = oracle_density_field(n_steps, ZETA_ONE, ONES_X, rI, hist, eps, sg, ag)
+    oracle, _ = oracle_march(n_steps, ZETA_ONE, ONES_X, rI, eps, sg, ag)
     np.testing.assert_allclose(rho, oracle, atol=1e-13)
 
 
@@ -330,8 +312,7 @@ def _oracle_l1_distance(da, eps=0.05):
     for n in range(n_steps):
         zeta = varying_zeta(sg.x[:, None], ag.a[None, :], n * eps * da)
         rho = cohorts.step(survival(zeta, ag), np.ones(sg.n_nodes), ag)
-    hist = oracle_mu0_history(n_steps, varying_zeta, ONES_X, rI, eps, sg, ag)
-    oracle = oracle_density_field(n_steps, varying_zeta, ONES_X, rI, hist, eps, sg, ag)
+    oracle, _ = oracle_march(n_steps, varying_zeta, ONES_X, rI, eps, sg, ag)
     return float(sg.quad_weights() @ (np.abs(rho - oracle) @ ag.w))
 
 

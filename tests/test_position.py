@@ -16,11 +16,11 @@ from linkages.position import (
     delay_quadrature,
     initial_position,
     sample_past,
-    volterra_residual,
 )
 from linkages import presets, simulate
 from linkages.cli import coupled_config
 from linkages.simulate import run_coupled, run_weak
+from oracles import age_order, energy, volterra_residual
 
 EPS = 0.05
 SG = SpaceGrid(nx=31)
@@ -138,15 +138,7 @@ def test_volterra_residual_of_step_output():
     run_weak(vcfg, output_stride=1000, diag_stride=0, observers=[capture])
     cap, = capture.captures
     sg, ag, _ = build_grids(vcfg)
-
-    class Aligned:
-        def __init__(self, m):
-            self._m = m
-
-        def matrix(self):
-            return self._m
-
-    r = volterra_residual(Aligned(cap.delayed_z), cap.rho, cap.z, vcfg.epsilon, sg, ag)
+    r = volterra_residual(cap.delayed_z, cap.rho, cap.z, vcfg.epsilon, sg, ag)
     scale = max(np.max(np.abs(cap.z)) * 1.0 / vcfg.epsilon, 1.0)
     assert np.max(np.abs(r)) <= 1e-9 * scale
 
@@ -155,7 +147,7 @@ def test_volterra_residual_zero_field():
     rho = init_density(EXP_DECAY, SG, AG)
     z = np.zeros(SG.n_nodes)
     hist = PositionHistory(z, np.zeros((SG.n_nodes, AG.n_nodes)))
-    r = volterra_residual(hist, rho, z, EPS, SG, AG)
+    r = volterra_residual(age_order(hist), rho, z, EPS, SG, AG)
     np.testing.assert_allclose(r, 0.0, atol=1e-14)
 
 
@@ -165,7 +157,7 @@ def test_volterra_residual_linearity_in_perturbation():
     hist = PositionHistory(z0, np.zeros((SG.n_nodes, AG.n_nodes)))
     delta = 1e-3
     zp = delta * np.sin(np.pi * SG.x)
-    r = volterra_residual(hist, rho, zp, EPS, SG, AG)
+    r = volterra_residual(age_order(hist), rho, zp, EPS, SG, AG)
     mu0 = moment(rho, AG, 0)
     lam = discrete_sin_eigenvalue(SG)
     expected = delta * (mu0[1:-1] / EPS + lam) * np.sin(np.pi * SG.x[1:-1])
@@ -180,7 +172,7 @@ def test_step_position_matches_dense_oracle():
     past = PastData(fn=lambda x, t: np.sin(np.pi * np.asarray(x)) * (1.0 + 0.2 * t))
     z0 = past(sg.x, 0.0)
     hist = PositionHistory(z0, sample_past(past, EPS, sg, ag))
-    Z = hist.matrix()
+    Z = age_order(hist)
     z = position_step(rho, hist, EPS, sg, ag)
     mu0 = rho @ ag.w
     coeff = mu0 - ag.w[0] * rho[:, 0]
@@ -205,13 +197,13 @@ def test_minimization_property():
     cap, = capture.captures
     sg, ag, _ = build_grids(vcfg)
     rng = np.random.default_rng(17)
-    e0 = dg.energy(cap.z, cap.delayed_z, cap.rho, vcfg.epsilon, sg, ag)
+    e0 = energy(cap.z, cap.delayed_z, cap.rho, vcfg.epsilon, sg, ag)
     for _ in range(100):
         v = rng.uniform(-1.0, 1.0, sg.nx)
         v /= np.max(np.abs(v))
         zp = cap.z.copy()
         zp[1:-1] += 1e-3 * v
-        assert dg.energy(zp, cap.delayed_z, cap.rho, vcfg.epsilon, sg, ag) >= e0
+        assert energy(zp, cap.delayed_z, cap.rho, vcfg.epsilon, sg, ag) >= e0
 
 
 def ramp_in_time(x, a, t):
