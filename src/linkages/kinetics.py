@@ -20,9 +20,12 @@ For an off-rate that ignores t every cohort is its birth value times a
 fixed product, rho^n[:, j] = C_j B^{n-j} (C_j: the survival factors of ages
 0..j-1 multiplied in turn; B^{-m} = rho_I[:, m] / C_m for the initial
 cohorts).  BirthRing marches B and B z instead of the density, so a step
-reads two rings and writes O(nx) numbers.  The rings take the position
-history's head, split once per step; both lagged sums read the same two
-slices of the weights with np.vecdot, and renew turns them into the next B."""
+writes O(nx) numbers; renew turns its two lagged sums into the next B.  The
+rings take the position history's head.  Where the off-rate is the same at
+every age of a lane (C_j = c^j), the lagged sums are running sums, O(nx)
+work a step, read afresh off the rings each time the head comes back to 0.
+Otherwise a step reads both rings, split once at the head, against the
+same two slices of the weights with np.vecdot."""
 
 import math
 from dataclasses import dataclass
@@ -128,19 +131,29 @@ class BirthRing:
     Both rings have the layout of the density and the head of the position
     history hist: column hist.head holds level n, the next columns
     (cyclically) the older levels.  wC[:, j-1] = w_j C_j weighs age j >= 1.
+    c, if given, is the survival factor of each age cell, C_j = c^j: the
+    lagged sums are then kept as running sums (see _lead).  hist is at
+    head 0 when the ring is built.
     """
 
-    def __init__(self, wC, births, hist, agrid):
+    def __init__(self, wC, births, hist, agrid, c=None):
         self.wC, self.births, self.products = wC, births, births * hist.buf
-        self.w, self.hist = agrid.w, hist
+        self.w, self.hist, self.c = agrid.w, hist, c
+        if c is not None:
+            self._lead(hist.head)
 
     def sums(self):
         """m = sum_{j>=1} w_j C_j B^{n+1-j} and q, the same sum over the ring of B z.
 
-        The head splits both rings once: the columns from head on and the
-        wrapped columns from 0, each read against its slice of wC with np.vecdot.
+        With c, each is its running sum over j < na (see _lead) plus the
+        term of age na.  Otherwise the head splits both rings once: the
+        columns from head on and the wrapped columns from 0, each read
+        against its slice of wC with np.vecdot.
         """
         head, wC = self.hist.head, self.wC
+        if self.c is not None:
+            tail = (head + wC.shape[1] - 1) % self.births.shape[1]  # level n+1-na
+            return tuple(T + wC[:, -1] * r[:, tail] for T, r in zip(self.lead, (self.births, self.products)))
         cut = min(wC.shape[1], self.births.shape[1] - head)
         lo, hi = wC[:, :cut], wC[:, cut:]
         newer, older = slice(head, head + cut), slice(0, wC.shape[1] - cut)
@@ -155,6 +168,27 @@ class BirthRing:
         head = self.hist.head
         self.births[:, head] = births
         self.products[:, head] = births * z
+        if self.c is not None:
+            self._lead(head)
+
+    def _lead(self, head):
+        """The running sums T = sum_{j=1}^{na-1} w_j C_j B^{n+1-j} of both rings at head (level n).
+
+        With C_j = c^j and equal interior weights, T follows from that of
+        level n-1 as c (T - w_{na-1} C_{na-1} B^{n+1-na}) + w_1 C_1 B^n in O(nx).
+        At head 0 the rings are in age order and T is read afresh with
+        np.vecdot, which bounds the rounding to one ring period.
+        """
+        k, wC = self.wC.shape[1] - 1, self.wC
+        rings = (self.births, self.products)
+        if head == 0 or k == 0:  # na = 1: T is 0
+            self.lead = [np.vecdot(wC[:, :k], r[:, :k]) for r in rings]
+            return
+        tail = (head + k) % self.births.shape[1]  # level n+1-na
+        for T, r in zip(self.lead, rings):
+            T -= wC[:, k - 1] * r[:, tail]
+            T *= self.c
+            T += wC[:, 0] * r[:, head]
 
     def density(self):
         """rho^n[:, j] = C_j B^{n-j}."""
@@ -173,15 +207,18 @@ def birth_ring(rho_I, surv, hist, agrid):
     surv, the survival factor of every step, is consumed: it becomes wC in
     place, and rho_I the birth ring.  None, with rho_I intact, where the
     closed form would lose the density: a product C_j zero or subnormal, or
-    a birth value rho_I / C_j that may overflow.
+    a birth value rho_I / C_j that may overflow.  Where every column of
+    surv equals the first (an off-rate the same at every age), the ring
+    takes c = surv[:, 0] and keeps its lagged sums in O(nx) a step.
     """
+    c = surv[:, 0].copy() if np.all(surv == surv[:, :1]) else None
     C = np.cumprod(surv, axis=1, out=surv)
     c_min = float(np.min(C))
     if c_min < np.finfo(float).tiny or not math.isfinite(float(np.max(rho_I)) / c_min):
         return None
     np.divide(rho_I[:, 1:], C, out=rho_I[:, 1:])
     C *= agrid.w[1:]
-    return BirthRing(C, rho_I, hist, agrid)
+    return BirthRing(C, rho_I, hist, agrid, c)
 
 
 @dataclass

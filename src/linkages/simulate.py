@@ -143,7 +143,10 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     with the WeakState at every level, after the built-in ones (see march).
     A rate that declares it ignores t is sampled once.  Such an off-rate
     is stepped on birth values (kinetics.BirthRing) unless birth_ring
-    refuses the data; the others shift the density's cohort ring.
+    refuses the data; the others shift the density's cohort ring.  On
+    birth values an off-rate the same at every age (every constant preset)
+    costs O(nx) a step, with one full read of the rings each time their
+    head comes back to 0; an age-dependent one reads both rings every step.
     """
     sgrid, agrid, ts, rho, z, hist = _start(vcfg)
     rate, src = vcfg.rate_model, vcfg.source

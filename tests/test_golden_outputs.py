@@ -156,8 +156,8 @@ GOLDEN = {
         "trajectory.csv": "947ef44bfb708f0ab97496eab411cb5fd53664debfc4f9e1b67fdab2fa69f984",
     }),
     "weak-source": (0, {
-        "diagnostics.csv": "4c472af4895b1068de7270cc629d8fc01ef22f7b4f3332abde09c78efcb945c1",
-        "trajectory.csv": "94a6b9d4778076b150eaaf7029af937fa05bceb456f7fb4af39eb72f54144b40",
+        "diagnostics.csv": "a0fc029310dbc129dc41912ea7246f38a34de9cea930d639c731a8f6228f4d7f",
+        "trajectory.csv": "5281cb7d1a860080b8ffacd63cc8b3dc7bfb5e56e7a1df29f4eabf3f5d367c17",
     }),
 }
 

@@ -15,6 +15,7 @@ from linkages.kinetics import (
     BirthRing,
     age_profile,
     apply_survival,
+    birth_ring,
     cohort_weights,
     decay,
     init_density,
@@ -188,6 +189,31 @@ def test_birth_ring_sums_at_every_head(na):
 
 
 @pytest.mark.parametrize("na", [1, 2, 5])
+def test_birth_ring_running_sums_at_every_head(na):
+    # birth_ring of a survival factor the same at every age (C_j = c^j) keeps
+    # the lagged sums as running sums; m and q against an einsum over each
+    # ring rolled into age order, over two ring periods, so the running sums
+    # cross two re-anchors at head 0; c differs between lanes
+    rng = np.random.default_rng(na)
+    ag = AgeGrid(da=0.5, a_max=0.5 * na)
+    nodes, depth = 4, na + 1
+    c = rng.uniform(0.5, 1.0, nodes)
+    hist = PositionHistory(rng.random(nodes), rng.random((nodes, depth)))
+    ring = birth_ring(rng.random((nodes, depth)), np.repeat(c[:, None], na, axis=1), hist, ag)
+    wC = ag.w[1:] * c[:, None] ** np.arange(1, depth)
+    heads = []
+    for _ in range(2 * depth + 1):
+        heads.append(hist.head)
+        for got, values in zip(ring.sums(), (ring.births, ring.products)):
+            aged = np.roll(values, -hist.head, axis=1)
+            np.testing.assert_allclose(got, np.einsum("xj,xj->x", wC, aged[:, :-1]), rtol=1e-13, atol=0.0)
+        z = rng.random(nodes)
+        hist.push(z)
+        ring.push(rng.random(nodes), z)
+    assert heads == [0, *range(depth - 1, 0, -1)] * 2 + [0]
+
+
+@pytest.mark.parametrize("na", [1, 2, 5])
 def test_shift_step_at_every_head(na):
     # the cohort-ring step against the age-frame step (roll to age order,
     # shift, survival, renewal) at every head the steps reach (0, then
@@ -252,6 +278,17 @@ def test_birth_ring_step_allocates_no_field(monkeypatch):
     sg, ag, ts = build_grids(vcfg)
     peaks = step_peaks(monkeypatch, vcfg, "ring_step")
     assert len(peaks) == ts.n_steps
+    assert max(peaks) < sg.n_nodes * ag.n_nodes * 8
+
+
+def test_birth_ring_step_allocates_no_field_across_re_anchors(monkeypatch):
+    # the same bound where the running sums of a constant off-rate are read
+    # afresh: 64 steps on a ring of 31 cross two re-anchors (a ring of 11
+    # is smaller than the O(nx) arrays of any step, 5.4 kB at nx = 30)
+    vcfg = validate_config(make_config(nx=30, a_max=0.3, final_time=0.032))
+    sg, ag, ts = build_grids(vcfg)
+    peaks = step_peaks(monkeypatch, vcfg, "ring_step")
+    assert len(peaks) == ts.n_steps == 64
     assert max(peaks) < sg.n_nodes * ag.n_nodes * 8
 
 

@@ -21,9 +21,11 @@ import warnings
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from linkages import presets
+from linkages.cli import reference_config
 from linkages.config import PastData, RateModel, SimulationConfig, SourceModel, validate_config
 from linkages.errors import ConfigError
 from linkages.simulate import ENERGY_DECAY_TOL, run_coupled, run_weak
@@ -90,15 +92,35 @@ def test_weak_run_keeps_structural_invariants(cfg):
 @given(configs(kinds=("constant", "ramp")))
 @example(weak_config("ramp", 2.0, 0.1, 1, 0.5, 30, 3, 0.9, True))  # na = 1: one age cell
 @example(weak_config("constant", 0.5, 0.05, 40, 0.1, 30, 1, 0.3, False))  # nx = 1: one interior node
+# a constant off-rate keeps running sums, re-anchored whenever the ring's
+# head comes back to 0: these cross two re-anchors (steps > 2*(na+1))
+@example(weak_config("constant", 1.0, 0.1, 1, 0.5, 9, 3, 0.9, True))  # na = 1: no running term
+@example(weak_config("constant", 2.0, 0.05, 5, 0.1, 20, 4, 0.3, False))
+@example(weak_config("constant", 0.5, 0.01, 12, 0.05, 40, 6, 0.9, True))
 def test_birth_ring_path_matches_the_shift_path(cfg):
+    assert_paths_match(cfg)
+
+
+def assert_paths_match(cfg, diag_stride=1):
+    """run_weak of cfg on the birth ring against the same rate as a plain callable, which takes the shift."""
     paths = []
-    ring = run_weak(validate_config(cfg), observers=[lambda n, s: paths.append(s.ring is not None)])
+    ring = run_weak(validate_config(cfg), diag_stride=diag_stride, observers=[lambda n, s: paths.append(s.ring is not None)])
     rate = cfg.rate_model
     plain = replace(rate, zeta=lambda x, a, t: rate.zeta(x, a, t))
-    shift = run_weak(validate_config(replace(cfg, rate_model=plain)), observers=[lambda n, s: paths.append(s.ring)])
+    shift = run_weak(validate_config(replace(cfg, rate_model=plain)), diag_stride=diag_stride,
+                     observers=[lambda n, s: paths.append(s.ring)])
     assert paths == [True] * len(ring.trajectory) + [None] * len(ring.trajectory)
     for a, b in ((ring.trajectory, shift.trajectory), (ring.final_rho, shift.final_rho)):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("c", [0.01, 1e-8])
+def test_birth_ring_running_sums_at_full_size(c):
+    # the reference grid (nx = 64, na = 1000, 1000 steps) with a small
+    # constant off-rate: c = exp(-da*zeta) rounds close to 1, and the running
+    # sums go one ring period without a re-anchor
+    rate = RateModel(zeta=presets.given_zeta_fn(f"constant({c})"), zeta_m=c, zeta_M=c)
+    assert_paths_match(reference_config(rate_model=rate), diag_stride=0)
 
 
 @PROPERTY
