@@ -145,15 +145,15 @@ def coupled_step(st, source, rate, eps, sgrid, agrid):
     return st
 
 
-def riccati_gamma2(p0, gamma1, h, eps, omega=OMEGA):
+def riccati_gamma2(p0, gamma1, h, eps):
     """Upper bound for p(t) = int int zeta(u)|u| rho dx da.
 
-    The comparison equation eps p' + gamma1 p^2 <= h + omega p / eps keeps p
-    below max(p0, (omega + sqrt(omega^2 + 4 h gamma1 eps^2)) / (2 eps gamma1)).
+    The comparison equation eps p' + gamma1 p^2 <= h + OMEGA p / eps keeps p
+    below max(p0, (OMEGA + sqrt(OMEGA^2 + 4 h gamma1 eps^2)) / (2 eps gamma1)).
     """
     if gamma1 <= 0:
         raise NonpositiveGamma1(f"gamma1 = {gamma1:g}")
-    root = (omega + math.sqrt(omega**2 + 4.0 * h * gamma1 * eps**2)) / (2.0 * eps * gamma1)
+    root = (OMEGA + math.sqrt(OMEGA**2 + 4.0 * h * gamma1 * eps**2)) / (2.0 * eps * gamma1)
     return max(p0, root)
 
 

@@ -6,8 +6,8 @@ population.  With dt = eps*da the update is an exact shift along the
 characteristic with per-cell exponential decay, which keeps the field
 nonnegative for any size of zeta*da.  The density steppers shift no array:
 they keep the cohort of age j in column (head + j) % (na+1), head being the
-position history's, multiply each cohort where it stands (apply_survival)
-and write the newborns into the oldest cohort's column (renew_cohorts).
+position history's, multiply each cohort where it stands and write the
+newborns into the oldest cohort's column (CohortRing, renew_cohorts).
 
 The renewal value is coupled to mu0 at the *new* time through the a=0
 trapezoid weight; that self-reference is solved algebraically (renew),
@@ -20,12 +20,12 @@ For an off-rate that ignores t every cohort is its birth value times a
 fixed product, rho^n[:, j] = C_j B^{n-j} (C_j: the survival factors of ages
 0..j-1 multiplied in turn; B^{-m} = rho_I[:, m] / C_m for the initial
 cohorts).  BirthRing marches B and B z instead of the density, so a step
-writes O(nx) numbers; renew turns its two lagged sums into the next B.  The
-rings take the position history's head.  Where the off-rate is the same at
-every age of a lane (C_j = c^j), the lagged sums are running sums, O(nx)
-work a step, read afresh off the rings each time the head comes back to 0.
-Otherwise a step reads both rings, split once at the head, against the
-same two slices of the weights with np.vecdot."""
+writes O(nx) numbers; renew turns its two lagged sums, as CohortRing's, into
+the next B.  The rings take the position history's head.  Where the
+off-rate is the same at every age of a lane (C_j = c^j), the lagged sums
+are running sums, O(nx) work a step, read afresh off the rings each time
+the head comes back to 0.  Otherwise a step reads both rings, split once at
+the head, against the same two slices of the weights with np.vecdot."""
 
 import math
 from dataclasses import dataclass
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MassAtLeastOne, NegativeDensity, NonfiniteValue
+from .position import delay_quadrature
 
 # For x <= -746, exp(x) < 2**-1076, below half the smallest subnormal
 # (2**-1074), so it rounds to +0.0; decay skips those lanes.  The
@@ -94,17 +95,6 @@ def cohort_weights(w, head):
     return np.concatenate((w[w.size - head :], w[: w.size - head]))
 
 
-def apply_survival(rho, surv, head):
-    """Multiply the cohort of age j of the ring rho at head by surv[:, j] (see survival), in place.
-
-    The head splits the ring once; the oldest cohort's column, which the
-    newborns take next, is left as it is.
-    """
-    cut = min(surv.shape[1], rho.shape[1] - head)
-    rho[:, head : head + cut] *= surv[:, :cut]
-    rho[:, : surv.shape[1] - cut] *= surv[:, cut:]
-
-
 def renew(beta_values, m, w0):
     """Birth value and mu0 of the next level from its renewal mass m (the closed-form renewal)."""
     births = beta_values * (1.0 - m) / (1.0 + beta_values * w0)
@@ -123,6 +113,32 @@ def renew_cohorts(rho, beta_values, w, new):
     births, mu0 = renew(beta_values, m, w[new])
     rho[:, new] = births
     return mu0, m, lag
+
+
+class CohortRing:
+    """The density rho as a cohort ring at the head of hist; surv is the survival factor of the next step."""
+
+    def __init__(self, rho, surv, hist, agrid):
+        self.rho, self.surv, self.hist, self.w = rho, surv, hist, agrid.w
+
+    def sums(self):
+        """Age every cohort but the oldest by surv in place; m and q of the next level, q off hist.buf in place."""
+        rho, surv, head = self.rho, self.surv, self.hist.head
+        cut = min(surv.shape[1], rho.shape[1] - head)
+        rho[:, head : head + cut] *= surv[:, :cut]
+        rho[:, : surv.shape[1] - cut] *= surv[:, cut:]
+        new = (head - 1) % rho.shape[1]
+        lag = cohort_weights(self.w, new)
+        lag[new] = 0.0
+        return rho @ lag, delay_quadrature(lag, rho, self.hist.buf)
+
+    def push(self, births, z):
+        """Write the newborns into column hist.head, which the history's push of z took."""
+        self.rho[:, self.hist.head] = births
+
+    def density(self):
+        """rho^n in age order."""
+        return np.roll(self.rho, -self.hist.head, axis=1)
 
 
 class BirthRing:

@@ -18,11 +18,10 @@ A run samples the past data once (sample_past); the t = 0 solve reads the
 sample and the history ring takes it over.  solve_balance poses
 (coeff - eps Lap_h) x = integral + eps f, the one elliptic balance of the
 model: for the start-up position, every step's position (advance_position
-solves it and pushes z_new) and the coupled velocity.  The birth-ring weak
-step feeds advance_position the quadrature of its product ring, the weak
-shift and coupled steps that of their cohort ring read against buf in place
-(before the push the cohort of age j >= 1 shares its column with its
-anchor z^{n+1-j}).
+solves it and pushes z_new) and the coupled velocity.  A step feeds
+advance_position the quadrature of its ring (see kinetics); a cohort ring
+is read against buf in place (before the push the cohort of age j >= 1
+shares its column with its anchor z^{n+1-j}).
 """
 
 import numpy as np

@@ -20,10 +20,10 @@ from . import diagnostics as dg
 from .config import with_overrides
 from .errors import ConfigError, HypothesisViolation, NonfiniteValue, RateKindMismatch
 from .grids import build_grids
-from .kinetics import BirthRing, age_profile, apply_survival, birth_ring, cohort_weights, init_density, limit_density
-from .kinetics import moment, renew, renew_cohorts, survival
+from .kinetics import BirthRing, CohortRing, age_profile, birth_ring, cohort_weights, init_density, limit_density
+from .kinetics import moment, renew, survival
 from .limit import step_limit
-from .position import PositionHistory, advance_position, delay_quadrature, initial_position, sample_past
+from .position import PositionHistory, advance_position, initial_position, sample_past
 from .presets import is_time_invariant
 
 ENERGY_DECAY_TOL = 1e-6  # per step, relative to the initial energy
@@ -91,24 +91,21 @@ def _start(vcfg):
 class WeakState:
     """Weak-run state at level n, t = n*dt; the stepper rebinds its fields.
 
-    rho, in age order, is built when first read from the birth ring or the
-    shift path's cohort ring, which is in the frame of hist (see kinetics).
+    rho, in age order, is built from the ring, in the frame of hist, when first read.
     """
 
     t: float
     z: np.ndarray
     hist: PositionHistory  # ends at the same level as z
     zeta: np.ndarray  # prescribed off-rate at t
-    surv: Optional[np.ndarray]  # survival(zeta) of the shift path, in age order
     mu0: np.ndarray
-    ring: Optional[BirthRing] = None
-    cohorts: Optional[np.ndarray] = None
+    ring: BirthRing | CohortRing
     _rho: Optional[np.ndarray] = None
 
     @property
     def rho(self):
         if self._rho is None:
-            self._rho = self.ring.density() if self.ring else np.roll(self.cohorts, -self.hist.head, axis=1)
+            self._rho = self.ring.density()
         return self._rho
 
 
@@ -143,7 +140,7 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     with the WeakState at every level, after the built-in ones (see march).
     A rate that declares it ignores t is sampled once.  Such an off-rate
     is stepped on birth values (kinetics.BirthRing) unless birth_ring
-    refuses the data; the others shift the density's cohort ring.  On
+    refuses the data; the others on the density (kinetics.CohortRing).  On
     birth values an off-rate the same at every age (every constant preset)
     costs O(nx) a step, with one full read of the rings each time their
     head comes back to 0; an age-dependent one reads both rings every step.
@@ -156,38 +153,26 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     lower_bound = min(float(np.min(mu0)), rate.beta_m / (rate.beta_m + rate.zeta_M)) - 10.0 * agrid.da
     zeta = rate.zeta_field(sgrid.x, agrid.a, 0.0)
     fixed = is_time_invariant(rate.zeta)
-    # birth_ring takes over the buffers of rho and of the survival factor
-    ring = birth_ring(rho, survival(zeta, agrid), hist, agrid) if fixed else None
-    surv = None if ring else survival(zeta, agrid)
-    state = WeakState(t=0.0, z=z, hist=hist, zeta=zeta, surv=surv, mu0=mu0, ring=ring, cohorts=None if ring else rho)
-    del rho, surv  # the state holds what the run still needs
+    # either ring takes over the buffers of rho and of the survival factor
+    ring = fixed and birth_ring(rho, survival(zeta, agrid), hist, agrid)
+    ring = ring or CohortRing(rho, survival(zeta, agrid), hist, agrid)
+    state = WeakState(t=0.0, z=z, hist=hist, zeta=zeta, mu0=mu0, ring=ring)
     beta0 = rate.beta_values(sgrid.x, 0.0) if is_time_invariant(rate.beta) else None
 
     def beta_at(t):
         return beta0 if beta0 is not None else rate.beta_values(sgrid.x, t)
 
-    def shift(n, st):
+    def step(n, st):
         # n*dt, not an accumulated t + dt: the two differ in the last bits
-        st.t = n * dt
-        hist, rho = st.hist, st.cohorts
-        new = (hist.head - 1) % hist.depth  # the column of the newborns
-        apply_survival(rho, st.surv, hist.head)
-        st.mu0, m, lag = renew_cohorts(rho, beta_at(st.t), cohort_weights(agrid.w, new), new)
-        S = _source_at(src, sgrid.x, st.t)
-        st.z = advance_position(delay_quadrature(lag, rho, hist.buf), m, hist, eps, sgrid, S)
-        st._rho = None
-        if not fixed:
-            st.zeta = rate.zeta_field(sgrid.x, agrid.a, st.t)
-            st.surv = survival(st.zeta, agrid)
-        return st
-
-    def ring_step(n, st):
         st.t = n * dt
         m, q = st.ring.sums()
         births, st.mu0 = renew(beta_at(st.t), m, agrid.w[0])
         st.z = advance_position(q, m, st.hist, eps, sgrid, _source_at(src, sgrid.x, st.t))
         st.ring.push(births, st.z)
         st._rho = None
+        if not fixed:  # the survival of the next step, read at t
+            st.zeta = rate.zeta_field(sgrid.x, agrid.a, st.t)
+            st.ring.surv = survival(st.zeta, agrid)
         return st
 
     guard = _Guard(("z",), floor=lower_bound)
@@ -227,7 +212,6 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
                 guard.violations.append(f"stability increase at t={st.t:g}")
         records.append(rec)
 
-    step = shift if state.ring is None else ring_step
     state = march(state, step, ts.n_steps, [guard, output, diagnose, *observers])
     return WeakRunResult(
         times=np.arange(0, ts.n_steps + 1, output_stride) * dt,
@@ -294,11 +278,12 @@ def run_convergence_sweep(vcfg, epsilons, dt_out):
     Every epsilon runs on its own dt = eps*da; snapshots are taken on a
     common output grid (dt_out must be an integer multiple of each step
     size).  The scales run in turn, largest first.  A row's order is None
-    for the first scale and where either of the two errors it compares is 0.
-    Raises ConfigError, before any run, for an off-rate that is not
-    prescribed, a repeated scale (the order estimate would divide by
-    log 1 = 0), a scale that fails validation, an output grid that does not
-    divide or one that reaches past the final time.
+    for the first scale and where either error it compares is 0; the errors
+    are monotone if each is below the one before or both are 0.  Raises
+    ConfigError, before any run, for an off-rate that is not prescribed, a
+    repeated scale (the order estimate would divide by log 1 = 0), a scale
+    that fails validation, an output grid that does not divide or one that
+    reaches past the final time.
     """
     if vcfg.rate_model.zeta_kind != "given":
         raise RateKindMismatch(f"the sweep needs a prescribed off-rate, not {vcfg.rate_model.zeta_kind!r}")
@@ -330,7 +315,7 @@ def run_convergence_sweep(vcfg, epsilons, dt_out):
         if i > 0 and errors[i - 1] > 0.0 and err > 0.0:  # a zero error has no log
             order = math.log(errors[i - 1] / err) / math.log(epsilons[i - 1] / eps)
         rows.append(SweepRow(epsilon=eps, error=err, order=order))
-    monotone = all(a > b for a, b in zip(errors[:-1], errors[1:]))
+    monotone = all(a > b or a == b == 0.0 for a, b in zip(errors[:-1], errors[1:]))
     return SweepResult(rows=rows, monotone=monotone)
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from linkages.config import PastData, RateModel, SimulationConfig
 from linkages.grids import AgeGrid, SpaceGrid
-from linkages.kinetics import apply_survival, cohort_weights, renew_cohorts
-from linkages.position import advance_position, delay_quadrature
+from linkages.kinetics import CohortRing, renew
+from linkages.position import PositionHistory, advance_position
 from linkages import presets
 from oracles import age_order
 
@@ -58,42 +58,39 @@ def capture_at(steps):
     return observe
 
 
-class CohortRing:
-    """A density stepped as the weak shift path steps it: a cohort ring at head.
+def density_stepper(rho, agrid):
+    """Step a copy of rho, in age order, as run_weak steps its density: on a kinetics.CohortRing.
 
-    Column (head + j) % (na+1) of ring holds the cohort of age j; head
-    starts at 0, with rho (copied) in age order, and moves back one column
-    per step like a PositionHistory's.  step keeps the renewal's m and lag
-    and returns the new density in age order.
+    The ring reads a PositionHistory of zeros, whose push moves its head.
+    Returns step(surv, beta_values), which takes one step with the survival
+    factor surv and returns the new density in age order.
     """
+    zeros = np.zeros(rho.shape[0])
+    hist = PositionHistory(zeros, np.zeros(rho.shape))
+    ring = CohortRing(np.array(rho, dtype=float), None, hist, agrid)
 
-    def __init__(self, rho):
-        self.ring, self.head = np.array(rho, dtype=float), 0
+    def step(surv, beta_values):
+        ring.surv = surv
+        births, _ = renew(beta_values, ring.sums()[0], agrid.w[0])
+        hist.push(zeros)
+        ring.push(births, zeros)
+        return ring.density()
 
-    def step(self, surv, beta_values, agrid):
-        new = (self.head - 1) % self.ring.shape[1]
-        apply_survival(self.ring, surv, self.head)
-        _, self.m, self.lag = renew_cohorts(self.ring, beta_values, cohort_weights(agrid.w, new), new)
-        self.head = new
-        return self.rho
-
-    @property
-    def rho(self):
-        return np.roll(self.ring, -self.head, axis=1)
+    return step
 
 
 def position_step(rho, hist, eps, sgrid, agrid, source=None):
-    """The weak shift path's position step for rho, the new level's density in age order.
+    """The weak step's position solve for rho, the new level's density in age order.
 
-    rho is laid out as a cohort ring at hist's next head, where the cohort
-    of age j >= 1 shares its column with its anchor z^{n+1-j}, and the delay
-    quadrature reads hist.buf in place.
+    rho is laid out as a kinetics.CohortRing at hist's next head, where the
+    cohort of age j >= 1 shares its column with its anchor z^{n+1-j}; a
+    survival factor of ones leaves it as it is, and the ring's sums read
+    hist.buf in place.
     """
     new = (hist.head - 1) % hist.depth
-    ring = np.roll(rho, new, axis=1)
-    lag = cohort_weights(agrid.w, new)
-    lag[new] = 0.0
-    return advance_position(delay_quadrature(lag, ring, hist.buf), ring @ lag, hist, eps, sgrid, source)
+    ring = CohortRing(np.roll(rho, new, axis=1), np.ones((rho.shape[0], rho.shape[1] - 1)), hist, agrid)
+    m, q = ring.sums()
+    return advance_position(q, m, hist, eps, sgrid, source)
 
 
 def dense_solve(c, kappa, rhs, nx):

@@ -433,14 +433,14 @@ def test_weak_runs_the_load_of_its_config(tmp_path):
 
 def test_sweep_of_a_zero_solution_leaves_its_orders_blank(tmp_path, capsys):
     # z_p = 0 and no load: every run and the limit stay at z = 0, so every
-    # error is 0 and has no log; zero errors are not strictly decreasing
+    # error is 0 and has no log; a sweep that is exactly converged is clean
     cfg = write(tmp_path, TINY_WEAK.replace("z_p = sin_pi", "z_p = zero"))
     out = tmp_path / "out"
-    assert main(["convergence-sweep", "--config", cfg, "--out", str(out), "--epsilons", "0.1,0.05"]) == 2
+    assert main(["convergence-sweep", "--config", cfg, "--out", str(out), "--epsilons", "0.1,0.05"]) == 0
     rows = [ln.split(",") for ln in (out / "sweep.csv").read_text().splitlines()[1:]]
     assert [(float(err), order) for _, err, order in rows] == [(0.0, ""), (0.0, "")]
     err = capsys.readouterr().err
-    assert err == "errors are not monotone in epsilon\n"
+    assert err == ""
 
 
 @pytest.mark.parametrize("argv", [["detachment", "--dump-density"], ["weak", "--bogus"], ["weak", "--cadence", "abc"]])

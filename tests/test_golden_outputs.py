@@ -114,7 +114,7 @@ CASES = {
     # one interior node: the tridiagonal solve has no off-diagonals
     "weak-nx1": (WEAK.replace("nx = 12", "nx = 1"), ["weak", "--cadence", "1"]),
     "weak-source": (WEAK_SOURCE, ["weak-source", "--cadence", "1"]),
-    # C_j = exp(-0.8 j) underflows, so birth_ring refuses the data: the shift path
+    # C_j = exp(-0.8 j) underflows, so birth_ring refuses the data: the cohort ring
     "weak-fallback": (
         WEAK.replace("zeta = one_plus_age_ramp(0.5)\nzeta_M = 1.5", "zeta = constant(80)\nzeta_m = 80\nzeta_M = 80"),
         ["weak", "--cadence", "1", "--dump-density"],

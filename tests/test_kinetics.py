@@ -6,22 +6,21 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import CohortRing, make_config
+from conftest import density_stepper, make_config
 from linkages import presets, simulate
 from linkages.config import RateModel, validate_config
 from linkages.errors import MassAtLeastOne, NegativeDensity, NonfiniteValue
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
 from linkages.kinetics import (
     BirthRing,
+    CohortRing,
     age_profile,
-    apply_survival,
     birth_ring,
-    cohort_weights,
     decay,
     init_density,
     limit_density,
     moment,
-    renew_cohorts,
+    renew,
     survival,
 )
 from linkages.position import PositionHistory
@@ -80,7 +79,7 @@ def test_moments():
 def test_step_density_renewal_from_empty():
     rho = np.zeros((SG.n_nodes, AG.n_nodes))
     zeta = np.ones((SG.n_nodes, AG.n_nodes))
-    new = CohortRing(rho).step(survival(zeta, AG), np.ones(SG.n_nodes), AG)
+    new = density_stepper(rho, AG)(survival(zeta, AG), np.ones(SG.n_nodes))
     np.testing.assert_allclose(new[:, 0], 1.0 / (1.0 + AG.w[0]), atol=1e-14)
     assert np.all(new[:, 1:] == 0.0)
 
@@ -89,7 +88,7 @@ def test_step_density_steady_profile():
     # 0.5 e^-a is the fixed point of the renewal with beta = zeta = 1
     rho = init_density(HALF_EXP, SG, AG)
     zeta = np.ones((SG.n_nodes, AG.n_nodes))
-    new = CohortRing(rho).step(survival(zeta, AG), np.ones(SG.n_nodes), AG)
+    new = density_stepper(rho, AG)(survival(zeta, AG), np.ones(SG.n_nodes))
     # interior: exact shift times e^-da preserves the exponential
     np.testing.assert_allclose(new[:, 1:], rho[:, 1:], atol=1e-13)
     # renewal value returns the profile head up to O(da^2)
@@ -99,7 +98,7 @@ def test_step_density_steady_profile():
 def test_step_density_pure_decay():
     rho = init_density(EXP_DECAY, SG, AG)
     zeta = np.full((SG.n_nodes, AG.n_nodes), 2.0)
-    new = CohortRing(rho).step(survival(zeta, AG), np.zeros(SG.n_nodes), AG)
+    new = density_stepper(rho, AG)(survival(zeta, AG), np.zeros(SG.n_nodes))
     np.testing.assert_allclose(
         new[:, 1:], rho[:, :-1] * np.exp(-2.0 * AG.da), atol=1e-14
     )
@@ -108,11 +107,11 @@ def test_step_density_pure_decay():
 
 def test_step_density_positivity_and_saturation():
     rng = np.random.default_rng(3)
-    cohorts = CohortRing(rng.uniform(0.0, 0.08, (SG.n_nodes, AG.n_nodes)))
+    step = density_stepper(rng.uniform(0.0, 0.08, (SG.n_nodes, AG.n_nodes)), AG)
     for _ in range(5):
         zeta = rng.uniform(0.2, 3.0, (SG.n_nodes, AG.n_nodes))
         beta = rng.uniform(0.0, 2.0, SG.n_nodes)
-        rho = cohorts.step(survival(zeta, AG), beta, AG)
+        rho = step(survival(zeta, AG), beta)
         assert np.min(rho) >= 0.0
         assert np.max(moment(rho, AG, 0)) < 1.0 - 1e-12
 
@@ -133,7 +132,7 @@ def underflow_band_field(agrid):
 
 @pytest.mark.parametrize("zeta_at", ["departure", "arrival"])
 def test_survival_is_exp_bit_for_bit_through_the_underflow_band(zeta_at):
-    # departure: survival, read at cell j-1 as the weak shift does; arrival:
+    # departure: survival, read at cell j-1 as the weak step does; arrival:
     # decay of every lane of a cohort ring in place, as the coupled step
     # does, and of one ring column
     ag = AgeGrid(da=0.01, a_max=1.0)
@@ -215,41 +214,46 @@ def test_birth_ring_running_sums_at_every_head(na):
 
 @pytest.mark.parametrize("na", [1, 2, 5])
 def test_shift_step_at_every_head(na):
-    # the cohort-ring step against the age-frame step (roll to age order,
-    # shift, survival, renewal) at every head the steps reach (0, then
-    # depth-1 down to 1); each step has its own random survival factors,
-    # distinct per age, so a slice off by one multiplies the wrong cohort
+    # the cohort ring against the age-frame step (roll to age order, shift,
+    # survival, renewal) at every head the steps reach (0, then depth-1
+    # down to 1); a fresh survival factor after each push, as an off-rate
+    # that depends on t gets, distinct per age, so a slice off by one
+    # multiplies the wrong cohort; m and q against an einsum over the
+    # rolled ring and history
     rng = np.random.default_rng(na)
     ag = AgeGrid(da=0.5, a_max=0.5 * na)
     nodes, depth = 4, na + 1
-    ring = rng.uniform(0.0, 0.2, (nodes, depth))
-    heads, head = [], 0
+    hist = PositionHistory(rng.random(nodes), rng.random((nodes, depth)))
+    ring = CohortRing(rng.uniform(0.0, 0.2, (nodes, depth)), rng.uniform(0.1, 1.0, (nodes, na)), hist, ag)
+    heads = []
     for _ in range(depth + 1):
-        heads.append(head)
-        surv, beta = rng.uniform(0.1, 1.0, (nodes, na)), rng.uniform(0.0, 2.0, nodes)
-        aged, want = np.roll(ring, -head, axis=1), np.empty((nodes, depth))
-        want[:, 1:] = aged[:, :-1] * surv
-        m = want[:, 1:] @ ag.w[1:]
-        want[:, 0] = beta * (1.0 - m) / (1.0 + beta * ag.w[0])
-        new = (head - 1) % depth
-        apply_survival(ring, surv, head)
-        mu0, got_m, lag = renew_cohorts(ring, beta, cohort_weights(ag.w, new), new)
-        head = new
-        np.testing.assert_allclose(np.roll(ring, -head, axis=1), want, rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(got_m, m, rtol=1e-13, atol=0.0)
+        heads.append(hist.head)
+        beta, want = rng.uniform(0.0, 2.0, nodes), np.empty((nodes, depth))
+        want[:, 1:] = ring.density()[:, :-1] * ring.surv
+        # the snapshot of delay j-1 at level n anchors the cohort of age j at n+1
+        anchors = np.roll(hist.buf, -hist.head, axis=1)[:, :-1]
+        want_m = np.einsum("j,xj->x", ag.w[1:], want[:, 1:])
+        want[:, 0] = beta * (1.0 - want_m) / (1.0 + beta * ag.w[0])
+        m, q = ring.sums()
+        np.testing.assert_allclose(m, want_m, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(q, np.einsum("j,xj,xj->x", ag.w[1:], want[:, 1:], anchors), rtol=1e-13, atol=0.0)
+        births, mu0 = renew(beta, m, ag.w[0])
+        z = rng.random(nodes)
+        hist.push(z)  # the history moves the head; the ring writes into its column
+        ring.push(births, z)
+        ring.surv = rng.uniform(0.1, 1.0, (nodes, na))
+        np.testing.assert_allclose(ring.density(), want, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(mu0, want @ ag.w, rtol=1e-13, atol=0.0)
-        assert np.array_equal(np.roll(lag, -head), np.concatenate(([0.0], ag.w[1:])))
     assert heads == [0, *range(depth - 1, 0, -1), 0]
 
 
-def step_peaks(monkeypatch, vcfg, name):
-    """The tracemalloc peak of each step of run_weak(vcfg); the stepper must be name."""
+def step_peaks(monkeypatch, vcfg, ring):
+    """The tracemalloc peak of each step of run_weak(vcfg); the state's ring must be of type ring."""
     peaks, march = [], simulate.march
 
     def measure(step):
-        assert step.__name__ == name
-
         def measured(n, st):
+            assert isinstance(st.ring, ring)
             tracemalloc.start()
             try:
                 st = step(n, st)
@@ -276,7 +280,7 @@ def test_birth_ring_step_allocates_no_field(monkeypatch):
     # 25 % faster and the ratio credited this code with it
     vcfg = validate_config(make_config(nx=30, final_time=0.005))
     sg, ag, ts = build_grids(vcfg)
-    peaks = step_peaks(monkeypatch, vcfg, "ring_step")
+    peaks = step_peaks(monkeypatch, vcfg, BirthRing)
     assert len(peaks) == ts.n_steps
     assert max(peaks) < sg.n_nodes * ag.n_nodes * 8
 
@@ -287,19 +291,19 @@ def test_birth_ring_step_allocates_no_field_across_re_anchors(monkeypatch):
     # is smaller than the O(nx) arrays of any step, 5.4 kB at nx = 30)
     vcfg = validate_config(make_config(nx=30, a_max=0.3, final_time=0.032))
     sg, ag, ts = build_grids(vcfg)
-    peaks = step_peaks(monkeypatch, vcfg, "ring_step")
+    peaks = step_peaks(monkeypatch, vcfg, BirthRing)
     assert len(peaks) == ts.n_steps == 64
     assert max(peaks) < sg.n_nodes * ag.n_nodes * 8
 
 
 def test_shift_step_allocates_no_field(monkeypatch):
-    # the shift path (here birth_ring's fallback: C_j underflows) steps its
-    # cohort ring in place and reads the history where it stands, so one
-    # step allocates less than one age field, as a birth-ring step does
+    # the cohort ring (here birth_ring's fallback: C_j underflows) steps the
+    # density in place and reads the history where it stands, so one step
+    # allocates less than one age field, as a birth-ring step does
     rate = RateModel(zeta=presets.given_zeta_fn("constant(80)"), zeta_m=80.0, zeta_M=80.0)
     vcfg = validate_config(make_config(nx=30, final_time=0.005, rate_model=rate))
     sg, ag, ts = build_grids(vcfg)
-    peaks = step_peaks(monkeypatch, vcfg, "shift")
+    peaks = step_peaks(monkeypatch, vcfg, CohortRing)
     assert len(peaks) == ts.n_steps
     assert max(peaks) < sg.n_nodes * ag.n_nodes * 8
 
@@ -326,10 +330,10 @@ def test_scheme_equals_oracle_for_constant_rates():
     eps, da = 0.05, 0.02
     sg, ag = SpaceGrid(nx=4), AgeGrid(da=da, a_max=10.0)
     n_steps = 400
-    cohorts = CohortRing(init_density(lambda x, a: 0.9 * EXP_DECAY(x, a), sg, ag))
+    step = density_stepper(init_density(lambda x, a: 0.9 * EXP_DECAY(x, a), sg, ag), ag)
     zeta = np.ones((sg.n_nodes, ag.n_nodes))
     for n in range(n_steps):
-        rho = cohorts.step(survival(zeta, ag), np.ones(sg.n_nodes), ag)
+        rho = step(survival(zeta, ag), np.ones(sg.n_nodes))
     rI = lambda x, a: 0.9 * EXP_DECAY(x, a)
     oracle, _ = oracle_march(n_steps, ZETA_ONE, ONES_X, rI, eps, sg, ag)
     np.testing.assert_allclose(rho, oracle, atol=1e-13)
@@ -345,10 +349,10 @@ def _oracle_l1_distance(da, eps=0.05):
     sg, ag = SpaceGrid(nx=6), AgeGrid(da=da, a_max=10.0)
     n_steps = int(round(10.0 / da))  # T = 10 eps
     rI = lambda x, a: 0.9 * EXP_DECAY(x, a)
-    cohorts = CohortRing(init_density(rI, sg, ag))
+    step = density_stepper(init_density(rI, sg, ag), ag)
     for n in range(n_steps):
         zeta = varying_zeta(sg.x[:, None], ag.a[None, :], n * eps * da)
-        rho = cohorts.step(survival(zeta, ag), np.ones(sg.n_nodes), ag)
+        rho = step(survival(zeta, ag), np.ones(sg.n_nodes))
     oracle, _ = oracle_march(n_steps, varying_zeta, ONES_X, rI, eps, sg, ag)
     return float(sg.quad_weights() @ (np.abs(rho - oracle) @ ag.w))
 
@@ -369,9 +373,9 @@ def test_mu0_lower_bound_weak_mode():
     rho = init_density(EXP_DECAY, sg, ag)
     beta_m, zeta_M = 0.5, 1.0
     floor = min(float(np.min(moment(rho, ag, 0))), beta_m / (beta_m + zeta_M)) - 10 * da
-    zeta, cohorts = np.ones((sg.n_nodes, ag.n_nodes)), CohortRing(rho)
+    zeta, step = np.ones((sg.n_nodes, ag.n_nodes)), density_stepper(rho, ag)
     for _ in range(1500):
-        rho = cohorts.step(survival(zeta, ag), np.full(sg.n_nodes, beta_m), ag)
+        rho = step(survival(zeta, ag), np.full(sg.n_nodes, beta_m))
         assert np.min(moment(rho, ag, 0)) >= floor
 
 

@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from conftest import CohortRing, capture_at, dense_solve, make_config, position_step
+from conftest import capture_at, dense_solve, make_config, position_step
 
 from linkages import diagnostics as dg
 from linkages.config import PastData, RateModel, SourceModel, validate_config
 from linkages.errors import NonfiniteValue
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
-from linkages.kinetics import init_density, limit_density, moment, survival
+from linkages.kinetics import BirthRing, CohortRing, init_density, limit_density, moment, renew, survival
 from linkages.position import (
     PositionHistory,
     advance_position,
-    delay_quadrature,
     initial_position,
     sample_past,
 )
@@ -241,20 +240,21 @@ def test_time_dependent_rate_matches_survival_every_step(monkeypatch):
     sg, ag, ts = build_grids(vcfg)
     assert len(calls) == ts.n_steps + 1
 
-    # hand loop: a fresh survival factor at every step; the density is a
-    # cohort ring in the history's frame, read against its buffer in place
+    # hand loop: a fresh survival factor at every step, read at the level
+    # before; the density is a cohort ring in the history's frame, read
+    # against its buffer in place
     rho = init_density(vcfg.initial_density, sg, ag)
     zp = sample_past(vcfg.past_data, vcfg.epsilon, sg, ag)
     z = initial_position(rho, zp, vcfg.epsilon, sg, ag)
     hist = PositionHistory(z, zp)
-    traj, cohorts = [z], CohortRing(rho)
+    traj, cohorts = [z], CohortRing(rho, None, hist, ag)
     for n in range(1, ts.n_steps + 1):
-        surv = survival(rate.zeta_field(sg.x, ag.a, (n - 1) * ts.dt), ag)
-        rho = cohorts.step(surv, rate.beta_values(sg.x, n * ts.dt), ag)
-        assert cohorts.head == (hist.head - 1) % hist.depth
-        integral = delay_quadrature(cohorts.lag, cohorts.ring, hist.buf)
-        traj.append(advance_position(integral, cohorts.m, hist, vcfg.epsilon, sg))
-    assert np.array_equal(res.final_rho, rho)
+        cohorts.surv = survival(rate.zeta_field(sg.x, ag.a, (n - 1) * ts.dt), ag)
+        m, integral = cohorts.sums()
+        births, _ = renew(rate.beta_values(sg.x, n * ts.dt), m, ag.w[0])
+        traj.append(advance_position(integral, m, hist, vcfg.epsilon, sg))
+        cohorts.push(births, traj[-1])
+    assert np.array_equal(res.final_rho, cohorts.density())
     assert np.array_equal(res.trajectory, np.asarray(traj))
 
 
@@ -290,10 +290,10 @@ def ramp_config(plain_rates=False, **overrides):
 
 
 def run_watching(vcfg):
-    """run_weak with output and diagnostics at every level, keeping rho and the path taken."""
+    """run_weak with output and diagnostics at every level, keeping rho and the path taken (the ring's type)."""
     seen = []
     res = run_weak(vcfg, output_stride=1, diag_stride=1,
-                   observers=[lambda n, st: seen.append((st.rho.copy(), st.ring is not None))])
+                   observers=[lambda n, st: seen.append((st.rho.copy(), type(st.ring)))])
     return res, [rho for rho, _ in seen], {ring for _, ring in seen}
 
 
@@ -305,7 +305,7 @@ def assert_close(a, b, rtol):
 def test_ring_and_shift_paths_agree():
     ring, ring_rhos, ring_path = run_watching(ramp_config())
     shift, shift_rhos, shift_path = run_watching(ramp_config(plain_rates=True))
-    assert ring_path == {True} and shift_path == {False}
+    assert ring_path == {BirthRing} and shift_path == {CohortRing}
     assert_close(ring.trajectory, shift.trajectory, 1e-13)
     assert_close(ring.final_rho, shift.final_rho, 1e-13)
     assert len(ring_rhos) == len(shift_rhos) == 41
@@ -336,7 +336,7 @@ def test_ring_fallback_is_the_shift_path(overrides, monkeypatch):
     zeta_calls.clear()
     shift, _, _ = run_watching(vcfg)
     assert len(zeta_calls) == build_grids(vcfg)[2].n_steps + 1
-    assert fixed_path == {False}
+    assert fixed_path == {CohortRing}
     assert np.array_equal(fixed.trajectory, shift.trajectory)
     assert np.array_equal(fixed.final_rho, shift.final_rho)
     assert fixed.records == shift.records
@@ -362,7 +362,7 @@ def test_time_invariant_on_rate_is_sampled_once(monkeypatch, zeta):
         calls.clear()
         runs.append((run_watching(vcfg), len(calls), build_grids(vcfg)[2].n_steps))
     ((once, _, once_path), n_once, _), ((every, _, every_path), n_every, n_steps) = runs
-    assert once_path == every_path == {zeta == 1.0}
+    assert once_path == every_path == {BirthRing if zeta == 1.0 else CohortRing}
     assert n_once == 1 and n_every >= n_steps
     assert np.array_equal(once.trajectory, every.trajectory)
     assert np.array_equal(once.final_rho, every.final_rho)

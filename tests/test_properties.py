@@ -4,9 +4,9 @@ Every level of a weak run on a valid configuration keeps rho >= 0,
 mu0 < 1 and a finite position, whatever the grid, the off-rate and the
 load; validation either accepts a configuration or raises ConfigError.
 The constant and ramp off-rates are presets, which run_weak steps on
-birth values; the time-dependent one takes the density shift, and so does
-a preset wrapped in a plain callable, against which the birth-ring path is
-checked.
+birth values; the time-dependent one steps the density's cohort ring, and
+so does a preset wrapped in a plain callable, against which the birth ring
+is checked.
 
 Coupled runs check the global-existence picture at every level: rho >= 0,
 mu0 < 1, finite z and g, the velocity clamp never engaged, p below the
@@ -28,6 +28,7 @@ from linkages import presets
 from linkages.cli import reference_config
 from linkages.config import PastData, RateModel, SimulationConfig, SourceModel, validate_config
 from linkages.errors import ConfigError
+from linkages.kinetics import BirthRing, CohortRing
 from linkages.simulate import ENERGY_DECAY_TOL, run_coupled, run_weak
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -102,14 +103,14 @@ def test_birth_ring_path_matches_the_shift_path(cfg):
 
 
 def assert_paths_match(cfg, diag_stride=1):
-    """run_weak of cfg on the birth ring against the same rate as a plain callable, which takes the shift."""
+    """run_weak of cfg on the birth ring against the same rate as a plain callable, which takes the cohort ring."""
     paths = []
-    ring = run_weak(validate_config(cfg), diag_stride=diag_stride, observers=[lambda n, s: paths.append(s.ring is not None)])
+    ring = run_weak(validate_config(cfg), diag_stride=diag_stride, observers=[lambda n, s: paths.append(type(s.ring))])
     rate = cfg.rate_model
     plain = replace(rate, zeta=lambda x, a, t: rate.zeta(x, a, t))
     shift = run_weak(validate_config(replace(cfg, rate_model=plain)), diag_stride=diag_stride,
-                     observers=[lambda n, s: paths.append(s.ring)])
-    assert paths == [True] * len(ring.trajectory) + [None] * len(ring.trajectory)
+                     observers=[lambda n, s: paths.append(type(s.ring))])
+    assert paths == [BirthRing] * len(ring.trajectory) + [CohortRing] * len(ring.trajectory)
     for a, b in ((ring.trajectory, shift.trajectory), (ring.final_rho, shift.final_rho)):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
