@@ -34,7 +34,7 @@ dS/dt are nonnegative (M-matrix maximum principle); g and the difference
 quotient of z agree to first order and the match is cross-checked in the
 tests.
 
-Two shortcuts follow from the state alone and change no bit:
+Three shortcuts follow from the state alone; the first two change no bit:
 
 * Zero velocity.  If the clamped velocity is zero at every node, no
   cohort's stretch moves, so zeta(u) and the survival factor of every
@@ -47,6 +47,20 @@ Two shortcuts follow from the state alone and change no bit:
   unchanged, rho only shrank, rounding is monotone, so no lane can leave
   zero, and newborn lanes carry u = 0.  The velocity is then 0 without
   forming the load or solving.
+* Birth ring.  On a calm step -- zero velocity, zero load and dS/dt = 0 --
+  the cohort of age one steps by c = exp(-da*zeta(0)), the newborns'
+  factor.  Where every other live cohort steps by c too (each lane of the
+  survival ring is c or its density is 0) and c^na does not underflow,
+  the coupled step is the weak step with an off-rate the same at every
+  age: the density goes on a kinetics.BirthRing in c mode, O(nx) a step
+  (the births in rho_ring's buffer, w_j c^j in surv's, B z and the
+  density a record reads in the load buffer).  Once true, that stays true
+  while the run stays calm, as a still step sets only the age-one column
+  to c and a zero lane stays zero; so it is tested at the first calm step
+  after one that was not, and, refused, once every ring period after.
+  The first step that is not calm rebuilds the cohort ring, fills surv
+  with c and takes its step as above.  The ring's sums round in another
+  order: the outputs move in the last bits.
 """
 
 import math
@@ -55,7 +69,7 @@ import numpy as np
 
 from .diagnostics import stretch_integrals
 from .errors import NonpositiveGamma1
-from .kinetics import cohort_weights, decay, renew_cohorts
+from .kinetics import birth_ring, cohort_weights, decay, renew, renew_cohorts
 from .position import advance_position, delay_quadrature, solve_balance
 
 OMEGA = 0.5  # 1D sup-norm embedding constant ||g||_inf <= omega ||g'||_2 on (0,1)
@@ -69,15 +83,24 @@ class CoupledState:
     step keeps them as rings (rho_ring, u_ring, zeta) along with the
     survival ring surv and the load buffer.  still says that the last step
     had zero velocity, quiet that its load was zero in every lane with
-    surv <= 1 (see the module docstring).
+    surv <= 1 (see the module docstring).  On a calm run ring may be a
+    kinetics.BirthRing, which holds the density in the buffers of
+    rho_ring, surv and the load; refused_at is the head at which it was
+    last refused since the last step that was not calm.
     """
 
     def __init__(self, rho, u, z, g, hist, t, truncation_k, truncated=False, mu0=None, zeta=None):
-        self.rho_ring, self.u_ring, self.zeta = rho, u, zeta
+        self._rho, self.u_ring, self.zeta = rho, u, zeta
         self.z, self.g, self.hist, self.t = z, g, hist, t
         self.truncation_k, self.truncated, self.mu0 = truncation_k, truncated, mu0
         self.surv, self.load = None, np.empty_like(rho)
         self.still = self.quiet = False
+        self.ring = self.refused_at = None
+
+    @property
+    def rho_ring(self):
+        """Density as a cohort ring at hist.head; on the birth ring, formed in the load buffer."""
+        return self._rho if self.ring is None else self.ring.cohorts(self.load)
 
     @property
     def rho(self):
@@ -103,12 +126,46 @@ def solve_velocity(rho, mu0, u, zeta_u, dSdt, eps, sgrid, w, load=None):
     return solve_balance(load @ w, mu0, eps, sgrid, dSdt)
 
 
+def _take_ring(st, agrid):
+    """The density of a calm state as a kinetics.BirthRing in its own buffers, or None.
+
+    c, the survival factor of the newborns, is the age-one column of surv
+    after the still update; zeta(u) does not depend on x, so c is one
+    number.  None, with the state intact, where a live cohort steps by
+    another factor; None, with surv filled with c, where birth_ring refuses
+    the data (c^na underflows).  The test's flags live in the idle load
+    buffer, and wC takes the first (nx+2)*na entries of surv as one
+    contiguous block, so that nothing field-sized is allocated.
+    """
+    surv, rho = st.surv, st._rho
+    c = float(surv[0, st.hist.head])
+    flags = st.load.reshape(-1).view(np.bool_)[: 2 * rho.size].reshape(2, *rho.shape)
+    off_c = np.not_equal(surv, c, out=flags[0])
+    off_c &= np.not_equal(rho, 0.0, out=flags[1])
+    if off_c.any() or np.any(surv[:, st.hist.head] != c):
+        return None
+    wC = surv.reshape(-1)[: rho.shape[0] * (rho.shape[1] - 1)].reshape(rho.shape[0], -1)
+    wC[...] = c
+    ring = birth_ring(rho, wC, st.hist, agrid, st.load)
+    if ring is None:
+        surv[...] = c
+    return ring
+
+
+def _leave_ring(st):
+    """Back from the birth ring to the cohort ring, every survival factor c."""
+    ring, st.ring = st.ring, None
+    st._rho, st.load = ring.cohorts(st.load), st._rho
+    st.surv[...] = ring.c[:, None]
+
+
 def coupled_step(st, source, rate, eps, sgrid, agrid):
     """Advance the coupled state st one step in place and return it.
 
     The old velocity is clamped at +-truncation_k before it stretches the
     bonds; st.truncated flags whether the new velocity exceeds the threshold
-    (it never should once the threshold is above the Riccati bound).
+    (it never should once the threshold is above the Riccati bound).  A
+    calm step may run on the birth ring (see the module docstring).
     """
     t_new = st.t + eps * agrid.da
     k = st.truncation_k
@@ -118,28 +175,44 @@ def coupled_step(st, source, rate, eps, sgrid, agrid):
     else:
         beta = rate.beta_values(sgrid.x, t_new)
     dSdt = source.ddt(sgrid.x, t_new) if source is not None else None
-    hist, rho, u = st.hist, st.rho_ring, st.u_ring
+    hist, u = st.hist, st.u_ring
     old, new = hist.head, (hist.head - 1) % hist.depth  # the columns of ages 1 and 0 after the step
     still = st.still = st.surv is not None and not g_used.any()
+    calm = still and st.quiet and (dSdt is None or not np.any(dSdt))
+    if st.ring is not None and not calm:
+        _leave_ring(st)
     if still:
         u[:, new] = 0.0
         st.zeta[:, new] = rate.zeta_of_u(u[:, new])
-        decay(st.zeta[:, old], agrid.da, out=st.surv[:, old])
+        if st.ring is None:
+            decay(st.zeta[:, old], agrid.da, out=st.surv[:, old])
     else:
         u += agrid.da * g_used[:, None]  # g vanishes at the Dirichlet nodes: their rows stay 0
         u[:, new] = 0.0
         st.zeta = rate.zeta_of_u(u)
         st.surv = decay(st.zeta, agrid.da, out=st.surv)
-    rho *= st.surv
-    w = cohort_weights(agrid.w, new)
-    st.mu0, m, lag = renew_cohorts(rho, beta, w, new)
-    if still and st.quiet and (dSdt is None or not np.any(dSdt)):
+    if calm:
         st.g = np.zeros(sgrid.n_nodes)
+        if st.ring is None and st.refused_at in (None, old):
+            st.ring = _take_ring(st, agrid)
+            st.refused_at = None if st.ring else old
     else:
-        st.g = solve_velocity(rho, st.mu0, u, st.zeta, dSdt, eps, sgrid, w, load=st.load)
-        st.quiet = not st.g.any() and not st.load.any() and st.surv.max() <= 1.0
+        st.refused_at = None
     S_new = source(sgrid.x, t_new) if source is not None else None
-    st.z = advance_position(delay_quadrature(lag, rho, hist.buf), m, hist, eps, sgrid, S_new)
+    if st.ring is not None:
+        m, q = st.ring.sums()
+        births, st.mu0 = renew(beta, m, agrid.w[0])
+        st.z = advance_position(q, m, hist, eps, sgrid, S_new)
+        st.ring.push(births, st.z)
+    else:
+        rho = st._rho
+        rho *= st.surv
+        w = cohort_weights(agrid.w, new)
+        st.mu0, m, lag = renew_cohorts(rho, beta, w, new)
+        if not calm:
+            st.g = solve_velocity(rho, st.mu0, u, st.zeta, dSdt, eps, sgrid, w, load=st.load)
+            st.quiet = not st.g.any() and not st.load.any() and st.surv.max() <= 1.0
+        st.z = advance_position(delay_quadrature(lag, rho, hist.buf), m, hist, eps, sgrid, S_new)
     st.t = t_new
     st.truncated = bool(np.abs(st.g).max() > k)
     return st

@@ -21,11 +21,13 @@ fixed product, rho^n[:, j] = C_j B^{n-j} (C_j: the survival factors of ages
 0..j-1 multiplied in turn; B^{-m} = rho_I[:, m] / C_m for the initial
 cohorts).  BirthRing marches B and B z instead of the density, so a step
 writes O(nx) numbers; renew turns its two lagged sums, as CohortRing's, into
-the next B.  The rings take the position history's head.  Where the
-off-rate is the same at every age of a lane (C_j = c^j), the lagged sums
-are running sums, O(nx) work a step, read afresh off the rings each time
-the head comes back to 0.  Otherwise a step reads both rings, split once at
-the head, against the same two slices of the weights with np.vecdot."""
+the next B.  The rings take the position history's head, and birth_ring
+builds one from a cohort ring at any head (the coupled step does, mid-run).
+Where the off-rate is the same at every age of a lane (C_j = c^j), the
+lagged sums are running sums, O(nx) work a step, read afresh off the rings
+each time the head comes back to 0, and B z is formed where it is read
+instead of stored.  Otherwise a step reads both rings, split once at the
+head, against the same two slices of the weights with np.vecdot."""
 
 import math
 from dataclasses import dataclass
@@ -66,13 +68,13 @@ def moment(rho, agrid, k):
     return rho @ (agrid.w * agrid.a**k)
 
 
-def survival(zeta_values, agrid):
-    """Per-cell survival factor exp(-da*zeta) of one shift, shape (nx+2, na).
+def survival(zeta_values, agrid, out=None):
+    """Per-cell survival factor exp(-da*zeta) of one shift, shape (nx+2, na), written into out if given.
 
     zeta_values is the prescribed off-rate on the (x, a) grid, sampled at
     the current time and read at the departure cell j-1.
     """
-    return decay(zeta_values[:, :-1], agrid.da)
+    return decay(zeta_values[:, :-1], agrid.da, out)
 
 
 def decay(zeta_values, da, out=None):
@@ -148,93 +150,125 @@ class BirthRing:
     history hist: column hist.head holds level n, the next columns
     (cyclically) the older levels.  wC[:, j-1] = w_j C_j weighs age j >= 1.
     c, if given, is the survival factor of each age cell, C_j = c^j: the
-    lagged sums are then kept as running sums (see _lead).  hist is at
-    head 0 when the ring is built.
+    lagged sums are then kept as running sums (see _lead), and B z is not
+    stored but formed where it is read, at two columns a step or, for a
+    full read, in scratch (a field-sized buffer, made if not given).  The
+    ring may be built at any head of hist.
     """
 
-    def __init__(self, wC, births, hist, agrid, c=None):
-        self.wC, self.births, self.products = wC, births, births * hist.buf
-        self.w, self.hist, self.c = agrid.w, hist, c
-        if c is not None:
-            self._lead(hist.head)
+    def __init__(self, wC, births, hist, agrid, c=None, scratch=None):
+        self.wC, self.births, self.w, self.hist, self.c = wC, births, agrid.w, hist, c
+        if c is None:
+            self.products = births * hist.buf
+        else:
+            self.scratch = np.empty_like(births) if scratch is None else scratch
+            self._lead(hist.head, fresh=True)
 
     def sums(self):
         """m = sum_{j>=1} w_j C_j B^{n+1-j} and q, the same sum over the ring of B z.
 
         With c, each is its running sum over j < na (see _lead) plus the
-        term of age na.  Otherwise the head splits both rings once: the
-        columns from head on and the wrapped columns from 0, each read
-        against its slice of wC with np.vecdot.
+        term of age na.  Otherwise both rings are read in full (_read).
         """
-        head, wC = self.hist.head, self.wC
-        if self.c is not None:
-            tail = (head + wC.shape[1] - 1) % self.births.shape[1]  # level n+1-na
-            return tuple(T + wC[:, -1] * r[:, tail] for T, r in zip(self.lead, (self.births, self.products)))
-        cut = min(wC.shape[1], self.births.shape[1] - head)
-        lo, hi = wC[:, :cut], wC[:, cut:]
-        newer, older = slice(head, head + cut), slice(0, wC.shape[1] - cut)
-        m = np.vecdot(lo, self.births[:, newer])
-        q = np.vecdot(lo, self.products[:, newer])
-        m += np.vecdot(hi, self.births[:, older])
-        q += np.vecdot(hi, self.products[:, older])
-        return m, q
+        if self.c is None:
+            return self._read(self.wC, (self.births, self.products))
+        (T, Tq), (b, bz), w = self.lead, self.edge, self.wC[:, -1]
+        return T + w * b, Tq + w * bz
 
     def push(self, births, z):
-        """Write B and B z of the new level into column hist.head, which the history's push of z took."""
+        """Write B (and B z) of the new level into column hist.head, which the history's push of z took."""
         head = self.hist.head
         self.births[:, head] = births
-        self.products[:, head] = births * z
-        if self.c is not None:
+        if self.c is None:
+            self.products[:, head] = births * z
+        else:
             self._lead(head)
 
-    def _lead(self, head):
+    def _read(self, wC, rings):
+        """sum_{j>=1} wC[:, j-1] r[:, (head + j - 1) % (na+1)] for each ring r.
+
+        The head splits each ring once: the columns from head on and the
+        wrapped columns from 0, each read against its slice of wC with
+        np.vecdot.
+        """
+        head = self.hist.head
+        cut = min(wC.shape[1], self.births.shape[1] - head)
+        lo, hi = wC[:, :cut], wC[:, cut:]
+        sums = [np.vecdot(lo, r[:, head : head + cut]) for r in rings]
+        if hi.shape[1]:
+            for s, r in zip(sums, rings):
+                s += np.vecdot(hi, r[:, : hi.shape[1]])
+        return sums
+
+    def _lead(self, head, fresh=False):
         """The running sums T = sum_{j=1}^{na-1} w_j C_j B^{n+1-j} of both rings at head (level n).
 
         With C_j = c^j and equal interior weights, T follows from that of
         level n-1 as c (T - w_{na-1} C_{na-1} B^{n+1-na}) + w_1 C_1 B^n in O(nx).
-        At head 0 the rings are in age order and T is read afresh with
-        np.vecdot, which bounds the rounding to one ring period.
+        When the ring is built, and each time the head comes back to 0, T is
+        read afresh (_read, B z formed in scratch), which bounds the
+        rounding to one ring period.  edge keeps B and B z of level
+        n+1-na, which the next sums weigh by w_na C_na; each B z has the
+        bits of a stored product.
         """
-        k, wC = self.wC.shape[1] - 1, self.wC
-        rings = (self.births, self.products)
-        if head == 0 or k == 0:  # na = 1: T is 0
-            self.lead = [np.vecdot(wC[:, :k], r[:, :k]) for r in rings]
-            return
+        k, wC, buf = self.wC.shape[1] - 1, self.wC, self.hist.buf
         tail = (head + k) % self.births.shape[1]  # level n+1-na
-        for T, r in zip(self.lead, rings):
-            T -= wC[:, k - 1] * r[:, tail]
+        b = self.births[:, tail]
+        self.edge = b, b * buf[:, tail]
+        if fresh or head == 0 or k == 0:  # na = 1: T is 0
+            products = np.multiply(self.births, buf, out=self.scratch)
+            self.lead = self._read(wC[:, :k], (self.births, products))
+            return
+        b = self.births[:, head]
+        for T, r_tail, r_head in zip(self.lead, self.edge, (b, b * buf[:, head])):
+            T -= wC[:, k - 1] * r_tail
             T *= self.c
-            T += wC[:, 0] * r[:, head]
+            T += wC[:, 0] * r_head
 
     def density(self):
-        """rho^n[:, j] = C_j B^{n-j}."""
-        head, cut = self.hist.head, self.births.shape[1] - self.hist.head
-        rho = np.empty_like(self.births)
-        rho[:, 0] = self.births[:, head]
-        np.divide(self.wC, self.w[1:], out=rho[:, 1:])
-        rho[:, 1:cut] *= self.births[:, head + 1 :]
-        rho[:, cut:] *= self.births[:, :head]
+        """rho^n[:, j] = C_j B^{n-j} in age order."""
+        cut = self.births.shape[1] - self.hist.head
+        return self._fill(np.empty_like(self.births), 0, slice(1, cut), slice(cut, None))
+
+    def cohorts(self, out):
+        """rho^n as a cohort ring at hist.head, column (head + j) % (na+1) holding age j, written into out."""
+        head = self.hist.head
+        return self._fill(out, head, slice(head + 1, None), slice(0, head))
+
+    def _fill(self, rho, newborn, newer, older):
+        """rho^n into rho: age 0 at column newborn, the ages after the head at newer, the wrapped ones at older."""
+        head = self.hist.head
+        cut = self.births.shape[1] - head
+        rho[:, newborn] = self.births[:, head]
+        np.divide(self.wC[:, : cut - 1], self.w[1:cut], out=rho[:, newer])
+        np.divide(self.wC[:, cut - 1 :], self.w[cut:], out=rho[:, older])
+        rho[:, newer] *= self.births[:, head + 1 :]
+        rho[:, older] *= self.births[:, :head]
         return rho
 
 
-def birth_ring(rho_I, surv, hist, agrid):
-    """BirthRing of rho_I and the past positions of hist, a PositionHistory at head 0.
+def birth_ring(rho, surv, hist, agrid, scratch=None):
+    """BirthRing of the density rho, a cohort ring at the head of hist (age order at head 0).
 
-    surv, the survival factor of every step, is consumed: it becomes wC in
-    place, and rho_I the birth ring.  None, with rho_I intact, where the
-    closed form would lose the density: a product C_j zero or subnormal, or
-    a birth value rho_I / C_j that may overflow.  Where every column of
-    surv equals the first (an off-rate the same at every age), the ring
-    takes c = surv[:, 0] and keeps its lagged sums in O(nx) a step.
+    surv, the survival factor of every step in age order, is consumed: it
+    becomes wC in place, and rho the birth ring.  None, with rho intact,
+    where the closed form would lose the density: a product C_j zero or
+    subnormal, or a birth value rho / C_j that may overflow.  Where every
+    column of surv equals the first (an off-rate the same at every age),
+    the ring takes c = surv[:, 0] and scratch and keeps its lagged sums in
+    O(nx) a step.
     """
-    c = surv[:, 0].copy() if np.all(surv == surv[:, :1]) else None
+    c = surv[:, 0].copy() if np.all(surv.min(axis=1) == surv.max(axis=1)) else None
     C = np.cumprod(surv, axis=1, out=surv)
     c_min = float(np.min(C))
-    if c_min < np.finfo(float).tiny or not math.isfinite(float(np.max(rho_I)) / c_min):
+    if c_min < np.finfo(float).tiny or not math.isfinite(float(np.max(rho)) / c_min):
         return None
-    np.divide(rho_I[:, 1:], C, out=rho_I[:, 1:])
+    head = hist.head
+    cut = rho.shape[1] - head
+    np.divide(rho[:, head + 1 :], C[:, : cut - 1], out=rho[:, head + 1 :])
+    np.divide(rho[:, :head], C[:, cut - 1 :], out=rho[:, :head])
     C *= agrid.w[1:]
-    return BirthRing(C, rho_I, hist, agrid, c)
+    return BirthRing(C, rho, hist, agrid, c, scratch)
 
 
 @dataclass

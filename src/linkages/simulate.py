@@ -172,7 +172,7 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
         st._rho = None
         if not fixed:  # the survival of the next step, read at t
             st.zeta = rate.zeta_field(sgrid.x, agrid.a, st.t)
-            st.ring.surv = survival(st.zeta, agrid)
+            survival(st.zeta, agrid, out=st.ring.surv)
         return st
 
     guard = _Guard(("z",), floor=lower_bound)
@@ -340,7 +340,10 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
     ones (see march); the step updates that one state in place, so an
     observer copies what it keeps.  The truncation threshold gamma2/eps +
     max ||dS/dt|| + 1 sits strictly above the Riccati bound, so the clamp
-    should never engage (it is recorded if it does).
+    should never engage (it is recorded if it does).  A calm stretch of
+    the run -- zero velocity, zero load, dS/dt = 0, as after the tear-off
+    of run_detachment -- steps on a birth ring in O(nx) a step where every
+    live cohort decays at the unstretched rate (see coupled).
     """
     sgrid, agrid, ts, rho, z, hist = _start(vcfg)
     rate, src, eps = vcfg.rate_model, vcfg.source, vcfg.epsilon
@@ -436,16 +439,18 @@ def run_detachment(vcfg):
 
 
 def _fmt(v):
+    """17 significant digits; the writers' "%.17g" templates give the same string for a float."""
     return format(float(v), ".17g")
 
 
 def write_trajectory_csv(path, times, trajectory, x):
-    """Rows (t, x, z) for every output time and node."""
+    """Rows (t, x, z) for every output time and node; x is formatted once a file, t once a row."""
+    cells = [f"{_fmt(xi)},%.17g\n" for xi in x]
     with open(path, "w", newline="\n") as f:
         f.write("t,x,z\n")
-        for t, row in zip(times, trajectory):
-            for xi, zi in zip(x, row):
-                f.write(f"{_fmt(t)},{_fmt(xi)},{_fmt(zi)}\n")
+        for t, row in zip(times, np.asarray(trajectory, dtype=float).tolist()):
+            lead = _fmt(t) + ","
+            f.write("".join([lead + cell % zi for cell, zi in zip(cells, row)]))
 
 
 def write_diagnostics_csv(path, records):
@@ -458,22 +463,23 @@ def write_diagnostics_csv(path, records):
 
 
 def write_density_csv(path, rho, sgrid, agrid):
-    """Rows (x, a, rho) of a density snapshot."""
+    """Rows (x, a, rho) of a density snapshot; a is formatted once a file, x once a row."""
+    cells = [f"{_fmt(aj)},%.17g\n" for aj in agrid.a]
     with open(path, "w", newline="\n") as f:
         f.write("x,a,rho\n")
-        for i, xi in enumerate(sgrid.x):
-            for j, aj in enumerate(agrid.a):
-                f.write(f"{_fmt(xi)},{_fmt(aj)},{_fmt(rho[i, j])}\n")
+        for xi, row in zip(sgrid.x, np.asarray(rho, dtype=float).tolist()):
+            lead = _fmt(xi) + ","
+            f.write("".join([lead + cell % r for cell, r in zip(cells, row)]))
 
 
 def write_profile_columns(path, x, labelled_columns):
     """Gnuplot-style columnar text: '# x <labels...>' then one row per node."""
     labels = list(labelled_columns)
-    cols = [np.asarray(labelled_columns[k]) for k in labels]
+    cols = [np.asarray(labelled_columns[k], dtype=float).tolist() for k in labels]
+    line = " ".join(["%.17g"] * (1 + len(cols))) + "\n"
     with open(path, "w", newline="\n") as f:
         f.write("# x " + " ".join(labels) + "\n")
-        for i, xi in enumerate(x):
-            f.write(" ".join([_fmt(xi)] + [_fmt(c[i]) for c in cols]) + "\n")
+        f.write("".join([line % row for row in zip(np.asarray(x, dtype=float).tolist(), *cols)]))
 
 
 def write_sweep_csv(path, sweep):

@@ -1,6 +1,7 @@
 """Fully coupled system: elongation transport, velocity solve, profiles."""
 
 import copy
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from linkages.coupled import (
 from linkages.diagnostics import elongation_from_history, stretch_integrals
 from linkages.errors import NonpositiveGamma1
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
-from linkages.kinetics import init_density, moment
+from linkages.kinetics import decay, init_density, moment
 from linkages.position import PositionHistory, advance_position, sample_past
 from linkages import elliptic, presets
 from linkages.simulate import run_coupled, run_detachment
@@ -256,36 +257,167 @@ def test_coupled_step_equals_its_unfused_composition():
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def plant_frozen_stretch(st, rate, ag, col):
+    """Give lane (1, col), col not the newborns', a frozen stretch 0.1 under the smallest positive density.
+
+    Its load lane zeta*rho*u underflows to 0, so a quiet state stays quiet,
+    and it steps by exp(-da*zeta(0.1)), not by the newborns' factor: a live
+    cohort off the birth ring's survival factor.  zeta and surv are formed
+    afresh, as the full step forms them.
+    """
+    st.u_ring[1, col], st.rho_ring[1, col] = 0.1, 5e-324
+    st.zeta = rate.zeta_of_u(st.u_ring)
+    decay(st.zeta, ag.da, out=st.surv)
+    assert rate.zeta_of_u(0.1) * 5e-324 * 0.1 == 0.0
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def full_step(st, src, rate, eps, sg, ag):
+    """A cohort step that takes neither shortcut.
+
+    With the quiet flag cleared it forms the load and solves; with the
+    survival ring cleared it forms every survival factor.
+    """
+    st.quiet, st.surv = False, None
+    return coupled_step(st, src, rate, eps, sg, ag)
+
+
 @pytest.mark.parametrize("load, velocity_solves", [("constant(10000.0)", 0), ("linear_in_t(10000.0, 1000000.0)", 5)])
 def test_torn_off_step_shortcuts_change_no_bit(monkeypatch, load, velocity_solves):
     # after the tear-off g is exactly 0 under a constant load: the steps take
     # both shortcuts, or under a growing load the zero-velocity one first;
     # with the state's flag cleared they form the load and solve, with the
-    # survival ring cleared too they take the full step
+    # survival ring cleared too they take the full step.  A live cohort
+    # with a frozen stretch, planted right after the tear-off, keeps the
+    # run off the birth ring, so every step here is a cohort step
     vcfg = validate_quiet(detachment_config(nx=24, final_time=3e-4))
     sg, ag, _ = build_grids(vcfg)
     rate, eps = vcfg.rate_model, vcfg.epsilon
     src = SourceModel(*presets.source_fns(load))
-    st = run_coupled(vcfg, diag_stride=0).final
-    assert st.quiet and not np.any(st.g) and st.hist.head != 0
+    plant = lambda n, st: plant_frozen_stretch(st, rate, ag, (st.hist.head + 1) % st.hist.depth) if n == 1 else None
+    st = run_coupled(vcfg, diag_stride=0, observers=[plant]).final
+    assert st.quiet and not np.any(st.g) and st.hist.head != 0 and st.ring is None
     no_load, full = copy.deepcopy(st), copy.deepcopy(st)
     solves = []
     solve = elliptic.solve
     monkeypatch.setattr(elliptic, "solve", lambda *a: solves.append(1) or solve(*a))
     for _ in range(5):
         st = coupled_step(st, src, rate, eps, sg, ag)
+        assert st.ring is None
     assert len(solves) == 5 + velocity_solves
     for _ in range(5):
         no_load.quiet = False
         no_load = coupled_step(no_load, src, rate, eps, sg, ag)
-        full.quiet, full.surv = False, None
-        full = coupled_step(full, src, rate, eps, sg, ag)
-    bits = lambda a: np.ascontiguousarray(a).view(np.int64)
+        full = full_step(full, src, rate, eps, sg, ag)
     for other in (no_load, full):
         for f in ("rho_ring", "u_ring", "zeta", "mu0", "g", "z"):
             assert np.array_equal(bits(getattr(st, f)), bits(getattr(other, f))), f
         assert np.array_equal(bits(st.hist.buf), bits(other.hist.buf))
         assert st.t == other.t and st.hist.head == other.hist.head
+
+
+def torn_off(nx=24, a_max=0.5):
+    """The state right after the tear-off step, by default on a short age grid (na = 50), with its run's data."""
+    vcfg = validate_quiet(detachment_config(nx=nx, a_max=a_max, final_time=1e-5))
+    sg, ag, ts = build_grids(vcfg)
+    assert ts.n_steps == 1
+    st = run_coupled(vcfg, diag_stride=0).final
+    assert st.quiet and not np.any(st.g) and st.ring is None
+    return st, vcfg.rate_model, vcfg.epsilon, sg, ag
+
+
+def assert_states_close(got, want):
+    # the running-sum bound of the weak ring tests, relative to each value
+    # and, where a lane's population dies out (beta = 0 on the Dirichlet rows
+    # and in the detached middle), to the field's largest value: a running
+    # sum that falls to 0 keeps a residue of its earlier rounding
+    for f in ("rho", "mu0", "z", "g", "u_ring", "zeta"):
+        want_f = getattr(want, f)
+        np.testing.assert_allclose(getattr(got, f), want_f, rtol=1e-13, atol=1e-13 * np.max(np.abs(want_f)), err_msg=f)
+    assert got.t == want.t and got.hist.head == want.hist.head
+
+
+def test_still_tear_off_state_steps_on_the_birth_ring():
+    # from the first calm step on, the run is on the birth ring; over more
+    # than a ring period, across the re-read at head 0, it matches full
+    # cohort steps to the running sums' bound
+    st, rate, eps, sg, ag = torn_off()
+    src = SourceModel(*presets.source_fns("constant(10000.0)"))
+    full = copy.deepcopy(st)
+    heads = []
+    for _ in range(ag.na + 5):
+        st = coupled_step(st, src, rate, eps, sg, ag)
+        full = full_step(full, src, rate, eps, sg, ag)
+        assert st.ring is not None and full.ring is None
+        assert_states_close(st, full)
+        for f in ("u_ring", "zeta", "g"):  # the ring step writes what the cohort step writes
+            assert np.array_equal(bits(getattr(st, f)), bits(getattr(full, f))), f
+        heads.append(st.hist.head)
+    assert 0 in heads[:-1]
+
+
+def test_birth_ring_returns_to_the_cohort_ring_under_a_growing_load():
+    # a load that starts to grow makes the next step not calm: the density
+    # is rebuilt in rho_ring and the step forms the load and solves
+    st, rate, eps, sg, ag = torn_off()
+    src = SourceModel(*presets.source_fns("constant(10000.0)"))
+    grow = SourceModel(*presets.source_fns("linear_in_t(10000.0, 1000000.0)"))
+    full = copy.deepcopy(st)
+    for _ in range(10):
+        st = coupled_step(st, src, rate, eps, sg, ag)
+        full = full_step(full, src, rate, eps, sg, ag)
+    assert st.ring is not None
+    for _ in range(5):
+        st = coupled_step(st, grow, rate, eps, sg, ag)
+        full = full_step(full, grow, rate, eps, sg, ag)
+        assert st.ring is None and np.all(st.g[1:-1] != 0.0)
+        assert_states_close(st, full)
+    np.testing.assert_allclose(st.rho_ring, full.rho_ring, rtol=1e-13, atol=0.0)
+
+
+def test_live_cohort_with_a_frozen_stretch_keeps_the_cohort_path():
+    # the first calm step refuses the birth ring, and every step is bit for
+    # bit a full cohort step; the planted cohort of age 10 ages out 10
+    # steps before the ring period ends, and the test, repeated once per
+    # ring period, takes the ring at the step after
+    st, rate, eps, sg, ag = torn_off()
+    src = SourceModel(*presets.source_fns("constant(10000.0)"))
+    plant_frozen_stretch(st, rate, ag, (st.hist.head + 10) % st.hist.depth)
+    full = copy.deepcopy(st)
+    for _ in range(st.hist.depth):
+        st = coupled_step(st, src, rate, eps, sg, ag)
+        full = full_step(full, src, rate, eps, sg, ag)
+        assert st.ring is None
+        for f in ("rho_ring", "u_ring", "zeta", "mu0", "g", "z"):
+            assert np.array_equal(bits(getattr(st, f)), bits(getattr(full, f))), f
+    st = coupled_step(st, src, rate, eps, sg, ag)
+    assert st.ring is not None
+
+
+def test_birth_ring_step_allocates_no_field():
+    # taking the ring, the steps on it and its re-read at head 0 each
+    # allocate less than one age field (see test_kinetics); the field is
+    # 0.5 MB here, above numpy's iterator buffers (64 kB an operand), and
+    # only the steps around those events are traced
+    st, rate, eps, sg, ag = torn_off(nx=62, a_max=10.0)
+    src = SourceModel(*presets.source_fns("constant(10000.0)"))
+    peaks = []
+    for n in range(ag.na + 5):
+        if n > 3 and st.hist.head > 2:
+            st = coupled_step(st, src, rate, eps, sg, ag)
+            continue
+        tracemalloc.start()
+        try:
+            st = coupled_step(st, src, rate, eps, sg, ag)
+            peaks.append((st.hist.head, tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+        assert st.ring is not None
+    assert 0 in [head for head, _ in peaks]
+    assert max(peak for _, peak in peaks) < sg.n_nodes * ag.n_nodes * 8
 
 
 @pytest.mark.parametrize("cfg, still_steps", [

@@ -135,8 +135,8 @@ GOLDEN = {
         "diagnostics.csv": "2bbe8d3a7fd789ecb357c1d3c7866942561b5465d9e7c321468958dc54ff8ffa",
     }),
     "detachment": (0, {
-        "detachment_mu0.dat": "1b2f89695ec5614f158779de1e4fb644e723f2cd86b0496167b245df2214b8af",
-        "detachment_z.dat": "8be85924faf7fc82f000006d572179765bfdbcde5d833b443aced54929bc1098",
+        "detachment_mu0.dat": "88d2565d1b64818404f0e711b5b9eb38302bdf233336c121d3c5088c61e7d005",
+        "detachment_z.dat": "168b677544866797d245318c6590dcac7ecd02bdfb56a37a920f41aeeb0d5df8",
     }),
     "limit": (0, {
         "trajectory.csv": "13fc295c3738c74ba69ba0f6427e5dd1f354eeeeb01ea54f54fd8c56efc9908f",

@@ -190,9 +190,10 @@ def test_birth_ring_sums_at_every_head(na):
 @pytest.mark.parametrize("na", [1, 2, 5])
 def test_birth_ring_running_sums_at_every_head(na):
     # birth_ring of a survival factor the same at every age (C_j = c^j) keeps
-    # the lagged sums as running sums; m and q against an einsum over each
-    # ring rolled into age order, over two ring periods, so the running sums
-    # cross two re-anchors at head 0; c differs between lanes
+    # the lagged sums as running sums; m and q against an einsum over the
+    # births and their products with the history (which this form does not
+    # store), each rolled into age order, over two ring periods, so the
+    # running sums cross two re-anchors at head 0; c differs between lanes
     rng = np.random.default_rng(na)
     ag = AgeGrid(da=0.5, a_max=0.5 * na)
     nodes, depth = 4, na + 1
@@ -203,7 +204,7 @@ def test_birth_ring_running_sums_at_every_head(na):
     heads = []
     for _ in range(2 * depth + 1):
         heads.append(hist.head)
-        for got, values in zip(ring.sums(), (ring.births, ring.products)):
+        for got, values in zip(ring.sums(), (ring.births, ring.births * hist.buf)):
             aged = np.roll(values, -hist.head, axis=1)
             np.testing.assert_allclose(got, np.einsum("xj,xj->x", wC, aged[:, :-1]), rtol=1e-13, atol=0.0)
         z = rng.random(nodes)
@@ -306,6 +307,20 @@ def test_shift_step_allocates_no_field(monkeypatch):
     peaks = step_peaks(monkeypatch, vcfg, CohortRing)
     assert len(peaks) == ts.n_steps
     assert max(peaks) < sg.n_nodes * ag.n_nodes * 8
+
+
+def test_time_dependent_off_rate_step_allocates_less_than_two_fields(monkeypatch):
+    # an off-rate that depends on t is sampled afresh at every step, one
+    # field; its survival factor is written into the ring's own buffer, not
+    # into a fresh field (at nx = 64 the peak was 1,127,744 B with a fresh
+    # one and is 670,432 B; a field is 528,528 B)
+    ramp = presets.given_zeta_fn("one_plus_age_ramp(0.5)")
+    rate = RateModel(zeta=lambda x, a, t: ramp(x, a, t) + t, zeta_M=2.0)
+    vcfg = validate_config(make_config(nx=64, final_time=0.005, rate_model=rate))
+    sg, ag, ts = build_grids(vcfg)
+    peaks = step_peaks(monkeypatch, vcfg, CohortRing)
+    assert len(peaks) == ts.n_steps
+    assert max(peaks) < 2 * sg.n_nodes * ag.n_nodes * 8
 
 
 def test_oracle_spot_values():
