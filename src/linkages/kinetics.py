@@ -224,6 +224,7 @@ class BirthRing:
             T -= wC[:, k - 1] * r_tail
             T *= self.c
             T += wC[:, 0] * r_head
+        np.maximum(self.lead[0], 0.0, out=self.lead[0])  # a lane dying out leaves no residue below 0
 
     def density(self):
         """rho^n[:, j] = C_j B^{n-j} in age order."""

@@ -573,3 +573,13 @@ def test_stability_functional_decays_with_constant_source():
     res = run_coupled(vcfg, diag_stride=1)
     Q = [rec.stability for rec in res.records]
     assert all(b <= a * (1 + 1e-6) + 1e-15 for a, b in zip(Q[:-1], Q[1:]))
+
+
+def test_mu0_stays_nonnegative_where_a_lane_dies_out_on_the_birth_ring():
+    # beta = 0 on the Dirichlet rows: the births' running sum of such a lane
+    # falls to 0 and must not keep a residue below it (mu0 = -3.7e-19 at
+    # level 1001 without the clamp in kinetics.BirthRing._lead)
+    lows = []
+    run_coupled(validate_quiet(detachment_config(nx=24, final_time=0.0125)), diag_stride=0,
+                observers=[lambda n, st: lows.append(float(st.mu0.min()))])
+    assert len(lows) == 1251 and min(lows) >= 0.0

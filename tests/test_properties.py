@@ -18,13 +18,14 @@ zero-load shortcuts, and steady runs, where it does not.
 
 import math
 import warnings
+from unittest import mock
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from linkages import presets
+from linkages import coupled, presets
 from linkages.cli import reference_config
 from linkages.config import PastData, RateModel, SimulationConfig, SourceModel, validate_config
 from linkages.errors import ConfigError
@@ -162,13 +163,13 @@ def coupled_config(nx, na, da, epsilon, steps, c0, c1, threshold, load, size, pa
 
 
 @st.composite
-def coupled_configs(draw):
+def coupled_configs(draw, steps=st.integers(1, 30)):
     return coupled_config(
         nx=draw(st.integers(2, 16)),
         na=draw(st.integers(1, 60)),
         da=draw(st.sampled_from([0.01, 0.02, 0.1])),
         epsilon=draw(st.sampled_from([1e-3, 0.02, 0.05])),
-        steps=draw(st.integers(1, 30)),
+        steps=draw(steps),
         c0=draw(st.sampled_from([0.5, 1.0, 2.0])),
         c1=draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])),
         threshold=draw(st.booleans()),
@@ -180,17 +181,24 @@ def coupled_configs(draw):
 
 TEAR_OFF = coupled_config(24, 60, 0.01, 1e-3, 30, 1.0, 1.0, True, "constant", 1e4, "sin_pi")
 STEADY = coupled_config(8, 50, 0.02, 0.02, 30, 1.0, 1.0, False, "linear_in_t", 1.0, "zero")
+# calm from the tear-off at step 1 on, for more than two ring periods of 21
+LONG_TEAR_OFF = coupled_config(24, 20, 0.01, 1e-3, 50, 1.0, 1.0, True, "constant", 1e4, "sin_pi")
+
+
+def validate_quiet(cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return validate_config(cfg)
 
 
 def run_checked(cfg):
     """run_coupled with diagnostics at every level and the level checks above."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        vcfg = validate_config(cfg)
+    vcfg = validate_quiet(cfg)
     u_min0 = []
 
     def check(n, s):
         assert np.min(s.rho_ring) >= 0.0, f"rho < 0 at level {n}"
+        assert np.min(s.mu0) >= 0.0, f"mu0 < 0 at level {n}"  # every row, the Dirichlet rows included
         assert np.max(s.mu0) < 1.0, f"mu0 >= 1 at level {n}"
         assert np.all(np.isfinite(s.z)) and np.all(np.isfinite(s.g)), f"non-finite z or g at level {n}"
         u_min0.append(float(np.min(s.u_ring)))
@@ -217,3 +225,39 @@ def test_coupled_run_keeps_structural_invariants(cfg):
 def test_tear_off_draw_takes_the_shortcuts_and_the_steady_one_does_not():
     assert run_checked(TEAR_OFF)[1].final.quiet
     assert not run_checked(STEADY)[1].final.quiet
+
+
+def coupled_levels(vcfg):
+    """z, mu0 and rho_ring of run_coupled(vcfg) at every level, with the ring's type and head."""
+    levels = []
+    run_coupled(vcfg, diag_stride=0, observers=[lambda n, s: levels.append(
+        (s.z.copy(), s.mu0.copy(), s.rho_ring.copy(), type(s.ring), s.hist.head))])
+    return levels
+
+
+@settings(PROPERTY, max_examples=100)
+@given(coupled_configs(steps=st.integers(1, 130)))
+@example(TEAR_OFF)
+@example(LONG_TEAR_OFF)
+def test_calm_ring_matches_the_cohort_path(cfg):
+    # each draw as it is, and with the birth ring refused at every calm
+    # step; the steps run up to two ring periods of the longest age grid
+    # drawn, so a calm stretch crosses the ring's re-reads at head 0.  The
+    # bound is that of the hand-made tear-off tests in test_coupled
+    vcfg = validate_quiet(cfg)
+    ring = coupled_levels(vcfg)
+    with mock.patch.object(coupled, "_take_ring", lambda *args: None):
+        cohort = coupled_levels(vcfg)
+    assert len(ring) == len(cohort)
+    for n, (got, want) in enumerate(zip(ring, cohort)):
+        assert want[3] is not BirthRing and got[4] == want[4]
+        for name, a, b in zip(("z", "mu0", "rho_ring"), got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13 * np.max(np.abs(b)), err_msg=f"{name} at level {n}")
+
+
+def test_long_tear_off_draw_crosses_re_reads_on_the_ring():
+    # LONG_TEAR_OFF is on the birth ring from the first calm step to the
+    # end, more than two ring periods, through the head-0 re-reads
+    levels = coupled_levels(validate_quiet(LONG_TEAR_OFF))
+    on_ring = [head for *_, kind, head in levels if kind is BirthRing]
+    assert len(on_ring) == len(levels) - 2 and on_ring.count(0) >= 2
