@@ -21,7 +21,9 @@ fresh history (diagnostics.elongation_from_history): its column 0 holds z0,
 so newborns are unstretched, as u(., 0, t) = 0 asks.
 
 Sub-step order: stretch with the clamped old velocity, rates, density,
-velocity, then the position.  The survival of a step is read at the
+position, then the velocity, which reads rho, u, zeta and mu0 of the new
+level but not z.  The density steps on a ring, as the weak step's does:
+sums, renew, advance_position, push.  The survival of a step is read at the
 arrival cell, on the fresh stretch: that is the endpoint of the same
 characteristic, and it lets a newborn cohort feel the stretch it acquires
 during the step.  z is advanced by the direct delay solve (same kernel as
@@ -53,13 +55,13 @@ Three shortcuts follow from the state alone; the first two change no bit:
   survival ring is c or its density is 0) and c^na does not underflow,
   the coupled step is the weak step with an off-rate the same at every
   age: the density goes on a kinetics.BirthRing in c mode, O(nx) a step
-  (the births in rho_ring's buffer, w_j c^j in surv's, B z and the
+  (the births in the cohort ring's buffer, w_j c^j in surv's, B z and the
   density a record reads in the load buffer).  Once true, that stays true
   while the run stays calm, as a still step sets only the age-one column
   to c and a zero lane stays zero; so it is tested at the first calm step
   after one that was not, and, refused, once every ring period after.
-  The first step that is not calm rebuilds the cohort ring, fills surv
-  with c and takes its step as above.  The ring's sums round in another
+  The first step that is not calm rebuilds the cohort ring in the load
+  buffer, fills surv with c and takes its step as above.  The ring's sums round in another
   order: the outputs move in the last bits.
 """
 
@@ -69,8 +71,8 @@ import numpy as np
 
 from .diagnostics import stretch_integrals
 from .errors import NonpositiveGamma1
-from .kinetics import birth_ring, cohort_weights, decay, renew, renew_cohorts
-from .position import advance_position, delay_quadrature, solve_balance
+from .kinetics import BirthRing, CohortRing, birth_ring, cohort_weights, decay, renew
+from .position import advance_position, solve_balance
 
 OMEGA = 0.5  # 1D sup-norm embedding constant ||g||_inf <= omega ||g'||_2 on (0,1)
 
@@ -80,27 +82,28 @@ class CoupledState:
 
     rho, u and zeta (the off-rate on u, or None) are given in age order with
     hist at head 0 -- the ring at head 0 -- or as rings at hist.head; the
-    step keeps them as rings (rho_ring, u_ring, zeta) along with the
-    survival ring surv and the load buffer.  still says that the last step
-    had zero velocity, quiet that its load was zero in every lane with
-    surv <= 1 (see the module docstring).  On a calm run ring may be a
-    kinetics.BirthRing, which holds the density in the buffers of
-    rho_ring, surv and the load; refused_at is the head at which it was
-    last refused since the last step that was not calm.
+    step keeps them as rings (ring, u_ring, zeta) along with the survival
+    ring surv and the load buffer.  ring is a kinetics.CohortRing over rho
+    and surv or, on a calm run, a kinetics.BirthRing in their buffers and
+    the load's.  still says that the last step had zero velocity (None
+    before the first step, which gives ring the age grid), quiet that its
+    load was zero in every lane with surv <= 1 (see the module docstring);
+    refused_at is the head at which the birth ring was last refused since
+    the last step that was not calm.
     """
 
     def __init__(self, rho, u, z, g, hist, t, truncation_k, truncated=False, mu0=None, zeta=None):
-        self._rho, self.u_ring, self.zeta = rho, u, zeta
-        self.z, self.g, self.hist, self.t = z, g, hist, t
+        self.u_ring, self.zeta, self.z, self.g, self.hist, self.t = u, zeta, z, g, hist, t
         self.truncation_k, self.truncated, self.mu0 = truncation_k, truncated, mu0
-        self.surv, self.load = None, np.empty_like(rho)
-        self.still = self.quiet = False
-        self.ring = self.refused_at = None
+        self.surv, self.load = np.empty_like(rho), np.empty_like(rho)
+        self.ring = CohortRing(rho, self.surv, hist, None)
+        self.still = self.refused_at = None
+        self.quiet = False
 
     @property
     def rho_ring(self):
         """Density as a cohort ring at hist.head; on the birth ring, formed in the load buffer."""
-        return self._rho if self.ring is None else self.ring.cohorts(self.load)
+        return self.ring.cohorts(self.load)
 
     @property
     def rho(self):
@@ -137,7 +140,7 @@ def _take_ring(st, agrid):
     buffer, and wC takes the first (nx+2)*na entries of surv as one
     contiguous block, so that nothing field-sized is allocated.
     """
-    surv, rho = st.surv, st._rho
+    surv, rho = st.surv, st.ring.rho
     c = float(surv[0, st.hist.head])
     flags = st.load.reshape(-1).view(np.bool_)[: 2 * rho.size].reshape(2, *rho.shape)
     off_c = np.not_equal(surv, c, out=flags[0])
@@ -152,10 +155,10 @@ def _take_ring(st, agrid):
     return ring
 
 
-def _leave_ring(st):
-    """Back from the birth ring to the cohort ring, every survival factor c."""
-    ring, st.ring = st.ring, None
-    st._rho, st.load = ring.cohorts(st.load), st._rho
+def _leave_ring(st, agrid):
+    """Back to a cohort ring built in the load buffer (the births' buffer becomes the load); every survival factor c."""
+    ring = st.ring
+    st.ring, st.load = CohortRing(ring.cohorts(st.load), st.surv, st.hist, agrid), ring.births
     st.surv[...] = ring.c[:, None]
 
 
@@ -177,42 +180,37 @@ def coupled_step(st, source, rate, eps, sgrid, agrid):
     dSdt = source.ddt(sgrid.x, t_new) if source is not None else None
     hist, u = st.hist, st.u_ring
     old, new = hist.head, (hist.head - 1) % hist.depth  # the columns of ages 1 and 0 after the step
-    still = st.still = st.surv is not None and not g_used.any()
+    if st.still is None:  # the first step
+        st.ring.agrid = agrid
+    still = st.still = st.still is not None and not g_used.any()
     calm = still and st.quiet and (dSdt is None or not np.any(dSdt))
-    if st.ring is not None and not calm:
-        _leave_ring(st)
+    if isinstance(st.ring, BirthRing) and not calm:
+        _leave_ring(st, agrid)
     if still:
         u[:, new] = 0.0
         st.zeta[:, new] = rate.zeta_of_u(u[:, new])
-        if st.ring is None:
+        if isinstance(st.ring, CohortRing):
             decay(st.zeta[:, old], agrid.da, out=st.surv[:, old])
     else:
         u += agrid.da * g_used[:, None]  # g vanishes at the Dirichlet nodes: their rows stay 0
         u[:, new] = 0.0
         st.zeta = rate.zeta_of_u(u)
-        st.surv = decay(st.zeta, agrid.da, out=st.surv)
+        decay(st.zeta, agrid.da, out=st.surv)
     if calm:
         st.g = np.zeros(sgrid.n_nodes)
-        if st.ring is None and st.refused_at in (None, old):
-            st.ring = _take_ring(st, agrid)
-            st.refused_at = None if st.ring else old
+        if isinstance(st.ring, CohortRing) and st.refused_at in (None, old):
+            ring = _take_ring(st, agrid)
+            st.ring, st.refused_at = ring or st.ring, None if ring else old
     else:
         st.refused_at = None
-    S_new = source(sgrid.x, t_new) if source is not None else None
-    if st.ring is not None:
-        m, q = st.ring.sums()
-        births, st.mu0 = renew(beta, m, agrid.w[0])
-        st.z = advance_position(q, m, hist, eps, sgrid, S_new)
-        st.ring.push(births, st.z)
-    else:
-        rho = st._rho
-        rho *= st.surv
+    m, q = st.ring.sums()
+    births, st.mu0 = renew(beta, m, agrid.w[0])
+    st.z = advance_position(q, m, hist, eps, sgrid, source(sgrid.x, t_new) if source is not None else None)
+    st.ring.push(births, st.z)
+    if not calm:  # the velocity reads rho, u, zeta and mu0 of the new level, not z
         w = cohort_weights(agrid.w, new)
-        st.mu0, m, lag = renew_cohorts(rho, beta, w, new)
-        if not calm:
-            st.g = solve_velocity(rho, st.mu0, u, st.zeta, dSdt, eps, sgrid, w, load=st.load)
-            st.quiet = not st.g.any() and not st.load.any() and st.surv.max() <= 1.0
-        st.z = advance_position(delay_quadrature(lag, rho, hist.buf), m, hist, eps, sgrid, S_new)
+        st.g = solve_velocity(st.ring.rho, st.mu0, u, st.zeta, dSdt, eps, sgrid, w, load=st.load)
+        st.quiet = not st.g.any() and not st.load.any() and st.surv.max() <= 1.0
     st.t = t_new
     st.truncated = bool(np.abs(st.g).max() > k)
     return st

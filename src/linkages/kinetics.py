@@ -7,7 +7,7 @@ characteristic with per-cell exponential decay, which keeps the field
 nonnegative for any size of zeta*da.  The density steppers shift no array:
 they keep the cohort of age j in column (head + j) % (na+1), head being the
 position history's, multiply each cohort where it stands and write the
-newborns into the oldest cohort's column (CohortRing, renew_cohorts).
+newborns into the oldest cohort's column (CohortRing).
 
 The renewal value is coupled to mu0 at the *new* time through the a=0
 trapezoid weight; that self-reference is solved algebraically (renew),
@@ -103,34 +103,26 @@ def renew(beta_values, m, w0):
     return births, w0 * births + m
 
 
-def renew_cohorts(rho, beta_values, w, new):
-    """Write the newborns into column new of the cohort ring rho; return mu0, m = rho @ lag and lag.
-
-    w are the age weights in the ring's layout (cohort_weights at new), lag
-    the same with the newborn weight zeroed.
-    """
-    lag = w.copy()
-    lag[new] = 0.0
-    m = rho @ lag
-    births, mu0 = renew(beta_values, m, w[new])
-    rho[:, new] = births
-    return mu0, m, lag
-
-
 class CohortRing:
     """The density rho as a cohort ring at the head of hist; surv is the survival factor of the next step."""
 
     def __init__(self, rho, surv, hist, agrid):
-        self.rho, self.surv, self.hist, self.w = rho, surv, hist, agrid.w
+        self.rho, self.surv, self.hist, self.agrid = rho, surv, hist, agrid
 
     def sums(self):
-        """Age every cohort but the oldest by surv in place; m and q of the next level, q off hist.buf in place."""
+        """Age every cohort but the oldest by surv in place; m and q of the next level, q off hist.buf in place.
+
+        surv is in age order (na columns) or, as the coupled step keeps it, in rho's layout.
+        """
         rho, surv, head = self.rho, self.surv, self.hist.head
-        cut = min(surv.shape[1], rho.shape[1] - head)
-        rho[:, head : head + cut] *= surv[:, :cut]
-        rho[:, : surv.shape[1] - cut] *= surv[:, cut:]
+        if surv.shape == rho.shape:  # the oldest cohort's column is written over by push
+            rho *= surv
+        else:
+            cut = min(surv.shape[1], rho.shape[1] - head)
+            rho[:, head : head + cut] *= surv[:, :cut]
+            rho[:, : surv.shape[1] - cut] *= surv[:, cut:]
         new = (head - 1) % rho.shape[1]
-        lag = cohort_weights(self.w, new)
+        lag = cohort_weights(self.agrid.w, new)
         lag[new] = 0.0
         return rho @ lag, delay_quadrature(lag, rho, self.hist.buf)
 
@@ -141,6 +133,10 @@ class CohortRing:
     def density(self):
         """rho^n in age order."""
         return np.roll(self.rho, -self.hist.head, axis=1)
+
+    def cohorts(self, out):
+        """rho^n as a cohort ring at hist.head: the ring itself, out unwritten."""
+        return self.rho
 
 
 class BirthRing:

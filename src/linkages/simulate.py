@@ -21,7 +21,7 @@ from .config import with_overrides
 from .errors import ConfigError, HypothesisViolation, NonfiniteValue, RateKindMismatch
 from .grids import build_grids
 from .kinetics import BirthRing, CohortRing, age_profile, birth_ring, cohort_weights, init_density, limit_density
-from .kinetics import moment, renew, survival
+from .kinetics import renew, survival
 from .limit import step_limit
 from .position import PositionHistory, advance_position, initial_position, sample_past
 from .presets import is_time_invariant
@@ -148,7 +148,7 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     sgrid, agrid, ts, rho, z, hist = _start(vcfg)
     rate, src = vcfg.rate_model, vcfg.source
     eps, dt = vcfg.epsilon, ts.dt
-    mu0 = moment(rho, agrid, 0)
+    mu0 = rho @ agrid.w
     # discrete analogue of the population floor min(mu0(0), beta_m/(beta_m+zeta_M))
     lower_bound = min(float(np.min(mu0)), rate.beta_m / (rate.beta_m + rate.zeta_M)) - 10.0 * agrid.da
     zeta = rate.zeta_field(sgrid.x, agrid.a, 0.0)

@@ -21,7 +21,7 @@ from linkages.coupled import (
 from linkages.diagnostics import elongation_from_history, stretch_integrals
 from linkages.errors import NonpositiveGamma1
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
-from linkages.kinetics import decay, init_density, moment
+from linkages.kinetics import BirthRing, decay, init_density, moment
 from linkages.position import PositionHistory, advance_position, sample_past
 from linkages import elliptic, presets
 from linkages.simulate import run_coupled, run_detachment
@@ -279,9 +279,9 @@ def full_step(st, src, rate, eps, sg, ag):
     """A cohort step that takes neither shortcut.
 
     With the quiet flag cleared it forms the load and solves; with the
-    survival ring cleared it forms every survival factor.
+    still flag cleared it forms every survival factor.
     """
-    st.quiet, st.surv = False, None
+    st.quiet, st.still = False, None
     return coupled_step(st, src, rate, eps, sg, ag)
 
 
@@ -299,14 +299,14 @@ def test_torn_off_step_shortcuts_change_no_bit(monkeypatch, load, velocity_solve
     src = SourceModel(*presets.source_fns(load))
     plant = lambda n, st: plant_frozen_stretch(st, rate, ag, (st.hist.head + 1) % st.hist.depth) if n == 1 else None
     st = run_coupled(vcfg, diag_stride=0, observers=[plant]).final
-    assert st.quiet and not np.any(st.g) and st.hist.head != 0 and st.ring is None
+    assert st.quiet and not np.any(st.g) and st.hist.head != 0 and not isinstance(st.ring, BirthRing)
     no_load, full = copy.deepcopy(st), copy.deepcopy(st)
     solves = []
     solve = elliptic.solve
     monkeypatch.setattr(elliptic, "solve", lambda *a: solves.append(1) or solve(*a))
     for _ in range(5):
         st = coupled_step(st, src, rate, eps, sg, ag)
-        assert st.ring is None
+        assert not isinstance(st.ring, BirthRing)
     assert len(solves) == 5 + velocity_solves
     for _ in range(5):
         no_load.quiet = False
@@ -325,7 +325,7 @@ def torn_off(nx=24, a_max=0.5):
     sg, ag, ts = build_grids(vcfg)
     assert ts.n_steps == 1
     st = run_coupled(vcfg, diag_stride=0).final
-    assert st.quiet and not np.any(st.g) and st.ring is None
+    assert st.quiet and not np.any(st.g) and not isinstance(st.ring, BirthRing)
     return st, vcfg.rate_model, vcfg.epsilon, sg, ag
 
 
@@ -351,7 +351,7 @@ def test_still_tear_off_state_steps_on_the_birth_ring():
     for _ in range(ag.na + 5):
         st = coupled_step(st, src, rate, eps, sg, ag)
         full = full_step(full, src, rate, eps, sg, ag)
-        assert st.ring is not None and full.ring is None
+        assert isinstance(st.ring, BirthRing) and not isinstance(full.ring, BirthRing)
         assert_states_close(st, full)
         for f in ("u_ring", "zeta", "g"):  # the ring step writes what the cohort step writes
             assert np.array_equal(bits(getattr(st, f)), bits(getattr(full, f))), f
@@ -369,11 +369,11 @@ def test_birth_ring_returns_to_the_cohort_ring_under_a_growing_load():
     for _ in range(10):
         st = coupled_step(st, src, rate, eps, sg, ag)
         full = full_step(full, src, rate, eps, sg, ag)
-    assert st.ring is not None
+    assert isinstance(st.ring, BirthRing)
     for _ in range(5):
         st = coupled_step(st, grow, rate, eps, sg, ag)
         full = full_step(full, grow, rate, eps, sg, ag)
-        assert st.ring is None and np.all(st.g[1:-1] != 0.0)
+        assert not isinstance(st.ring, BirthRing) and np.all(st.g[1:-1] != 0.0)
         assert_states_close(st, full)
     np.testing.assert_allclose(st.rho_ring, full.rho_ring, rtol=1e-13, atol=0.0)
 
@@ -390,11 +390,11 @@ def test_live_cohort_with_a_frozen_stretch_keeps_the_cohort_path():
     for _ in range(st.hist.depth):
         st = coupled_step(st, src, rate, eps, sg, ag)
         full = full_step(full, src, rate, eps, sg, ag)
-        assert st.ring is None
+        assert not isinstance(st.ring, BirthRing)
         for f in ("rho_ring", "u_ring", "zeta", "mu0", "g", "z"):
             assert np.array_equal(bits(getattr(st, f)), bits(getattr(full, f))), f
     st = coupled_step(st, src, rate, eps, sg, ag)
-    assert st.ring is not None
+    assert isinstance(st.ring, BirthRing)
 
 
 def test_birth_ring_step_allocates_no_field():
@@ -415,7 +415,7 @@ def test_birth_ring_step_allocates_no_field():
             peaks.append((st.hist.head, tracemalloc.get_traced_memory()[1]))
         finally:
             tracemalloc.stop()
-        assert st.ring is not None
+        assert isinstance(st.ring, BirthRing)
     assert 0 in [head for head, _ in peaks]
     assert max(peak for _, peak in peaks) < sg.n_nodes * ag.n_nodes * 8
 
