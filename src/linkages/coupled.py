@@ -61,8 +61,8 @@ Three shortcuts follow from the state alone; the first two change no bit:
   to c and a zero lane stays zero; so it is tested at the first calm step
   after one that was not, and, refused, once every ring period after.
   The first step that is not calm rebuilds the cohort ring in the load
-  buffer, fills surv with c and takes its step as above.  The ring's sums round in another
-  order: the outputs move in the last bits.
+  buffer, fills surv with c and takes its step as above.  The ring's sums
+  round in another order: the outputs move in the last bits.
 """
 
 import math
