@@ -167,8 +167,9 @@ def coupled_step(st, source, rate, eps, sgrid, agrid):
 
     The old velocity is clamped at +-truncation_k before it stretches the
     bonds; st.truncated flags whether the new velocity exceeds the threshold
-    (it never should once the threshold is above the Riccati bound).  A
-    calm step may run on the birth ring (see the module docstring).
+    (it never should once the threshold is above the Riccati bound).  The
+    density steps on st.ring, the birth ring on a calm run (see the module
+    docstring).
     """
     t_new = st.t + eps * agrid.da
     k = st.truncation_k

@@ -13,13 +13,14 @@ mu0 < 1, finite z and g, the velocity clamp never engaged, p below the
 Riccati bound, u >= 0 for nonnegative data and, without a load, an energy
 that does not grow.  The draws include tear-offs (a large load against a
 threshold on-rate), where the coupled step takes its zero-velocity and
-zero-load shortcuts, and steady runs, where it does not.
+zero-load shortcuts, and steady runs, where it does not.  Each coupled draw
+also matches, level by level, the same run with the birth ring refused.
 """
 
 import math
 import warnings
-from unittest import mock
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
