@@ -9,7 +9,7 @@ of the total population, then against the limit profile.
 
 import numpy as np
 
-from linkages import init_density, limit_density, moment, survival
+from linkages import init_density, limit_density, survival
 from linkages.kinetics import CohortRing, renew
 from linkages.position import PositionHistory
 from linkages.grids import AgeGrid, SpaceGrid
@@ -24,7 +24,7 @@ rho = init_density(lambda x, a: 0.5 * np.exp(-np.asarray(a, dtype=float)) * np.o
 surv = survival(np.full((sg.n_nodes, ag.n_nodes), zeta), ag)  # constant rate: one factor for every step
 beta_field = np.full(sg.n_nodes, beta)
 
-mu0_start = float(moment(rho, ag, 0)[0])
+mu0_start = float((rho @ ag.w)[0])
 mu_eq = beta / (beta + zeta)
 print(f"starting population {mu0_start:.4f}, renewal equilibrium {mu_eq:.4f}")
 print(f"{'t/eps':>8} {'mu0':>10} {'closed form':>12}")

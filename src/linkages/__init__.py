@@ -28,13 +28,12 @@ from .diagnostics import (
     lyapunov_H,
     stretch_integrals,
 )
-from .elliptic import laplacian, solve
+from .elliptic import solve
 from .grids import AgeGrid, SpaceGrid, TimeStepping, build_grids
 from .kinetics import (
     LimitDensity,
     init_density,
     limit_density,
-    moment,
     survival,
 )
 from .limit import step_limit

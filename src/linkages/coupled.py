@@ -36,33 +36,27 @@ dS/dt are nonnegative (M-matrix maximum principle); g and the difference
 quotient of z agree to first order and the match is cross-checked in the
 tests.
 
-Three shortcuts follow from the state alone; the first two change no bit:
-
-* Zero velocity.  If the clamped velocity is zero at every node, no
-  cohort's stretch moves, so zeta(u) and the survival factor of every
-  cohort older than one step keep their values.  zeta is evaluated on the
-  newborn column only, and exp on the age-one column (the last step's
-  newborns, whose zeta was formed then) only.
-* Zero load.  If, besides, every lane of the last velocity load formed was
-  zero, every survival factor was at most 1 then, and dS/dt vanishes at
-  the new time, the new load is zero in every lane: zeta and u are
-  unchanged, rho only shrank, rounding is monotone, so no lane can leave
-  zero, and newborn lanes carry u = 0.  The velocity is then 0 without
-  forming the load or solving.
-* Birth ring.  On a calm step -- zero velocity, zero load and dS/dt = 0 --
-  the cohort of age one steps by c = exp(-da*zeta(0)), the newborns'
-  factor.  Where every other live cohort steps by c too (each lane of the
-  survival ring is c or its density is 0) and c^na does not underflow,
-  the coupled step is the weak step with an off-rate the same at every
-  age: the density goes on a kinetics.BirthRing in c mode, O(nx) a step
-  (the births in the cohort ring's buffer, w_j c^j in surv's, B z and the
-  density a record reads in the load buffer).  Once true, that stays true
-  while the run stays calm, as a still step sets only the age-one column
-  to c and a zero lane stays zero; so it is tested at the first calm step
-  after one that was not, and, refused, once every ring period after.
-  The first step that is not calm rebuilds the cohort ring in the load
-  buffer, fills surv with c and takes its step as above.  The ring's sums
-  round in another order: the outputs move in the last bits.
+One predicate keys the shortcuts.  A step is calm when the last load
+formed was zero in every lane with every survival factor at most 1 (quiet),
+the old velocity is zero and dS/dt vanishes at the new time.  Then no
+cohort's stretch moves and the new load is zero in every lane: zeta and u
+are unchanged, rho only shrank, rounding is monotone, so no lane can leave
+zero, and newborn lanes carry u = 0.  So a calm step evaluates zeta on the
+newborn column only and exp on the age-one column (the last step's
+newborns, whose zeta was formed then) only, and takes the velocity 0
+without forming the load or solving; that changes no bit.  Its cohort of
+age one steps by c = exp(-da*zeta(0)), the newborns' factor.  Where every
+other live cohort steps by c too (each lane of the survival ring is c or
+its density is 0) and c^na does not underflow, the coupled step is the
+weak step with an off-rate the same at every age: the density goes on a
+kinetics.BirthRing in c mode, O(nx) a step (the births in the cohort
+ring's buffer, w_j c^j in surv's, B z and the density a record reads in
+the load buffer).  Once true, that stays true while the run stays calm, as
+a calm step sets only the age-one column to c and a zero lane stays zero;
+so it is tested at the first calm step in a row and, refused, once every
+ring period after.  A step that is not calm rebuilds the cohort ring in
+the load buffer and forms every survival factor afresh.  The ring's sums
+round in another order: the outputs move in the last bits.
 """
 
 import math
@@ -83,22 +77,19 @@ class CoupledState:
     rho, u and zeta (the off-rate on u, or None) are given in age order with
     hist at head 0 -- the ring at head 0 -- or as rings at hist.head; the
     step keeps them as rings (ring, u_ring, zeta) along with the survival
-    ring surv and the load buffer.  ring is a kinetics.CohortRing over rho
-    and surv or, on a calm run, a kinetics.BirthRing in their buffers and
-    the load's.  still says that the last step had zero velocity (None
-    before the first step, which gives ring the age grid), quiet that its
-    load was zero in every lane with surv <= 1 (see the module docstring);
-    refused_at is the head at which the birth ring was last refused since
-    the last step that was not calm.
+    ring surv and the load buffer.  ring is a kinetics.CohortRing over rho,
+    surv and agrid or, on a calm run, a kinetics.BirthRing in their buffers
+    and the load's.  quiet says that the last load formed was zero in every
+    lane with surv <= 1; calm counts the calm steps in a row, 0 after a step
+    that is not calm (see the module docstring).
     """
 
-    def __init__(self, rho, u, z, g, hist, t, truncation_k, truncated=False, mu0=None, zeta=None):
+    def __init__(self, rho, u, z, g, hist, t, truncation_k, agrid, truncated=False, mu0=None, zeta=None):
         self.u_ring, self.zeta, self.z, self.g, self.hist, self.t = u, zeta, z, g, hist, t
         self.truncation_k, self.truncated, self.mu0 = truncation_k, truncated, mu0
         self.surv, self.load = np.empty_like(rho), np.empty_like(rho)
-        self.ring = CohortRing(rho, self.surv, hist, None)
-        self.still = self.refused_at = None
-        self.quiet = False
+        self.ring = CohortRing(rho, self.surv, hist, agrid)
+        self.calm, self.quiet = 0, False
 
     @property
     def rho_ring(self):
@@ -133,7 +124,7 @@ def _take_ring(st, agrid):
     """The density of a calm state as a kinetics.BirthRing in its own buffers, or None.
 
     c, the survival factor of the newborns, is the age-one column of surv
-    after the still update; zeta(u) does not depend on x, so c is one
+    after the calm update; zeta(u) does not depend on x, so c is one
     number.  None, with the state intact, where a live cohort steps by
     another factor; None, with surv filled with c, where birth_ring refuses
     the data (c^na underflows).  The test's flags live in the idle load
@@ -156,10 +147,9 @@ def _take_ring(st, agrid):
 
 
 def _leave_ring(st, agrid):
-    """Back to a cohort ring built in the load buffer (the births' buffer becomes the load); every survival factor c."""
+    """Back to a cohort ring built in the load buffer; the births' buffer becomes the load."""
     ring = st.ring
     st.ring, st.load = CohortRing(ring.cohorts(st.load), st.surv, st.hist, agrid), ring.births
-    st.surv[...] = ring.c[:, None]
 
 
 def coupled_step(st, source, rate, eps, sgrid, agrid):
@@ -168,12 +158,11 @@ def coupled_step(st, source, rate, eps, sgrid, agrid):
     The old velocity is clamped at +-truncation_k before it stretches the
     bonds; st.truncated flags whether the new velocity exceeds the threshold
     (it never should once the threshold is above the Riccati bound).  The
-    density steps on st.ring, the birth ring on a calm run (see the module
-    docstring).
+    density steps on st.ring, the birth ring on a calm run; a calm step
+    takes the shortcuts of the module docstring.
     """
     t_new = st.t + eps * agrid.da
     k = st.truncation_k
-    g_used = np.clip(st.g, -k, k) if math.isfinite(k) else st.g
     if rate.beta_kind == "threshold":
         beta = rate.beta_values(sgrid.x, st.t, z=st.z)
     else:
@@ -181,29 +170,24 @@ def coupled_step(st, source, rate, eps, sgrid, agrid):
     dSdt = source.ddt(sgrid.x, t_new) if source is not None else None
     hist, u = st.hist, st.u_ring
     old, new = hist.head, (hist.head - 1) % hist.depth  # the columns of ages 1 and 0 after the step
-    if st.still is None:  # the first step
-        st.ring.agrid = agrid
-    still = st.still = st.still is not None and not g_used.any()
-    calm = still and st.quiet and (dSdt is None or not np.any(dSdt))
-    if isinstance(st.ring, BirthRing) and not calm:
-        _leave_ring(st, agrid)
-    if still:
+    calm = st.quiet and not st.g.any() and (dSdt is None or not np.any(dSdt))
+    st.calm = st.calm + 1 if calm else 0
+    if calm:
         u[:, new] = 0.0
         st.zeta[:, new] = rate.zeta_of_u(u[:, new])
+        st.g = np.zeros(sgrid.n_nodes)
         if isinstance(st.ring, CohortRing):
             decay(st.zeta[:, old], agrid.da, out=st.surv[:, old])
+            if st.calm % hist.depth == 1:  # the first calm step, then once a ring period
+                st.ring = _take_ring(st, agrid) or st.ring
     else:
+        if isinstance(st.ring, BirthRing):
+            _leave_ring(st, agrid)
+        g_used = np.clip(st.g, -k, k) if math.isfinite(k) else st.g
         u += agrid.da * g_used[:, None]  # g vanishes at the Dirichlet nodes: their rows stay 0
         u[:, new] = 0.0
         st.zeta = rate.zeta_of_u(u)
         decay(st.zeta, agrid.da, out=st.surv)
-    if calm:
-        st.g = np.zeros(sgrid.n_nodes)
-        if isinstance(st.ring, CohortRing) and st.refused_at in (None, old):
-            ring = _take_ring(st, agrid)
-            st.ring, st.refused_at = ring or st.ring, None if ring else old
-    else:
-        st.refused_at = None
     m, q = st.ring.sums()
     births, st.mu0 = renew(beta, m, agrid.w[0])
     st.z = advance_position(q, m, hist, eps, sgrid, source(sgrid.x, t_new) if source is not None else None)

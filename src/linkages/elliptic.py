@@ -58,8 +58,3 @@ def solve(c, kappa, rhs, grid):
     if np.abs(r, out=r).max() > 1e-10 * scale:
         raise DegenerateOperator("tridiagonal solve residual too large")
     return z
-
-
-def laplacian(z, dx):
-    """Standard 3-point discrete Laplacian on interior nodes."""
-    return (z[2:] - 2.0 * z[1:-1] + z[:-2]) / dx**2

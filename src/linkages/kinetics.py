@@ -61,13 +61,6 @@ def init_density(fn, sgrid, agrid):
     return vals
 
 
-def moment(rho, agrid, k):
-    """Trapezoid moment mu_k(x) = int a^k rho(x, a) da, k in {0, 1, 2}."""
-    if k not in (0, 1, 2):
-        raise ValueError(f"moment order {k} not in {{0, 1, 2}}")
-    return rho @ (agrid.w * agrid.a**k)
-
-
 def survival(zeta_values, agrid, out=None):
     """Per-cell survival factor exp(-da*zeta) of one shift, shape (nx+2, na), written into out if given.
 

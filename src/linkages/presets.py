@@ -8,8 +8,9 @@ A preset spec is a string like ``sin_pi``, ``constant(0.5)`` or
 * elongation-dependent off-rates take ``u``.
 
 Given rates are a frozen Preset with its ``spec`` and ``time_invariant``
-(false only for ``linear_in_t`` and ``sin_pi_growing``); run_weak
-uses the flag, and treats a plain callable as time-varying.
+(false for the presets with a time derivative, ``linear_in_t`` and
+``sin_pi_growing``); run_weak uses the flag, and treats a plain callable as
+time-varying.
 
 ``threshold(zbar)`` is not a preset: with ``beta_kind = threshold`` the
 config loader reads zbar from it, and RateModel.beta_values switches the
@@ -54,34 +55,42 @@ def is_time_invariant(fn):
     return getattr(fn, "time_invariant", False)
 
 
-def _xt(name, args):
+def _zero(x, t):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
+def _xt(spec, kind):
+    """(f(x, t), df/dt) of a preset, df/dt None where f ignores t."""
+    name, args = parse_spec(spec)
     if name == "zero":
-        return lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
+        return _zero, None
     if name == "constant":
         (c,) = args or (0.0,)
-        return lambda x, t: np.full_like(np.asarray(x, dtype=float), c)
+        return lambda x, t: np.full_like(np.asarray(x, dtype=float), c), None
     if name == "sin_pi":
         # sin(pi x)/pi, frozen in time; vanishes at both ends of (0,1)
-        return lambda x, t: np.sin(np.pi * np.asarray(x, dtype=float)) / np.pi
+        return lambda x, t: np.sin(np.pi * np.asarray(x, dtype=float)) / np.pi, None
     if name == "sin_pi_growing":
         (c,) = args or (1.0,)
-        return lambda x, t: np.sin(np.pi * np.asarray(x, dtype=float)) / np.pi * (1.0 + c * t)
+        return (
+            lambda x, t: np.sin(np.pi * np.asarray(x, dtype=float)) / np.pi * (1.0 + c * t),
+            lambda x, t: c * np.sin(np.pi * np.asarray(x, dtype=float)) / np.pi,
+        )
     if name == "sin_forcing":
         # pi^2 sin(pi x): the load whose steady Poisson solution is sin(pi x)
-        return lambda x, t: np.pi ** 2 * np.sin(np.pi * np.asarray(x, dtype=float))
+        return lambda x, t: np.pi ** 2 * np.sin(np.pi * np.asarray(x, dtype=float)), None
     if name == "linear_in_t":
         c0, c1 = (args + [0.0, 0.0])[:2]
-        return lambda x, t: np.full_like(np.asarray(x, dtype=float), c0 + c1 * t)
-    return None
+        return (
+            lambda x, t: np.full_like(np.asarray(x, dtype=float), c0 + c1 * t),
+            lambda x, t: np.full_like(np.asarray(x, dtype=float), c1),
+        )
+    raise ValueError(f"unknown {kind} preset: {name!r}")
 
 
 def past_data_fn(spec):
     """Position history z_p(x, t) for t <= 0."""
-    name, args = parse_spec(spec)
-    fn = _xt(name, args)
-    if fn is None:
-        raise ValueError(f"unknown past-data preset: {name!r}")
-    return fn
+    return _xt(spec, "past-data")[0]
 
 
 def past_lipschitz_fn(spec):
@@ -101,18 +110,8 @@ def past_lipschitz_fn(spec):
 
 def source_fns(spec):
     """Source S(x, t) and its time derivative, derived from the preset."""
-    name, args = parse_spec(spec)
-    fn = _xt(name, args)
-    if fn is None:
-        raise ValueError(f"unknown source preset: {name!r}")
-    if name == "linear_in_t":
-        c1 = (args + [0.0, 0.0])[1]
-        return fn, lambda x, t: np.full_like(np.asarray(x, dtype=float), c1)
-    if name == "sin_pi_growing":
-        (c,) = args or (1.0,)
-        return fn, lambda x, t: c * np.sin(np.pi * np.asarray(x, dtype=float)) / np.pi
-    # remaining presets are constant in time
-    return fn, lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
+    fn, dfn = _xt(spec, "source")
+    return fn, dfn or _zero
 
 
 def initial_density_fn(spec):
@@ -150,11 +149,8 @@ def given_zeta_fn(spec):
 
 def given_beta_fn(spec):
     """Prescribed on-rate beta(x, t)."""
-    name, args = parse_spec(spec)
-    fn = _xt(name, args)
-    if fn is None:
-        raise ValueError(f"unknown on-rate preset: {name!r}")
-    return Preset(spec, fn, name not in ("linear_in_t", "sin_pi_growing"))
+    fn, dfn = _xt(spec, "on-rate")
+    return Preset(spec, fn, dfn is None)
 
 
 def lipschitz_zeta_fn(spec):

@@ -358,7 +358,7 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
     gamma2, dS_norm = cp.riccati_bound(rho, u, zeta, rate, src, vcfg.final_time, eps, sgrid, agrid.w, work)
     k = gamma2 / eps + dS_norm + 1.0
     # age order at the history's head 0 is the cohort ring
-    state = cp.CoupledState(rho=rho, u=u, z=z, g=g, hist=hist, t=0.0, truncation_k=k, mu0=mu0, zeta=zeta)
+    state = cp.CoupledState(rho=rho, u=u, z=z, g=g, hist=hist, t=0.0, truncation_k=k, agrid=agrid, mu0=mu0, zeta=zeta)
 
     def step(n, st):
         return cp.coupled_step(st, src, rate, eps, sgrid, agrid)
@@ -371,7 +371,7 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
 
     def track(n, st):
         nonlocal u_min, ever_truncated
-        if not st.still:  # a still step writes only newborn zeros, and u_min <= 0 from level 0 on
+        if not st.calm:  # a calm step writes only newborn zeros, and u_min <= 0 from level 0 on
             u_min = min(u_min, float(st.u_ring.min()))
         ever_truncated = ever_truncated or st.truncated
         snapshots.update({t_req: (st.z.copy(), st.mu0.copy()) for t_req, m in level_of.items() if m == n})

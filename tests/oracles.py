@@ -3,14 +3,25 @@
 None of these is called by a run: the closed-form density along
 characteristics (oracle_march), the discrete energy whose minimizer the
 position solve is, the Volterra residual of a position, the population
-balance of the coupled model, and the age-ordered view of a position
-history ring.
+balance of the coupled model, the age-ordered view of a position history
+ring, the discrete Laplacian and the age moments.
 """
 
 import numpy as np
 
-from linkages import elliptic
 from linkages.position import delay_quadrature
+
+
+def laplacian(z, dx):
+    """Standard 3-point discrete Laplacian on interior nodes."""
+    return (z[2:] - 2.0 * z[1:-1] + z[:-2]) / dx**2
+
+
+def moment(rho, agrid, k):
+    """Trapezoid moment mu_k(x) = int a^k rho(x, a) da, k in {0, 1, 2}."""
+    if k not in (0, 1, 2):
+        raise ValueError(f"moment order {k} not in {{0, 1, 2}}")
+    return rho @ (agrid.w * agrid.a**k)
 
 
 def oracle_march(n_steps, zeta, beta, rho_I, eps, sgrid, agrid, mu0_history=None):
@@ -102,7 +113,7 @@ def volterra_residual(Z, rho, z, eps, sgrid, agrid, source=None):
     formulations.
     """
     delayed = delay_quadrature(agrid.w, rho, z[:, None] - Z)
-    res = delayed[1:-1] / eps - elliptic.laplacian(z, sgrid.dx)
+    res = delayed[1:-1] / eps - laplacian(z, sgrid.dx)
     if source is not None:
         res = res - np.asarray(source)[1:-1]
     return res
@@ -118,7 +129,7 @@ def mu_ode_residual(state_prev, state_next, source, beta_field, eps, sgrid, agri
     dt = eps * agrid.da
     mu_prev = state_prev.rho @ agrid.w
     mu_next = state_next.rho @ agrid.w
-    lap = elliptic.laplacian(state_next.z, sgrid.dx)
+    lap = laplacian(state_next.z, sgrid.dx)
     S = (
         np.asarray(source(sgrid.x, state_next.t))[1:-1]
         if source is not None

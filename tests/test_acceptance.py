@@ -16,13 +16,12 @@ import numpy as np
 import pytest
 
 from conftest import capture_at
-from oracles import energy, oracle_march
+from oracles import energy, laplacian, moment, oracle_march
 
 import linkages as lk
 from linkages import presets
 from linkages.cli import coupled_config, detachment_config, reference_config
 from linkages.config import RateModel, SourceModel, validate_config
-from linkages.elliptic import laplacian
 from linkages.grids import build_grids
 
 SEED = 20260808
@@ -233,7 +232,7 @@ def test_criterion_8_asymptotic_profile():
         vcfg = validate_config(cfg)
     res = lk.run_coupled(vcfg, diag_stride=0)
     sg, ag, _ = build_grids(vcfg)
-    mu0 = lk.moment(res.final.rho, ag, 0)
+    mu0 = moment(res.final.rho, ag, 0)
     mu_gap = np.max(np.abs(mu0[1:-1] - 0.5))
     S = vcfg.source(sg.x, res.final.t)
     resid = np.max(np.abs(laplacian(res.final.z, sg.dx) + S[1:-1]))

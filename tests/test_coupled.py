@@ -21,11 +21,11 @@ from linkages.coupled import (
 from linkages.diagnostics import elongation_from_history, stretch_integrals
 from linkages.errors import NonpositiveGamma1
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
-from linkages.kinetics import BirthRing, decay, init_density, moment
+from linkages.kinetics import BirthRing, decay, init_density
 from linkages.position import PositionHistory, advance_position, sample_past
 from linkages import elliptic, presets
 from linkages.simulate import run_coupled, run_detachment
-from oracles import age_order, mu_ode_residual
+from oracles import age_order, moment, mu_ode_residual
 
 EPS = 0.05
 SG = SpaceGrid(nx=15)
@@ -102,7 +102,7 @@ def bond_free(ag, u):
     rate = RateModel(zeta_kind="lipschitz", zeta_M=np.inf, beta=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)), beta_m=0.0, beta_M=0.0)
     state = CoupledState(
         rho=np.zeros((SG.n_nodes, ag.n_nodes)), u=u, z=np.zeros(SG.n_nodes), g=np.zeros(SG.n_nodes),
-        hist=hist, t=0.0, truncation_k=np.inf,
+        hist=hist, t=0.0, truncation_k=np.inf, agrid=ag,
     )
     return state, rate
 
@@ -192,7 +192,7 @@ def test_coupled_step_zero_state_stays_zero():
     rate = RateModel(zeta_kind="lipschitz", zeta_M=np.inf, beta=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)), beta_m=0.0, beta_M=0.0)
     state = CoupledState(
         rho=rho, u=u, z=np.zeros(SG.n_nodes), g=np.zeros(SG.n_nodes),
-        hist=hist, t=0.0, truncation_k=np.inf,
+        hist=hist, t=0.0, truncation_k=np.inf, agrid=ag,
     )
     state = coupled_step(state, None, rate, EPS, SG, ag)
     assert np.all(state.z == 0.0) and np.all(state.g == 0.0)
@@ -278,19 +278,19 @@ def bits(a):
 def full_step(st, src, rate, eps, sg, ag):
     """A cohort step that takes neither shortcut.
 
-    With the quiet flag cleared it forms the load and solves; with the
-    still flag cleared it forms every survival factor.
+    With the quiet flag cleared the step is not calm: it forms every
+    survival factor and the load, and solves.
     """
-    st.quiet, st.still = False, None
+    st.quiet = False
     return coupled_step(st, src, rate, eps, sg, ag)
 
 
 @pytest.mark.parametrize("load, velocity_solves", [("constant(10000.0)", 0), ("linear_in_t(10000.0, 1000000.0)", 5)])
 def test_torn_off_step_shortcuts_change_no_bit(monkeypatch, load, velocity_solves):
-    # after the tear-off g is exactly 0 under a constant load: the steps take
-    # both shortcuts, or under a growing load the zero-velocity one first;
-    # with the state's flag cleared they form the load and solve, with the
-    # survival ring cleared too they take the full step.  A live cohort
+    # after the tear-off g is exactly 0: under a constant load every step
+    # is calm and takes the shortcuts, under a growing load none is; with
+    # the quiet flag cleared (no_load, and full through full_step) no step
+    # is calm, so each forms the load and solves.  A live cohort
     # with a frozen stretch, planted right after the tear-off, keeps the
     # run off the birth ring, so every step here is a cohort step
     vcfg = validate_quiet(detachment_config(nx=24, final_time=3e-4))
@@ -420,21 +420,21 @@ def test_birth_ring_step_allocates_no_field():
     assert max(peak for _, peak in peaks) < sg.n_nodes * ag.n_nodes * 8
 
 
-@pytest.mark.parametrize("cfg, still_steps", [
+@pytest.mark.parametrize("cfg, calm_steps", [
     (lambda: detachment_config(nx=24, final_time=3e-4), True),
     (lambda: coupled_config(nx=16, final_time=0.1), False),
 ], ids=["tear-off", "coupled-default"])
-def test_u_min_is_the_running_minimum_of_the_full_ring(cfg, still_steps):
-    # track skips the ring's minimum on still steps; an observer that takes
+def test_u_min_is_the_running_minimum_of_the_full_ring(cfg, calm_steps):
+    # track skips the ring's minimum on calm steps; an observer that takes
     # it at every level finds the same running minimum
-    seen, still = [], []
+    seen, calm = [], []
 
     def observe(n, st):
         seen.append(float(st.u_ring.min()))
-        still.append(st.still)
+        calm.append(st.calm > 0)
 
     res = run_coupled(validate_quiet(cfg()), diag_stride=0, observers=[observe])
-    assert any(still) == still_steps
+    assert any(calm) == calm_steps
     assert res.u_min == min(seen)
 
 
@@ -465,7 +465,7 @@ def test_mu_ode_residual_zero_state():
     rho = np.zeros((SG.n_nodes, ag.n_nodes))
     u = np.zeros((SG.n_nodes, ag.n_nodes))
     hist = PositionHistory(np.zeros(SG.n_nodes), np.zeros((SG.n_nodes, ag.n_nodes)))
-    st = CoupledState(rho=rho, u=u, z=np.zeros(SG.n_nodes), g=np.zeros(SG.n_nodes), hist=hist, t=0.0, truncation_k=np.inf)
+    st = CoupledState(rho=rho, u=u, z=np.zeros(SG.n_nodes), g=np.zeros(SG.n_nodes), hist=hist, t=0.0, truncation_k=np.inf, agrid=ag)
     r = mu_ode_residual(st, st, None, np.zeros(SG.n_nodes), EPS, SG, ag)
     np.testing.assert_allclose(r, 0.0, atol=1e-14)
 
@@ -484,7 +484,7 @@ def test_mu_ode_residual_steady_profile():
     z = solve(0.0, 1.0, S[1:-1], SG)
     u = np.zeros((SG.n_nodes, ag.n_nodes))
     hist = PositionHistory(z, np.zeros((SG.n_nodes, ag.n_nodes)))
-    st = CoupledState(rho=rho, u=u, z=z, g=np.zeros(SG.n_nodes), hist=hist, t=0.0, truncation_k=np.inf)
+    st = CoupledState(rho=rho, u=u, z=z, g=np.zeros(SG.n_nodes), hist=hist, t=0.0, truncation_k=np.inf, agrid=ag)
     fn, dfn = presets.source_fns("constant(2.0)")
     src = SourceModel(fn=fn, dfn=dfn)
     r = mu_ode_residual(st, st, src, np.full(SG.n_nodes, beta), EPS, SG, ag)

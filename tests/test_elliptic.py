@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import dense_solve
+from oracles import laplacian
 
 from linkages import elliptic
-from linkages.elliptic import laplacian, solve
+from linkages.elliptic import solve
 from linkages.errors import DegenerateOperator
 from linkages.grids import SpaceGrid
 

@@ -19,12 +19,11 @@ from linkages.kinetics import (
     decay,
     init_density,
     limit_density,
-    moment,
     renew,
     survival,
 )
 from linkages.position import PositionHistory
-from oracles import oracle_march
+from oracles import moment, oracle_march
 
 SG = SpaceGrid(nx=7)
 AG = AgeGrid(da=0.01, a_max=10.0)

@@ -9,7 +9,7 @@ from linkages import diagnostics as dg
 from linkages.config import PastData, RateModel, SourceModel, validate_config
 from linkages.errors import NonfiniteValue
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
-from linkages.kinetics import BirthRing, CohortRing, init_density, limit_density, moment, renew, survival
+from linkages.kinetics import BirthRing, CohortRing, init_density, limit_density, renew, survival
 from linkages.position import (
     PositionHistory,
     advance_position,
@@ -19,7 +19,7 @@ from linkages.position import (
 from linkages import presets, simulate
 from linkages.cli import coupled_config
 from linkages.simulate import run_coupled, run_weak
-from oracles import age_order, energy, volterra_residual
+from oracles import age_order, energy, moment, volterra_residual
 
 EPS = 0.05
 SG = SpaceGrid(nx=31)

@@ -12,8 +12,8 @@ Coupled runs check the global-existence picture at every level: rho >= 0,
 mu0 < 1, finite z and g, the velocity clamp never engaged, p below the
 Riccati bound, u >= 0 for nonnegative data and, without a load, an energy
 that does not grow.  The draws include tear-offs (a large load against a
-threshold on-rate), where the coupled step takes its zero-velocity and
-zero-load shortcuts, and steady runs, where it does not.  Each coupled draw
+threshold on-rate), where the coupled step turns calm and takes its
+shortcuts, and steady runs, where it does not.  Each coupled draw
 also matches, level by level, the same run with the birth ring refused.
 """
 
@@ -71,7 +71,7 @@ def configs(draw, scale=st.sampled_from([0.02, 0.05, 0.1, 0.5]), kinds=("constan
         na=draw(st.integers(1, 40)),
         epsilon=draw(scale),
         steps=draw(st.integers(1, 30)),
-        nx=draw(st.integers(1, 8)),
+        nx=draw(st.integers(1, 64)),
         decay=draw(st.sampled_from([0.3, 0.9])),
         load=draw(st.booleans()),
     )
