@@ -107,10 +107,10 @@ def _report(violations, flags=()):
 def cmd_weak(args, vcfg):
     sgrid, agrid, _ = build_grids(vcfg)
     res = simulate.run_weak(vcfg, output_stride=args.cadence, diag_stride=args.cadence)
-    simulate.write_trajectory_csv(_out(args, "trajectory.csv"), res.times, res.trajectory, sgrid.x)
+    simulate.write_grid_csv(_out(args, "trajectory.csv"), "t,x,z", res.times, sgrid.x, res.trajectory)
     simulate.write_diagnostics_csv(_out(args, "diagnostics.csv"), res.records)
     if args.dump_density:
-        simulate.write_density_csv(_out(args, "density.csv"), res.final_rho, sgrid, agrid)
+        simulate.write_grid_csv(_out(args, "density.csv"), "x,a,rho", sgrid.x, agrid.a, res.final_rho)
     code = _report(res.violations)
     print(f"weak run: {len(res.times)} outputs, mu0 in [{res.mu0_min:.6g}, {res.mu0_max:.6g}]")
     return code
@@ -120,7 +120,7 @@ def cmd_limit(args, vcfg):
     sgrid, _, ts = build_grids(vcfg)
     # the snapshots of a delay run at this cadence: none past final_time
     res = simulate.run_limit(vcfg, vcfg.dt * args.cadence, ts.n_steps // args.cadence)
-    simulate.write_trajectory_csv(_out(args, "trajectory.csv"), res.times, res.trajectory, sgrid.x)
+    simulate.write_grid_csv(_out(args, "trajectory.csv"), "t,x,z", res.times, sgrid.x, res.trajectory)
     print(f"limit run: {len(res.times)} outputs")
     return 0
 
@@ -130,7 +130,7 @@ def cmd_coupled(args, vcfg):
     res = simulate.run_coupled(vcfg, diag_stride=args.cadence)
     simulate.write_diagnostics_csv(_out(args, "diagnostics.csv"), res.records)
     if args.dump_density:
-        simulate.write_density_csv(_out(args, "density.csv"), res.final.rho, sgrid, agrid)
+        simulate.write_grid_csv(_out(args, "density.csv"), "x,a,rho", sgrid.x, agrid.a, res.final.rho)
     code = _report(res.violations, res.soft_flags)
     print(
         f"coupled run: t = {res.final.t:g}, min u = {res.u_min:.3g}, "

@@ -22,9 +22,9 @@ so newborns are unstretched, as u(., 0, t) = 0 asks.
 
 Sub-step order: stretch with the clamped old velocity, rates, density,
 position, then the velocity, which reads rho, u, zeta and mu0 of the new
-level but not z.  The density steps on a ring, as the weak step's does:
-sums, renew, advance_position, push.  The survival of a step is read at the
-arrival cell, on the fresh stretch: that is the endpoint of the same
+level but not z.  The density and the position step on a ring in one call
+of kinetics.advance, as the weak step's do.  The survival of a step is read
+at the arrival cell, on the fresh stretch: that is the endpoint of the same
 characteristic, and it lets a newborn cohort feel the stretch it acquires
 during the step.  z is advanced by the direct delay solve (same kernel as
 the weakly coupled stepper) rather than by integrating g: where the
@@ -65,8 +65,8 @@ import numpy as np
 
 from .diagnostics import stretch_integrals
 from .errors import NonpositiveGamma1
-from .kinetics import BirthRing, CohortRing, birth_ring, cohort_weights, decay, renew
-from .position import advance_position, solve_balance
+from .kinetics import BirthRing, CohortRing, advance, birth_ring, cohort_weights, decay
+from .position import solve_balance
 
 OMEGA = 0.5  # 1D sup-norm embedding constant ||g||_inf <= omega ||g'||_2 on (0,1)
 
@@ -99,7 +99,7 @@ class CoupledState:
     @property
     def rho(self):
         """Density in age order, built from the ring."""
-        return np.roll(self.rho_ring, -self.hist.head, axis=1)
+        return self.ring.density()
 
     @property
     def u(self):
@@ -188,10 +188,7 @@ def coupled_step(st, source, rate, eps, sgrid, agrid):
         u[:, new] = 0.0
         st.zeta = rate.zeta_of_u(u)
         decay(st.zeta, agrid.da, out=st.surv)
-    m, q = st.ring.sums()
-    births, st.mu0 = renew(beta, m, agrid.w[0])
-    st.z = advance_position(q, m, hist, eps, sgrid, source(sgrid.x, t_new) if source is not None else None)
-    st.ring.push(births, st.z)
+    st.z, st.mu0 = advance(st.ring, beta, eps, sgrid, source(sgrid.x, t_new) if source is not None else None)
     if not calm:  # the velocity reads rho, u, zeta and mu0 of the new level, not z
         w = cohort_weights(agrid.w, new)
         st.g = solve_velocity(st.ring.rho, st.mu0, u, st.zeta, dSdt, eps, sgrid, w, load=st.load)

@@ -14,7 +14,9 @@ trapezoid weight; that self-reference is solved algebraically (renew),
 
     rho[0] = beta (1 - m) / (1 + beta w0),   m = sum_{j>=1} w_j rho[j],
 
-so the saturation bound mu0 < 1 is preserved exactly.
+so the saturation bound mu0 < 1 is preserved exactly.  advance runs one
+level of either model: the ring's sums, renew, the position solve, then the
+history's push and the ring's.
 
 For an off-rate that ignores t every cohort is its birth value times a
 fixed product, rho^n[:, j] = C_j B^{n-j} (C_j: the survival factors of ages
@@ -35,12 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MassAtLeastOne, NegativeDensity, NonfiniteValue
-from .position import delay_quadrature
-
-# For x <= -746, exp(x) < 2**-1076, below half the smallest subnormal
-# (2**-1074), so it rounds to +0.0; decay skips those lanes.  The
-# subnormal band above still goes through np.exp, so no result changes by a bit.
-EXP_UNDERFLOW = -746.0
+from .position import delay_quadrature, solve_balance
 
 
 def init_density(fn, sgrid, agrid):
@@ -71,18 +68,11 @@ def survival(zeta_values, agrid, out=None):
 
 
 def decay(zeta_values, da, out=None):
-    """exp(-da*zeta) lane by lane, written into out if given.
-
-    Lanes whose argument -da*zeta is at or below EXP_UNDERFLOW are 0.0
-    without a call to np.exp, which is slow on them.
-    """
+    """exp(-da*zeta) lane by lane, written into out if given."""
     if not np.all(np.isfinite(zeta_values)):
         raise NonfiniteValue("off-rate field has non-finite entries")
     x = np.multiply(zeta_values, -da, out=out)
-    keep = x > EXP_UNDERFLOW
-    np.exp(x, out=x, where=keep)
-    np.copyto(x, 0.0, where=np.logical_not(keep, out=keep))
-    return x
+    return np.exp(x, out=x)
 
 
 def cohort_weights(w, head):
@@ -94,6 +84,16 @@ def renew(beta_values, m, w0):
     """Birth value and mu0 of the next level from its renewal mass m (the closed-form renewal)."""
     births = beta_values * (1.0 - m) / (1.0 + beta_values * w0)
     return births, w0 * births + m
+
+
+def advance(ring, beta_values, eps, sgrid, source=None):
+    """One level of density and position on ring (either form), z solving (m - eps Lap_h) z = q + eps S; returns (z, mu0)."""
+    m, q = ring.sums()
+    births, mu0 = renew(beta_values, m, ring.agrid.w[0])
+    z = solve_balance(q, m, eps, sgrid, source)
+    ring.hist.push(z)
+    ring.push(births)
+    return z, mu0
 
 
 class CohortRing:
@@ -119,8 +119,8 @@ class CohortRing:
         lag[new] = 0.0
         return rho @ lag, delay_quadrature(lag, rho, self.hist.buf)
 
-    def push(self, births, z):
-        """Write the newborns into column hist.head, which the history's push of z took."""
+    def push(self, births):
+        """Write the newborns into column hist.head, which the history's push has just taken."""
         self.rho[:, self.hist.head] = births
 
     def density(self):
@@ -146,7 +146,7 @@ class BirthRing:
     """
 
     def __init__(self, wC, births, hist, agrid, c=None, scratch=None):
-        self.wC, self.births, self.w, self.hist, self.c = wC, births, agrid.w, hist, c
+        self.wC, self.births, self.hist, self.agrid, self.c = wC, births, hist, agrid, c
         if c is None:
             self.products = births * hist.buf
         else:
@@ -164,12 +164,12 @@ class BirthRing:
         (T, Tq), (b, bz), w = self.lead, self.edge, self.wC[:, -1]
         return T + w * b, Tq + w * bz
 
-    def push(self, births, z):
-        """Write B (and B z) of the new level into column hist.head, which the history's push of z took."""
+    def push(self, births):
+        """Write B (and B z, z read off the history) of the new level into column hist.head, which the history's push took."""
         head = self.hist.head
         self.births[:, head] = births
         if self.c is None:
-            self.products[:, head] = births * z
+            self.products[:, head] = births * self.hist.buf[:, head]
         else:
             self._lead(head)
 
@@ -230,8 +230,8 @@ class BirthRing:
         head = self.hist.head
         cut = self.births.shape[1] - head
         rho[:, newborn] = self.births[:, head]
-        np.divide(self.wC[:, : cut - 1], self.w[1:cut], out=rho[:, newer])
-        np.divide(self.wC[:, cut - 1 :], self.w[cut:], out=rho[:, older])
+        np.divide(self.wC[:, : cut - 1], self.agrid.w[1:cut], out=rho[:, newer])
+        np.divide(self.wC[:, cut - 1 :], self.agrid.w[cut:], out=rho[:, older])
         rho[:, newer] *= self.births[:, head + 1 :]
         rho[:, older] *= self.births[:, :head]
         return rho

@@ -17,11 +17,10 @@ the Volterra residual the tests check them with are in tests/oracles.py.
 A run samples the past data once (sample_past); the t = 0 solve reads the
 sample and the history ring takes it over.  solve_balance poses
 (coeff - eps Lap_h) x = integral + eps f, the one elliptic balance of the
-model: for the start-up position, every step's position (advance_position
-solves it and pushes z_new) and the coupled velocity.  A step feeds
-advance_position the quadrature of its ring (see kinetics); a cohort ring
-is read against buf in place (before the push the cohort of age j >= 1
-shares its column with its anchor z^{n+1-j}).
+model: for the start-up position, every step's position (kinetics.advance
+solves it on the quadrature of its ring, then pushes z_new) and the coupled
+velocity.  A cohort ring is read against buf in place (before the push the
+cohort of age j >= 1 shares its column with its anchor z^{n+1-j}).
 """
 
 import numpy as np
@@ -89,15 +88,4 @@ def initial_position(rho_I, zp, eps, sgrid, agrid, source_at_0=None):
     """
     integral = delay_quadrature(agrid.w[1:], rho_I[:, 1:], zp[:, 1:])
     return solve_balance(integral, rho_I @ agrid.w - agrid.w[0] * rho_I[:, 0], eps, sgrid, source_at_0)
-
-
-def advance_position(integral, coeff, hist, eps, sgrid, source=None):
-    """Solve (coeff - eps Lap_h) z_new = integral + eps S and push z_new into hist.
-
-    integral (the quadrature over ages j >= 1) and coeff = mu0 - w0 rho(., 0)
-    are full-grid values at the new level.
-    """
-    z_new = solve_balance(integral, coeff, eps, sgrid, source)
-    hist.push(z_new)
-    return z_new
 

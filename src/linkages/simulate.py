@@ -20,10 +20,10 @@ from . import diagnostics as dg
 from .config import with_overrides
 from .errors import ConfigError, HypothesisViolation, NonfiniteValue, RateKindMismatch
 from .grids import build_grids
-from .kinetics import BirthRing, CohortRing, age_profile, birth_ring, cohort_weights, init_density, limit_density
-from .kinetics import renew, survival
+from .kinetics import BirthRing, CohortRing, advance, age_profile, birth_ring, cohort_weights, init_density
+from .kinetics import limit_density, survival
 from .limit import step_limit
-from .position import PositionHistory, advance_position, initial_position, sample_past
+from .position import PositionHistory, initial_position, sample_past
 from .presets import is_time_invariant
 
 ENERGY_DECAY_TOL = 1e-6  # per step, relative to the initial energy
@@ -165,10 +165,7 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     def step(n, st):
         # n*dt, not an accumulated t + dt: the two differ in the last bits
         st.t = n * dt
-        m, q = st.ring.sums()
-        births, st.mu0 = renew(beta_at(st.t), m, agrid.w[0])
-        st.z = advance_position(q, m, st.hist, eps, sgrid, _source_at(src, sgrid.x, st.t))
-        st.ring.push(births, st.z)
+        st.z, st.mu0 = advance(st.ring, beta_at(st.t), eps, sgrid, _source_at(src, sgrid.x, st.t))
         st._rho = None
         if not fixed:  # the survival of the next step, read at t
             st.zeta = rate.zeta_field(sgrid.x, agrid.a, st.t)
@@ -443,14 +440,17 @@ def _fmt(v):
     return format(float(v), ".17g")
 
 
-def write_trajectory_csv(path, times, trajectory, x):
-    """Rows (t, x, z) for every output time and node; x is formatted once a file, t once a row."""
-    cells = [f"{_fmt(xi)},%.17g\n" for xi in x]
+def write_grid_csv(path, header, rows, cols, values):
+    """Rows (r, c, values[i, j]) for every r = rows[i] and c = cols[j]; c is formatted once a file, r once a row.
+
+    header names the three columns: "t,x,z" for a trajectory, "x,a,rho" for a density snapshot.
+    """
+    cells = [f"{_fmt(c)},%.17g\n" for c in cols]
     with open(path, "w", newline="\n") as f:
-        f.write("t,x,z\n")
-        for t, row in zip(times, np.asarray(trajectory, dtype=float).tolist()):
-            lead = _fmt(t) + ","
-            f.write("".join([lead + cell % zi for cell, zi in zip(cells, row)]))
+        f.write(header + "\n")
+        for r, row in zip(rows, np.asarray(values, dtype=float).tolist()):
+            lead = _fmt(r) + ","
+            f.write("".join([lead + cell % v for cell, v in zip(cells, row)]))
 
 
 def write_diagnostics_csv(path, records):
@@ -460,16 +460,6 @@ def write_diagnostics_csv(path, records):
         f.write(",".join(names) + "\n")
         for rec in records:
             f.write(",".join(_fmt(getattr(rec, name)) for name in names) + "\n")
-
-
-def write_density_csv(path, rho, sgrid, agrid):
-    """Rows (x, a, rho) of a density snapshot; a is formatted once a file, x once a row."""
-    cells = [f"{_fmt(aj)},%.17g\n" for aj in agrid.a]
-    with open(path, "w", newline="\n") as f:
-        f.write("x,a,rho\n")
-        for xi, row in zip(sgrid.x, np.asarray(rho, dtype=float).tolist()):
-            lead = _fmt(xi) + ","
-            f.write("".join([lead + cell % r for cell, r in zip(cells, row)]))
 
 
 def write_profile_columns(path, x, labelled_columns):

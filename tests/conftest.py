@@ -6,7 +6,7 @@ import pytest
 from linkages.config import PastData, RateModel, SimulationConfig
 from linkages.grids import AgeGrid, SpaceGrid
 from linkages.kinetics import CohortRing, renew
-from linkages.position import PositionHistory, advance_position
+from linkages.position import PositionHistory, solve_balance
 from linkages import presets
 from oracles import age_order
 
@@ -73,7 +73,7 @@ def density_stepper(rho, agrid):
         ring.surv = surv
         births, _ = renew(beta_values, ring.sums()[0], agrid.w[0])
         hist.push(zeros)
-        ring.push(births, zeros)
+        ring.push(births)
         return ring.density()
 
     return step
@@ -90,7 +90,9 @@ def position_step(rho, hist, eps, sgrid, agrid, source=None):
     new = (hist.head - 1) % hist.depth
     ring = CohortRing(np.roll(rho, new, axis=1), np.ones((rho.shape[0], rho.shape[1] - 1)), hist, agrid)
     m, q = ring.sums()
-    return advance_position(q, m, hist, eps, sgrid, source)
+    z = solve_balance(q, m, eps, sgrid, source)
+    hist.push(z)
+    return z
 
 
 def dense_solve(c, kappa, rhs, nx):

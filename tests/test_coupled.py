@@ -22,7 +22,7 @@ from linkages.diagnostics import elongation_from_history, stretch_integrals
 from linkages.errors import NonpositiveGamma1
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
 from linkages.kinetics import BirthRing, decay, init_density
-from linkages.position import PositionHistory, advance_position, sample_past
+from linkages.position import PositionHistory, sample_past, solve_balance
 from linkages import elliptic, presets
 from linkages.simulate import run_coupled, run_detachment
 from oracles import age_order, moment, mu_ode_residual
@@ -231,7 +231,8 @@ def test_coupled_step_equals_its_unfused_composition():
     rhs = ((zeta_u * rho * u) @ w)[1:-1] + eps * src.ddt(sg.x, t)[1:-1]
     g = elliptic.solve(mu0[1:-1], eps, rhs, sg)
     hist = copy.deepcopy(old.hist)
-    z = advance_position(np.einsum("j,xj,xj->x", lag, rho, hist.buf), m, hist, eps, sg, src(sg.x, t))
+    z = solve_balance(np.einsum("j,xj,xj->x", lag, rho, hist.buf), m, eps, sg, src(sg.x, t))
+    hist.push(z)
     bits = lambda a: np.ascontiguousarray(a).view(np.int64)
     for got, want in ((new.u_ring, u), (new.zeta, zeta_u), (new.rho_ring, rho), (new.mu0, mu0),
                       (new.g, g), (new.z, z), (new.hist.buf, hist.buf)):
@@ -251,7 +252,8 @@ def test_coupled_step_equals_its_unfused_composition():
     g_a = solve_velocity(rho_a, mu0_a, u_a, zeta_a, src.ddt(sg.x, t), eps, sg, ag.w)
     hist_a = copy.deepcopy(old.hist)  # its age-ordered snapshots, anchors of the ages j >= 1
     rhs_a = np.einsum("j,xj,xj->x", ag.w[1:], rho_a[:, 1:], age_order(hist_a)[:, :-1])
-    z_a = advance_position(rhs_a, mu0_a - ag.w[0] * rho_a[:, 0], hist_a, eps, sg, src(sg.x, t))
+    z_a = solve_balance(rhs_a, mu0_a - ag.w[0] * rho_a[:, 0], eps, sg, src(sg.x, t))
+    hist_a.push(z_a)
     assert np.array_equal(new.u, u_a)
     for got, want in ((new.rho, rho_a), (new.mu0, mu0_a), (new.g, g_a), (new.z, z_a)):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -285,38 +287,50 @@ def full_step(st, src, rate, eps, sg, ag):
     return coupled_step(st, src, rate, eps, sg, ag)
 
 
-@pytest.mark.parametrize("load, velocity_solves", [("constant(10000.0)", 0), ("linear_in_t(10000.0, 1000000.0)", 5)])
-def test_torn_off_step_shortcuts_change_no_bit(monkeypatch, load, velocity_solves):
+# S = 1e4 + 1e6 max(t - 3.25e-4, 0): constant until 3.25e-4, growing after
+GROWING_LATE = SourceModel(
+    fn=lambda x, t: np.full_like(x, 1e4 + 1e6 * max(t - 3.25e-4, 0.0)),
+    dfn=lambda x, t: np.full_like(x, 1e6 if t >= 3.25e-4 else 0.0),
+)
+
+
+@pytest.mark.parametrize("load, velocity_solves, calm", [
+    pytest.param(SourceModel(*presets.source_fns("constant(10000.0)")), 0, [30, 31, 32, 33, 34],
+                 id="constant(10000.0)-0"),
+    pytest.param(SourceModel(*presets.source_fns("linear_in_t(10000.0, 1000000.0)")), 5, [0] * 5,
+                 id="linear_in_t(10000.0, 1000000.0)-5"),
+    pytest.param(GROWING_LATE, 3, [30, 31, 0, 0, 0], id="growing_from_3.25e-4-3"),
+])
+def test_torn_off_step_shortcuts_change_no_bit(monkeypatch, load, velocity_solves, calm):
     # after the tear-off g is exactly 0: under a constant load every step
-    # is calm and takes the shortcuts, under a growing load none is; with
-    # the quiet flag cleared (no_load, and full through full_step) no step
-    # is calm, so each forms the load and solves.  A live cohort
-    # with a frozen stretch, planted right after the tear-off, keeps the
-    # run off the birth ring, so every step here is a cohort step
+    # is calm and takes the shortcuts, under a growing load none is, and
+    # under a load that starts to grow at the third step the first two are
+    # calm and the third, the first step that is not calm after a calm
+    # stretch, forms the load and solves, as do the two after it; full
+    # (quiet cleared by full_step) is never calm.  A live cohort with a
+    # frozen stretch, planted right after the tear-off, keeps the run off
+    # the birth ring, so every step here is a cohort step
     vcfg = validate_quiet(detachment_config(nx=24, final_time=3e-4))
     sg, ag, _ = build_grids(vcfg)
     rate, eps = vcfg.rate_model, vcfg.epsilon
-    src = SourceModel(*presets.source_fns(load))
     plant = lambda n, st: plant_frozen_stretch(st, rate, ag, (st.hist.head + 1) % st.hist.depth) if n == 1 else None
     st = run_coupled(vcfg, diag_stride=0, observers=[plant]).final
     assert st.quiet and not np.any(st.g) and st.hist.head != 0 and not isinstance(st.ring, BirthRing)
-    no_load, full = copy.deepcopy(st), copy.deepcopy(st)
-    solves = []
+    full = copy.deepcopy(st)
+    solves, calms = [], []
     solve = elliptic.solve
     monkeypatch.setattr(elliptic, "solve", lambda *a: solves.append(1) or solve(*a))
     for _ in range(5):
-        st = coupled_step(st, src, rate, eps, sg, ag)
+        st = coupled_step(st, load, rate, eps, sg, ag)
         assert not isinstance(st.ring, BirthRing)
-    assert len(solves) == 5 + velocity_solves
+        calms.append(st.calm)
+    assert calms == calm and len(solves) == 5 + velocity_solves
     for _ in range(5):
-        no_load.quiet = False
-        no_load = coupled_step(no_load, src, rate, eps, sg, ag)
-        full = full_step(full, src, rate, eps, sg, ag)
-    for other in (no_load, full):
-        for f in ("rho_ring", "u_ring", "zeta", "mu0", "g", "z"):
-            assert np.array_equal(bits(getattr(st, f)), bits(getattr(other, f))), f
-        assert np.array_equal(bits(st.hist.buf), bits(other.hist.buf))
-        assert st.t == other.t and st.hist.head == other.hist.head
+        full = full_step(full, load, rate, eps, sg, ag)
+    for f in ("rho_ring", "u_ring", "zeta", "mu0", "g", "z"):
+        assert np.array_equal(bits(getattr(st, f)), bits(getattr(full, f))), f
+    assert np.array_equal(bits(st.hist.buf), bits(full.hist.buf))
+    assert st.t == full.t and st.hist.head == full.hist.head
 
 
 def torn_off(nx=24, a_max=0.5):

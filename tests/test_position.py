@@ -12,9 +12,9 @@ from linkages.grids import AgeGrid, SpaceGrid, build_grids
 from linkages.kinetics import BirthRing, CohortRing, init_density, limit_density, renew, survival
 from linkages.position import (
     PositionHistory,
-    advance_position,
     initial_position,
     sample_past,
+    solve_balance,
 )
 from linkages import presets, simulate
 from linkages.cli import coupled_config
@@ -252,8 +252,9 @@ def test_time_dependent_rate_matches_survival_every_step(monkeypatch):
         cohorts.surv = survival(rate.zeta_field(sg.x, ag.a, (n - 1) * ts.dt), ag)
         m, integral = cohorts.sums()
         births, _ = renew(rate.beta_values(sg.x, n * ts.dt), m, ag.w[0])
-        traj.append(advance_position(integral, m, hist, vcfg.epsilon, sg))
-        cohorts.push(births, traj[-1])
+        traj.append(solve_balance(integral, m, vcfg.epsilon, sg))
+        hist.push(traj[-1])
+        cohorts.push(births)
     assert np.array_equal(res.final_rho, cohorts.density())
     assert np.array_equal(res.trajectory, np.asarray(traj))
 
