@@ -50,13 +50,14 @@ other live cohort steps by c too (each lane of the survival ring is c or
 its density is 0) and c^na does not underflow, the coupled step is the
 weak step with an off-rate the same at every age: the density goes on a
 kinetics.BirthRing in c mode, O(nx) a step (the births in the cohort
-ring's buffer, w_j c^j in surv's, B z and the density a record reads in
-the load buffer).  Once true, that stays true while the run stays calm, as
-a calm step sets only the age-one column to c and a zero lane stays zero;
-so it is tested at the first calm step in a row and, refused, once every
-ring period after.  A step that is not calm rebuilds the cohort ring in
-the load buffer and forms every survival factor afresh.  The ring's sums
-round in another order: the outputs move in the last bits.
+ring's buffer, w_j c^j in surv's, B z, the density a record reads and
+riccati_p's lanes in the load buffer).  Once true, that stays true while
+the run stays calm, as a calm step sets only the age-one column to c and
+a zero lane stays zero; so it is tested at the first calm step in a row
+and, refused, once every ring period after.  A step that is not calm
+rebuilds the cohort ring in the load buffer and forms every survival
+factor afresh.  The ring's sums round in another order: the outputs move
+in the last bits.
 """
 
 import math
@@ -232,3 +233,25 @@ def riccati_bound(rho, u, zeta_u, rate, source, final_time, eps, sgrid, w, work)
         h = OMEGA * dS_norm * (2.0 * rate.zeta_lip * q0 + zeta_u[0, 0])
         return riccati_gamma2(p0, gamma1, h, eps), dS_norm
     return max(p0, OMEGA * dS_norm), dS_norm
+
+
+def riccati_p(st, sgrid, agrid):
+    """The Riccati quantity p = int int zeta(u)|u| rho dx da of the coupled state st, formed in st.load.
+
+    No step reads the load buffer between steps.  On a cohort ring the
+    lanes and sums are those of diagnostics.stretch_integrals, so p has its
+    bits.  On the birth ring the density is not formed: zeta(u)|u| B is
+    read against w_j C_j over ages j >= 1 (the head's two slices, as the
+    ring's lagged sums are read) and w_0 B at age 0.
+    """
+    ring, head, wx = st.ring, st.hist.head, sgrid.quad_weights()
+    lanes = np.abs(st.u_ring, out=st.load)
+    if isinstance(ring, CohortRing):
+        lanes *= ring.rho
+        lanes *= st.zeta
+        return float((lanes @ cohort_weights(agrid.w, head)) @ wx)
+    lanes *= st.zeta
+    lanes *= ring.births
+    (p,) = ring._read(ring.wC, (lanes,), (head + 1) % st.hist.depth)
+    p += agrid.w[0] * lanes[:, head]
+    return float(p @ wx)

@@ -340,7 +340,9 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
     should never engage (it is recorded if it does).  A calm stretch of
     the run -- zero velocity, zero load, dS/dt = 0, as after the tear-off
     of run_detachment -- steps on a birth ring in O(nx) a step where every
-    live cohort decays at the unstretched rate (see coupled).
+    live cohort decays at the unstretched rate (see coupled).  Every
+    diag_stride levels a record is formed, and its p above the Riccati
+    bound gamma2 is a soft flag.
     """
     sgrid, agrid, ts, rho, z, hist = _start(vcfg)
     rate, src, eps = vcfg.rate_model, vcfg.source, vcfg.epsilon
@@ -385,8 +387,7 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
             truncated=st.truncated,
         )
         records.append(rec)
-        if rec.p > gamma2 * (1.0 + 1e-9):
-            soft_flags.append(f"riccati monitor: p={rec.p:.6g} > gamma2={gamma2:.6g} at t={st.t:g}")
+        soft_flags.extend(_riccati_flags([(st.t, rec.p)], gamma2))
 
     state = march(state, step, ts.n_steps, [guard, track, record, *observers])
 
@@ -408,6 +409,13 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
     )
 
 
+def _riccati_flags(monitor, gamma2):
+    """The soft flags of the monitored (t, p) pairs whose p is above the Riccati bound gamma2, in their order."""
+    return [
+        f"riccati monitor: p={p:.6g} > gamma2={gamma2:.6g} at t={t:g}" for t, p in monitor if p > gamma2 * (1.0 + 1e-9)
+    ]
+
+
 MU0_PLOT_FLOOR = 1e-8  # log-scale clip for population plot data
 
 DETACHMENT_TIMES = (1e-4, 2e-4, 3e-4)
@@ -419,13 +427,24 @@ def run_detachment(vcfg):
     Returns the coupled run result plus the final-time region split
     (flanks where the on-rate is live, the detached middle where it is not);
     regions are taken over interior nodes.  A final time before the last
-    snapshot time is a ConfigError, raised before the run.
+    snapshot time is a ConfigError, raised before the run.  No record is
+    formed (res.records is empty): every 10 levels an observer forms only
+    the Riccati monitor p (coupled.riccati_p), and its flags are those
+    run_coupled would give with diag_stride=10.
     """
     if vcfg.final_time < max(DETACHMENT_TIMES):
         where = f"final_time={vcfg.final_time:g} < {max(DETACHMENT_TIMES):g}"
         raise ConfigError([HypothesisViolation("detachment snapshot times", where)])
-    res = run_coupled(vcfg, diag_stride=10, snapshot_times=DETACHMENT_TIMES + (vcfg.final_time,))
-    sgrid, _, _ = build_grids(vcfg)
+    sgrid, agrid, _ = build_grids(vcfg)
+    monitor = []
+
+    def riccati(n, st):
+        if n % 10 == 0:  # the levels of run_coupled's records at diag_stride=10
+            monitor.append((st.t, cp.riccati_p(st, sgrid, agrid)))
+
+    res = run_coupled(vcfg, diag_stride=0, snapshot_times=DETACHMENT_TIMES + (vcfg.final_time,), observers=[riccati])
+    # the flag condition does not depend on time order: the riccati flags come first, as run_coupled's records give them
+    res.soft_flags[:0] = _riccati_flags(monitor, res.gamma2)
     z_final = res.final.z
     beta_final = vcfg.rate_model.beta_values(sgrid.x, res.final.t, z=z_final)
     interior = np.zeros(z_final.size, dtype=bool)

@@ -21,10 +21,10 @@ from linkages.coupled import (
 from linkages.diagnostics import elongation_from_history, stretch_integrals
 from linkages.errors import NonpositiveGamma1
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
-from linkages.kinetics import BirthRing, decay, init_density
+from linkages.kinetics import BirthRing, cohort_weights, decay, init_density
 from linkages.position import PositionHistory, sample_past, solve_balance
-from linkages import elliptic, presets
-from linkages.simulate import run_coupled, run_detachment
+from linkages import coupled, diagnostics, elliptic, presets
+from linkages.simulate import DETACHMENT_TIMES, run_coupled, run_detachment
 from oracles import age_order, moment, mu_ode_residual
 
 EPS = 0.05
@@ -573,12 +573,71 @@ def test_riccati_monitor_stays_below_bound():
     assert not res.ever_truncated
 
 
-def test_detachment_bound_is_the_level_zero_p():
+def test_detachment_bound_is_the_level_zero_p(monkeypatch):
     # gamma2 = max(p0, root) is p0 here and the tear-off only lowers p: the
-    # level-0 record's p, formed by the same pass as p0, is the bound itself
+    # level-0 p, formed by the same lanes and sums as p0, is the bound itself
+    p, riccati_p = [], coupled.riccati_p
+    monkeypatch.setattr(coupled, "riccati_p", lambda *args: p.append(riccati_p(*args)) or p[-1])
     res = run_detachment(validate_quiet(detachment_config(nx=24, final_time=6e-4)))
-    assert res.gamma2 == res.records[0].p == max(rec.p for rec in res.records)
+    assert len(p) == 7  # levels 0, 10, ..., 60
+    assert res.gamma2 == p[0] == max(p)
     assert not res.soft_flags
+
+
+@pytest.mark.parametrize("load, gamma2", [("constant(10000.0)", 1e6), ("constant(10.0)", 30.0)], ids=["tear_off", "steady"])
+def test_detachment_riccati_flags_are_those_of_the_records(monkeypatch, load, gamma2):
+    # gamma2 below some monitored p: run_detachment's monitor flags the same
+    # levels, with the same text and in the same order, as run_coupled's
+    # records every 10 levels.  The tear-off is on the birth ring from its
+    # first calm step, the steady run on the cohort ring throughout
+    bound = coupled.riccati_bound
+    monkeypatch.setattr(coupled, "riccati_bound", lambda *args: (gamma2, bound(*args)[1]))
+    vcfg = validate_quiet(detachment_config(nx=8, final_time=3e-4, source=SourceModel(*presets.source_fns(load))))
+    got = run_detachment(vcfg)
+    want = run_coupled(vcfg, diag_stride=10, snapshot_times=DETACHMENT_TIMES + (vcfg.final_time,))
+    assert got.soft_flags and got.soft_flags == want.soft_flags
+    assert isinstance(got.final.ring, BirthRing) == (load == "constant(10000.0)")
+
+
+def test_riccati_p_on_the_birth_ring_is_the_stretch_pass_at_every_head():
+    # every live lane of a calm ring has u = 0, so p = 0 there; a stretch and
+    # an off-rate planted on a copy of each level's state check the ring's
+    # read of p against the records' pass over the density, at every head
+    vcfg = validate_quiet(detachment_config(nx=8, a_max=0.2, final_time=5e-4))
+    sgrid, agrid, _ = build_grids(vcfg)
+    rng, heads = np.random.default_rng(0), set()
+    work = (np.empty((sgrid.n_nodes, agrid.n_nodes)), np.empty((sgrid.n_nodes, agrid.n_nodes)))
+
+    def check(n, st):
+        if not isinstance(st.ring, BirthRing):
+            return
+        s = copy.deepcopy(st)
+        s.u_ring[...] = rng.standard_normal(s.u_ring.shape)
+        s.zeta = rng.random(s.zeta.shape)
+        w = cohort_weights(agrid.w, s.hist.head)
+        want = stretch_integrals(s.rho_ring.copy(), s.u_ring, s.zeta, sgrid, w, work)[1]
+        assert coupled.riccati_p(s, sgrid, agrid) == pytest.approx(want, rel=1e-13, abs=0.0)
+        heads.add(s.hist.head)
+
+    run_coupled(vcfg, diag_stride=0, observers=[check])
+    assert heads == set(range(agrid.n_nodes))
+
+
+def test_detachment_forms_no_record(monkeypatch):
+    # the Riccati monitor is the only thing detachment reads of a level: no
+    # record, and one stretch pass, riccati_bound's at level 0
+    records, passes = [], []
+    record, stretch = diagnostics.record, diagnostics.stretch_integrals
+
+    def counted_stretch(*args):
+        passes.append(1)
+        return stretch(*args)
+
+    monkeypatch.setattr(diagnostics, "record", lambda *args, **kw: records.append(1) or record(*args, **kw))
+    monkeypatch.setattr(diagnostics, "stretch_integrals", counted_stretch)
+    monkeypatch.setattr(coupled, "stretch_integrals", counted_stretch)
+    res = run_detachment(validate_quiet(detachment_config(nx=24, final_time=6e-4)))
+    assert records == [] and len(passes) == 1 and res.records == []
 
 
 def test_stability_functional_decays_with_constant_source():

@@ -30,7 +30,9 @@ from linkages import coupled, presets
 from linkages.cli import reference_config
 from linkages.config import PastData, RateModel, SimulationConfig, SourceModel, validate_config
 from linkages.errors import ConfigError
-from linkages.kinetics import BirthRing, CohortRing
+from linkages.diagnostics import stretch_integrals
+from linkages.grids import build_grids
+from linkages.kinetics import BirthRing, CohortRing, cohort_weights
 from linkages.simulate import ENERGY_DECAY_TOL, run_coupled, run_weak
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -229,10 +231,22 @@ def test_tear_off_draw_takes_the_shortcuts_and_the_steady_one_does_not():
 
 
 def coupled_levels(vcfg):
-    """z, mu0 and rho_ring of run_coupled(vcfg) at every level, with the ring's type and head."""
+    """z, mu0, rho_ring and coupled.riccati_p of run_coupled(vcfg) at every level, with the ring's type and head.
+
+    On a cohort ring, p must have the bits of the records' stretch pass.
+    """
+    sgrid, agrid, _ = build_grids(vcfg)
+    work = (np.empty((sgrid.n_nodes, agrid.n_nodes)), np.empty((sgrid.n_nodes, agrid.n_nodes)))
     levels = []
-    run_coupled(vcfg, diag_stride=0, observers=[lambda n, s: levels.append(
-        (s.z.copy(), s.mu0.copy(), s.rho_ring.copy(), type(s.ring), s.hist.head))])
+
+    def keep(n, s):
+        rho, p = s.rho_ring.copy(), coupled.riccati_p(s, sgrid, agrid)
+        if isinstance(s.ring, CohortRing):
+            w = cohort_weights(agrid.w, s.hist.head)
+            assert p == stretch_integrals(s.rho_ring, s.u_ring, s.zeta, sgrid, w, work)[1], f"p at level {n}"
+        levels.append((s.z.copy(), s.mu0.copy(), rho, p, type(s.ring), s.hist.head))
+
+    run_coupled(vcfg, diag_stride=0, observers=[keep])
     return levels
 
 
@@ -251,8 +265,8 @@ def test_calm_ring_matches_the_cohort_path(cfg):
         cohort = coupled_levels(vcfg)
     assert len(ring) == len(cohort)
     for n, (got, want) in enumerate(zip(ring, cohort)):
-        assert want[3] is not BirthRing and got[4] == want[4]
-        for name, a, b in zip(("z", "mu0", "rho_ring"), got, want):
+        assert want[4] is not BirthRing and got[5] == want[5]
+        for name, a, b in zip(("z", "mu0", "rho_ring", "p"), got, want):
             np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13 * np.max(np.abs(b)), err_msg=f"{name} at level {n}")
 
 
