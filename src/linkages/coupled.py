@@ -43,21 +43,20 @@ cohort's stretch moves and the new load is zero in every lane: zeta and u
 are unchanged, rho only shrank, rounding is monotone, so no lane can leave
 zero, and newborn lanes carry u = 0.  So a calm step evaluates zeta on the
 newborn column only and exp on the age-one column (the last step's
-newborns, whose zeta was formed then) only, and takes the velocity 0
+newborns, whose zeta was formed then) only, and keeps its zero velocity
 without forming the load or solving; that changes no bit.  Its cohort of
 age one steps by c = exp(-da*zeta(0)), the newborns' factor.  Where every
 other live cohort steps by c too (each lane of the survival ring is c or
 its density is 0) and c^na does not underflow, the coupled step is the
 weak step with an off-rate the same at every age: the density goes on a
 kinetics.BirthRing in c mode, O(nx) a step (the births in the cohort
-ring's buffer, w_j c^j in surv's, B z, the density a record reads and
-riccati_p's lanes in the load buffer).  Once true, that stays true while
-the run stays calm, as a calm step sets only the age-one column to c and
-a zero lane stays zero; so it is tested at the first calm step in a row
-and, refused, once every ring period after.  A step that is not calm
-rebuilds the cohort ring in the load buffer and forms every survival
-factor afresh.  The ring's sums round in another order: the outputs move
-in the last bits.
+ring's buffer, w_j c^j in surv's, B z and the density a record reads in
+the load buffer).  Once true, that stays true while the run stays calm,
+as a calm step sets only the age-one column to c and a zero lane stays
+zero; so it is tested at the first calm step in a row and, refused, once
+every ring period after.  A step that is not calm rebuilds the cohort
+ring in the load buffer and forms every survival factor afresh.  The
+ring's sums round in another order: the outputs move in the last bits.
 """
 
 import math
@@ -176,7 +175,6 @@ def coupled_step(st, source, rate, eps, sgrid, agrid):
     if calm:
         u[:, new] = 0.0
         st.zeta[:, new] = rate.zeta_of_u(u[:, new])
-        st.g = np.zeros(sgrid.n_nodes)
         if isinstance(st.ring, CohortRing):
             decay(st.zeta[:, old], agrid.da, out=st.surv[:, old])
             if st.calm % hist.depth == 1:  # the first calm step, then once a ring period
@@ -195,7 +193,7 @@ def coupled_step(st, source, rate, eps, sgrid, agrid):
         st.g = solve_velocity(st.ring.rho, st.mu0, u, st.zeta, dSdt, eps, sgrid, w, load=st.load)
         st.quiet = not st.g.any() and not st.load.any() and st.surv.max() <= 1.0
     st.t = t_new
-    st.truncated = bool(np.abs(st.g).max() > k)
+    st.truncated = not calm and bool(np.abs(st.g).max() > k)  # a calm step keeps its zero g, and k > 0
     return st
 
 
@@ -236,22 +234,22 @@ def riccati_bound(rho, u, zeta_u, rate, source, final_time, eps, sgrid, w, work)
 
 
 def riccati_p(st, sgrid, agrid):
-    """The Riccati quantity p = int int zeta(u)|u| rho dx da of the coupled state st, formed in st.load.
+    """The Riccati quantity p = int int zeta(u)|u| rho dx da of the coupled state st.
 
-    No step reads the load buffer between steps.  On a cohort ring the
-    lanes and sums are those of diagnostics.stretch_integrals, so p has its
-    bits.  On the birth ring the density is not formed: zeta(u)|u| B is
-    read against w_j C_j over ages j >= 1 (the head's two slices, as the
-    ring's lagged sums are read) and w_0 B at age 0.
+    A quiet state's p is 0.0, taken without a pass.  quiet is set only by a
+    step that is not calm, where every lane of the load zeta*rho*u was 0; a
+    calm step moves no stretch, shrinks rho by factors at most 1 and writes
+    newborns with u = 0, and rounding is monotone, so a zero lane stays
+    zero.  The birth ring is entered on calm steps only and left on the
+    first that is not, so its states are quiet.  p's lanes (|u|*rho)*zeta,
+    the products in another order, could differ from 0 only at the underflow
+    edge, by a subnormal.  Otherwise p has the lanes, sums and bits of
+    diagnostics.stretch_integrals, formed in st.load, which no step reads
+    between steps.
     """
-    ring, head, wx = st.ring, st.hist.head, sgrid.quad_weights()
+    if st.quiet:
+        return 0.0
     lanes = np.abs(st.u_ring, out=st.load)
-    if isinstance(ring, CohortRing):
-        lanes *= ring.rho
-        lanes *= st.zeta
-        return float((lanes @ cohort_weights(agrid.w, head)) @ wx)
+    lanes *= st.ring.rho
     lanes *= st.zeta
-    lanes *= ring.births
-    (p,) = ring._read(ring.wC, (lanes,), (head + 1) % st.hist.depth)
-    p += agrid.w[0] * lanes[:, head]
-    return float(p @ wx)
+    return float((lanes @ cohort_weights(agrid.w, st.hist.head)) @ sgrid.quad_weights())

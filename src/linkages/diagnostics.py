@@ -15,7 +15,7 @@ A record makes one pass over the age fields: each product is formed once,
 in one of two work buffers that its run allocates once and owns, and reused
 by every integral that needs it.  No record allocates a field.  A run that
 reads only the Riccati monitor p forms no record: coupled.riccati_p forms
-p alone, with the lanes and sums of stretch_integrals on a cohort ring.
+p alone with the lanes and sums of stretch_integrals; a quiet state's is 0.
 """
 
 from dataclasses import dataclass

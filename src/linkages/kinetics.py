@@ -160,7 +160,7 @@ class BirthRing:
         term of age na.  Otherwise both rings are read in full (_read).
         """
         if self.c is None:
-            return self._read(self.wC, (self.births, self.products), self.hist.head)
+            return self._read(self.wC, (self.births, self.products))
         (T, Tq), (b, bz), w = self.lead, self.edge, self.wC[:, -1]
         return T + w * b, Tq + w * bz
 
@@ -173,17 +173,17 @@ class BirthRing:
         else:
             self._lead(head)
 
-    def _read(self, wC, rings, start):
-        """sum_{j>=1} wC[:, j-1] r[:, (start + j - 1) % (na+1)] for each ring r.
+    def _read(self, wC, rings):
+        """sum_{j>=1} wC[:, j-1] r[:, (head + j - 1) % (na+1)] for each ring r.
 
-        start is the head for the lagged sums and the column after it for
-        the ages j >= 1 of level n.  It splits each ring once: the columns
-        from start on and the wrapped columns from 0, each read against its
-        slice of wC with np.vecdot.
+        The head splits each ring once: the columns from head on and the
+        wrapped columns from 0, each read against its slice of wC with
+        np.vecdot.
         """
-        cut = min(wC.shape[1], self.births.shape[1] - start)
+        head = self.hist.head
+        cut = min(wC.shape[1], self.births.shape[1] - head)
         lo, hi = wC[:, :cut], wC[:, cut:]
-        sums = [np.vecdot(lo, r[:, start : start + cut]) for r in rings]
+        sums = [np.vecdot(lo, r[:, head : head + cut]) for r in rings]
         if hi.shape[1]:
             for s, r in zip(sums, rings):
                 s += np.vecdot(hi, r[:, : hi.shape[1]])
@@ -206,7 +206,7 @@ class BirthRing:
         self.edge = b, b * buf[:, tail]
         if fresh or head == 0 or k == 0:  # na = 1: T is 0
             products = np.multiply(self.births, buf, out=self.scratch)
-            self.lead = self._read(wC[:, :k], (self.births, products), head)
+            self.lead = self._read(wC[:, :k], (self.births, products))
             return
         b = self.births[:, head]
         for T, r_tail, r_head in zip(self.lead, self.edge, (b, b * buf[:, head])):

@@ -429,8 +429,8 @@ def run_detachment(vcfg):
     regions are taken over interior nodes.  A final time before the last
     snapshot time is a ConfigError, raised before the run.  No record is
     formed (res.records is empty): every 10 levels an observer forms only
-    the Riccati monitor p (coupled.riccati_p), and its flags are those
-    run_coupled would give with diag_stride=10.
+    the Riccati monitor p (coupled.riccati_p, 0 with no pass once quiet),
+    and its flags are those run_coupled would give with diag_stride=10.
     """
     if vcfg.final_time < max(DETACHMENT_TIMES):
         where = f"final_time={vcfg.final_time:g} < {max(DETACHMENT_TIMES):g}"

@@ -21,7 +21,7 @@ from linkages.coupled import (
 from linkages.diagnostics import elongation_from_history, stretch_integrals
 from linkages.errors import NonpositiveGamma1
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
-from linkages.kinetics import BirthRing, cohort_weights, decay, init_density
+from linkages.kinetics import BirthRing, CohortRing, decay, init_density
 from linkages.position import PositionHistory, sample_past, solve_balance
 from linkages import coupled, diagnostics, elliptic, presets
 from linkages.simulate import DETACHMENT_TIMES, run_coupled, run_detachment
@@ -138,15 +138,20 @@ def test_step_elongation_constant_velocity():
     assert np.all(st.u[[0, -1], :] == 0.0)
 
 
-def test_cancelling_load_lanes_are_not_a_zero_load():
-    # the lanes zeta rho u of two cohorts stretched by +1 and -1 cancel in the
-    # age sum, so g = 0, but the older one reaches the half-weight end cell
-    # next: the load no longer sums to zero, and the step must form it
+def cancelling_lanes():
+    """A bond-free state with two cohorts stretched by +1 and -1, one step on: their load lanes cancel in the age sum."""
     u = np.zeros((SG.n_nodes, AG.n_nodes))
     u[1:-1, AG.na - 2], u[1:-1, 5] = 1.0, -1.0
     st, rate = bond_free(AG, u)
     st.rho_ring[1:-1, AG.na - 2] = st.rho_ring[1:-1, 5] = 0.25
-    st = coupled_step(st, None, rate, EPS, SG, AG)
+    return coupled_step(st, None, rate, EPS, SG, AG), rate
+
+
+def test_cancelling_load_lanes_are_not_a_zero_load():
+    # the lanes zeta rho u of two cohorts stretched by +1 and -1 cancel in the
+    # age sum, so g = 0, but the older one reaches the half-weight end cell
+    # next: the load no longer sums to zero, and the step must form it
+    st, rate = cancelling_lanes()
     assert np.all(st.g == 0.0) and not st.quiet
     st = coupled_step(st, None, rate, EPS, SG, AG)
     assert np.all(st.g[1:-1] < 0.0)
@@ -599,28 +604,21 @@ def test_detachment_riccati_flags_are_those_of_the_records(monkeypatch, load, ga
     assert isinstance(got.final.ring, BirthRing) == (load == "constant(10000.0)")
 
 
-def test_riccati_p_on_the_birth_ring_is_the_stretch_pass_at_every_head():
-    # every live lane of a calm ring has u = 0, so p = 0 there; a stretch and
-    # an off-rate planted on a copy of each level's state check the ring's
-    # read of p against the records' pass over the density, at every head
-    vcfg = validate_quiet(detachment_config(nx=8, a_max=0.2, final_time=5e-4))
-    sgrid, agrid, _ = build_grids(vcfg)
-    rng, heads = np.random.default_rng(0), set()
-    work = (np.empty((sgrid.n_nodes, agrid.n_nodes)), np.empty((sgrid.n_nodes, agrid.n_nodes)))
-
-    def check(n, st):
-        if not isinstance(st.ring, BirthRing):
-            return
-        s = copy.deepcopy(st)
-        s.u_ring[...] = rng.standard_normal(s.u_ring.shape)
-        s.zeta = rng.random(s.zeta.shape)
-        w = cohort_weights(agrid.w, s.hist.head)
-        want = stretch_integrals(s.rho_ring.copy(), s.u_ring, s.zeta, sgrid, w, work)[1]
-        assert coupled.riccati_p(s, sgrid, agrid) == pytest.approx(want, rel=1e-13, abs=0.0)
-        heads.add(s.hist.head)
-
-    run_coupled(vcfg, diag_stride=0, observers=[check])
-    assert heads == set(range(agrid.n_nodes))
+def test_riccati_p_of_a_quiet_state_is_zero_without_a_pass():
+    # right after the tear-off (a cohort ring) and on the birth ring of the
+    # first calm step the state is quiet: p is 0.0 and the load buffer,
+    # sentinel-filled, is not written.  The cancelling lanes have g = 0 but
+    # a state that is not quiet, and p is formed there
+    st, rate, eps, sg, ag = torn_off()
+    src = SourceModel(*presets.source_fns("constant(10000.0)"))
+    for ring in (CohortRing, BirthRing):
+        assert st.quiet and type(st.ring) is ring
+        st.load[...] = 7.0
+        assert coupled.riccati_p(st, sg, ag) == 0.0 and np.all(st.load == 7.0)
+        st = coupled_step(st, src, rate, eps, sg, ag)
+    st = cancelling_lanes()[0]
+    assert np.all(st.g == 0.0) and not st.quiet
+    assert coupled.riccati_p(st, SG, AG) > 0.0
 
 
 def test_detachment_forms_no_record(monkeypatch):

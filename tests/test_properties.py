@@ -234,6 +234,8 @@ def coupled_levels(vcfg):
     """z, mu0, rho_ring and coupled.riccati_p of run_coupled(vcfg) at every level, with the ring's type and head.
 
     On a cohort ring, p must have the bits of the records' stretch pass.
+    On a quiet level, either ring, that pass over the built density must
+    give exactly 0.0, the p that riccati_p takes there without a pass.
     """
     sgrid, agrid, _ = build_grids(vcfg)
     work = (np.empty((sgrid.n_nodes, agrid.n_nodes)), np.empty((sgrid.n_nodes, agrid.n_nodes)))
@@ -241,9 +243,11 @@ def coupled_levels(vcfg):
 
     def keep(n, s):
         rho, p = s.rho_ring.copy(), coupled.riccati_p(s, sgrid, agrid)
+        w = cohort_weights(agrid.w, s.hist.head)
         if isinstance(s.ring, CohortRing):
-            w = cohort_weights(agrid.w, s.hist.head)
             assert p == stretch_integrals(s.rho_ring, s.u_ring, s.zeta, sgrid, w, work)[1], f"p at level {n}"
+        if s.quiet:
+            assert stretch_integrals(rho, s.u_ring, s.zeta, sgrid, w, work)[1] == 0.0, f"p of quiet level {n}"
         levels.append((s.z.copy(), s.mu0.copy(), rho, p, type(s.ring), s.hist.head))
 
     run_coupled(vcfg, diag_stride=0, observers=[keep])
