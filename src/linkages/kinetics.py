@@ -16,7 +16,8 @@ trapezoid weight; that self-reference is solved algebraically (renew),
 
 so the saturation bound mu0 < 1 is preserved exactly.  advance runs one
 level of either model: the ring's sums, renew, the position solve, then the
-history's push and the ring's.
+history's push and the ring's.  Several rings on one age grid (Rows), each
+with its own history and head, step as the rows of one such level.
 
 For an off-rate that ignores t every cohort is its birth value times a
 fixed product, rho^n[:, j] = C_j B^{n-j} (C_j: the survival factors of ages
@@ -87,7 +88,12 @@ def renew(beta_values, m, w0):
 
 
 def advance(ring, beta_values, eps, sgrid, source=None):
-    """One level of density and position on ring (either form), z solving (m - eps Lap_h) z = q + eps S; returns (z, mu0)."""
+    """One level of density and position on ring (either form), z solving (m - eps Lap_h) z = q + eps S; returns (z, mu0).
+
+    On Rows, m, q, z and mu0 have one row per ring, in one renew and one
+    position solve; eps is then a column of scales (shape (rows, 1)), and
+    beta_values and source are rows or broadcast against them.
+    """
     m, q = ring.sums()
     births, mu0 = renew(beta_values, m, ring.agrid.w[0])
     z = solve_balance(q, m, eps, sgrid, source)
@@ -139,10 +145,10 @@ class BirthRing:
     history hist: column hist.head holds level n, the next columns
     (cyclically) the older levels.  wC[:, j-1] = w_j C_j weighs age j >= 1.
     c, if given, is the survival factor of each age cell, C_j = c^j: the
-    lagged sums are then kept as running sums (see _lead), and B z is not
-    stored but formed where it is read, at two columns a step or, for a
-    full read, in scratch (a field-sized buffer, made if not given).  The
-    ring may be built at any head of hist.
+    lagged sums are then kept as running sums in acc (see _roll), and B z
+    is not stored but formed where it is read, at two columns a step or,
+    for a full read, in scratch (a field-sized buffer, made if not given).
+    The ring may be built at any head of hist.
     """
 
     def __init__(self, wC, births, hist, agrid, c=None, scratch=None):
@@ -151,18 +157,22 @@ class BirthRing:
             self.products = births * hist.buf
         else:
             self.scratch = np.empty_like(births) if scratch is None else scratch
-            self._lead(hist.head, fresh=True)
+            # the weights of _lagged and _roll: w_na C_na, w_{na-1} C_{na-1}, c and w_1 C_1
+            self.coef = (wC[:, -1], wC[:, wC.shape[1] - 2], c, wC[:, 0])
+            # the running sums T, the edge and the head, each of B and of B z
+            self.acc = np.empty((3, 2, births.shape[0]))
+            self._edge()
+            self._reread()
 
     def sums(self):
         """m = sum_{j>=1} w_j C_j B^{n+1-j} and q, the same sum over the ring of B z.
 
-        With c, each is its running sum over j < na (see _lead) plus the
-        term of age na.  Otherwise both rings are read in full (_read).
+        With c, each is its running sum over j < na plus the term of age na
+        (_lagged).  Otherwise both rings are read in full (_read).
         """
         if self.c is None:
             return self._read(self.wC, (self.births, self.products))
-        (T, Tq), (b, bz), w = self.lead, self.edge, self.wC[:, -1]
-        return T + w * b, Tq + w * bz
+        return _lagged(self.acc, self.coef[0])
 
     def push(self, births):
         """Write B (and B z, z read off the history) of the new level into column hist.head, which the history's push took."""
@@ -170,8 +180,12 @@ class BirthRing:
         self.births[:, head] = births
         if self.c is None:
             self.products[:, head] = births * self.hist.buf[:, head]
+        elif self._edge():
+            self._reread()
         else:
-            self._lead(head)
+            self.acc[2, 0] = births
+            np.multiply(births, self.hist.buf[:, head], out=self.acc[2, 1])
+            _roll(self.acc, self.coef)
 
     def _read(self, wC, rings):
         """sum_{j>=1} wC[:, j-1] r[:, (head + j - 1) % (na+1)] for each ring r.
@@ -189,31 +203,23 @@ class BirthRing:
                 s += np.vecdot(hi, r[:, : hi.shape[1]])
         return sums
 
-    def _lead(self, head, fresh=False):
-        """The running sums T = sum_{j=1}^{na-1} w_j C_j B^{n+1-j} of both rings at head (level n).
+    def _edge(self):
+        """B and B z of level n+1-na, which the next sums weigh by w_na C_na, into acc[1]; each B z has the bits of a stored product.
 
-        With C_j = c^j and equal interior weights, T follows from that of
-        level n-1 as c (T - w_{na-1} C_{na-1} B^{n+1-na}) + w_1 C_1 B^n in O(nx).
-        When the ring is built, and each time the head comes back to 0, T is
-        read afresh (_read, B z formed in scratch), which bounds the
-        rounding to one ring period.  edge keeps B and B z of level
-        n+1-na, which the next sums weigh by w_na C_na; each B z has the
-        bits of a stored product.
+        True where the running sums are read afresh (_reread) instead of
+        rolled (_roll): at head 0, and with na = 1, where T is 0.
         """
-        k, wC, buf = self.wC.shape[1] - 1, self.wC, self.hist.buf
+        head, k = self.hist.head, self.wC.shape[1] - 1
         tail = (head + k) % self.births.shape[1]  # level n+1-na
         b = self.births[:, tail]
-        self.edge = b, b * buf[:, tail]
-        if fresh or head == 0 or k == 0:  # na = 1: T is 0
-            products = np.multiply(self.births, buf, out=self.scratch)
-            self.lead = self._read(wC[:, :k], (self.births, products))
-            return
-        b = self.births[:, head]
-        for T, r_tail, r_head in zip(self.lead, self.edge, (b, b * buf[:, head])):
-            T -= wC[:, k - 1] * r_tail
-            T *= self.c
-            T += wC[:, 0] * r_head
-        np.maximum(self.lead[0], 0.0, out=self.lead[0])  # a lane dying out leaves no residue below 0
+        self.acc[1, 0] = b
+        np.multiply(b, self.hist.buf[:, tail], out=self.acc[1, 1])
+        return head == 0 or k == 0
+
+    def _reread(self):
+        """The running sums T of both rings read afresh (_read, B z formed in scratch), which bounds the rounding to one ring period."""
+        products = np.multiply(self.births, self.hist.buf, out=self.scratch)
+        self.acc[0] = self._read(self.wC[:, :-1], (self.births, products))
 
     def density(self):
         """rho^n[:, j] = C_j B^{n-j} in age order."""
@@ -237,7 +243,7 @@ class BirthRing:
         return rho
 
 
-def birth_ring(rho, surv, hist, agrid, scratch=None):
+def birth_ring(rho, surv, hist, agrid, scratch=None, wC=None):
     """BirthRing of the density rho, a cohort ring at the head of hist (age order at head 0).
 
     surv, the survival factor of every step in age order, is consumed: it
@@ -246,7 +252,9 @@ def birth_ring(rho, surv, hist, agrid, scratch=None):
     subnormal, or a birth value rho / C_j that may overflow.  Where every
     column of surv equals the first (an off-rate the same at every age),
     the ring takes c = surv[:, 0] and scratch and keeps its lagged sums in
-    O(nx) a step.
+    O(nx) a step.  wC, if given, is the weights that surv gives, formed
+    by a ring of the same off-rate on the same grids; the ring takes it
+    and leaves surv's buffer free (it may then be a block of scratch).
     """
     c = surv[:, 0].copy() if np.all(surv.min(axis=1) == surv.max(axis=1)) else None
     C = np.cumprod(surv, axis=1, out=surv)
@@ -257,8 +265,93 @@ def birth_ring(rho, surv, hist, agrid, scratch=None):
     cut = rho.shape[1] - head
     np.divide(rho[:, head + 1 :], C[:, : cut - 1], out=rho[:, head + 1 :])
     np.divide(rho[:, :head], C[:, cut - 1 :], out=rho[:, :head])
-    C *= agrid.w[1:]
-    return BirthRing(C, rho, hist, agrid, c, scratch)
+    if wC is None:
+        wC = np.multiply(C, agrid.w[1:], out=C)
+    return BirthRing(wC, rho, hist, agrid, c, scratch)
+
+
+def _lagged(acc, w):
+    """m and q of the running sums acc (see _roll): T + w_na C_na (B, B z) of level n+1-na."""
+    s = acc[1] * w
+    s += acc[0]
+    return s[0], s[1]
+
+
+def _roll(acc, coef):
+    """The running sums T = sum_{j=1}^{na-1} w_j C_j B^{n+1-j} of both rings of level n from those of level n-1, in place.
+
+    acc holds T, the edge (B and B z of level n+1-na) and the head (of
+    level n), each of B and of B z: shape (3, 2, nx+2), or (3, 2, rows,
+    nx+2) for Rows; coef holds the weights of BirthRing, one row each for
+    Rows.  With C_j = c^j and equal interior weights,
+    T := c (T - w_{na-1} C_{na-1} edge) + w_1 C_1 head, in O(nx).  The
+    births' sum is clamped at 0: a lane dying out leaves no residue below 0.
+    """
+    _, w_tail, c, w_head = coef
+    T = acc[0]
+    T -= w_tail * acc[1]
+    T *= c
+    T += w_head * acc[2]
+    np.maximum(T[0], 0.0, out=T[0])
+
+
+class _Histories:
+    """The position histories of Rows: push writes row i of z onto history i, and keeps z."""
+
+    def __init__(self, hists):
+        self.hists = hists
+
+    def push(self, z):
+        self.z = z
+        for hist, row in zip(self.hists, z):
+            hist.push(row)
+
+
+class Rows:
+    """Rings on one age grid, each with its own history and head, stepped as the rows of a stack.
+
+    advance takes it as a ring: sums stacks the rings' m and q by row, hist
+    pushes row i of z onto ring i's history and push writes row i of the
+    births into ring i.  Where every ring is a BirthRing with c, their
+    running sums live in one array (each ring's acc a view of it), so that
+    _lagged and _roll make one pass over all rows; each ring still writes
+    its own columns, and reads itself afresh when its head comes back to 0.
+    Otherwise each ring sums and pushes on its own.
+    """
+
+    def __init__(self, rings):
+        self.rings, self.agrid = rings, rings[0].agrid
+        self.hist = _Histories([ring.hist for ring in rings])
+        self.acc = None
+        if all(isinstance(ring, BirthRing) and ring.c is not None for ring in rings):
+            self.acc = np.stack([ring.acc for ring in rings], axis=2)
+            for i, ring in enumerate(rings):
+                ring.acc = self.acc[:, :, i]
+            self.coef = [np.stack(col) for col in zip(*(ring.coef for ring in rings))]
+
+    def sums(self):
+        """m and q of every ring, one row each."""
+        if self.acc is not None:
+            return _lagged(self.acc, self.coef[0])
+        m, q = zip(*(ring.sums() for ring in self.rings))
+        return np.stack(m), np.stack(q)
+
+    def push(self, births):
+        """Write row i of births (and B z) into ring i, after hist's push."""
+        if self.acc is None:
+            for ring, row in zip(self.rings, births):
+                ring.push(row)
+            return
+        fresh = []
+        for ring, row in zip(self.rings, births):
+            ring.births[:, ring.hist.head] = row
+            fresh.append(ring._edge())
+        self.acc[2, 0] = births
+        np.multiply(births, self.hist.z, out=self.acc[2, 1])
+        _roll(self.acc, self.coef)
+        for ring, reread in zip(self.rings, fresh):
+            if reread:  # rolled with the others, then read afresh
+                ring._reread()
 
 
 @dataclass

@@ -62,16 +62,18 @@ def delay_quadrature(w, rho, Z):
 def solve_balance(integral, coeff, eps, sgrid, f=None):
     """Solve the balance (coeff - eps Lap_h) x = integral + eps f.
 
-    integral, coeff and f (or None) are full-grid values.  coeff, a
-    population (mu0 - w0 rho(., 0) for the position, mu0 for the velocity),
-    is clamped at 0; a value below -1e-12 is a kinetics bug.
+    integral, coeff and f (or None) are full-grid values, or rows of them
+    with eps one scale per row (shape (rows, 1)), solved in one
+    elliptic.solve.  coeff, a population (mu0 - w0 rho(., 0) for the
+    position, mu0 for the velocity), is clamped at 0, which is its one sign
+    check; a value below -1e-12 is a kinetics bug.
     """
     if coeff.min() < -1e-12:
         raise DegenerateOperator(f"negative population coefficient {coeff.min():g}: kinetics bug")
-    rhs = integral[1:-1]
+    rhs = integral[..., 1:-1]
     if f is not None:
-        rhs = rhs + eps * np.asarray(f)[1:-1]
-    return elliptic.solve(np.maximum(coeff[1:-1], 0.0), eps, rhs, sgrid)
+        rhs = rhs + eps * np.asarray(f)[..., 1:-1]
+    return elliptic.solve(np.maximum(coeff[..., 1:-1], 0.0), eps, rhs, sgrid, True)  # clamped: c >= 0
 
 
 def initial_position(rho_I, zp, eps, sgrid, agrid, source_at_0=None):

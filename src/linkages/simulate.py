@@ -20,7 +20,7 @@ from . import diagnostics as dg
 from .config import with_overrides
 from .errors import ConfigError, HypothesisViolation, NonfiniteValue, RateKindMismatch
 from .grids import build_grids
-from .kinetics import BirthRing, CohortRing, advance, age_profile, birth_ring, cohort_weights, init_density
+from .kinetics import BirthRing, CohortRing, Rows, advance, age_profile, birth_ring, cohort_weights, init_density
 from .kinetics import limit_density, survival
 from .limit import step_limit
 from .position import PositionHistory, initial_position, sample_past
@@ -52,30 +52,28 @@ def _source_at(src, x, t):
 
 
 class _Guard:
-    """Observer of the invariants both drivers watch.
+    """The invariant bookkeeping of one run.
 
-    Tracks the range of mu0 (the minimum over mu0[lo]) and the minimum over
-    the stepped levels n >= 1 alone, raises NonfiniteValue when one of the
-    named fields is not finite, and records saturation and a minimum below
-    floor as violations.
+    Called as guard(n, t, lo, hi) with the range [lo, hi] of mu0 at level
+    n (lo over the rows the run checks), it tracks the range of mu0 and the
+    minimum over the stepped levels n >= 1 alone, and records saturation
+    and a minimum below floor as violations.  The drivers check that their
+    fields are finite (NonfiniteValue) before they call it.
     """
 
-    def __init__(self, fields, lo=slice(None), floor=-math.inf):
-        self.fields, self.lo, self.floor = fields, lo, floor
+    def __init__(self, floor=-math.inf):
+        self.floor = floor
         self.mu0_min, self.mu0_max, self.stepped_min = math.inf, -math.inf, math.inf
         self.violations = []
 
-    def __call__(self, n, st):
-        lo, hi = float(st.mu0[self.lo].min()), float(st.mu0.max())
+    def __call__(self, n, t, lo, hi):
         self.mu0_min, self.mu0_max = min(self.mu0_min, lo), max(self.mu0_max, hi)
         if n:
             self.stepped_min = min(self.stepped_min, lo)
-        if not all(np.isfinite(getattr(st, f)).all() for f in self.fields):
-            raise NonfiniteValue(f"non-finite {'/'.join(self.fields)} at t={st.t:g}")
         if hi > 1.0 - SATURATION_TOL:
-            self.violations.append(f"saturation: mu0 = {hi:.17g} at t={st.t:g}")
+            self.violations.append(f"saturation: mu0 = {hi:.17g} at t={t:g}")
         if lo < self.floor:
-            self.violations.append(f"population floor: mu0 = {lo:.6g} < {self.floor:.6g} at t={st.t:g}")
+            self.violations.append(f"population floor: mu0 = {lo:.6g} < {self.floor:.6g} at t={t:g}")
 
 
 def _start(vcfg):
@@ -130,6 +128,82 @@ class WeakRunResult(_RunResult):
     final_rho: np.ndarray
 
 
+class _WeakRun:
+    """One weak run: its grids, rates and load, its state at level n and its guard.
+
+    A rate that declares it ignores t is sampled once.  Such an off-rate
+    is stepped on birth values (kinetics.BirthRing) unless birth_ring
+    refuses the data; the others on the density (kinetics.CohortRing).
+    Level 0 is checked when the run is built.  zeta, the off-rate field at
+    t = 0, and with a birth ring in c mode its full-read buffer scratch and
+    its weights wC, may be those of a run of the same configuration but
+    for epsilon, which then shares them: no step writes them, and the
+    survival factor that birth_ring consumes is formed in scratch.
+    """
+
+    def __init__(self, vcfg, zeta=None, scratch=None, wC=None):
+        sgrid, agrid, ts, rho, z, hist = _start(vcfg)
+        rate = vcfg.rate_model
+        self.sgrid, self.agrid, self.rate, self.src, self.eps = sgrid, agrid, rate, vcfg.source, vcfg.epsilon
+        self.dt, self.n_steps, self.n = ts.dt, ts.n_steps, 0
+        mu0 = rho @ agrid.w
+        # discrete analogue of the population floor min(mu0(0), beta_m/(beta_m+zeta_M))
+        self.lower_bound = min(float(np.min(mu0)), rate.beta_m / (rate.beta_m + rate.zeta_M)) - 10.0 * agrid.da
+        zeta = rate.zeta_field(sgrid.x, agrid.a, 0.0) if zeta is None else zeta
+        self.fixed = is_time_invariant(rate.zeta)
+        # either ring takes over the buffers of rho and of the survival factor
+        out = None if wC is None else scratch.reshape(-1)[: wC.size].reshape(wC.shape)
+        ring = self.fixed and birth_ring(rho, survival(zeta, agrid, out), hist, agrid, scratch, wC)
+        ring = ring or CohortRing(rho, survival(zeta, agrid), hist, agrid)
+        self.state = WeakState(t=0.0, z=z, hist=hist, zeta=zeta, mu0=mu0, ring=ring)
+        self.beta0 = rate.beta_values(sgrid.x, 0.0) if is_time_invariant(rate.beta) else None
+        self.guard = _Guard(floor=self.lower_bound)
+        _check([self], z[None], mu0[None])
+
+    def beta_at(self, t):
+        return self.beta0 if self.beta0 is not None else self.rate.beta_values(self.sgrid.x, t)
+
+
+def _check(runs, z, mu0):
+    """The guards of runs on their levels, z and mu0 stacked one row a run: the reductions run once over the stack."""
+    if not np.isfinite(z).all():
+        t = next(r.state.t for r, row in zip(runs, z) if not np.isfinite(row).all())
+        raise NonfiniteValue(f"non-finite z at t={t:g}")
+    for r, lo, hi in zip(runs, mu0.min(axis=1).tolist(), mu0.max(axis=1).tolist()):
+        r.guard(r.n, r.state.t, lo, hi)
+
+
+def _weak_step(runs, rows, eps):
+    """Advance each of runs, which differ in epsilon alone, one level, as the rows of one step.
+
+    rows is kinetics.Rows over their rings and eps their scale, a column
+    of them for several runs.  One kinetics.advance steps them all; the
+    on-rate and the load are sampled at each run's own t, and each run's
+    off-rate, state and guard are its own.  For one run this is run_weak's
+    step.
+    """
+    first, x = runs[0], runs[0].sgrid.x
+    for r in runs:
+        r.n += 1
+        r.state.t = r.n * r.dt  # n*dt, not an accumulated t + dt: the two differ in the last bits
+
+    def at_each_t(fn):
+        if len(runs) == 1:
+            return fn(first.state.t)
+        return np.stack([np.broadcast_to(fn(r.state.t), x.shape) for r in runs])
+
+    beta = first.beta0 if first.beta0 is not None else at_each_t(first.beta_at)
+    src = at_each_t(lambda t: first.src(x, t)) if first.src is not None else None
+    z, mu0 = advance(rows, beta, eps, first.sgrid, src)
+    for r, z_row, mu0_row in zip(runs, z, mu0):
+        st = r.state
+        st.z, st.mu0, st._rho = z_row, mu0_row, None
+        if not r.fixed:  # the survival of the next step, read at t
+            st.zeta = r.rate.zeta_field(x, r.agrid.a, st.t)
+            survival(st.zeta, r.agrid, out=st.ring.surv)
+    _check(runs, z, mu0)
+
+
 def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     """March the weakly coupled system to the final time.
 
@@ -138,49 +212,28 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     per-step energy and stability decays are checked and any breach is
     recorded as a hard violation.  observers are called as obs(n, state)
     with the WeakState at every level, after the built-in ones (see march).
-    A rate that declares it ignores t is sampled once.  Such an off-rate
-    is stepped on birth values (kinetics.BirthRing) unless birth_ring
-    refuses the data; the others on the density (kinetics.CohortRing).  On
-    birth values an off-rate the same at every age (every constant preset)
-    costs O(nx) a step, with one full read of the rings each time their
-    head comes back to 0; an age-dependent one reads both rings every step.
+    The density steps on the ring of _WeakRun: on birth values an off-rate
+    the same at every age (every constant preset) costs O(nx) a step, with
+    one full read of the rings each time their head comes back to 0; an
+    age-dependent one reads both rings every step.  The step is
+    _weak_step on one row.
     """
-    sgrid, agrid, ts, rho, z, hist = _start(vcfg)
-    rate, src = vcfg.rate_model, vcfg.source
-    eps, dt = vcfg.epsilon, ts.dt
-    mu0 = rho @ agrid.w
-    # discrete analogue of the population floor min(mu0(0), beta_m/(beta_m+zeta_M))
-    lower_bound = min(float(np.min(mu0)), rate.beta_m / (rate.beta_m + rate.zeta_M)) - 10.0 * agrid.da
-    zeta = rate.zeta_field(sgrid.x, agrid.a, 0.0)
-    fixed = is_time_invariant(rate.zeta)
-    # either ring takes over the buffers of rho and of the survival factor
-    ring = fixed and birth_ring(rho, survival(zeta, agrid), hist, agrid)
-    ring = ring or CohortRing(rho, survival(zeta, agrid), hist, agrid)
-    state = WeakState(t=0.0, z=z, hist=hist, zeta=zeta, mu0=mu0, ring=ring)
-    beta0 = rate.beta_values(sgrid.x, 0.0) if is_time_invariant(rate.beta) else None
-
-    def beta_at(t):
-        return beta0 if beta0 is not None else rate.beta_values(sgrid.x, t)
+    run = _WeakRun(vcfg)
+    sgrid, agrid, rate, src, eps = run.sgrid, run.agrid, run.rate, run.src, run.eps
+    rows, fixed, guard = Rows([run.state.ring]), run.fixed, run.guard
 
     def step(n, st):
-        # n*dt, not an accumulated t + dt: the two differ in the last bits
-        st.t = n * dt
-        st.z, st.mu0 = advance(st.ring, beta_at(st.t), eps, sgrid, _source_at(src, sgrid.x, st.t))
-        st._rho = None
-        if not fixed:  # the survival of the next step, read at t
-            st.zeta = rate.zeta_field(sgrid.x, agrid.a, st.t)
-            survival(st.zeta, agrid, out=st.ring.surv)
+        _weak_step([run], rows, eps)
         return st
 
-    guard = _Guard(("z",), floor=lower_bound)
     traj, records = [], []
     ld = None  # the limit density, formed once when neither rate depends on t
-    fixed_limit = fixed and beta0 is not None
+    fixed_limit = fixed and run.beta0 is not None
     # the records' stretch and work buffers, reused by each record, and with
     # an off-rate that ignores t the limit's age profile and rho0 buffer
     shape = (sgrid.n_nodes, agrid.n_nodes)
     u, work = (np.empty(shape), (np.empty(shape), np.empty(shape))) if diag_stride else (None, None)
-    profile, rho0 = (age_profile(zeta, agrid), np.empty(shape)) if fixed and diag_stride else (None, None)
+    profile, rho0 = (age_profile(run.state.zeta, agrid), np.empty(shape)) if fixed and diag_stride else (None, None)
 
     def output(n, st):
         if n % output_stride == 0:
@@ -192,7 +245,7 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
             return
         dg.elongation_from_history(st.z, st.hist, eps, out=u)
         if ld is None or not fixed_limit:
-            ld = limit_density(beta_at(st.t), st.zeta, agrid, profile, rho0)
+            ld = limit_density(run.beta_at(st.t), st.zeta, agrid, profile, rho0)
         rec = dg.record(
             st.t, st.z, st.rho, u, st.zeta, _source_at(src, sgrid.x, st.t), eps, sgrid, agrid.w, work,
             rho0=ld.rho0,
@@ -209,14 +262,14 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
                 guard.violations.append(f"stability increase at t={st.t:g}")
         records.append(rec)
 
-    state = march(state, step, ts.n_steps, [guard, output, diagnose, *observers])
+    state = march(run.state, step, run.n_steps, [output, diagnose, *observers])
     return WeakRunResult(
-        times=np.arange(0, ts.n_steps + 1, output_stride) * dt,
+        times=np.arange(0, run.n_steps + 1, output_stride) * run.dt,
         trajectory=np.asarray(traj),
         records=records,
         mu0_min=guard.mu0_min,
         mu0_max=guard.mu0_max,
-        mu0_lower_bound=lower_bound,
+        mu0_lower_bound=run.lower_bound,
         violations=guard.violations,
         final_z=state.z,
         final_rho=state.rho,
@@ -269,12 +322,66 @@ class SweepResult:
     monotone: bool
 
 
+def _lane_march(vcfgs, strides):
+    """The trajectories of the weak runs of vcfgs, which differ in epsilon alone, each kept every strides[i] levels.
+
+    The runs step on two lanes.  Each run goes, finest first, to the lane
+    with fewer steps so far, so the finest runs alone on lane 0 and, where
+    each scale halves the last, lane 1 runs the others in turn and ends no
+    later.  The lanes' current runs step together, as the rows of one
+    _weak_step on kinetics.Rows; when a run ends, its lane starts its next
+    one, and only its trajectory is kept.  Every run shares the off-rate
+    field of the first and, on birth rings in c mode, its full-read buffer
+    and weights (see _WeakRun).
+    """
+    lanes, steps = ([], []), [0, 0]
+    for i in sorted(range(len(vcfgs)), key=lambda i: vcfgs[i].epsilon):
+        lane = steps.index(min(steps))
+        lanes[lane].append(i)
+        steps[lane] += build_grids(vcfgs[i])[2].n_steps
+    trajs, shared = {}, {}
+
+    def start(lane):  # the lane's next run at level 0, or None
+        if not lanes[lane]:
+            return None
+        run = _WeakRun(vcfgs[lanes[lane][0]], **shared)
+        if not shared:
+            ring = run.state.ring
+            shared.update(zeta=run.state.zeta)
+            if isinstance(ring, BirthRing) and ring.c is not None:
+                shared.update(scratch=ring.scratch, wC=ring.wC)
+        run.i, run.traj = lanes[lane].pop(0), [run.state.z.copy()]
+        return run
+
+    def until_one_ends(runs):
+        rows, eps = Rows([r.state.ring for r in runs]), np.array([[r.eps] for r in runs])
+
+        def step(n, runs):
+            _weak_step(runs, rows, eps)
+            for r in runs:
+                if r.n % strides[r.i] == 0:
+                    r.traj.append(r.state.z.copy())
+            return runs
+
+        march(runs, step, min(r.n_steps - r.n for r in runs))
+
+    live = [start(lane) for lane in range(len(lanes))]
+    while any(live):
+        until_one_ends([r for r in live if r])
+        trajs.update((r.i, np.asarray(r.traj)) for r in live if r and r.n == r.n_steps)
+        live = [r if r and r.n < r.n_steps else None for r in live]  # the runs that ended are freed
+        live = [r or start(lane) for lane, r in enumerate(live)]
+    return [trajs[i] for i in range(len(vcfgs))]
+
+
 def run_convergence_sweep(vcfg, epsilons, dt_out):
     """Compare the delay model against the limit equation over a scale sweep.
 
     Every epsilon runs on its own dt = eps*da; snapshots are taken on a
     common output grid (dt_out must be an integer multiple of each step
-    size).  The scales run in turn, largest first.  A row's order is None
+    size).  The scales step together on two lanes (_lane_march), each with
+    its own rings, as the rows of one weak step; each row is bit for bit
+    the run that scale makes alone.  A row's order is None
     for the first scale and where either error it compares is 0; the errors
     are monotone if each is below the one before or both are 0.  Raises
     ConfigError, before any run, for an off-rate that is not prescribed, a
@@ -302,7 +409,7 @@ def run_convergence_sweep(vcfg, epsilons, dt_out):
         where = f"dt_out={dt_out:g} > final_time={vcfg.final_time:g}: no snapshot after t = 0"
         raise ConfigError([HypothesisViolation("output grid", where)])
 
-    trajs = [run_weak(v, output_stride=s, diag_stride=0).trajectory for v, s in zip(vcfgs, strides)]
+    trajs = _lane_march(vcfgs, strides)
     ref = run_limit(vcfg, dt_out, n_out)
     sgrid, _, _ = build_grids(vcfg)
     errors = [dg.convergence_error(tr, ref.trajectory, dt_out, sgrid) for tr in trajs]
@@ -362,7 +469,13 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
     def step(n, st):
         return cp.coupled_step(st, src, rate, eps, sgrid, agrid)
 
-    guard = _Guard(("z", "g"), lo=slice(1, -1))
+    guard = _Guard()
+
+    def check(n, st):  # mu0 over the interior rows
+        if not (np.isfinite(st.z).all() and np.isfinite(st.g).all()):
+            raise NonfiniteValue(f"non-finite z/g at t={st.t:g}")
+        guard(n, st.t, float(st.mu0[1:-1].min()), float(st.mu0.max()))
+
     # several requested times may round to one level
     level_of = {t_req: int(round(t_req / ts.dt)) for t_req in snapshot_times}
     snapshots, soft_flags, records = {}, [], []
@@ -389,7 +502,7 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
         records.append(rec)
         soft_flags.extend(_riccati_flags([(st.t, rec.p)], gamma2))
 
-    state = march(state, step, ts.n_steps, [guard, track, record, *observers])
+    state = march(state, step, ts.n_steps, [check, track, record, *observers])
 
     # the initial population is given data (validate_config warns when it
     # vanishes); extinction is the dynamics driving it to zero

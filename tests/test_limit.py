@@ -91,18 +91,21 @@ def test_run_limit_forms_the_limit_density_once_for_fixed_rates(monkeypatch, bet
     assert np.array_equal(fixed.trajectory, plain.trajectory)
 
 
-def test_convergence_sweep_runs_its_scales_in_turn_on_the_calling_thread(monkeypatch):
+def test_convergence_sweep_steps_its_scales_on_two_lanes_on_the_calling_thread(monkeypatch):
     vcfg = validate_config(make_config())
     dt_out, n_out = 0.01, 10
-    calls, run_weak = [], simulate.run_weak
+    steps, weak_step = [], simulate._weak_step
 
-    def recording(v, **kwargs):
-        calls.append((threading.get_ident(), v.epsilon))
-        return run_weak(v, **kwargs)
+    def recording(runs, rows, eps):
+        steps.append((threading.get_ident(), tuple(r.eps for r in runs)))
+        return weak_step(runs, rows, eps)
 
-    monkeypatch.setattr(simulate, "run_weak", recording)
+    monkeypatch.setattr(simulate, "_weak_step", recording)
     sweep = simulate.run_convergence_sweep(vcfg, [0.025, 0.1, 0.05], dt_out)
-    assert calls == [(threading.get_ident(), eps) for eps in (0.1, 0.05, 0.025)]
+    # 400, 200 and 100 steps: the finest alone on lane 0, the others in turn
+    # on lane 1, which takes each scale while it has fewer steps so far
+    me = threading.get_ident()
+    assert steps == [(me, (0.025, 0.05))] * 200 + [(me, (0.025, 0.1))] * 100 + [(me, (0.025,))] * 100
 
     # the rows are those of separate per-scale runs, bit for bit
     ref = simulate.run_limit(vcfg, dt_out, n_out).trajectory
@@ -110,7 +113,7 @@ def test_convergence_sweep_runs_its_scales_in_turn_on_the_calling_thread(monkeyp
     rows = []
     for eps in (0.1, 0.05, 0.025):
         stride = int(round(dt_out / (eps * ag.da)))
-        traj = run_weak(with_overrides(vcfg, epsilon=eps), output_stride=stride, diag_stride=0).trajectory
+        traj = simulate.run_weak(with_overrides(vcfg, epsilon=eps), output_stride=stride, diag_stride=0).trajectory
         err = convergence_error(traj, ref, dt_out, sg)
         order = math.log(rows[-1].error / err) / math.log(rows[-1].epsilon / eps) if rows else None
         rows.append(simulate.SweepRow(epsilon=eps, error=err, order=order))
