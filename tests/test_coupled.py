@@ -457,6 +457,25 @@ def test_u_min_is_the_running_minimum_of_the_full_ring(cfg, calm_steps):
     assert res.u_min == min(seen)
 
 
+@pytest.mark.parametrize("load", [
+    SourceModel(*presets.source_fns("constant(10000.0)")), GROWING_LATE,
+], ids=["constant(10000.0)", "growing_from_3.25e-4"])
+def test_a_calm_step_keeps_g_the_same_object_with_the_same_bits(load):
+    # the guard checks that g is finite only at the levels where a step
+    # can write it: a calm step keeps the velocity array of the level
+    # before, the same object with the same bits; under the growing load
+    # the steps after the calm stretch solve for a new g
+    kept = []
+    vcfg = validate_quiet(detachment_config(nx=24, final_time=4e-4, source=load))
+    run_coupled(vcfg, diag_stride=0, observers=[lambda n, st: kept.append((st.g, bits(st.g).copy(), st.calm))])
+    calm = [n for n, (_, _, c) in enumerate(kept) if c]
+    assert len(calm) > 10 and (len(calm) == len(kept) - 2) == (load is not GROWING_LATE)
+    for n in calm:
+        (g, g_bits, _), (before, before_bits, _) = kept[n], kept[n - 1]
+        assert g is before and np.array_equal(g_bits, before_bits)
+    assert all(kept[n][0] is not kept[n - 1][0] for n in range(1, len(kept)) if n not in calm)
+
+
 def test_positivity_preserved():
     vcfg = validate_quiet(coupled_cfg(final_time=0.1))
     res = run_coupled(vcfg, diag_stride=0)
