@@ -36,6 +36,8 @@ ConfigError listing all violations; soft conditions only warn.
 
 import configparser
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
@@ -45,6 +47,11 @@ import numpy as np
 from . import presets
 from .errors import ConfigError, HypothesisViolation, RateKindMismatch
 from .grids import AgeGrid, SpaceGrid
+
+try:  # the host's physical memory, the bound on one age field
+    MEMORY_BYTES = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+except (AttributeError, ValueError, OSError):  # no sysconf: the largest array numpy can index
+    MEMORY_BYTES = sys.maxsize
 
 
 @dataclass
@@ -149,7 +156,9 @@ def validate_config(config):
     Returns the configuration itself, or raises ConfigError carrying one
     HypothesisViolation per failed check.  Conditions the theory merely
     prefers (strictly positive initial population, beta_m > 0 with an
-    elongation-dependent off-rate) produce warnings instead.
+    elongation-dependent off-rate) produce warnings instead.  A grid whose
+    (nx+2) x (na+1) age field would not fit in the host's memory is
+    refused before any grid is built.
     """
     bad = []
 
@@ -176,6 +185,17 @@ def validate_config(config):
     dt = config.epsilon * config.da
     if not (dt > 0 and config.final_time / dt <= 2**53):
         raise ConfigError([HypothesisViolation("time step range", f"dt = epsilon*da = {dt:g}")])
+
+    # one (nx+2) x (na+1) age field must fit in memory, checked before the
+    # grids are built (a run holds several fields); this also keeps a_max/da
+    # finite for the divisibility check below
+    try:
+        values = (config.nx + 2) * (config.a_max / config.da + 1.0)
+    except OverflowError:  # an nx past the float range
+        values = math.inf
+    if 8.0 * values > MEMORY_BYTES:
+        where = f"(nx+2) x (na+1) = {values:.3g} values in one age field, more than {MEMORY_BYTES:.3g} B of memory hold"
+        raise ConfigError([HypothesisViolation("grid size", where)])
 
     if abs(round(config.a_max / config.da) * config.da - config.a_max) > 1e-9 * config.a_max:
         violated("age grid divisibility", f"a_max={config.a_max}, da={config.da}")

@@ -8,6 +8,7 @@ import pytest
 
 from linkages import simulate
 from linkages.cli import main
+from test_golden_outputs import WEAK
 
 # The mode keys are leftovers that load_config ignores: the subcommand alone
 # picks the model.  So are truncation_k, zeta_at_zero and dS_dt.
@@ -350,6 +351,18 @@ def test_underflowing_time_step_exit_code(tmp_path, capsys, scale, a_max):
     cfg = write(tmp_path, text.replace("da = 0.01", f"da = {scale}\na_max = {a_max}"))
     assert main(["weak", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "config error: HypothesisViolation('time step range'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new", [("nx = 12", "nx = 1000000000000"), ("da = 0.01", "da = 1e-13")],
+                         ids=["nx-1e12", "da-1e-13"])
+def test_absurd_grid_is_a_config_error_before_any_allocation(tmp_path, capsys, old, new):
+    # the golden weak INI with 1e12 space nodes or 1e14 age cells: the space
+    # grid alone (7.28 TiB) or the age grid (728 TiB) used to end in a
+    # numpy memory error traceback, exit 1 and no config error line
+    cfg = write(tmp_path, WEAK.replace(old, new))
+    assert main(["weak", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error: HypothesisViolation('grid size' at (nx+2) x (na+1) = " in err and "Traceback" not in err
 
 
 def weak_rate_case(old, new, name, id):
