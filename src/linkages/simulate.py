@@ -165,10 +165,15 @@ class _WeakRun:
 
 
 def _check(runs, z, mu0):
-    """The guards of runs on their levels, z and mu0 stacked one row a run: the reductions run once over the stack."""
-    if not np.isfinite(z).all():
-        t = next(r.state.t for r, row in zip(runs, z) if not np.isfinite(row).all())
-        raise NonfiniteValue(f"non-finite z at t={t:g}")
+    """The guards of runs on their levels, z and mu0 stacked one row a run: the reductions run once over the stack.
+
+    A non-finite z names the t of every run whose row is not finite, and
+    its scale where there are several.
+    """
+    if not np.isfinite(z).all():  # a block of the stacked solve that is not finite spreads to the others
+        bad = [r for r, row in zip(runs, z) if not np.isfinite(row).all()]
+        where = ", ".join(f"t={r.state.t:g}" + (f" (eps={r.eps:g})" if len(runs) > 1 else "") for r in bad)
+        raise NonfiniteValue(f"non-finite z at {where}")
     for r, lo, hi in zip(runs, mu0.min(axis=1).tolist(), mu0.max(axis=1).tolist()):
         r.guard(r.n, r.state.t, lo, hi)
 

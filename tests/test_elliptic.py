@@ -161,3 +161,58 @@ def test_apply_matches_laplacian():
     g = SpaceGrid(nx=20)
     z = np.sin(np.pi * g.x) * 0.7
     np.testing.assert_allclose(solve(0.0, 1.0, -laplacian(z, g.dx), g), z, atol=1e-11)
+
+
+def test_rows_solve_to_the_bits_of_separate_calls():
+    # one stacked system, 0 on the off-diagonal at each join: every block
+    # gets the bits of its own call, with c and kappa per row
+    rng = np.random.default_rng(5)
+    for nx in (1, 2, 64):
+        g = SpaceGrid(nx=nx)
+        c = rng.uniform(0.0, 2.0, (4, nx))
+        kappa = rng.uniform(1e-4, 1.0, (4, 1))
+        rhs = rng.normal(size=(4, nx))
+        z = solve(c, kappa, rhs, g)
+        assert z.shape == (4, nx + 2)
+        for i in range(4):
+            assert z[i].tobytes() == solve(c[i], float(kappa[i, 0]), rhs[i], g).tobytes()
+        assert solve(c[0], kappa[:1], rhs[:1], g).tobytes() == z[:1].tobytes()
+
+
+def test_rows_are_checked_block_by_block():
+    g = SpaceGrid(nx=4)
+    c, kappa = np.ones((2, 4)), np.array([[0.1], [0.2]])
+    with pytest.raises(DegenerateOperator, match="negative diffusion weight"):
+        solve(c, -kappa, np.ones((2, 4)), g)
+    with pytest.raises(DegenerateOperator, match="c == 0 and kappa == 0"):
+        solve(np.array([[1.0] * 4, [0.0] * 4]), np.array([[0.0], [0.0]]), np.ones((2, 4)), g)
+    solve(np.array([[0.0] * 4, [1.0] * 4]), np.array([[0.1], [0.0]]), np.ones((2, 4)), g)  # each row solvable
+
+
+def test_residual_is_checked_per_block_at_its_own_scale(monkeypatch):
+    # the second block's last node moved by 10 times its own bound: caught,
+    # though the first block's ||rhs||_inf of 1e6 would let it through
+    g = SpaceGrid(nx=5)
+    c, kappa = np.full((2, 5), 0.5), np.array([[0.1], [0.1]])
+    rhs = np.array([[1e6, -2.0, 3.0, 0.5, 0.25], [1.0, -2.0, 3.0, 0.5, 0.25]])
+    main_last = 0.5 + 2.0 * (0.1 / g.dx**2)
+    gtsv = elliptic.dgtsv
+
+    def perturbed(*args):
+        *head, x, info = gtsv(*args)
+        x[-1] += 10.0 * 1e-10 * 3.0 / main_last
+        return (*head, x, info)
+
+    monkeypatch.setattr(elliptic, "dgtsv", perturbed)
+    with pytest.raises(DegenerateOperator, match="residual"):
+        solve(c, kappa, rhs, g)
+
+
+def test_a_clamped_coefficient_is_not_checked_again():
+    # position.solve_balance clamps its coefficient at 0 after its own
+    # -1e-12 check; every other caller's coefficient is checked here
+    g = SpaceGrid(nx=4)
+    c = np.array([1.0, 2.0, -1e-300, 1.0])
+    with pytest.raises(DegenerateOperator, match="negative coefficient"):
+        solve(c, 1.0, np.ones(4), g)
+    assert np.all(np.isfinite(solve(c, 1.0, np.ones(4), g, clamped=True)))
