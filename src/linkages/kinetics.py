@@ -157,8 +157,10 @@ class BirthRing:
             self.products = births * hist.buf
         else:
             self.scratch = np.empty_like(births) if scratch is None else scratch
-            # the weights of _lagged and _roll: w_na C_na, w_{na-1} C_{na-1}, c and w_1 C_1
-            self.coef = (wC[:, -1], wC[:, wC.shape[1] - 2], c, wC[:, 0])
+            # the weights of _lagged and _roll, w_na C_na, w_{na-1} C_{na-1}, c and w_1 C_1,
+            # each laid out for both sums at once
+            cols = wC[:, -1], wC[:, wC.shape[1] - 2], c, wC[:, 0]
+            self.coef = [np.broadcast_to(col, (2, births.shape[0])).copy() for col in cols]
             # the running sums T, the edge and the head, each of B and of B z
             self.acc = np.empty((3, 2, births.shape[0]))
             self._edge()
@@ -282,8 +284,8 @@ def _roll(acc, coef):
 
     acc holds T, the edge (B and B z of level n+1-na) and the head (of
     level n), each of B and of B z: shape (3, 2, nx+2), or (3, 2, rows,
-    nx+2) for Rows; coef holds the weights of BirthRing, one row each for
-    Rows.  With C_j = c^j and equal interior weights,
+    nx+2) for Rows; coef holds the weights of BirthRing in the shape of
+    one of the three.  With C_j = c^j and equal interior weights,
     T := c (T - w_{na-1} C_{na-1} edge) + w_1 C_1 head, in O(nx).  The
     births' sum is clamped at 0: a lane dying out leaves no residue below 0.
     """
@@ -327,7 +329,7 @@ class Rows:
             self.acc = np.stack([ring.acc for ring in rings], axis=2)
             for i, ring in enumerate(rings):
                 ring.acc = self.acc[:, :, i]
-            self.coef = [np.stack(col) for col in zip(*(ring.coef for ring in rings))]
+            self.coef = [np.stack(col, axis=1) for col in zip(*(ring.coef for ring in rings))]
 
     def sums(self):
         """m and q of every ring, one row each."""
