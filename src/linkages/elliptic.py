@@ -33,9 +33,9 @@ def solve(c, kappa, rhs, grid, clamped=False):
     (shape (rows, 1)); z then has shape (rows, nx+2).  They are solved as
     one block-diagonal system: the off-diagonal is 0 at each join, so gtsv
     eliminates nothing across it and each block gets the bits of a call of
-    its own (up to the sign of a zero where a right-hand side entry is
-    exactly -0.0, and a non-finite block spreads to the others).  Each
-    block's residual is checked against its own ||rhs||_inf.
+    its own (up to the sign of an exact zero, and a block that is not
+    finite spreads to the others).  Each block's residual is checked
+    against its own ||rhs||_inf.
     """
     nx, dx = grid.nx, grid.dx
     rhs = np.asarray(rhs, dtype=float)
@@ -71,8 +71,8 @@ def solve(c, kappa, rhs, grid, clamped=False):
     res -= near
     res -= rows
     r[1] = rows
-    for res, scale in zip(*np.abs(r, out=r).max(axis=2).tolist()):
-        if res > 1e-10 * max(scale, 1e-300):
+    for worst, scale in zip(*np.abs(r, out=r).max(axis=2).tolist()):
+        if worst > 1e-10 * max(scale, 1e-300):
             raise DegenerateOperator("tridiagonal solve residual too large")
     return z if rhs.ndim == 2 else z[0]
 

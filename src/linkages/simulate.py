@@ -147,8 +147,6 @@ class _WeakRun:
         self.sgrid, self.agrid, self.rate, self.src, self.eps = sgrid, agrid, rate, vcfg.source, vcfg.epsilon
         self.dt, self.n_steps, self.n = ts.dt, ts.n_steps, 0
         mu0 = rho @ agrid.w
-        # discrete analogue of the population floor min(mu0(0), beta_m/(beta_m+zeta_M))
-        self.lower_bound = min(float(np.min(mu0)), rate.beta_m / (rate.beta_m + rate.zeta_M)) - 10.0 * agrid.da
         zeta = rate.zeta_field(sgrid.x, agrid.a, 0.0) if zeta is None else zeta
         self.fixed = is_time_invariant(rate.zeta)
         # either ring takes over the buffers of rho and of the survival factor
@@ -157,7 +155,8 @@ class _WeakRun:
         ring = ring or CohortRing(rho, survival(zeta, agrid), hist, agrid)
         self.state = WeakState(t=0.0, z=z, hist=hist, zeta=zeta, mu0=mu0, ring=ring)
         self.beta0 = rate.beta_values(sgrid.x, 0.0) if is_time_invariant(rate.beta) else None
-        self.guard = _Guard(floor=self.lower_bound)
+        # discrete analogue of the population floor min(mu0(0), beta_m/(beta_m+zeta_M))
+        self.guard = _Guard(min(float(np.min(mu0)), rate.beta_m / (rate.beta_m + rate.zeta_M)) - 10.0 * agrid.da)
         _check([self], z[None], mu0[None])
 
     def beta_at(self, t):
@@ -274,7 +273,7 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
         records=records,
         mu0_min=guard.mu0_min,
         mu0_max=guard.mu0_max,
-        mu0_lower_bound=run.lower_bound,
+        mu0_lower_bound=guard.floor,
         violations=guard.violations,
         final_z=state.z,
         final_rho=state.rho,
