@@ -95,7 +95,7 @@ def test_run_limit_forms_the_limit_density_once_for_fixed_rates(monkeypatch, bet
 
 def in_turn_rows(vcfg, epsilons, dt_out):
     """The sweep's rows built from separate run_weak calls, largest scale first."""
-    sg, ag, ts = build_grids(vcfg)
+    sg, ag, _ = build_grids(vcfg)
     ref = simulate.run_limit(vcfg, dt_out, int(round(vcfg.final_time / dt_out))).trajectory
     rows = []
     for eps in sorted(epsilons, reverse=True):
