@@ -101,7 +101,7 @@ class RateModel:
         if self.beta_kind == "given":
             return np.asarray(self.beta(x, t), dtype=float)
         z = np.asarray(z, dtype=float)
-        return np.where((z > 0.0) & (z < self.zbar), 1.0, 0.0)
+        return ((z > 0.0) & (z < self.zbar)).astype(float)
 
 
 @dataclass
@@ -121,16 +121,33 @@ class PastData:
 
 @dataclass
 class SourceModel:
-    """External load S(x, t) together with its time derivative."""
+    """External load S(x, t) together with its time derivative.
+
+    A load whose fn declares that it ignores t (presets.is_time_invariant,
+    as a source_fns preset without a time derivative does; a plain callable
+    does not) is sampled once per grid: the first call on a grid's x array
+    samples S and dS/dt, and every later call on that array hands back the
+    same read-only pair at any t.  Validation asks its dS/dt to be 0.
+    """
 
     fn: Callable
     dfn: Callable
 
+    def __post_init__(self):
+        self.time_invariant, self._x, self._sample = presets.is_time_invariant(self.fn), None, None
+
     def __call__(self, x, t):
-        return np.asarray(self.fn(x, t), dtype=float)
+        return self._sampled(x, t)[0] if self.time_invariant else np.asarray(self.fn(x, t), dtype=float)
 
     def ddt(self, x, t):
-        return np.asarray(self.dfn(x, t), dtype=float)
+        return self._sampled(x, t)[1] if self.time_invariant else np.asarray(self.dfn(x, t), dtype=float)
+
+    def _sampled(self, x, t):
+        if x is not self._x:  # keeps x alive, so another grid's x is never taken for it
+            self._x, self._sample = x, (np.array(self.fn(x, t), dtype=float), np.array(self.dfn(x, t), dtype=float))
+            for a in self._sample:
+                a.flags.writeable = False
+        return self._sample
 
 
 @dataclass(frozen=True)
@@ -299,16 +316,26 @@ def validate_config(config):
             violated("past data lipschitz", f"[{t2:g}, {t1:g}]")
             break
 
-    # source consistency: dS/dt against a centered difference, O(dt) tolerance
+    # source: finite at every sample time, as the comparisons below are
+    # false for NaN; then dS/dt against a centered difference, O(dt)
+    # tolerance, and exactly 0 for a load that ignores t, as the coupled
+    # step's calm test takes it to be
     if config.source is not None:
         src = config.source
         h = dt
-        for t in t_samples[1:]:
-            fd = (src(x, t + h) - src(x, t - h)) / (2 * h)
-            scale = max(float(np.max(np.abs(src.ddt(x, t)))), 1.0)
-            if np.max(np.abs(fd - src.ddt(x, t))) > 10.0 * h * scale + 1e-8:
-                violated("source consistency", f"t={t:g}")
+        for t in t_samples:
+            if not (np.all(np.isfinite(src(x, t))) and np.all(np.isfinite(src.ddt(x, t)))):
+                violated("source finiteness", f"t={t:g}")
                 break
+        else:
+            for t in t_samples[1:]:
+                fd = (src(x, t + h) - src(x, t - h)) / (2 * h)
+                scale = max(float(np.max(np.abs(src.ddt(x, t)))), 1.0)
+                if np.max(np.abs(fd - src.ddt(x, t))) > 10.0 * h * scale + 1e-8 or (
+                    src.time_invariant and np.any(src.ddt(x, t))
+                ):
+                    violated("source consistency", f"t={t:g}")
+                    break
 
     if bad:
         raise ConfigError(bad)

@@ -41,10 +41,15 @@ formed was zero in every lane with every survival factor at most 1 (quiet),
 the old velocity is zero and dS/dt vanishes at the new time.  Then no
 cohort's stretch moves and the new load is zero in every lane: zeta and u
 are unchanged, rho only shrank, rounding is monotone, so no lane can leave
-zero, and newborn lanes carry u = 0.  So a calm step evaluates zeta on the
-newborn column only and exp on the age-one column (the last step's
-newborns, whose zeta was formed then) only, and keeps its zero velocity
-without forming the load or solving; that changes no bit.  Its cohort of
+zero, and newborn lanes carry u = 0.  So a calm step writes zeta on the
+newborn column only, as a copy of the age-one column (the last step's
+newborns, whose u = 0 no step has moved since, so their zeta is zeta(0)
+bit for bit, zeta_of_u being elementwise), takes exp on the age-one column
+only, and keeps its zero velocity without forming the load or solving;
+that changes no bit.  The test itself reads only what it does not know: a
+calm step keeps g, so g is read at the first calm step in a row only, and
+the dS/dt of a load that ignores t is 0 at every t (validation checks it),
+so it is not read at all.  Its cohort of
 age one steps by c = exp(-da*zeta(0)), the newborns' factor.  Where every
 other live cohort steps by c too (each lane of the survival ring is c or
 its density is 0) and c^na does not underflow, the coupled step is the
@@ -81,7 +86,9 @@ class CoupledState:
     surv and agrid or, on a calm run, a kinetics.BirthRing in their buffers
     and the load's.  quiet says that the last load formed was zero in every
     lane with surv <= 1; calm counts the calm steps in a row, 0 after a step
-    that is not calm (see the module docstring).
+    that is not calm (see the module docstring).  A calm step keeps g and
+    the zeta of its age-one column, so a caller that writes either between
+    steps clears calm and quiet.
     """
 
     def __init__(self, rho, u, z, g, hist, t, truncation_k, agrid, truncated=False, mu0=None, zeta=None):
@@ -170,11 +177,12 @@ def coupled_step(st, source, rate, eps, sgrid, agrid):
     dSdt = source.ddt(sgrid.x, t_new) if source is not None else None
     hist, u = st.hist, st.u_ring
     old, new = hist.head, (hist.head - 1) % hist.depth  # the columns of ages 1 and 0 after the step
-    calm = st.quiet and not st.g.any() and (dSdt is None or not np.any(dSdt))
+    steady = dSdt is None or source.time_invariant  # dS/dt = 0, checked by validation
+    calm = st.quiet and (st.calm or not st.g.any()) and (steady or not np.any(dSdt))
     st.calm = st.calm + 1 if calm else 0
     if calm:
         u[:, new] = 0.0
-        st.zeta[:, new] = rate.zeta_of_u(u[:, new])
+        st.zeta[:, new] = st.zeta[:, old]  # the last newborns' zeta(0)
         if isinstance(st.ring, CohortRing):
             decay(st.zeta[:, old], agrid.da, out=st.surv[:, old])
             if st.calm % hist.depth == 1:  # the first calm step, then once a ring period

@@ -7,10 +7,11 @@ A preset spec is a string like ``sin_pi``, ``constant(0.5)`` or
 * initial densities and given off-rates take ``(x, a)`` resp. ``(x, a, t)``,
 * elongation-dependent off-rates take ``u``.
 
-Given rates are a frozen Preset with its ``spec`` and ``time_invariant``
-(false for the presets with a time derivative, ``linear_in_t`` and
-``sin_pi_growing``); run_weak uses the flag, and treats a plain callable as
-time-varying.
+Given rates and sources are a frozen Preset with its ``spec`` and
+``time_invariant`` (false for the presets with a time derivative,
+``linear_in_t`` and ``sin_pi_growing``).  run_weak and run_limit sample a
+rate that ignores t once, and config.SourceModel a load that ignores t
+once per grid; each treats a plain callable as time-varying.
 
 ``threshold(zbar)`` is not a preset: with ``beta_kind = threshold`` the
 config loader reads zbar from it, and RateModel.beta_values switches the
@@ -40,7 +41,7 @@ def parse_spec(spec):
 
 @dataclass(frozen=True)
 class Preset:
-    """A named given rate: calls fn, and says whether its value ignores t."""
+    """A named given rate or load: calls fn, and says whether its value ignores t."""
 
     spec: str
     fn: Callable = field(repr=False, compare=False)
@@ -51,7 +52,7 @@ class Preset:
 
 
 def is_time_invariant(fn):
-    """True for a rate that declares it ignores t; a plain callable does not."""
+    """True for a rate or load that declares it ignores t; a plain callable does not."""
     return getattr(fn, "time_invariant", False)
 
 
@@ -109,9 +110,9 @@ def past_lipschitz_fn(spec):
 
 
 def source_fns(spec):
-    """Source S(x, t) and its time derivative, derived from the preset."""
+    """Source S(x, t) as a Preset, and its time derivative (zero where S ignores t)."""
     fn, dfn = _xt(spec, "source")
-    return fn, dfn or _zero
+    return Preset(spec, fn, dfn is None), dfn or _zero
 
 
 def initial_density_fn(spec):

@@ -131,7 +131,7 @@ class WeakRunResult(_RunResult):
 class _WeakRun:
     """One weak run: its grids, rates and load, its state at level n and its guard.
 
-    A rate that declares it ignores t is sampled once.  Such an off-rate
+    A rate or load that declares it ignores t is sampled once.  Such an off-rate
     is stepped on birth values (kinetics.BirthRing) unless birth_ring
     refuses the data; the others on the density (kinetics.CohortRing).
     Level 0 is checked when the run is built.  zeta, the off-rate field at
@@ -181,8 +181,9 @@ def _weak_step(runs, rows, eps):
     """Advance each of runs, which differ in epsilon alone, one level, as the rows of one step.
 
     rows is kinetics.Rows over their rings and eps their scale, a column
-    of them for several runs.  One kinetics.advance steps them all; the
-    on-rate and the load are sampled at each run's own t, and each run's
+    of them for several runs.  One kinetics.advance steps them all; an
+    on-rate or a load that depends on t is sampled at each run's own t,
+    one that ignores t is the sample all runs share, and each run's
     off-rate, state and guard are its own.  For one run this is run_weak's
     step.
     """
@@ -191,13 +192,13 @@ def _weak_step(runs, rows, eps):
         r.n += 1
         r.state.t = r.n * r.dt  # n*dt, not an accumulated t + dt: the two differ in the last bits
 
-    def at_each_t(fn):
-        if len(runs) == 1:
+    def at_each_t(fn, fixed=False):
+        if fixed or len(runs) == 1:
             return fn(first.state.t)
         return np.stack([np.broadcast_to(fn(r.state.t), x.shape) for r in runs])
 
     beta = first.beta0 if first.beta0 is not None else at_each_t(first.beta_at)
-    src = at_each_t(lambda t: first.src(x, t)) if first.src is not None else None
+    src = at_each_t(lambda t: first.src(x, t), first.src.time_invariant) if first.src is not None else None
     z, mu0 = advance(rows, beta, eps, first.sgrid, src)
     for r, z_row, mu0_row in zip(runs, z, mu0):
         st = r.state

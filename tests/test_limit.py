@@ -189,23 +189,35 @@ def test_lanes_give_the_rows_of_separate_runs(kind, beta, load, nx, unit, n_out,
 
 
 def test_a_failing_scale_fails_the_sweep_as_in_turn(monkeypatch, capsys, tmp_path):
-    # a load that turns NaN at t = 0.3 (validation samples it and lets it
-    # through) makes the first scale to reach that time fail.  In turn that
-    # is the coarsest; on lanes eps = 0.05 reaches it first, at step 600,
-    # and the NaN spreads through the stacked solve to the finest, then at
-    # t = 0.15, so the message names both.  The CLI ends with the same
-    # exception type and exit code either way
+    # a load that turns NaN at t = 0.3 makes the first scale to reach that
+    # time fail.  In turn that is the coarsest; on lanes eps = 0.05 reaches
+    # it first, at step 600, and the NaN spreads through the stacked solve
+    # to the finest, then at t = 0.15, so the message names both.  The CLI
+    # ends with the same exception type and exit code either way.  The NaN
+    # is armed by the march, after every validation has run: validation
+    # samples the load at t = 0.3 and would refuse it
     fn, dfn = presets.source_fns("sin_forcing")
-    nan_late = SourceModel(fn=lambda x, t: fn(x, t) * (np.nan if t >= 0.3 else 1.0), dfn=dfn)
+    armed = []
+    nan_late = SourceModel(fn=lambda x, t: fn(x, t) * (np.nan if armed and t >= 0.3 else 1.0), dfn=dfn)
     monkeypatch.setattr(cli, "reference_config", lambda: make_config(final_time=0.4, source=nan_late))
+
+    def arming(lane_march):
+        def march(vcfgs, strides):
+            armed.append(True)
+            return lane_march(vcfgs, strides)
+        return march
+
     argv = ["convergence-sweep", "--epsilons", "0.1,0.05,0.025", "--out", str(tmp_path)]
+    monkeypatch.setattr(simulate, "_lane_march", arming(simulate._lane_march))
     lanes = "error: non-finite z at t=0.15 (eps=0.025), t=0.3 (eps=0.05)\n"
     assert (cli.main(argv), capsys.readouterr().err) == (2, lanes)
 
     def in_turn(vcfgs, strides):
         return [simulate.run_weak(v, output_stride=s, diag_stride=0).trajectory for v, s in zip(vcfgs, strides)]
 
-    monkeypatch.setattr(simulate, "_lane_march", in_turn)
+    armed.clear()
+    monkeypatch.setattr(simulate, "_lane_march", arming(in_turn))
     assert (cli.main(argv), capsys.readouterr().err) == (2, "error: non-finite z at t=0.3\n")
+    armed.clear()
     with pytest.raises(NonfiniteValue):
         simulate.run_convergence_sweep(cli.reference_config(), [0.1, 0.05, 0.025], 0.001)
