@@ -2,9 +2,10 @@
 
 None of these is called by a run: the closed-form density along
 characteristics (oracle_march), the discrete energy whose minimizer the
-position solve is, the Volterra residual of a position, the population
-balance of the coupled model, the age-ordered view of a position history
-ring, the discrete Laplacian and the age moments.
+position solve is and the weak step's energy identity, the Volterra
+residual of a position, the population balance of the coupled model, the
+age-ordered view of a position history ring, the discrete Laplacian and
+the age moments.
 """
 
 import numpy as np
@@ -90,6 +91,15 @@ def energy(z, delayed_z, rho, eps, sgrid, agrid, source=None):
     forward differences, so the discrete integration by parts against the
     3-point Laplacian is exact.
     """
+    e_grad, e_delay, e_load, _ = energy_parts(z, delayed_z, rho, eps, sgrid, agrid, source)
+    e = e_grad + e_delay
+    if source is not None:
+        e -= e_load
+    return e
+
+
+def energy_parts(z, delayed_z, rho, eps, sgrid, agrid, source=None):
+    """The gradient and delay parts of energy, int S z and int |S z| (both 0 without a load)."""
     dx = sgrid.dx
     grad = np.diff(z) / dx
     e_grad = 0.5 * dx * float(grad @ grad)
@@ -97,10 +107,58 @@ def energy(z, delayed_z, rho, eps, sgrid, agrid, source=None):
     wx = sgrid.quad_weights()
     delay_per_x = delay_quadrature(agrid.w, rho, diff**2)
     e_delay = 0.5 / eps * float(delay_per_x @ wx)
-    e = e_grad + e_delay
-    if source is not None:
-        e -= float((np.asarray(source) * z) @ wx)
-    return e
+    if source is None:
+        return e_grad, e_delay, 0.0, 0.0
+    sz = np.asarray(source) * z
+    return e_grad, e_delay, float(sz @ wx), float(np.abs(sz) @ wx)
+
+
+def energy_balance(before, after, surv, eps, sgrid, agrid):
+    """Both sides of the weak step's energy identity and the round-off bound on their gap.
+
+    before and after are (z, Z, rho, S) at levels n and n+1 of a weak run:
+    the position, the history in age order (age_order), the density in age
+    order and the load, or None.  surv[:, k] is the survival factor of age
+    k over the step (kinetics.survival of the off-rate at level n).  The
+    position solve minimizes a quadratic in z^{n+1} whose Hessian is
+    H = dx (m/eps - Lap_h), m = sum_{j>=1} w_j rho_j^{n+1} the renewal mass
+    of level n+1, and at z^n that quadratic is E^n less the dissipation
+    plus the change of load.  So, with delta = z^{n+1} - z^n and w_{na+1} = 0,
+
+        E^{n+1} = E^n - Diss^n - (1/2) delta^T H delta + int (S^n - S^{n+1}) z^n dx,
+        Diss^n = (1/(2 eps)) int sum_{k=1}^{na} (w_k - w_{k+1} s_k) rho_k^n (z^n - z^{n-k})^2 dx.
+
+    Returns (lhs, rhs, load term, bound).  The bound is set by round-off
+    alone: each part is a sum of products, and a recursively summed sum of
+    N terms is off by at most about N machine epsilons times the sum of
+    their absolute values.  The longest chain is an age sum (na+1 terms)
+    inside a space sum (nx+2 terms); 16 more epsilons cover the products,
+    the few sums of parts and the backward error of the tridiagonal solve.
+    So bound = (na + nx + 16) eps_mach * scale, scale the sum of the
+    absolute values of every part's summands.
+    """
+    (z0, Z0, rho0, S0), (z1, Z1, rho1, S1) = before, after
+    w, wx = agrid.w, sgrid.quad_weights()
+    grad0, delay0, load0, load0_abs = energy_parts(z0, Z0, rho0, eps, sgrid, agrid, S0)
+    grad1, delay1, load1, load1_abs = energy_parts(z1, Z1, rho1, eps, sgrid, agrid, S1)
+    coef = np.zeros_like(rho0)  # w_k - w_{k+1} s_k at age k >= 1
+    coef[:, 1:-1] = w[1:-1] - w[2:] * surv[:, 1:]
+    coef[:, -1] = w[-1]
+    lanes = coef * rho0 * (z0[:, None] - Z0) ** 2
+    diss = 0.5 / eps * float(lanes.sum(axis=1) @ wx)
+    diss_abs = 0.5 / eps * float(np.abs(lanes).sum(axis=1) @ wx)
+    delta = z1 - z0
+    m = rho1[:, 1:] @ w[1:]
+    gap = 0.5 * (float((m * delta**2) @ wx) / eps + float(np.diff(delta) @ np.diff(delta)) / sgrid.dx)
+    load, load_abs = 0.0, 0.0
+    if S0 is not None:
+        dS = (np.asarray(S0) - np.asarray(S1)) * z0
+        load, load_abs = float(dS @ wx), float(np.abs(dS) @ wx)
+    lhs = grad1 + delay1 - load1
+    rhs = grad0 + delay0 - load0 - diss - gap + load
+    scale = grad1 + delay1 + load1_abs + grad0 + delay0 + load0_abs + diss_abs + abs(gap) + load_abs
+    bound = (rho0.shape[1] - 1 + sgrid.nx + 16) * np.finfo(float).eps * scale
+    return lhs, rhs, load, bound
 
 
 def volterra_residual(Z, rho, z, eps, sgrid, agrid, source=None):

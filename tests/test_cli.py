@@ -383,6 +383,21 @@ def test_bad_rate_field_exit_code(tmp_path, capsys, text, name):
     assert f"config error: HypothesisViolation({name!r} at " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text", [
+    pytest.param(command, base + "\n[source]\nS = " + load + "\n", id=f"{command}-{load}")
+    for command, base in (("coupled", TINY_COUPLED.replace("\n[source]\nS = constant(1.0)\n", "")), ("weak", TINY_WEAK))
+    for load in ("constant(nan)", "constant(inf)")
+])
+def test_nonfinite_load_is_a_config_error(tmp_path, capsys, command, text):
+    # the source consistency check compares with >, which is false for NaN:
+    # such a load used to validate and end the run in "error: non-finite z"
+    out = tmp_path / "o"
+    assert main([command, "--config", write(tmp_path, text), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: HypothesisViolation('source finiteness' at t=0)" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec", ["constant(5)", "sin_pi", "threshold(1, 2)"])
 def test_threshold_on_rate_takes_only_a_threshold_spec(tmp_path, capsys, spec):
     # beta_kind = threshold reads zbar from threshold(zbar); any other spec is an error

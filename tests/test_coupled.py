@@ -416,6 +416,27 @@ def test_live_cohort_with_a_frozen_stretch_keeps_the_cohort_path():
     assert isinstance(st.ring, BirthRing)
 
 
+@pytest.mark.parametrize("planted", [False, True], ids=["birth-ring", "cohort-ring"])
+def test_a_calm_step_copies_zeta_0_onto_its_newborns(planted):
+    # a calm step takes its newborns' zeta from the age-one column, the
+    # last newborns', whose u = 0 no calm step moves: bit for bit the
+    # off-rate at u = 0, over a ring period and across the re-read at head
+    # 0, on the birth ring and, with a live cohort off its factor planted,
+    # on the cohort ring
+    st, rate, eps, sg, ag = torn_off()
+    src = SourceModel(*presets.source_fns("constant(10000.0)"))
+    if planted:
+        plant_frozen_stretch(st, rate, ag, (st.hist.head + 10) % st.hist.depth)
+    zeta0 = bits(rate.zeta_of_u(np.zeros(sg.n_nodes)))
+    heads = []
+    for _ in range(st.hist.depth):
+        st = coupled_step(st, src, rate, eps, sg, ag)
+        assert st.calm and isinstance(st.ring, BirthRing) != planted
+        assert np.array_equal(bits(st.zeta[:, st.hist.head]), zeta0)
+        heads.append(st.hist.head)
+    assert 0 in heads
+
+
 def test_birth_ring_step_allocates_no_field():
     # taking the ring, the steps on it and its re-read at head 0 each
     # allocate less than one age field (see test_kinetics); the field is

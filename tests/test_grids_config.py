@@ -120,6 +120,18 @@ def test_validate_rejects_inconsistent_source():
     assert any(v.name == "source consistency" for v in err.value.violations)
 
 
+def test_validate_rejects_a_slope_for_a_load_that_ignores_t():
+    # the calm coupled step does not read such a load's dS/dt, so even one
+    # far below the centered difference's tolerance is refused
+    from linkages.config import SourceModel
+
+    fn = presets.source_fns("constant(1.0)")[0]
+    src = SourceModel(fn=fn, dfn=lambda x, t: np.full_like(np.asarray(x, dtype=float), 1e-12))
+    with pytest.raises(ConfigError) as err:
+        validate_config(make_config(source=src))
+    assert [v.name for v in err.value.violations] == ["source consistency"]
+
+
 def test_rate_kind_mismatch_raises():
     # a typed error, not an assert, so the guard survives python -O
     x, a = np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4)

@@ -2,7 +2,9 @@
 
 Every level of a weak run on a valid configuration keeps rho >= 0,
 mu0 < 1 and a finite position, whatever the grid, the off-rate and the
-load; validation either accepts a configuration or raises ConfigError.
+load, and every step closes the energy identity of oracles.energy_balance
+to round-off; validation either accepts a configuration or raises
+ConfigError.
 The constant and ramp off-rates are presets, which run_weak steps on
 birth values; the time-dependent one steps the density's cohort ring, and
 so does a preset wrapped in a plain callable, against which the birth ring
@@ -27,13 +29,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from linkages import coupled, presets
-from linkages.cli import reference_config
+from linkages.cli import reference_config, source_config
 from linkages.config import PastData, RateModel, SimulationConfig, SourceModel, validate_config
 from linkages.errors import ConfigError
 from linkages.diagnostics import stretch_integrals
 from linkages.grids import build_grids
-from linkages.kinetics import BirthRing, CohortRing, cohort_weights
+from linkages.kinetics import BirthRing, CohortRing, cohort_weights, survival
 from linkages.simulate import ENERGY_DECAY_TOL, run_coupled, run_weak
+from oracles import age_order, energy_balance
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -126,6 +129,75 @@ def test_birth_ring_running_sums_at_full_size(c):
     # sums go one ring period without a re-anchor
     rate = RateModel(zeta=presets.given_zeta_fn(f"constant({c})"), zeta_m=c, zeta_M=c)
     assert_paths_match(reference_config(rate_model=rate), diag_stride=0)
+
+
+def assert_energy_balance(vcfg):
+    """Close the energy identity of oracles.energy_balance at every step of run_weak(vcfg); return its load terms.
+
+    The load is sampled through a copy of the config's source, which
+    leaves the run's own sample alone.
+    """
+    sgrid, agrid, _ = build_grids(vcfg)
+    probe = replace(vcfg.source) if vcfg.source is not None else None
+    last, loads = [], []
+
+    def close(n, s):
+        level = (s.z.copy(), age_order(s.hist), s.rho.copy(), None if probe is None else probe(sgrid.x, s.t))
+        if last:
+            lhs, rhs, load, bound = energy_balance(last[0], level, last[1], vcfg.epsilon, sgrid, agrid)
+            assert abs(lhs - rhs) <= bound, f"energy identity at level {n}: {lhs!r} against {rhs!r}, bound {bound:.3g}"
+            loads.append(load)
+        last[:] = [level, survival(s.zeta, agrid)]  # the off-rate at level n gives the survival of the next step
+
+    run_weak(vcfg, diag_stride=0, observers=[close])
+    return loads
+
+
+def assert_load_term(vcfg, loads):
+    """A load that ignores t is one sample at every t, so its term of the identity is exactly 0."""
+    if vcfg.source is not None and vcfg.source.time_invariant:
+        assert loads == [0.0] * len(loads)
+
+
+RAMP_2 = RateModel(zeta=presets.given_zeta_fn("one_plus_age_ramp(2)"), zeta_M=3.0)
+FALLBACK = RateModel(zeta=presets.given_zeta_fn("constant(80)"), zeta_m=80.0, zeta_M=80.0)
+GROWING = RateModel(beta=presets.given_beta_fn("linear_in_t(1.0, 2.0)"), beta_M=1.1)
+GROWING_OFF = RateModel(zeta=lambda x, a, t: RAMP_2.zeta(x, a, t) + t, zeta_M=3.05)  # a plain callable
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(lambda: reference_config(final_time=0.05), id="reference"),
+    pytest.param(lambda: source_config(final_time=0.05), id="weak-source"),
+    pytest.param(lambda: reference_config(final_time=0.05, rate_model=RAMP_2), id="one_plus_age_ramp(2)"),
+    pytest.param(lambda: reference_config(final_time=0.05, rate_model=FALLBACK), id="constant(80)"),
+    pytest.param(lambda: reference_config(epsilon=0.00625, final_time=0.0125), id="eps-0.00625"),
+    pytest.param(lambda: reference_config(final_time=0.05, rate_model=GROWING,
+                                          source=SourceModel(*presets.source_fns("sin_pi_growing(3)"))),
+                 id="linear_in_t-on-rate-sin_pi_growing-load"),
+    pytest.param(lambda: source_config(final_time=0.05, rate_model=GROWING_OFF), id="off-rate-growing-in-t"),
+])
+def test_weak_energy_identity_on_the_presets(cfg):
+    # the identity closes at every step of the CLI's weak configs, on both
+    # rings and at a fine scale, with rates and loads that depend on t
+    vcfg = validate_config(cfg())
+    assert_load_term(vcfg, assert_energy_balance(vcfg))
+
+
+@st.composite
+def balance_configs(draw):
+    """configs() with an on-rate and a load drawn too, each one constant or growing in t."""
+    cfg = draw(configs())
+    beta = draw(st.sampled_from(["constant(1.0)", "linear_in_t(1.0, 2.0)"]))
+    load = draw(st.sampled_from([None, "sin_forcing", "sin_pi_growing(3.0)", "linear_in_t(1.0, 5.0)"]))
+    rate = replace(cfg.rate_model, beta=presets.given_beta_fn(beta), beta_M=4.0)  # 1 + 2t, t <= 1.5
+    return replace(cfg, rate_model=rate, source=SourceModel(*presets.source_fns(load)) if load else None)
+
+
+@PROPERTY
+@given(balance_configs())
+def test_weak_energy_identity_over_random_configurations(cfg):
+    vcfg = validate_config(cfg)
+    assert_load_term(vcfg, assert_energy_balance(vcfg))
 
 
 @PROPERTY
