@@ -88,11 +88,14 @@ class CoupledState:
     lane with surv <= 1; calm counts the calm steps in a row, 0 after a step
     that is not calm (see the module docstring).  A calm step keeps g and
     the zeta of its age-one column, so a caller that writes either between
-    steps clears calm and quiet.
+    steps clears calm and quiet.  beta0 is the run's on-rate sampled once,
+    where it ignores t, and is read at every step; None has the step sample
+    the on-rate at each level.
     """
 
-    def __init__(self, rho, u, z, g, hist, t, truncation_k, agrid, truncated=False, mu0=None, zeta=None):
+    def __init__(self, rho, u, z, g, hist, t, truncation_k, agrid, truncated=False, mu0=None, zeta=None, beta0=None):
         self.u_ring, self.zeta, self.z, self.g, self.hist, self.t = u, zeta, z, g, hist, t
+        self.beta0 = beta0
         self.truncation_k, self.truncated, self.mu0 = truncation_k, truncated, mu0
         self.surv, self.load = np.empty_like(rho), np.empty_like(rho)
         self.ring = CohortRing(rho, self.surv, hist, agrid)
@@ -170,7 +173,9 @@ def coupled_step(st, source, rate, eps, sgrid, agrid):
     """
     t_new = st.t + eps * agrid.da
     k = st.truncation_k
-    if rate.beta_kind == "threshold":
+    if st.beta0 is not None:
+        beta = st.beta0
+    elif rate.beta_kind == "threshold":
         beta = rate.beta_values(sgrid.x, st.t, z=st.z)
     else:
         beta = rate.beta_values(sgrid.x, t_new)

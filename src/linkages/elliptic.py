@@ -4,14 +4,45 @@ One tridiagonal kernel serves the position solve, the velocity solve, the
 implicit limit stepper and the large-time profile.  The operator acts on
 interior nodes; boundary values are identically zero.  Several independent
 systems on one grid solve in one call, as the rows of a stack.
+
+The kernel is LAPACK gtsv from scipy's own Fortran extension,
+scipy.linalg._flapack, loaded from its file under its real name.  Importing
+scipy.linalg instead would run that package's init, which loads numpy.f2py,
+numpy.testing, numpy.random and numpy.ma: 0.19-0.27 s of a 0.28-0.45 s
+`import linkages` under python -X importtime (scipy 1.17, numpy 2.4), more
+than the whole detachment march, paid by every CLI call.  Loaded this way
+the extension is the one scipy.linalg loads, so scipy.linalg.lapack.dgtsv
+is this dgtsv once both are imported.  Nothing on the import path of
+linkages may import scipy.linalg; a test runs the import in a fresh
+process and pins that.
 """
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+import scipy
 
 from .errors import DegenerateOperator
+
+
+def _flapack():
+    """scipy.linalg._flapack, executed from its file without scipy.linalg's package init."""
+    base = os.path.join(scipy.__path__[0], "linalg", "_flapack")
+    paths = [base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.exists(p)), None)
+    if path is None:
+        raise ImportError(f"scipy's LAPACK extension is missing: none of {paths} exists")
+    name = "scipy.linalg._flapack"
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(name, path, loader=loader))
+    loader.exec_module(module)
+    return module
+
+
+dgtsv = _flapack().dgtsv
 
 
 def solve(c, kappa, rhs, grid, clamped=False):

@@ -469,7 +469,8 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
     gamma2, dS_norm = cp.riccati_bound(rho, u, zeta, rate, src, vcfg.final_time, eps, sgrid, agrid.w, work)
     k = gamma2 / eps + dS_norm + 1.0
     # age order at the history's head 0 is the cohort ring
-    state = cp.CoupledState(rho=rho, u=u, z=z, g=g, hist=hist, t=0.0, truncation_k=k, agrid=agrid, mu0=mu0, zeta=zeta)
+    beta0 = rate.beta_values(sgrid.x, 0.0) if is_time_invariant(rate.beta) else None
+    state = cp.CoupledState(rho=rho, u=u, z=z, g=g, hist=hist, t=0.0, truncation_k=k, agrid=agrid, mu0=mu0, zeta=zeta, beta0=beta0)
 
     def step(n, st):
         return cp.coupled_step(st, src, rate, eps, sgrid, agrid)

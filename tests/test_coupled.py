@@ -694,3 +694,30 @@ def test_mu0_stays_nonnegative_where_a_lane_dies_out_on_the_birth_ring():
     run_coupled(validate_quiet(detachment_config(nx=24, final_time=0.0125)), diag_stride=0,
                 observers=[lambda n, st: lows.append(float(st.mu0.min()))])
     assert len(lows) == 1251 and min(lows) >= 0.0
+
+
+def counted_on_rate(spec, plain):
+    """The given on-rate of spec with its calls counted: (a Preset, or a plain callable, which counts as depending on t; the t of each call)."""
+    fn, calls = presets.given_beta_fn(spec), []
+
+    def count(x, t):
+        calls.append(t)
+        return fn(x, t)
+
+    return (count if plain else presets.Preset(spec, count, fn.time_invariant)), calls
+
+
+def test_an_on_rate_that_ignores_t_is_sampled_once_per_run():
+    runs = {}
+    for plain in (False, True):
+        beta, calls = counted_on_rate("constant(0.8)", plain)
+        rate = RateModel(zeta_kind="lipschitz", zeta_M=np.inf, beta=beta, beta_m=0.8)
+        vcfg = validate_quiet(coupled_cfg(final_time=0.1, rate_model=rate))
+        calls.clear()
+        levels = []
+        res = run_coupled(vcfg, diag_stride=0, observers=[lambda n, st: levels.append(st.t) if n else None])
+        runs[plain] = calls, levels, res.final
+    (once, levels, got), (each, _, want) = runs[False], runs[True]
+    assert once == [0.0] and len(levels) == 250 and each == levels
+    for name in ("z", "mu0", "g", "u", "rho"):
+        assert np.array_equal(bits(getattr(got, name)), bits(getattr(want, name))), name

@@ -1,4 +1,10 @@
-"""Tridiagonal kernel against dense and analytic oracles."""
+"""Tridiagonal kernel against dense and analytic oracles, and how it is loaded."""
+
+import os
+import re
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -6,6 +12,7 @@ import pytest
 from conftest import dense_solve
 from oracles import laplacian
 
+import linkages
 from linkages import elliptic
 from linkages.elliptic import solve
 from linkages.errors import DegenerateOperator
@@ -216,3 +223,23 @@ def test_a_clamped_coefficient_is_not_checked_again():
     with pytest.raises(DegenerateOperator, match="negative coefficient"):
         solve(c, 1.0, np.ones(4), g)
     assert np.all(np.isfinite(solve(c, 1.0, np.ones(4), g, clamped=True)))
+
+
+def test_importing_the_cli_leaves_scipy_linalg_unimported():
+    src = os.path.dirname(os.path.dirname(linkages.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, linkages.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_the_kernel_is_scipy_linalg_lapack_dgtsv():
+    import scipy.linalg.lapack
+
+    assert elliptic.dgtsv is scipy.linalg.lapack.dgtsv
+
+
+def test_a_missing_lapack_extension_names_its_path(monkeypatch, tmp_path):
+    monkeypatch.setattr(elliptic, "scipy", types.SimpleNamespace(__path__=[str(tmp_path)]))
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg" / "_flapack"))):
+        elliptic._flapack()
