@@ -35,7 +35,7 @@ for n in range(1, 401):
     m, _ = ring.sums()
     births, mu0_all = renew(beta_field, m, ag.w[0])
     hist.push(zeros)  # the oldest cohort's column takes the newborns
-    ring.push(births)
+    ring.push(births, zeros)
     if n % 50 == 0:
         t = n * dt
         mu0 = float(mu0_all[0])

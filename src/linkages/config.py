@@ -247,7 +247,8 @@ def validate_config(config):
     if rate.zeta_m <= 0:
         violated("off-rate lower bound", "zeta_m")
     if rate.zeta_kind == "given":
-        for t in t_samples:
+        # an off-rate that ignores t is sampled once, as _WeakRun samples it
+        for t in t_samples[:1] if presets.is_time_invariant(rate.zeta) else t_samples:
             zval = rate.zeta_field(x, a, t)
             if not np.all(np.isfinite(zval)):
                 violated("off-rate finiteness", f"t={t:g}")
@@ -258,11 +259,14 @@ def validate_config(config):
     elif rate.zeta_kind == "lipschitz":
         u_samples = np.linspace(-50.0, 50.0, 201)
         zu = rate.zeta_of_u(u_samples)
-        if np.min(zu) < rate.zeta_m - 1e-12:
-            violated("off-rate lower bound", "zeta(u) < zeta_m")
-        slopes = np.abs(np.diff(zu) / np.diff(u_samples))
-        if np.max(slopes) > rate.zeta_lip * (1 + 1e-9):
-            violated("off-rate lipschitz", f"slope {np.max(slopes):g} > {rate.zeta_lip:g}")
+        if not np.all(np.isfinite(zu)):
+            violated("off-rate finiteness", "zeta(u)")
+        else:
+            if np.min(zu) < rate.zeta_m - 1e-12:
+                violated("off-rate lower bound", "zeta(u) < zeta_m")
+            slopes = np.abs(np.diff(zu) / np.diff(u_samples))
+            if np.max(slopes) > rate.zeta_lip * (1 + 1e-9):
+                violated("off-rate lipschitz", f"slope {np.max(slopes):g} > {rate.zeta_lip:g}")
     else:
         violated("rate model kind", rate.zeta_kind)
 

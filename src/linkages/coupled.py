@@ -59,8 +59,12 @@ ring's buffer, w_j c^j in surv's, B z and the density a record reads in
 the load buffer).  Once true, that stays true while the run stays calm,
 as a calm step sets only the age-one column to c and a zero lane stays
 zero; so it is tested at the first calm step in a row and, refused, once
-every ring period after.  A step that is not calm rebuilds the cohort
-ring in the load buffer and forms every survival factor afresh.  The
+every ring period after.  On the birth ring no step reads u or zeta, so
+a calm step there writes no age field at all: it counts the newborn
+columns it owes (CoupledState.owed), and one block write settles them
+when u or zeta is read or at the first step that is not calm.  That step
+rebuilds the cohort ring in the load buffer and forms every survival
+factor afresh, as every step that is not calm does.  The
 ring's sums round in another order: the outputs move in the last bits.
 """
 
@@ -88,18 +92,56 @@ class CoupledState:
     lane with surv <= 1; calm counts the calm steps in a row, 0 after a step
     that is not calm (see the module docstring).  A calm step keeps g and
     the zeta of its age-one column, so a caller that writes either between
-    steps clears calm and quiet.  beta0 is the run's on-rate sampled once,
-    where it ignores t, and is read at every step; None has the step sample
-    the on-rate at each level.
+    steps clears calm and quiet.
+
+    A calm step on the birth ring writes no age field: it counts in owed the
+    newborn columns it leaves unwritten (ages 0 .. owed-1, at most a ring
+    period), whose u is 0 and whose zeta is zeta0, the zeta(0) column saved
+    when the ring was taken.  Reading u_ring or zeta (a record, riccati_p,
+    a caller's observer) settles them in one block write, and so does the
+    first step that is not calm.
+
+    The run's constants are formed once, where its data ignore t: beta0,
+    the on-rate, and den0 = 1 + beta0*w0, its renewal denominator (None
+    has the step sample the on-rate at each level), and eps_load, eps*S on
+    the interior nodes, with the sample S and the eps it was formed from.
     """
 
     def __init__(self, rho, u, z, g, hist, t, truncation_k, agrid, truncated=False, mu0=None, zeta=None, beta0=None):
-        self.u_ring, self.zeta, self.z, self.g, self.hist, self.t = u, zeta, z, g, hist, t
-        self.beta0 = beta0
+        self._u, self._zeta, self.z, self.g, self.hist, self.t = u, zeta, z, g, hist, t
+        self.beta0, self.den0 = beta0, None if beta0 is None else 1.0 + beta0 * agrid.w[0]
+        self.eps_load = None
         self.truncation_k, self.truncated, self.mu0 = truncation_k, truncated, mu0
         self.surv, self.load = np.empty_like(rho), np.empty_like(rho)
         self.ring = CohortRing(rho, self.surv, hist, agrid)
         self.calm, self.quiet = 0, False
+        self.owed, self.zeta0 = 0, None
+
+    def settle(self):
+        """Write the owed newborn columns, ages 0 .. owed-1 from hist.head on: u = 0 and zeta = zeta0."""
+        owed, self.owed = self.owed, 0
+        if owed:
+            head, depth = self.hist.head, self.hist.depth
+            for cols in (slice(head, min(head + owed, depth)), slice(0, max(head + owed - depth, 0))):
+                self._u[:, cols] = 0.0
+                self._zeta[:, cols] = self.zeta0[:, None]
+
+    @property
+    def u_ring(self):
+        """Stretch as a cohort ring at hist.head, its owed columns settled."""
+        self.settle()
+        return self._u
+
+    @property
+    def zeta(self):
+        """Off-rate on u as a cohort ring at hist.head, its owed columns settled."""
+        self.settle()
+        return self._zeta
+
+    @zeta.setter
+    def zeta(self, value):
+        self.settle()
+        self._zeta = value
 
     @property
     def rho_ring(self):
@@ -180,30 +222,41 @@ def coupled_step(st, source, rate, eps, sgrid, agrid):
     else:
         beta = rate.beta_values(sgrid.x, t_new)
     dSdt = source.ddt(sgrid.x, t_new) if source is not None else None
-    hist, u = st.hist, st.u_ring
+    S = eps_load = None
+    if source is not None:
+        S = source(sgrid.x, t_new)
+        if source.time_invariant:  # S is the grid's one read-only sample, so eps*S is formed once
+            if st.eps_load is None or st.eps_load[0] is not S or st.eps_load[1] != eps:
+                st.eps_load = S, eps, eps * S[1:-1]
+            S, eps_load = None, st.eps_load[2]
+    hist, u = st.hist, st._u
     old, new = hist.head, (hist.head - 1) % hist.depth  # the columns of ages 1 and 0 after the step
     steady = dSdt is None or source.time_invariant  # dS/dt = 0, checked by validation
     calm = st.quiet and (st.calm or not st.g.any()) and (steady or not np.any(dSdt))
     st.calm = st.calm + 1 if calm else 0
-    if calm:
+    if calm and isinstance(st.ring, BirthRing):
+        st.owed = min(st.owed + 1, hist.depth)  # the newborns' u = 0 and zeta(0), settled when read
+    elif calm:
         u[:, new] = 0.0
-        st.zeta[:, new] = st.zeta[:, old]  # the last newborns' zeta(0)
-        if isinstance(st.ring, CohortRing):
-            decay(st.zeta[:, old], agrid.da, out=st.surv[:, old])
-            if st.calm % hist.depth == 1:  # the first calm step, then once a ring period
-                st.ring = _take_ring(st, agrid) or st.ring
+        st._zeta[:, new] = st._zeta[:, old]  # the last newborns' zeta(0)
+        decay(st._zeta[:, old], agrid.da, out=st.surv[:, old])
+        if st.calm % hist.depth == 1:  # the first calm step, then once a ring period
+            ring = _take_ring(st, agrid)
+            if ring is not None:
+                st.ring, st.zeta0 = ring, st._zeta[:, new].copy()
     else:
+        st.settle()
         if isinstance(st.ring, BirthRing):
             _leave_ring(st, agrid)
         g_used = np.clip(st.g, -k, k) if math.isfinite(k) else st.g
         u += agrid.da * g_used[:, None]  # g vanishes at the Dirichlet nodes: their rows stay 0
         u[:, new] = 0.0
-        st.zeta = rate.zeta_of_u(u)
-        decay(st.zeta, agrid.da, out=st.surv)
-    st.z, st.mu0 = advance(st.ring, beta, eps, sgrid, source(sgrid.x, t_new) if source is not None else None)
+        st._zeta = rate.zeta_of_u(u)
+        decay(st._zeta, agrid.da, out=st.surv)
+    st.z, st.mu0 = advance(st.ring, beta, eps, sgrid, S, st.den0, eps_load)
     if not calm:  # the velocity reads rho, u, zeta and mu0 of the new level, not z
         w = cohort_weights(agrid.w, new)
-        st.g = solve_velocity(st.ring.rho, st.mu0, u, st.zeta, dSdt, eps, sgrid, w, load=st.load)
+        st.g = solve_velocity(st.ring.rho, st.mu0, u, st._zeta, dSdt, eps, sgrid, w, load=st.load)
         st.quiet = not st.g.any() and not st.load.any() and st.surv.max() <= 1.0
     st.t = t_new
     st.truncated = not calm and bool(np.abs(st.g).max() > k)  # a calm step keeps its zero g, and k > 0
@@ -225,7 +278,9 @@ def riccati_gamma2(p0, gamma1, h, eps):
 def riccati_bound(rho, u, zeta_u, rate, source, final_time, eps, sgrid, w, work):
     """Riccati data measured from the initial state: (gamma2, dS_norm).
 
-    q0 and p0 come from the records' pass on zeta_u (zeta on u) and work.
+    q0 and p0 come from the records' pass on zeta_u (zeta on u) and work,
+    two field buffers (run_coupled lends the state's surv and load, which
+    its first step writes before it reads them).
     dS_norm is the largest L2 norm of dS/dt over five sample times in
     [0, final_time]; gamma2 bounds p(t) for the whole run.  zeta(0) is read
     off the off-rate at a Dirichlet node, where u = 0.

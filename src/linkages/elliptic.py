@@ -76,7 +76,7 @@ def solve(c, kappa, rhs, grid, clamped=False):
     c = np.asarray(c, dtype=float)
     if not clamped and c.min() < 0:
         raise DegenerateOperator(f"negative coefficient: min c = {c.min():g}")
-    weights = tuple(np.ravel(kappa).tolist())
+    weights = (kappa,) if isinstance(kappa, float) else tuple(np.ravel(kappa).tolist())
     if min(weights) < 0:
         raise DegenerateOperator("negative diffusion weight")
     k, two_k, off = _weights(rows.shape, dx, weights)

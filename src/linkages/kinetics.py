@@ -81,24 +81,33 @@ def cohort_weights(w, head):
     return np.concatenate((w[w.size - head :], w[: w.size - head]))
 
 
-def renew(beta_values, m, w0):
-    """Birth value and mu0 of the next level from its renewal mass m (the closed-form renewal)."""
-    births = beta_values * (1.0 - m) / (1.0 + beta_values * w0)
+def renew(beta_values, m, w0, den=None):
+    """Birth value and mu0 of the next level from its renewal mass m (the closed-form renewal).
+
+    den, if given, is 1 + beta_values*w0, formed once by a run whose
+    on-rate is one sample.
+    """
+    if den is None:
+        den = 1.0 + beta_values * w0
+    births = beta_values * (1.0 - m) / den
     return births, w0 * births + m
 
 
-def advance(ring, beta_values, eps, sgrid, source=None):
+def advance(ring, beta_values, eps, sgrid, source=None, den=None, eps_source=None):
     """One level of density and position on ring (either form), z solving (m - eps Lap_h) z = q + eps S; returns (z, mu0).
 
     On Rows, m, q, z and mu0 have one row per ring, in one renew and one
     position solve; eps is then a column of scales (shape (rows, 1)), and
-    beta_values and source are rows or broadcast against them.
+    beta_values and source are rows or broadcast against them.  den (see
+    renew) and eps_source, eps*S on the interior nodes in place of source
+    (see solve_balance), are the constants of a run whose on-rate or load
+    is one sample.
     """
     m, q = ring.sums()
-    births, mu0 = renew(beta_values, m, ring.agrid.w[0])
-    z = solve_balance(q, m, eps, sgrid, source)
+    births, mu0 = renew(beta_values, m, ring.agrid.w[0], den)
+    z = solve_balance(q, m, eps, sgrid, source, eps_source)
     ring.hist.push(z)
-    ring.push(births)
+    ring.push(births, z)
     return z, mu0
 
 
@@ -125,8 +134,8 @@ class CohortRing:
         lag[new] = 0.0
         return rho @ lag, delay_quadrature(lag, rho, self.hist.buf)
 
-    def push(self, births):
-        """Write the newborns into column hist.head, which the history's push has just taken."""
+    def push(self, births, z):
+        """Write the newborns into column hist.head, which the history's push of z has just taken."""
         self.rho[:, self.hist.head] = births
 
     def density(self):
@@ -176,17 +185,17 @@ class BirthRing:
             return self._read(self.wC, (self.births, self.products))
         return _lagged(self.acc, self.coef[0])
 
-    def push(self, births):
-        """Write B (and B z, z read off the history) of the new level into column hist.head, which the history's push took."""
+    def push(self, births, z):
+        """Write B and B z of the new level into column hist.head, which the history's push of z took."""
         head = self.hist.head
         self.births[:, head] = births
         if self.c is None:
-            self.products[:, head] = births * self.hist.buf[:, head]
+            self.products[:, head] = births * z
         elif self._edge():
             self._reread()
         else:
             self.acc[2, 0] = births
-            np.multiply(births, self.hist.buf[:, head], out=self.acc[2, 1])
+            np.multiply(births, z, out=self.acc[2, 1])
             _roll(self.acc, self.coef)
 
     def _read(self, wC, rings):
@@ -298,13 +307,12 @@ def _roll(acc, coef):
 
 
 class _Histories:
-    """The position histories of Rows: push writes row i of z onto history i, and keeps z."""
+    """The position histories of Rows: push writes row i of z onto history i."""
 
     def __init__(self, hists):
         self.hists = hists
 
     def push(self, z):
-        self.z = z
         for hist, row in zip(self.hists, z):
             hist.push(row)
 
@@ -338,18 +346,18 @@ class Rows:
         m, q = zip(*(ring.sums() for ring in self.rings))
         return np.stack(m), np.stack(q)
 
-    def push(self, births):
-        """Write row i of births (and B z) into ring i, after hist's push."""
+    def push(self, births, z):
+        """Write row i of births (and B z) into ring i, after hist's push of z."""
         if self.acc is None:
-            for ring, row in zip(self.rings, births):
-                ring.push(row)
+            for ring, row, z_row in zip(self.rings, births, z):
+                ring.push(row, z_row)
             return
         fresh = []
         for ring, row in zip(self.rings, births):
             ring.births[:, ring.hist.head] = row
             fresh.append(ring._edge())
         self.acc[2, 0] = births
-        np.multiply(births, self.hist.z, out=self.acc[2, 1])
+        np.multiply(births, z, out=self.acc[2, 1])
         _roll(self.acc, self.coef)
         for ring, reread in zip(self.rings, fresh):
             if reread:  # rolled with the others, then read afresh

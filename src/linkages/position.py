@@ -59,20 +59,24 @@ def delay_quadrature(w, rho, Z):
     return np.einsum("j,xj,xj->x", w, rho, Z)
 
 
-def solve_balance(integral, coeff, eps, sgrid, f=None):
+def solve_balance(integral, coeff, eps, sgrid, f=None, eps_f=None):
     """Solve the balance (coeff - eps Lap_h) x = integral + eps f.
 
     integral, coeff and f (or None) are full-grid values, or rows of them
     with eps one scale per row (shape (rows, 1)), solved in one
-    elliptic.solve.  coeff, a population (mu0 - w0 rho(., 0) for the
-    position, mu0 for the velocity), is clamped at 0, which is its one sign
-    check; a value below -1e-12 is a kinetics bug.
+    elliptic.solve.  eps_f, if given, is eps*f on the interior nodes, which
+    a run whose f is one sample forms once; it stands in for f.  coeff, a
+    population (mu0 - w0 rho(., 0) for the position, mu0 for the velocity),
+    is clamped at 0, which is its one sign check; a value below -1e-12 is a
+    kinetics bug.
     """
     if coeff.min() < -1e-12:
         raise DegenerateOperator(f"negative population coefficient {coeff.min():g}: kinetics bug")
     rhs = integral[..., 1:-1]
-    if f is not None:
-        rhs = rhs + eps * np.asarray(f)[..., 1:-1]
+    if eps_f is None and f is not None:
+        eps_f = eps * np.asarray(f)[..., 1:-1]
+    if eps_f is not None:
+        rhs = rhs + eps_f
     return elliptic.solve(np.maximum(coeff[..., 1:-1], 0.0), eps, rhs, sgrid, True)  # clamped: c >= 0
 
 

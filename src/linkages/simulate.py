@@ -155,6 +155,7 @@ class _WeakRun:
         ring = ring or CohortRing(rho, survival(zeta, agrid), hist, agrid)
         self.state = WeakState(t=0.0, z=z, hist=hist, zeta=zeta, mu0=mu0, ring=ring)
         self.beta0 = rate.beta_values(sgrid.x, 0.0) if is_time_invariant(rate.beta) else None
+        self.den0 = None if self.beta0 is None else 1.0 + self.beta0 * agrid.w[0]  # renew's denominator
         # discrete analogue of the population floor min(mu0(0), beta_m/(beta_m+zeta_M))
         self.guard = _Guard(min(float(np.min(mu0)), rate.beta_m / (rate.beta_m + rate.zeta_M)) - 10.0 * agrid.da)
         _check([self], z[None], mu0[None])
@@ -199,7 +200,7 @@ def _weak_step(runs, rows, eps):
 
     beta = first.beta0 if first.beta0 is not None else at_each_t(first.beta_at)
     src = at_each_t(lambda t: first.src(x, t), first.src.time_invariant) if first.src is not None else None
-    z, mu0 = advance(rows, beta, eps, first.sgrid, src)
+    z, mu0 = advance(rows, beta, eps, first.sgrid, src, first.den0)
     for r, z_row, mu0_row in zip(runs, z, mu0):
         st = r.state
         st.z, st.mu0, st._rho = z_row, mu0_row, None
@@ -215,7 +216,8 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     output_stride controls trajectory snapshots, diag_stride the diagnostics
     cadence (0 disables them).  With diag_stride == 1 and no source, the
     per-step energy and stability decays are checked and any breach is
-    recorded as a hard violation.  observers are called as obs(n, state)
+    recorded as a hard violation; a record whose energy, dissipation,
+    stability or p is not finite ends the run (NonfiniteValue).  observers are called as obs(n, state)
     with the WeakState at every level, after the built-in ones (see march).
     The density steps on the ring of _WeakRun: on birth values an off-rate
     the same at every age (every constant preset) costs O(nx) a step, with
@@ -259,6 +261,7 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
             gamma2=0.0,
             truncated=False,
         )
+        _check_record(rec)
         if n and diag_stride == 1 and src is None:
             prev = records[-1]
             if rec.energy > prev.energy + ENERGY_DECAY_TOL * abs(records[0].energy):
@@ -447,30 +450,35 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
     position curve and the population curve.  observers are called as
     obs(n, state) with the CoupledState at every level, after the built-in
     ones (see march); the step updates that one state in place, so an
-    observer copies what it keeps.  The truncation threshold gamma2/eps +
-    max ||dS/dt|| + 1 sits strictly above the Riccati bound, so the clamp
-    should never engage (it is recorded if it does).  A calm stretch of
+    observer copies what it keeps, and its read of u_ring or zeta settles
+    the newborn columns a calm step on the birth ring owes (see coupled).
+    The truncation threshold gamma2/eps + max ||dS/dt|| + 1 sits strictly
+    above the Riccati bound, so the clamp should never engage (it is
+    recorded if it does).  A calm stretch of
     the run -- zero velocity, zero load, dS/dt = 0, as after the tear-off
     of run_detachment -- steps on a birth ring in O(nx) a step where every
     live cohort decays at the unstretched rate (see coupled).  Every
-    diag_stride levels a record is formed, and its p above the Riccati
-    bound gamma2 is a soft flag.
+    diag_stride levels a record is formed, on two work buffers that exist
+    only where diag_stride > 0; its p above the Riccati bound gamma2 is a
+    soft flag, and a record whose energy, dissipation, stability or p is
+    not finite ends the run (NonfiniteValue).
     """
     sgrid, agrid, ts, rho, z, hist = _start(vcfg)
     rate, src, eps = vcfg.rate_model, vcfg.source, vcfg.epsilon
     u = dg.elongation_from_history(z, hist, eps, np.empty_like(rho))
     u[[0, -1]] = 0.0  # the Dirichlet rows stay unstretched
     dSdt0 = src.ddt(sgrid.x, 0.0) if src is not None else None
-    mu0 = rho @ agrid.w
-    zeta = rate.zeta_of_u(u)
-    g = cp.solve_velocity(rho, mu0, u, zeta, dSdt0, eps, sgrid, agrid.w)
-    work = (np.empty_like(rho), np.empty_like(rho))  # the records' buffers, reused by each
-
-    gamma2, dS_norm = cp.riccati_bound(rho, u, zeta, rate, src, vcfg.final_time, eps, sgrid, agrid.w, work)
-    k = gamma2 / eps + dS_norm + 1.0
-    # age order at the history's head 0 is the cohort ring
     beta0 = rate.beta_values(sgrid.x, 0.0) if is_time_invariant(rate.beta) else None
-    state = cp.CoupledState(rho=rho, u=u, z=z, g=g, hist=hist, t=0.0, truncation_k=k, agrid=agrid, mu0=mu0, zeta=zeta, beta0=beta0)
+    # age order at the history's head 0 is the cohort ring; the state holds the level-0 zeta alone
+    state = cp.CoupledState(rho=rho, u=u, z=z, g=None, hist=hist, t=0.0, truncation_k=None, agrid=agrid,
+                            mu0=rho @ agrid.w, zeta=rate.zeta_of_u(u), beta0=beta0)
+    # the velocity's lanes and the Riccati bound's pass borrow load and surv, which the first step writes first
+    state.g = cp.solve_velocity(rho, state.mu0, u, state.zeta, dSdt0, eps, sgrid, agrid.w, load=state.load)
+    gamma2, dS_norm = cp.riccati_bound(rho, u, state.zeta, rate, src, vcfg.final_time, eps, sgrid, agrid.w,
+                                       (state.surv, state.load))
+    state.truncation_k = gamma2 / eps + dS_norm + 1.0
+    # the records' buffers, reused by each
+    work = (np.empty_like(rho), np.empty_like(rho)) if diag_stride else None
 
     def step(n, st):
         return cp.coupled_step(st, src, rate, eps, sgrid, agrid)
@@ -484,6 +492,7 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
 
     # several requested times may round to one level
     level_of = {t_req: int(round(t_req / ts.dt)) for t_req in snapshot_times}
+    levels = set(level_of.values())
     snapshots, soft_flags, records = {}, [], []
     u_min, ever_truncated = math.inf, False
 
@@ -492,10 +501,11 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
         if not st.calm:  # a calm step writes only newborn zeros, and u_min <= 0 from level 0 on
             u_min = min(u_min, float(st.u_ring.min()))
         ever_truncated = ever_truncated or st.truncated
-        snapshots.update({t_req: (st.z.copy(), st.mu0.copy()) for t_req, m in level_of.items() if m == n})
+        if n in levels:
+            snapshots.update({t_req: (st.z.copy(), st.mu0.copy()) for t_req, m in level_of.items() if m == n})
 
     def record(n, st):
-        if not diag_stride or n % diag_stride:
+        if n % diag_stride:
             return
         w = cohort_weights(agrid.w, st.hist.head)
         rec = dg.record(
@@ -505,10 +515,11 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
             gamma2=gamma2,
             truncated=st.truncated,
         )
+        _check_record(rec)
         records.append(rec)
         soft_flags.extend(_riccati_flags([(st.t, rec.p)], gamma2))
 
-    state = march(state, step, ts.n_steps, [check, track, record, *observers])
+    state = march(state, step, ts.n_steps, [check, track, *([record] if diag_stride else []), *observers])
 
     # the initial population is given data (validate_config warns when it
     # vanishes); extinction is the dynamics driving it to zero
@@ -526,6 +537,13 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
         soft_flags=soft_flags,
         final=state,
     )
+
+
+def _check_record(rec):
+    """NonfiniteValue, naming t, for a record whose energy, dissipation, stability or p is not finite."""
+    bad = [name for name in ("energy", "dissipation", "stability", "p") if not math.isfinite(getattr(rec, name))]
+    if bad:
+        raise NonfiniteValue(f"non-finite {'/'.join(bad)} at t={rec.t:g}")
 
 
 def _riccati_flags(monitor, gamma2):

@@ -73,7 +73,7 @@ def density_stepper(rho, agrid):
         ring.surv = surv
         births, _ = renew(beta_values, ring.sums()[0], agrid.w[0])
         hist.push(zeros)
-        ring.push(births)
+        ring.push(births, zeros)
         return ring.density()
 
     return step

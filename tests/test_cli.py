@@ -481,3 +481,40 @@ def test_usage_error_exits_1(tmp_path, capsys, argv):
     assert exc.value.code == 1
     assert "error: " in capsys.readouterr().err
     assert not out.exists()
+
+
+BUG_SIMULATION = """
+[simulation]
+epsilon = 0.05
+final_time = 0.02
+nx = 8
+da = 0.01
+"""
+
+
+def test_an_off_rate_of_u_that_overflows_is_a_config_error(tmp_path, capsys):
+    # zeta(u) = 1 + 1e308 |u| is inf on most u samples; validation used to
+    # pass it (the slope check is false for NaN) and the run ended in
+    # "non-finite z/g at t=0" with exit 2
+    rate = "\n[rate_model]\nzeta_kind = lipschitz\nzeta = affine_abs(1, 1e308)\nzeta_M = inf\n"
+    cfg = write(tmp_path, BUG_SIMULATION + rate + "\n[source]\nS = constant(1.0)\n")
+    out = tmp_path / "o"
+    assert main(["coupled", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error: HypothesisViolation('off-rate finiteness' at zeta(u))" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("command, text, where", [
+    ("weak", BUG_SIMULATION + "\n[source]\nS = constant(1e308)\n", "energy/dissipation at t=0"),
+    ("coupled", TINY_COUPLED.replace("S = constant(1.0)", "S = constant(1e110)"), "dissipation at t=0"),
+], ids=["weak", "coupled"])
+def test_a_record_that_is_not_finite_ends_the_run(tmp_path, capsys, command, text, where):
+    # the load overflows the energy or the dissipation of the first record
+    # while z and g stay finite; such a run used to write NaN and inf rows
+    # and exit 0
+    out = tmp_path / "o"
+    assert main([command, "--config", write(tmp_path, text), "--out", str(out), "--cadence", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: non-finite {where}" in err.splitlines()[-1]
+    assert not (out / "diagnostics.csv").exists()

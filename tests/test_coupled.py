@@ -721,3 +721,99 @@ def test_an_on_rate_that_ignores_t_is_sampled_once_per_run():
     assert once == [0.0] and len(levels) == 250 and each == levels
     for name in ("z", "mu0", "g", "u", "rho"):
         assert np.array_equal(bits(getattr(got, name)), bits(getattr(want, name))), name
+
+
+# S = 1e4 + 1e6 max(t - 1.2e-3, 0), a plain callable: dS/dt = 0 until 1.2e-3
+SWITCH_ON = SourceModel(
+    fn=lambda x, t: np.full_like(x, 1e4 + 1e6 * max(t - 1.2e-3, 0.0)),
+    dfn=lambda x, t: np.full_like(x, 1e6 if t >= 1.2e-3 else 0.0),
+)
+
+
+def test_a_calm_stretch_settles_the_columns_it_owes_bit_for_bit():
+    # on a ring period of 51 levels the tear-off is calm on the birth ring
+    # for more than two periods, then the load switches on.  Calm steps on
+    # the ring write no age field but owe the newborn columns; an observer
+    # that reads u and zeta at every level settles them a column at a time,
+    # a run that never reads them settles all at once at the first step
+    # that is not calm, and a run that ends in the stretch settles them when
+    # its final state is read.  Every output agrees bit for bit
+    vcfg = validate_quiet(detachment_config(nx=24, a_max=0.5, final_time=1.5e-3, source=SWITCH_ON))
+    times = (1e-4, 6e-4, 1.3e-3)
+    seen, owed = [], []
+
+    def read(n, st):
+        seen.append((bits(st.u_ring).copy(), bits(st.zeta).copy()))
+
+    def watch(n, st):  # reads neither field
+        owed.append((st.owed, isinstance(st.ring, BirthRing), st.calm))
+
+    runs = [
+        run_coupled(vcfg, diag_stride=stride, snapshot_times=times, observers=obs)
+        for stride, obs in ((0, [watch]), (0, [read]), (1, []), (1, [read]))
+    ]
+    depth = 51
+    assert max(o for o, _, _ in owed) == depth and owed[-1] == (0, False, 0)
+    assert sum(ring for _, ring, _ in owed) > 2 * depth
+    assert len(seen) == 2 * 151 and runs[0].records == [] and len(runs[2].records) == 151
+    for res in runs[1:]:
+        for name in ("mu0_min", "mu0_max", "u_min", "gamma2", "ever_truncated", "violations", "soft_flags"):
+            assert getattr(res, name) == getattr(runs[0], name), name
+        assert res.snapshots.keys() == runs[0].snapshots.keys()
+        for t, (z, mu0) in res.snapshots.items():
+            assert np.array_equal(bits(z), bits(runs[0].snapshots[t][0]))
+            assert np.array_equal(bits(mu0), bits(runs[0].snapshots[t][1]))
+        for name in ("z", "mu0", "g", "u", "zeta", "rho"):
+            assert np.array_equal(bits(getattr(res.final, name)), bits(getattr(runs[0].final, name))), name
+    assert runs[3].records == runs[2].records
+    for (u_b, zeta_b), (u_d, zeta_d) in zip(seen[:151], seen[151:]):
+        assert np.array_equal(u_b, u_d) and np.array_equal(zeta_b, zeta_d)
+    # a run that ends 100 levels in owes every column; reading its final state settles them
+    short = run_coupled(validate_quiet(detachment_config(nx=24, a_max=0.5, final_time=1e-3, source=SWITCH_ON)),
+                        diag_stride=0).final
+    assert short.owed == depth
+    u, zeta = bits(short.u_ring), bits(short.zeta)
+    assert short.owed == 0
+    assert np.array_equal(u, seen[100][0]) and np.array_equal(zeta, seen[100][1])
+
+
+def traced_peak(fn, *args, **kw):
+    tracemalloc.start()
+    try:
+        fn(*args, **kw)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_detachment_holds_at_most_seven_and_a_half_fields():
+    # the state's six fields (history, density, u, zeta, surv, load) and the
+    # first step's zeta(u) with its temporaries; the level-0 velocity and
+    # Riccati pass borrow load and surv, and no record buffer is made
+    vcfg = validate_quiet(detachment_config(final_time=3e-4))
+    sg, ag, _ = build_grids(vcfg)
+    assert traced_peak(run_detachment, vcfg) <= 7.5 * 8 * sg.n_nodes * ag.n_nodes
+
+
+def test_a_coupled_run_without_records_makes_no_record_buffers():
+    # the records' two work buffers exist only where records are formed
+    vcfg = validate_quiet(coupled_config(final_time=0.02))
+    sg, ag, _ = build_grids(vcfg)
+    field = 8 * sg.n_nodes * ag.n_nodes
+    peaks = {stride: traced_peak(run_coupled, vcfg, diag_stride=stride) for stride in (0, 5)}
+    assert peaks[0] <= peaks[5] - 1.5 * field
+
+
+def test_the_run_constant_load_follows_the_load_a_step_is_given():
+    # eps*S is formed once per load sample: a step given another load that
+    # ignores t forms it afresh, bit for bit the step of a state that never
+    # held one
+    st, rate, eps, sg, ag = torn_off()
+    assert st.eps_load is not None
+    fresh = copy.deepcopy(st)
+    fresh.eps_load = None
+    load = SourceModel(*presets.source_fns("constant(5000.0)"))
+    st, fresh = (coupled_step(s, load, rate, eps, sg, ag) for s in (st, fresh))
+    assert st.eps_load[0] is load(sg.x, 0.0)
+    for name in ("z", "mu0", "g"):
+        assert np.array_equal(bits(getattr(st, name)), bits(getattr(fresh, name))), name

@@ -253,3 +253,18 @@ def test_given_rate_preset_declares_its_time_dependence(make, spec):
     same = np.array_equal(rate(*args, 0.0), rate(*args, 0.37))
     assert rate.spec == spec and rate.time_invariant == same
     assert presets.is_time_invariant(rate) == same and not presets.is_time_invariant(lambda x, t: rate(x, t))
+
+
+@pytest.mark.parametrize("plain, calls", [(False, 1), (True, 5)], ids=["preset", "plain-callable"])
+def test_validation_samples_a_given_off_rate_that_ignores_t_once(plain, calls):
+    # a Preset that declares it ignores t is one field at every sample time,
+    # as _WeakRun takes it; a plain callable is sampled at all five
+    fn, times = presets.given_zeta_fn("one_plus_age_ramp"), []
+
+    def count(x, a, t):
+        times.append(t)
+        return fn(x, a, t)
+
+    zeta = count if plain else presets.Preset("one_plus_age_ramp", count, True)
+    validate_config(make_config(rate_model=RateModel(zeta=zeta, zeta_M=1.5)))
+    assert len(times) == calls and times[0] == 0.0

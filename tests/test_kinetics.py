@@ -182,7 +182,7 @@ def test_birth_ring_sums_at_every_head(na):
             np.testing.assert_allclose(got, np.einsum("xj,xj->x", wC, aged[:, :-1]), rtol=1e-13, atol=0.0)
         z = rng.random(nodes)
         hist.push(z)  # the history moves the head; the ring writes into its column
-        ring.push(rng.random(nodes))
+        ring.push(rng.random(nodes), z)
     assert heads == [0, *range(depth - 1, 0, -1), 0]
 
 
@@ -208,7 +208,7 @@ def test_birth_ring_running_sums_at_every_head(na):
             np.testing.assert_allclose(got, np.einsum("xj,xj->x", wC, aged[:, :-1]), rtol=1e-13, atol=0.0)
         z = rng.random(nodes)
         hist.push(z)
-        ring.push(rng.random(nodes))
+        ring.push(rng.random(nodes), z)
     assert heads == [0, *range(depth - 1, 0, -1)] * 2 + [0]
 
 
@@ -240,7 +240,7 @@ def test_shift_step_at_every_head(na):
         births, mu0 = renew(beta, m, ag.w[0])
         z = rng.random(nodes)
         hist.push(z)  # the history moves the head; the ring writes into its column
-        ring.push(births)
+        ring.push(births, z)
         ring.surv = rng.uniform(0.1, 1.0, (nodes, na))
         np.testing.assert_allclose(ring.density(), want, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(mu0, want @ ag.w, rtol=1e-13, atol=0.0)

@@ -254,7 +254,7 @@ def test_time_dependent_rate_matches_survival_every_step(monkeypatch):
         births, _ = renew(rate.beta_values(sg.x, n * ts.dt), m, ag.w[0])
         traj.append(solve_balance(integral, m, vcfg.epsilon, sg))
         hist.push(traj[-1])
-        cohorts.push(births)
+        cohorts.push(births, traj[-1])
     assert np.array_equal(res.final_rho, cohorts.density())
     assert np.array_equal(res.trajectory, np.asarray(traj))
 
