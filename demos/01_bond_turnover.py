@@ -23,6 +23,7 @@ dt = eps * da
 rho = init_density(lambda x, a: 0.5 * np.exp(-np.asarray(a, dtype=float)) * np.ones_like(np.asarray(x, dtype=float)), sg, ag)
 surv = survival(np.full((sg.n_nodes, ag.n_nodes), zeta), ag)  # constant rate: one factor for every step
 beta_field = np.full(sg.n_nodes, beta)
+den = 1.0 + beta_field * ag.w[0]  # the renewal's denominator
 
 mu0_start = float((rho @ ag.w)[0])
 mu_eq = beta / (beta + zeta)
@@ -33,9 +34,8 @@ hist = PositionHistory(zeros, np.zeros_like(rho))  # column (hist.head + j) % (n
 ring = CohortRing(rho, surv, hist, ag)
 for n in range(1, 401):
     m, _ = ring.sums()
-    births, mu0_all = renew(beta_field, m, ag.w[0])
-    hist.push(zeros)  # the oldest cohort's column takes the newborns
-    ring.push(births, zeros)
+    births, mu0_all = renew(beta_field, den, m, ag.w[0])
+    ring.push(births, zeros)  # the history's push frees the oldest cohort's column for the newborns
     if n % 50 == 0:
         t = n * dt
         mu0 = float(mu0_all[0])

@@ -31,7 +31,8 @@ fields; analytic ingredients are named presets (see presets.py)::
     S = constant(10000.0)
 
 Validation samples every hypothesis on the actual grids and raises one
-ConfigError listing all violations; soft conditions only warn.
+ConfigError listing all violations; soft conditions only warn.  A run
+reads its given data (on-rate, load, dS/dt) through Inputs.
 """
 
 import configparser
@@ -123,31 +124,77 @@ class PastData:
 class SourceModel:
     """External load S(x, t) together with its time derivative.
 
-    A load whose fn declares that it ignores t (presets.is_time_invariant,
-    as a source_fns preset without a time derivative does; a plain callable
-    does not) is sampled once per grid: the first call on a grid's x array
-    samples S and dS/dt, and every later call on that array hands back the
-    same read-only pair at any t.  Validation asks its dS/dt to be 0.
+    time_invariant says that fn declares it ignores t
+    (presets.is_time_invariant, as a source_fns preset without a time
+    derivative does; a plain callable does not): Inputs then samples it
+    once a run, and validation asks its dS/dt to be 0.
     """
 
     fn: Callable
     dfn: Callable
 
     def __post_init__(self):
-        self.time_invariant, self._x, self._sample = presets.is_time_invariant(self.fn), None, None
+        self.time_invariant = presets.is_time_invariant(self.fn)
 
     def __call__(self, x, t):
-        return self._sampled(x, t)[0] if self.time_invariant else np.asarray(self.fn(x, t), dtype=float)
+        return np.asarray(self.fn(x, t), dtype=float)
 
     def ddt(self, x, t):
-        return self._sampled(x, t)[1] if self.time_invariant else np.asarray(self.dfn(x, t), dtype=float)
+        return np.asarray(self.dfn(x, t), dtype=float)
 
-    def _sampled(self, x, t):
-        if x is not self._x:  # keeps x alive, so another grid's x is never taken for it
-            self._x, self._sample = x, (np.array(self.fn(x, t), dtype=float), np.array(self.dfn(x, t), dtype=float))
-            for a in self._sample:
-                a.flags.writeable = False
-        return self._sample
+
+def _read_only(values):
+    """A read-only copy of values, which no caller's array can alias."""
+    a = np.array(values, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+class Inputs:
+    """The given data of a run on its grids: the on-rate, the load S and dS/dt at each level.
+
+    Built once per run, eps its scale, or once per kinetics.Rows set, eps a
+    column of scales (shape (rows, 1)) and t a list of times, one per row.
+    at(t, z) is a step's read, (beta, 1 + beta*w0, eps*S on the interior
+    nodes), the last None without a load; a threshold on-rate reads z.
+    rates(t) is its first two, load(t) S on every node and ddt(t) dS/dt,
+    which only a coupled run reads.  Data that ignore t
+    (presets.is_time_invariant) are formed at t = 0 and every read hands
+    back those read-only arrays; steady says that dS/dt is 0 at every t,
+    as validation checks for such a load.
+    """
+
+    def __init__(self, rate, source, eps, sgrid, agrid):
+        self.rate, self.source, self.eps, self.x, self.w0 = rate, source, eps, sgrid.x, agrid.w[0]
+        self.steady = source is None or source.time_invariant
+        self._rates = tuple(map(_read_only, self._form_rates(0.0))) if presets.is_time_invariant(rate.beta) else None
+        self._S = self._dS = self._eps_S = None
+        if source is not None and source.time_invariant:
+            self._S, self._dS = _read_only(source(self.x, 0.0)), _read_only(source.ddt(self.x, 0.0))
+            self._eps_S = _read_only(eps * self._S[1:-1])
+
+    def at(self, t, z=None):
+        beta, den = self._rates or self._form_rates(t, z)
+        return beta, den, self._eps_S if self.steady else self.eps * self.load(t)[..., 1:-1]
+
+    def rates(self, t):
+        return self._rates or self._form_rates(t)
+
+    def _form_rates(self, t, z=None):
+        beta = self._rows(self.rate.beta_values, t) if isinstance(t, list) else self.rate.beta_values(self.x, t, z)
+        return beta, 1.0 + beta * self.w0
+
+    def load(self, t):
+        if self.steady:
+            return self._S
+        return self._rows(self.source, t) if isinstance(t, list) else self.source(self.x, t)
+
+    def ddt(self, t):
+        return self._dS if self.steady else self.source.ddt(self.x, t)
+
+    def _rows(self, fn, ts):
+        """fn(x, t) at each t of ts, one row each."""
+        return np.stack([np.broadcast_to(fn(self.x, t), self.x.shape) for t in ts])
 
 
 @dataclass(frozen=True)

@@ -99,18 +99,12 @@ class CoupledState:
     period), whose u is 0 and whose zeta is zeta0, the zeta(0) column saved
     when the ring was taken.  Reading u_ring or zeta (a record, riccati_p,
     a caller's observer) settles them in one block write, and so does the
-    first step that is not calm.
-
-    The run's constants are formed once, where its data ignore t: beta0,
-    the on-rate, and den0 = 1 + beta0*w0, its renewal denominator (None
-    has the step sample the on-rate at each level), and eps_load, eps*S on
-    the interior nodes, with the sample S and the eps it was formed from.
+    first step that is not calm.  The state holds no given data: the step
+    reads the on-rate and the load off the run's config.Inputs.
     """
 
-    def __init__(self, rho, u, z, g, hist, t, truncation_k, agrid, truncated=False, mu0=None, zeta=None, beta0=None):
+    def __init__(self, rho, u, z, g, hist, t, truncation_k, agrid, truncated=False, mu0=None, zeta=None):
         self._u, self._zeta, self.z, self.g, self.hist, self.t = u, zeta, z, g, hist, t
-        self.beta0, self.den0 = beta0, None if beta0 is None else 1.0 + beta0 * agrid.w[0]
-        self.eps_load = None
         self.truncation_k, self.truncated, self.mu0 = truncation_k, truncated, mu0
         self.surv, self.load = np.empty_like(rho), np.empty_like(rho)
         self.ring = CohortRing(rho, self.surv, hist, agrid)
@@ -164,12 +158,12 @@ def solve_velocity(rho, mu0, u, zeta_u, dSdt, eps, sgrid, w, load=None):
 
     position.solve_balance poses it, with mu0 = rho @ w and zeta_u the
     off-rate evaluated on u; w are the age weights in the layout of the
-    fields, dSdt may be None for a time-constant load, and the lanes
+    fields, dSdt may be None for a run without a load, and the lanes
     zeta*rho*u are formed in load if it is given.
     """
     load = np.multiply(zeta_u, rho, out=load)
     load *= u
-    return solve_balance(load @ w, mu0, eps, sgrid, dSdt)
+    return solve_balance(load @ w, mu0, eps, sgrid, None if dSdt is None else eps * dSdt[1:-1])
 
 
 def _take_ring(st, agrid):
@@ -204,35 +198,24 @@ def _leave_ring(st, agrid):
     st.ring, st.load = CohortRing(ring.cohorts(st.load), st.surv, st.hist, agrid), ring.births
 
 
-def coupled_step(st, source, rate, eps, sgrid, agrid):
+def coupled_step(st, inputs, sgrid, agrid):
     """Advance the coupled state st one step in place and return it.
 
-    The old velocity is clamped at +-truncation_k before it stretches the
-    bonds; st.truncated flags whether the new velocity exceeds the threshold
-    (it never should once the threshold is above the Riccati bound).  The
-    density steps on st.ring, the birth ring on a calm run; a calm step
-    takes the shortcuts of the module docstring.
+    inputs is the run's config.Inputs: its rate, eps, and the on-rate and
+    load of the new level.  The old velocity is clamped at +-truncation_k
+    before it stretches the bonds; st.truncated flags whether the new
+    velocity exceeds the threshold (it never should once the threshold is
+    above the Riccati bound).  The density steps on st.ring, the birth ring
+    on a calm run; a calm step takes the shortcuts of the module docstring.
     """
+    eps = inputs.eps
     t_new = st.t + eps * agrid.da
     k = st.truncation_k
-    if st.beta0 is not None:
-        beta = st.beta0
-    elif rate.beta_kind == "threshold":
-        beta = rate.beta_values(sgrid.x, st.t, z=st.z)
-    else:
-        beta = rate.beta_values(sgrid.x, t_new)
-    dSdt = source.ddt(sgrid.x, t_new) if source is not None else None
-    S = eps_load = None
-    if source is not None:
-        S = source(sgrid.x, t_new)
-        if source.time_invariant:  # S is the grid's one read-only sample, so eps*S is formed once
-            if st.eps_load is None or st.eps_load[0] is not S or st.eps_load[1] != eps:
-                st.eps_load = S, eps, eps * S[1:-1]
-            S, eps_load = None, st.eps_load[2]
+    beta, den, eps_S = inputs.at(t_new, st.z)  # a threshold on-rate reads the old z
+    dSdt = inputs.ddt(t_new)
     hist, u = st.hist, st._u
     old, new = hist.head, (hist.head - 1) % hist.depth  # the columns of ages 1 and 0 after the step
-    steady = dSdt is None or source.time_invariant  # dS/dt = 0, checked by validation
-    calm = st.quiet and (st.calm or not st.g.any()) and (steady or not np.any(dSdt))
+    calm = st.quiet and (st.calm or not st.g.any()) and (inputs.steady or not np.any(dSdt))
     st.calm = st.calm + 1 if calm else 0
     if calm and isinstance(st.ring, BirthRing):
         st.owed = min(st.owed + 1, hist.depth)  # the newborns' u = 0 and zeta(0), settled when read
@@ -251,9 +234,9 @@ def coupled_step(st, source, rate, eps, sgrid, agrid):
         g_used = np.clip(st.g, -k, k) if math.isfinite(k) else st.g
         u += agrid.da * g_used[:, None]  # g vanishes at the Dirichlet nodes: their rows stay 0
         u[:, new] = 0.0
-        st._zeta = rate.zeta_of_u(u)
+        st._zeta = inputs.rate.zeta_of_u(u)
         decay(st._zeta, agrid.da, out=st.surv)
-    st.z, st.mu0 = advance(st.ring, beta, eps, sgrid, S, st.den0, eps_load)
+    st.z, st.mu0 = advance(st.ring, beta, den, eps, sgrid, eps_S)
     if not calm:  # the velocity reads rho, u, zeta and mu0 of the new level, not z
         w = cohort_weights(agrid.w, new)
         st.g = solve_velocity(st.ring.rho, st.mu0, u, st._zeta, dSdt, eps, sgrid, w, load=st.load)
@@ -275,29 +258,24 @@ def riccati_gamma2(p0, gamma1, h, eps):
     return max(p0, root)
 
 
-def riccati_bound(rho, u, zeta_u, rate, source, final_time, eps, sgrid, w, work):
+def riccati_bound(rho, u, zeta_u, inputs, final_time, sgrid, w, work):
     """Riccati data measured from the initial state: (gamma2, dS_norm).
 
     q0 and p0 come from the records' pass on zeta_u (zeta on u) and work,
     two field buffers (run_coupled lends the state's surv and load, which
     its first step writes before it reads them).
-    dS_norm is the largest L2 norm of dS/dt over five sample times in
-    [0, final_time]; gamma2 bounds p(t) for the whole run.  zeta(0) is read
+    dS_norm is the largest L2 norm of dS/dt (read off the run's
+    config.Inputs) over five sample times in [0, final_time], 0 for a
+    steady load; gamma2 bounds p(t) for the whole run.  zeta(0) is read
     off the off-rate at a Dirichlet node, where u = 0.
     """
     q0, p0 = stretch_integrals(rho, u, zeta_u, sgrid, w, work)[:2]
-    if source is not None:
-        t_samples = np.linspace(0.0, final_time, 5)
-        wx = sgrid.quad_weights()
-        dS_norm = max(
-            float(np.sqrt((source.ddt(sgrid.x, t) ** 2) @ wx)) for t in t_samples
-        )
-    else:
-        dS_norm = 0.0
+    times = () if inputs.steady else np.linspace(0.0, final_time, 5)
+    dS_norm = max((float(np.sqrt((inputs.ddt(t) ** 2) @ sgrid.quad_weights())) for t in times), default=0.0)
     if q0 > 0.0:
         gamma1 = 1.0 / q0
-        h = OMEGA * dS_norm * (2.0 * rate.zeta_lip * q0 + zeta_u[0, 0])
-        return riccati_gamma2(p0, gamma1, h, eps), dS_norm
+        h = OMEGA * dS_norm * (2.0 * inputs.rate.zeta_lip * q0 + zeta_u[0, 0])
+        return riccati_gamma2(p0, gamma1, h, inputs.eps), dS_norm
     return max(p0, OMEGA * dS_norm), dS_norm
 
 

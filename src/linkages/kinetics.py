@@ -16,8 +16,9 @@ trapezoid weight; that self-reference is solved algebraically (renew),
 
 so the saturation bound mu0 < 1 is preserved exactly.  advance runs one
 level of either model: the ring's sums, renew, the position solve, then the
-history's push and the ring's.  Several rings on one age grid (Rows), each
-with its own history and head, step as the rows of one such level.
+ring's push, which pushes z onto its history.  Several rings on one age grid
+(Rows), each with its own history and head, step as the rows of one such
+level.
 
 For an off-rate that ignores t every cohort is its birth value times a
 fixed product, rho^n[:, j] = C_j B^{n-j} (C_j: the survival factors of ages
@@ -81,32 +82,24 @@ def cohort_weights(w, head):
     return np.concatenate((w[w.size - head :], w[: w.size - head]))
 
 
-def renew(beta_values, m, w0, den=None):
-    """Birth value and mu0 of the next level from its renewal mass m (the closed-form renewal).
-
-    den, if given, is 1 + beta_values*w0, formed once by a run whose
-    on-rate is one sample.
-    """
-    if den is None:
-        den = 1.0 + beta_values * w0
+def renew(beta_values, den, m, w0):
+    """Birth value and mu0 of the next level from its renewal mass m and den = 1 + beta_values*w0 (closed form)."""
     births = beta_values * (1.0 - m) / den
     return births, w0 * births + m
 
 
-def advance(ring, beta_values, eps, sgrid, source=None, den=None, eps_source=None):
+def advance(ring, beta_values, den, eps, sgrid, eps_S):
     """One level of density and position on ring (either form), z solving (m - eps Lap_h) z = q + eps S; returns (z, mu0).
 
-    On Rows, m, q, z and mu0 have one row per ring, in one renew and one
-    position solve; eps is then a column of scales (shape (rows, 1)), and
-    beta_values and source are rows or broadcast against them.  den (see
-    renew) and eps_source, eps*S on the interior nodes in place of source
-    (see solve_balance), are the constants of a run whose on-rate or load
-    is one sample.
+    beta_values, den (see renew) and eps_S, eps*S on the interior nodes
+    or None, are the level's given data (config.Inputs.at).  On Rows, m, q,
+    z and mu0 have one row per ring, in one renew and one position solve;
+    eps is then a column of scales (shape (rows, 1)), and the data are rows
+    or broadcast against them.  The ring's push moves its history's head.
     """
     m, q = ring.sums()
-    births, mu0 = renew(beta_values, m, ring.agrid.w[0], den)
-    z = solve_balance(q, m, eps, sgrid, source, eps_source)
-    ring.hist.push(z)
+    births, mu0 = renew(beta_values, den, m, ring.agrid.w[0])
+    z = solve_balance(q, m, eps, sgrid, eps_S)
     ring.push(births, z)
     return z, mu0
 
@@ -135,7 +128,8 @@ class CohortRing:
         return rho @ lag, delay_quadrature(lag, rho, self.hist.buf)
 
     def push(self, births, z):
-        """Write the newborns into column hist.head, which the history's push of z has just taken."""
+        """Push z onto hist and write the newborns into the column it took, the oldest cohort's."""
+        self.hist.push(z)
         self.rho[:, self.hist.head] = births
 
     def density(self):
@@ -186,17 +180,13 @@ class BirthRing:
         return _lagged(self.acc, self.coef[0])
 
     def push(self, births, z):
-        """Write B and B z of the new level into column hist.head, which the history's push of z took."""
-        head = self.hist.head
-        self.births[:, head] = births
+        """Push z onto hist and write B and B z of the new level into the column it took."""
+        self.hist.push(z)
+        self.births[:, self.hist.head] = births
         if self.c is None:
-            self.products[:, head] = births * z
-        elif self._edge():
-            self._reread()
+            self.products[:, self.hist.head] = births * z
         else:
-            self.acc[2, 0] = births
-            np.multiply(births, z, out=self.acc[2, 1])
-            _roll(self.acc, self.coef)
+            _update([self], self.acc, self.coef, births, z)
 
     def _read(self, wC, rings):
         """sum_{j>=1} wC[:, j-1] r[:, (head + j - 1) % (na+1)] for each ring r.
@@ -217,8 +207,8 @@ class BirthRing:
     def _edge(self):
         """B and B z of level n+1-na, which the next sums weigh by w_na C_na, into acc[1]; each B z has the bits of a stored product.
 
-        True where the running sums are read afresh (_reread) instead of
-        rolled (_roll): at head 0, and with na = 1, where T is 0.
+        True where _update reads the running sums afresh (_reread) after
+        the roll: at head 0, and with na = 1, where T is 0.
         """
         head, k = self.hist.head, self.wC.shape[1] - 1
         tail = (head + k) % self.births.shape[1]  # level n+1-na
@@ -288,6 +278,20 @@ def _lagged(acc, w):
     return s[0], s[1]
 
 
+def _update(rings, acc, coef, births, z):
+    """The running sums acc of rings from those of the level before, the new level births just written.
+
+    Each ring takes its edge, acc the head (births, births*z), _roll moves T,
+    and a ring back at head 0 then reads its T afresh, over the roll.
+    """
+    fresh = [ring for ring in rings if ring._edge()]
+    acc[2, 0] = births
+    np.multiply(births, z, out=acc[2, 1])
+    _roll(acc, coef)
+    for ring in fresh:
+        ring._reread()
+
+
 def _roll(acc, coef):
     """The running sums T = sum_{j=1}^{na-1} w_j C_j B^{n+1-j} of both rings of level n from those of level n-1, in place.
 
@@ -306,32 +310,20 @@ def _roll(acc, coef):
     np.maximum(T[0], 0.0, out=T[0])
 
 
-class _Histories:
-    """The position histories of Rows: push writes row i of z onto history i."""
-
-    def __init__(self, hists):
-        self.hists = hists
-
-    def push(self, z):
-        for hist, row in zip(self.hists, z):
-            hist.push(row)
-
-
 class Rows:
     """Rings on one age grid, each with its own history and head, stepped as the rows of a stack.
 
-    advance takes it as a ring: sums stacks the rings' m and q by row, hist
-    pushes row i of z onto ring i's history and push writes row i of the
-    births into ring i.  Where every ring is a BirthRing with c, their
-    running sums live in one array (each ring's acc a view of it), so that
-    _lagged and _roll make one pass over all rows; each ring still writes
-    its own columns, and reads itself afresh when its head comes back to 0.
-    Otherwise each ring sums and pushes on its own.
+    advance takes it as a ring: sums stacks the rings' m and q by row, and
+    push pushes row i of z and of the births onto ring i.  Where every ring
+    is a BirthRing with c, their running sums live in one array (each
+    ring's acc a view of it), so that _lagged and _update make one pass
+    over all rows; each ring still writes its own columns, and reads itself
+    afresh when its head comes back to 0.  Otherwise each ring sums and
+    pushes on its own.
     """
 
     def __init__(self, rings):
         self.rings, self.agrid = rings, rings[0].agrid
-        self.hist = _Histories([ring.hist for ring in rings])
         self.acc = None
         if all(isinstance(ring, BirthRing) and ring.c is not None for ring in rings):
             self.acc = np.stack([ring.acc for ring in rings], axis=2)
@@ -347,21 +339,15 @@ class Rows:
         return np.stack(m), np.stack(q)
 
     def push(self, births, z):
-        """Write row i of births (and B z) into ring i, after hist's push of z."""
-        if self.acc is None:
-            for ring, row, z_row in zip(self.rings, births, z):
+        """Push row i of z and of births onto ring i; with one acc, its running sums in one _update."""
+        for ring, row, z_row in zip(self.rings, births, z):
+            if self.acc is None:
                 ring.push(row, z_row)
-            return
-        fresh = []
-        for ring, row in zip(self.rings, births):
-            ring.births[:, ring.hist.head] = row
-            fresh.append(ring._edge())
-        self.acc[2, 0] = births
-        np.multiply(births, z, out=self.acc[2, 1])
-        _roll(self.acc, self.coef)
-        for ring, reread in zip(self.rings, fresh):
-            if reread:  # rolled with the others, then read afresh
-                ring._reread()
+            else:
+                ring.hist.push(z_row)
+                ring.births[:, ring.hist.head] = row
+        if self.acc is not None:
+            _update(self.rings, self.acc, self.coef, births, z)
 
 
 @dataclass
@@ -389,22 +375,22 @@ def age_profile(zeta0_values, agrid):
     return E, E @ agrid.w, E @ (agrid.w * agrid.a)
 
 
-def limit_density(beta0, zeta0_values, agrid, profile=None, out=None):
+def limit_density(beta, zeta0_values, agrid, profile=None, out=None):
     """Closed-form limit profile for prescribed rates at one instant.
 
     With E(a) = exp(-int_0^a zeta0) and K = int E da:
 
-        mu00 = beta0 K / (1 + beta0 K),
-        rho0(a) = beta0 (1 - mu00) E(a),
-        mu10 = beta0 (1 - mu00) int a E(a) da.
+        mu00 = beta K / (1 + beta K),
+        rho0(a) = beta (1 - mu00) E(a),
+        mu10 = beta (1 - mu00) int a E(a) da.
 
-    zeta0_values has age as its last axis; beta0 broadcasts against the
+    zeta0_values has age as its last axis; beta broadcasts against the
     leading axes.  profile, if given, is age_profile(zeta0_values, agrid)
     formed earlier, and rho0 is written into out if given.
     """
     E, K, aE = age_profile(zeta0_values, agrid) if profile is None else profile
-    beta0 = np.asarray(beta0, dtype=float)
-    mu00 = beta0 * K / (1.0 + beta0 * K)
-    amp = beta0 * (1.0 - mu00)
+    beta = np.asarray(beta, dtype=float)
+    mu00 = beta * K / (1.0 + beta * K)
+    amp = beta * (1.0 - mu00)
     rho0 = np.multiply(amp[..., None], E, out=out)
     return LimitDensity(rho0=rho0, mu00=mu00, mu10=amp * aE)

@@ -18,9 +18,11 @@ A run samples the past data once (sample_past); the t = 0 solve reads the
 sample and the history ring takes it over.  solve_balance poses
 (coeff - eps Lap_h) x = integral + eps f, the one elliptic balance of the
 model: for the start-up position, every step's position (kinetics.advance
-solves it on the quadrature of its ring, then pushes z_new) and the coupled
-velocity.  A cohort ring is read against buf in place (before the push the
-cohort of age j >= 1 shares its column with its anchor z^{n+1-j}).
+solves it on the quadrature of its ring, then the ring's push pushes z_new
+onto the history) and the coupled velocity.  It takes eps f on the interior
+nodes, which config.Inputs forms once for a load that ignores t.  A
+cohort ring is read against buf in place (before the push the cohort of
+age j >= 1 shares its column with its anchor z^{n+1-j}).
 """
 
 import numpy as np
@@ -59,32 +61,29 @@ def delay_quadrature(w, rho, Z):
     return np.einsum("j,xj,xj->x", w, rho, Z)
 
 
-def solve_balance(integral, coeff, eps, sgrid, f=None, eps_f=None):
+def solve_balance(integral, coeff, eps, sgrid, eps_f):
     """Solve the balance (coeff - eps Lap_h) x = integral + eps f.
 
-    integral, coeff and f (or None) are full-grid values, or rows of them
-    with eps one scale per row (shape (rows, 1)), solved in one
-    elliptic.solve.  eps_f, if given, is eps*f on the interior nodes, which
-    a run whose f is one sample forms once; it stands in for f.  coeff, a
-    population (mu0 - w0 rho(., 0) for the position, mu0 for the velocity),
-    is clamped at 0, which is its one sign check; a value below -1e-12 is a
-    kinetics bug.
+    integral and coeff are full-grid values, or rows of them with eps one
+    scale per row (shape (rows, 1)), solved in one elliptic.solve; eps_f
+    is eps*f on the interior nodes (config.Inputs forms the load's), or
+    None for f = 0.  coeff, a population (mu0 - w0 rho(., 0) for the
+    position, mu0 for the velocity), is clamped at 0, which is its one sign
+    check; a value below -1e-12 is a kinetics bug.
     """
     if coeff.min() < -1e-12:
         raise DegenerateOperator(f"negative population coefficient {coeff.min():g}: kinetics bug")
     rhs = integral[..., 1:-1]
-    if eps_f is None and f is not None:
-        eps_f = eps * np.asarray(f)[..., 1:-1]
     if eps_f is not None:
         rhs = rhs + eps_f
     return elliptic.solve(np.maximum(coeff[..., 1:-1], 0.0), eps, rhs, sgrid, True)  # clamped: c >= 0
 
 
-def initial_position(rho_I, zp, eps, sgrid, agrid, source_at_0=None):
+def initial_position(rho_I, zp, eps, sgrid, agrid, S0=None):
     """Solve the t = 0 elliptic problem for the starting position.
 
     (mu0_I - w0 rho_I(.,0) - eps Lap_h) z = sum_{j>=1} w_j z_p(x, -eps*a_j)
-    rho_I(x, a_j), plus eps*S(x, 0) in the source-carrying modes; zp is the
+    rho_I(x, a_j), plus eps*S0, S0 the load at t = 0 or None; zp is the
     past data sampled by sample_past, whose column 0 is not read.  This is
     the t = 0 instance of the stepping solve: the age-zero node of the
     quadrature is anchored at the unknown itself (the value of z(t - eps*a)
@@ -93,5 +92,6 @@ def initial_position(rho_I, zp, eps, sgrid, agrid, source_at_0=None):
     functional).
     """
     integral = delay_quadrature(agrid.w[1:], rho_I[:, 1:], zp[:, 1:])
-    return solve_balance(integral, rho_I @ agrid.w - agrid.w[0] * rho_I[:, 0], eps, sgrid, source_at_0)
+    eps_f = None if S0 is None else eps * S0[1:-1]
+    return solve_balance(integral, rho_I @ agrid.w - agrid.w[0] * rho_I[:, 0], eps, sgrid, eps_f)
 

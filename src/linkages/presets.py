@@ -9,9 +9,9 @@ A preset spec is a string like ``sin_pi``, ``constant(0.5)`` or
 
 Given rates and sources are a frozen Preset with its ``spec`` and
 ``time_invariant`` (false for the presets with a time derivative,
-``linear_in_t`` and ``sin_pi_growing``).  run_weak and run_limit sample a
-rate that ignores t once, and config.SourceModel a load that ignores t
-once per grid; each treats a plain callable as time-varying.
+``linear_in_t`` and ``sin_pi_growing``).  config.Inputs forms an on-rate
+and a load that ignore t once a run, and run_weak and run_limit sample
+such an off-rate once; each treats a plain callable as time-varying.
 
 ``threshold(zbar)`` is not a preset: with ``beta_kind = threshold`` the
 config loader reads zbar from it, and RateModel.beta_values switches the

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import coupled as cp
 from . import diagnostics as dg
-from .config import with_overrides
+from .config import Inputs, with_overrides
 from .errors import ConfigError, HypothesisViolation, NonfiniteValue, RateKindMismatch
 from .grids import build_grids
 from .kinetics import BirthRing, CohortRing, Rows, advance, age_profile, birth_ring, cohort_weights, init_density
@@ -47,10 +47,6 @@ def march(state, step, n_steps, observers=()):
     return state
 
 
-def _source_at(src, x, t):
-    return src(x, t) if src is not None else None
-
-
 class _Guard:
     """The invariant bookkeeping of one run.
 
@@ -77,12 +73,13 @@ class _Guard:
 
 
 def _start(vcfg):
-    """Grids, initial density and position, and the history ring, which takes over the one past sample."""
+    """Grids, config.Inputs, initial density and position, and the history ring, which takes over the past sample."""
     sgrid, agrid, ts = build_grids(vcfg)
+    inputs = Inputs(vcfg.rate_model, vcfg.source, vcfg.epsilon, sgrid, agrid)
     rho = init_density(vcfg.initial_density, sgrid, agrid)
     zp = sample_past(vcfg.past_data, vcfg.epsilon, sgrid, agrid)
-    z = initial_position(rho, zp, vcfg.epsilon, sgrid, agrid, _source_at(vcfg.source, sgrid.x, 0.0))
-    return sgrid, agrid, ts, rho, z, PositionHistory(z, zp)
+    z = initial_position(rho, zp, vcfg.epsilon, sgrid, agrid, inputs.load(0.0))
+    return sgrid, agrid, ts, inputs, rho, z, PositionHistory(z, zp)
 
 
 @dataclass
@@ -129,22 +126,22 @@ class WeakRunResult(_RunResult):
 
 
 class _WeakRun:
-    """One weak run: its grids, rates and load, its state at level n and its guard.
+    """One weak run: its grids, its config.Inputs, its state at level n and its guard.
 
-    A rate or load that declares it ignores t is sampled once.  Such an off-rate
-    is stepped on birth values (kinetics.BirthRing) unless birth_ring
-    refuses the data; the others on the density (kinetics.CohortRing).
-    Level 0 is checked when the run is built.  zeta, the off-rate field at
-    t = 0, and with a birth ring in c mode its full-read buffer scratch and
-    its weights wC, may be those of a run of the same configuration but
-    for epsilon, which then shares them: no step writes them, and the
-    survival factor that birth_ring consumes is formed in scratch.
+    An off-rate that declares it ignores t is sampled once and stepped on
+    birth values (kinetics.BirthRing) unless birth_ring refuses the data;
+    the others on the density (kinetics.CohortRing).  Level 0 is checked
+    when the run is built.  zeta, the off-rate field at t = 0, and with a
+    birth ring in c mode its full-read buffer scratch and its weights wC,
+    may be those of a run of the same configuration but for epsilon, which
+    then shares them: no step writes them, and the survival factor that
+    birth_ring consumes is formed in scratch.
     """
 
     def __init__(self, vcfg, zeta=None, scratch=None, wC=None):
-        sgrid, agrid, ts, rho, z, hist = _start(vcfg)
+        sgrid, agrid, ts, self.inputs, rho, z, hist = _start(vcfg)
         rate = vcfg.rate_model
-        self.sgrid, self.agrid, self.rate, self.src, self.eps = sgrid, agrid, rate, vcfg.source, vcfg.epsilon
+        self.sgrid, self.agrid, self.rate, self.eps = sgrid, agrid, rate, vcfg.epsilon
         self.dt, self.n_steps, self.n = ts.dt, ts.n_steps, 0
         mu0 = rho @ agrid.w
         zeta = rate.zeta_field(sgrid.x, agrid.a, 0.0) if zeta is None else zeta
@@ -154,14 +151,9 @@ class _WeakRun:
         ring = self.fixed and birth_ring(rho, survival(zeta, agrid, out), hist, agrid, scratch, wC)
         ring = ring or CohortRing(rho, survival(zeta, agrid), hist, agrid)
         self.state = WeakState(t=0.0, z=z, hist=hist, zeta=zeta, mu0=mu0, ring=ring)
-        self.beta0 = rate.beta_values(sgrid.x, 0.0) if is_time_invariant(rate.beta) else None
-        self.den0 = None if self.beta0 is None else 1.0 + self.beta0 * agrid.w[0]  # renew's denominator
         # discrete analogue of the population floor min(mu0(0), beta_m/(beta_m+zeta_M))
         self.guard = _Guard(min(float(np.min(mu0)), rate.beta_m / (rate.beta_m + rate.zeta_M)) - 10.0 * agrid.da)
         _check([self], z[None], mu0[None])
-
-    def beta_at(self, t):
-        return self.beta0 if self.beta0 is not None else self.rate.beta_values(self.sgrid.x, t)
 
 
 def _check(runs, z, mu0):
@@ -178,34 +170,25 @@ def _check(runs, z, mu0):
         r.guard(r.n, r.state.t, lo, hi)
 
 
-def _weak_step(runs, rows, eps):
+def _weak_step(runs, rows, inputs):
     """Advance each of runs, which differ in epsilon alone, one level, as the rows of one step.
 
-    rows is kinetics.Rows over their rings and eps their scale, a column
-    of them for several runs.  One kinetics.advance steps them all; an
-    on-rate or a load that depends on t is sampled at each run's own t,
-    one that ignores t is the sample all runs share, and each run's
-    off-rate, state and guard are its own.  For one run this is run_weak's
-    step.
+    rows is kinetics.Rows over their rings and inputs their config.Inputs,
+    eps a column of their scales for several runs.  One kinetics.advance
+    steps them all on the data inputs gives at each run's own t; each
+    run's off-rate, state and guard are its own.  For one run this is
+    run_weak's step.
     """
-    first, x = runs[0], runs[0].sgrid.x
     for r in runs:
         r.n += 1
         r.state.t = r.n * r.dt  # n*dt, not an accumulated t + dt: the two differ in the last bits
-
-    def at_each_t(fn, fixed=False):
-        if fixed or len(runs) == 1:
-            return fn(first.state.t)
-        return np.stack([np.broadcast_to(fn(r.state.t), x.shape) for r in runs])
-
-    beta = first.beta0 if first.beta0 is not None else at_each_t(first.beta_at)
-    src = at_each_t(lambda t: first.src(x, t), first.src.time_invariant) if first.src is not None else None
-    z, mu0 = advance(rows, beta, eps, first.sgrid, src, first.den0)
+    beta, den, eps_S = inputs.at(runs[0].state.t if len(runs) == 1 else [r.state.t for r in runs])
+    z, mu0 = advance(rows, beta, den, inputs.eps, runs[0].sgrid, eps_S)
     for r, z_row, mu0_row in zip(runs, z, mu0):
         st = r.state
         st.z, st.mu0, st._rho = z_row, mu0_row, None
         if not r.fixed:  # the survival of the next step, read at t
-            st.zeta = r.rate.zeta_field(x, r.agrid.a, st.t)
+            st.zeta = r.rate.zeta_field(r.sgrid.x, r.agrid.a, st.t)
             survival(st.zeta, r.agrid, out=st.ring.surv)
     _check(runs, z, mu0)
 
@@ -226,43 +209,38 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     _weak_step on one row.
     """
     run = _WeakRun(vcfg)
-    sgrid, agrid, rate, src, eps = run.sgrid, run.agrid, run.rate, run.src, run.eps
-    rows, fixed, guard = Rows([run.state.ring]), run.fixed, run.guard
+    sgrid, agrid, inputs, eps, guard = run.sgrid, run.agrid, run.inputs, run.eps, run.guard
+    rows = Rows([run.state.ring])
 
     def step(n, st):
-        _weak_step([run], rows, eps)
+        _weak_step([run], rows, inputs)
         return st
 
     traj, records = [], []
-    ld = None  # the limit density, formed once when neither rate depends on t
-    fixed_limit = fixed and run.beta0 is not None
-    # the records' stretch and work buffers, reused by each record, and with
-    # an off-rate that ignores t the limit's age profile and rho0 buffer
+    # the records' stretch and work buffers and their limit density (_limit_at)
     shape = (sgrid.n_nodes, agrid.n_nodes)
     u, work = (np.empty(shape), (np.empty(shape), np.empty(shape))) if diag_stride else (None, None)
-    profile, rho0 = (age_profile(run.state.zeta, agrid), np.empty(shape)) if fixed and diag_stride else (None, None)
+    limit = _limit_at(inputs, agrid, run.state.zeta if run.fixed else None) if diag_stride else None
 
     def output(n, st):
         if n % output_stride == 0:
             traj.append(st.z.copy())
 
     def diagnose(n, st):
-        nonlocal ld
         if not diag_stride or n % diag_stride:
             return
         dg.elongation_from_history(st.z, st.hist, eps, out=u)
-        if ld is None or not fixed_limit:
-            ld = limit_density(run.beta_at(st.t), st.zeta, agrid, profile, rho0)
+        rho0 = limit(st.t, st.zeta).rho0
         rec = dg.record(
-            st.t, st.z, st.rho, u, st.zeta, _source_at(src, sgrid.x, st.t), eps, sgrid, agrid.w, work,
-            rho0=ld.rho0,
+            st.t, st.z, st.rho, u, st.zeta, inputs.load(st.t), eps, sgrid, agrid.w, work,
+            rho0=rho0,
             mu0_min=float(np.min(st.mu0)),
             mu0_max=float(np.max(st.mu0)),
             gamma2=0.0,
             truncated=False,
         )
         _check_record(rec)
-        if n and diag_stride == 1 and src is None:
+        if n and diag_stride == 1 and inputs.source is None:
             prev = records[-1]
             if rec.energy > prev.energy + ENERGY_DECAY_TOL * abs(records[0].energy):
                 guard.violations.append(f"energy increase at t={st.t:g}: {prev.energy:.6g} -> {rec.energy:.6g}")
@@ -290,6 +268,22 @@ class LimitRunResult:
     trajectory: np.ndarray
 
 
+def _limit_at(inputs, agrid, zeta0):
+    """(t, zeta) -> kinetics.limit_density of the on-rate of inputs at t and zeta, the off-rate field at t.
+
+    zeta0 is that field where the off-rate ignores t, else None: its age
+    profile is then formed once, and the density too where the on-rate
+    ignores t as well.
+    """
+    if zeta0 is None:
+        return lambda t, zeta: limit_density(inputs.rates(t)[0], zeta, agrid)
+    profile, rho0 = age_profile(zeta0, agrid), np.empty(zeta0.shape)
+    if is_time_invariant(inputs.rate.beta):
+        ld = limit_density(inputs.rates(0.0)[0], zeta0, agrid, profile, rho0)
+        return lambda t, zeta: ld
+    return lambda t, zeta: limit_density(inputs.rates(t)[0], zeta, agrid, profile, rho0)
+
+
 def run_limit(vcfg, dt_out, n_out):
     """March the limit heat equation on the output grid.
 
@@ -297,21 +291,14 @@ def run_limit(vcfg, dt_out, n_out):
     for the configured rates; the initial datum is the past position at t=0.
     """
     sgrid, agrid, _ = build_grids(vcfg)
-    rate, src = vcfg.rate_model, vcfg.source
-    fixed_zeta = is_time_invariant(rate.zeta)
-    fixed = fixed_zeta and is_time_invariant(rate.beta)
-    traj, ld, zeta, profile, rho0 = [], None, None, None, None
-    if fixed_zeta:  # the off-rate's age profile and a rho0 buffer, formed once
-        zeta = rate.zeta_field(sgrid.x, agrid.a, 0.0)
-        profile, rho0 = age_profile(zeta, agrid), np.empty((sgrid.n_nodes, agrid.n_nodes))
+    rate, inputs = vcfg.rate_model, Inputs(vcfg.rate_model, vcfg.source, vcfg.epsilon, sgrid, agrid)
+    zeta0 = rate.zeta_field(sgrid.x, agrid.a, 0.0) if is_time_invariant(rate.zeta) else None
+    limit, traj = _limit_at(inputs, agrid, zeta0), []
 
     def step(n, z):
-        nonlocal ld
         t = n * dt_out
-        if ld is None or not fixed:
-            zeta_t = zeta if fixed_zeta else rate.zeta_field(sgrid.x, agrid.a, t)
-            ld = limit_density(rate.beta_values(sgrid.x, t), zeta_t, agrid, profile, rho0)
-        return step_limit(z, ld.mu10, dt_out, sgrid, source=_source_at(src, sgrid.x, t))
+        ld = limit(t, zeta0 if zeta0 is not None else rate.zeta_field(sgrid.x, agrid.a, t))
+        return step_limit(z, ld.mu10, dt_out, sgrid, source=inputs.load(t))
 
     march(vcfg.past_data(sgrid.x, 0.0), step, n_out, [lambda n, z: traj.append(z.copy())])
     return LimitRunResult(times=np.arange(n_out + 1) * dt_out, trajectory=np.asarray(traj))
@@ -338,7 +325,8 @@ def _lane_march(vcfgs, strides):
     each scale halves the last, lane 1 runs the others in turn and ends no
     later.  The lanes' current runs step together, as the rows of one
     _weak_step on kinetics.Rows; when a run ends, its lane starts its next
-    one, and only its trajectory is kept.  Every run shares the off-rate
+    one, and only its trajectory is kept; each such set of rows has its own
+    config.Inputs, eps a column of their scales.  Every run shares the off-rate
     field of the first and, on birth rings in c mode, its full-read buffer
     and weights (see _WeakRun).
     """
@@ -362,10 +350,11 @@ def _lane_march(vcfgs, strides):
         return run
 
     def until_one_ends(runs):
-        rows, eps = Rows([r.state.ring for r in runs]), np.array([[r.eps] for r in runs])
+        first, rows = runs[0], Rows([r.state.ring for r in runs])
+        inputs = Inputs(first.rate, first.inputs.source, np.array([[r.eps] for r in runs]), first.sgrid, first.agrid)
 
         def step(n, runs):
-            _weak_step(runs, rows, eps)
+            _weak_step(runs, rows, inputs)
             for r in runs:
                 if r.n % strides[r.i] == 0:
                     r.traj.append(r.state.z.copy())
@@ -463,25 +452,23 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
     soft flag, and a record whose energy, dissipation, stability or p is
     not finite ends the run (NonfiniteValue).
     """
-    sgrid, agrid, ts, rho, z, hist = _start(vcfg)
-    rate, src, eps = vcfg.rate_model, vcfg.source, vcfg.epsilon
+    sgrid, agrid, ts, inputs, rho, z, hist = _start(vcfg)
+    rate, eps = vcfg.rate_model, vcfg.epsilon
     u = dg.elongation_from_history(z, hist, eps, np.empty_like(rho))
     u[[0, -1]] = 0.0  # the Dirichlet rows stay unstretched
-    dSdt0 = src.ddt(sgrid.x, 0.0) if src is not None else None
-    beta0 = rate.beta_values(sgrid.x, 0.0) if is_time_invariant(rate.beta) else None
     # age order at the history's head 0 is the cohort ring; the state holds the level-0 zeta alone
     state = cp.CoupledState(rho=rho, u=u, z=z, g=None, hist=hist, t=0.0, truncation_k=None, agrid=agrid,
-                            mu0=rho @ agrid.w, zeta=rate.zeta_of_u(u), beta0=beta0)
+                            mu0=rho @ agrid.w, zeta=rate.zeta_of_u(u))
     # the velocity's lanes and the Riccati bound's pass borrow load and surv, which the first step writes first
-    state.g = cp.solve_velocity(rho, state.mu0, u, state.zeta, dSdt0, eps, sgrid, agrid.w, load=state.load)
-    gamma2, dS_norm = cp.riccati_bound(rho, u, state.zeta, rate, src, vcfg.final_time, eps, sgrid, agrid.w,
+    state.g = cp.solve_velocity(rho, state.mu0, u, state.zeta, inputs.ddt(0.0), eps, sgrid, agrid.w, load=state.load)
+    gamma2, dS_norm = cp.riccati_bound(rho, u, state.zeta, inputs, vcfg.final_time, sgrid, agrid.w,
                                        (state.surv, state.load))
     state.truncation_k = gamma2 / eps + dS_norm + 1.0
     # the records' buffers, reused by each
     work = (np.empty_like(rho), np.empty_like(rho)) if diag_stride else None
 
     def step(n, st):
-        return cp.coupled_step(st, src, rate, eps, sgrid, agrid)
+        return cp.coupled_step(st, inputs, sgrid, agrid)
 
     guard = _Guard()
 
@@ -509,7 +496,7 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
             return
         w = cohort_weights(agrid.w, st.hist.head)
         rec = dg.record(
-            st.t, st.z, st.rho_ring, st.u_ring, st.zeta, _source_at(src, sgrid.x, st.t), eps, sgrid, w, work,
+            st.t, st.z, st.rho_ring, st.u_ring, st.zeta, inputs.load(st.t), eps, sgrid, w, work,
             mu0_min=float(np.min(st.mu0[1:-1])),
             mu0_max=float(np.max(st.mu0)),
             gamma2=gamma2,

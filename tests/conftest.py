@@ -71,8 +71,7 @@ def density_stepper(rho, agrid):
 
     def step(surv, beta_values):
         ring.surv = surv
-        births, _ = renew(beta_values, ring.sums()[0], agrid.w[0])
-        hist.push(zeros)
+        births, _ = renew(beta_values, 1.0 + beta_values * agrid.w[0], ring.sums()[0], agrid.w[0])
         ring.push(births, zeros)
         return ring.density()
 
@@ -90,7 +89,7 @@ def position_step(rho, hist, eps, sgrid, agrid, source=None):
     new = (hist.head - 1) % hist.depth
     ring = CohortRing(np.roll(rho, new, axis=1), np.ones((rho.shape[0], rho.shape[1] - 1)), hist, agrid)
     m, q = ring.sums()
-    z = solve_balance(q, m, eps, sgrid, source)
+    z = solve_balance(q, m, eps, sgrid, None if source is None else eps * source[1:-1])
     hist.push(z)
     return z
 

@@ -10,7 +10,7 @@ import pytest
 from conftest import dense_solve, make_config
 
 from linkages.cli import coupled_config, detachment_config
-from linkages.config import PastData, RateModel, SourceModel, validate_config
+from linkages.config import Inputs, PastData, RateModel, SourceModel, validate_config
 from linkages.coupled import (
     OMEGA,
     CoupledState,
@@ -97,14 +97,14 @@ def test_init_elongation_triangle_bound():
 
 
 def bond_free(ag, u):
-    """A coupled state without bonds (rho = 0, beta = 0) that carries the stretch u."""
+    """A coupled state without bonds (rho = 0, beta = 0) that carries the stretch u, and its Inputs (no load)."""
     hist = PositionHistory(np.zeros(SG.n_nodes), np.zeros((SG.n_nodes, ag.n_nodes)))
     rate = RateModel(zeta_kind="lipschitz", zeta_M=np.inf, beta=lambda x, t: np.zeros_like(np.asarray(x, dtype=float)), beta_m=0.0, beta_M=0.0)
     state = CoupledState(
         rho=np.zeros((SG.n_nodes, ag.n_nodes)), u=u, z=np.zeros(SG.n_nodes), g=np.zeros(SG.n_nodes),
         hist=hist, t=0.0, truncation_k=np.inf, agrid=ag,
     )
-    return state, rate
+    return state, Inputs(rate, None, EPS, SG, ag)
 
 
 def test_step_elongation_pure_shift():
@@ -112,9 +112,9 @@ def test_step_elongation_pure_shift():
     # newborns are unstretched; the second step takes the zero-velocity shortcut
     vals = np.random.default_rng(2).uniform(0.0, 1.0, (SG.n_nodes, AG.n_nodes))
     vals[0] = vals[-1] = 0.0
-    st, rate = bond_free(AG, vals.copy())
+    st, inputs = bond_free(AG, vals.copy())
     for _ in range(2):
-        st = coupled_step(st, None, rate, EPS, SG, AG)
+        st = coupled_step(st, inputs, SG, AG)
         assert np.all(st.g == 0.0)
     assert np.array_equal(st.u[:, 2:], vals[:, :-2])
     assert np.all(st.u[:, :2] == 0.0)
@@ -122,16 +122,16 @@ def test_step_elongation_pure_shift():
 
 def test_step_elongation_constant_velocity():
     G = 0.7
-    st, rate = bond_free(AG, np.zeros((SG.n_nodes, AG.n_nodes)))
+    st, inputs = bond_free(AG, np.zeros((SG.n_nodes, AG.n_nodes)))
     g = np.full(SG.n_nodes, G)
     g[0] = g[-1] = 0.0  # a velocity field vanishes at the Dirichlet nodes
     st.g = g
-    st = coupled_step(st, None, rate, EPS, SG, AG)
+    st = coupled_step(st, inputs, SG, AG)
     np.testing.assert_allclose(st.u[1:-1, 1:], AG.da * G, atol=1e-15)
     # iterating fills in the linear-in-age profile u = G a
     for _ in range(AG.na):
         st.g = g
-        st = coupled_step(st, None, rate, EPS, SG, AG)
+        st = coupled_step(st, inputs, SG, AG)
     np.testing.assert_allclose(
         st.u[1:-1, :], G * AG.a[None, :] * np.ones((SG.nx, 1)), atol=1e-12
     )
@@ -142,18 +142,18 @@ def cancelling_lanes():
     """A bond-free state with two cohorts stretched by +1 and -1, one step on: their load lanes cancel in the age sum."""
     u = np.zeros((SG.n_nodes, AG.n_nodes))
     u[1:-1, AG.na - 2], u[1:-1, 5] = 1.0, -1.0
-    st, rate = bond_free(AG, u)
+    st, inputs = bond_free(AG, u)
     st.rho_ring[1:-1, AG.na - 2] = st.rho_ring[1:-1, 5] = 0.25
-    return coupled_step(st, None, rate, EPS, SG, AG), rate
+    return coupled_step(st, inputs, SG, AG), inputs
 
 
 def test_cancelling_load_lanes_are_not_a_zero_load():
     # the lanes zeta rho u of two cohorts stretched by +1 and -1 cancel in the
     # age sum, so g = 0, but the older one reaches the half-weight end cell
     # next: the load no longer sums to zero, and the step must form it
-    st, rate = cancelling_lanes()
+    st, inputs = cancelling_lanes()
     assert np.all(st.g == 0.0) and not st.quiet
-    st = coupled_step(st, None, rate, EPS, SG, AG)
+    st = coupled_step(st, inputs, SG, AG)
     assert np.all(st.g[1:-1] < 0.0)
 
 
@@ -199,7 +199,7 @@ def test_coupled_step_zero_state_stays_zero():
         rho=rho, u=u, z=np.zeros(SG.n_nodes), g=np.zeros(SG.n_nodes),
         hist=hist, t=0.0, truncation_k=np.inf, agrid=ag,
     )
-    state = coupled_step(state, None, rate, EPS, SG, ag)
+    state = coupled_step(state, Inputs(rate, None, EPS, SG, ag), SG, ag)
     assert np.all(state.z == 0.0) and np.all(state.g == 0.0)
     assert np.all(state.rho == 0.0) and np.all(state.u == 0.0)
 
@@ -214,7 +214,7 @@ def test_coupled_step_equals_its_unfused_composition():
     st = run_coupled(vcfg, diag_stride=0).final
     assert np.all(st.g[1:-1] != 0.0) and st.hist.head != 0
     old = copy.deepcopy(st)
-    new = coupled_step(st, src, rate, eps, sg, ag)
+    new = coupled_step(st, Inputs(rate, src, eps, sg, ag), sg, ag)
     assert new is st
 
     # the same step in the cohort frame, one operation and temporary at a
@@ -236,7 +236,7 @@ def test_coupled_step_equals_its_unfused_composition():
     rhs = ((zeta_u * rho * u) @ w)[1:-1] + eps * src.ddt(sg.x, t)[1:-1]
     g = elliptic.solve(mu0[1:-1], eps, rhs, sg)
     hist = copy.deepcopy(old.hist)
-    z = solve_balance(np.einsum("j,xj,xj->x", lag, rho, hist.buf), m, eps, sg, src(sg.x, t))
+    z = solve_balance(np.einsum("j,xj,xj->x", lag, rho, hist.buf), m, eps, sg, eps * src(sg.x, t)[1:-1])
     hist.push(z)
     bits = lambda a: np.ascontiguousarray(a).view(np.int64)
     for got, want in ((new.u_ring, u), (new.zeta, zeta_u), (new.rho_ring, rho), (new.mu0, mu0),
@@ -257,7 +257,7 @@ def test_coupled_step_equals_its_unfused_composition():
     g_a = solve_velocity(rho_a, mu0_a, u_a, zeta_a, src.ddt(sg.x, t), eps, sg, ag.w)
     hist_a = copy.deepcopy(old.hist)  # its age-ordered snapshots, anchors of the ages j >= 1
     rhs_a = np.einsum("j,xj,xj->x", ag.w[1:], rho_a[:, 1:], age_order(hist_a)[:, :-1])
-    z_a = solve_balance(rhs_a, mu0_a - ag.w[0] * rho_a[:, 0], eps, sg, src(sg.x, t))
+    z_a = solve_balance(rhs_a, mu0_a - ag.w[0] * rho_a[:, 0], eps, sg, eps * src(sg.x, t)[1:-1])
     hist_a.push(z_a)
     assert np.array_equal(new.u, u_a)
     for got, want in ((new.rho, rho_a), (new.mu0, mu0_a), (new.g, g_a), (new.z, z_a)):
@@ -282,14 +282,14 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
-def full_step(st, src, rate, eps, sg, ag):
+def full_step(st, inputs, sg, ag):
     """A cohort step that takes neither shortcut.
 
     With the quiet flag cleared the step is not calm: it forms every
     survival factor and the load, and solves.
     """
     st.quiet = False
-    return coupled_step(st, src, rate, eps, sg, ag)
+    return coupled_step(st, inputs, sg, ag)
 
 
 # S = 1e4 + 1e6 max(t - 3.25e-4, 0): constant until 3.25e-4, growing after
@@ -321,17 +321,17 @@ def test_torn_off_step_shortcuts_change_no_bit(monkeypatch, load, velocity_solve
     plant = lambda n, st: plant_frozen_stretch(st, rate, ag, (st.hist.head + 1) % st.hist.depth) if n == 1 else None
     st = run_coupled(vcfg, diag_stride=0, observers=[plant]).final
     assert st.quiet and not np.any(st.g) and st.hist.head != 0 and not isinstance(st.ring, BirthRing)
-    full = copy.deepcopy(st)
+    full, inputs = copy.deepcopy(st), Inputs(rate, load, eps, sg, ag)
     solves, calms = [], []
     solve = elliptic.solve
     monkeypatch.setattr(elliptic, "solve", lambda *a: solves.append(1) or solve(*a))
     for _ in range(5):
-        st = coupled_step(st, load, rate, eps, sg, ag)
+        st = coupled_step(st, inputs, sg, ag)
         assert not isinstance(st.ring, BirthRing)
         calms.append(st.calm)
     assert calms == calm and len(solves) == 5 + velocity_solves
     for _ in range(5):
-        full = full_step(full, load, rate, eps, sg, ag)
+        full = full_step(full, inputs, sg, ag)
     for f in ("rho_ring", "u_ring", "zeta", "mu0", "g", "z"):
         assert np.array_equal(bits(getattr(st, f)), bits(getattr(full, f))), f
     assert np.array_equal(bits(st.hist.buf), bits(full.hist.buf))
@@ -364,12 +364,12 @@ def test_still_tear_off_state_steps_on_the_birth_ring():
     # than a ring period, across the re-read at head 0, it matches full
     # cohort steps to the running sums' bound
     st, rate, eps, sg, ag = torn_off()
-    src = SourceModel(*presets.source_fns("constant(10000.0)"))
+    inputs = Inputs(rate, SourceModel(*presets.source_fns("constant(10000.0)")), eps, sg, ag)
     full = copy.deepcopy(st)
     heads = []
     for _ in range(ag.na + 5):
-        st = coupled_step(st, src, rate, eps, sg, ag)
-        full = full_step(full, src, rate, eps, sg, ag)
+        st = coupled_step(st, inputs, sg, ag)
+        full = full_step(full, inputs, sg, ag)
         assert isinstance(st.ring, BirthRing) and not isinstance(full.ring, BirthRing)
         assert_states_close(st, full)
         for f in ("u_ring", "zeta", "g"):  # the ring step writes what the cohort step writes
@@ -382,16 +382,16 @@ def test_birth_ring_returns_to_the_cohort_ring_under_a_growing_load():
     # a load that starts to grow makes the next step not calm: the density
     # is rebuilt in rho_ring and the step forms the load and solves
     st, rate, eps, sg, ag = torn_off()
-    src = SourceModel(*presets.source_fns("constant(10000.0)"))
-    grow = SourceModel(*presets.source_fns("linear_in_t(10000.0, 1000000.0)"))
+    src = Inputs(rate, SourceModel(*presets.source_fns("constant(10000.0)")), eps, sg, ag)
+    grow = Inputs(rate, SourceModel(*presets.source_fns("linear_in_t(10000.0, 1000000.0)")), eps, sg, ag)
     full = copy.deepcopy(st)
     for _ in range(10):
-        st = coupled_step(st, src, rate, eps, sg, ag)
-        full = full_step(full, src, rate, eps, sg, ag)
+        st = coupled_step(st, src, sg, ag)
+        full = full_step(full, src, sg, ag)
     assert isinstance(st.ring, BirthRing)
     for _ in range(5):
-        st = coupled_step(st, grow, rate, eps, sg, ag)
-        full = full_step(full, grow, rate, eps, sg, ag)
+        st = coupled_step(st, grow, sg, ag)
+        full = full_step(full, grow, sg, ag)
         assert not isinstance(st.ring, BirthRing) and np.all(st.g[1:-1] != 0.0)
         assert_states_close(st, full)
     np.testing.assert_allclose(st.rho_ring, full.rho_ring, rtol=1e-13, atol=0.0)
@@ -403,16 +403,16 @@ def test_live_cohort_with_a_frozen_stretch_keeps_the_cohort_path():
     # steps before the ring period ends, and the test, repeated once per
     # ring period, takes the ring at the step after
     st, rate, eps, sg, ag = torn_off()
-    src = SourceModel(*presets.source_fns("constant(10000.0)"))
+    inputs = Inputs(rate, SourceModel(*presets.source_fns("constant(10000.0)")), eps, sg, ag)
     plant_frozen_stretch(st, rate, ag, (st.hist.head + 10) % st.hist.depth)
     full = copy.deepcopy(st)
     for _ in range(st.hist.depth):
-        st = coupled_step(st, src, rate, eps, sg, ag)
-        full = full_step(full, src, rate, eps, sg, ag)
+        st = coupled_step(st, inputs, sg, ag)
+        full = full_step(full, inputs, sg, ag)
         assert not isinstance(st.ring, BirthRing)
         for f in ("rho_ring", "u_ring", "zeta", "mu0", "g", "z"):
             assert np.array_equal(bits(getattr(st, f)), bits(getattr(full, f))), f
-    st = coupled_step(st, src, rate, eps, sg, ag)
+    st = coupled_step(st, inputs, sg, ag)
     assert isinstance(st.ring, BirthRing)
 
 
@@ -424,13 +424,13 @@ def test_a_calm_step_copies_zeta_0_onto_its_newborns(planted):
     # 0, on the birth ring and, with a live cohort off its factor planted,
     # on the cohort ring
     st, rate, eps, sg, ag = torn_off()
-    src = SourceModel(*presets.source_fns("constant(10000.0)"))
+    inputs = Inputs(rate, SourceModel(*presets.source_fns("constant(10000.0)")), eps, sg, ag)
     if planted:
         plant_frozen_stretch(st, rate, ag, (st.hist.head + 10) % st.hist.depth)
     zeta0 = bits(rate.zeta_of_u(np.zeros(sg.n_nodes)))
     heads = []
     for _ in range(st.hist.depth):
-        st = coupled_step(st, src, rate, eps, sg, ag)
+        st = coupled_step(st, inputs, sg, ag)
         assert st.calm and isinstance(st.ring, BirthRing) != planted
         assert np.array_equal(bits(st.zeta[:, st.hist.head]), zeta0)
         heads.append(st.hist.head)
@@ -443,15 +443,15 @@ def test_birth_ring_step_allocates_no_field():
     # 0.5 MB here, above numpy's iterator buffers (64 kB an operand), and
     # only the steps around those events are traced
     st, rate, eps, sg, ag = torn_off(nx=62, a_max=10.0)
-    src = SourceModel(*presets.source_fns("constant(10000.0)"))
+    inputs = Inputs(rate, SourceModel(*presets.source_fns("constant(10000.0)")), eps, sg, ag)
     peaks = []
     for n in range(ag.na + 5):
         if n > 3 and st.hist.head > 2:
-            st = coupled_step(st, src, rate, eps, sg, ag)
+            st = coupled_step(st, inputs, sg, ag)
             continue
         tracemalloc.start()
         try:
-            st = coupled_step(st, src, rate, eps, sg, ag)
+            st = coupled_step(st, inputs, sg, ag)
             peaks.append((st.hist.head, tracemalloc.get_traced_memory()[1]))
         finally:
             tracemalloc.stop()
@@ -650,12 +650,12 @@ def test_riccati_p_of_a_quiet_state_is_zero_without_a_pass():
     # sentinel-filled, is not written.  The cancelling lanes have g = 0 but
     # a state that is not quiet, and p is formed there
     st, rate, eps, sg, ag = torn_off()
-    src = SourceModel(*presets.source_fns("constant(10000.0)"))
+    inputs = Inputs(rate, SourceModel(*presets.source_fns("constant(10000.0)")), eps, sg, ag)
     for ring in (CohortRing, BirthRing):
         assert st.quiet and type(st.ring) is ring
         st.load[...] = 7.0
         assert coupled.riccati_p(st, sg, ag) == 0.0 and np.all(st.load == 7.0)
-        st = coupled_step(st, src, rate, eps, sg, ag)
+        st = coupled_step(st, inputs, sg, ag)
     st = cancelling_lanes()[0]
     assert np.all(st.g == 0.0) and not st.quiet
     assert coupled.riccati_p(st, SG, AG) > 0.0
@@ -802,18 +802,3 @@ def test_a_coupled_run_without_records_makes_no_record_buffers():
     field = 8 * sg.n_nodes * ag.n_nodes
     peaks = {stride: traced_peak(run_coupled, vcfg, diag_stride=stride) for stride in (0, 5)}
     assert peaks[0] <= peaks[5] - 1.5 * field
-
-
-def test_the_run_constant_load_follows_the_load_a_step_is_given():
-    # eps*S is formed once per load sample: a step given another load that
-    # ignores t forms it afresh, bit for bit the step of a state that never
-    # held one
-    st, rate, eps, sg, ag = torn_off()
-    assert st.eps_load is not None
-    fresh = copy.deepcopy(st)
-    fresh.eps_load = None
-    load = SourceModel(*presets.source_fns("constant(5000.0)"))
-    st, fresh = (coupled_step(s, load, rate, eps, sg, ag) for s in (st, fresh))
-    assert st.eps_load[0] is load(sg.x, 0.0)
-    for name in ("z", "mu0", "g"):
-        assert np.array_equal(bits(getattr(st, name)), bits(getattr(fresh, name))), name

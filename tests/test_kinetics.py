@@ -181,8 +181,7 @@ def test_birth_ring_sums_at_every_head(na):
             aged = np.roll(values, -hist.head, axis=1)
             np.testing.assert_allclose(got, np.einsum("xj,xj->x", wC, aged[:, :-1]), rtol=1e-13, atol=0.0)
         z = rng.random(nodes)
-        hist.push(z)  # the history moves the head; the ring writes into its column
-        ring.push(rng.random(nodes), z)
+        ring.push(rng.random(nodes), z)  # z moves the history's head; the births take its column
     assert heads == [0, *range(depth - 1, 0, -1), 0]
 
 
@@ -207,7 +206,6 @@ def test_birth_ring_running_sums_at_every_head(na):
             aged = np.roll(values, -hist.head, axis=1)
             np.testing.assert_allclose(got, np.einsum("xj,xj->x", wC, aged[:, :-1]), rtol=1e-13, atol=0.0)
         z = rng.random(nodes)
-        hist.push(z)
         ring.push(rng.random(nodes), z)
     assert heads == [0, *range(depth - 1, 0, -1)] * 2 + [0]
 
@@ -237,10 +235,8 @@ def test_shift_step_at_every_head(na):
         m, q = ring.sums()
         np.testing.assert_allclose(m, want_m, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(q, np.einsum("j,xj,xj->x", ag.w[1:], want[:, 1:], anchors), rtol=1e-13, atol=0.0)
-        births, mu0 = renew(beta, m, ag.w[0])
-        z = rng.random(nodes)
-        hist.push(z)  # the history moves the head; the ring writes into its column
-        ring.push(births, z)
+        births, mu0 = renew(beta, 1.0 + beta * ag.w[0], m, ag.w[0])
+        ring.push(births, rng.random(nodes))  # z moves the history's head; the births take its column
         ring.surv = rng.uniform(0.1, 1.0, (nodes, na))
         np.testing.assert_allclose(ring.density(), want, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(mu0, want @ ag.w, rtol=1e-13, atol=0.0)

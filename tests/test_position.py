@@ -251,9 +251,9 @@ def test_time_dependent_rate_matches_survival_every_step(monkeypatch):
     for n in range(1, ts.n_steps + 1):
         cohorts.surv = survival(rate.zeta_field(sg.x, ag.a, (n - 1) * ts.dt), ag)
         m, integral = cohorts.sums()
-        births, _ = renew(rate.beta_values(sg.x, n * ts.dt), m, ag.w[0])
-        traj.append(solve_balance(integral, m, vcfg.epsilon, sg))
-        hist.push(traj[-1])
+        beta = rate.beta_values(sg.x, n * ts.dt)
+        births, _ = renew(beta, 1.0 + beta * ag.w[0], m, ag.w[0])
+        traj.append(solve_balance(integral, m, vcfg.epsilon, sg, None))
         cohorts.push(births, traj[-1])
     assert np.array_equal(res.final_rho, cohorts.density())
     assert np.array_equal(res.trajectory, np.asarray(traj))

@@ -1,10 +1,10 @@
-"""The external load: a preset that ignores t is sampled once per grid.
+"""The external load: a preset that ignores t is sampled once per run.
 
 presets.source_fns returns the load as a Preset that says whether it
-ignores t.  SourceModel samples such a load and its dS/dt once per grid and
-hands back the same read-only pair at every t; a plain callable is sampled
-at each call.  Both give the same bytes in every driver.  Validation refuses
-a load that is not finite at a sample time.
+ignores t.  config.Inputs samples such a load and its dS/dt, and an on-rate
+that ignores t, once and hands back the same read-only arrays at every t; a
+plain callable is sampled at each level.  Both give the same bytes in every
+driver.  Validation refuses a load that is not finite at a sample time.
 """
 
 import warnings
@@ -15,11 +15,11 @@ import pytest
 
 from conftest import make_config
 
-from linkages import presets
-from linkages.cli import coupled_config, detachment_config
-from linkages.config import SourceModel, validate_config
+from linkages import kinetics, presets
+from linkages.cli import coupled_config, detachment_config, source_config
+from linkages.config import Inputs, RateModel, SourceModel, validate_config
 from linkages.errors import ConfigError
-from linkages.grids import SpaceGrid
+from linkages.grids import AgeGrid, SpaceGrid, build_grids
 from linkages.simulate import run_coupled, run_detachment, run_limit, run_weak
 
 
@@ -130,17 +130,54 @@ def test_a_load_that_depends_on_t_is_called_at_every_step_at_its_own_t(driver):
         assert set(levels) <= set(calls["dS/dt"])
 
 
-def test_the_shared_sample_is_read_only_and_belongs_to_its_grid():
-    src = SourceModel(*presets.source_fns("sin_forcing"))
-    x, other = SpaceGrid(nx=7).x, SpaceGrid(nx=7).x
-    S, dS = src(x, 0.0), src.ddt(x, 0.0)
-    assert src(x, 0.3) is S and src.ddt(x, 1.7) is dS
-    for a in (S, dS):
+def reads(inputs, t):
+    """Every array inputs gives at t: beta, 1 + beta*w0, eps*S on the interior nodes, S and dS/dt."""
+    return [*inputs.at(t), inputs.load(t), inputs.ddt(t)]
+
+
+def plain_rate(fn):
+    """The same on-rate as a plain callable, which counts as depending on t."""
+    return lambda x, t: fn(x, t)
+
+
+def test_inputs_form_data_that_ignore_t_once_and_share_none_of_it():
+    sg, ag, eps = SpaceGrid(nx=7), AgeGrid(da=0.1, a_max=1.0), 0.05
+    rate, load = RateModel(beta=presets.given_beta_fn("sin_pi")), SourceModel(*presets.source_fns("sin_forcing"))
+    inputs = Inputs(rate, load, eps, sg, ag)
+    fixed = reads(inputs, 0.0)
+    beta, S = rate.beta_values(sg.x, 0.0), load(sg.x, 0.0)
+    for got, want in zip(fixed, (beta, 1.0 + beta * ag.w[0], eps * S[1:-1], S, np.zeros(sg.n_nodes))):
+        assert np.array_equal(bits(got), bits(want))
+    for t in (0.3, 1.7):  # the same objects at every t
+        assert all(a is b for a, b in zip(reads(inputs, t), fixed))
+    for a in fixed:
         with pytest.raises(ValueError):
             a[1] = 1.0
-    assert src(other, 0.0) is not S and np.array_equal(src(other, 0.0), S)  # another grid samples afresh
-    fresh = plain(src)
-    assert fresh(x, 0.0) is not fresh(x, 0.0) and fresh(x, 0.0).flags.writeable
+    # another load (the same spec), eps or grid forms its own arrays
+    others = [Inputs(rate, SourceModel(*presets.source_fns("sin_forcing")), eps, sg, ag),
+              Inputs(rate, load, 2 * eps, sg, ag), Inputs(rate, load, eps, SpaceGrid(nx=7), ag)]
+    for other in others:
+        assert not any(np.shares_memory(a, b) for a in reads(other, 0.0) for b in fixed)
+    assert np.array_equal(others[1].at(0.0)[2], 2 * eps * S[1:-1])
+    # data that depend on t are formed at each read, at each row's own t for a column of scales
+    varying = Inputs(RateModel(beta=plain_rate(rate.beta)), plain(load), np.array([[eps], [2 * eps]]), sg, ag)
+    once, again = reads(varying, [0.1, 0.2]), reads(varying, [0.1, 0.2])
+    assert all(a is not b and a.flags.writeable for a, b in zip(once[:3], again[:3]))
+    for row, (t, e) in enumerate(((0.1, eps), (0.2, 2 * eps))):
+        assert np.array_equal(once[0][row], rate.beta_values(sg.x, t)) and np.array_equal(once[2][row], e * S[1:-1])
+
+
+def test_a_weak_run_hands_every_position_solve_one_read_only_load_term(monkeypatch):
+    # weak-source's load ignores t: eps*S is formed once, and every step's
+    # position solve reads that one read-only array
+    terms, solve = [], kinetics.solve_balance
+    monkeypatch.setattr(kinetics, "solve_balance", lambda *args: terms.append(args[4]) or solve(*args))
+    vcfg = validate_quiet(source_config(final_time=0.02))
+    sg, _, ts = build_grids(vcfg)
+    run_weak(vcfg, diag_stride=0)
+    assert len(terms) == ts.n_steps and all(term is terms[0] for term in terms)
+    assert not terms[0].flags.writeable
+    assert np.array_equal(bits(terms[0]), bits(vcfg.epsilon * vcfg.source(sg.x, 0.0)[1:-1]))
 
 
 @pytest.mark.parametrize("src, t", [
