@@ -795,6 +795,23 @@ def test_detachment_holds_at_most_seven_and_a_half_fields():
     assert traced_peak(run_detachment, vcfg) <= 7.5 * 8 * sg.n_nodes * ag.n_nodes
 
 
+def test_the_run_constant_load_follows_the_load_a_step_is_given():
+    # eps*S of a load that ignores t is formed once per Inputs: a step given
+    # the Inputs of another load reads that load's one read-only term, bit
+    # for bit the step of the same load formed afresh at each level
+    st, rate, eps, sg, ag = torn_off()
+    load = SourceModel(*presets.source_fns("constant(5000.0)"))
+    fixed, fresh = Inputs(rate, load, eps, sg, ag), Inputs(rate, SourceModel(fn=lambda x, t: load.fn(x, t), dfn=load.dfn), eps, sg, ag)
+    assert fixed.steady and not fresh.steady
+    term = fixed.at(0.0)[2]
+    assert fixed.at(st.t + eps * ag.da)[2] is term and not term.flags.writeable
+    assert np.array_equal(bits(term), bits(eps * load(sg.x, 0.0)[1:-1]))
+    other = copy.deepcopy(st)
+    st, other = coupled_step(st, fixed, sg, ag), coupled_step(other, fresh, sg, ag)
+    for name in ("z", "mu0", "g"):
+        assert np.array_equal(bits(getattr(st, name)), bits(getattr(other, name))), name
+
+
 def test_a_coupled_run_without_records_makes_no_record_buffers():
     # the records' two work buffers exist only where records are formed
     vcfg = validate_quiet(coupled_config(final_time=0.02))

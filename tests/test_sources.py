@@ -140,7 +140,7 @@ def plain_rate(fn):
     return lambda x, t: fn(x, t)
 
 
-def test_inputs_form_data_that_ignore_t_once_and_share_none_of_it():
+def test_the_shared_sample_is_read_only_and_belongs_to_its_grid():
     sg, ag, eps = SpaceGrid(nx=7), AgeGrid(da=0.1, a_max=1.0), 0.05
     rate, load = RateModel(beta=presets.given_beta_fn("sin_pi")), SourceModel(*presets.source_fns("sin_forcing"))
     inputs = Inputs(rate, load, eps, sg, ag)
