@@ -53,19 +53,19 @@ so it is not read at all.  Its cohort of
 age one steps by c = exp(-da*zeta(0)), the newborns' factor.  Where every
 other live cohort steps by c too (each lane of the survival ring is c or
 its density is 0) and c^na does not underflow, the coupled step is the
-weak step with an off-rate the same at every age: the density goes on a
-kinetics.BirthRing in c mode, O(nx) a step (the births in the cohort
-ring's buffer, w_j c^j in surv's, B z and the density a record reads in
-the load buffer).  Once true, that stays true while the run stays calm,
-as a calm step sets only the age-one column to c and a zero lane stays
-zero; so it is tested at the first calm step in a row and, refused, once
-every ring period after.  On the birth ring no step reads u or zeta, so
-a calm step there writes no age field at all: it counts the newborn
-columns it owes (CoupledState.owed), and one block write settles them
-when u or zeta is read or at the first step that is not calm.  That step
-rebuilds the cohort ring in the load buffer and forms every survival
-factor afresh, as every step that is not calm does.  The
-ring's sums round in another order: the outputs move in the last bits.
+weak step with an off-rate the same at every age and x: the density goes
+on a kinetics.BirthRing in c mode, O(nx) a step (the births in the cohort
+ring's buffer, B z and the density a record reads in the load buffer, the
+weights w_j c^j on one row).  Once true, that stays true while the run
+stays calm, as a calm step sets only the age-one column to c and a zero
+lane stays zero; so it is tested at the first calm step in a row and,
+refused, once every ring period after.  On the birth ring no step reads u
+or zeta, so a calm step there writes no age field at all: it counts the
+newborn columns it owes (CoupledState.owed), and one block write settles
+them when u or zeta is read or at the first step that is not calm.  That
+step rebuilds the cohort ring in the load buffer and forms every survival
+factor afresh, as every step that is not calm does.  The ring's sums
+round in another order: the outputs move in the last bits.
 """
 
 import math
@@ -87,7 +87,7 @@ class CoupledState:
     hist at head 0 -- the ring at head 0 -- or as rings at hist.head; the
     step keeps them as rings (ring, u_ring, zeta) along with the survival
     ring surv and the load buffer.  ring is a kinetics.CohortRing over rho,
-    surv and agrid or, on a calm run, a kinetics.BirthRing in their buffers
+    surv and agrid or, on a calm run, a kinetics.BirthRing in rho's buffer
     and the load's.  quiet says that the last load formed was zero in every
     lane with surv <= 1; calm counts the calm steps in a row, 0 after a step
     that is not calm (see the module docstring).  A calm step keeps g and
@@ -153,17 +153,17 @@ class CoupledState:
         return np.roll(self.u_ring, -self.hist.head, axis=1)
 
 
-def solve_velocity(rho, mu0, u, zeta_u, dSdt, eps, sgrid, w, load=None):
+def solve_velocity(rho, mu0, u, zeta_u, eps_dSdt, eps, sgrid, w, load=None):
     """Velocity from the balance (mu0 - eps Lap_h) g = int zeta(u) rho u da + eps dS/dt.
 
     position.solve_balance poses it, with mu0 = rho @ w and zeta_u the
     off-rate evaluated on u; w are the age weights in the layout of the
-    fields, dSdt may be None for a run without a load, and the lanes
-    zeta*rho*u are formed in load if it is given.
+    fields, eps_dSdt (config.Inputs.eps_ddt) may be None for a run without
+    a load, and the lanes zeta*rho*u are formed in load if it is given.
     """
     load = np.multiply(zeta_u, rho, out=load)
     load *= u
-    return solve_balance(load @ w, mu0, eps, sgrid, None if dSdt is None else eps * dSdt[1:-1])
+    return solve_balance(load @ w, mu0, eps, sgrid, eps_dSdt)
 
 
 def _take_ring(st, agrid):
@@ -171,11 +171,10 @@ def _take_ring(st, agrid):
 
     c, the survival factor of the newborns, is the age-one column of surv
     after the calm update; zeta(u) does not depend on x, so c is one
-    number.  None, with the state intact, where a live cohort steps by
-    another factor; None, with surv filled with c, where birth_ring refuses
-    the data (c^na underflows).  The test's flags live in the idle load
-    buffer, and wC takes the first (nx+2)*na entries of surv as one
-    contiguous block, so that nothing field-sized is allocated.
+    number, and the ring's weights w_j c^j are one row.  None, with the
+    state intact, where a live cohort steps by another factor or where
+    birth_ring refuses the data (c^na underflows).  The test's flags live
+    in the idle load buffer, so that nothing field-sized is allocated.
     """
     surv, rho = st.surv, st.ring.rho
     c = float(surv[0, st.hist.head])
@@ -184,12 +183,7 @@ def _take_ring(st, agrid):
     off_c &= np.not_equal(rho, 0.0, out=flags[1])
     if off_c.any() or np.any(surv[:, st.hist.head] != c):
         return None
-    wC = surv.reshape(-1)[: rho.shape[0] * (rho.shape[1] - 1)].reshape(rho.shape[0], -1)
-    wC[...] = c
-    ring = birth_ring(rho, wC, st.hist, agrid, st.load)
-    if ring is None:
-        surv[...] = c
-    return ring
+    return birth_ring(rho, np.full((1, rho.shape[1] - 1), c), st.hist, agrid, st.load)
 
 
 def _leave_ring(st, agrid):
@@ -212,10 +206,9 @@ def coupled_step(st, inputs, sgrid, agrid):
     t_new = st.t + eps * agrid.da
     k = st.truncation_k
     beta, den, eps_S = inputs.at(t_new, st.z)  # a threshold on-rate reads the old z
-    dSdt = inputs.ddt(t_new)
     hist, u = st.hist, st._u
     old, new = hist.head, (hist.head - 1) % hist.depth  # the columns of ages 1 and 0 after the step
-    calm = st.quiet and (st.calm or not st.g.any()) and (inputs.steady or not np.any(dSdt))
+    calm = st.quiet and (st.calm or not st.g.any()) and (inputs.steady or not np.any(inputs.ddt(t_new)))
     st.calm = st.calm + 1 if calm else 0
     if calm and isinstance(st.ring, BirthRing):
         st.owed = min(st.owed + 1, hist.depth)  # the newborns' u = 0 and zeta(0), settled when read
@@ -239,7 +232,7 @@ def coupled_step(st, inputs, sgrid, agrid):
     st.z, st.mu0 = advance(st.ring, beta, den, eps, sgrid, eps_S)
     if not calm:  # the velocity reads rho, u, zeta and mu0 of the new level, not z
         w = cohort_weights(agrid.w, new)
-        st.g = solve_velocity(st.ring.rho, st.mu0, u, st._zeta, dSdt, eps, sgrid, w, load=st.load)
+        st.g = solve_velocity(st.ring.rho, st.mu0, u, st._zeta, inputs.eps_ddt(t_new), eps, sgrid, w, load=st.load)
         st.quiet = not st.g.any() and not st.load.any() and st.surv.max() <= 1.0
     st.t = t_new
     st.truncated = not calm and bool(np.abs(st.g).max() > k)  # a calm step keeps its zero g, and k > 0

@@ -61,10 +61,10 @@ def init_density(fn, sgrid, agrid):
 
 
 def survival(zeta_values, agrid, out=None):
-    """Per-cell survival factor exp(-da*zeta) of one shift, shape (nx+2, na), written into out if given.
+    """Per-cell survival factor exp(-da*zeta) of one shift, shape (rows, na), written into out if given.
 
-    zeta_values is the prescribed off-rate on the (x, a) grid, sampled at
-    the current time and read at the departure cell j-1.
+    zeta_values is the prescribed off-rate on the (x, a) grid or one row
+    of it, sampled at the current time and read at the departure cell j-1.
     """
     return decay(zeta_values[:, :-1], agrid.da, out)
 
@@ -113,7 +113,7 @@ class CohortRing:
     def sums(self):
         """Age every cohort but the oldest by surv in place; m and q of the next level, q off hist.buf in place.
 
-        surv is in age order (na columns) or, as the coupled step keeps it, in rho's layout.
+        surv is in age order (na columns; one row or a row per lane) or in rho's layout (the coupled step's).
         """
         rho, surv, head = self.rho, self.surv, self.hist.head
         if surv.shape == rho.shape:  # the oldest cohort's column is written over by push
@@ -146,12 +146,13 @@ class BirthRing:
 
     Both rings have the layout of the density and the head of the position
     history hist: column hist.head holds level n, the next columns
-    (cyclically) the older levels.  wC[:, j-1] = w_j C_j weighs age j >= 1.
-    c, if given, is the survival factor of each age cell, C_j = c^j: the
-    lagged sums are then kept as running sums in acc (see _roll), and B z
-    is not stored but formed where it is read, at two columns a step or,
-    for a full read, in scratch (a field-sized buffer, made if not given).
-    The ring may be built at any head of hist.
+    (cyclically) the older levels.  wC[:, j-1] = w_j C_j weighs age j >= 1,
+    on one row that broadcasts over the lanes or on a row per lane.  c, if
+    given, is the survival factor of each age cell, C_j = c^j: the lagged
+    sums are then kept as running sums in acc (see _roll), and B z is not
+    stored but formed where it is read, at two columns a step or, for a
+    full read, in scratch (a field-sized buffer, made if not given).  The
+    ring may be built at any head of hist.
     """
 
     def __init__(self, wC, births, hist, agrid, c=None, scratch=None):
@@ -234,28 +235,32 @@ class BirthRing:
 
     def _fill(self, rho, newborn, newer, older):
         """rho^n into rho: age 0 at column newborn, the ages after the head at newer, the wrapped ones at older."""
-        head = self.hist.head
-        cut = self.births.shape[1] - head
-        rho[:, newborn] = self.births[:, head]
-        np.divide(self.wC[:, : cut - 1], self.agrid.w[1:cut], out=rho[:, newer])
-        np.divide(self.wC[:, cut - 1 :], self.agrid.w[cut:], out=rho[:, older])
-        rho[:, newer] *= self.births[:, head + 1 :]
-        rho[:, older] *= self.births[:, :head]
+        head, births, wC, w = self.hist.head, self.births, self.wC, self.agrid.w
+        cut = births.shape[1] - head
+        rho[:, newborn] = births[:, head]
+        if wC.shape[0] == 1:  # one row: each C_j divided once (a row per lane: in place, no field-sized temporary)
+            C = wC / w[1:]
+            np.multiply(C[:, : cut - 1], births[:, head + 1 :], out=rho[:, newer])
+            np.multiply(C[:, cut - 1 :], births[:, :head], out=rho[:, older])
+            return rho
+        np.divide(wC[:, : cut - 1], w[1:cut], out=rho[:, newer])
+        np.divide(wC[:, cut - 1 :], w[cut:], out=rho[:, older])
+        rho[:, newer] *= births[:, head + 1 :]
+        rho[:, older] *= births[:, :head]
         return rho
 
 
-def birth_ring(rho, surv, hist, agrid, scratch=None, wC=None):
+def birth_ring(rho, surv, hist, agrid, scratch=None):
     """BirthRing of the density rho, a cohort ring at the head of hist (age order at head 0).
 
     surv, the survival factor of every step in age order, is consumed: it
-    becomes wC in place, and rho the birth ring.  None, with rho intact,
-    where the closed form would lose the density: a product C_j zero or
-    subnormal, or a birth value rho / C_j that may overflow.  Where every
-    column of surv equals the first (an off-rate the same at every age),
-    the ring takes c = surv[:, 0] and scratch and keeps its lagged sums in
-    O(nx) a step.  wC, if given, is the weights that surv gives, formed
-    by a ring of the same off-rate on the same grids; the ring takes it
-    and leaves surv's buffer free (it may then be a block of scratch).
+    becomes wC in place, and rho the birth ring.  surv has a row per lane
+    or, for an off-rate the same at every x, one row (1, na) that
+    broadcasts over the lanes.  None, with rho intact, where the closed
+    form would lose the density: a product C_j zero or subnormal, or a
+    birth value rho / C_j that may overflow.  Where every column of surv
+    equals the first (an off-rate the same at every age), the ring takes
+    c = surv[:, 0] and scratch and keeps its lagged sums in O(nx) a step.
     """
     c = surv[:, 0].copy() if np.all(surv.min(axis=1) == surv.max(axis=1)) else None
     C = np.cumprod(surv, axis=1, out=surv)
@@ -266,9 +271,7 @@ def birth_ring(rho, surv, hist, agrid, scratch=None, wC=None):
     cut = rho.shape[1] - head
     np.divide(rho[:, head + 1 :], C[:, : cut - 1], out=rho[:, head + 1 :])
     np.divide(rho[:, :head], C[:, cut - 1 :], out=rho[:, :head])
-    if wC is None:
-        wC = np.multiply(C, agrid.w[1:], out=C)
-    return BirthRing(wC, rho, hist, agrid, c, scratch)
+    return BirthRing(np.multiply(C, agrid.w[1:], out=C), rho, hist, agrid, c, scratch)
 
 
 def _lagged(acc, w):

@@ -6,7 +6,9 @@ The weak, coupled and limit drivers share one time loop, march: a stepper
 moves the state one step and observers look at every level, n = 0
 included, to check invariants, record diagnostics and keep outputs.
 
-Runners own their state exclusively; distinct runs never share mutable data.
+Runners own their state.  The runs of a sweep share the off-rate field,
+which no step writes, and a birth ring's full-read buffer, which each
+re-read fills and reads at once (_lane_march).
 """
 
 import math
@@ -130,15 +132,15 @@ class _WeakRun:
 
     An off-rate that declares it ignores t is sampled once and stepped on
     birth values (kinetics.BirthRing) unless birth_ring refuses the data;
-    the others on the density (kinetics.CohortRing).  Level 0 is checked
-    when the run is built.  zeta, the off-rate field at t = 0, and with a
-    birth ring in c mode its full-read buffer scratch and its weights wC,
-    may be those of a run of the same configuration but for epsilon, which
-    then shares them: no step writes them, and the survival factor that
-    birth_ring consumes is formed in scratch.
+    the others on the density (kinetics.CohortRing).  Either ring holds
+    the survival factor of an off-rate the same at every x (a field of
+    equal rows) on one row.  Level 0 is checked when the run is built.
+    zeta, the off-rate field at t = 0, and with a birth ring in c mode its
+    full-read buffer scratch may be those of a run of the same
+    configuration but for epsilon, which then shares them.
     """
 
-    def __init__(self, vcfg, zeta=None, scratch=None, wC=None):
+    def __init__(self, vcfg, zeta=None, scratch=None):
         sgrid, agrid, ts, self.inputs, rho, z, hist = _start(vcfg)
         rate = vcfg.rate_model
         self.sgrid, self.agrid, self.rate, self.eps = sgrid, agrid, rate, vcfg.epsilon
@@ -147,9 +149,9 @@ class _WeakRun:
         zeta = rate.zeta_field(sgrid.x, agrid.a, 0.0) if zeta is None else zeta
         self.fixed = is_time_invariant(rate.zeta)
         # either ring takes over the buffers of rho and of the survival factor
-        out = None if wC is None else scratch.reshape(-1)[: wC.size].reshape(wC.shape)
-        ring = self.fixed and birth_ring(rho, survival(zeta, agrid, out), hist, agrid, scratch, wC)
-        ring = ring or CohortRing(rho, survival(zeta, agrid), hist, agrid)
+        row = zeta[:1] if self.fixed and (zeta == zeta[:1]).all() else zeta
+        ring = self.fixed and birth_ring(rho, survival(row, agrid), hist, agrid, scratch)
+        ring = ring or CohortRing(rho, survival(row, agrid), hist, agrid)
         self.state = WeakState(t=0.0, z=z, hist=hist, zeta=zeta, mu0=mu0, ring=ring)
         # discrete analogue of the population floor min(mu0(0), beta_m/(beta_m+zeta_M))
         self.guard = _Guard(min(float(np.min(mu0)), rate.beta_m / (rate.beta_m + rate.zeta_M)) - 10.0 * agrid.da)
@@ -326,9 +328,9 @@ def _lane_march(vcfgs, strides):
     later.  The lanes' current runs step together, as the rows of one
     _weak_step on kinetics.Rows; when a run ends, its lane starts its next
     one, and only its trajectory is kept; each such set of rows has its own
-    config.Inputs, eps a column of their scales.  Every run shares the off-rate
-    field of the first and, on birth rings in c mode, its full-read buffer
-    and weights (see _WeakRun).
+    config.Inputs, eps a column of their scales.  Every run shares the
+    off-rate field of the first and, on birth rings in c mode, its
+    full-read buffer (see the module docstring).
     """
     lanes, steps = ([], []), [0, 0]
     for i in sorted(range(len(vcfgs)), key=lambda i: vcfgs[i].epsilon):
@@ -341,11 +343,8 @@ def _lane_march(vcfgs, strides):
         if not lanes[lane]:
             return None
         run = _WeakRun(vcfgs[lanes[lane][0]], **shared)
-        if not shared:
-            ring = run.state.ring
-            shared.update(zeta=run.state.zeta)
-            if isinstance(ring, BirthRing) and ring.c is not None:
-                shared.update(scratch=ring.scratch, wC=ring.wC)
+        if not shared:  # a birth ring in c mode has a full-read buffer
+            shared.update(zeta=run.state.zeta, scratch=getattr(run.state.ring, "scratch", None))
         run.i, run.traj = lanes[lane].pop(0), [run.state.z.copy()]
         return run
 
@@ -460,7 +459,7 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
     state = cp.CoupledState(rho=rho, u=u, z=z, g=None, hist=hist, t=0.0, truncation_k=None, agrid=agrid,
                             mu0=rho @ agrid.w, zeta=rate.zeta_of_u(u))
     # the velocity's lanes and the Riccati bound's pass borrow load and surv, which the first step writes first
-    state.g = cp.solve_velocity(rho, state.mu0, u, state.zeta, inputs.ddt(0.0), eps, sgrid, agrid.w, load=state.load)
+    state.g = cp.solve_velocity(rho, state.mu0, u, state.zeta, inputs.eps_ddt(0.0), eps, sgrid, agrid.w, load=state.load)
     gamma2, dS_norm = cp.riccati_bound(rho, u, state.zeta, inputs, vcfg.final_time, sgrid, agrid.w,
                                        (state.surv, state.load))
     state.truncation_k = gamma2 / eps + dS_norm + 1.0

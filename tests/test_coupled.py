@@ -168,7 +168,7 @@ def test_solve_velocity_poisson_reduction():
     rho = np.zeros((SG.n_nodes, AG.n_nodes))
     u = np.zeros((SG.n_nodes, AG.n_nodes))
     dSdt = np.pi**2 * np.sin(np.pi * SG.x)
-    g = solve_velocity(rho, rho @ AG.w, u, RATE.zeta_of_u(u), dSdt, EPS, SG, AG.w)
+    g = solve_velocity(rho, rho @ AG.w, u, RATE.zeta_of_u(u), EPS * dSdt[1:-1], EPS, SG, AG.w)
     np.testing.assert_allclose(g, np.sin(np.pi * SG.x), atol=1.0 * SG.dx**2)
 
 
@@ -254,7 +254,7 @@ def test_coupled_step_equals_its_unfused_composition():
     m_a = rho_a[:, 1:] @ ag.w[1:]
     rho_a[:, 0] = beta * (1.0 - m_a) / (1.0 + beta * ag.w[0])
     mu0_a = rho_a @ ag.w
-    g_a = solve_velocity(rho_a, mu0_a, u_a, zeta_a, src.ddt(sg.x, t), eps, sg, ag.w)
+    g_a = solve_velocity(rho_a, mu0_a, u_a, zeta_a, eps * src.ddt(sg.x, t)[1:-1], eps, sg, ag.w)
     hist_a = copy.deepcopy(old.hist)  # its age-ordered snapshots, anchors of the ages j >= 1
     rhs_a = np.einsum("j,xj,xj->x", ag.w[1:], rho_a[:, 1:], age_order(hist_a)[:, :-1])
     z_a = solve_balance(rhs_a, mu0_a - ag.w[0] * rho_a[:, 0], eps, sg, eps * src(sg.x, t)[1:-1])
@@ -338,9 +338,9 @@ def test_torn_off_step_shortcuts_change_no_bit(monkeypatch, load, velocity_solve
     assert st.t == full.t and st.hist.head == full.hist.head
 
 
-def torn_off(nx=24, a_max=0.5):
+def torn_off(nx=24, a_max=0.5, **overrides):
     """The state right after the tear-off step, by default on a short age grid (na = 50), with its run's data."""
-    vcfg = validate_quiet(detachment_config(nx=nx, a_max=a_max, final_time=1e-5))
+    vcfg = validate_quiet(detachment_config(nx=nx, a_max=a_max, final_time=1e-5, **overrides))
     sg, ag, ts = build_grids(vcfg)
     assert ts.n_steps == 1
     st = run_coupled(vcfg, diag_stride=0).final
@@ -414,6 +414,52 @@ def test_live_cohort_with_a_frozen_stretch_keeps_the_cohort_path():
             assert np.array_equal(bits(getattr(st, f)), bits(getattr(full, f))), f
     st = coupled_step(st, inputs, sg, ag)
     assert isinstance(st.ring, BirthRing)
+
+
+def test_a_ring_refused_for_underflow_leaves_the_cohort_state_as_it_was(monkeypatch):
+    # zeta(0) = 800 on 100 ages: every live cohort steps by c = exp(-8),
+    # but c^100 underflows, so birth_ring refuses the data at the first
+    # calm step and again a ring period later; each refused take leaves
+    # every bit of surv and rho as it was, and every calm step is bit for
+    # bit a full cohort step
+    rate = RateModel(zeta_kind="lipschitz", zeta=presets.lipschitz_zeta_fn("affine_abs(800, 1)"), zeta_m=800.0,
+                     zeta_M=np.inf, beta_kind="threshold", zbar=1000.0, beta_m=0.0)
+    st, rate, eps, sg, ag = torn_off(a_max=1.0, rate_model=rate)
+    inputs = Inputs(rate, SourceModel(*presets.source_fns("constant(10000.0)")), eps, sg, ag)
+    refused, kept = [], []
+    ring, take = coupled.birth_ring, coupled._take_ring
+    monkeypatch.setattr(coupled, "birth_ring", lambda *args: refused.append(ring(*args)) or refused[-1])
+
+    def take_kept(st, agrid):
+        before = bits(st.surv).copy(), bits(st.ring.rho).copy()
+        got = take(st, agrid)
+        kept.append([np.array_equal(b, bits(a)) for b, a in zip(before, (st.surv, st.ring.rho))])
+        return got
+
+    monkeypatch.setattr(coupled, "_take_ring", take_kept)
+    full = copy.deepcopy(st)
+    for _ in range(st.hist.depth + 1):
+        st = coupled_step(st, inputs, sg, ag)
+        full = full_step(full, inputs, sg, ag)
+        assert st.calm and not isinstance(st.ring, BirthRing)
+        for f in ("rho_ring", "u_ring", "zeta", "mu0", "g", "z"):
+            assert np.array_equal(bits(getattr(st, f)), bits(getattr(full, f))), f
+    assert refused == [None, None] and kept == [[True, True]] * 2
+
+
+def test_every_velocity_solve_of_a_steady_load_reads_one_read_only_term(monkeypatch):
+    # eps*dS/dt of a load that ignores t is formed once per Inputs: the
+    # start-up solve and every step that is not calm hand the velocity
+    # solve that one read-only array, eps times the zero dS/dt
+    terms, solve = [], coupled.solve_balance
+    monkeypatch.setattr(coupled, "solve_balance", lambda *args: terms.append(args[4]) or solve(*args))
+    calm = []
+    vcfg = validate_quiet(coupled_config(nx=16, final_time=0.1))
+    run_coupled(vcfg, diag_stride=0, observers=[lambda n, st: calm.append(st.calm) if n else None])
+    assert len(calm) > 10 and len(terms) == 1 + calm.count(0)
+    assert all(term is terms[0] for term in terms) and not terms[0].flags.writeable
+    sg, _, _ = build_grids(vcfg)
+    assert np.array_equal(bits(terms[0]), bits(vcfg.epsilon * vcfg.source.ddt(sg.x, 0.0)[1:-1]))
 
 
 @pytest.mark.parametrize("planted", [False, True], ids=["birth-ring", "cohort-ring"])
