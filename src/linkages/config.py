@@ -157,9 +157,8 @@ class Inputs:
     column of scales (shape (rows, 1)) and t a list of times, one per row.
     at(t, z) is a step's read, (beta, 1 + beta*w0, eps*S on the interior
     nodes), the last None without a load; a threshold on-rate reads z.
-    rates(t) is its first two, load(t) S on every node, ddt(t) dS/dt and
-    eps_ddt(t) eps*dS/dt on the interior nodes, which only a coupled run
-    reads.  Data that ignore t
+    rates(t) is its first two, load(t) S on every node and ddt(t) dS/dt,
+    which only a coupled run reads.  Data that ignore t
     (presets.is_time_invariant) are formed at t = 0 and every read hands
     back those read-only arrays; steady says that dS/dt is 0 at every t,
     as validation checks for such a load.
@@ -169,10 +168,10 @@ class Inputs:
         self.rate, self.source, self.eps, self.x, self.w0 = rate, source, eps, sgrid.x, agrid.w[0]
         self.steady = source is None or source.time_invariant
         self._rates = tuple(map(_read_only, self._form_rates(0.0))) if presets.is_time_invariant(rate.beta) else None
-        self._S = self._dS = self._eps_S = self._eps_dS = None
+        self._S = self._dS = self._eps_S = None
         if source is not None and source.time_invariant:
             self._S, self._dS = _read_only(source(self.x, 0.0)), _read_only(source.ddt(self.x, 0.0))
-            self._eps_S, self._eps_dS = _read_only(eps * self._S[1:-1]), _read_only(eps * self._dS[1:-1])
+            self._eps_S = _read_only(eps * self._S[1:-1])
 
     def at(self, t, z=None):
         beta, den = self._rates or self._form_rates(t, z)
@@ -192,9 +191,6 @@ class Inputs:
 
     def ddt(self, t):
         return self._dS if self.steady else self.source.ddt(self.x, t)
-
-    def eps_ddt(self, t):
-        return self._eps_dS if self.steady else self.eps * self.ddt(t)[..., 1:-1]
 
     def _rows(self, fn, ts):
         """fn(x, t) at each t of ts, one row each."""

@@ -153,17 +153,17 @@ class CoupledState:
         return np.roll(self.u_ring, -self.hist.head, axis=1)
 
 
-def solve_velocity(rho, mu0, u, zeta_u, eps_dSdt, eps, sgrid, w, load=None):
+def solve_velocity(rho, mu0, u, zeta_u, dSdt, eps, sgrid, w, load=None):
     """Velocity from the balance (mu0 - eps Lap_h) g = int zeta(u) rho u da + eps dS/dt.
 
     position.solve_balance poses it, with mu0 = rho @ w and zeta_u the
     off-rate evaluated on u; w are the age weights in the layout of the
-    fields, eps_dSdt (config.Inputs.eps_ddt) may be None for a run without
-    a load, and the lanes zeta*rho*u are formed in load if it is given.
+    fields, dSdt may be None for a run without a load or with one that
+    ignores t, and the lanes zeta*rho*u are formed in load if it is given.
     """
     load = np.multiply(zeta_u, rho, out=load)
     load *= u
-    return solve_balance(load @ w, mu0, eps, sgrid, eps_dSdt)
+    return solve_balance(load @ w, mu0, eps, sgrid, None if dSdt is None else eps * dSdt[1:-1])
 
 
 def _take_ring(st, agrid):
@@ -206,9 +206,10 @@ def coupled_step(st, inputs, sgrid, agrid):
     t_new = st.t + eps * agrid.da
     k = st.truncation_k
     beta, den, eps_S = inputs.at(t_new, st.z)  # a threshold on-rate reads the old z
+    dSdt = None if inputs.steady else inputs.ddt(t_new)  # one read a step; a steady load's is 0: no term
     hist, u = st.hist, st._u
     old, new = hist.head, (hist.head - 1) % hist.depth  # the columns of ages 1 and 0 after the step
-    calm = st.quiet and (st.calm or not st.g.any()) and (inputs.steady or not np.any(inputs.ddt(t_new)))
+    calm = st.quiet and (st.calm or not st.g.any()) and (dSdt is None or not dSdt.any())
     st.calm = st.calm + 1 if calm else 0
     if calm and isinstance(st.ring, BirthRing):
         st.owed = min(st.owed + 1, hist.depth)  # the newborns' u = 0 and zeta(0), settled when read
@@ -232,7 +233,7 @@ def coupled_step(st, inputs, sgrid, agrid):
     st.z, st.mu0 = advance(st.ring, beta, den, eps, sgrid, eps_S)
     if not calm:  # the velocity reads rho, u, zeta and mu0 of the new level, not z
         w = cohort_weights(agrid.w, new)
-        st.g = solve_velocity(st.ring.rho, st.mu0, u, st._zeta, inputs.eps_ddt(t_new), eps, sgrid, w, load=st.load)
+        st.g = solve_velocity(st.ring.rho, st.mu0, u, st._zeta, dSdt, eps, sgrid, w, load=st.load)
         st.quiet = not st.g.any() and not st.load.any() and st.surv.max() <= 1.0
     st.t = t_new
     st.truncated = not calm and bool(np.abs(st.g).max() > k)  # a calm step keeps its zero g, and k > 0

@@ -235,18 +235,13 @@ class BirthRing:
 
     def _fill(self, rho, newborn, newer, older):
         """rho^n into rho: age 0 at column newborn, the ages after the head at newer, the wrapped ones at older."""
-        head, births, wC, w = self.hist.head, self.births, self.wC, self.agrid.w
-        cut = births.shape[1] - head
-        rho[:, newborn] = births[:, head]
-        if wC.shape[0] == 1:  # one row: each C_j divided once (a row per lane: in place, no field-sized temporary)
-            C = wC / w[1:]
-            np.multiply(C[:, : cut - 1], births[:, head + 1 :], out=rho[:, newer])
-            np.multiply(C[:, cut - 1 :], births[:, :head], out=rho[:, older])
-            return rho
-        np.divide(wC[:, : cut - 1], w[1:cut], out=rho[:, newer])
-        np.divide(wC[:, cut - 1 :], w[cut:], out=rho[:, older])
-        rho[:, newer] *= births[:, head + 1 :]
-        rho[:, older] *= births[:, :head]
+        head = self.hist.head
+        cut = self.births.shape[1] - head
+        rho[:, newborn] = self.births[:, head]
+        np.divide(self.wC[:, : cut - 1], self.agrid.w[1:cut], out=rho[:, newer])
+        np.divide(self.wC[:, cut - 1 :], self.agrid.w[cut:], out=rho[:, older])
+        rho[:, newer] *= self.births[:, head + 1 :]
+        rho[:, older] *= self.births[:, :head]
         return rho
 
 

@@ -458,8 +458,9 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
     # age order at the history's head 0 is the cohort ring; the state holds the level-0 zeta alone
     state = cp.CoupledState(rho=rho, u=u, z=z, g=None, hist=hist, t=0.0, truncation_k=None, agrid=agrid,
                             mu0=rho @ agrid.w, zeta=rate.zeta_of_u(u))
+    dSdt = None if inputs.steady else inputs.ddt(0.0)  # a steady load's dS/dt is 0: no term to add
     # the velocity's lanes and the Riccati bound's pass borrow load and surv, which the first step writes first
-    state.g = cp.solve_velocity(rho, state.mu0, u, state.zeta, inputs.eps_ddt(0.0), eps, sgrid, agrid.w, load=state.load)
+    state.g = cp.solve_velocity(rho, state.mu0, u, state.zeta, dSdt, eps, sgrid, agrid.w, load=state.load)
     gamma2, dS_norm = cp.riccati_bound(rho, u, state.zeta, inputs, vcfg.final_time, sgrid, agrid.w,
                                        (state.surv, state.load))
     state.truncation_k = gamma2 / eps + dS_norm + 1.0

@@ -168,7 +168,7 @@ def test_solve_velocity_poisson_reduction():
     rho = np.zeros((SG.n_nodes, AG.n_nodes))
     u = np.zeros((SG.n_nodes, AG.n_nodes))
     dSdt = np.pi**2 * np.sin(np.pi * SG.x)
-    g = solve_velocity(rho, rho @ AG.w, u, RATE.zeta_of_u(u), EPS * dSdt[1:-1], EPS, SG, AG.w)
+    g = solve_velocity(rho, rho @ AG.w, u, RATE.zeta_of_u(u), dSdt, EPS, SG, AG.w)
     np.testing.assert_allclose(g, np.sin(np.pi * SG.x), atol=1.0 * SG.dx**2)
 
 
@@ -254,7 +254,7 @@ def test_coupled_step_equals_its_unfused_composition():
     m_a = rho_a[:, 1:] @ ag.w[1:]
     rho_a[:, 0] = beta * (1.0 - m_a) / (1.0 + beta * ag.w[0])
     mu0_a = rho_a @ ag.w
-    g_a = solve_velocity(rho_a, mu0_a, u_a, zeta_a, eps * src.ddt(sg.x, t)[1:-1], eps, sg, ag.w)
+    g_a = solve_velocity(rho_a, mu0_a, u_a, zeta_a, src.ddt(sg.x, t), eps, sg, ag.w)
     hist_a = copy.deepcopy(old.hist)  # its age-ordered snapshots, anchors of the ages j >= 1
     rhs_a = np.einsum("j,xj,xj->x", ag.w[1:], rho_a[:, 1:], age_order(hist_a)[:, :-1])
     z_a = solve_balance(rhs_a, mu0_a - ag.w[0] * rho_a[:, 0], eps, sg, eps * src(sg.x, t)[1:-1])
@@ -447,19 +447,29 @@ def test_a_ring_refused_for_underflow_leaves_the_cohort_state_as_it_was(monkeypa
     assert refused == [None, None] and kept == [[True, True]] * 2
 
 
-def test_every_velocity_solve_of_a_steady_load_reads_one_read_only_term(monkeypatch):
-    # eps*dS/dt of a load that ignores t is formed once per Inputs: the
+def test_no_velocity_solve_of_a_steady_load_adds_a_load_term(monkeypatch):
+    # dS/dt of a load that ignores t is 0 (validation checks it): the
     # start-up solve and every step that is not calm hand the velocity
-    # solve that one read-only array, eps times the zero dS/dt
+    # solve no eps*dS/dt term to form and add
     terms, solve = [], coupled.solve_balance
     monkeypatch.setattr(coupled, "solve_balance", lambda *args: terms.append(args[4]) or solve(*args))
     calm = []
     vcfg = validate_quiet(coupled_config(nx=16, final_time=0.1))
+    assert vcfg.source.time_invariant
     run_coupled(vcfg, diag_stride=0, observers=[lambda n, st: calm.append(st.calm) if n else None])
     assert len(calm) > 10 and len(terms) == 1 + calm.count(0)
-    assert all(term is terms[0] for term in terms) and not terms[0].flags.writeable
-    sg, _, _ = build_grids(vcfg)
-    assert np.array_equal(bits(terms[0]), bits(vcfg.epsilon * vcfg.source.ddt(sg.x, 0.0)[1:-1]))
+    assert all(term is None for term in terms)
+
+
+def test_a_quiet_step_under_a_changing_load_reads_dS_dt_once():
+    # a quiet state reads dS/dt to test whether its step is calm; where it
+    # is not 0, the velocity solve takes that read and makes no other
+    st, rate, eps, sg, ag = torn_off()
+    fn, dfn = presets.source_fns("linear_in_t(1.0, 5.0)")
+    ts = []
+    load = SourceModel(lambda x, t: fn(x, t), lambda x, t: ts.append(t) or dfn(x, t))
+    st = coupled_step(st, Inputs(rate, load, eps, sg, ag), sg, ag)
+    assert not st.calm and st.g.any() and ts == [st.t]
 
 
 @pytest.mark.parametrize("planted", [False, True], ids=["birth-ring", "cohort-ring"])
