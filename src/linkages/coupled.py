@@ -55,8 +55,9 @@ other live cohort steps by c too (each lane of the survival ring is c or
 its density is 0) and c^na does not underflow, the coupled step is the
 weak step with an off-rate the same at every age and x: the density goes
 on a kinetics.BirthRing in c mode, O(nx) a step (the births in the cohort
-ring's buffer, B z and the density a record reads in the load buffer, the
-weights w_j c^j on one row).  Once true, that stays true while the run
+ring's buffer, the density a record reads in the load buffer, the weights
+w_j c^j on one row; B z is formed where it is read, a block of rows at a
+time at a re-read).  Once true, that stays true while the run
 stays calm, as a calm step sets only the age-one column to c and a zero
 lane stays zero; so it is tested at the first calm step in a row and,
 refused, once every ring period after.  On the birth ring no step reads u
@@ -87,8 +88,8 @@ class CoupledState:
     hist at head 0 -- the ring at head 0 -- or as rings at hist.head; the
     step keeps them as rings (ring, u_ring, zeta) along with the survival
     ring surv and the load buffer.  ring is a kinetics.CohortRing over rho,
-    surv and agrid or, on a calm run, a kinetics.BirthRing in rho's buffer
-    and the load's.  quiet says that the last load formed was zero in every
+    surv and agrid or, on a calm run, a kinetics.BirthRing in rho's
+    buffer.  quiet says that the last load formed was zero in every
     lane with surv <= 1; calm counts the calm steps in a row, 0 after a step
     that is not calm (see the module docstring).  A calm step keeps g and
     the zeta of its age-one column, so a caller that writes either between
@@ -183,7 +184,7 @@ def _take_ring(st, agrid):
     off_c &= np.not_equal(rho, 0.0, out=flags[1])
     if off_c.any() or np.any(surv[:, st.hist.head] != c):
         return None
-    return birth_ring(rho, np.full((1, rho.shape[1] - 1), c), st.hist, agrid, st.load)
+    return birth_ring(rho, np.full((1, rho.shape[1] - 1), c), st.hist, agrid)
 
 
 def _leave_ring(st, agrid):
@@ -228,6 +229,7 @@ def coupled_step(st, inputs, sgrid, agrid):
         g_used = np.clip(st.g, -k, k) if math.isfinite(k) else st.g
         u += agrid.da * g_used[:, None]  # g vanishes at the Dirichlet nodes: their rows stay 0
         u[:, new] = 0.0
+        st._zeta = None  # dropped before zeta(u) and its temporary are formed
         st._zeta = inputs.rate.zeta_of_u(u)
         decay(st._zeta, agrid.da, out=st.surv)
     st.z, st.mu0 = advance(st.ring, beta, den, eps, sgrid, eps_S)

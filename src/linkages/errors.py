@@ -1,4 +1,4 @@
-"""Exception types shared across the solver modules."""
+"""Exception types common to the solver modules."""
 
 
 class LinkagesError(Exception):

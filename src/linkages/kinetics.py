@@ -151,16 +151,15 @@ class BirthRing:
     given, is the survival factor of each age cell, C_j = c^j: the lagged
     sums are then kept as running sums in acc (see _roll), and B z is not
     stored but formed where it is read, at two columns a step or, for a
-    full read, in scratch (a field-sized buffer, made if not given).  The
-    ring may be built at any head of hist.
+    full read, eight rows at a time (_reread).  The ring may be built at
+    any head of hist.
     """
 
-    def __init__(self, wC, births, hist, agrid, c=None, scratch=None):
+    def __init__(self, wC, births, hist, agrid, c=None):
         self.wC, self.births, self.hist, self.agrid, self.c = wC, births, hist, agrid, c
         if c is None:
             self.products = births * hist.buf
         else:
-            self.scratch = np.empty_like(births) if scratch is None else scratch
             # the weights of _lagged and _roll, w_na C_na, w_{na-1} C_{na-1}, c and w_1 C_1,
             # each laid out for both sums at once
             cols = wC[:, -1], wC[:, wC.shape[1] - 2], c, wC[:, 0]
@@ -219,9 +218,18 @@ class BirthRing:
         return head == 0 or k == 0
 
     def _reread(self):
-        """The running sums T of both rings read afresh (_read, B z formed in scratch), which bounds the rounding to one ring period."""
-        products = np.multiply(self.births, self.hist.buf, out=self.scratch)
-        self.acc[0] = self._read(self.wC[:, :-1], (self.births, products))
+        """The running sums T of both rings read afresh (_read), which bounds the rounding to one ring period.
+
+        B z is formed eight rows at a time in one (8, na+1) block, so no
+        buffer of a re-read is field-sized; np.vecdot sums each row by
+        itself, so the sums have the bits of one pass over the whole ring.
+        """
+        births, wC = self.births, self.wC[:, :-1]
+        block = np.empty((min(8, births.shape[0]), births.shape[1]))
+        for i in range(0, births.shape[0], 8):
+            b = births[i : i + 8]
+            products = np.multiply(b, self.hist.buf[i : i + 8], out=block[: b.shape[0]])
+            self.acc[0, :, i : i + 8] = self._read(wC[i : i + 8] if wC.shape[0] > 1 else wC, (b, products))
 
     def density(self):
         """rho^n[:, j] = C_j B^{n-j} in age order."""
@@ -245,7 +253,7 @@ class BirthRing:
         return rho
 
 
-def birth_ring(rho, surv, hist, agrid, scratch=None):
+def birth_ring(rho, surv, hist, agrid):
     """BirthRing of the density rho, a cohort ring at the head of hist (age order at head 0).
 
     surv, the survival factor of every step in age order, is consumed: it
@@ -255,7 +263,7 @@ def birth_ring(rho, surv, hist, agrid, scratch=None):
     form would lose the density: a product C_j zero or subnormal, or a
     birth value rho / C_j that may overflow.  Where every column of surv
     equals the first (an off-rate the same at every age), the ring takes
-    c = surv[:, 0] and scratch and keeps its lagged sums in O(nx) a step.
+    c = surv[:, 0] and keeps its lagged sums in O(nx) a step.
     """
     c = surv[:, 0].copy() if np.all(surv.min(axis=1) == surv.max(axis=1)) else None
     C = np.cumprod(surv, axis=1, out=surv)
@@ -266,7 +274,7 @@ def birth_ring(rho, surv, hist, agrid, scratch=None):
     cut = rho.shape[1] - head
     np.divide(rho[:, head + 1 :], C[:, : cut - 1], out=rho[:, head + 1 :])
     np.divide(rho[:, :head], C[:, cut - 1 :], out=rho[:, :head])
-    return BirthRing(np.multiply(C, agrid.w[1:], out=C), rho, hist, agrid, c, scratch)
+    return BirthRing(np.multiply(C, agrid.w[1:], out=C), rho, hist, agrid, c)
 
 
 def _lagged(acc, w):

@@ -6,9 +6,8 @@ The weak, coupled and limit drivers share one time loop, march: a stepper
 moves the state one step and observers look at every level, n = 0
 included, to check invariants, record diagnostics and keep outputs.
 
-Runners own their state.  The runs of a sweep share the off-rate field,
-which no step writes, and a birth ring's full-read buffer, which each
-re-read fills and reads at once (_lane_march).
+Runners own their state: every run of a sweep samples its own off-rate
+field and builds its own rings (_lane_march).
 """
 
 import math
@@ -135,22 +134,21 @@ class _WeakRun:
     the others on the density (kinetics.CohortRing).  Either ring holds
     the survival factor of an off-rate the same at every x (a field of
     equal rows) on one row.  Level 0 is checked when the run is built.
-    zeta, the off-rate field at t = 0, and with a birth ring in c mode its
-    full-read buffer scratch may be those of a run of the same
-    configuration but for epsilon, which then shares them.
+    The run owns every buffer it steps on: the off-rate field at t = 0,
+    sampled here, and its ring's.
     """
 
-    def __init__(self, vcfg, zeta=None, scratch=None):
+    def __init__(self, vcfg):
         sgrid, agrid, ts, self.inputs, rho, z, hist = _start(vcfg)
         rate = vcfg.rate_model
         self.sgrid, self.agrid, self.rate, self.eps = sgrid, agrid, rate, vcfg.epsilon
         self.dt, self.n_steps, self.n = ts.dt, ts.n_steps, 0
         mu0 = rho @ agrid.w
-        zeta = rate.zeta_field(sgrid.x, agrid.a, 0.0) if zeta is None else zeta
+        zeta = rate.zeta_field(sgrid.x, agrid.a, 0.0)
         self.fixed = is_time_invariant(rate.zeta)
         # either ring takes over the buffers of rho and of the survival factor
         row = zeta[:1] if self.fixed and (zeta == zeta[:1]).all() else zeta
-        ring = self.fixed and birth_ring(rho, survival(row, agrid), hist, agrid, scratch)
+        ring = self.fixed and birth_ring(rho, survival(row, agrid), hist, agrid)
         ring = ring or CohortRing(rho, survival(row, agrid), hist, agrid)
         self.state = WeakState(t=0.0, z=z, hist=hist, zeta=zeta, mu0=mu0, ring=ring)
         # discrete analogue of the population floor min(mu0(0), beta_m/(beta_m+zeta_M))
@@ -328,23 +326,21 @@ def _lane_march(vcfgs, strides):
     later.  The lanes' current runs step together, as the rows of one
     _weak_step on kinetics.Rows; when a run ends, its lane starts its next
     one, and only its trajectory is kept; each such set of rows has its own
-    config.Inputs, eps a column of their scales.  Every run shares the
-    off-rate field of the first and, on birth rings in c mode, its
-    full-read buffer (see the module docstring).
+    config.Inputs, eps a column of their scales.  Each run samples its own
+    off-rate field and builds its own rings (_WeakRun), so a lane's run
+    shares no buffer with another's.
     """
     lanes, steps = ([], []), [0, 0]
     for i in sorted(range(len(vcfgs)), key=lambda i: vcfgs[i].epsilon):
         lane = steps.index(min(steps))
         lanes[lane].append(i)
         steps[lane] += build_grids(vcfgs[i])[2].n_steps
-    trajs, shared = {}, {}
+    trajs = {}
 
     def start(lane):  # the lane's next run at level 0, or None
         if not lanes[lane]:
             return None
-        run = _WeakRun(vcfgs[lanes[lane][0]], **shared)
-        if not shared:  # a birth ring in c mode has a full-read buffer
-            shared.update(zeta=run.state.zeta, scratch=getattr(run.state.ring, "scratch", None))
+        run = _WeakRun(vcfgs[lanes[lane][0]])
         run.i, run.traj = lanes[lane].pop(0), [run.state.z.copy()]
         return run
 

@@ -3,8 +3,10 @@
 Each ring built from the one-row factor is checked, bit for bit, against the
 same ring built from the full-row field of equal rows it broadcasts to: the
 birth ring in its c form and in its full-read form, and the cohort ring that
-takes the data birth_ring refuses.  The row is one age field fewer, which
-the field budgets of a weak run and of the CLI sweep show.
+takes the data birth_ring refuses.  The c form's re-read forms B z a block
+of rows at a time, with the bits of a pass over the whole ring.  The row is
+one age field fewer, and the block another, which the field budgets of a
+weak run and of the CLI sweep show.
 """
 
 import contextlib
@@ -71,6 +73,50 @@ def test_a_one_row_ring_steps_bit_for_bit_as_its_full_row_field(kind):
     assert heads == [0, *range(NA, 0, -1)] * 2 + [0]
 
 
+def c_ring(c, nodes, na, rng):
+    """A birth ring in c form on nodes lanes and na+1 ages, from the per-age factor c: a (1, 1) or (nodes, 1) column."""
+    buf = rng.random((nodes, na + 1))
+    hist = PositionHistory(buf[:, 0].copy(), buf)
+    surv = np.repeat(c, na, axis=1)
+    ring = birth_ring(rng.uniform(0.0, 0.2 / (na + 1), (nodes, na + 1)), surv, hist, AgeGrid(da=1.0 / na, a_max=1.0))
+    assert ring.c is not None and ring.wC.shape == (c.shape[0], na)
+    return ring
+
+
+def full_pass(ring):
+    """T of both rings read in one pass over whole fields, B z formed as one field: the bits a block re-read must keep."""
+    return np.stack(ring._read(ring.wC[:, :-1], (ring.births, ring.births * ring.hist.buf)))
+
+
+@pytest.mark.parametrize("lanes", ["one row", "a row per lane"])
+def test_a_block_re_read_has_the_bits_of_a_full_pass(lanes):
+    # 19 lanes: two blocks of eight and a partial one of three.  The c of
+    # a row per lane is an off-rate the same at every age that differs in
+    # x, which no preset makes; two ring periods cross three re-reads,
+    # the first when the ring is built
+    rng = np.random.default_rng(19)
+    c = np.full((1, 1), 0.9) if lanes == "one row" else rng.uniform(0.8, 1.0, (19, 1))
+    ring, heads = c_ring(c, 19, NA, rng), []
+    assert np.array_equal(bits(ring.acc[0]), bits(full_pass(ring)))
+    reread = ring._reread
+
+    def checked():
+        reread()
+        heads.append(ring.hist.head)
+        assert np.array_equal(bits(ring.acc[0]), bits(full_pass(ring)))
+
+    ring._reread = checked
+    for _ in range(2 * (NA + 1)):
+        ring.push(rng.random(19), rng.random(19))
+    assert heads == [0, 0]
+
+
+def test_a_re_read_at_the_reference_size_allocates_less_than_half_a_field():
+    # a block of eight rows is 64 kB of the 529 kB field at (66, 1001)
+    ring = c_ring(np.full((1, 1), 0.999), 66, 1000, np.random.default_rng(66))
+    assert traced_peak(ring._reread) < 0.5 * 8 * 66 * 1001
+
+
 def weak_run(vcfg, rows, monkeypatch):
     """run_weak(vcfg) with a record every level, and each level's density and cohort ring.
 
@@ -130,17 +176,19 @@ def reference_field():
     return 8 * sg.n_nodes * ag.n_nodes
 
 
-def test_a_weak_run_of_a_constant_off_rate_holds_at_most_six_fields():
-    # the density (the births), the history, zeta, the full-read buffer and
-    # the final density with the start-up's temporaries; a full-row weights
-    # field took the peak to 6.7 fields
+def test_a_weak_run_of_a_constant_off_rate_holds_at_most_five_fields():
+    # the density (the births), the history, zeta and the final density
+    # with the start-up's temporaries; a re-read forms B z a block of rows
+    # at a time.  A full-row weights field took the peak to 6.7 fields and
+    # a field-sized re-read buffer to 5.7
     vcfg = validate_config(reference_config(final_time=0.05))
-    assert traced_peak(lambda: simulate.run_weak(vcfg, diag_stride=0)) <= 6 * reference_field()
+    assert traced_peak(lambda: simulate.run_weak(vcfg, diag_stride=0)) <= 5 * reference_field()
 
 
 def test_the_cli_sweep_holds_at_most_seven_fields(tmp_path):
-    # two lanes' rings and histories over one shared zeta and full-read
-    # buffer; each run's full-row weights took the peak to 7.5 fields
+    # two lanes' rings and histories, each lane's run with its own zeta and
+    # no full-read buffer (a re-read forms B z a block of rows at a time);
+    # each run's full-row weights took the peak to 7.5 fields
     with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
         warnings.simplefilter("ignore")
         peak = traced_peak(main, ["convergence-sweep", "--out", str(tmp_path)])

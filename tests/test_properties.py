@@ -16,7 +16,9 @@ Riccati bound, u >= 0 for nonnegative data and, without a load, an energy
 that does not grow.  The draws include tear-offs (a large load against a
 threshold on-rate), where the coupled step turns calm and takes its
 shortcuts, and steady runs, where it does not.  Each coupled draw
-also matches, level by level, the same run with the birth ring refused.
+also matches, level by level, the same run with the birth ring refused,
+and every coupled step, on either ring, closes the weak energy identity on
+the position-derived stretch and moves the transported stretch bit for bit.
 """
 
 import math
@@ -29,7 +31,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from linkages import coupled, presets
-from linkages.cli import reference_config, source_config
+from linkages.cli import coupled_config as cli_coupled_config, detachment_config, reference_config, source_config
 from linkages.config import PastData, RateModel, SimulationConfig, SourceModel, validate_config
 from linkages.errors import ConfigError
 from linkages.diagnostics import stretch_integrals
@@ -344,6 +346,76 @@ def test_calm_ring_matches_the_cohort_path(cfg):
         assert want[4] is not BirthRing and got[5] == want[5]
         for name, a, b in zip(("z", "mu0", "rho_ring", "p"), got, want):
             np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13 * np.max(np.abs(b)), err_msg=f"{name} at level {n}")
+
+
+def balance_observer(vcfg):
+    """An observer of run_coupled(vcfg) that checks every step, and the list of its gaps as fractions of the bound.
+
+    Each step closes the energy identity of oracles.energy_balance on the
+    position-derived stretch (z - Z)/eps, with its bound unchanged.  The
+    factor that carried age k to age k+1 is, on a cohort ring, the survival
+    ring in age order after the step and, on the calm birth ring, c in
+    every lane.  The stretch moves bit for bit: u at age k+1 of level n+1
+    is u at age k of level n plus da times the clamped old velocity, and
+    the newborns and the Dirichlet rows stay 0.  Reading u settles the
+    columns a calm step on the birth ring owes.  The load is sampled
+    through a copy of the config's source.
+    """
+    sgrid, agrid, _ = build_grids(vcfg)
+    probe = replace(vcfg.source) if vcfg.source is not None else None
+    last, gaps = [], []
+
+    def close(n, s):
+        level = (s.z.copy(), age_order(s.hist), s.rho, None if probe is None else probe(sgrid.x, s.t))
+        u = s.u
+        if last:
+            before, u0, g0 = last
+            if isinstance(s.ring, BirthRing):
+                surv = np.broadcast_to(s.ring.c[:, None], (1, agrid.n_nodes - 1))
+            else:
+                surv = np.roll(s.surv, -s.hist.head, axis=1)[:, 1:]
+            lhs, rhs, _, bound = energy_balance(before, level, surv, vcfg.epsilon, sgrid, agrid)
+            assert abs(lhs - rhs) <= bound, f"energy identity at level {n}: {lhs!r} against {rhs!r}, bound {bound:.3g}"
+            gaps.append(abs(lhs - rhs) / bound if bound else 0.0)
+            moved = u0[:, :-1] + agrid.da * np.clip(g0, -s.truncation_k, s.truncation_k)[:, None]
+            assert np.array_equal(u[:, 1:].view(np.int64), moved.view(np.int64)), f"stretch transport at level {n}"
+            assert not u[:, 0].any() and not u[[0, -1]].any(), f"newborn or Dirichlet stretch at level {n}"
+        last[:] = [level, u, s.g.copy()]
+
+    return close, gaps
+
+
+@settings(PROPERTY, max_examples=100)
+@given(coupled_configs(steps=st.integers(1, 130)))
+@example(TEAR_OFF)
+@example(LONG_TEAR_OFF)
+@example(STEADY)
+def test_coupled_step_closes_the_energy_identity_and_moves_the_stretch_exactly(cfg):
+    # the draws of test_calm_ring_matches_the_cohort_path: tear-offs cross
+    # the calm birth ring and its re-reads at head 0, steady runs do not
+    vcfg = validate_quiet(cfg)
+    close, gaps = balance_observer(vcfg)
+    run_coupled(vcfg, diag_stride=0, observers=[close])
+    assert len(gaps) == build_grids(vcfg)[2].n_steps
+
+
+@pytest.mark.parametrize("cfg, re_reads", [
+    pytest.param(lambda: cli_coupled_config(final_time=0.02), 0, id="coupled"),
+    # 150 levels on 51 ages: on the birth ring from the tear-off on, through two re-reads at head 0
+    pytest.param(lambda: detachment_config(a_max=0.5, final_time=1.5e-3), 2, id="detachment"),
+])
+def test_short_cli_runs_close_the_energy_identity_and_move_the_stretch_exactly(cfg, re_reads):
+    vcfg = validate_quiet(cfg())
+    close, gaps = balance_observer(vcfg)
+    heads = []  # the ring's head at each level on the birth ring
+
+    def on_ring(n, s):
+        if isinstance(s.ring, BirthRing):
+            heads.append(s.hist.head)
+
+    run_coupled(vcfg, diag_stride=0, observers=[close, on_ring])
+    assert len(gaps) == build_grids(vcfg)[2].n_steps
+    assert heads.count(0) == re_reads
 
 
 def test_long_tear_off_draw_crosses_re_reads_on_the_ring():
