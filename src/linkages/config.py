@@ -45,7 +45,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import presets
+from . import elliptic, presets
 from .errors import ConfigError, HypothesisViolation, RateKindMismatch
 from .grids import AgeGrid, SpaceGrid
 
@@ -155,8 +155,10 @@ class Inputs:
 
     Built once per run, eps its scale, or once per kinetics.Rows set, eps a
     column of scales (shape (rows, 1)) and t a list of times, one per row.
-    at(t, z) is a step's read, (beta, 1 + beta*w0, eps*S on the interior
-    nodes), the last None without a load; a threshold on-rate reads z.
+    balance is the run's elliptic.Operator, kappa = eps, which every
+    position and velocity solve of the run goes through.
+    at(t, z) is a step's read, (beta, 1 + beta*w0, eps*S on the full
+    grid), the last None without a load; a threshold on-rate reads z.
     rates(t) is its first two, load(t) S on every node and ddt(t) dS/dt,
     which only a coupled run reads.  Data that ignore t
     (presets.is_time_invariant) are formed at t = 0 and every read hands
@@ -167,15 +169,16 @@ class Inputs:
     def __init__(self, rate, source, eps, sgrid, agrid):
         self.rate, self.source, self.eps, self.x, self.w0 = rate, source, eps, sgrid.x, agrid.w[0]
         self.steady = source is None or source.time_invariant
+        self.balance = elliptic.Operator(eps, sgrid)
         self._rates = tuple(map(_read_only, self._form_rates(0.0))) if presets.is_time_invariant(rate.beta) else None
         self._S = self._dS = self._eps_S = None
         if source is not None and source.time_invariant:
             self._S, self._dS = _read_only(source(self.x, 0.0)), _read_only(source.ddt(self.x, 0.0))
-            self._eps_S = _read_only(eps * self._S[1:-1])
+            self._eps_S = _read_only(eps * self._S)
 
     def at(self, t, z=None):
         beta, den = self._rates or self._form_rates(t, z)
-        return beta, den, self._eps_S if self.steady else self.eps * self.load(t)[..., 1:-1]
+        return beta, den, self._eps_S if self.steady else self.eps * self.load(t)
 
     def rates(self, t):
         return self._rates or self._form_rates(t)

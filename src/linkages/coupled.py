@@ -76,7 +76,6 @@ import numpy as np
 from .diagnostics import stretch_integrals
 from .errors import NonpositiveGamma1
 from .kinetics import BirthRing, CohortRing, advance, birth_ring, cohort_weights, decay
-from .position import solve_balance
 
 OMEGA = 0.5  # 1D sup-norm embedding constant ||g||_inf <= omega ||g'||_2 on (0,1)
 
@@ -154,17 +153,18 @@ class CoupledState:
         return np.roll(self.u_ring, -self.hist.head, axis=1)
 
 
-def solve_velocity(rho, mu0, u, zeta_u, dSdt, eps, sgrid, w, load=None):
+def solve_velocity(rho, mu0, u, zeta_u, dSdt, op, w, load=None):
     """Velocity from the balance (mu0 - eps Lap_h) g = int zeta(u) rho u da + eps dS/dt.
 
-    position.solve_balance poses it, with mu0 = rho @ w and zeta_u the
-    off-rate evaluated on u; w are the age weights in the layout of the
-    fields, dSdt may be None for a run without a load or with one that
-    ignores t, and the lanes zeta*rho*u are formed in load if it is given.
+    op, the run's elliptic.Operator with kappa = eps, solves it, with mu0 =
+    rho @ w and zeta_u the off-rate evaluated on u; w are the age weights
+    in the layout of the fields, dSdt may be None for a run without a load
+    or with one that ignores t, and the lanes zeta*rho*u are formed in load
+    if it is given.
     """
     load = np.multiply(zeta_u, rho, out=load)
     load *= u
-    return solve_balance(load @ w, mu0, eps, sgrid, None if dSdt is None else eps * dSdt[1:-1])
+    return op.solve(mu0, load @ w, None if dSdt is None else op.kappa * dSdt, clamped=True)
 
 
 def _take_ring(st, agrid):
@@ -193,15 +193,16 @@ def _leave_ring(st, agrid):
     st.ring, st.load = CohortRing(ring.cohorts(st.load), st.surv, st.hist, agrid), ring.births
 
 
-def coupled_step(st, inputs, sgrid, agrid):
+def coupled_step(st, inputs, agrid):
     """Advance the coupled state st one step in place and return it.
 
-    inputs is the run's config.Inputs: its rate, eps, and the on-rate and
-    load of the new level.  The old velocity is clamped at +-truncation_k
-    before it stretches the bonds; st.truncated flags whether the new
-    velocity exceeds the threshold (it never should once the threshold is
-    above the Riccati bound).  The density steps on st.ring, the birth ring
-    on a calm run; a calm step takes the shortcuts of the module docstring.
+    inputs is the run's config.Inputs: its rate, eps and operator, and the
+    on-rate and load of the new level.  The old velocity is clamped at
+    +-truncation_k before it stretches the bonds; st.truncated flags whether
+    the new velocity exceeds the threshold (it never should once the
+    threshold is above the Riccati bound).  The density steps on st.ring,
+    the birth ring on a calm run; a calm step takes the shortcuts of the
+    module docstring.
     """
     eps = inputs.eps
     t_new = st.t + eps * agrid.da
@@ -232,10 +233,10 @@ def coupled_step(st, inputs, sgrid, agrid):
         st._zeta = None  # dropped before zeta(u) and its temporary are formed
         st._zeta = inputs.rate.zeta_of_u(u)
         decay(st._zeta, agrid.da, out=st.surv)
-    st.z, st.mu0 = advance(st.ring, beta, den, eps, sgrid, eps_S)
+    st.z, st.mu0 = advance(st.ring, beta, den, inputs.balance, eps_S)
     if not calm:  # the velocity reads rho, u, zeta and mu0 of the new level, not z
         w = cohort_weights(agrid.w, new)
-        st.g = solve_velocity(st.ring.rho, st.mu0, u, st._zeta, dSdt, eps, sgrid, w, load=st.load)
+        st.g = solve_velocity(st.ring.rho, st.mu0, u, st._zeta, dSdt, inputs.balance, w, load=st.load)
         st.quiet = not st.g.any() and not st.load.any() and st.surv.max() <= 1.0
     st.t = t_new
     st.truncated = not calm and bool(np.abs(st.g).max() > k)  # a calm step keeps its zero g, and k > 0

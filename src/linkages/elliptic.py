@@ -1,9 +1,13 @@
 """Direct solution of (c(x) I - kappa * Lap_h) z = rhs with Dirichlet data.
 
 One tridiagonal kernel serves the position solve, the velocity solve, the
-implicit limit stepper and the large-time profile.  The operator acts on
-interior nodes; boundary values are identically zero.  Several independent
-systems on one grid solve in one call, as the rows of a stack.
+implicit limit stepper and the large-time profile.  A run prepares its
+Operator once (config.Inputs.balance; the limit stepper its own, kappa =
+1): it checks kappa and forms the off-diagonals, and owns the buffers every
+solve writes.  The system is posed on the full grid, the Dirichlet nodes
+identity rows, so z comes out of gtsv with its zero boundary.  Several
+independent systems on one grid solve in one call, as the rows of a stack.
+solve poses a system on the interior nodes alone for a single call.
 
 The kernel is LAPACK gtsv from scipy's own Fortran extension,
 scipy.linalg._flapack, loaded from its file under its real name.  Importing
@@ -17,7 +21,6 @@ linkages may import scipy.linalg; a test runs the import in a fresh
 process and pins that.
 """
 
-import functools
 import importlib.machinery
 import importlib.util
 import os
@@ -45,77 +48,92 @@ def _flapack():
 dgtsv = _flapack().dgtsv
 
 
-def solve(c, kappa, rhs, grid, clamped=False):
-    """Solve (c I - kappa Lap_h) z = rhs; returns the full field with zero boundaries.
+class Operator:
+    """(c I - kappa Lap_h) on the full grid, prepared once per run for one system or a stack of rows.
 
-    c is the coefficient on interior nodes (scalar or length-nx array),
-    kappa >= 0 the diffusion weight, rhs lives on interior nodes.  The main
-    diagonal is c_i + 2 kappa/dx^2, both off-diagonals -kappa/dx^2; negative
-    c or kappa, or both vanishing, raise DegenerateOperator.  clamped says
-    that the caller has clamped c at 0, and skips its sign check.  LAPACK
-    gtsv does the work (the system is diagonally dominant, so its pivoted
-    elimination is effectively the Thomas algorithm); a single node is one
-    division, because gtsv rejects empty off-diagonals.  A singular operator
-    raises DegenerateOperator, and so does a residual above
-    1e-10 * ||rhs||_inf.
-
-    An rhs of shape (rows, nx) is that many systems, with c of the same
-    shape (or broadcasting to it) and kappa a scalar or one weight per row
-    (shape (rows, 1)); z then has shape (rows, nx+2).  They are solved as
-    one block-diagonal system: the off-diagonal is 0 at each join, so gtsv
-    eliminates nothing across it and each block gets the bits of a call of
-    its own (up to the sign of an exact zero, and a block that is not
-    finite spreads to the others).  Each block's residual is checked
-    against its own ||rhs||_inf.
+    kappa, a scalar or one weight per row (shape (rows, 1)), is checked
+    here (a negative one raises DegenerateOperator), and k = kappa/dx^2,
+    2k and both off-diagonals are formed once.  Each Dirichlet node is an
+    identity row with a zero off-diagonal on both sides, so the rows of a
+    stack are blocks that gtsv eliminates nothing across, and its output
+    is z itself, zero at those nodes.  The operator owns the buffers every
+    solve writes: the main diagonal, the right-hand side beside the
+    residual (one (2, rows, nx+2) array, reduced in one pass) and the
+    neighbour sums of the residual.
     """
-    nx, dx = grid.nx, grid.dx
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[-1:] != (nx,) or rhs.ndim > 2:
-        raise ValueError(f"rhs shape {rhs.shape} != ({nx},) or (rows, {nx})")
-    rows = rhs.reshape(-1, nx)
-    c = np.asarray(c, dtype=float)
-    if not clamped and c.min() < 0:
-        raise DegenerateOperator(f"negative coefficient: min c = {c.min():g}")
-    weights = (kappa,) if isinstance(kappa, float) else tuple(np.ravel(kappa).tolist())
-    if min(weights) < 0:
-        raise DegenerateOperator("negative diffusion weight")
-    k, two_k, off = _weights(rows.shape, dx, weights)
-    if 0.0 in weights and not (np.broadcast_to(c, rows.shape).any(axis=1) | (k[:, 0] > 0.0)).all():
-        raise DegenerateOperator("c == 0 and kappa == 0")
-    main = c + two_k
-    if main.size == 1:
-        if main[0, 0] == 0.0:
-            raise DegenerateOperator("singular tridiagonal operator")
-        zi = rows / main
-    else:
-        _, _, _, zi, info = dgtsv(off, main.ravel(), off, rows.ravel())
+
+    def __init__(self, kappa, grid):
+        self.kappa, weights = kappa, np.reshape(kappa, (-1, 1))
+        if weights.min() < 0:
+            raise DegenerateOperator("negative diffusion weight")
+        rows, n = weights.shape[0], grid.nx + 2
+        k, off = np.zeros((2, rows, n))
+        k[:, 1:-1] = weights / grid.dx**2
+        off[:, 1:-2] = -k[:, 1:-2]  # 0 wherever a Dirichlet node is on either side
+        self.k, self.two_k, self.off = k.ravel(), 2.0 * k.ravel(), off.ravel()[:-1]
+        self.still = np.flatnonzero(weights == 0.0)  # the rows without diffusion
+        self.main, self.r, self.near = np.empty(rows * n), np.empty((2, rows, n)), np.zeros(rows * n)
+        self.res, self.rhs = self.r[0].ravel(), self.r[1].ravel()
+        # the Dirichlet columns of main and rhs, and the nodes of near that have two neighbours
+        self.main_ends, self.rhs_ends = self.main.reshape(rows, n)[:, :: n - 1], self.r[1, :, :: n - 1]
+        self.inner = self.near[1:-1]
+
+    def solve(self, c, b, f=None, clamped=False):
+        """z with (c I - kappa Lap_h) z = b + f at the interior nodes, 0 at the Dirichlet nodes.
+
+        c, b and f (or None) are full-grid values of one shape, (nx+2,) or
+        (rows, nx+2), which z has too.  Negative c raises
+        DegenerateOperator; clamped says that c is a population, which
+        is clamped at 0 after a check at -1e-12 (below it is a kinetics
+        bug).  So do c == 0 on a row with kappa == 0, a singular
+        operator (gtsv info > 0) and a residual above 1e-10 ||rhs||_inf
+        on any row.  LAPACK gtsv does the work (the system is diagonally
+        dominant, so its pivoted elimination is effectively the Thomas
+        algorithm).  Each row of a stack gets the bits of a solve of its
+        own; a row that is not finite spreads to the others.
+        """
+        lo = c.min()
+        if lo < (-1e-12 if clamped else 0.0):
+            what = f"population coefficient {lo:g}: kinetics bug" if clamped else f"coefficient: min c = {lo:g}"
+            raise DegenerateOperator(f"negative {what}")
+        main, rhs = self.main, self.rhs
+        np.maximum(c.ravel(), 0.0, out=main)
+        main += self.two_k
+        if f is None:
+            np.copyto(rhs, b.ravel())
+        else:
+            np.add(b.ravel(), f.ravel(), out=rhs)
+        self.main_ends.fill(1.0)
+        self.rhs_ends.fill(0.0)
+        if self.still.size and not main.reshape(self.r.shape[1:])[self.still, 1:-1].any(axis=1).all():
+            raise DegenerateOperator("c == 0 and kappa == 0")
+        _, _, _, z, info = dgtsv(self.off, main, self.off, rhs)
         if info > 0:
             raise DegenerateOperator(f"singular tridiagonal operator (gtsv info={info})")
-        zi = zi.reshape(rows.shape)
-    z = np.zeros((rows.shape[0], nx + 2))
-    z[:, 1:-1] = zi
-    # the residual, read off the zero-padded z, and rhs, both in absolute value: one reduction per row
-    r = np.empty((2, *rows.shape))
-    res = np.multiply(main, zi, out=r[0])
-    near = z[:, :-2] + z[:, 2:]
-    near *= k
-    res -= near
-    res -= rows
-    r[1] = rows
-    for worst, scale in zip(*np.abs(r, out=r).max(axis=2).tolist()):
-        if worst > 1e-10 * max(scale, 1e-300):
-            raise DegenerateOperator("tridiagonal solve residual too large")
-    return z if rhs.ndim == 2 else z[0]
+        # the residual and rhs, both in absolute value: one reduction per row
+        res = np.multiply(main, z, out=self.res)
+        np.add(z[:-2], z[2:], out=self.inner)
+        self.near *= self.k
+        res -= self.near
+        res -= rhs
+        for worst, scale in zip(*np.abs(self.r, out=self.r).max(axis=2).tolist()):
+            if worst > 1e-10 * max(scale, 1e-300):
+                raise DegenerateOperator("tridiagonal solve residual too large")
+        return z.reshape(b.shape)
 
 
-@functools.lru_cache(maxsize=16)
-def _weights(shape, dx, weights):
-    """k = kappa/dx^2 and 2k at every node of the stacked systems, and both off-diagonals: -k, and 0 at each join."""
-    k = np.empty(shape)
-    k[...] = np.array(weights).reshape(-1, 1) / dx**2
-    off = -k
-    off[:, -1] = 0.0
-    arrays = k, 2.0 * k, off.ravel()[:-1]
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+def solve(c, kappa, rhs, grid, clamped=False):
+    """Solve (c I - kappa Lap_h) z = rhs posed on the interior nodes, as an Operator of the zero-padded system.
+
+    c is a scalar or the coefficient on the interior nodes and rhs has
+    shape (nx,), or (rows, nx) with c broadcasting to it and kappa a
+    scalar or one weight per row (shape (rows, 1)); z is the full field,
+    one row per system.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape[-1:] != (grid.nx,) or rhs.ndim > 2:
+        raise ValueError(f"rhs shape {rhs.shape} != ({grid.nx},) or (rows, {grid.nx})")
+    full = np.zeros((2, *rhs.shape[:-1], grid.nx + 2))
+    full[0, ..., 1:-1], full[1, ..., 1:-1] = c, rhs
+    weights = np.broadcast_to(np.reshape(kappa, (-1, 1)), (rhs.size // grid.nx, 1))
+    return Operator(weights, grid).solve(full[0], full[1], clamped=clamped)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MassAtLeastOne, NegativeDensity, NonfiniteValue
-from .position import delay_quadrature, solve_balance
+from .position import delay_quadrature
 
 
 def init_density(fn, sgrid, agrid):
@@ -88,18 +88,19 @@ def renew(beta_values, den, m, w0):
     return births, w0 * births + m
 
 
-def advance(ring, beta_values, den, eps, sgrid, eps_S):
+def advance(ring, beta_values, den, op, eps_S):
     """One level of density and position on ring (either form), z solving (m - eps Lap_h) z = q + eps S; returns (z, mu0).
 
-    beta_values, den (see renew) and eps_S, eps*S on the interior nodes
-    or None, are the level's given data (config.Inputs.at).  On Rows, m, q,
-    z and mu0 have one row per ring, in one renew and one position solve;
-    eps is then a column of scales (shape (rows, 1)), and the data are rows
-    or broadcast against them.  The ring's push moves its history's head.
+    beta_values, den (see renew) and eps_S, eps*S on the full grid or
+    None, are the level's given data (config.Inputs.at), and op is the
+    run's elliptic.Operator, kappa = eps.  On Rows, m, q, z and mu0 have
+    one row per ring, in one renew and one position solve; op then has a
+    column of scales (shape (rows, 1)), and the data are rows or broadcast
+    against them.  The ring's push moves its history's head.
     """
     m, q = ring.sums()
     births, mu0 = renew(beta_values, den, m, ring.agrid.w[0])
-    z = solve_balance(q, m, eps, sgrid, eps_S)
+    z = op.solve(m, q, eps_S, clamped=True)
     ring.push(births, z)
     return z, mu0
 
@@ -149,10 +150,10 @@ class BirthRing:
     (cyclically) the older levels.  wC[:, j-1] = w_j C_j weighs age j >= 1,
     on one row that broadcasts over the lanes or on a row per lane.  c, if
     given, is the survival factor of each age cell, C_j = c^j: the lagged
-    sums are then kept as running sums in acc (see _roll), and B z is not
-    stored but formed where it is read, at two columns a step or, for a
-    full read, eight rows at a time (_reread).  The ring may be built at
-    any head of hist.
+    sums are then kept as running sums in acc, read and rolled by
+    RunningSums, and B z is not stored but formed where it is read, at two
+    columns a step or, for a full read, eight rows at a time (_reread).
+    The ring may be built at any head of hist.
     """
 
     def __init__(self, wC, births, hist, agrid, c=None):
@@ -160,7 +161,7 @@ class BirthRing:
         if c is None:
             self.products = births * hist.buf
         else:
-            # the weights of _lagged and _roll, w_na C_na, w_{na-1} C_{na-1}, c and w_1 C_1,
+            # the weights of RunningSums, w_na C_na, w_{na-1} C_{na-1}, c and w_1 C_1,
             # each laid out for both sums at once
             cols = wC[:, -1], wC[:, wC.shape[1] - 2], c, wC[:, 0]
             self.coef = [np.broadcast_to(col, (2, births.shape[0])).copy() for col in cols]
@@ -168,16 +169,17 @@ class BirthRing:
             self.acc = np.empty((3, 2, births.shape[0]))
             self._edge()
             self._reread()
+            self.running = RunningSums(self.acc, self.coef)
 
     def sums(self):
         """m = sum_{j>=1} w_j C_j B^{n+1-j} and q, the same sum over the ring of B z.
 
         With c, each is its running sum over j < na plus the term of age na
-        (_lagged).  Otherwise both rings are read in full (_read).
+        (RunningSums.lagged).  Otherwise both rings are read in full (_read).
         """
         if self.c is None:
             return self._read(self.wC, (self.births, self.products))
-        return _lagged(self.acc, self.coef[0])
+        return self.running.lagged()
 
     def push(self, births, z):
         """Push z onto hist and write B and B z of the new level into the column it took."""
@@ -186,7 +188,7 @@ class BirthRing:
         if self.c is None:
             self.products[:, self.hist.head] = births * z
         else:
-            _update([self], self.acc, self.coef, births, z)
+            self.running.update([self], births, z)
 
     def _read(self, wC, rings):
         """sum_{j>=1} wC[:, j-1] r[:, (head + j - 1) % (na+1)] for each ring r.
@@ -207,8 +209,8 @@ class BirthRing:
     def _edge(self):
         """B and B z of level n+1-na, which the next sums weigh by w_na C_na, into acc[1]; each B z has the bits of a stored product.
 
-        True where _update reads the running sums afresh (_reread) after
-        the roll: at head 0, and with na = 1, where T is 0.
+        True where RunningSums.update reads the running sums afresh
+        (_reread) after the roll: at head 0, and with na = 1, where T is 0.
         """
         head, k = self.hist.head, self.wC.shape[1] - 1
         tail = (head + k) % self.births.shape[1]  # level n+1-na
@@ -277,43 +279,48 @@ def birth_ring(rho, surv, hist, agrid):
     return BirthRing(np.multiply(C, agrid.w[1:], out=C), rho, hist, agrid, c)
 
 
-def _lagged(acc, w):
-    """m and q of the running sums acc (see _roll): T + w_na C_na (B, B z) of level n+1-na."""
-    s = acc[1] * w
-    s += acc[0]
-    return s[0], s[1]
+class RunningSums:
+    """The running sums acc of a BirthRing with c, or of Rows of them, through flat 1-D views formed once.
 
-
-def _update(rings, acc, coef, births, z):
-    """The running sums acc of rings from those of the level before, the new level births just written.
-
-    Each ring takes its edge, acc the head (births, births*z), _roll moves T,
-    and a ring back at head 0 then reads its T afresh, over the roll.
+    acc holds T = sum_{j=1}^{na-1} w_j C_j B^{n+1-j}, the edge (B and B z
+    of level n+1-na) and the head (of level n), each of B and of B z:
+    shape (3, 2, nx+2), or (3, 2, rows, nx+2) for Rows; coef holds the
+    weights of BirthRing in the shape of one of the three.  The sums m and
+    q are written into one buffer, which the next read writes over.
     """
-    fresh = [ring for ring in rings if ring._edge()]
-    acc[2, 0] = births
-    np.multiply(births, z, out=acc[2, 1])
-    _roll(acc, coef)
-    for ring in fresh:
-        ring._reread()
 
+    def __init__(self, acc, coef):
+        self.T, self.edge, self.head = acc.reshape(3, -1)
+        self.T_births, self.born, self.born_z = self.T[: self.T.size // 2], *acc[2]
+        self.w_na, self.w_tail, self.c, self.w_head = (col.ravel() for col in coef)
+        s, self.tmp = np.empty(acc.shape[1:]), np.empty(self.T.size)
+        self.flat, self.m, self.q = s.reshape(-1), *s
 
-def _roll(acc, coef):
-    """The running sums T = sum_{j=1}^{na-1} w_j C_j B^{n+1-j} of both rings of level n from those of level n-1, in place.
+    def lagged(self):
+        """m and q of the next level: T + w_na C_na (B, B z) of level n+1-na."""
+        np.multiply(self.edge, self.w_na, out=self.flat)
+        self.flat += self.T
+        return self.m, self.q
 
-    acc holds T, the edge (B and B z of level n+1-na) and the head (of
-    level n), each of B and of B z: shape (3, 2, nx+2), or (3, 2, rows,
-    nx+2) for Rows; coef holds the weights of BirthRing in the shape of
-    one of the three.  With C_j = c^j and equal interior weights,
-    T := c (T - w_{na-1} C_{na-1} edge) + w_1 C_1 head, in O(nx).  The
-    births' sum is clamped at 0: a lane dying out leaves no residue below 0.
-    """
-    _, w_tail, c, w_head = coef
-    T = acc[0]
-    T -= w_tail * acc[1]
-    T *= c
-    T += w_head * acc[2]
-    np.maximum(T[0], 0.0, out=T[0])
+    def update(self, rings, births, z):
+        """The sums of level n from those of level n-1, in place, rings having just written births.
+
+        Each ring takes its edge, the head births and births*z, and, with
+        C_j = c^j and equal interior weights, T := c (T - w_{na-1} C_{na-1}
+        edge) + w_1 C_1 head, in O(nx); a ring back at head 0 then reads its
+        T afresh, over the roll.  The births' sum is clamped at 0: a lane
+        dying out leaves no residue below 0.
+        """
+        fresh = [ring for ring in rings if ring._edge()]
+        np.copyto(self.born, births)
+        np.multiply(births, z, out=self.born_z)
+        T = self.T
+        T -= np.multiply(self.w_tail, self.edge, out=self.tmp)
+        T *= self.c
+        T += np.multiply(self.w_head, self.head, out=self.tmp)
+        np.maximum(self.T_births, 0.0, out=self.T_births)
+        for ring in fresh:
+            ring._reread()
 
 
 class Rows:
@@ -322,38 +329,37 @@ class Rows:
     advance takes it as a ring: sums stacks the rings' m and q by row, and
     push pushes row i of z and of the births onto ring i.  Where every ring
     is a BirthRing with c, their running sums live in one array (each
-    ring's acc a view of it), so that _lagged and _update make one pass
-    over all rows; each ring still writes its own columns, and reads itself
-    afresh when its head comes back to 0.  Otherwise each ring sums and
-    pushes on its own.
+    ring's acc a view of it), read and rolled by one RunningSums in one
+    pass over all rows; each ring still writes its own columns, and reads
+    itself afresh when its head comes back to 0, but no longer sums or
+    rolls on its own.  Otherwise each ring sums and pushes on its own.
     """
 
     def __init__(self, rings):
-        self.rings, self.agrid = rings, rings[0].agrid
-        self.acc = None
+        self.rings, self.agrid, self.running = rings, rings[0].agrid, None
         if all(isinstance(ring, BirthRing) and ring.c is not None for ring in rings):
-            self.acc = np.stack([ring.acc for ring in rings], axis=2)
+            acc = np.stack([ring.acc for ring in rings], axis=2)
             for i, ring in enumerate(rings):
-                ring.acc = self.acc[:, :, i]
-            self.coef = [np.stack(col, axis=1) for col in zip(*(ring.coef for ring in rings))]
+                ring.acc, ring.running = acc[:, :, i], None
+            self.running = RunningSums(acc, [np.stack(col, axis=1) for col in zip(*(ring.coef for ring in rings))])
 
     def sums(self):
         """m and q of every ring, one row each."""
-        if self.acc is not None:
-            return _lagged(self.acc, self.coef[0])
+        if self.running is not None:
+            return self.running.lagged()
         m, q = zip(*(ring.sums() for ring in self.rings))
         return np.stack(m), np.stack(q)
 
     def push(self, births, z):
-        """Push row i of z and of births onto ring i; with one acc, its running sums in one _update."""
+        """Push row i of z and of births onto ring i; with one RunningSums, one update rolls every row."""
         for ring, row, z_row in zip(self.rings, births, z):
-            if self.acc is None:
+            if self.running is None:
                 ring.push(row, z_row)
             else:
                 ring.hist.push(z_row)
                 ring.births[:, ring.hist.head] = row
-        if self.acc is not None:
-            _update(self.rings, self.acc, self.coef, births, z)
+        if self.running is not None:
+            self.running.update(self.rings, births, z)
 
 
 @dataclass
@@ -369,15 +375,16 @@ def age_profile(zeta0_values, agrid):
     """E(a) = exp(-int_0^a zeta0) of limit_density, with K = int E da and int a E da.
 
     These depend on the off-rate alone, so a caller whose off-rate ignores
-    t forms them once.
+    t forms them once.  The trapezoid panels, their running sum and exp
+    are formed in E itself; the panels carry the minus sign, which negates
+    each partial sum exactly.
     """
     zeta0_values = np.asarray(zeta0_values, dtype=float)
-    da = agrid.da
-    panels = 0.5 * da * (zeta0_values[..., 1:] + zeta0_values[..., :-1])
-    integral = np.concatenate(
-        [np.zeros(zeta0_values.shape[:-1] + (1,)), np.cumsum(panels, axis=-1)], axis=-1
-    )
-    E = np.exp(-integral)
+    E = np.empty(zeta0_values.shape)
+    E[..., 0] = 0.0
+    panels = np.add(zeta0_values[..., 1:], zeta0_values[..., :-1], out=E[..., 1:])
+    panels *= -0.5 * agrid.da
+    np.exp(np.cumsum(E, axis=-1, out=E), out=E)
     return E, E @ agrid.w, E @ (agrid.w * agrid.a)
 
 

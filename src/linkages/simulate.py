@@ -19,6 +19,7 @@ import numpy as np
 from . import coupled as cp
 from . import diagnostics as dg
 from .config import Inputs, with_overrides
+from .elliptic import Operator
 from .errors import ConfigError, HypothesisViolation, NonfiniteValue, RateKindMismatch
 from .grids import build_grids
 from .kinetics import BirthRing, CohortRing, Rows, advance, age_profile, birth_ring, cohort_weights, init_density
@@ -79,7 +80,7 @@ def _start(vcfg):
     inputs = Inputs(vcfg.rate_model, vcfg.source, vcfg.epsilon, sgrid, agrid)
     rho = init_density(vcfg.initial_density, sgrid, agrid)
     zp = sample_past(vcfg.past_data, vcfg.epsilon, sgrid, agrid)
-    z = initial_position(rho, zp, vcfg.epsilon, sgrid, agrid, inputs.load(0.0))
+    z = initial_position(rho, zp, inputs.balance, agrid, inputs.load(0.0))
     return sgrid, agrid, ts, inputs, rho, z, PositionHistory(z, zp)
 
 
@@ -183,7 +184,7 @@ def _weak_step(runs, rows, inputs):
         r.n += 1
         r.state.t = r.n * r.dt  # n*dt, not an accumulated t + dt: the two differ in the last bits
     beta, den, eps_S = inputs.at(runs[0].state.t if len(runs) == 1 else [r.state.t for r in runs])
-    z, mu0 = advance(rows, beta, den, inputs.eps, runs[0].sgrid, eps_S)
+    z, mu0 = advance(rows, beta, den, inputs.balance, eps_S)
     for r, z_row, mu0_row in zip(runs, z, mu0):
         st = r.state
         st.z, st.mu0, st._rho = z_row, mu0_row, None
@@ -293,12 +294,12 @@ def run_limit(vcfg, dt_out, n_out):
     sgrid, agrid, _ = build_grids(vcfg)
     rate, inputs = vcfg.rate_model, Inputs(vcfg.rate_model, vcfg.source, vcfg.epsilon, sgrid, agrid)
     zeta0 = rate.zeta_field(sgrid.x, agrid.a, 0.0) if is_time_invariant(rate.zeta) else None
-    limit, traj = _limit_at(inputs, agrid, zeta0), []
+    limit, traj, op = _limit_at(inputs, agrid, zeta0), [], Operator(1.0, sgrid)
 
     def step(n, z):
         t = n * dt_out
         ld = limit(t, zeta0 if zeta0 is not None else rate.zeta_field(sgrid.x, agrid.a, t))
-        return step_limit(z, ld.mu10, dt_out, sgrid, source=inputs.load(t))
+        return step_limit(z, ld.mu10, dt_out, op, source=inputs.load(t))
 
     march(vcfg.past_data(sgrid.x, 0.0), step, n_out, [lambda n, z: traj.append(z.copy())])
     return LimitRunResult(times=np.arange(n_out + 1) * dt_out, trajectory=np.asarray(traj))
@@ -456,7 +457,7 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
                             mu0=rho @ agrid.w, zeta=rate.zeta_of_u(u))
     dSdt = None if inputs.steady else inputs.ddt(0.0)  # a steady load's dS/dt is 0: no term to add
     # the velocity's lanes and the Riccati bound's pass borrow load and surv, which the first step writes first
-    state.g = cp.solve_velocity(rho, state.mu0, u, state.zeta, dSdt, eps, sgrid, agrid.w, load=state.load)
+    state.g = cp.solve_velocity(rho, state.mu0, u, state.zeta, dSdt, inputs.balance, agrid.w, load=state.load)
     gamma2, dS_norm = cp.riccati_bound(rho, u, state.zeta, inputs, vcfg.final_time, sgrid, agrid.w,
                                        (state.surv, state.load))
     state.truncation_k = gamma2 / eps + dS_norm + 1.0
@@ -464,7 +465,7 @@ def run_coupled(vcfg, diag_stride=1, snapshot_times=(), observers=()):
     work = (np.empty_like(rho), np.empty_like(rho)) if diag_stride else None
 
     def step(n, st):
-        return cp.coupled_step(st, inputs, sgrid, agrid)
+        return cp.coupled_step(st, inputs, agrid)
 
     guard = _Guard()
 

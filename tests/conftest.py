@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from linkages.config import PastData, RateModel, SimulationConfig
+from linkages.elliptic import Operator
 from linkages.grids import AgeGrid, SpaceGrid
 from linkages.kinetics import CohortRing, renew
-from linkages.position import PositionHistory, solve_balance
+from linkages.position import PositionHistory
 from linkages import presets
 from oracles import age_order
 
@@ -89,7 +90,7 @@ def position_step(rho, hist, eps, sgrid, agrid, source=None):
     new = (hist.head - 1) % hist.depth
     ring = CohortRing(np.roll(rho, new, axis=1), np.ones((rho.shape[0], rho.shape[1] - 1)), hist, agrid)
     m, q = ring.sums()
-    z = solve_balance(q, m, eps, sgrid, None if source is None else eps * source[1:-1])
+    z = Operator(eps, sgrid).solve(m, q, None if source is None else eps * source, clamped=True)
     hist.push(z)
     return z
 

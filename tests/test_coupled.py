@@ -19,10 +19,11 @@ from linkages.coupled import (
     solve_velocity,
 )
 from linkages.diagnostics import elongation_from_history, stretch_integrals
+from linkages.elliptic import Operator
 from linkages.errors import NonpositiveGamma1
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
 from linkages.kinetics import BirthRing, CohortRing, decay, init_density
-from linkages.position import PositionHistory, sample_past, solve_balance
+from linkages.position import PositionHistory, sample_past
 from linkages import coupled, diagnostics, elliptic, presets
 from linkages.simulate import DETACHMENT_TIMES, run_coupled, run_detachment
 from oracles import age_order, moment, mu_ode_residual
@@ -114,7 +115,7 @@ def test_step_elongation_pure_shift():
     vals[0] = vals[-1] = 0.0
     st, inputs = bond_free(AG, vals.copy())
     for _ in range(2):
-        st = coupled_step(st, inputs, SG, AG)
+        st = coupled_step(st, inputs, AG)
         assert np.all(st.g == 0.0)
     assert np.array_equal(st.u[:, 2:], vals[:, :-2])
     assert np.all(st.u[:, :2] == 0.0)
@@ -126,12 +127,12 @@ def test_step_elongation_constant_velocity():
     g = np.full(SG.n_nodes, G)
     g[0] = g[-1] = 0.0  # a velocity field vanishes at the Dirichlet nodes
     st.g = g
-    st = coupled_step(st, inputs, SG, AG)
+    st = coupled_step(st, inputs, AG)
     np.testing.assert_allclose(st.u[1:-1, 1:], AG.da * G, atol=1e-15)
     # iterating fills in the linear-in-age profile u = G a
     for _ in range(AG.na):
         st.g = g
-        st = coupled_step(st, inputs, SG, AG)
+        st = coupled_step(st, inputs, AG)
     np.testing.assert_allclose(
         st.u[1:-1, :], G * AG.a[None, :] * np.ones((SG.nx, 1)), atol=1e-12
     )
@@ -144,7 +145,7 @@ def cancelling_lanes():
     u[1:-1, AG.na - 2], u[1:-1, 5] = 1.0, -1.0
     st, inputs = bond_free(AG, u)
     st.rho_ring[1:-1, AG.na - 2] = st.rho_ring[1:-1, 5] = 0.25
-    return coupled_step(st, inputs, SG, AG), inputs
+    return coupled_step(st, inputs, AG), inputs
 
 
 def test_cancelling_load_lanes_are_not_a_zero_load():
@@ -153,14 +154,14 @@ def test_cancelling_load_lanes_are_not_a_zero_load():
     # next: the load no longer sums to zero, and the step must form it
     st, inputs = cancelling_lanes()
     assert np.all(st.g == 0.0) and not st.quiet
-    st = coupled_step(st, inputs, SG, AG)
+    st = coupled_step(st, inputs, AG)
     assert np.all(st.g[1:-1] < 0.0)
 
 
 def test_solve_velocity_zero_stretch():
     rho = init_density(HALF_EXP, SG, AG)
     u = np.zeros((SG.n_nodes, AG.n_nodes))
-    g = solve_velocity(rho, rho @ AG.w, u, RATE.zeta_of_u(u), None, EPS, SG, AG.w)
+    g = solve_velocity(rho, rho @ AG.w, u, RATE.zeta_of_u(u), None, Operator(EPS, SG), AG.w)
     np.testing.assert_allclose(g, 0.0, atol=1e-14)
 
 
@@ -168,7 +169,7 @@ def test_solve_velocity_poisson_reduction():
     rho = np.zeros((SG.n_nodes, AG.n_nodes))
     u = np.zeros((SG.n_nodes, AG.n_nodes))
     dSdt = np.pi**2 * np.sin(np.pi * SG.x)
-    g = solve_velocity(rho, rho @ AG.w, u, RATE.zeta_of_u(u), dSdt, EPS, SG, AG.w)
+    g = solve_velocity(rho, rho @ AG.w, u, RATE.zeta_of_u(u), dSdt, Operator(EPS, SG), AG.w)
     np.testing.assert_allclose(g, np.sin(np.pi * SG.x), atol=1.0 * SG.dx**2)
 
 
@@ -184,7 +185,7 @@ def test_solve_velocity_linear_stretch_profile():
     analytic = 0.5 * G * ((1.0 - 11.0 * np.exp(-10.0)) + 2.0 * G * (1.0 - 61.0 * np.exp(-10.0)))
     assert quad == pytest.approx(analytic, abs=5e-5)
     mu0 = moment(rho, ag, 0)
-    g = solve_velocity(rho, mu0, u, RATE.zeta_of_u(u), None, EPS, SG, ag.w)
+    g = solve_velocity(rho, mu0, u, RATE.zeta_of_u(u), None, Operator(EPS, SG), ag.w)
     g_ref = dense_solve(mu0[1:-1], EPS, np.full(SG.nx, quad), SG.nx)
     np.testing.assert_allclose(g[1:-1], g_ref[1:-1], atol=1e-10)
 
@@ -199,7 +200,7 @@ def test_coupled_step_zero_state_stays_zero():
         rho=rho, u=u, z=np.zeros(SG.n_nodes), g=np.zeros(SG.n_nodes),
         hist=hist, t=0.0, truncation_k=np.inf, agrid=ag,
     )
-    state = coupled_step(state, Inputs(rate, None, EPS, SG, ag), SG, ag)
+    state = coupled_step(state, Inputs(rate, None, EPS, SG, ag), ag)
     assert np.all(state.z == 0.0) and np.all(state.g == 0.0)
     assert np.all(state.rho == 0.0) and np.all(state.u == 0.0)
 
@@ -214,7 +215,7 @@ def test_coupled_step_equals_its_unfused_composition():
     st = run_coupled(vcfg, diag_stride=0).final
     assert np.all(st.g[1:-1] != 0.0) and st.hist.head != 0
     old = copy.deepcopy(st)
-    new = coupled_step(st, Inputs(rate, src, eps, sg, ag), sg, ag)
+    new = coupled_step(st, Inputs(rate, src, eps, sg, ag), ag)
     assert new is st
 
     # the same step in the cohort frame, one operation and temporary at a
@@ -236,7 +237,7 @@ def test_coupled_step_equals_its_unfused_composition():
     rhs = ((zeta_u * rho * u) @ w)[1:-1] + eps * src.ddt(sg.x, t)[1:-1]
     g = elliptic.solve(mu0[1:-1], eps, rhs, sg)
     hist = copy.deepcopy(old.hist)
-    z = solve_balance(np.einsum("j,xj,xj->x", lag, rho, hist.buf), m, eps, sg, eps * src(sg.x, t)[1:-1])
+    z = Operator(eps, sg).solve(m, np.einsum("j,xj,xj->x", lag, rho, hist.buf), eps * src(sg.x, t), clamped=True)
     hist.push(z)
     bits = lambda a: np.ascontiguousarray(a).view(np.int64)
     for got, want in ((new.u_ring, u), (new.zeta, zeta_u), (new.rho_ring, rho), (new.mu0, mu0),
@@ -254,10 +255,10 @@ def test_coupled_step_equals_its_unfused_composition():
     m_a = rho_a[:, 1:] @ ag.w[1:]
     rho_a[:, 0] = beta * (1.0 - m_a) / (1.0 + beta * ag.w[0])
     mu0_a = rho_a @ ag.w
-    g_a = solve_velocity(rho_a, mu0_a, u_a, zeta_a, src.ddt(sg.x, t), eps, sg, ag.w)
+    g_a = solve_velocity(rho_a, mu0_a, u_a, zeta_a, src.ddt(sg.x, t), Operator(eps, sg), ag.w)
     hist_a = copy.deepcopy(old.hist)  # its age-ordered snapshots, anchors of the ages j >= 1
     rhs_a = np.einsum("j,xj,xj->x", ag.w[1:], rho_a[:, 1:], age_order(hist_a)[:, :-1])
-    z_a = solve_balance(rhs_a, mu0_a - ag.w[0] * rho_a[:, 0], eps, sg, eps * src(sg.x, t)[1:-1])
+    z_a = Operator(eps, sg).solve(mu0_a - ag.w[0] * rho_a[:, 0], rhs_a, eps * src(sg.x, t), clamped=True)
     hist_a.push(z_a)
     assert np.array_equal(new.u, u_a)
     for got, want in ((new.rho, rho_a), (new.mu0, mu0_a), (new.g, g_a), (new.z, z_a)):
@@ -282,14 +283,14 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
-def full_step(st, inputs, sg, ag):
+def full_step(st, inputs, ag):
     """A cohort step that takes neither shortcut.
 
     With the quiet flag cleared the step is not calm: it forms every
     survival factor and the load, and solves.
     """
     st.quiet = False
-    return coupled_step(st, inputs, sg, ag)
+    return coupled_step(st, inputs, ag)
 
 
 # S = 1e4 + 1e6 max(t - 3.25e-4, 0): constant until 3.25e-4, growing after
@@ -323,15 +324,15 @@ def test_torn_off_step_shortcuts_change_no_bit(monkeypatch, load, velocity_solve
     assert st.quiet and not np.any(st.g) and st.hist.head != 0 and not isinstance(st.ring, BirthRing)
     full, inputs = copy.deepcopy(st), Inputs(rate, load, eps, sg, ag)
     solves, calms = [], []
-    solve = elliptic.solve
-    monkeypatch.setattr(elliptic, "solve", lambda *a: solves.append(1) or solve(*a))
+    solve = Operator.solve
+    monkeypatch.setattr(Operator, "solve", lambda *a, **kw: solves.append(1) or solve(*a, **kw))
     for _ in range(5):
-        st = coupled_step(st, inputs, sg, ag)
+        st = coupled_step(st, inputs, ag)
         assert not isinstance(st.ring, BirthRing)
         calms.append(st.calm)
     assert calms == calm and len(solves) == 5 + velocity_solves
     for _ in range(5):
-        full = full_step(full, inputs, sg, ag)
+        full = full_step(full, inputs, ag)
     for f in ("rho_ring", "u_ring", "zeta", "mu0", "g", "z"):
         assert np.array_equal(bits(getattr(st, f)), bits(getattr(full, f))), f
     assert np.array_equal(bits(st.hist.buf), bits(full.hist.buf))
@@ -368,8 +369,8 @@ def test_still_tear_off_state_steps_on_the_birth_ring():
     full = copy.deepcopy(st)
     heads = []
     for _ in range(ag.na + 5):
-        st = coupled_step(st, inputs, sg, ag)
-        full = full_step(full, inputs, sg, ag)
+        st = coupled_step(st, inputs, ag)
+        full = full_step(full, inputs, ag)
         assert isinstance(st.ring, BirthRing) and not isinstance(full.ring, BirthRing)
         assert_states_close(st, full)
         for f in ("u_ring", "zeta", "g"):  # the ring step writes what the cohort step writes
@@ -386,12 +387,12 @@ def test_birth_ring_returns_to_the_cohort_ring_under_a_growing_load():
     grow = Inputs(rate, SourceModel(*presets.source_fns("linear_in_t(10000.0, 1000000.0)")), eps, sg, ag)
     full = copy.deepcopy(st)
     for _ in range(10):
-        st = coupled_step(st, src, sg, ag)
-        full = full_step(full, src, sg, ag)
+        st = coupled_step(st, src, ag)
+        full = full_step(full, src, ag)
     assert isinstance(st.ring, BirthRing)
     for _ in range(5):
-        st = coupled_step(st, grow, sg, ag)
-        full = full_step(full, grow, sg, ag)
+        st = coupled_step(st, grow, ag)
+        full = full_step(full, grow, ag)
         assert not isinstance(st.ring, BirthRing) and np.all(st.g[1:-1] != 0.0)
         assert_states_close(st, full)
     np.testing.assert_allclose(st.rho_ring, full.rho_ring, rtol=1e-13, atol=0.0)
@@ -407,12 +408,12 @@ def test_live_cohort_with_a_frozen_stretch_keeps_the_cohort_path():
     plant_frozen_stretch(st, rate, ag, (st.hist.head + 10) % st.hist.depth)
     full = copy.deepcopy(st)
     for _ in range(st.hist.depth):
-        st = coupled_step(st, inputs, sg, ag)
-        full = full_step(full, inputs, sg, ag)
+        st = coupled_step(st, inputs, ag)
+        full = full_step(full, inputs, ag)
         assert not isinstance(st.ring, BirthRing)
         for f in ("rho_ring", "u_ring", "zeta", "mu0", "g", "z"):
             assert np.array_equal(bits(getattr(st, f)), bits(getattr(full, f))), f
-    st = coupled_step(st, inputs, sg, ag)
+    st = coupled_step(st, inputs, ag)
     assert isinstance(st.ring, BirthRing)
 
 
@@ -439,8 +440,8 @@ def test_a_ring_refused_for_underflow_leaves_the_cohort_state_as_it_was(monkeypa
     monkeypatch.setattr(coupled, "_take_ring", take_kept)
     full = copy.deepcopy(st)
     for _ in range(st.hist.depth + 1):
-        st = coupled_step(st, inputs, sg, ag)
-        full = full_step(full, inputs, sg, ag)
+        st = coupled_step(st, inputs, ag)
+        full = full_step(full, inputs, ag)
         assert st.calm and not isinstance(st.ring, BirthRing)
         for f in ("rho_ring", "u_ring", "zeta", "mu0", "g", "z"):
             assert np.array_equal(bits(getattr(st, f)), bits(getattr(full, f))), f
@@ -450,15 +451,17 @@ def test_a_ring_refused_for_underflow_leaves_the_cohort_state_as_it_was(monkeypa
 def test_no_velocity_solve_of_a_steady_load_adds_a_load_term(monkeypatch):
     # dS/dt of a load that ignores t is 0 (validation checks it): the
     # start-up solve and every step that is not calm hand the velocity
-    # solve no eps*dS/dt term to form and add
-    terms, solve = [], coupled.solve_balance
-    monkeypatch.setattr(coupled, "solve_balance", lambda *args: terms.append(args[4]) or solve(*args))
+    # solve no eps*dS/dt term to form and add.  The run's operator also
+    # serves the position solves, at start-up and at every step, each of
+    # which adds eps*S: the terms that are None are the velocity's
+    terms, solve = [], Operator.solve
+    monkeypatch.setattr(Operator, "solve", lambda op, c, b, f=None, **kw: terms.append(f) or solve(op, c, b, f, **kw))
     calm = []
     vcfg = validate_quiet(coupled_config(nx=16, final_time=0.1))
     assert vcfg.source.time_invariant
     run_coupled(vcfg, diag_stride=0, observers=[lambda n, st: calm.append(st.calm) if n else None])
-    assert len(calm) > 10 and len(terms) == 1 + calm.count(0)
-    assert all(term is None for term in terms)
+    velocity = [term for term in terms if term is None]
+    assert len(calm) > 10 and len(velocity) == 1 + calm.count(0) and len(terms) == len(velocity) + 1 + len(calm)
 
 
 def test_a_quiet_step_under_a_changing_load_reads_dS_dt_once():
@@ -468,7 +471,7 @@ def test_a_quiet_step_under_a_changing_load_reads_dS_dt_once():
     fn, dfn = presets.source_fns("linear_in_t(1.0, 5.0)")
     ts = []
     load = SourceModel(lambda x, t: fn(x, t), lambda x, t: ts.append(t) or dfn(x, t))
-    st = coupled_step(st, Inputs(rate, load, eps, sg, ag), sg, ag)
+    st = coupled_step(st, Inputs(rate, load, eps, sg, ag), ag)
     assert not st.calm and st.g.any() and ts == [st.t]
 
 
@@ -486,7 +489,7 @@ def test_a_calm_step_copies_zeta_0_onto_its_newborns(planted):
     zeta0 = bits(rate.zeta_of_u(np.zeros(sg.n_nodes)))
     heads = []
     for _ in range(st.hist.depth):
-        st = coupled_step(st, inputs, sg, ag)
+        st = coupled_step(st, inputs, ag)
         assert st.calm and isinstance(st.ring, BirthRing) != planted
         assert np.array_equal(bits(st.zeta[:, st.hist.head]), zeta0)
         heads.append(st.hist.head)
@@ -503,11 +506,11 @@ def test_birth_ring_step_allocates_no_field():
     peaks = []
     for n in range(ag.na + 5):
         if n > 3 and st.hist.head > 2:
-            st = coupled_step(st, inputs, sg, ag)
+            st = coupled_step(st, inputs, ag)
             continue
         tracemalloc.start()
         try:
-            st = coupled_step(st, inputs, sg, ag)
+            st = coupled_step(st, inputs, ag)
             peaks.append((st.hist.head, tracemalloc.get_traced_memory()[1]))
         finally:
             tracemalloc.stop()
@@ -711,7 +714,7 @@ def test_riccati_p_of_a_quiet_state_is_zero_without_a_pass():
         assert st.quiet and type(st.ring) is ring
         st.load[...] = 7.0
         assert coupled.riccati_p(st, sg, ag) == 0.0 and np.all(st.load == 7.0)
-        st = coupled_step(st, inputs, sg, ag)
+        st = coupled_step(st, inputs, ag)
     st = cancelling_lanes()[0]
     assert np.all(st.g == 0.0) and not st.quiet
     assert coupled.riccati_p(st, SG, AG) > 0.0
@@ -872,9 +875,9 @@ def test_the_run_constant_load_follows_the_load_a_step_is_given():
     assert fixed.steady and not fresh.steady
     term = fixed.at(0.0)[2]
     assert fixed.at(st.t + eps * ag.da)[2] is term and not term.flags.writeable
-    assert np.array_equal(bits(term), bits(eps * load(sg.x, 0.0)[1:-1]))
+    assert np.array_equal(bits(term), bits(eps * load(sg.x, 0.0)))
     other = copy.deepcopy(st)
-    st, other = coupled_step(st, fixed, sg, ag), coupled_step(other, fresh, sg, ag)
+    st, other = coupled_step(st, fixed, ag), coupled_step(other, fresh, ag)
     for name in ("z", "mu0", "g"):
         assert np.array_equal(bits(getattr(st, name)), bits(getattr(other, name))), name
 

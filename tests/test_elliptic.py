@@ -14,7 +14,7 @@ from oracles import laplacian
 
 import linkages
 from linkages import elliptic
-from linkages.elliptic import solve
+from linkages.elliptic import Operator, solve
 from linkages.errors import DegenerateOperator
 from linkages.grids import SpaceGrid
 
@@ -65,8 +65,9 @@ def test_scalar_coefficient_is_the_full_array(c):
 
 @pytest.mark.parametrize("factor, fires", [(10.0, True), (0.1, False)])
 def test_residual_check_catches_a_perturbed_solution(monkeypatch, factor, fires):
-    # moving the last node by d makes the residual main[-1]*|d| on that row;
-    # the check fires above 1e-10 * max|rhs|
+    # moving the last interior node by d makes the residual main[-1]*|d| on
+    # that row; the check fires above 1e-10 * max|rhs|.  gtsv solves on the
+    # full grid, so that node is the one before the Dirichlet node
     g = SpaceGrid(nx=5)
     c = np.linspace(0.5, 1.5, 5)
     rhs = np.array([1.0, -2.0, 3.0, 0.5, 0.25])
@@ -77,7 +78,7 @@ def test_residual_check_catches_a_perturbed_solution(monkeypatch, factor, fires)
 
     def perturbed(*args):
         *head, x, info = gtsv(*args)
-        x[-1] += d
+        x[-2] += d
         return (*head, x, info)
 
     monkeypatch.setattr(elliptic, "dgtsv", perturbed)
@@ -91,8 +92,9 @@ def test_residual_check_catches_a_perturbed_solution(monkeypatch, factor, fires)
 @pytest.mark.parametrize("n", [1, 4])
 def test_singular_solve_raises(n):
     # one node: c = 0 with kappa = 0 is the degenerate guard; four nodes with
-    # a zero on the diagonal and no diffusion reach gtsv, which reports it
-    c, match = (np.zeros(1), "c == 0 and kappa == 0") if n == 1 else (np.array([1.0, 0.0, 1.0, 1.0]), "gtsv info=2")
+    # a zero on the diagonal and no diffusion reach gtsv, which reports it,
+    # counting from the Dirichlet node before the first interior node
+    c, match = (np.zeros(1), "c == 0 and kappa == 0") if n == 1 else (np.array([1.0, 0.0, 1.0, 1.0]), "gtsv info=3")
     with pytest.raises(DegenerateOperator, match=match):
         solve(c, 0.0, np.ones(n), SpaceGrid(nx=n))
 
@@ -186,6 +188,74 @@ def test_rows_solve_to_the_bits_of_separate_calls():
         assert solve(c[0], kappa[:1], rhs[:1], g).tobytes() == z[:1].tobytes()
 
 
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def interior_solve(c, kappa, rhs, dx):
+    """The reference: the systems posed on the interior nodes alone, rows stacked with a join of 0, solved by gtsv.
+
+    c and rhs have shape (rows, nx) and kappa (rows, 1); a single node is
+    one division.  z is zero-padded.
+    """
+    k = np.broadcast_to(kappa / dx**2, rhs.shape)
+    main, off = c + 2.0 * k, -k.copy()
+    off[:, -1] = 0.0
+    zi = rhs / main if main.size == 1 else elliptic.dgtsv(off.ravel()[:-1], main.ravel(), off.ravel()[:-1], rhs.ravel())[3]
+    return np.pad(zi.reshape(rhs.shape), ((0, 0), (1, 1)))
+
+
+def full_grid_data(rng, rows, nx):
+    """c, b and f of rows systems on the full grid: nonzero at the Dirichlet nodes, c down to -1e-13, b + f negative and signed zeros."""
+    c = rng.uniform(0.0, 2.0, (rows, nx + 2))
+    c[rng.random(c.shape) < 0.1] = -1e-13  # a population's rounding, clamped at 0
+    b, f = rng.normal(size=(2, rows, nx + 2))
+    zeros = rng.random(b.shape) < 0.25
+    b[zeros], f[zeros] = -0.0, np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    return c, b, f
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("nx", [1, 2, 7, 64])
+def test_the_full_grid_solve_has_the_bits_of_the_interior_layout(rows, nx):
+    # the operator poses each system on the full grid, each Dirichlet node
+    # an identity row with a zero off-diagonal on both sides, and zeroes b
+    # + f there (a history's boundary rows hold past data); every z, sign
+    # bits and its +0 boundary included, has the bits of its own system
+    # posed on the interior nodes.  Every fifth draw has a row with kappa =
+    # 0; one row is passed as a field of shape (nx+2,), with a scalar kappa
+    rng = np.random.default_rng(100 * rows + nx)
+    g = SpaceGrid(nx=nx)
+    for draw in range(40):
+        c, b, f = full_grid_data(rng, rows, nx)
+        kappa = rng.uniform(1e-4, 1.0, (rows, 1))
+        if draw % 5 == 0:
+            kappa[-1], c[-1] = 0.0, c[-1] + 0.5
+        if rows == 1:
+            z = Operator(float(kappa[0, 0]), g).solve(c[0], b[0], f[0], clamped=True)[None]
+        else:
+            z = Operator(kappa, g).solve(c, b, f, clamped=True)
+        assert z.shape == (rows, nx + 2)
+        for i in range(rows):
+            c_i, rhs_i = np.maximum(c[i : i + 1, 1:-1], 0.0), (b[i : i + 1] + f[i : i + 1])[:, 1:-1]
+            assert np.array_equal(bits(z[i]), bits(interior_solve(c_i, kappa[i : i + 1], rhs_i, g.dx)[0]))
+        assert np.array_equal(bits(z[:, [0, -1]]), bits(np.zeros((rows, 2))))
+
+
+@pytest.mark.parametrize("data, value", [("b", np.nan), ("b", np.inf), ("c", np.nan)])
+def test_a_block_that_is_not_finite_spreads_to_every_row(data, value):
+    # no row of the stack stays finite, and the interior nodes have the bits
+    # (NaN payloads included) of the stack posed on the interior nodes
+    rng = np.random.default_rng(8)
+    g, kappa = SpaceGrid(nx=5), np.array([[0.1], [0.2], [0.3]])
+    c, b, f = full_grid_data(rng, 3, 5)
+    {"b": b, "c": c}[data][1, 3] = value
+    z = Operator(kappa, g).solve(c, b, f, clamped=True)
+    assert not np.isfinite(z).all(axis=1).any()
+    want = interior_solve(np.maximum(c[:, 1:-1], 0.0), kappa, (b + f)[:, 1:-1], g.dx)
+    assert np.array_equal(bits(z[:, 1:-1]), bits(want[:, 1:-1]))
+
+
 def test_rows_are_checked_block_by_block():
     g = SpaceGrid(nx=4)
     c, kappa = np.ones((2, 4)), np.array([[0.1], [0.2]])
@@ -197,8 +267,8 @@ def test_rows_are_checked_block_by_block():
 
 
 def test_residual_is_checked_per_block_at_its_own_scale(monkeypatch):
-    # the second block's last node moved by 10 times its own bound: caught,
-    # though the first block's ||rhs||_inf of 1e6 would let it through
+    # the second block's last interior node moved by 10 times its own bound:
+    # caught, though the first block's ||rhs||_inf of 1e6 would let it through
     g = SpaceGrid(nx=5)
     c, kappa = np.full((2, 5), 0.5), np.array([[0.1], [0.1]])
     rhs = np.array([[1e6, -2.0, 3.0, 0.5, 0.25], [1.0, -2.0, 3.0, 0.5, 0.25]])
@@ -207,7 +277,7 @@ def test_residual_is_checked_per_block_at_its_own_scale(monkeypatch):
 
     def perturbed(*args):
         *head, x, info = gtsv(*args)
-        x[-1] += 10.0 * 1e-10 * 3.0 / main_last
+        x[-2] += 10.0 * 1e-10 * 3.0 / main_last
         return (*head, x, info)
 
     monkeypatch.setattr(elliptic, "dgtsv", perturbed)
@@ -216,13 +286,16 @@ def test_residual_is_checked_per_block_at_its_own_scale(monkeypatch):
 
 
 def test_a_clamped_coefficient_is_not_checked_again():
-    # position.solve_balance clamps its coefficient at 0 after its own
-    # -1e-12 check; every other caller's coefficient is checked here
+    # a population (clamped) is checked at -1e-12, as the rounding of the
+    # kinetics allows, and clamped at 0; every other caller's coefficient
+    # is checked at 0
     g = SpaceGrid(nx=4)
     c = np.array([1.0, 2.0, -1e-300, 1.0])
     with pytest.raises(DegenerateOperator, match="negative coefficient"):
         solve(c, 1.0, np.ones(4), g)
     assert np.all(np.isfinite(solve(c, 1.0, np.ones(4), g, clamped=True)))
+    with pytest.raises(DegenerateOperator, match="negative population coefficient -2e-12: kinetics bug"):
+        solve(np.array([1.0, 2.0, -2e-12, 1.0]), 1.0, np.ones(4), g, clamped=True)
 
 
 def test_importing_the_cli_leaves_scipy_linalg_unimported():

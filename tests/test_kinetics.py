@@ -429,6 +429,22 @@ def test_limit_density_on_a_formed_profile_is_bit_identical(zeta_shape):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def test_age_profile_holds_at_most_two_fields():
+    # E and its panels, running sum and exp share one buffer: on the
+    # (66, 1001) off-rate field the peak is 1.37 fields, where the panels,
+    # their cumulative sum, its zero-padded copy and exp, each a field of
+    # its own, took it to 4
+    sg, ag, _ = build_grids(validate_config(make_config(nx=64, da=0.01)))
+    zeta0 = 1.0 + 0.5 * np.outer(np.sin(np.pi * sg.x) ** 2, ag.a / (1 + ag.a))
+    tracemalloc.start()
+    try:
+        age_profile(zeta0, ag)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * zeta0.nbytes
+
+
 def test_limit_density_pointwise_bound():
     # rho0 <= beta_M zeta_M/(zeta_M + beta_m) e^{-zeta_m a}
     ag = AgeGrid(da=0.02, a_max=10.0)

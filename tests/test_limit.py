@@ -13,19 +13,21 @@ from hypothesis import example, given, settings, strategies as st
 from linkages import cli, presets, simulate
 from linkages.config import RateModel, SourceModel, validate_config, with_overrides
 from linkages.diagnostics import convergence_error
+from linkages.elliptic import Operator
 from linkages.errors import DegenerateFriction, NonfiniteValue
 from linkages.grids import SpaceGrid, build_grids
 from linkages.kinetics import limit_density
 from linkages.limit import step_limit
 
 SG = SpaceGrid(nx=31)
+OP = Operator(1.0, SG)
 LAM = (2.0 - 2.0 * np.cos(np.pi * SG.dx)) / SG.dx**2
 
 
 def test_decay_matches_discrete_factor():
     dt = 1e-3
     mu10 = np.full(SG.n_nodes, 0.5)
-    z = step_limit(np.sin(np.pi * SG.x) / np.pi, mu10, dt, SG)
+    z = step_limit(np.sin(np.pi * SG.x) / np.pi, mu10, dt, OP)
     # one implicit Euler step divides the sine mode by 1 + 2 dt lam exactly
     expected = np.sin(np.pi * SG.x) / np.pi / (1.0 + 2.0 * dt * LAM)
     np.testing.assert_allclose(z, expected, atol=1e-13)
@@ -36,13 +38,13 @@ def test_decay_matches_separation_of_variables():
     mu10 = np.full(SG.n_nodes, 0.5)
     z = np.sin(np.pi * SG.x) / np.pi
     for _ in range(int(T / dt)):
-        z = step_limit(z, mu10, dt, SG)
+        z = step_limit(z, mu10, dt, OP)
     exact = np.exp(-2.0 * np.pi**2 * T) * np.sin(np.pi * SG.x) / np.pi
     np.testing.assert_allclose(z, exact, atol=3.0 * (dt + SG.dx**2))
 
 
 def test_zero_state_stays_zero():
-    z = step_limit(np.zeros(SG.n_nodes), np.full(SG.n_nodes, 0.5), 1e-2, SG)
+    z = step_limit(np.zeros(SG.n_nodes), np.full(SG.n_nodes, 0.5), 1e-2, OP)
     assert np.all(z == 0.0)
 
 
@@ -51,7 +53,7 @@ def test_steady_state_with_source():
     S = np.pi**2 * np.sin(np.pi * SG.x)
     z = np.zeros(SG.n_nodes)
     for _ in range(2000):
-        z = step_limit(z, np.full(SG.n_nodes, 0.5), dt, SG, source=S)
+        z = step_limit(z, np.full(SG.n_nodes, 0.5), dt, OP, source=S)
     np.testing.assert_allclose(z, np.sin(np.pi * SG.x), atol=1.0 * SG.dx**2)
 
 
@@ -61,14 +63,14 @@ def test_maximum_principle_and_l2_contraction():
     z[1:-1] = rng.normal(size=SG.nx)
     for _ in range(20):
         prev = z.copy()
-        z = step_limit(z, np.full(SG.n_nodes, 0.5), 5e-3, SG)
+        z = step_limit(z, np.full(SG.n_nodes, 0.5), 5e-3, OP)
         assert np.max(np.abs(z)) <= np.max(np.abs(prev)) + 1e-14
         assert np.linalg.norm(z) <= np.linalg.norm(prev) + 1e-14
 
 
 def test_fully_degenerate_falls_back_to_steady():
     S = np.pi**2 * np.sin(np.pi * SG.x)
-    z = step_limit(np.zeros(SG.n_nodes), np.zeros(SG.n_nodes), 1e-2, SG, source=S)
+    z = step_limit(np.zeros(SG.n_nodes), np.zeros(SG.n_nodes), 1e-2, OP, source=S)
     np.testing.assert_allclose(z, np.sin(np.pi * SG.x), atol=1.0 * SG.dx**2)
 
 
@@ -76,7 +78,7 @@ def test_partially_degenerate_raises():
     mu10 = np.full(SG.n_nodes, 0.5)
     mu10[5] = 0.0
     with pytest.raises(DegenerateFriction):
-        step_limit(np.zeros(SG.n_nodes), mu10, 1e-2, SG, source=np.ones(SG.n_nodes))
+        step_limit(np.zeros(SG.n_nodes), mu10, 1e-2, OP, source=np.ones(SG.n_nodes))
 
 
 @pytest.mark.parametrize("beta, calls", [("constant(1.0)", 1), ("linear_in_t(1.0, 1.0)", 10)])

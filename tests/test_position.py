@@ -7,6 +7,7 @@ from conftest import capture_at, dense_solve, make_config, position_step
 
 from linkages import diagnostics as dg
 from linkages.config import PastData, RateModel, SourceModel, validate_config
+from linkages.elliptic import Operator
 from linkages.errors import NonfiniteValue
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
 from linkages.kinetics import BirthRing, CohortRing, init_density, limit_density, renew, survival
@@ -14,7 +15,6 @@ from linkages.position import (
     PositionHistory,
     initial_position,
     sample_past,
-    solve_balance,
 )
 from linkages import presets, simulate
 from linkages.cli import coupled_config
@@ -34,7 +34,7 @@ def discrete_sin_eigenvalue(sgrid):
 
 def test_initial_position_sine_eigenfunction():
     rho = init_density(EXP_DECAY, SG, AG)
-    z = initial_position(rho, sample_past(SIN_PAST, EPS, SG, AG), EPS, SG, AG)
+    z = initial_position(rho, sample_past(SIN_PAST, EPS, SG, AG), Operator(EPS, SG), AG)
     # sin(pi x) is a discrete eigenvector: exact closed form for the solve
     mu0 = moment(rho, AG, 0)
     coeff = mu0 - AG.w[0] * rho[:, 0]
@@ -48,7 +48,7 @@ def test_initial_position_sine_eigenfunction():
 
 def test_initial_position_zero_past():
     rho = init_density(EXP_DECAY, SG, AG)
-    z = initial_position(rho, sample_past(PastData(fn=presets.past_data_fn("zero")), EPS, SG, AG), EPS, SG, AG)
+    z = initial_position(rho, sample_past(PastData(fn=presets.past_data_fn("zero")), EPS, SG, AG), Operator(EPS, SG), AG)
     np.testing.assert_allclose(z, 0.0, atol=1e-14)
 
 
@@ -57,7 +57,7 @@ def test_initial_position_small_scale_limit():
     zp0 = SIN_PAST(SG.x, 0.0)
     devs = []
     for eps in (1e-2, 1e-3, 1e-4):
-        z = initial_position(rho, sample_past(SIN_PAST, eps, SG, AG), eps, SG, AG)
+        z = initial_position(rho, sample_past(SIN_PAST, eps, SG, AG), Operator(eps, SG), AG)
         devs.append(np.max(np.abs(z - zp0)))
     assert devs[0] > devs[1] > devs[2]
     # deviation shrinks proportionally to eps
@@ -81,8 +81,8 @@ def test_one_call_past_sampling_matches_the_snapshot_loop(spec):
     rho = init_density(EXP_DECAY, SG, AG)
     bits = lambda a: np.ascontiguousarray(a).view(np.int64)
     zp, zp_looped = sample_past(past, EPS, SG, AG), sample_past(looped, EPS, SG, AG)
-    z0 = initial_position(rho, zp, EPS, SG, AG)
-    assert np.array_equal(bits(z0), bits(initial_position(rho, zp_looped, EPS, SG, AG)))
+    z0 = initial_position(rho, zp, Operator(EPS, SG), AG)
+    assert np.array_equal(bits(z0), bits(initial_position(rho, zp_looped, Operator(EPS, SG), AG)))
     hist, hist_looped = PositionHistory(z0, zp), PositionHistory(z0, zp_looped)
     assert np.array_equal(bits(hist.buf), bits(hist_looped.buf))
     assert np.array_equal(bits(hist.buf[:, 7]), bits(past(SG.x, -EPS * AG.a[7])))
@@ -245,7 +245,7 @@ def test_time_dependent_rate_matches_survival_every_step(monkeypatch):
     # against its buffer in place
     rho = init_density(vcfg.initial_density, sg, ag)
     zp = sample_past(vcfg.past_data, vcfg.epsilon, sg, ag)
-    z = initial_position(rho, zp, vcfg.epsilon, sg, ag)
+    z = initial_position(rho, zp, Operator(vcfg.epsilon, sg), ag)
     hist = PositionHistory(z, zp)
     traj, cohorts = [z], CohortRing(rho, None, hist, ag)
     for n in range(1, ts.n_steps + 1):
@@ -253,7 +253,7 @@ def test_time_dependent_rate_matches_survival_every_step(monkeypatch):
         m, integral = cohorts.sums()
         beta = rate.beta_values(sg.x, n * ts.dt)
         births, _ = renew(beta, 1.0 + beta * ag.w[0], m, ag.w[0])
-        traj.append(solve_balance(integral, m, vcfg.epsilon, sg, None))
+        traj.append(Operator(vcfg.epsilon, sg).solve(m, integral, clamped=True))
         cohorts.push(births, traj[-1])
     assert np.array_equal(res.final_rho, cohorts.density())
     assert np.array_equal(res.trajectory, np.asarray(traj))

@@ -15,9 +15,10 @@ import pytest
 
 from conftest import make_config
 
-from linkages import kinetics, presets
+from linkages import presets
 from linkages.cli import coupled_config, detachment_config, source_config
 from linkages.config import Inputs, RateModel, SourceModel, validate_config
+from linkages.elliptic import Operator
 from linkages.errors import ConfigError
 from linkages.grids import AgeGrid, SpaceGrid, build_grids
 from linkages.simulate import run_coupled, run_detachment, run_limit, run_weak
@@ -131,7 +132,7 @@ def test_a_load_that_depends_on_t_is_called_at_every_step_at_its_own_t(driver):
 
 
 def reads(inputs, t):
-    """Every array inputs gives at t: beta, 1 + beta*w0, eps*S on the interior nodes, S and dS/dt."""
+    """Every array inputs gives at t: beta, 1 + beta*w0, eps*S, S and dS/dt."""
     return [*inputs.at(t), inputs.load(t), inputs.ddt(t)]
 
 
@@ -146,7 +147,7 @@ def test_the_shared_sample_is_read_only_and_belongs_to_its_grid():
     inputs = Inputs(rate, load, eps, sg, ag)
     fixed = reads(inputs, 0.0)
     beta, S = rate.beta_values(sg.x, 0.0), load(sg.x, 0.0)
-    for got, want in zip(fixed, (beta, 1.0 + beta * ag.w[0], eps * S[1:-1], S, np.zeros(sg.n_nodes))):
+    for got, want in zip(fixed, (beta, 1.0 + beta * ag.w[0], eps * S, S, np.zeros(sg.n_nodes))):
         assert np.array_equal(bits(got), bits(want))
     for t in (0.3, 1.7):  # the same objects at every t
         assert all(a is b for a, b in zip(reads(inputs, t), fixed))
@@ -158,26 +159,29 @@ def test_the_shared_sample_is_read_only_and_belongs_to_its_grid():
               Inputs(rate, load, 2 * eps, sg, ag), Inputs(rate, load, eps, SpaceGrid(nx=7), ag)]
     for other in others:
         assert not any(np.shares_memory(a, b) for a in reads(other, 0.0) for b in fixed)
-    assert np.array_equal(others[1].at(0.0)[2], 2 * eps * S[1:-1])
+    assert np.array_equal(others[1].at(0.0)[2], 2 * eps * S)
     # data that depend on t are formed at each read, at each row's own t for a column of scales
     varying = Inputs(RateModel(beta=plain_rate(rate.beta)), plain(load), np.array([[eps], [2 * eps]]), sg, ag)
     once, again = reads(varying, [0.1, 0.2]), reads(varying, [0.1, 0.2])
     assert all(a is not b and a.flags.writeable for a, b in zip(once[:3], again[:3]))
     for row, (t, e) in enumerate(((0.1, eps), (0.2, 2 * eps))):
-        assert np.array_equal(once[0][row], rate.beta_values(sg.x, t)) and np.array_equal(once[2][row], e * S[1:-1])
+        assert np.array_equal(once[0][row], rate.beta_values(sg.x, t)) and np.array_equal(once[2][row], e * S)
 
 
 def test_a_weak_run_hands_every_position_solve_one_read_only_load_term(monkeypatch):
     # weak-source's load ignores t: eps*S is formed once, and every step's
-    # position solve reads that one read-only array
-    terms, solve = [], kinetics.solve_balance
-    monkeypatch.setattr(kinetics, "solve_balance", lambda *args: terms.append(args[4]) or solve(*args))
+    # position solve reads that one read-only array; the run's operator
+    # solves the start-up position first, on an eps*S of its own
+    terms, solve = [], Operator.solve
+    monkeypatch.setattr(Operator, "solve", lambda op, c, b, f=None, **kw: terms.append(f) or solve(op, c, b, f, **kw))
     vcfg = validate_quiet(source_config(final_time=0.02))
     sg, _, ts = build_grids(vcfg)
     run_weak(vcfg, diag_stride=0)
-    assert len(terms) == ts.n_steps and all(term is terms[0] for term in terms)
-    assert not terms[0].flags.writeable
-    assert np.array_equal(bits(terms[0]), bits(vcfg.epsilon * vcfg.source(sg.x, 0.0)[1:-1]))
+    start, steps = terms[0], terms[1:]
+    assert len(steps) == ts.n_steps and all(term is steps[0] for term in steps)
+    assert not steps[0].flags.writeable
+    for term in (start, steps[0]):
+        assert np.array_equal(bits(term), bits(vcfg.epsilon * vcfg.source(sg.x, 0.0)))
 
 
 @pytest.mark.parametrize("src, t", [
