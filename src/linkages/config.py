@@ -156,7 +156,9 @@ class Inputs:
     Built once per run, eps its scale, or once per kinetics.Rows set, eps a
     column of scales (shape (rows, 1)) and t a list of times, one per row.
     balance is the run's elliptic.Operator, kappa = eps, which every
-    position and velocity solve of the run goes through.
+    position and velocity solve of the run goes through.  The limit
+    solver builds it with scale 1.0, the limit balance's diffusion weight,
+    so that balance is the limit operator.
     at(t, z) is a step's read, (beta, 1 + beta*w0, eps*S on the full
     grid), the last None without a load; a threshold on-rate reads z.
     rates(t) is its first two, load(t) S on every node and ddt(t) dS/dt,
@@ -297,7 +299,7 @@ def validate_config(config):
     if rate.zeta_m <= 0:
         violated("off-rate lower bound", "zeta_m")
     if rate.zeta_kind == "given":
-        # an off-rate that ignores t is sampled once, as _WeakRun samples it
+        # an off-rate that ignores t is sampled once, as a _WeakRun samples it when it is built
         for t in t_samples[:1] if presets.is_time_invariant(rate.zeta) else t_samples:
             zval = rate.zeta_field(x, a, t)
             if not np.all(np.isfinite(zval)):

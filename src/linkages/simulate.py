@@ -6,8 +6,8 @@ The weak, coupled and limit drivers share one time loop, march: a stepper
 moves the state one step and observers look at every level, n = 0
 included, to check invariants, record diagnostics and keep outputs.
 
-Runners own their state: every run of a sweep samples its own off-rate
-field and builds its own rings (_lane_march).
+A weak run is one object, _WeakRun, which keeps its own trajectory; every
+run of a sweep samples its own off-rate field and builds its own rings.
 """
 
 import math
@@ -19,10 +19,9 @@ import numpy as np
 from . import coupled as cp
 from . import diagnostics as dg
 from .config import Inputs, with_overrides
-from .elliptic import Operator
 from .errors import ConfigError, HypothesisViolation, NonfiniteValue, RateKindMismatch
 from .grids import build_grids
-from .kinetics import BirthRing, CohortRing, Rows, advance, age_profile, birth_ring, cohort_weights, init_density
+from .kinetics import CohortRing, Rows, advance, age_profile, birth_ring, cohort_weights, init_density
 from .kinetics import limit_density, survival
 from .limit import step_limit
 from .position import PositionHistory, initial_position, sample_past
@@ -85,28 +84,6 @@ def _start(vcfg):
 
 
 @dataclass
-class WeakState:
-    """Weak-run state at level n, t = n*dt; the stepper rebinds its fields.
-
-    rho, in age order, is built from the ring, in the frame of hist, when first read.
-    """
-
-    t: float
-    z: np.ndarray
-    hist: PositionHistory  # ends at the same level as z
-    zeta: np.ndarray  # prescribed off-rate at t
-    mu0: np.ndarray
-    ring: BirthRing | CohortRing
-    _rho: Optional[np.ndarray] = None
-
-    @property
-    def rho(self):
-        if self._rho is None:
-            self._rho = self.ring.density()
-        return self._rho
-
-
-@dataclass
 class _RunResult:
     records: list
     mu0_min: float
@@ -128,33 +105,43 @@ class WeakRunResult(_RunResult):
 
 
 class _WeakRun:
-    """One weak run: its grids, its config.Inputs, its state at level n and its guard.
+    """One weak run: its grids, its config.Inputs, its state at level n, its guard and its trajectory.
 
-    An off-rate that declares it ignores t is sampled once and stepped on
-    birth values (kinetics.BirthRing) unless birth_ring refuses the data;
-    the others on the density (kinetics.CohortRing).  Either ring holds
-    the survival factor of an off-rate the same at every x (a field of
-    equal rows) on one row.  Level 0 is checked when the run is built.
-    The run owns every buffer it steps on: the off-rate field at t = 0,
-    sampled here, and its ring's.
+    _weak_step rebinds the state: t = n*dt, z, hist (ending at z's level),
+    the off-rate zeta at t, mu0 and the ring; rho, in age order, is built
+    from the ring, in the frame of hist, when first read.  traj holds z at
+    every level n % stride == 0.  An off-rate that declares it ignores t
+    is sampled once and stepped on birth values (kinetics.BirthRing)
+    unless birth_ring refuses the data; the others on the density
+    (kinetics.CohortRing).  Either ring holds the survival factor of an
+    off-rate the same at every x (a field of equal rows) on one row.
+    Level 0 is checked and kept when the run is built.  The run owns
+    every buffer it steps on: the off-rate field at t = 0, sampled here,
+    and its ring's.
     """
 
-    def __init__(self, vcfg):
-        sgrid, agrid, ts, self.inputs, rho, z, hist = _start(vcfg)
+    def __init__(self, vcfg, stride):
+        sgrid, agrid, ts, self.inputs, rho, self.z, self.hist = _start(vcfg)
         rate = vcfg.rate_model
         self.sgrid, self.agrid, self.rate, self.eps = sgrid, agrid, rate, vcfg.epsilon
-        self.dt, self.n_steps, self.n = ts.dt, ts.n_steps, 0
-        mu0 = rho @ agrid.w
-        zeta = rate.zeta_field(sgrid.x, agrid.a, 0.0)
+        self.dt, self.n_steps, self.n, self.t, self.stride = ts.dt, ts.n_steps, 0, 0.0, stride
+        self.mu0 = rho @ agrid.w
+        self.zeta = rate.zeta_field(sgrid.x, agrid.a, 0.0)
         self.fixed = is_time_invariant(rate.zeta)
         # either ring takes over the buffers of rho and of the survival factor
-        row = zeta[:1] if self.fixed and (zeta == zeta[:1]).all() else zeta
-        ring = self.fixed and birth_ring(rho, survival(row, agrid), hist, agrid)
-        ring = ring or CohortRing(rho, survival(row, agrid), hist, agrid)
-        self.state = WeakState(t=0.0, z=z, hist=hist, zeta=zeta, mu0=mu0, ring=ring)
+        row = self.zeta[:1] if self.fixed and (self.zeta == self.zeta[:1]).all() else self.zeta
+        ring = self.fixed and birth_ring(rho, survival(row, agrid), self.hist, agrid)
+        self.ring, self._rho = ring or CohortRing(rho, survival(row, agrid), self.hist, agrid), None
         # discrete analogue of the population floor min(mu0(0), beta_m/(beta_m+zeta_M))
-        self.guard = _Guard(min(float(np.min(mu0)), rate.beta_m / (rate.beta_m + rate.zeta_M)) - 10.0 * agrid.da)
-        _check([self], z[None], mu0[None])
+        self.guard = _Guard(min(float(np.min(self.mu0)), rate.beta_m / (rate.beta_m + rate.zeta_M)) - 10.0 * agrid.da)
+        _check([self], self.z[None], self.mu0[None])
+        self.traj = [self.z.copy()]
+
+    @property
+    def rho(self):
+        if self._rho is None:
+            self._rho = self.ring.density()
+        return self._rho
 
 
 def _check(runs, z, mu0):
@@ -165,10 +152,10 @@ def _check(runs, z, mu0):
     """
     if not np.isfinite(z).all():  # a block of the stacked solve that is not finite spreads to the others
         bad = [r for r, row in zip(runs, z) if not np.isfinite(row).all()]
-        where = ", ".join(f"t={r.state.t:g}" + (f" (eps={r.eps:g})" if len(runs) > 1 else "") for r in bad)
+        where = ", ".join(f"t={r.t:g}" + (f" (eps={r.eps:g})" if len(runs) > 1 else "") for r in bad)
         raise NonfiniteValue(f"non-finite z at {where}")
     for r, lo, hi in zip(runs, mu0.min(axis=1).tolist(), mu0.max(axis=1).tolist()):
-        r.guard(r.n, r.state.t, lo, hi)
+        r.guard(r.n, r.t, lo, hi)
 
 
 def _weak_step(runs, rows, inputs):
@@ -177,21 +164,23 @@ def _weak_step(runs, rows, inputs):
     rows is kinetics.Rows over their rings and inputs their config.Inputs,
     eps a column of their scales for several runs.  One kinetics.advance
     steps them all on the data inputs gives at each run's own t; each
-    run's off-rate, state and guard are its own.  For one run this is
-    run_weak's step.
+    run's off-rate, state, guard and trajectory are its own.  For one run
+    this is run_weak's step.
     """
     for r in runs:
         r.n += 1
-        r.state.t = r.n * r.dt  # n*dt, not an accumulated t + dt: the two differ in the last bits
-    beta, den, eps_S = inputs.at(runs[0].state.t if len(runs) == 1 else [r.state.t for r in runs])
+        r.t = r.n * r.dt  # n*dt, not an accumulated t + dt: the two differ in the last bits
+    beta, den, eps_S = inputs.at(runs[0].t if len(runs) == 1 else [r.t for r in runs])
     z, mu0 = advance(rows, beta, den, inputs.balance, eps_S)
     for r, z_row, mu0_row in zip(runs, z, mu0):
-        st = r.state
-        st.z, st.mu0, st._rho = z_row, mu0_row, None
+        r.z, r.mu0, r._rho = z_row, mu0_row, None
         if not r.fixed:  # the survival of the next step, read at t
-            st.zeta = r.rate.zeta_field(r.sgrid.x, r.agrid.a, st.t)
-            survival(st.zeta, r.agrid, out=st.ring.surv)
+            r.zeta = r.rate.zeta_field(r.sgrid.x, r.agrid.a, r.t)
+            survival(r.zeta, r.agrid, out=r.ring.surv)
     _check(runs, z, mu0)
+    for r in runs:
+        if r.n % r.stride == 0:
+            r.traj.append(r.z.copy())
 
 
 def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
@@ -201,31 +190,28 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     cadence (0 disables them).  With diag_stride == 1 and no source, the
     per-step energy and stability decays are checked and any breach is
     recorded as a hard violation; a record whose energy, dissipation,
-    stability or p is not finite ends the run (NonfiniteValue).  observers are called as obs(n, state)
-    with the WeakState at every level, after the built-in ones (see march).
-    The density steps on the ring of _WeakRun: on birth values an off-rate
-    the same at every age (every constant preset) costs O(nx) a step, with
-    one full read of the rings each time their head comes back to 0; an
-    age-dependent one reads both rings every step.  The step is
-    _weak_step on one row.
+    stability or p is not finite ends the run (NonfiniteValue).  observers
+    are called as obs(n, run) with the _WeakRun itself at every level,
+    after the built-in one (see march).  The density steps on the ring of
+    _WeakRun: on birth values an off-rate the same at every age (every
+    constant preset) costs O(nx) a step, with one full read of the rings
+    each time their head comes back to 0; an age-dependent one reads both
+    rings every step.  The step is _weak_step on one row, which keeps the
+    trajectory every output_stride levels.
     """
-    run = _WeakRun(vcfg)
+    run = _WeakRun(vcfg, output_stride)
     sgrid, agrid, inputs, eps, guard = run.sgrid, run.agrid, run.inputs, run.eps, run.guard
-    rows = Rows([run.state.ring])
+    rows = Rows([run.ring])
 
     def step(n, st):
         _weak_step([run], rows, inputs)
         return st
 
-    traj, records = [], []
+    records = []
     # the records' stretch and work buffers and their limit density (_limit_at)
     shape = (sgrid.n_nodes, agrid.n_nodes)
     u, work = (np.empty(shape), (np.empty(shape), np.empty(shape))) if diag_stride else (None, None)
-    limit = _limit_at(inputs, agrid, run.state.zeta if run.fixed else None) if diag_stride else None
-
-    def output(n, st):
-        if n % output_stride == 0:
-            traj.append(st.z.copy())
+    limit = _limit_at(inputs, agrid, run.zeta if run.fixed else None) if diag_stride else None
 
     def diagnose(n, st):
         if not diag_stride or n % diag_stride:
@@ -249,17 +235,17 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
                 guard.violations.append(f"stability increase at t={st.t:g}")
         records.append(rec)
 
-    state = march(run.state, step, run.n_steps, [output, diagnose, *observers])
+    march(run, step, run.n_steps, [diagnose, *observers])
     return WeakRunResult(
         times=np.arange(0, run.n_steps + 1, output_stride) * run.dt,
-        trajectory=np.asarray(traj),
+        trajectory=np.asarray(run.traj),
         records=records,
         mu0_min=guard.mu0_min,
         mu0_max=guard.mu0_max,
         mu0_lower_bound=guard.floor,
         violations=guard.violations,
-        final_z=state.z,
-        final_rho=state.rho,
+        final_z=run.z,
+        final_rho=run.rho,
     )
 
 
@@ -292,14 +278,15 @@ def run_limit(vcfg, dt_out, n_out):
     for the configured rates; the initial datum is the past position at t=0.
     """
     sgrid, agrid, _ = build_grids(vcfg)
-    rate, inputs = vcfg.rate_model, Inputs(vcfg.rate_model, vcfg.source, vcfg.epsilon, sgrid, agrid)
+    # scale 1: inputs.balance is the limit operator, kappa = 1
+    rate, inputs = vcfg.rate_model, Inputs(vcfg.rate_model, vcfg.source, 1.0, sgrid, agrid)
     zeta0 = rate.zeta_field(sgrid.x, agrid.a, 0.0) if is_time_invariant(rate.zeta) else None
-    limit, traj, op = _limit_at(inputs, agrid, zeta0), [], Operator(1.0, sgrid)
+    limit, traj = _limit_at(inputs, agrid, zeta0), []
 
     def step(n, z):
         t = n * dt_out
         ld = limit(t, zeta0 if zeta0 is not None else rate.zeta_field(sgrid.x, agrid.a, t))
-        return step_limit(z, ld.mu10, dt_out, op, source=inputs.load(t))
+        return step_limit(z, ld.mu10, dt_out, inputs.balance, source=inputs.load(t))
 
     march(vcfg.past_data(sgrid.x, 0.0), step, n_out, [lambda n, z: traj.append(z.copy())])
     return LimitRunResult(times=np.arange(n_out + 1) * dt_out, trajectory=np.asarray(traj))
@@ -325,46 +312,37 @@ def _lane_march(vcfgs, strides):
     with fewer steps so far, so the finest runs alone on lane 0 and, where
     each scale halves the last, lane 1 runs the others in turn and ends no
     later.  The lanes' current runs step together, as the rows of one
-    _weak_step on kinetics.Rows; when a run ends, its lane starts its next
-    one, and only its trajectory is kept; each such set of rows has its own
-    config.Inputs, eps a column of their scales.  Each run samples its own
-    off-rate field and builds its own rings (_WeakRun), so a lane's run
-    shares no buffer with another's.
+    _weak_step on kinetics.Rows, which keeps each run's trajectory; when a
+    run ends, its lane starts its next one, and only its trajectory is
+    kept; each such set of rows has its own config.Inputs, eps a column of
+    their scales.  Each run samples its own off-rate field and builds its
+    own rings (_WeakRun), so a lane's run shares no buffer with another's.
+    The scales are distinct (run_convergence_sweep checks it) and name the
+    trajectories.
     """
     lanes, steps = ([], []), [0, 0]
     for i in sorted(range(len(vcfgs)), key=lambda i: vcfgs[i].epsilon):
         lane = steps.index(min(steps))
-        lanes[lane].append(i)
+        lanes[lane].append((vcfgs[i], strides[i]))
         steps[lane] += build_grids(vcfgs[i])[2].n_steps
     trajs = {}
 
     def start(lane):  # the lane's next run at level 0, or None
-        if not lanes[lane]:
-            return None
-        run = _WeakRun(vcfgs[lanes[lane][0]])
-        run.i, run.traj = lanes[lane].pop(0), [run.state.z.copy()]
-        return run
+        return _WeakRun(*lanes[lane].pop(0)) if lanes[lane] else None
 
-    def until_one_ends(runs):
-        first, rows = runs[0], Rows([r.state.ring for r in runs])
+    def until_one_ends(runs):  # its rows and inputs go with it, before a lane starts its next run
+        first, rows = runs[0], Rows([r.ring for r in runs])
         inputs = Inputs(first.rate, first.inputs.source, np.array([[r.eps] for r in runs]), first.sgrid, first.agrid)
-
-        def step(n, runs):
+        for _ in range(min(r.n_steps - r.n for r in runs)):
             _weak_step(runs, rows, inputs)
-            for r in runs:
-                if r.n % strides[r.i] == 0:
-                    r.traj.append(r.state.z.copy())
-            return runs
-
-        march(runs, step, min(r.n_steps - r.n for r in runs))
 
     live = [start(lane) for lane in range(len(lanes))]
     while any(live):
         until_one_ends([r for r in live if r])
-        trajs.update((r.i, np.asarray(r.traj)) for r in live if r and r.n == r.n_steps)
+        trajs.update((r.eps, np.asarray(r.traj)) for r in live if r and r.n == r.n_steps)
         live = [r if r and r.n < r.n_steps else None for r in live]  # the runs that ended are freed
         live = [r or start(lane) for lane, r in enumerate(live)]
-    return [trajs[i] for i in range(len(vcfgs))]
+    return [trajs[v.epsilon] for v in vcfgs]
 
 
 def run_convergence_sweep(vcfg, epsilons, dt_out):

@@ -190,6 +190,24 @@ def test_lanes_give_the_rows_of_separate_runs(kind, beta, load, nx, unit, n_out,
     assert sweep.rows == in_turn_rows(vcfg, epsilons, dt_out)
 
 
+def test_a_stride_that_does_not_divide_the_steps_keeps_the_levels_an_observer_sees():
+    # 10 steps at stride 3 keep levels 0, 3, 6 and 9, the last step none;
+    # each lane of a sweep (lane 1 switching from eps = 0.05 to 0.1) keeps
+    # the levels of a separate run_weak of its scale
+    vcfg = validate_config(make_config(final_time=0.005))
+    seen = []
+    res = simulate.run_weak(vcfg, output_stride=3, diag_stride=0, observers=[lambda n, st: seen.append(st.z.copy())])
+    assert len(seen) == 11
+    assert len(res.times) == len(res.trajectory) == 4
+    assert np.array_equal(res.times, np.array([0, 3, 6, 9]) * vcfg.dt)
+    assert np.array_equal(res.trajectory.view(np.int64), np.array(seen[::3]).view(np.int64))
+    vcfgs = [with_overrides(vcfg, epsilon=eps) for eps in (0.1, 0.05, 0.025)]
+    for v, traj in zip(vcfgs, simulate._lane_march(vcfgs, [3, 3, 3])):
+        alone = simulate.run_weak(v, output_stride=3, diag_stride=0).trajectory
+        assert traj.shape == alone.shape == (build_grids(v)[2].n_steps // 3 + 1, 17)
+        assert np.array_equal(traj.view(np.int64), alone.view(np.int64))
+
+
 def test_a_failing_scale_fails_the_sweep_as_in_turn(monkeypatch, capsys, tmp_path):
     # a load that turns NaN at t = 0.3 makes the first scale to reach that
     # time fail.  In turn that is the coarsest; on lanes eps = 0.05 reaches

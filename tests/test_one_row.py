@@ -151,7 +151,7 @@ def test_a_weak_run_on_one_row_has_the_bits_of_the_full_row_field(zeta, bound, a
     kinds = {"c": lambda r: isinstance(r, BirthRing) and r.c is not None,
              "full-read": lambda r: isinstance(r, BirthRing) and r.c is None,
              "cohort": lambda r: isinstance(r, CohortRing)}
-    assert kinds[ring](simulate._WeakRun(vcfg).state.ring)
+    assert kinds[ring](simulate._WeakRun(vcfg, 1).ring)
     assert len(one_levels) == len(ref_levels) == 101
     for got, want in zip(one_levels, ref_levels):
         assert all(np.array_equal(bits(g), bits(w)) for g, w in zip(got, want))
