@@ -110,7 +110,7 @@ class _WeakRun:
     _weak_step rebinds the state: t = n*dt, z, hist (ending at z's level),
     the off-rate zeta at t, mu0 and the ring; rho, in age order, is built
     from the ring, in the frame of hist, when first read.  traj holds z at
-    every level n % stride == 0.  An off-rate that declares it ignores t
+    every level n % stride == 0, row n // stride.  An off-rate that declares it ignores t
     is sampled once and stepped on birth values (kinetics.BirthRing)
     unless birth_ring refuses the data; the others on the density
     (kinetics.CohortRing).  Either ring holds the survival factor of an
@@ -135,7 +135,8 @@ class _WeakRun:
         # discrete analogue of the population floor min(mu0(0), beta_m/(beta_m+zeta_M))
         self.guard = _Guard(min(float(np.min(self.mu0)), rate.beta_m / (rate.beta_m + rate.zeta_M)) - 10.0 * agrid.da)
         _check([self], self.z[None], self.mu0[None])
-        self.traj = [self.z.copy()]
+        self.traj = np.empty((self.n_steps // stride + 1, sgrid.n_nodes))
+        self.traj[0] = self.z
 
     @property
     def rho(self):
@@ -180,7 +181,7 @@ def _weak_step(runs, rows, inputs):
     _check(runs, z, mu0)
     for r in runs:
         if r.n % r.stride == 0:
-            r.traj.append(r.z.copy())
+            r.traj[r.n // r.stride] = r.z
 
 
 def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
@@ -238,7 +239,7 @@ def run_weak(vcfg, output_stride=1, diag_stride=1, observers=()):
     march(run, step, run.n_steps, [diagnose, *observers])
     return WeakRunResult(
         times=np.arange(0, run.n_steps + 1, output_stride) * run.dt,
-        trajectory=np.asarray(run.traj),
+        trajectory=run.traj,
         records=records,
         mu0_min=guard.mu0_min,
         mu0_max=guard.mu0_max,
@@ -339,7 +340,7 @@ def _lane_march(vcfgs, strides):
     live = [start(lane) for lane in range(len(lanes))]
     while any(live):
         until_one_ends([r for r in live if r])
-        trajs.update((r.eps, np.asarray(r.traj)) for r in live if r and r.n == r.n_steps)
+        trajs.update((r.eps, r.traj) for r in live if r and r.n == r.n_steps)
         live = [r if r and r.n < r.n_steps else None for r in live]  # the runs that ended are freed
         live = [r or start(lane) for lane, r in enumerate(live)]
     return [trajs[v.epsilon] for v in vcfgs]

@@ -185,6 +185,15 @@ def test_a_weak_run_of_a_constant_off_rate_holds_at_most_five_fields():
     assert traced_peak(lambda: simulate.run_weak(vcfg, diag_stride=0)) <= 5 * reference_field()
 
 
+def test_a_weak_run_holds_its_trajectory_once():
+    # each kept level is written into one (n_steps // stride + 1, nx+2)
+    # array: keeping all 1,001 levels costs one reference field over keeping
+    # two.  Row copies in a list, stacked at the end, cost 2.2 fields
+    vcfg = validate_config(reference_config())
+    sparse, dense = (traced_peak(simulate.run_weak, vcfg, stride, 0) for stride in (1000, 1))
+    assert dense - sparse <= 1.1 * reference_field()
+
+
 def test_the_cli_sweep_holds_at_most_seven_fields(tmp_path):
     # two lanes' rings and histories, each lane's run with its own zeta and
     # no full-read buffer (a re-read forms B z a block of rows at a time);
