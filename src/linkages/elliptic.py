@@ -4,10 +4,11 @@ One tridiagonal kernel serves the position solve, the velocity solve, the
 implicit limit stepper and the large-time profile.  A run prepares its
 Operator once (config.Inputs.balance; the limit solver's Inputs, at
 scale 1, gives kappa = 1): it checks kappa and forms the off-diagonals,
-and owns the buffers every solve writes.  The system is posed on the full grid, the Dirichlet nodes
-identity rows, so z comes out of gtsv with its zero boundary.  Several
-independent systems on one grid solve in one call, as the rows of a stack.
-solve poses a system on the interior nodes alone for a single call.
+and owns the buffers every solve writes.  The system is posed on the
+full grid, the Dirichlet nodes identity rows, so z comes out of gtsv
+with its zero boundary.  Several independent systems on one grid solve
+in one call, as the rows of a stack.  solve poses a system on the
+interior nodes alone for a single call.
 
 The kernel is LAPACK gtsv from scipy's own Fortran extension,
 scipy.linalg._flapack, loaded from its file under its real name.  Importing

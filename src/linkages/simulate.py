@@ -110,14 +110,14 @@ class _WeakRun:
     _weak_step rebinds the state: t = n*dt, z, hist (ending at z's level),
     the off-rate zeta at t, mu0 and the ring; rho, in age order, is built
     from the ring, in the frame of hist, when first read.  traj holds z at
-    every level n % stride == 0, row n // stride.  An off-rate that declares it ignores t
-    is sampled once and stepped on birth values (kinetics.BirthRing)
-    unless birth_ring refuses the data; the others on the density
-    (kinetics.CohortRing).  Either ring holds the survival factor of an
-    off-rate the same at every x (a field of equal rows) on one row.
-    Level 0 is checked and kept when the run is built.  The run owns
-    every buffer it steps on: the off-rate field at t = 0, sampled here,
-    and its ring's.
+    every level n % stride == 0, in row n // stride.  An off-rate that
+    declares it ignores t is sampled once and stepped on birth values
+    (kinetics.BirthRing) unless birth_ring refuses the data; the others
+    on the density (kinetics.CohortRing).  Either ring holds the survival
+    factor of an off-rate the same at every x (a field of equal rows) on
+    one row.  Level 0 is checked and kept when the run is built.  The run
+    owns every buffer it steps on: the off-rate field at t = 0, sampled
+    here, and its ring's.
     """
 
     def __init__(self, vcfg, stride):
